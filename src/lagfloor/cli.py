@@ -88,19 +88,29 @@ def _parse_set(text):
 
 
 def _options(args, pf=None):
-    """Flags override [options] in the problem file, which override defaults."""
+    """Flags override [options] in the problem file, which override defaults.
+
+    A value that is not an integer, a negative degree or fourier order, or
+    a closure cap below 1 is a parse error wherever it comes from.
+    """
     file_opts = pf.section("options") if pf is not None else {}
 
-    def pick(flag_value, key, default):
+    def pick(flag_value, flag, key, default, least):
         if flag_value is not None:
-            return flag_value
-        value = file_opts.get(key, default)
-        return value if isinstance(value, int) else default
+            value, source = flag_value, flag
+        else:
+            value = file_opts.get(key, default)
+            source = f"[options] {key}"
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ProblemFileError(f"{source} must be an integer, got {value!r}")
+        if value < least:
+            raise ProblemFileError(f"{source} must be at least {least}, got {value}")
+        return value
 
     return ClassifyOptions(
-        degree=pick(args.ansatz_degree, "degree", 3),
-        fourier=pick(args.fourier, "fourier", 3),
-        closure_cap=pick(args.closure_cap, "closure_cap", 64),
+        degree=pick(args.ansatz_degree, "--ansatz-degree", "degree", 3, 0),
+        fourier=pick(args.fourier, "--fourier", "fourier", 3, 0),
+        closure_cap=pick(args.closure_cap, "--closure-cap", "closure_cap", 64, 1),
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .expr import Expr, TP, TP_ONE
-from .linalg import Mat, Subspace, kernel_basis, solve
+from .linalg import InvariantViolation, Mat, Subspace, kernel_of_rows, solve
 
 F = Fraction
 
@@ -78,8 +78,56 @@ class MonoIndex:
         return len(self.monos)
 
 
-def pad(rows, n):
-    return [list(r) + [F(0)] * (n - len(r)) for r in rows]
+def poly_terms(e: Expr) -> dict:
+    """{monomial: coefficient} of a polynomial expression."""
+    if not e.den.is_one():
+        raise InvariantViolation("monomial coordinates require polynomial components")
+    return e.num.terms
+
+
+def add_scaled(acc: dict, c, terms: dict):
+    """acc += c * terms on sparse {key: coefficient} dicts, zeros dropped."""
+    for k, x in terms.items():
+        v = acc.get(k, 0) + c * x
+        if v:
+            acc[k] = v
+        else:
+            acc.pop(k, None)
+
+
+def equation_rows(terms):
+    """Sparse rows ``{unknown: coefficient}`` of one identity sum == 0.
+
+    ``terms`` are (unknown, scale, expression) triples standing for
+    unknown * scale * expression; an unknown may repeat, and its
+    contributions add.  Polynomial terms give their monomial coordinates
+    directly; otherwise the identity is first cleared to a common
+    denominator.  One row per monomial, zero rows dropped.
+    """
+    terms = [t for t in terms if not t[2].is_zero()]
+    if all(e.den.is_one() for _, _, e in terms):
+        nums = [e.num for _, _, e in terms]
+    else:
+        _, nums = common_denominator([e for _, _, e in terms])
+    rows = {}
+    for (k, scale, _), num in zip(terms, nums):
+        for m, c in num.terms.items():
+            row = rows.setdefault(m, {})
+            v = row.get(k, 0) + (c if scale == 1 else scale * c)
+            if v:
+                row[k] = v
+            else:
+                row.pop(k, None)
+    return [r for r in rows.values() if r]
+
+
+def kernel_of_expr_system(columns: list[list[Expr]]) -> Subspace:
+    """All (c_k) with sum_k c_k columns[k][e] = 0 identically for every e."""
+    nunk = len(columns)
+    rows = []
+    for e in range(len(columns[0]) if columns else 0):
+        rows.extend(equation_rows((k, 1, columns[k][e]) for k in range(nunk)))
+    return kernel_of_rows(rows, nunk)
 
 
 def solve_linear_expr_system(columns: list[list[Expr]], rhs: list[Expr]):
@@ -89,49 +137,14 @@ def solve_linear_expr_system(columns: list[list[Expr]], rhs: list[Expr]):
     common denominator, then compared monomial by monomial.
     """
     nunk = len(columns)
-    neq = len(rhs)
-    midx = MonoIndex()
     rows = []
-    rhs_entries = []
-    for e in range(neq):
-        eq_exprs = [columns[k][e] for k in range(nunk)] + [rhs[e]]
-        _, nums = common_denominator(eq_exprs)
-        vecs = [midx.vector(num) for num in nums]
-        width = max(len(v) for v in vecs)
-        vecs = pad(vecs, width)
-        for mono_pos in range(width):
-            row = [vecs[k][mono_pos] for k in range(nunk)]
-            b = vecs[nunk][mono_pos]
-            if any(row) or b:
-                rows.append(row)
-                rhs_entries.append(b)
+    for e in range(len(rhs)):
+        terms = [(k, 1, columns[k][e]) for k in range(nunk)] + [(nunk, -1, rhs[e])]
+        rows.extend(equation_rows(terms))
     if not rows:
         return tuple(F(0) for _ in range(nunk))
-    m = Mat.from_rows(rows, nunk)
-    return solve(m, rhs_entries)
-
-
-def kernel_of_expr_system(columns: list[list[Expr]]) -> Subspace:
-    """All (c_k) with sum_k c_k columns[k][e] = 0 identically for every e."""
-    nunk = len(columns)
-    zero_rhs = [Expr.const(columns[0][0].chart, 0)] * (len(columns[0]) if columns else 0)
-    midx = MonoIndex()
-    rows = []
-    for e in range(len(zero_rhs)):
-        eq_exprs = [columns[k][e] for k in range(nunk)]
-        _, nums = common_denominator(eq_exprs)
-        vecs = [midx.vector(num) for num in nums]
-        width = max(len(v) for v in vecs) if vecs else 0
-        vecs = pad(vecs, width)
-        for mono_pos in range(width):
-            row = [vecs[k][mono_pos] for k in range(nunk)]
-            if any(row):
-                rows.append(row)
-    if not rows:
-        return Subspace(
-            nunk, tuple(tuple(F(i == j) for j in range(nunk)) for i in range(nunk))
-        )
-    return kernel_basis(Mat.from_rows(rows, nunk))
+    m = Mat.from_rows([[r.get(k, 0) for k in range(nunk)] for r in rows], nunk)
+    return solve(m, [-r.get(nunk, 0) for r in rows])
 
 
 class ExprSpan:

@@ -43,15 +43,17 @@ from .calculus import (
     total_time_derivative,
 )
 from .cecohom import Cochain, GModule, ce_differential, cohomology, coboundary_witness, validate_module
-from .expr import AnsatzSpec, EvaluationPole, Expr, function_monomials, mono_expr
-from .exprspace import MonoIndex, kernel_of_expr_system, solve_linear_expr_system
+from .expr import TP, UNIT, AnsatzSpec, EvaluationPole, Expr, function_monomials, mono_expr
+from .exprspace import MonoIndex, add_scaled, equation_rows, poly_terms, solve_linear_expr_system
 from .liealg import zero_one_cocycles
-from .linalg import Mat, Subspace, kernel_basis, quotient, solve
+from .linalg import Mat, Subspace, kernel_basis, kernel_of_rows, quotient, solve
 from .pairs import (
     CapExceeded as CapExceededError,
     FunctionCochain,
     GMPair,
+    closedness_rows,
     invariant_closed_forms,
+    pi_images,
     pi_map,
     restrict_cocycle,
     scalar_coboundary,
@@ -333,11 +335,10 @@ def phi3(p: GMPair, alpha: FunctionCochain, opts: ClassifyOptions):
     zero = Expr.const(ch, 0)
     closed_pairs = [(a, b) for a in range(ncoords) for b in range(a + 1, ncoords)]
     # equations: n cochain identities, then closedness of w
+    act = p.action
     for mu, m in unknowns:
         me = mono_expr(ch, m)
-        eqs = []
-        for i in range(n):
-            eqs.append(me * p.fields[i].components[mu])  # (pi w)_i contribution
+        eqs = [act.contraction(i, mu, m) for i in range(n)]  # (pi w)_i contributions
         for a, b in closed_pairs:
             if mu == b:
                 eqs.append(me.partial(ch.names[a]))
@@ -352,8 +353,7 @@ def phi3(p: GMPair, alpha: FunctionCochain, opts: ClassifyOptions):
         columns.append(eqs)
     fmonos = function_monomials(ch, deg + 1, four)
     for m in fmonos:
-        me = mono_expr(ch, m)
-        eqs = [lie_derivative_scalar(p.fields[i], me) for i in range(n)]
+        eqs = [act.scalar(i, m) for i in range(n)]
         eqs.extend([zero] * len(closed_pairs))
         columns.append(eqs)
     rhs = list(alpha.components) + [zero] * len(closed_pairs)
@@ -597,150 +597,105 @@ class KSpacesReport:
         return (self.k0_dim, self.k1_dim, self.k2_dim, self.k3_dim, self.k4_dim)
 
 
-def _cochain_tuple_coords(p: GMPair, cochains):
-    """Dense coordinates for function-valued 1-cochains (one slot per gen)."""
-    n = p.algebra.dim
-    midx = MonoIndex()
-    raw = []
-    for alpha in cochains:
-        comp_coords = []
-        for c in alpha:
-            assert c.den.is_one(), "K3 coordinates require polynomial components"
-            comp_coords.append({midx.key(m): v for m, v in c.num.terms.items()})
-        raw.append(comp_coords)
-    width = len(midx)
-    out = []
-    for comp_coords in raw:
-        v = [F(0)] * (n * width)
-        for slot, coords in enumerate(comp_coords):
-            for k, val in coords.items():
-                v[slot * width + k] = val
-        out.append(tuple(v))
-    return out, width, midx
-
-
 def k3_space(p: GMPair, opts: ClassifyOptions):
     """Truncated K3: ansatz cocycles modulo {pi(w) + t + delta(f)}.
 
     Cocycles alpha live in the ansatz monomial space; the denominator is
     intersected with that space.  The f-degree is raised until the dimension
-    stabilizes (the denominator grows monotonically).
+    stabilizes (the denominator grows monotonically).  Every system is read
+    off the pair's action table as sparse monomial rows.  The closed forms,
+    their pi images (both naturality identities checked once per basis
+    form) and the constant cocycles do not depend on the f-degree and are
+    computed once.
     """
     ch = p.chart
     g = p.algebra
     n = g.dim
+    act = p.action
     monos = function_monomials(ch, opts.degree, opts.fourier)
-    unknowns = [(i, m) for i in range(n) for m in monos]
-    zero = Expr.const(ch, 0)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    columns = []
-    for i, m in unknowns:
-        me = mono_expr(ch, m)
-        eqs = []
-        for a, b in pairs:
-            if i == b:
-                eqs.append(lie_derivative_scalar(p.fields[a], me) - me * g.coeff(a, b, i))
-            elif i == a:
-                eqs.append(-lie_derivative_scalar(p.fields[b], me) - me * g.coeff(a, b, i))
-            else:
-                eqs.append(-me * g.coeff(a, b, i))
-        columns.append(eqs)
-    zcoeffs = kernel_of_expr_system(columns)
-
-    def cochain_from_coeffs(v):
-        comps = [zero] * n
-        for (i, m), c in zip(unknowns, v):
+    nm = len(monos)
+    mono_exprs = [mono_expr(ch, m) for m in monos]
+    # cocycle system: unknown i * nm + k is the coefficient of monos[k] in alpha_i
+    rows = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            structure = [(i, g.coeff(a, b, i)) for i in range(n) if g.coeff(a, b, i)]
+            terms = []
+            for k, m in enumerate(monos):
+                terms.append((b * nm + k, 1, act.scalar(a, m)))
+                terms.append((a * nm + k, -1, act.scalar(b, m)))
+                terms.extend((i * nm + k, -c, mono_exprs[k]) for i, c in structure)
+            rows.extend(equation_rows(terms))
+    zbasis = kernel_of_rows(rows, n * nm).basis
+    # ambient order: generator slot, then each monomial's first appearance
+    # in the cocycle basis; canonical echelon forms depend on it
+    rank = {}
+    for v in zbasis:
+        for col, c in enumerate(v):
             if c:
-                comps[i] = comps[i] + mono_expr(ch, m) * c
-        return tuple(comps)
+                rank.setdefault(col % nm, len(rank))
+    for k in range(nm):
+        rank.setdefault(k, len(rank))
+    order = sorted(range(nm), key=rank.__getitem__)
+    ambient = n * nm
 
-    z_cochains = [cochain_from_coeffs(v) for v in zcoeffs.basis]
-    # denominator: pi of closed ansatz forms, constant cocycles, coboundaries
-    def denominator_cochains(fdeg):
+    def permuted(v):
+        return tuple(v[slot * nm + k] for slot in range(n) for k in order)
+
+    zsub = Subspace.spanned_by([permuted(v) for v in zbasis], ambient)
+    # denominator generators as cochains of {monomial: coefficient} dicts
+    units = [(mu, m) for mu in range(len(ch.names)) for m in monos]
+    closed = kernel_of_rows(closedness_rows(p, monos), len(units))
+    fixed = pi_images(p, units, closed.basis)
+    for tvec in zero_one_cocycles(g).basis:
+        fixed.append([{UNIT: tv} if tv else {} for tv in tvec])
+    position = {m: rank[k] for k, m in enumerate(monos)}
+
+    def inside_span(gens):
+        """Vectors spanning span(gens) intersected with the ansatz space."""
+        outside = {}
+        inside = []
+        for j, cochain in enumerate(gens):
+            vec = {}
+            for slot, terms in enumerate(cochain):
+                for m, c in terms.items():
+                    if m in position:
+                        vec[slot * nm + position[m]] = c
+                    else:
+                        outside.setdefault((slot, m), {})[j] = c
+            inside.append(vec)
         out = []
-        wmonos = function_monomials(ch, opts.degree, opts.fourier)
-        wcols = []
-        ncoords = len(ch.names)
-        wunk = [(mu, m) for mu in range(ncoords) for m in wmonos]
-        closed_pairs = [(a, b) for a in range(ncoords) for b in range(a + 1, ncoords)]
-        for mu, m in wunk:
-            me = mono_expr(ch, m)
-            eqs = []
-            for a, b in closed_pairs:
-                if mu == b:
-                    eqs.append(me.partial(ch.names[a]))
-                elif mu == a:
-                    eqs.append(-me.partial(ch.names[b]))
-                else:
-                    eqs.append(zero)
-            wcols.append(eqs)
-        closed = kernel_of_expr_system(wcols)
-        for v in closed.basis:
-            comps = [zero] * ncoords
-            for (mu, m), c in zip(wunk, v):
+        # combinations whose outside coordinates cancel
+        for combo in kernel_of_rows(list(outside.values()), len(gens)).basis:
+            acc = {}
+            for c, vec in zip(combo, inside):
                 if c:
-                    comps[mu] = comps[mu] + mono_expr(ch, m) * c
-            out.append(tuple(pi_map(p, OneForm(ch, tuple(comps))).components))
-        for tvec in zero_one_cocycles(g).basis:
-            out.append(tuple(Expr.const(ch, tv) for tv in tvec))
-        for m in function_monomials(ch, fdeg, opts.fourier):
-            me = mono_expr(ch, m)
-            out.append(tuple(lie_derivative_scalar(p.fields[i], me) for i in range(n)))
+                    add_scaled(acc, c, vec)
+            v = [F(0)] * ambient
+            for col, x in acc.items():
+                v[col] = x
+            out.append(v)
         return out
 
     prev = None
     for extra in (1, 2, 3):
-        dens = denominator_cochains(opts.degree + extra)
-        vectors, width, midx = _cochain_tuple_coords(p, z_cochains + dens)
-        zvecs = vectors[: len(z_cochains)]
-        dvecs = vectors[len(z_cochains) :]
-        ambient = n * width
-        # restrict the denominator span to the ansatz coordinate block
-        allowed = set()
-        mono_set = set(monos)
-        for slot in range(n):
-            for m, k in midx.index.items():
-                if m in mono_set:
-                    allowed.add(slot * width + k)
-        outside = [i for i in range(ambient) if i not in allowed]
-        if dvecs:
-            rows = [[dv[i] for dv in dvecs] for i in outside]
-            if rows:
-                inside_combos = kernel_basis(Mat.from_rows(rows, len(dvecs)))
-            else:
-                inside_combos = Subspace(
-                    len(dvecs),
-                    tuple(tuple(F(i == j) for j in range(len(dvecs))) for i in range(len(dvecs))),
-                )
-            d_inside = []
-            for combo in inside_combos.basis:
-                v = [F(0)] * ambient
-                for c, dv in zip(combo, dvecs):
-                    if c:
-                        v = [x + c * y for x, y in zip(v, dv)]
-                d_inside.append(tuple(v))
-        else:
-            d_inside = []
-        zsub = Subspace.spanned_by(zvecs, ambient)
-        dsub = Subspace.spanned_by(d_inside, ambient)
+        coboundaries = [
+            [poly_terms(act.scalar(i, m)) for i in range(n)]
+            for m in function_monomials(ch, opts.degree + extra, opts.fourier)
+        ]
+        dsub = Subspace.spanned_by(inside_span(fixed + coboundaries), ambient)
         qt = quotient(zsub, dsub)
-        if qt.dim == (prev[0] if prev else None):
+        if qt.dim == prev:
             reps = []
             for v in qt.representatives:
-                comps = [zero] * n
+                comps = []
                 for slot in range(n):
-                    tp = {}
-                    for m, k in midx.index.items():
-                        c = v[slot * width + k]
-                        if c:
-                            tp[m] = c
-                    from .expr import TP
-
-                    comps[slot] = Expr(ch, TP(tp))
+                    block = v[slot * nm : (slot + 1) * nm]
+                    comps.append(Expr(ch, TP({monos[k]: c for k, c in zip(order, block) if c})))
                 reps.append(FunctionCochain(p, tuple(comps)))
             return _certify_k3(p, qt.dim, tuple(reps))
-        prev = (qt.dim, qt)
-    return _certify_k3(p, prev[0], ())
+        prev = qt.dim
+    return _certify_k3(p, prev, ())
 
 
 def _certify_k3(p: GMPair, raw_dim, reps):

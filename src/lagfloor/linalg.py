@@ -43,6 +43,14 @@ class DenominatorNotContained(Exception):
     """Quotient denominator has a basis vector outside the numerator span."""
 
 
+class InvariantViolation(AssertionError):
+    """A certificate failed: an identity that must hold exactly did not.
+
+    It is raised explicitly, so ``python -O`` cannot strip the check the way
+    it strips ``assert``; as an AssertionError it keeps the CLI's exit code 3.
+    """
+
+
 def _as_fraction_row(row):
     return tuple(Fraction(x) for x in row)
 
@@ -140,13 +148,23 @@ class Mat:
         return Mat(self.rows, self.cols + other.cols, tuple(ent))
 
 
-def _int_rows(rows):
+def _int_rows(rows, ncols):
     """Clear denominators row by row; row scaling preserves row space.
 
-    Accepts int or Fraction entries (int.denominator is 1).
+    A row is a dense sequence of int or Fraction entries (int.denominator is
+    1), or a sparse ``{column: entry}`` dict, which comes out dense.
     """
     out = []
     for r in rows:
+        if isinstance(r, dict):
+            den = 1
+            for x in r.values():
+                den = lcm(den, x.denominator)
+            dense = [0] * ncols
+            for j, x in r.items():
+                dense[j] = x.numerator * (den // x.denominator)
+            out.append(dense)
+            continue
         den = 1
         for x in r:
             if x:
@@ -159,12 +177,16 @@ def _int_rows(rows):
 
 
 def rref(rows, ncols):
-    """Canonical rational RREF: (pivots, rows with pivot entries = 1)."""
-    pivots, red = row_reduce(_int_rows(rows), ncols)
+    """Canonical rational RREF: (pivots, rows with pivot entries = 1).
+
+    Rows may be dense sequences or sparse ``{column: entry}`` dicts.
+    """
+    pivots, red = row_reduce(_int_rows(rows, ncols), ncols)
+    zero = Fraction(0)
     out = []
     for p, r in zip(pivots, red):
-        inv = Fraction(1, r[p])
-        out.append(tuple(Fraction(x) * inv for x in r))
+        d = r[p]
+        out.append(tuple(Fraction(x, d) if x else zero for x in r))
     return pivots, out
 
 
@@ -217,18 +239,29 @@ def kernel_basis(m: Mat) -> Subspace:
     Representatives come from the reduced echelon form: one vector per free
     column, free columns ascending, so the output is canonical.
     """
-    pivots, rows = rref(m.row_lists(), m.cols)
+    return kernel_of_rows(m.row_lists(), m.cols)
+
+
+def kernel_of_rows(rows, ncols) -> Subspace:
+    """``kernel_basis`` of the matrix with these rows, without building a Mat.
+
+    Rows are dense sequences or sparse ``{column: entry}`` dicts; with no
+    rows the kernel is the whole space.
+    """
+    pivots, red = rref(rows, ncols)
     pivot_set = set(pivots)
+    zero = Fraction(0)
     basis = []
-    for f in range(m.cols):
+    for f in range(ncols):
         if f in pivot_set:
             continue
-        v = [Fraction(0)] * m.cols
+        v = [zero] * ncols
         v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -rows[i][f]
+        for p, r in zip(pivots, red):
+            if r[f]:
+                v[p] = -r[f]
         basis.append(tuple(v))
-    return Subspace(m.cols, tuple(basis), verified=True)
+    return Subspace(ncols, tuple(basis), verified=True)
 
 
 def image_basis(m: Mat) -> Subspace:

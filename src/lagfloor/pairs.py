@@ -13,7 +13,7 @@ exhibit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .calculus import (
@@ -26,9 +26,9 @@ from .calculus import (
 )
 from .cecohom import GModule, validate_module
 from .expr import AnsatzSpec, Chart, Expr, chart, function_monomials, mono_expr, parse_expr
-from .exprspace import ExprSpan, kernel_of_expr_system
+from .exprspace import ExprSpan, add_scaled, equation_rows, kernel_of_expr_system, poly_terms
 from .liealg import StructureConstants, catalog, poincare_fields, R4
-from .linalg import Mat, QuotientSpace, Subspace, kernel_basis, quotient
+from .linalg import InvariantViolation, Mat, QuotientSpace, Subspace, kernel_basis, kernel_of_rows, quotient
 
 F = Fraction
 
@@ -44,6 +44,60 @@ class NotACocycle(Exception):
     pass
 
 
+class ActionTable:
+    """The generator action on monomials and elementary 1-forms.
+
+    Each image is computed on first use and kept: ``scalar(i, m)`` is
+    X_i(m), ``oneform(i, mu, m)`` is L_{X_i}(m dq^mu), ``contraction(i, mu,
+    m)`` is (pi(m dq^mu))_i = m X_i^mu and ``partial(mu, m)`` is d m/dq^mu.
+    Images are expressions; ``poly_terms`` reads monomial coordinates off a
+    polynomial one.
+    """
+
+    def __init__(self, chart_: Chart, fields):
+        self.chart = chart_
+        self.fields = fields
+        self._scalar = {}
+        self._oneform = {}
+        self._contraction = {}
+        self._partial = {}
+
+    def scalar(self, i, mono) -> Expr:
+        img = self._scalar.get((i, mono))
+        if img is None:
+            img = lie_derivative_scalar(self.fields[i], mono_expr(self.chart, mono))
+            self._scalar[(i, mono)] = img
+        return img
+
+    def partial(self, mu, mono) -> Expr:
+        img = self._partial.get((mu, mono))
+        if img is None:
+            img = mono_expr(self.chart, mono).partial(self.chart.names[mu])
+            self._partial[(mu, mono)] = img
+        return img
+
+    def contraction(self, i, mu, mono) -> Expr:
+        img = self._contraction.get((i, mu, mono))
+        if img is None:
+            img = mono_expr(self.chart, mono) * self.fields[i].components[mu]
+            self._contraction[(i, mu, mono)] = img
+        return img
+
+    def oneform(self, i, mu, mono) -> OneForm:
+        """L_X(m dq^mu) = X(m) dq^mu + m d(X^mu), the Cartan formula's two
+        nonzero terms for an elementary form."""
+        img = self._oneform.get((i, mu, mono))
+        if img is None:
+            ch = self.chart
+            me = mono_expr(ch, mono)
+            x_mu = self.fields[i].components[mu]
+            comps = [me * x_mu.partial(name) for name in ch.names]
+            comps[mu] = comps[mu] + self.scalar(i, mono)
+            img = OneForm(ch, tuple(comps))
+            self._oneform[(i, mu, mono)] = img
+        return img
+
+
 @dataclass(frozen=True)
 class GMPair:
     algebra: StructureConstants
@@ -53,12 +107,14 @@ class GMPair:
     stability_sections: tuple | None = None  # tuples of velocity-free Expr, len = dim
     sample_points: tuple = ()
     name: str = ""
+    action: ActionTable = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         assert len(self.fields) == self.algebra.dim
         if self.stability_sections is not None:
             for s in self.stability_sections:
                 assert len(s) == self.algebra.dim
+        object.__setattr__(self, "action", ActionTable(self.chart, self.fields))
 
     def lie_scalar(self, i, f):
         return lie_derivative_scalar(self.fields[i], f)
@@ -149,9 +205,61 @@ def pi_map(p: GMPair, w: OneForm) -> FunctionCochain:
         comps.append(acc)
     out = FunctionCochain(p, tuple(comps))
     if is_closed(w):
-        assert out.is_cocycle(), "pi of a closed form must be a cocycle"
+        if not out.is_cocycle():
+            raise InvariantViolation("pi of a closed form must be a cocycle")
         for i in range(p.algebra.dim):
-            assert lie_derivative_oneform(p.fields[i], w) == gradient(comps[i])
+            if lie_derivative_oneform(p.fields[i], w) != gradient(comps[i]):
+                raise InvariantViolation("L_X w = d(pi w) must hold for a closed form")
+    return out
+
+
+def pi_images(p: GMPair, units, basis):
+    """pi(w) in monomial coordinates, for each w of a basis of closed forms.
+
+    ``units`` are elementary forms (mu, monomial) and a basis vector holds
+    the coefficients of w over them.  Both naturality identities,
+    delta(pi w) = 0 and L_{X_i} w = d((pi w)_i), are checked exactly on
+    every basis vector, from the pair's action table; linearity carries
+    them to the span.  A failure raises InvariantViolation.  Returns one
+    list of n {monomial: coefficient} dicts per basis vector.
+    """
+    g = p.algebra
+    n = g.dim
+    act = p.action
+    brackets = [
+        (a, b, [(k, g.coeff(a, b, k)) for k in range(n) if g.coeff(a, b, k)])
+        for a in range(n)
+        for b in range(a + 1, n)
+    ]
+    out = []
+    for v in basis:
+        support = [(mu, m, c) for (mu, m), c in zip(units, v) if c]
+        pw = []
+        for i in range(n):
+            acc = {}
+            for mu, m, c in support:
+                add_scaled(acc, c, poly_terms(act.contraction(i, mu, m)))
+            pw.append(acc)
+        for a, b, structure in brackets:
+            acc = {}
+            for m, c in pw[b].items():
+                add_scaled(acc, c, poly_terms(act.scalar(a, m)))
+            for m, c in pw[a].items():
+                add_scaled(acc, -c, poly_terms(act.scalar(b, m)))
+            for k, ck in structure:
+                add_scaled(acc, -ck, pw[k])
+            if acc:
+                raise InvariantViolation("pi of a closed form must be a cocycle")
+        for i in range(n):
+            for nu in range(len(p.chart.names)):
+                acc = {}
+                for mu, m, c in support:
+                    add_scaled(acc, c, poly_terms(act.oneform(i, mu, m).components[nu]))
+                for m, c in pw[i].items():
+                    add_scaled(acc, -c, poly_terms(act.partial(nu, m)))
+                if acc:
+                    raise InvariantViolation("L_X w = d(pi w) must hold for a closed form")
+        out.append(pw)
     return out
 
 
@@ -248,10 +356,7 @@ class InvariantFunctions:
 def invariant_functions(p: GMPair, ansatz: AnsatzSpec) -> InvariantFunctions:
     """All ansatz-space solutions of X_i f = 0 for every generator."""
     monos = function_monomials(p.chart, ansatz.degree, ansatz.fourier)
-    columns = []
-    for m in monos:
-        me = mono_expr(p.chart, m)
-        columns.append([p.lie_scalar(i, me) for i in range(p.algebra.dim)])
+    columns = [[p.action.scalar(i, m) for i in range(p.algebra.dim)] for m in monos]
     coeffs = kernel_of_expr_system(columns)
     basis = []
     for v in coeffs.basis:
@@ -261,6 +366,20 @@ def invariant_functions(p: GMPair, ansatz: AnsatzSpec) -> InvariantFunctions:
                 f = f + mono_expr(p.chart, m) * c
         basis.append(f)
     return InvariantFunctions(tuple(basis), coeffs)
+
+
+def closedness_rows(p: GMPair, monos):
+    """Rows of dw = 0 for w = sum c_(mu,k) monos[k] dq^mu, unknowns mu-major."""
+    act = p.action
+    nm = len(monos)
+    ncoords = len(p.chart.names)
+    rows = []
+    for a in range(ncoords):
+        for b in range(a + 1, ncoords):
+            terms = [(b * nm + k, 1, act.partial(a, m)) for k, m in enumerate(monos)]
+            terms += [(a * nm + k, -1, act.partial(b, m)) for k, m in enumerate(monos)]
+            rows.extend(equation_rows(terms))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -274,23 +393,21 @@ class InvariantForms:
 def invariant_closed_forms(p: GMPair, ansatz: AnsatzSpec) -> InvariantForms:
     """Closed invariant 1-forms modulo differentials of invariant functions."""
     ch = p.chart
+    act = p.action
     monos = function_monomials(ch, ansatz.degree, ansatz.fourier)
     ncoords = len(ch.names)
     unknowns = [(mu, k) for mu in range(ncoords) for k in range(len(monos))]
-    columns = []
     zero = Expr.const(ch, 0)
-    for mu, k in unknowns:
-        comps = [zero] * ncoords
-        comps[mu] = mono_expr(ch, monos[k])
-        w = OneForm(ch, tuple(comps))
-        eqs = []
-        for a in range(ncoords):
-            for b in range(a + 1, ncoords):
-                eqs.append(w.components[b].partial(ch.names[a]) - w.components[a].partial(ch.names[b]))
-        for i in range(p.algebra.dim):
-            eqs.extend(lie_derivative_oneform(p.fields[i], w).components)
-        columns.append(eqs)
-    coeffs = kernel_of_expr_system(columns)
+    rows = closedness_rows(p, monos)
+    for i in range(p.algebra.dim):
+        for nu in range(ncoords):
+            rows.extend(
+                equation_rows(
+                    (col, 1, act.oneform(i, mu, monos[k]).components[nu])
+                    for col, (mu, k) in enumerate(unknowns)
+                )
+            )
+    coeffs = kernel_of_rows(rows, len(unknowns))
 
     def vec_to_form(v):
         comps = [zero] * ncoords

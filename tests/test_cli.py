@@ -13,7 +13,9 @@ from lagfloor.problemfile import (
     parse_problem_file,
 )
 
-FIXTURES = Path(__file__).resolve().parent.parent / "src" / "lagfloor" / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "src" / "lagfloor" / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(*argv):
@@ -240,3 +242,60 @@ e3 = [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]]
     )
     assert code == 0
     assert "dim_h1 = 0" in out and "dim_h2 = 0" in out
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--ansatz-degree", "-1"), ("--fourier", "-3"), ("--closure-cap", "0"), ("--closure-cap", "-5")],
+)
+def test_truncation_flags_out_of_range_are_parse_errors(flag, value):
+    code, out = run("--format", "machine", "k-spaces", fx("l3_cylinder.toml"), flag, value)
+    assert code == 2
+    assert f"error = {flag} must be at least" in out
+
+
+@pytest.mark.parametrize(
+    "key, old, new, says",
+    [("degree", "degree = 3", "degree = -1", "must be at least 0"),
+     ("fourier", "fourier = 3", "fourier = -2", "must be at least 0"),
+     ("closure_cap", "closure_cap = 64", "closure_cap = 0", "must be at least 1"),
+     ("degree", "degree = 3", 'degree = "3"', "must be an integer"),
+     ("fourier", "fourier = 3", "fourier = true", "must be an integer")],
+)
+def test_bad_truncation_file_options_are_parse_errors(tmp_path, key, old, new, says):
+    f = tmp_path / "opts.toml"
+    f.write_text((FIXTURES / "l3_cylinder.toml").read_text().replace(old, new))
+    for command in (("k-spaces",), ("classify", "--set", "a=1,b=0,c=0,d=0,q=0")):
+        code, out = run("--format", "machine", command[0], str(f), *command[1:])
+        assert code == 2
+        assert f"error = [options] {key} {says}" in out
+
+
+def test_truncation_zero_is_accepted():
+    code, out = run("--format", "machine", "k-spaces", fx("l3_cylinder.toml"),
+                    "--ansatz-degree", "0", "--fourier", "0", "--closure-cap", "1")
+    assert code == 0, out
+
+
+def test_bad_truncation_prints_no_traceback():
+    import subprocess
+    import sys
+
+    res = subprocess.run(
+        [sys.executable, "-m", "lagfloor.cli", "k-spaces", fx("l3_cylinder.toml"), "--ansatz-degree", "-1"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert res.returncode == 2
+    assert "Traceback" not in res.stdout + res.stderr
+
+
+@pytest.mark.parametrize(
+    "name", ["l3_cylinder", "translations_r3", "so3_sphere", "galilean_r4", "poincare_c1"]
+)
+def test_k_spaces_machine_output_pinned(name, monkeypatch):
+    """Full machine output, representatives included, against files captured
+    before the K-spaces were rebuilt on the action table."""
+    monkeypatch.chdir(ROOT)
+    code, out = run("--format", "machine", "k-spaces", f"src/lagfloor/fixtures/{name}.toml")
+    assert code == 0
+    assert out == (GOLDEN / "k_spaces" / f"{name}.txt").read_text()

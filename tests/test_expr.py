@@ -13,6 +13,7 @@ from lagfloor.expr import (
     parse_expr,
     to_string,
 )
+from lagfloor.exprspace import kernel_of_expr_system
 
 F = Fraction
 
@@ -212,3 +213,20 @@ def test_const_value_of_rational():
     e = P("(2*z + 2)/(z + 1)")
     assert e.const_value() == 2
     assert P("(z + 1)/(z + 2)").const_value() is None
+
+
+# -- exprspace ------------------------------------------------------------------
+
+def test_kernel_of_expr_system_without_unknowns():
+    k = kernel_of_expr_system([])
+    assert k.ambient_dim == 0 and k.dim == 0
+
+
+def test_kernel_of_expr_system_without_equations_is_whole_space():
+    assert kernel_of_expr_system([[], []]).dim == 2
+
+
+def test_kernel_of_expr_system_clears_denominators():
+    # c0 * 1/(1+u) + c1 * u/(1+u) + c2 * 1 = 0 forces c0 + c2 = 0 = c1 + c2
+    cols = [[P("1/(1 + u)", PLANE)], [P("u/(1 + u)", PLANE)], [P("1", PLANE)]]
+    assert kernel_of_expr_system(cols).basis == ((F(-1), F(-1), F(1)),)

@@ -340,6 +340,27 @@ def test_k_spaces_sphere():
     assert any(vals.values())
 
 
+def test_k3_truncated_classes_in_canonical_order():
+    """Uncertified K3 representatives, in the order the quotient picks them.
+
+    Without transitivity no restriction certificate filters the classes, so
+    every truncated class comes back.  The expected cochains were produced
+    before K3 was rebuilt on the action table; their order depends on the
+    ambient coordinate order of the canonical echelon forms.
+    """
+    from dataclasses import replace
+
+    from lagfloor.expr import to_string
+    from lagfloor.hierarchy import k3_space
+
+    dim, reps, residual = k3_space(replace(SPHERE, transitive=False), ClassifyOptions(3, 0))
+    assert (dim, residual) == (2, 0)
+    assert [tuple(to_string(c) for c in a.components) for a in reps] == [
+        ("v", "-u", "0"),
+        ("u", "v", "-1"),
+    ]
+
+
 # -- invariances of the classifier ---------------------------------------------------------
 
 def random_function(rng, pair):

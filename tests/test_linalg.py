@@ -11,6 +11,7 @@ from lagfloor.linalg import (
     Subspace,
     image_basis,
     kernel_basis,
+    kernel_of_rows,
     quotient,
     rref,
     solve,
@@ -44,6 +45,21 @@ def test_kernel_of_identity_is_empty():
 def test_kernel_rank_one():
     k = kernel_basis(M([[1, 2], [2, 4]]))
     assert k.basis == ((F(-2), F(1)),)
+
+
+def test_kernel_of_sparse_rows_matches_dense():
+    rng = random.Random(5)
+    for _ in range(20):
+        rows = [[F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.4 else F(0) for _ in range(7)]
+                for _ in range(rng.randint(0, 6))]
+        sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
+        want = kernel_basis(Mat.from_rows(rows, 7)) if rows else kernel_basis(Mat.zero(0, 7))
+        assert kernel_of_rows(sparse, 7) == want
+
+
+def test_kernel_of_no_rows_is_whole_space():
+    assert kernel_of_rows([], 2).basis == ((F(1), F(0)), (F(0), F(1)))
+    assert kernel_of_rows([], 0).dim == 0
 
 
 # -- image_basis -------------------------------------------------------------

@@ -1,19 +1,26 @@
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from lagfloor.calculus import OneForm, gradient, is_closed
+from lagfloor.calculus import OneForm, gradient, is_closed, lie_derivative_oneform, lie_derivative_scalar
 from lagfloor.cecohom import cohomology
-from lagfloor.expr import AnsatzSpec, parse_expr
+from lagfloor.expr import AnsatzSpec, Expr, function_monomials, mono_expr, parse_expr
+from lagfloor.linalg import kernel_of_rows
 from lagfloor.pairs import (
     CapExceeded,
     FunctionCochain,
     NotACocycle,
+    closedness_rows,
     closure_module,
     function_cochain_to_module_cochain,
     invariant_closed_forms,
     invariant_functions,
+    pi_images,
     pi_map,
     restrict_cocycle,
     scalar_coboundary,
@@ -31,6 +38,9 @@ SPHERE = standard_pair("so3_sphere")
 GAL = standard_pair("galilean_r4")
 POI = standard_pair("poincare_r4", c=1)
 TRANS2 = standard_pair("translations", n=2)
+TRANS3 = standard_pair("translations", n=3)
+STANDARD = [L3, SO3R3, SPHERE, GAL, POI, TRANS2, TRANS3]
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def P(text, pair=L3):
@@ -89,6 +99,101 @@ def test_pi_naturality_random_closed_forms():
         assert is_closed(w)
         out = pi_map(L3, w)  # asserts naturality internally
         assert out.is_cocycle()
+
+
+@pytest.mark.parametrize("pair", STANDARD, ids=lambda p: p.name)
+def test_action_table_matches_lie_derivatives(pair):
+    """Every table entry at the fixtures' ansatz (degree 3, Fourier order 3)."""
+    ch = pair.chart
+    zero = Expr.const(ch, 0)
+    for m in function_monomials(ch, 3, 3):
+        me = mono_expr(ch, m)
+        for mu, name in enumerate(ch.names):
+            assert pair.action.partial(mu, m) == me.partial(name)
+        for i, x in enumerate(pair.fields):
+            assert pair.action.scalar(i, m) == lie_derivative_scalar(x, me)
+            for mu in range(len(ch.names)):
+                comps = [zero] * len(ch.names)
+                comps[mu] = me
+                unit = OneForm(ch, tuple(comps))
+                assert pair.action.oneform(i, mu, m) == lie_derivative_oneform(x, unit)
+                assert pair.action.contraction(i, mu, m) == me * x.components[mu]
+
+
+def test_action_table_is_not_part_of_pair_equality():
+    again = standard_pair("l3_cylinder")
+    L3.action.scalar(0, ((("z", 1),), ()))
+    assert again == L3
+    assert again.action is not L3.action
+
+
+def test_pi_images_agree_with_pi_map():
+    ch = L3.chart
+    units = [(mu, m) for mu in range(2) for m in function_monomials(ch, 1, 1)]
+    # dphi, d(z sin(phi)) = sin(phi) dz + z cos(phi) dphi, and dz
+    forms = [oneform(L3, "0", "1"), oneform(L3, "sin(phi)", "z*cos(phi)"), oneform(L3, "1", "0")]
+    basis = []
+    for w in forms:
+        v = [F(0)] * len(units)
+        for mu, comp in enumerate(w.components):
+            for m, c in comp.num.terms.items():
+                v[units.index((mu, m))] = c
+        basis.append(v)
+    for w, images in zip(forms, pi_images(L3, units, basis)):
+        want = pi_map(L3, w)
+        for comp, terms in zip(want.components, images):
+            assert comp.num.terms == terms
+
+
+def test_pi_certificates_raise_under_python_O():
+    """Explicit checks, so python -O keeps them: a non-closed form and a
+    tampered field each raise InvariantViolation, from pi_images and pi_map."""
+    script = textwrap.dedent(
+        """
+        from lagfloor.calculus import OneForm, VectorFieldExpr
+        from lagfloor.expr import parse_expr
+        from lagfloor.linalg import InvariantViolation
+        from lagfloor.pairs import GMPair, pi_images, pi_map, standard_pair
+
+        assert False, "asserts must be stripped under -O"
+        L3 = standard_pair("l3_cylinder")
+        ch = L3.chart
+        z_dphi = [(1, ((("z", 1),), ()))]  # z dphi is not closed
+        dphi = [(1, ((), ()))]
+        tampered = GMPair(L3.algebra, ch, (
+            L3.fields[0],
+            VectorFieldExpr(ch, (parse_expr(ch, "0"), parse_expr(ch, "2*z"))),
+            L3.fields[2],
+        ))
+        cases = [
+            lambda: pi_images(L3, z_dphi, [[1]]),
+            lambda: pi_images(tampered, dphi, [[1]]),
+            lambda: pi_map(tampered, OneForm(ch, (parse_expr(ch, "0"), parse_expr(ch, "1")))),
+        ]
+        for case in cases:
+            try:
+                case()
+            except InvariantViolation as exc:
+                print("raised:", exc)
+            else:
+                print("passed")
+        """
+    )
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env={"PYTHONPATH": SRC, "PATH": ""},
+    )
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert len(lines) == 3 and all(line.startswith("raised:") for line in lines), res.stdout
+
+
+def test_pi_images_pass_on_the_closed_basis_of_each_pair():
+    for pair in (L3, SPHERE, TRANS2):
+        ch = pair.chart
+        units = [(mu, m) for mu in range(len(ch.names)) for m in function_monomials(ch, 2, 1)]
+        closed = kernel_of_rows(closedness_rows(pair, function_monomials(ch, 2, 1)), len(units))
+        assert len(pi_images(pair, units, closed.basis)) == closed.dim > 0
 
 
 def test_monopole_contraction_consistency():
