@@ -94,8 +94,8 @@ class Cochain:
     components: dict  # increasing tuple -> module vector (tuple of Fraction)
 
     def __post_init__(self):
-        n = self.module.algebra.dim
-        assert 0 <= self.degree <= n
+        # above the algebra's dimension the cochain space is 0
+        assert self.degree >= 0
         for t, v in self.components.items():
             assert len(t) == self.degree and tuple(sorted(t)) == t
             assert len(v) == self.module.dim
@@ -227,9 +227,11 @@ class CohomologyResult:
 
 
 def cohomology(g: StructureConstants, a: GModule, q: int) -> CohomologyResult:
-    """H^q(G, A) = ker(delta_q) / im(delta_{q-1}) with chosen representatives."""
-    n = g.dim
-    assert 0 <= q <= n
+    """H^q(G, A) = ker(delta_q) / im(delta_{q-1}) with chosen representatives.
+
+    Any q >= 0 is accepted; above dim G the cochains, and so H^q, are 0.
+    """
+    assert q >= 0
     d_q = ce_differential(g, a, q)
     z = kernel_basis(d_q)
     if q == 0:

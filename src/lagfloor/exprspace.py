@@ -8,12 +8,8 @@ monomial coordinates of the numerators, and hand the rows to ``linalg``.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .expr import Expr, TP, TP_ONE
-from .linalg import InvariantViolation, Mat, Subspace, kernel_of_rows, solve
-
-F = Fraction
+from .linalg import Echelon, InvariantViolation, Subspace, kernel_of_rows, solve_rows, span_coordinates
 
 
 def tp_lcm(a: TP, b: TP) -> TP:
@@ -64,15 +60,6 @@ class MonoIndex:
             self.index[mono] = len(self.monos)
             self.monos.append(mono)
         return self.index[mono]
-
-    def vector(self, tp: TP, size=None):
-        for m in tp.terms:
-            self.key(m)
-        n = size if size is not None else len(self.monos)
-        v = [F(0)] * n
-        for m, c in tp.terms.items():
-            v[self.index[m]] = c
-        return v
 
     def __len__(self):
         return len(self.monos)
@@ -141,27 +128,24 @@ def solve_linear_expr_system(columns: list[list[Expr]], rhs: list[Expr]):
     for e in range(len(rhs)):
         terms = [(k, 1, columns[k][e]) for k in range(nunk)] + [(nunk, -1, rhs[e])]
         rows.extend(equation_rows(terms))
-    if not rows:
-        return tuple(F(0) for _ in range(nunk))
-    m = Mat.from_rows([[r.get(k, 0) for k in range(nunk)] for r in rows], nunk)
-    return solve(m, [-r.get(nunk, 0) for r in rows])
+    return solve_rows(rows, nunk)
 
 
 class ExprSpan:
     """Incremental linearly independent span of velocity-free expressions.
 
-    Keeps an echelon basis over a growing monomial space, with all members
-    held over a running common denominator.  Insertion order is part of the
-    contract: callers rely on deterministic bases.
+    Keeps a ``linalg.Echelon`` over a growing monomial space, with all
+    members held over a running common denominator.  Insertion order is part
+    of the contract: callers rely on deterministic bases.
     """
 
     def __init__(self, chart):
         self.chart = chart
         self.lcd = TP_ONE
         self.members: list[Expr] = []
+        self._member_coords: list[dict] = []  # over self.lcd, in self.midx columns
         self.midx = MonoIndex()
-        self._echelon: list[dict] = []  # rows as {col: coeff}, pivot-normalized
-        self._pivots: list[int] = []
+        self._echelon = Echelon()
 
     def _coords(self, e: Expr):
         lcd = tp_lcm(self.lcd, e.den)
@@ -178,63 +162,29 @@ class ExprSpan:
     def _rebuild(self):
         members = self.members
         self.members = []
-        self._echelon = []
-        self._pivots = []
+        self._member_coords = []
+        self._echelon = Echelon()
         self.midx = MonoIndex()
         for m in members:
-            added, _ = self.insert(m)
-            assert added, "previously independent members must stay independent"
+            if not self.insert(m):
+                raise InvariantViolation("previously independent members must stay independent")
 
-    def _reduce(self, v):
-        for row, p in zip(self._echelon, self._pivots):
-            c = v.get(p)
-            if c:
-                for col, val in row.items():
-                    nv = v.get(col, F(0)) - c * val
-                    if nv:
-                        v[col] = nv
-                    else:
-                        v.pop(col, None)
-        return v
-
-    def insert(self, e: Expr):
-        """Returns (added, residual_coords); residual empty when dependent."""
+    def insert(self, e: Expr) -> bool:
+        """Add e when it is independent of the members; returns whether it was."""
         if e.is_zero():
-            return False, {}
-        v = self._reduce(self._coords(e))
-        if not v:
-            return False, {}
-        p = min(v)  # smallest monomial index as pivot: deterministic
-        c = v[p]
-        row = {col: val / c for col, val in v.items()}
-        self._echelon.append(row)
-        self._pivots.append(p)
-        self.members.append(e)
-        return True, row
-
-    def contains(self, e: Expr):
-        if e.is_zero():
-            return True
-        try:
-            v = self._coords(e)
-        except AssertionError:
             return False
-        return not self._reduce(v)
+        v = self._coords(e)
+        if not self._echelon.insert(v):
+            return False
+        self.members.append(e)
+        self._member_coords.append(v)
+        return True
 
     def coordinates_in_members(self, e: Expr):
         """Coefficients expressing e in the inserted members, or None."""
-        if not self.members:
-            return () if e.is_zero() else None
-        vecs = [self._coords(m) for m in self.members] + [self._coords(e)]
-        size = len(self.midx)
-        dense = []
-        for v in vecs:
-            d = [F(0)] * size
-            for col, val in v.items():
-                d[col] = val
-            dense.append(d)
-        rows = [[dense[k][i] for k in range(len(self.members))] for i in range(size)]
-        return solve(Mat.from_rows(rows, len(self.members)), [dense[-1][i] for i in range(size)])
+        # e's coordinates first: a new denominator re-expresses the members
+        target = self._coords(e)
+        return span_coordinates(self._member_coords, target)
 
     @property
     def dim(self):

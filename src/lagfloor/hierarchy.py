@@ -46,7 +46,7 @@ from .cecohom import Cochain, GModule, ce_differential, cohomology, coboundary_w
 from .expr import TP, UNIT, AnsatzSpec, EvaluationPole, Expr, function_monomials, mono_expr
 from .exprspace import MonoIndex, add_scaled, equation_rows, poly_terms, solve_linear_expr_system
 from .liealg import zero_one_cocycles
-from .linalg import Mat, Subspace, kernel_basis, kernel_of_rows, quotient, solve
+from .linalg import Echelon, InvariantViolation, Mat, Subspace, kernel_of_rows, quotient, span_coordinates
 from .pairs import (
     CapExceeded as CapExceededError,
     FunctionCochain,
@@ -438,9 +438,7 @@ def phi4(p: GMPair, L: Expr, split, alpha, k3_witness, opts: ClassifyOptions):
     # decomposition: write w = w_inv + d f''
     w_inv = OneForm(p.chart, tuple(Expr.const(p.chart, 0) for _ in p.chart.names))
     if any(h):
-        combo = _solve_in_span(
-            [harmonic_vector(x) for x in inv.closed_invariant_basis], h
-        )
+        combo = span_coordinates([harmonic_vector(x) for x in inv.closed_invariant_basis], h)
         assert combo is not None
         for c, form in zip(combo, inv.closed_invariant_basis):
             if c:
@@ -463,13 +461,6 @@ def phi4(p: GMPair, L: Expr, split, alpha, k3_witness, opts: ClassifyOptions):
         "t": split.t,
     }
     return ClassValue(ZERO, tuple(coords)), decomposition
-
-
-def _solve_in_span(vectors, target):
-    if not vectors:
-        return () if not any(target) else None
-    rows = [[v[i] for v in vectors] for i in range(len(target))]
-    return solve(Mat.from_rows(rows, len(vectors)), list(target))
 
 
 # ---------------------------------------------------------------------------
@@ -767,33 +758,14 @@ class InvarianceComplex:
     bases: tuple  # object bases per column
 
 
-class _Echelon:
-    """Dense echelon reducer with pivot bookkeeping (internal)."""
-
-    def __init__(self, width):
-        self.width = width
-        self.rows = []
-        self.pivots = []
-
-    def reduce(self, v):
-        v = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                for k in range(self.width):
-                    if row[k]:
-                        v[k] -= c * row[k]
-        return v
-
-    def insert(self, v):
-        v = self.reduce(v)
-        p = next((k for k, x in enumerate(v) if x), None)
-        if p is None:
-            return False
-        inv = F(1) / v[p]
-        self.rows.append([x * inv for x in v])
-        self.pivots.append(p)
-        return True
+def _slot_coords(obj, midx):
+    """Sparse coordinates of a tuple of polynomial expressions: one column
+    per (slot, monomial), numbered by the shared ``midx``."""
+    v = {}
+    for slot, comp in enumerate(obj):
+        for m, c in poly_terms(comp).items():
+            v[midx.key((slot, m))] = c
+    return v
 
 
 def _largest_invariant_subspace(objects, apply_ops, nops):
@@ -803,46 +775,20 @@ def _largest_invariant_subspace(objects, apply_ops, nops):
     Deterministic: canonical kernel bases at every shrink step.
     """
     basis = list(objects)
-    while True:
-        if not basis:
-            return []
-        images = [[apply_ops(i, b) for b in basis] for i in range(nops)]
+    while basis:
         midx = MonoIndex()
-        nslots = len(basis[0])
-
-        def coords(obj):
-            per = [midx.vector(comp.num, None) for comp in obj]
-            return per
-
-        raw = [coords(b) for b in basis]
-        raw_images = [[coords(im) for im in images[i]] for i in range(nops)]
-        width = len(midx)
-
-        def dense(per):
-            v = [F(0)] * (nslots * width)
-            for slot, coeffs in enumerate(per):
-                for k, val in enumerate(coeffs):
-                    if val:
-                        v[slot * width + k] = val
-            return v
-
-        for obj in basis:
-            for comp in obj:
-                assert comp.den.is_one(), "invariant subspace needs polynomial components"
-        bvecs = [dense(r) for r in raw]
-        ech = _Echelon(nslots * width)
-        for v in bvecs:
-            ech.insert(v)
-        residual_rows = []
+        ech = Echelon()
+        for b in basis:
+            ech.insert(_slot_coords(b, midx))
+        # combinations of the basis whose images all stay in the span
+        residual_rows = {}
         for i in range(nops):
-            res = [ech.reduce(dense(r)) for r in raw_images[i]]
-            for coord in range(nslots * width):
-                row = [res[k][coord] for k in range(len(basis))]
-                if any(row):
-                    residual_rows.append(row)
+            for k, b in enumerate(basis):
+                for col, x in ech.reduce(_slot_coords(apply_ops(i, b), midx)).items():
+                    residual_rows.setdefault((i, col), {})[k] = x
         if not residual_rows:
             return basis
-        combos = kernel_basis(Mat.from_rows(residual_rows, len(basis)))
+        combos = kernel_of_rows(list(residual_rows.values()), len(basis))
         if combos.dim == len(basis):
             return basis
         new_basis = []
@@ -856,53 +802,34 @@ def _largest_invariant_subspace(objects, apply_ops, nops):
             if obj is not None:
                 new_basis.append(obj)
         basis = new_basis
+    return []
+
+
+def _family_coordinates(family, midx, obj, failure):
+    """Coordinates of obj in an independent family given by ``_slot_coords``."""
+    sol = span_coordinates(family, _slot_coords(obj, midx))
+    if sol is None:
+        raise InvariantViolation(failure)
+    return sol
+
+
+def _columns_matrix(cols, nrows):
+    return Mat(nrows, len(cols), tuple(c[t] for t in range(nrows) for c in cols))
 
 
 def _module_from_objects(p, objects, apply_ops):
-    """GModule of an action-closed family, with exact coordinate solves."""
-    n = p.algebra.dim
-    m = len(objects)
+    """GModule of an action-closed family, plus the family's coordinates."""
     midx = MonoIndex()
-    nslots = len(objects[0]) if objects else 0
-
-    def dense(obj, width):
-        per = [midx.vector(comp.num, None) for comp in obj]
-        v = [F(0)] * (nslots * width)
-        for slot, coeffs in enumerate(per):
-            for k, val in enumerate(coeffs):
-                if val:
-                    v[slot * width + k] = val
-        return v
-
-    images = [[apply_ops(i, b) for b in objects] for i in range(n)]
-    for obj in objects:
-        for comp in obj:
-            midx.vector(comp.num, None)
-    for i in range(n):
-        for im in images[i]:
-            for comp in im:
-                midx.vector(comp.num, None)
-    width = len(midx)
-    if m:
-        bvecs = [dense(b, width) for b in objects]
-        bmat = Mat.from_rows([[bv[r] for bv in bvecs] for r in range(nslots * width)], m)
-    else:
-        bmat = Mat.zero(0, 0)
+    family = [_slot_coords(b, midx) for b in objects]
     mats = []
-    for i in range(n):
-        cols = []
-        for im in images[i]:
-            sol = solve(bmat, dense(im, width))
-            assert sol is not None, "family not closed under the action"
-            cols.append(sol)
-        ent = []
-        for t in range(m):
-            for j in range(m):
-                ent.append(cols[j][t])
-        mats.append(Mat(m, m, tuple(ent)))
-    gm = GModule(m, p.algebra, tuple(mats), basis_labels=tuple(objects))
-    assert validate_module(gm).ok
-    return gm, bmat, midx, width, nslots
+    for i in range(p.algebra.dim):
+        cols = [_family_coordinates(family, midx, apply_ops(i, b), "family not closed under the action")
+                for b in objects]
+        mats.append(_columns_matrix(cols, len(objects)))
+    gm = GModule(len(objects), p.algebra, tuple(mats), basis_labels=tuple(objects))
+    if not validate_module(gm).ok:
+        raise InvariantViolation("invariance module failed validation")
+    return gm, family, midx
 
 
 def build_invariance_double_complex(p: GMPair, opts: ClassifyOptions | None = None) -> InvarianceComplex:
@@ -944,65 +871,28 @@ def build_invariance_double_complex(p: GMPair, opts: ClassifyOptions | None = No
         two_all.append(tuple(tw.components))
     # independent subset, deterministic
     midx2 = MonoIndex()
-    npairs = len(TwoForm.pairs(ch))
-
-    def dense2(obj):
-        per = [midx2.vector(comp.num, None) for comp in obj]
-        width = len(midx2)
-        v = [F(0)] * (npairs * width)
-        for slot, coeffs in enumerate(per):
-            for k, val in enumerate(coeffs):
-                if val:
-                    v[slot * width + k] = val
-        return v
-
-    for obj in two_all:
-        for comp in obj:
-            midx2.vector(comp.num, None)
-    ech = _Echelon(npairs * len(midx2))
-    t_basis = []
-    for obj in two_all:
-        if any(not c.is_zero() for c in obj):
-            if ech.insert(dense2(obj)):
-                t_basis.append(obj)
+    ech = Echelon()
+    t_basis = [obj for obj in two_all if ech.insert(_slot_coords(obj, midx2))]
 
     def t_op(i, obj):
         return tuple(lie_derivative_twoform(p.fields[i], TwoForm(ch, obj)).components)
 
-    gm0, bmat0, _, _, _ = _module_from_objects(p, f_basis, f_op)
-    gm1, bmat1, midx1, width1, nslots1 = _module_from_objects(p, w_basis, w_op)
-    gm2, bmat2, midx2b, width2, nslots2 = (
-        _module_from_objects(p, t_basis, t_op) if t_basis else (None, None, None, None, None)
-    )
+    gm0, _, _ = _module_from_objects(p, f_basis, f_op)
+    gm1, family1, midx1 = _module_from_objects(p, w_basis, w_op)
+    gm2, family2, midx2 = _module_from_objects(p, t_basis, t_op) if t_basis else (None, None, None)
 
-    def map_matrix(src_objs, dst_bmat, dst_midx, dst_width, dst_slots, image_fn, dst_dim):
-        cols = []
-        for obj in src_objs:
-            img = image_fn(obj)
-            per = [dst_midx.vector(comp.num, None) for comp in img]
-            assert len(dst_midx) == dst_width, "image escaped the target span"
-            v = [F(0)] * (dst_slots * dst_width)
-            for slot, coeffs in enumerate(per):
-                for k, val in enumerate(coeffs):
-                    if val:
-                        v[slot * dst_width + k] = val
-            sol = solve(dst_bmat, v)
-            assert sol is not None, "image escaped the target family"
-            cols.append(sol)
-        ent = []
-        for t in range(dst_dim):
-            for c in cols:
-                ent.append(c[t])
-        return Mat(dst_dim, len(src_objs), tuple(ent))
+    def map_matrix(src_objs, family, midx, image_fn):
+        cols = [_family_coordinates(family, midx, image_fn(obj), "image escaped the target family")
+                for obj in src_objs]
+        return _columns_matrix(cols, len(family))
 
-    d_f_to_w = map_matrix(
-        f_basis, bmat1, midx1, width1, nslots1,
-        lambda obj: tuple(gradient(obj[0]).components), gm1.dim,
-    ) if f_basis and w_basis else Mat.zero(len(w_basis), len(f_basis))
+    if f_basis and w_basis:
+        d_f_to_w = map_matrix(f_basis, family1, midx1, lambda obj: tuple(gradient(obj[0]).components))
+    else:
+        d_f_to_w = Mat.zero(len(w_basis), len(f_basis))
     if t_basis:
         d_w_to_t = map_matrix(
-            w_basis, bmat2, midx2b, width2, nslots2,
-            lambda obj: tuple(exterior_derivative(OneForm(ch, obj)).components), gm2.dim,
+            w_basis, family2, midx2, lambda obj: tuple(exterior_derivative(OneForm(ch, obj)).components)
         )
     else:
         d_w_to_t = Mat.zero(0, len(w_basis))

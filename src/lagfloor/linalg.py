@@ -1,39 +1,34 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals: the package's one elimination layer.
 
 Everything downstream (Lie-algebra cohomology, spectral sequences, the
-classifier) reduces to the four operations here: :func:`kernel_basis`,
-:func:`image_basis`, :func:`quotient` and :func:`solve`.  All arithmetic is
-exact (``fractions.Fraction``); there is no floating point anywhere in the
-package, because ranks and cohomology dimensions are integers and a single
-rounded pivot decision would corrupt them.
+classifier) reduces to the operations here: :func:`kernel_basis`,
+:func:`image_basis`, :func:`quotient`, :func:`solve` and
+:func:`span_coordinates`, plus the incremental :class:`Echelon` for spans
+that grow one vector at a time.  All arithmetic is exact (``Fraction`` and
+``int``); there is no floating point anywhere in the package, because ranks
+and cohomology dimensions are integers and a single rounded pivot decision
+would corrupt them.
 
-Row reduction itself is fraction-free over the integers and is delegated to
-a hot kernel: the compiled ``lagfloor._rowreduce`` extension when available,
-otherwise the pure-Python twin.  Set ``LAGFLOOR_PURE=1`` to force the
-fallback.  Both produce the canonical integer RREF, so every result here is
-reproducible bit for bit.
+Batch elimination goes through :func:`rref`, which clears denominators and
+hands integer rows to the fraction-free :func:`row_reduce`.  Its output is
+the canonical RREF of the row space, so every result here is reproducible
+bit for bit.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-if os.environ.get("LAGFLOOR_PURE"):
-    from ._rowreduce_py import row_reduce
+# Row reduction is the pure-Python ``row_reduce`` below and nothing else.
+# The benchmark's traced runs read this name and reject any other value,
+# because they time row reduction by wrapping that module-level function.
+KERNEL_IMPL = "python"
 
-    KERNEL_IMPL = "python"
-else:
-    try:
-        from ._rowreduce import row_reduce
-
-        KERNEL_IMPL = "c"
-    except ImportError:
-        from ._rowreduce_py import row_reduce
-
-        KERNEL_IMPL = "python"
+# During elimination a row is divided by its gcd once an entry grows past
+# this many bits; the final pass makes every row primitive regardless.
+NORMALIZE_BITS = 64
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
@@ -148,6 +143,78 @@ class Mat:
         return Mat(self.rows, self.cols + other.cols, tuple(ent))
 
 
+def _row_gcd(row):
+    g = 0
+    for x in row:
+        if x:
+            g = gcd(g, x)
+            if g == 1:
+                return 1
+    return g
+
+
+def _make_primitive(row, pivot_col):
+    g = _row_gcd(row)
+    if g == 0:
+        return row
+    if row[pivot_col] < 0:
+        g = -g
+    if g != 1:
+        row = [x // g for x in row]
+    return row
+
+
+def row_reduce(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination of integer ``rows`` (a copy).
+
+    Returns ``(pivots, reduced)`` where ``pivots`` is the ascending list of
+    pivot columns and ``reduced`` the corresponding primitive integer rows
+    (coprime entries, positive pivot) of the reduced echelon form.  A row is
+    combined as ``p*row - x*pivot_row``, so entries are Python ints and never
+    overflow.  Pivot choice is the first row with a nonzero entry in the
+    scanned column, so the result is deterministic.
+    """
+    work = [list(r) for r in rows]
+    nrows = len(work)
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        sel = -1
+        for r in range(rank, nrows):
+            if work[r][col]:
+                sel = r
+                break
+        if sel < 0:
+            continue
+        if sel != rank:
+            work[rank], work[sel] = work[sel], work[rank]
+        prow = _make_primitive(work[rank], col)
+        work[rank] = prow
+        p = prow[col]
+        for r in range(nrows):
+            if r == rank:
+                continue
+            row = work[r]
+            x = row[col]
+            if not x:
+                continue
+            new = [p * a - x * b for a, b in zip(row, prow)]
+            big = False
+            for v in new:
+                if v and v.bit_length() > NORMALIZE_BITS:
+                    big = True
+                    break
+            if big:
+                g = _row_gcd(new)
+                if g > 1:
+                    new = [v // g for v in new]
+            work[r] = new
+        pivots.append(col)
+        rank += 1
+    reduced = [_make_primitive(work[i], pivots[i]) for i in range(rank)]
+    return pivots, reduced
+
+
 def _int_rows(rows, ncols):
     """Clear denominators row by row; row scaling preserves row space.
 
@@ -194,7 +261,7 @@ def rref(rows, ncols):
 class Subspace:
     """Span of linearly independent column vectors of a fixed ambient space.
 
-    ``verified=True`` skips the independence assertion; internal constructors
+    ``verified=True`` skips the independence check; internal constructors
     use it when the basis already comes out of a reduction.
     """
 
@@ -207,7 +274,8 @@ class Subspace:
             assert len(v) == self.ambient_dim
         if self.basis and not self.verified:
             pivots, _ = rref(self.basis, self.ambient_dim)
-            assert len(pivots) == len(self.basis), "basis is linearly dependent"
+            if len(pivots) != len(self.basis):
+                raise InvariantViolation("basis is linearly dependent")
 
     @property
     def dim(self):
@@ -218,10 +286,7 @@ class Subspace:
 
     def coordinates(self, v):
         """Coefficients of v in this basis, or None if v is outside the span."""
-        if not self.basis:
-            return () if all(x == 0 for x in v) else None
-        m = Mat.from_rows(list(zip(*self.basis)), len(self.basis))
-        return solve(m, _as_fraction_row(v))
+        return span_coordinates(self.basis, v)
 
     @staticmethod
     def spanned_by(vectors, ambient_dim):
@@ -268,10 +333,11 @@ def image_basis(m: Mat) -> Subspace:
     """Canonical basis of the column space (RREF of the transpose)."""
     _, rows = rref(m.transpose().row_lists(), m.rows)
     sub = Subspace(m.rows, tuple(rows), verified=True)
-    # rank-nullity, asserted exactly: row rank equals column rank
+    # rank-nullity, checked exactly: row rank equals column rank
     row_pivots, _ = rref(m.row_lists(), m.cols)
     nullity = m.cols - len(row_pivots)
-    assert sub.dim + nullity == m.cols
+    if sub.dim + nullity != m.cols:
+        raise InvariantViolation("rank-nullity failed: row and column rank differ")
     return sub
 
 
@@ -283,15 +349,87 @@ def solve(m: Mat, rhs) -> Vector | None:
     """
     rhs = _as_fraction_row(rhs)
     assert len(rhs) == m.rows
-    aug = [list(m.row(i)) + [-rhs[i]] for i in range(m.rows)]
-    pivots, rows = rref(aug, m.cols + 1)
-    if m.cols in pivots:
+    return solve_rows([list(m.row(i)) + [-rhs[i]] for i in range(m.rows)], m.cols)
+
+
+def span_coordinates(vectors, target) -> Vector | None:
+    """Coefficients c with sum_k c[k] * vectors[k] == target, or None when
+    target lies outside the span.
+
+    Vectors and target are dense sequences or sparse ``{coordinate: entry}``
+    dicts.  This is :func:`solve` on the matrix whose columns are the
+    vectors, so coefficients of dependent vectors are set to 0 the same way.
+    """
+    n = len(vectors)
+    rows = {}
+    for k, v in enumerate(vectors):
+        for i, x in _nonzero_entries(v):
+            rows.setdefault(i, {})[k] = x
+    for i, x in _nonzero_entries(target):
+        rows.setdefault(i, {})[n] = -x
+    return solve_rows(list(rows.values()), n)
+
+
+def _nonzero_entries(v):
+    return v.items() if isinstance(v, dict) else ((i, x) for i, x in enumerate(v) if x)
+
+
+def solve_rows(rows, nvars):
+    """``solve`` for augmented rows: x with sum_k row[k] x[k] + row[nvars] = 0
+    for every row, or None.
+
+    Rows are dense sequences or sparse ``{column: entry}`` dicts; column
+    ``nvars`` holds minus the right-hand side.  Free variables are 0 against
+    the canonical RREF.
+    """
+    pivots, red = rref(rows, nvars + 1)
+    if nvars in pivots:
         return None
-    x = [Fraction(0)] * (m.cols + 1)
-    x[m.cols] = Fraction(1)
-    for i, p in enumerate(pivots):
-        x[p] = -rows[i][m.cols]
-    return tuple(x[: m.cols])
+    x = [Fraction(0)] * nvars
+    for p, r in zip(pivots, red):
+        x[p] = -r[nvars]
+    return tuple(x)
+
+
+class Echelon:
+    """Echelon basis of a span that grows one sparse vector at a time.
+
+    Vectors are ``{column: entry}`` dicts.  ``reduce`` subtracts the rows in
+    insertion order; ``insert`` keeps a vector whose residual is nonzero as a
+    new row, pivoting on the residual's lowest nonzero column and scaling
+    that pivot to 1.  Each row vanishes at the pivots of earlier rows, so a
+    residual vanishes at every pivot, and it is empty exactly when the vector
+    lies in the span.  ``insert`` therefore accepts exactly the vectors that
+    raise the rank of those inserted before them.
+    """
+
+    def __init__(self):
+        self.rows: list[dict] = []
+        self.pivots: list = []
+
+    def reduce(self, v) -> dict:
+        v = {col: x for col, x in v.items() if x}
+        for row, p in zip(self.rows, self.pivots):
+            c = v.get(p)
+            if c:
+                for col, x in row.items():
+                    y = v.get(col, 0) - c * x
+                    if y:
+                        v[col] = y
+                    else:
+                        del v[col]
+        return v
+
+    def insert(self, v) -> bool:
+        """Add v to the span; False (and nothing stored) when it is already in it."""
+        v = self.reduce(v)
+        if not v:
+            return False
+        p = min(v)
+        inv = Fraction(1) / v[p]
+        self.rows.append({col: x * inv for col, x in v.items()})
+        self.pivots.append(p)
+        return True
 
 
 @dataclass(frozen=True)
@@ -299,8 +437,8 @@ class QuotientSpace:
     """Exact quotient Z/B of two subspaces of the same ambient space.
 
     ``representatives`` are basis vectors of Z projecting to a basis of the
-    quotient; ``reduce`` maps any vector of Z to its quotient coordinates.
-    The reduction data is the precomputed column matrix [B | representatives].
+    quotient; ``reduce`` maps any vector of Z to its quotient coordinates
+    through the columns [B | representatives].
     """
 
     ambient_dim: int
@@ -308,11 +446,11 @@ class QuotientSpace:
     denominator: Subspace
     dim: int
     representatives: tuple[Vector, ...]
-    _reduction_matrix: Mat
+    _reduction_columns: tuple[Vector, ...]
 
     def reduce(self, v) -> Vector:
         """Coordinates of [v] in the representative basis; v must lie in Z+B."""
-        coeffs = solve(self._reduction_matrix, v)
+        coeffs = span_coordinates(self._reduction_columns, v)
         if coeffs is None:
             raise ValueError("vector is not in the numerator subspace")
         k = self.denominator.dim
@@ -327,23 +465,19 @@ def quotient(z: Subspace, b: Subspace) -> QuotientSpace:
     assert z.ambient_dim == b.ambient_dim
     # columns of [B | Z]; z-columns that stay pivotal are the representatives
     cols = list(b.basis) + list(z.basis)
-    pivots = _pivot_columns_of(cols, z.ambient_dim)
+    pivots = pivot_columns(cols, z.ambient_dim)
     # containment: B inside span(Z) iff rank[B|Z] = dim Z (bases independent)
     if len(pivots) != z.dim:
         raise DenominatorNotContained("a denominator vector lies outside the numerator span")
-    reps = [z.basis[i - b.dim] for i in pivots if i >= b.dim]
-    red_cols = list(b.basis) + reps
-    if red_cols:
-        red = Mat.from_rows([[c[i] for c in red_cols] for i in range(z.ambient_dim)], len(red_cols))
-    else:
-        red = Mat.zero(z.ambient_dim, 0)
-    q = QuotientSpace(z.ambient_dim, z, b, len(reps), tuple(reps), red)
+    reps = tuple(z.basis[i - b.dim] for i in pivots if i >= b.dim)
+    q = QuotientSpace(z.ambient_dim, z, b, len(reps), reps, tuple(b.basis) + reps)
     assert q.dim + b.dim == z.dim
     return q
 
 
-def _pivot_columns_of(cols, ambient_dim):
-    """Pivot column indices of the matrix whose columns are ``cols``."""
+def pivot_columns(cols, ambient_dim):
+    """Pivot column indices of the matrix whose columns are ``cols``: the
+    vectors independent of those before them."""
     if not cols:
         return []
     rows = [[c[i] for c in cols] for i in range(ambient_dim)]

@@ -24,7 +24,7 @@ from .calculus import (
     lie_derivative_oneform,
     lie_derivative_scalar,
 )
-from .cecohom import GModule, validate_module
+from .cecohom import GModule, NotACocycle, validate_module
 from .expr import AnsatzSpec, Chart, Expr, chart, function_monomials, mono_expr, parse_expr
 from .exprspace import ExprSpan, add_scaled, equation_rows, kernel_of_expr_system, poly_terms
 from .liealg import StructureConstants, catalog, poincare_fields, R4
@@ -38,10 +38,6 @@ class CapExceeded(Exception):
         super().__init__(f"action does not close within {dim_reached} dimensions")
         self.dim_reached = dim_reached
         self.witness = witness
-
-
-class NotACocycle(Exception):
-    pass
 
 
 class ActionTable:
@@ -294,8 +290,7 @@ def closure_module(p: GMPair, seeds, cap: int = 64) -> FunctionModule:
     queue = []
     for s in seeds:
         assert s.is_velocity_free(), "closure seeds must be velocity-free"
-        added, _ = span.insert(s)
-        if added:
+        if span.insert(s):
             queue.append(s)
     idx = 0
     while idx < len(queue):
@@ -305,8 +300,7 @@ def closure_module(p: GMPair, seeds, cap: int = 64) -> FunctionModule:
             g = p.lie_scalar(i, f)
             if g.is_zero():
                 continue
-            added, _ = span.insert(g)
-            if added:
+            if span.insert(g):
                 if span.dim > cap:
                     raise CapExceeded(span.dim, g)
                 queue.append(g)
@@ -317,7 +311,8 @@ def closure_module(p: GMPair, seeds, cap: int = 64) -> FunctionModule:
         cols = []
         for b in basis:
             coords = span.coordinates_in_members(p.lie_scalar(i, b))
-            assert coords is not None, "closure is not closed: internal error"
+            if coords is None:
+                raise InvariantViolation("closure is not closed: internal error")
             cols.append(coords)
         ent = []
         for t in range(m):
@@ -326,7 +321,8 @@ def closure_module(p: GMPair, seeds, cap: int = 64) -> FunctionModule:
         mats.append(Mat(m, m, tuple(ent)))
     gm = GModule(m, p.algebra, tuple(mats), basis_labels=basis)
     report = validate_module(gm)
-    assert report.ok, f"closure produced an invalid module: {report.violations}"
+    if not report.ok:
+        raise InvariantViolation(f"closure produced an invalid module: {report.violations}")
     return FunctionModule(gm, basis, p)
 
 

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Mat, QuotientSpace, Subspace, image_basis, kernel_basis, quotient
+from .linalg import Mat, QuotientSpace, Subspace, image_basis, kernel_basis, pivot_columns, quotient
 
 F = Fraction
 
@@ -228,7 +228,7 @@ def _zigzag_cocycles(dc, p, q, r):
     tuples = _block_kernel(blocks, equations)
     projections = [v[:d0] for v in tuples]
     # pick tuples whose projections are independent (deterministic pivots)
-    keep = _independent_columns(projections, d0)
+    keep = pivot_columns(projections, d0)
     basis = tuple(projections[i] for i in keep)
     lifts = tuple(_split_blocks(tuples[i], blocks) for i in keep)
     return Subspace(d0, basis), lifts
@@ -260,18 +260,6 @@ def _zigzag_boundaries(dc, p, q, r):
             v = [a + sign * b for a, b in zip(v, w)]
         values.append(tuple(v))
     return Subspace.spanned_by(values, d0)
-
-
-def _independent_columns(vectors, ambient):
-    if not vectors:
-        return []
-    rows = [[v[i] for v in vectors] for i in range(ambient)]
-    if not rows:
-        return []
-    from .linalg import rref
-
-    pivots, _ = rref(rows, len(vectors))
-    return pivots
 
 
 def _split_blocks(vec, blocks):

@@ -14,7 +14,7 @@ from lagfloor.cecohom import (
     is_cocycle,
     validate_module,
 )
-from lagfloor.liealg import catalog
+from lagfloor.liealg import StructureConstants, catalog
 from lagfloor.linalg import Mat
 
 F = Fraction
@@ -234,3 +234,14 @@ def test_dims_invariant_under_module_basis_permutation():
     assert validate_module(b).ok
     for q in (1, 2):
         assert cohomology(g, b, q).dim == cohomology(g, a, q).dim
+
+
+def test_h2_of_one_dimensional_algebra_is_zero():
+    # one generator: abelian, so H^1 = R, and there are no 2-cochains at all
+    g = StructureConstants(1, ("e1",))
+    triv = GModule.trivial(g)
+    assert cohomology(g, triv, 1).dim == 1
+    assert cochain_dim(g, triv, 2) == 0
+    h2 = cohomology(g, triv, 2)
+    assert h2.dim == 0 and h2.representatives == ()
+    assert coboundary_witness(g, triv, Cochain(2, triv, {})).is_zero()

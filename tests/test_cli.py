@@ -96,6 +96,40 @@ def test_classify_l3_floor3():
     assert "k4 = [dphi]" in out
 
 
+SO2_ON_R2 = """
+[algebra]
+dim = 1
+basis = ["e1"]
+
+[chart]
+coords = [["x", "line"], ["y", "line"]]
+
+[action]
+e1 = ["-y", "x"]
+
+[lagrangian]
+expr = "(dx^2 + dy^2)/2"
+"""
+
+
+def test_k_spaces_of_one_dimensional_algebra(tmp_path):
+    # so(2) is abelian: K0 = H^1 = R and K2 = H^2 = 0
+    f = tmp_path / "so2.toml"
+    f.write_text(SO2_ON_R2)
+    code, out = run("--format", "machine", "k-spaces", str(f))
+    assert code == 0
+    assert "k0 = 1" in out.splitlines() and "k2 = 0" in out.splitlines()
+
+
+def test_classify_one_dimensional_algebra(tmp_path):
+    # L is rotation-invariant, so every class vanishes
+    f = tmp_path / "so2.toml"
+    f.write_text(SO2_ON_R2)
+    code, out = run("--format", "machine", "classify", str(f))
+    assert code == 0
+    assert "floor = 4" in out.splitlines() and "sign = +" in out.splitlines()
+
+
 def test_classify_exit_code_not_weakly_invariant(tmp_path):
     f = tmp_path / "bad.toml"
     f.write_text(

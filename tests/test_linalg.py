@@ -6,22 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagfloor.linalg import (
+    NORMALIZE_BITS,
     DenominatorNotContained,
+    Echelon,
     Mat,
     Subspace,
     image_basis,
     kernel_basis,
     kernel_of_rows,
     quotient,
+    row_reduce,
     rref,
     solve,
+    span_coordinates,
 )
-from lagfloor._rowreduce_py import row_reduce as row_reduce_py
-
-try:
-    from lagfloor._rowreduce import row_reduce as row_reduce_c
-except ImportError:
-    row_reduce_c = None
 
 
 F = Fraction
@@ -186,7 +184,7 @@ def test_deterministic_across_runs():
         assert (kernel_basis(m).basis, image_basis(m).basis) == first
 
 
-# -- the two row-reduction kernels agree with each other and with an oracle --
+# -- row reduction agrees with a textbook oracle ------------------------------
 
 def naive_fraction_rref(rows, ncols):
     """Independent oracle: textbook Gauss-Jordan straight over Fractions."""
@@ -218,20 +216,15 @@ def test_kernels_match_oracle(seed):
     want = naive_fraction_rref(rows, c)
     got = rref(rows, c)
     assert got == want
-    piv_py, red_py = row_reduce_py(rows, c)
-    assert piv_py == want[0]
-    if row_reduce_c is not None:
-        assert row_reduce_c(rows, c) == (piv_py, red_py)
+    assert row_reduce(rows, c)[0] == want[0]
 
 
-@pytest.mark.skipif(row_reduce_c is None, reason="compiled kernel not built")
-def test_compiled_kernel_handles_big_integers():
+def test_row_reduce_handles_big_integers():
     rng = random.Random(3)
     rows = [[rng.randint(-10**40, 10**40) for _ in range(4)] for _ in range(4)]
-    got = row_reduce_c(rows, 4)
-    assert got == row_reduce_py(rows, 4)
-    # and both agree with the Fraction oracle after pivot normalization
-    pivots, reduced = got
+    assert max(abs(x) for r in rows for x in r).bit_length() > NORMALIZE_BITS
+    # agrees with the Fraction oracle after pivot normalization
+    pivots, reduced = row_reduce(rows, 4)
     oracle_pivots, oracle_rows = naive_fraction_rref(rows, 4)
     assert pivots == oracle_pivots
     for p, r, want in zip(pivots, reduced, oracle_rows):
@@ -246,3 +239,36 @@ def test_interim_gcd_normalization_path_matches_oracle():
     rows = [[rng.randint(-99, 99) for _ in range(10)] for _ in range(10)]
     want = naive_fraction_rref(rows, 10)
     assert rref(rows, 10) == want
+
+
+# -- the incremental echelon and span coordinates -----------------------------
+
+@st.composite
+def vector_lists(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    k = draw(st.integers(min_value=0, max_value=6))
+    # few distinct entries, so dependent vectors are common
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    return n, [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(k)]
+
+
+@given(vector_lists(), st.lists(st.sampled_from([0, 1, -2]), min_size=5, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_echelon_accepts_rank_raising_vectors_and_coordinates_match_solve(data, target):
+    n, vectors = data
+    sparse = [{i: x for i, x in enumerate(v) if x} for v in vectors]
+    ech = Echelon()
+    for k, v in enumerate(sparse):
+        rank_before = len(rref(vectors[:k], n)[0])
+        rank_after = len(rref(vectors[: k + 1], n)[0])
+        assert ech.insert(v) == (rank_after > rank_before)
+        assert not ech.reduce(v)
+    assert len(ech.rows) == len(rref(vectors, n)[0])
+    target = target[:n]
+    want = solve(Mat.from_rows([list(col) for col in zip(*vectors)], len(vectors)), target) if vectors else (
+        () if not any(target) else None)
+    sparse_target = {i: x for i, x in enumerate(target) if x}
+    assert span_coordinates(vectors, target) == want
+    assert span_coordinates(sparse, sparse_target) == want
+    # the residual of the target is empty exactly when it has coordinates
+    assert (not ech.reduce(sparse_target)) == (want is not None)
