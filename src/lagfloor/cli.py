@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 parse error, 3 validation/invariant failure,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -360,6 +361,19 @@ _COMMANDS = {
 }
 
 
+def _emit(report, fmt, code):
+    """Print the report and return the exit code, also when the reader has
+    closed stdout early (``lagfloor ... | head``)."""
+    try:
+        print(report.render(fmt), flush=True)
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; let that go nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
+
+
 def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
@@ -375,22 +389,17 @@ def main(argv=None):
         code = _COMMANDS[args.command](args, report)
     except (ProblemFileError, ParseError, FileNotFoundError, UnknownName, BadParams) as exc:
         report.add("error", str(exc))
-        print(report.render(args.format))
-        return EXIT_PARSE
+        return _emit(report, args.format, EXIT_PARSE)
     except (CapExceeded, AnsatzExhausted) as exc:
         report.add("error", str(exc))
-        print(report.render(args.format))
-        return EXIT_UNDETERMINED
+        return _emit(report, args.format, EXIT_UNDETERMINED)
     except PotentialUnavailable as exc:
         report.add("error", str(exc))
-        print(report.render(args.format))
-        return EXIT_INVALID
+        return _emit(report, args.format, EXIT_INVALID)
     except AssertionError as exc:
         report.add("invariant_violation", str(exc))
-        print(report.render(args.format))
-        return EXIT_INVALID
-    print(report.render(args.format))
-    return code
+        return _emit(report, args.format, EXIT_INVALID)
+    return _emit(report, args.format, code)
 
 
 if __name__ == "__main__":

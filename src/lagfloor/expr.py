@@ -610,6 +610,8 @@ class Expr:
 
 
 def _reduce_fraction(num, den):
+    if den.is_one():
+        return num, den
     # common monomial factor in the plain variables
     fn = num.common_var_factor()
     fd = den.common_var_factor()

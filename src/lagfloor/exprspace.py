@@ -152,8 +152,7 @@ class ExprSpan:
         if lcd != self.lcd:
             self.lcd = lcd
             self._rebuild()
-        q = self.lcd.divide_by(e.den)
-        num = e.num * q
+        num = e.num if e.den == self.lcd else e.num * self.lcd.divide_by(e.den)
         v = {}
         for m, c in num.terms.items():
             v[self.midx.key(m)] = c

@@ -322,7 +322,8 @@ def phi3(p: GMPair, alpha: FunctionCochain, opts: ClassifyOptions):
         fm = closure_module(p, [c for c in alpha.components if not c.is_zero()], cap=opts.closure_cap)
         z = function_cochain_to_module_cochain(fm, alpha)
         d = ce_differential(g, fm.module, 1)
-        assert not any(d.mul_vec(z.to_vector())), "alpha must be a module cocycle"
+        if any(d.mul_vec(z.to_vector())):
+            raise InvariantViolation("alpha must be a module cocycle")
     except CapExceededError:
         pass
     deg = max(opts.degree, max(c.line_degree() for c in alpha.components) + 1)
@@ -373,10 +374,12 @@ def phi3(p: GMPair, alpha: FunctionCochain, opts: ClassifyOptions):
         for m, c in zip(fmonos, sol[nw + nt :]):
             if c:
                 fexpr = fexpr + mono_expr(ch, m) * c
-        assert is_closed(w)
+        if not is_closed(w):
+            raise InvariantViolation("the witness form must be closed")
         # exact witness check
         rebuilt = pi_map(p, w).add_constants(t2) + scalar_coboundary(p, fexpr)
-        assert all((a - b).is_zero() for a, b in zip(rebuilt.components, alpha.components))
+        if not all((a - b).is_zero() for a, b in zip(rebuilt.components, alpha.components)):
+            raise InvariantViolation("the rebuilt witness must reproduce alpha")
         return ClassValue(ZERO, None), (w, t2, fexpr)
     # no witness within the ansatz: try a restriction certificate
     for point in p.sample_points:

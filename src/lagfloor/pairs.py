@@ -25,7 +25,7 @@ from .calculus import (
     lie_derivative_scalar,
 )
 from .cecohom import GModule, NotACocycle, validate_module
-from .expr import AnsatzSpec, Chart, Expr, chart, function_monomials, mono_expr, parse_expr
+from .expr import TP, AnsatzSpec, Chart, Expr, chart, function_monomials, mono_expr, parse_expr
 from .exprspace import ExprSpan, add_scaled, equation_rows, kernel_of_expr_system, poly_terms
 from .liealg import StructureConstants, catalog, poincare_fields, R4
 from .linalg import InvariantViolation, Mat, QuotientSpace, Subspace, kernel_basis, kernel_of_rows, quotient
@@ -47,7 +47,8 @@ class ActionTable:
     X_i(m), ``oneform(i, mu, m)`` is L_{X_i}(m dq^mu), ``contraction(i, mu,
     m)`` is (pi(m dq^mu))_i = m X_i^mu and ``partial(mu, m)`` is d m/dq^mu.
     Images are expressions; ``poly_terms`` reads monomial coordinates off a
-    polynomial one.
+    polynomial one.  ``lie(i, f)`` is X_i(f) for any velocity-free f, read
+    off the monomial images where it can be.
     """
 
     def __init__(self, chart_: Chart, fields):
@@ -64,6 +65,23 @@ class ActionTable:
             img = lie_derivative_scalar(self.fields[i], mono_expr(self.chart, mono))
             self._scalar[(i, mono)] = img
         return img
+
+    def lie(self, i, f: Expr) -> Expr:
+        """X_i(f) as the sum of the monomial images of f's terms, when f and
+        each of those images are polynomial; otherwise (a rational f or a
+        rational field component) by differentiating f directly."""
+        if not f.is_velocity_free():
+            raise InvariantViolation("a Lie derivative of a function needs a velocity-free function")
+        if f.den.is_one():
+            acc = {}
+            for m, c in f.num.terms.items():
+                img = self.scalar(i, m)
+                if not img.den.is_one():
+                    break
+                add_scaled(acc, c, img.num.terms)
+            else:
+                return Expr(self.chart, TP(acc))
+        return lie_derivative_scalar(self.fields[i], f)
 
     def partial(self, mu, mono) -> Expr:
         img = self._partial.get((mu, mono))
@@ -113,7 +131,7 @@ class GMPair:
         object.__setattr__(self, "action", ActionTable(self.chart, self.fields))
 
     def lie_scalar(self, i, f):
-        return lie_derivative_scalar(self.fields[i], f)
+        return self.action.lie(i, f)
 
 
 @dataclass(frozen=True)
@@ -268,16 +286,14 @@ class FunctionModule:
     module: GModule
     basis_exprs: tuple[Expr, ...]
     pair: GMPair
+    span: ExprSpan = field(compare=False, repr=False)  # members == basis_exprs
 
     @property
     def dim(self):
         return self.module.dim
 
     def coordinates(self, f: Expr):
-        span = ExprSpan(self.pair.chart)
-        for b in self.basis_exprs:
-            span.insert(b)
-        return span.coordinates_in_members(f)
+        return self.span.coordinates_in_members(f)
 
 
 def closure_module(p: GMPair, seeds, cap: int = 64) -> FunctionModule:
@@ -285,32 +301,35 @@ def closure_module(p: GMPair, seeds, cap: int = 64) -> FunctionModule:
 
     Deterministic: seeds in the given order, then breadth-first images under
     the generators in basis order, filtered by exact linear independence.
+    Each member's images are computed once, in that pass, and the module
+    matrices are read off them.
     """
+    n = p.algebra.dim
     span = ExprSpan(p.chart)
-    queue = []
+    queue = []  # the span's members, in order
     for s in seeds:
-        assert s.is_velocity_free(), "closure seeds must be velocity-free"
+        if not s.is_velocity_free():
+            raise InvariantViolation("closure seeds must be velocity-free")
         if span.insert(s):
             queue.append(s)
-    idx = 0
-    while idx < len(queue):
-        f = queue[idx]
-        idx += 1
-        for i in range(p.algebra.dim):
+    images = []  # images[j][i] = X_i(queue[j])
+    for f in queue:  # the queue grows as members are found
+        row = []
+        for i in range(n):
             g = p.lie_scalar(i, f)
-            if g.is_zero():
-                continue
+            row.append(g)
             if span.insert(g):
                 if span.dim > cap:
                     raise CapExceeded(span.dim, g)
                 queue.append(g)
+        images.append(row)
     basis = tuple(span.members)
     m = len(basis)
     mats = []
-    for i in range(p.algebra.dim):
+    for i in range(n):
         cols = []
-        for b in basis:
-            coords = span.coordinates_in_members(p.lie_scalar(i, b))
+        for row in images:
+            coords = span.coordinates_in_members(row[i])
             if coords is None:
                 raise InvariantViolation("closure is not closed: internal error")
             cols.append(coords)
@@ -323,7 +342,7 @@ def closure_module(p: GMPair, seeds, cap: int = 64) -> FunctionModule:
     report = validate_module(gm)
     if not report.ok:
         raise InvariantViolation(f"closure produced an invalid module: {report.violations}")
-    return FunctionModule(gm, basis, p)
+    return FunctionModule(gm, basis, p, span)
 
 
 def function_cochain_to_module_cochain(fm: FunctionModule, alpha: FunctionCochain):
@@ -333,7 +352,8 @@ def function_cochain_to_module_cochain(fm: FunctionModule, alpha: FunctionCochai
     comps = {}
     for i, c in enumerate(alpha.components):
         coords = fm.coordinates(c)
-        assert coords is not None, "cochain component outside the module"
+        if coords is None:
+            raise InvariantViolation("cochain component outside the module")
         if any(coords):
             comps[(i,)] = tuple(coords)
     return Cochain(1, fm.module, comps)

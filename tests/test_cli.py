@@ -323,6 +323,24 @@ def test_bad_truncation_prints_no_traceback():
     assert "Traceback" not in res.stdout + res.stderr
 
 
+@pytest.mark.parametrize("extra, want", [((), 0), (("--ansatz-degree", "-1"), 2)])
+def test_closed_stdout_prints_no_traceback(extra, want):
+    """A reader that closes the pipe before the report (``lagfloor ... | head``)
+    gets the command's exit code and no traceback."""
+    import subprocess
+    import sys
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lagfloor.cli", "--format", "machine", "k-spaces", fx("l3_cylinder.toml"), *extra],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == want, err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "name", ["l3_cylinder", "translations_r3", "so3_sphere", "galilean_r4", "poincare_c1"]
 )

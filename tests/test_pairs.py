@@ -1,3 +1,4 @@
+import hashlib
 import random
 import subprocess
 import sys
@@ -7,13 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from lagfloor.calculus import OneForm, gradient, is_closed, lie_derivative_oneform, lie_derivative_scalar
+from lagfloor.calculus import OneForm, VectorFieldExpr, gradient, is_closed, lie_derivative_oneform, lie_derivative_scalar
 from lagfloor.cecohom import cohomology
-from lagfloor.expr import AnsatzSpec, Expr, function_monomials, mono_expr, parse_expr
+from lagfloor.expr import AnsatzSpec, Expr, function_monomials, mono_expr, parse_expr, to_string
 from lagfloor.linalg import kernel_of_rows
 from lagfloor.pairs import (
     CapExceeded,
     FunctionCochain,
+    GMPair,
     NotACocycle,
     closedness_rows,
     closure_module,
@@ -127,6 +129,41 @@ def test_action_table_is_not_part_of_pair_equality():
     assert again.action is not L3.action
 
 
+def _random_function(pair, seed, degree=3, fourier=1):
+    rng = random.Random(seed)
+    ch = pair.chart
+    f = Expr.const(ch, 0)
+    for m in function_monomials(ch, degree, fourier):
+        c = F(rng.randint(-3, 3), rng.randint(1, 3))
+        if c:
+            f = f + mono_expr(ch, m) * c
+    return f
+
+
+@pytest.mark.parametrize("pair", STANDARD, ids=lambda p: p.name)
+def test_action_lie_matches_lie_derivative_scalar(pair):
+    """Polynomial and trig-polynomial inputs go through the monomial images,
+    rational ones through direct differentiation; both give the same Expr."""
+    a, b = pair.chart.line_names[0], pair.chart.line_names[-1]
+    inputs = [_random_function(pair, 7), P(f"{a}*{b}^2 - 3", pair), P(f"{b}/(1 + {a}^2)", pair)]
+    if pair is L3:
+        inputs.append(P("z*sin(phi)"))
+    for f in inputs:
+        for i, x in enumerate(pair.fields):
+            assert to_string(pair.action.lie(i, f)) == to_string(lie_derivative_scalar(x, f))
+
+
+def test_action_lie_on_a_rational_field_component():
+    """X_1 = dz/(1 + z^2) + z dphi: sin(phi) has a polynomial image, z^2 not."""
+    ch = L3.chart
+    bent = GMPair(
+        L3.algebra, ch, (L3.fields[0], VectorFieldExpr(ch, (P("1/(1 + z^2)"), P("z"))), L3.fields[2])
+    )
+    for f in (P("sin(phi)"), P("z^2 + z*cos(phi)"), P("1/(1 + z^2)")):
+        for i, x in enumerate(bent.fields):
+            assert to_string(bent.action.lie(i, f)) == to_string(lie_derivative_scalar(x, f))
+
+
 def test_pi_images_agree_with_pi_map():
     ch = L3.chart
     units = [(mu, m) for mu in range(2) for m in function_monomials(ch, 1, 1)]
@@ -169,6 +206,46 @@ def test_pi_certificates_raise_under_python_O():
             lambda: pi_images(L3, z_dphi, [[1]]),
             lambda: pi_images(tampered, dphi, [[1]]),
             lambda: pi_map(tampered, OneForm(ch, (parse_expr(ch, "0"), parse_expr(ch, "1")))),
+        ]
+        for case in cases:
+            try:
+                case()
+            except InvariantViolation as exc:
+                print("raised:", exc)
+            else:
+                print("passed")
+        """
+    )
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env={"PYTHONPATH": SRC, "PATH": ""},
+    )
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert len(lines) == 3 and all(line.startswith("raised:") for line in lines), res.stdout
+
+
+def test_closure_certificates_raise_under_python_O():
+    """A velocity-dependent seed or Lie-derivative argument, and a cochain
+    component outside the module, raise InvariantViolation under python -O."""
+    script = textwrap.dedent(
+        """
+        from lagfloor.expr import Expr, parse_expr
+        from lagfloor.linalg import InvariantViolation
+        from lagfloor.pairs import (
+            FunctionCochain, closure_module, function_cochain_to_module_cochain, standard_pair,
+        )
+
+        assert False, "asserts must be stripped under -O"
+        L3 = standard_pair("l3_cylinder")
+        ch = L3.chart
+        dz = Expr.var(ch, ch.velocity("z"))
+        fm = closure_module(L3, [parse_expr(ch, "z")])
+        outside = FunctionCochain(L3, (parse_expr(ch, "0"), parse_expr(ch, "z^2"), parse_expr(ch, "0")))
+        cases = [
+            lambda: closure_module(L3, [dz]),
+            lambda: L3.action.lie(0, dz),
+            lambda: function_cochain_to_module_cochain(fm, outside),
         ]
         for case in cases:
             try:
@@ -235,6 +312,49 @@ def test_closure_spin2_whitehead():
 def test_closure_cap_exceeded_on_fourier_seed():
     with pytest.raises(CapExceeded):
         closure_module(L3, [P("z*sin(phi)")], cap=8)
+
+
+# basis strings and action matrices, one row-major tuple per generator
+PINNED_CLOSURES = [
+    (L3, ["z"], ["z", "1"], [(0, 0, 1, 0), (0, 0, 0, 0), (0, 0, 0, 0)]),
+    (SO3R3, ["x1"], ["x1", "-x3", "x2"], [
+        (0, 0, 0, 0, 0, -1, 0, 1, 0),
+        (0, -1, 0, 1, 0, 0, 0, 0, 0),
+        (0, 0, -1, 0, 0, 0, 1, 0, 0),
+    ]),
+    (SO3R3, ["x1*x2", "x1^2 - x2^2"], ["x1*x2", "-x2^2 + x1^2", "x1*x3", "-x2*x3", "-x3^2 + x1^2"], [
+        (0, 0, -1, 0, 0, 0, 0, 0, -1, 0, 1, 0, 0, 0, 0, 0, 2, 0, 0, -2, 0, 0, 0, 1, 0),
+        (0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0, -2, 0, 0, -4, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0),
+        (0, 4, 0, 0, 2, -1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0),
+    ]),
+]
+
+
+@pytest.mark.parametrize("pair, seeds, basis, action", PINNED_CLOSURES, ids=["l3_z", "spin1", "spin2"])
+def test_closure_basis_and_matrices_pinned(pair, seeds, basis, action):
+    fm = closure_module(pair, [P(s, pair) for s in seeds])
+    assert [to_string(b) for b in fm.basis_exprs] == basis
+    assert [m.entries for m in fm.module.action] == action
+
+
+def test_closure_cap_on_the_sphere_monopole():
+    """The rotation fields raise the degree by one per step; the witness is
+    the degree-32 member that takes the span past the cap."""
+    with pytest.raises(CapExceeded) as info:
+        closure_module(SPHERE, [P(s, SPHERE) for s in ("-u", "-v", "1")], cap=64)
+    w = info.value.witness
+    assert info.value.dim_reached == 65
+    assert w.den.is_one() and w.line_degree() == 32 and len(w.num.terms) == 153
+    digest = hashlib.sha256(to_string(w).encode()).hexdigest()
+    assert digest == "b3fa6a2629bbc96b2836c47049e2dfade727692dac6516ece00f5223cbffd9c8"
+
+
+def test_module_coordinates_reuse_the_closure_span():
+    fm = closure_module(L3, [P("z")])
+    assert fm.span.members == list(fm.basis_exprs)
+    # a rational target re-expresses the span over a new denominator
+    assert fm.coordinates(P("1/(1 + z^2)")) is None
+    assert list(fm.coordinates(P("2*z + 3"))) == [2, 3]
 
 
 def test_module_cochain_conversion():
