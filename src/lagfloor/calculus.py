@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .expr import AnsatzSpec, Chart, Expr, function_monomials, mono_expr
 from .exprspace import common_denominator, solve_linear_expr_system
+from .linalg import InvariantViolation
 
 F = Fraction
 
@@ -120,7 +121,8 @@ class TwoForm:
 
 def lie_derivative_scalar(x: VectorFieldExpr, f: Expr) -> Expr:
     """L_X f = X^mu d f / d q^mu for a velocity-free function f."""
-    assert f.is_velocity_free(), "lie_derivative_scalar needs a velocity-free function"
+    if not f.is_velocity_free():
+        raise InvariantViolation("lie_derivative_scalar needs a velocity-free function")
     ch = x.chart
     out = Expr.const(ch, 0)
     for comp, name in zip(x.components, ch.names):

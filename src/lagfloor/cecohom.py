@@ -17,7 +17,17 @@ from fractions import Fraction
 from itertools import combinations
 
 from .liealg import StructureConstants
-from .linalg import Mat, QuotientSpace, Subspace, image_basis, kernel_basis, quotient, solve
+from .linalg import (
+    InvariantViolation,
+    Mat,
+    QuotientSpace,
+    Subspace,
+    image_basis,
+    kernel_basis,
+    quotient,
+    solve,
+    sparse_product,
+)
 
 F = Fraction
 
@@ -189,32 +199,6 @@ def ce_differential(g: StructureConstants, a: GModule, q: int) -> Mat:
     return out
 
 
-def _sparse_product_is_zero(a: Mat, b: Mat) -> bool:
-    """a.mul(b) == 0 checked without building the dense product."""
-    assert a.cols == b.rows
-    cols_b = {}
-    for r in range(b.rows):
-        base = r * b.cols
-        for c in range(b.cols):
-            v = b.entries[base + c]
-            if v:
-                cols_b.setdefault(c, []).append((r, v))
-    rows_a = []
-    for r in range(a.rows):
-        base = r * a.cols
-        rows_a.append({c: a.entries[base + c] for c in range(a.cols) if a.entries[base + c]})
-    for c, contrib in cols_b.items():
-        for r, row in enumerate(rows_a):
-            s = F(0)
-            for k, v in contrib:
-                av = row.get(k)
-                if av:
-                    s += av * v
-            if s:
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class CohomologyResult:
     degree: int
@@ -238,7 +222,8 @@ def cohomology(g: StructureConstants, a: GModule, q: int) -> CohomologyResult:
         b = Subspace(z.ambient_dim, ())
     else:
         d_prev = ce_differential(g, a, q - 1)
-        assert _sparse_product_is_zero(d_q, d_prev), "delta^2 != 0: invalid module"
+        if sparse_product(d_q, d_prev):
+            raise InvariantViolation("delta^2 != 0: invalid module")
         b = image_basis(d_prev)
     qt = quotient(z, b)
     reps = tuple(Cochain.from_vector(a, q, v) for v in qt.representatives)

@@ -241,13 +241,6 @@ class TP:
         return TP(out)
 
     # structure ----------------------------------------------------------
-    def var_names(self):
-        s = set()
-        for vars_, _ in self.terms:
-            for n, _e in vars_:
-                s.add(n)
-        return s
-
     def angle_names(self):
         s = set()
         for _, trig in self.terms:

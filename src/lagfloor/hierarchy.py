@@ -33,20 +33,24 @@ from .calculus import (
     d_el,
     derham_split,
     euler_lagrange,
-    exterior_derivative,
-    gradient,
     is_closed,
     lie_derivative_lagrangian,
-    lie_derivative_oneform,
-    lie_derivative_scalar,
-    lie_derivative_twoform,
     total_time_derivative,
 )
 from .cecohom import Cochain, GModule, ce_differential, cohomology, coboundary_witness, validate_module
 from .expr import TP, UNIT, AnsatzSpec, EvaluationPole, Expr, function_monomials, mono_expr
-from .exprspace import MonoIndex, add_scaled, equation_rows, poly_terms, solve_linear_expr_system
+from .exprspace import add_scaled, equation_rows, poly_terms
 from .liealg import zero_one_cocycles
-from .linalg import Echelon, InvariantViolation, Mat, Subspace, kernel_of_rows, quotient, span_coordinates
+from .linalg import (
+    Echelon,
+    InvariantViolation,
+    Mat,
+    Subspace,
+    kernel_of_rows,
+    quotient,
+    solve_rows,
+    span_coordinates,
+)
 from .pairs import (
     CapExceeded as CapExceededError,
     FunctionCochain,
@@ -54,9 +58,7 @@ from .pairs import (
     closedness_rows,
     invariant_closed_forms,
     pi_images,
-    pi_map,
     restrict_cocycle,
-    scalar_coboundary,
     stability_values_of_constant_cocycles,
 )
 from .spectral import DoubleComplex, validate_double_complex
@@ -291,17 +293,6 @@ def phi2(p: GMPair, split: WeakInvarianceSplit, alphas):
 # phi_3
 # ---------------------------------------------------------------------------
 
-def _closed_form_unknowns(p: GMPair, degree, fourier):
-    """Monomial one-form unknowns plus their closedness equations.
-
-    Returns (basis forms as (mu, mono), closedness equation builder).
-    """
-    ch = p.chart
-    monos = function_monomials(ch, degree, fourier)
-    unknowns = [(mu, m) for mu in range(len(ch.names)) for m in monos]
-    return unknowns, monos
-
-
 def phi3(p: GMPair, alpha: FunctionCochain, opts: ClassifyOptions):
     """Witness search for alpha_i = (pi w)_i + t''_i + X_i f, else certificate.
 
@@ -313,6 +304,11 @@ def phi3(p: GMPair, alpha: FunctionCochain, opts: ClassifyOptions):
     alpha is cross-checked as an honest module-valued cocycle; a blown cap
     (e.g. rotations acting on chart polynomials) is not fatal, since the
     witness search and the restriction certificate never need the module.
+
+    The system is read off the pair's action table as sparse rows.  Its
+    unknowns are the coefficients of w over the elementary forms (mu-major),
+    then of t'' over the Z^1 basis, then of f over the monomials one degree
+    up; the witness is the canonical particular solution in that order.
     """
     ch = p.chart
     g = p.algebra
@@ -328,58 +324,39 @@ def phi3(p: GMPair, alpha: FunctionCochain, opts: ClassifyOptions):
         pass
     deg = max(opts.degree, max(c.line_degree() for c in alpha.components) + 1)
     four = max(opts.fourier, max(c.fourier_order() for c in alpha.components))
-    unknowns, monos = _closed_form_unknowns(p, deg, four)
-    z1 = zero_one_cocycles(g)
-    columns = []
     n = g.dim
-    ncoords = len(ch.names)
-    zero = Expr.const(ch, 0)
-    closed_pairs = [(a, b) for a in range(ncoords) for b in range(a + 1, ncoords)]
-    # equations: n cochain identities, then closedness of w
     act = p.action
-    for mu, m in unknowns:
-        me = mono_expr(ch, m)
-        eqs = [act.contraction(i, mu, m) for i in range(n)]  # (pi w)_i contributions
-        for a, b in closed_pairs:
-            if mu == b:
-                eqs.append(me.partial(ch.names[a]))
-            elif mu == a:
-                eqs.append(-me.partial(ch.names[b]))
-            else:
-                eqs.append(zero)
-        columns.append(eqs)
-    for tvec in z1.basis:
-        eqs = [Expr.const(ch, tvec[i]) for i in range(n)]
-        eqs.extend([zero] * len(closed_pairs))
-        columns.append(eqs)
+    monos = function_monomials(ch, deg, four)
+    units = [(mu, m) for mu in range(len(ch.names)) for m in monos]
+    z1 = zero_one_cocycles(g)
     fmonos = function_monomials(ch, deg + 1, four)
-    for m in fmonos:
-        eqs = [act.scalar(i, m) for i in range(n)]
-        eqs.extend([zero] * len(closed_pairs))
-        columns.append(eqs)
-    rhs = list(alpha.components) + [zero] * len(closed_pairs)
-    sol = solve_linear_expr_system(columns, rhs)
+    nw = len(units)
+    nt = z1.dim
+    nunk = nw + nt + len(fmonos)
+    rows = closedness_rows(p, monos)
+    for i in range(n):
+        terms = [(k, 1, act.contraction(i, mu, m)) for k, (mu, m) in enumerate(units)]
+        terms += [(nw + a, 1, Expr.const(ch, tvec[i])) for a, tvec in enumerate(z1.basis)]
+        terms += [(nw + nt + k, 1, act.scalar(i, m)) for k, m in enumerate(fmonos)]
+        terms.append((nunk, -1, alpha.components[i]))
+        rows.extend(equation_rows(terms))
+    sol = solve_rows(rows, nunk)
     if sol is not None:
-        nw = len(unknowns)
-        nt = z1.dim
-        wcomps = [zero] * ncoords
-        for (mu, m), c in zip(unknowns, sol[:nw]):
-            if c:
-                wcomps[mu] = wcomps[mu] + mono_expr(ch, m) * c
-        w = OneForm(ch, tuple(wcomps))
+        wvec = sol[:nw]
+        nm = len(monos)
+        w = OneForm(ch, tuple(Expr(ch, TP(dict(zip(monos, wvec[k : k + nm])))) for k in range(0, nw, nm)))
         t2 = tuple(
             sum((sol[nw + a] * z1.basis[a][i] for a in range(nt)), F(0)) for i in range(n)
         )
-        fexpr = Expr.const(ch, 0)
-        for m, c in zip(fmonos, sol[nw + nt :]):
-            if c:
-                fexpr = fexpr + mono_expr(ch, m) * c
+        fexpr = Expr(ch, TP(dict(zip(fmonos, sol[nw + nt :]))))
         if not is_closed(w):
             raise InvariantViolation("the witness form must be closed")
-        # exact witness check
-        rebuilt = pi_map(p, w).add_constants(t2) + scalar_coboundary(p, fexpr)
-        if not all((a - b).is_zero() for a, b in zip(rebuilt.components, alpha.components)):
-            raise InvariantViolation("the rebuilt witness must reproduce alpha")
+        # exact witness check; pi_images certifies both naturality identities
+        (pw,) = pi_images(p, units, [wvec])
+        for i in range(n):
+            rebuilt = Expr(ch, TP(pw[i])) + Expr.const(ch, t2[i]) + p.lie_scalar(i, fexpr)
+            if not (rebuilt - alpha.components[i]).is_zero():
+                raise InvariantViolation("the rebuilt witness must reproduce alpha")
         return ClassValue(ZERO, None), (w, t2, fexpr)
     # no witness within the ansatz: try a restriction certificate
     for point in p.sample_points:
@@ -758,37 +735,39 @@ def k_spaces(p: GMPair, opts: ClassifyOptions | None = None) -> KSpacesReport:
 class InvarianceComplex:
     dc: DoubleComplex
     modules: tuple[GModule, ...]  # (functions, one-forms, two-forms)
-    bases: tuple  # object bases per column
+    bases: tuple  # per column, {unit: coefficient} vectors
 
 
-def _slot_coords(obj, midx):
-    """Sparse coordinates of a tuple of polynomial expressions: one column
-    per (slot, monomial), numbered by the shared ``midx``."""
-    v = {}
-    for slot, comp in enumerate(obj):
-        for m, c in poly_terms(comp).items():
-            v[midx.key((slot, m))] = c
-    return v
+def _image(vec, unit_image):
+    """A linear map on sparse {unit: coefficient} vectors, given on units."""
+    acc = {}
+    for u, c in vec.items():
+        add_scaled(acc, c, unit_image(u))
+    return acc
 
 
-def _largest_invariant_subspace(objects, apply_ops, nops):
-    """Largest subspace of span(objects) closed under all the operators.
+def _keyed_terms(keys, comps):
+    """{(key, monomial): coefficient} of polynomial components, one per key."""
+    return {(key, m): c for key, comp in zip(keys, comps) for m, c in poly_terms(comp).items()}
 
-    objects are tuples of expressions; operators act componentwise linearly.
-    Deterministic: canonical kernel bases at every shrink step.
+
+def _largest_invariant_subspace(basis, unit_images):
+    """Largest subspace of span(basis) closed under all the operators.
+
+    Vectors are sparse {unit: coefficient} dicts and each operator is given
+    by its images of units.  Deterministic: canonical kernel bases at every
+    shrink step.
     """
-    basis = list(objects)
     while basis:
-        midx = MonoIndex()
         ech = Echelon()
         for b in basis:
-            ech.insert(_slot_coords(b, midx))
+            ech.insert(b)
         # combinations of the basis whose images all stay in the span
         residual_rows = {}
-        for i in range(nops):
+        for i, unit_image in enumerate(unit_images):
             for k, b in enumerate(basis):
-                for col, x in ech.reduce(_slot_coords(apply_ops(i, b), midx)).items():
-                    residual_rows.setdefault((i, col), {})[k] = x
+                for unit, x in ech.reduce(_image(b, unit_image)).items():
+                    residual_rows.setdefault((i, unit), {})[k] = x
         if not residual_rows:
             return basis
         combos = kernel_of_rows(list(residual_rows.values()), len(basis))
@@ -796,43 +775,26 @@ def _largest_invariant_subspace(objects, apply_ops, nops):
             return basis
         new_basis = []
         for combo in combos.basis:
-            obj = None
+            acc = {}
             for c, b in zip(combo, basis):
-                if not c:
-                    continue
-                scaled = tuple(comp * c for comp in b)
-                obj = scaled if obj is None else tuple(x + y for x, y in zip(obj, scaled))
-            if obj is not None:
-                new_basis.append(obj)
+                if c:
+                    add_scaled(acc, c, b)
+            new_basis.append(acc)
         basis = new_basis
     return []
 
 
-def _family_coordinates(family, midx, obj, failure):
-    """Coordinates of obj in an independent family given by ``_slot_coords``."""
-    sol = span_coordinates(family, _slot_coords(obj, midx))
-    if sol is None:
-        raise InvariantViolation(failure)
-    return sol
-
-
-def _columns_matrix(cols, nrows):
-    return Mat(nrows, len(cols), tuple(c[t] for t in range(nrows) for c in cols))
-
-
-def _module_from_objects(p, objects, apply_ops):
-    """GModule of an action-closed family, plus the family's coordinates."""
-    midx = MonoIndex()
-    family = [_slot_coords(b, midx) for b in objects]
-    mats = []
-    for i in range(p.algebra.dim):
-        cols = [_family_coordinates(family, midx, apply_ops(i, b), "family not closed under the action")
-                for b in objects]
-        mats.append(_columns_matrix(cols, len(objects)))
-    gm = GModule(len(objects), p.algebra, tuple(mats), basis_labels=tuple(objects))
-    if not validate_module(gm).ok:
-        raise InvariantViolation("invariance module failed validation")
-    return gm, family, midx
+def _coordinate_map(family, targets, failure):
+    """Mat whose column j holds the coordinates of targets[j] in the
+    independent sparse family; raises InvariantViolation(failure) when a
+    target lies outside the family's span."""
+    cols = []
+    for t in targets:
+        c = span_coordinates(family, t)
+        if c is None:
+            raise InvariantViolation(failure)
+        cols.append(c)
+    return Mat(len(family), len(cols), tuple(c[r] for r in range(len(family)) for c in cols))
 
 
 def build_invariance_double_complex(p: GMPair, opts: ClassifyOptions | None = None) -> InvarianceComplex:
@@ -841,65 +803,67 @@ def build_invariance_double_complex(p: GMPair, opts: ClassifyOptions | None = No
 
     The truncation is shrunk to the largest action-closed subspace of the
     requested ansatz (otherwise d2 would leave the grid), and Omega^2 is the
-    image of d on Omega^1, so the top row is exact by construction.
+    image of d on Omega^1, so the top row is exact by construction.  Every
+    object is a sparse vector over units: a monomial m, an elementary 1-form
+    (mu, m) or an elementary 2-form ((a, b), m).  The generator action and d
+    are read off the pair's action table.
     """
     opts = opts or ClassifyOptions()
     ch = p.chart
     g = p.algebra
     n = g.dim
-    monos = function_monomials(ch, opts.degree, opts.fourier)
-    funcs = [(mono_expr(ch, m),) for m in monos]
-
-    def f_op(i, obj):
-        return (lie_derivative_scalar(p.fields[i], obj[0]),)
-
-    f_basis = _largest_invariant_subspace(funcs, f_op, n)
+    act = p.action
     ncoords = len(ch.names)
+    pairs = TwoForm.pairs(ch)
+    monos = function_monomials(ch, opts.degree, opts.fourier)
+
     zero = Expr.const(ch, 0)
-    forms = []
-    for mu in range(ncoords):
-        for m in monos:
-            comps = [zero] * ncoords
-            comps[mu] = mono_expr(ch, m)
-            forms.append(tuple(comps))
 
-    def w_op(i, obj):
-        return tuple(lie_derivative_oneform(p.fields[i], OneForm(ch, obj)).components)
+    def f_unit(i):
+        return lambda m: poly_terms(act.scalar(i, m))
 
-    w_basis = _largest_invariant_subspace(forms, w_op, n)
-    # Omega^2 = d(Omega^1)
-    two_all = []
-    for obj in w_basis:
-        tw = exterior_derivative(OneForm(ch, obj))
-        two_all.append(tuple(tw.components))
-    # independent subset, deterministic
-    midx2 = MonoIndex()
+    def w_unit(i):
+        return lambda unit: _keyed_terms(range(ncoords), act.oneform(i, *unit).components)
+
+    def t_unit(i):
+        return lambda unit: _keyed_terms(pairs, act.twoform(i, *unit).components)
+
+    def df_unit(m):
+        return _keyed_terms(range(ncoords), [act.partial(mu, m) for mu in range(ncoords)])
+
+    def dw_unit(unit):
+        """d(m dq^mu): dm/dq^a on the pair (a, mu), -dm/dq^b on (mu, b)."""
+        mu, m = unit
+        comps = [act.partial(a, m) if b == mu else -act.partial(b, m) if a == mu else zero for a, b in pairs]
+        return _keyed_terms(pairs, comps)
+
+    f_basis = _largest_invariant_subspace([{m: F(1)} for m in monos], [f_unit(i) for i in range(n)])
+    forms = [{(mu, m): F(1)} for mu in range(ncoords) for m in monos]
+    w_basis = _largest_invariant_subspace(forms, [w_unit(i) for i in range(n)])
+    # Omega^2 = d(Omega^1): an independent subset, deterministic
     ech = Echelon()
-    t_basis = [obj for obj in two_all if ech.insert(_slot_coords(obj, midx2))]
-
-    def t_op(i, obj):
-        return tuple(lie_derivative_twoform(p.fields[i], TwoForm(ch, obj)).components)
-
-    gm0, _, _ = _module_from_objects(p, f_basis, f_op)
-    gm1, family1, midx1 = _module_from_objects(p, w_basis, w_op)
-    gm2, family2, midx2 = _module_from_objects(p, t_basis, t_op) if t_basis else (None, None, None)
-
-    def map_matrix(src_objs, family, midx, image_fn):
-        cols = [_family_coordinates(family, midx, image_fn(obj), "image escaped the target family")
-                for obj in src_objs]
-        return _columns_matrix(cols, len(family))
-
+    t_basis = [tw for tw in (_image(w, dw_unit) for w in w_basis) if ech.insert(tw)]
+    modules = []
+    families = [(f_basis, f_unit), (w_basis, w_unit)] + ([(t_basis, t_unit)] if t_basis else [])
+    for family, unit in families:
+        mats = tuple(
+            _coordinate_map(family, [_image(b, unit(i)) for b in family], "family not closed under the action")
+            for i in range(n)
+        )
+        gm = GModule(len(family), g, mats, basis_labels=tuple(family))
+        if not validate_module(gm).ok:
+            raise InvariantViolation("invariance module failed validation")
+        modules.append(gm)
     if f_basis and w_basis:
-        d_f_to_w = map_matrix(f_basis, family1, midx1, lambda obj: tuple(gradient(obj[0]).components))
+        d_f_to_w = _coordinate_map(w_basis, [_image(f, df_unit) for f in f_basis], "image escaped the target family")
     else:
         d_f_to_w = Mat.zero(len(w_basis), len(f_basis))
     if t_basis:
-        d_w_to_t = map_matrix(
-            w_basis, family2, midx2, lambda obj: tuple(exterior_derivative(OneForm(ch, obj)).components)
-        )
+        d_w_to_t = _coordinate_map(t_basis, [_image(w, dw_unit) for w in w_basis], "image escaped the target family")
     else:
         d_w_to_t = Mat.zero(0, len(w_basis))
-    modules = [gm0, gm1] + ([gm2] if gm2 else [])
+    gm0, gm1 = modules[:2]
+    gm2 = modules[2] if t_basis else None
     dims = []
     from .cecohom import cochain_tuples
 
@@ -920,7 +884,8 @@ def build_invariance_double_complex(p: GMPair, opts: ClassifyOptions | None = No
                 d2[(pdeg, 2)] = ce_differential(g, gm2, pdeg)
     dc = DoubleComplex([[dims[pdeg][q] for q in range(3)] for pdeg in range(n + 1)], d1, d2)
     report = validate_double_complex(dc)
-    assert report.ok, f"invariance complex failed validation: {report.violations[:3]}"
+    if not report.ok:
+        raise InvariantViolation(f"invariance complex failed validation: {report.violations[:3]}")
     bases = (tuple(f_basis), tuple(w_basis), tuple(t_basis))
     return InvarianceComplex(dc, tuple(modules), bases)
 

@@ -134,13 +134,34 @@ class Mat:
     def is_zero(self):
         return all(x == 0 for x in self.entries)
 
-    def hstack(self, other: "Mat") -> "Mat":
-        assert self.rows == other.rows
-        ent = []
-        for i in range(self.rows):
-            ent.extend(self.row(i))
-            ent.extend(other.row(i))
-        return Mat(self.rows, self.cols + other.cols, tuple(ent))
+
+def sparse_product(a: Mat, b: Mat) -> dict:
+    """The nonzero entries of a.mul(b) as {(row, col): value}, computed
+    from the nonzero columns of b and the nonzero rows of a, without building
+    the dense product; an empty dict means the product is zero."""
+    assert a.cols == b.rows
+    cols_b = {}
+    for r in range(b.rows):
+        base = r * b.cols
+        for c in range(b.cols):
+            v = b.entries[base + c]
+            if v:
+                cols_b.setdefault(c, []).append((r, v))
+    rows_a = []
+    for r in range(a.rows):
+        base = r * a.cols
+        rows_a.append({c: a.entries[base + c] for c in range(a.cols) if a.entries[base + c]})
+    out = {}
+    for c, contrib in cols_b.items():
+        for r, row in enumerate(rows_a):
+            s = 0
+            for k, v in contrib:
+                av = row.get(k)
+                if av:
+                    s += av * v
+            if s:
+                out[(r, c)] = s
+    return out
 
 
 def _row_gcd(row):

@@ -18,11 +18,13 @@ from fractions import Fraction
 
 from .calculus import (
     OneForm,
+    TwoForm,
     VectorFieldExpr,
     gradient,
     is_closed,
     lie_derivative_oneform,
     lie_derivative_scalar,
+    lie_derivative_twoform,
 )
 from .cecohom import GModule, NotACocycle, validate_module
 from .expr import TP, AnsatzSpec, Chart, Expr, chart, function_monomials, mono_expr, parse_expr
@@ -41,11 +43,12 @@ class CapExceeded(Exception):
 
 
 class ActionTable:
-    """The generator action on monomials and elementary 1-forms.
+    """The generator action on monomials and elementary 1- and 2-forms.
 
     Each image is computed on first use and kept: ``scalar(i, m)`` is
-    X_i(m), ``oneform(i, mu, m)`` is L_{X_i}(m dq^mu), ``contraction(i, mu,
-    m)`` is (pi(m dq^mu))_i = m X_i^mu and ``partial(mu, m)`` is d m/dq^mu.
+    X_i(m), ``oneform(i, mu, m)`` is L_{X_i}(m dq^mu), ``twoform(i, (a, b),
+    m)`` is L_{X_i}(m dq^a ^ dq^b), ``contraction(i, mu, m)`` is (pi(m
+    dq^mu))_i = m X_i^mu and ``partial(mu, m)`` is d m/dq^mu.
     Images are expressions; ``poly_terms`` reads monomial coordinates off a
     polynomial one.  ``lie(i, f)`` is X_i(f) for any velocity-free f, read
     off the monomial images where it can be.
@@ -56,6 +59,7 @@ class ActionTable:
         self.fields = fields
         self._scalar = {}
         self._oneform = {}
+        self._twoform = {}
         self._contraction = {}
         self._partial = {}
 
@@ -109,6 +113,16 @@ class ActionTable:
             comps[mu] = comps[mu] + self.scalar(i, mono)
             img = OneForm(ch, tuple(comps))
             self._oneform[(i, mu, mono)] = img
+        return img
+
+    def twoform(self, i, ab, mono) -> TwoForm:
+        """L_X(m dq^a ^ dq^b) for a coordinate pair a < b."""
+        img = self._twoform.get((i, ab, mono))
+        if img is None:
+            ch = self.chart
+            comps = [mono_expr(ch, mono) if pair == ab else Expr.const(ch, 0) for pair in TwoForm.pairs(ch)]
+            img = lie_derivative_twoform(self.fields[i], TwoForm(ch, tuple(comps)))
+            self._twoform[(i, ab, mono)] = img
         return img
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .calculus import VectorFieldExpr
 from .expr import Chart, Expr, parse_expr
-from .liealg import StructureConstants, catalog, jacobi_check
+from .liealg import StructureConstants, catalog
 from .linalg import Mat
 from .pairs import GMPair
 from .spectral import DoubleComplex
@@ -374,8 +374,3 @@ def build_double_complex(pf: ProblemFile) -> DoubleComplex:
             raise ProblemFileError(f"{key}: expected {want_rows} rows, got {mat.rows}")
         (d1 if kind == "d1" else d2)[(p, q)] = mat
     return DoubleComplex(grid, d1, d2)
-
-
-def algebra_report(pf: ProblemFile):
-    g = build_algebra(pf)
-    return g, jacobi_check(g)

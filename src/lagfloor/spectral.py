@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Mat, QuotientSpace, Subspace, image_basis, kernel_basis, pivot_columns, quotient
+from .linalg import Mat, QuotientSpace, Subspace, image_basis, kernel_basis, pivot_columns, quotient, sparse_product
 
 F = Fraction
 
@@ -75,13 +75,13 @@ def validate_double_complex(dc: DoubleComplex) -> ComplexReport:
     bad = []
     for p in range(dc.width):
         for q in range(dc.height):
-            if not dc.d1_at(p, q + 1).mul(dc.d1_at(p, q)).is_zero():
+            if sparse_product(dc.d1_at(p, q + 1), dc.d1_at(p, q)):
                 bad.append(("d1.d1", p, q))
-            if not dc.d2_at(p + 1, q).mul(dc.d2_at(p, q)).is_zero():
+            if sparse_product(dc.d2_at(p + 1, q), dc.d2_at(p, q)):
                 bad.append(("d2.d2", p, q))
-            lhs = dc.d1_at(p + 1, q).mul(dc.d2_at(p, q))
-            rhs = dc.d2_at(p, q + 1).mul(dc.d1_at(p, q))
-            if not all(a == b for a, b in zip(lhs.entries, rhs.entries)):
+            lhs = sparse_product(dc.d1_at(p + 1, q), dc.d2_at(p, q))
+            rhs = sparse_product(dc.d2_at(p, q + 1), dc.d1_at(p, q))
+            if lhs != rhs:
                 bad.append(("commute", p, q))
     return ComplexReport(not bad, tuple(bad))
 
@@ -151,7 +151,7 @@ def total_cohomology(dc: DoubleComplex, m: int) -> QuotientSpace:
 
 def total_q_squared_is_zero(dc: DoubleComplex) -> bool:
     for m in range(dc.width + dc.height):
-        if not total_differential(dc, m + 1).mul(total_differential(dc, m)).is_zero():
+        if sparse_product(total_differential(dc, m + 1), total_differential(dc, m)):
             return False
     return True
 

@@ -1,5 +1,9 @@
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -262,3 +266,33 @@ def test_exterior_derivative_of_gradient_vanishes():
     f = P("z^3*sin(2*phi)")
     dw = exterior_derivative(gradient(f))
     assert all(c.is_zero() for c in dw.components)
+
+
+def test_velocity_dependent_lie_derivative_raises_under_python_O():
+    """An explicit check, so python -O keeps it: differentiating dz along a
+    field raises InvariantViolation instead of treating dz as a constant."""
+    script = textwrap.dedent(
+        """
+        from lagfloor.calculus import lie_derivative_scalar
+        from lagfloor.expr import Expr
+        from lagfloor.linalg import InvariantViolation
+        from lagfloor.pairs import standard_pair
+
+        assert False, "asserts must be stripped under -O"
+        L3 = standard_pair("l3_cylinder")
+        dz = Expr.var(L3.chart, L3.chart.velocity("z"))
+        try:
+            lie_derivative_scalar(L3.fields[1], dz)
+        except InvariantViolation as exc:
+            print("raised:", exc)
+        else:
+            print("passed")
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env={"PYTHONPATH": src, "PATH": ""},
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("raised:"), res.stdout

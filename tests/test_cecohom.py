@@ -1,5 +1,9 @@
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -190,7 +194,7 @@ def random_conjugate(rng, module):
 
 def test_delta_squared_zero_fuzz():
     rng = random.Random(2024)
-    from lagfloor.cecohom import _sparse_product_is_zero
+    from lagfloor.linalg import sparse_product
     from lagfloor.pairs import closure_module, standard_pair
     from lagfloor.expr import parse_expr
 
@@ -204,7 +208,7 @@ def test_delta_squared_zero_fuzz():
             for q in range(g.dim):
                 d_q = ce_differential(g, a, q)
                 d_next = ce_differential(g, a, q + 1)
-                assert _sparse_product_is_zero(d_next, d_q)
+                assert sparse_product(d_next, d_q) == {}
 
 
 def test_euler_characteristic_identity():
@@ -245,3 +249,33 @@ def test_h2_of_one_dimensional_algebra_is_zero():
     h2 = cohomology(g, triv, 2)
     assert h2.dim == 0 and h2.representatives == ()
     assert coboundary_witness(g, triv, Cochain(2, triv, {})).is_zero()
+
+
+def test_delta_squared_check_raises_under_python_O():
+    """An explicit check, so python -O keeps it: on a 'module' of so(3) that
+    breaks the bracket relations, delta^2 != 0 raises InvariantViolation."""
+    script = textwrap.dedent(
+        """
+        from lagfloor.cecohom import GModule, cohomology
+        from lagfloor.liealg import catalog
+        from lagfloor.linalg import InvariantViolation, Mat
+
+        assert False, "asserts must be stripped under -O"
+        g = catalog("so3")
+        # rho_1 = 1, rho_2 = rho_3 = 0 on a line: rho_[e2,e3] = rho_1 fails
+        bad = GModule(1, g, (Mat.from_rows([[1]]), Mat.zero(1, 1), Mat.zero(1, 1)))
+        try:
+            cohomology(g, bad, 1)
+        except InvariantViolation as exc:
+            print("raised:", exc)
+        else:
+            print("passed")
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env={"PYTHONPATH": src, "PATH": ""},
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("raised:"), res.stdout

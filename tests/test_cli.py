@@ -351,3 +351,24 @@ def test_k_spaces_machine_output_pinned(name, monkeypatch):
     code, out = run("--format", "machine", "k-spaces", f"src/lagfloor/fixtures/{name}.toml")
     assert code == 0
     assert out == (GOLDEN / "k_spaces" / f"{name}.txt").read_text()
+
+
+SPECTRAL_FROM_PAIR = {
+    "l3_cylinder": ("l3_cylinder", ()),
+    "l3_cylinder_d0_f2": ("l3_cylinder", ("--ansatz-degree", "0", "--fourier", "2")),
+    "so3_sphere": ("so3_sphere", ()),
+    "translations_r2": ("translations_r2", ()),
+    "so3_r3_d1": ("so3_r3", ("--ansatz-degree", "1")),
+    "translations_r3_d1": ("translations_r3", ("--ansatz-degree", "1")),
+}
+
+
+@pytest.mark.parametrize("golden", sorted(SPECTRAL_FROM_PAIR))
+def test_spectral_from_pair_machine_output_pinned(golden, monkeypatch):
+    """Pages, total cohomology and abutment of the invariance double complex,
+    against files captured before the complex was built on the action table."""
+    name, extra = SPECTRAL_FROM_PAIR[golden]
+    monkeypatch.chdir(ROOT)
+    code, out = run("--format", "machine", "spectral", f"src/lagfloor/fixtures/{name}.toml", "--from-pair", *extra)
+    assert code == 0
+    assert out == (GOLDEN / "spectral_from_pair" / f"{golden}.txt").read_text()

@@ -1,10 +1,15 @@
+import ast
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from lagfloor.calculus import d_el
-from lagfloor.expr import Expr, parse_expr
+from lagfloor.expr import Expr, parse_expr, to_string
 from lagfloor.hierarchy import (
     ClassifyOptions,
     NotWeaklyInvariantError,
@@ -386,6 +391,32 @@ def test_full_derivative_invariance(pattern):
         assert shifted.classes_signature() == base.classes_signature()
 
 
+WITNESS_PINS = [
+    # (pair, invariant part, g, w, l_inv) for L = invariant part + d_EL(g),
+    # captured before phi3 read its system off the action table; t'' and f
+    # come out 0.  The witness is the canonical particular solution, so it
+    # depends on the order of phi3's unknowns
+    (TRANS3, "(dq1^2 + dq2^2 + dq3^2)/2", "q1*q2^2 + q3",
+     ("q2^2", "2*q1*q2", "0"), "1/2*dq3^2 + dq3 + 1/2*dq2^2 + 1/2*dq1^2"),
+    (standard_pair("so3_r3"), "(dx1^2 + dx2^2 + dx3^2)/2", "x1*x2",
+     ("x2", "x1", "0"), "1/2*dx3^2 + 1/2*dx2^2 + 1/2*dx1^2"),
+    (L3, "dz^2/2", "z^3*cos(2*phi) + z",
+     ("3*z^2*cos(2*phi)", "-2*z^3*sin(2*phi)"), "1/2*dz^2 + dz"),
+]
+
+
+@pytest.mark.parametrize("pair, base, g, w, l_inv", WITNESS_PINS, ids=["translations_r3", "so3_r3", "l3_cylinder"])
+def test_phi3_witness_of_a_full_derivative_pinned(pair, base, g, w, l_inv):
+    L = P(base, pair) + d_el(P(g, pair))
+    rep = classify(pair, L)
+    assert (rep.floor, rep.sign) == (4, "+")
+    wf, t2, f = rep.witnesses.k3_witness
+    assert tuple(to_string(c) for c in wf.components) == w
+    assert t2 == (0,) * pair.algebra.dim
+    assert to_string(f) == "0"
+    assert to_string(rep.decomposition["l_inv"]) == l_inv
+
+
 def test_invariant_shift_invariance():
     L = family(1, 0, 1, 0, 0)
     base = classify(L3, L)
@@ -442,3 +473,54 @@ def test_abelian_r1_invariance_complex():
     p2 = page(ic.dc, 2)
     assert p2.dim(0, 0) == 1  # Lambda^0 invariants = constants
     assert p2.dim(1, 0) == 1  # H^1 of the abelian line
+
+
+def test_invariance_complex_check_raises_under_python_O():
+    """An explicit check, so python -O keeps it: a d1 that no longer commutes
+    with d2 (doubled on the one-tuple columns) raises InvariantViolation."""
+    script = textwrap.dedent(
+        """
+        import lagfloor.hierarchy as h
+        from lagfloor.linalg import InvariantViolation, Mat
+        from lagfloor.pairs import standard_pair
+
+        assert False, "asserts must be stripped under -O"
+        block_diag = h._block_diag
+
+        def skewed(m, count):
+            out = block_diag(m, count)
+            return Mat(out.rows, out.cols, tuple(2 * x for x in out.entries)) if count == 1 else out
+
+        h._block_diag = skewed
+        try:
+            h.build_invariance_double_complex(standard_pair("l3_cylinder"))
+        except InvariantViolation as exc:
+            print("raised:", exc)
+        else:
+            print("passed")
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env={"PYTHONPATH": src, "PATH": ""},
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("raised: invariance complex failed validation"), res.stdout
+
+
+def test_hierarchy_reads_the_action_through_the_pair():
+    """The classifier and the invariance complex take the generator action
+    from the pair's table; no symbolic second path comes back."""
+    source = Path(__file__).resolve().parent.parent / "src" / "lagfloor" / "hierarchy.py"
+    banned = {
+        "lie_derivative_scalar", "lie_derivative_oneform", "lie_derivative_twoform",
+        "pi_map", "solve_linear_expr_system",
+    }
+    imported = set()
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(part for alias in node.names for part in alias.name.split("."))
+    assert not imported & banned, sorted(imported & banned)

@@ -19,6 +19,7 @@ from lagfloor.linalg import (
     rref,
     solve,
     span_coordinates,
+    sparse_product,
 )
 
 
@@ -154,6 +155,16 @@ def matrices(draw, max_dim=5):
 @settings(max_examples=100, deadline=None)
 def test_rank_nullity(m):
     assert kernel_basis(m).dim + image_basis(m).dim == m.cols
+
+
+@given(matrices(), st.integers(min_value=1, max_value=5), st.data())
+@settings(max_examples=100, deadline=None)
+def test_sparse_product_lists_the_nonzero_entries_of_the_dense_product(a, cols, data):
+    ent = data.draw(st.lists(st.sampled_from([0, 0, 1, -2, 3]), min_size=a.cols * cols, max_size=a.cols * cols))
+    b = Mat.from_rows([ent[i * cols : (i + 1) * cols] for i in range(a.cols)])
+    dense = a.mul(b)
+    want = {(i, j): dense[i, j] for i in range(dense.rows) for j in range(dense.cols) if dense[i, j]}
+    assert sparse_product(a, b) == want
 
 
 @given(matrices(), st.lists(small_entries, min_size=5, max_size=5))

@@ -8,7 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from lagfloor.calculus import OneForm, VectorFieldExpr, gradient, is_closed, lie_derivative_oneform, lie_derivative_scalar
+from lagfloor.calculus import (
+    OneForm,
+    TwoForm,
+    VectorFieldExpr,
+    gradient,
+    is_closed,
+    lie_derivative_oneform,
+    lie_derivative_scalar,
+    lie_derivative_twoform,
+)
 from lagfloor.cecohom import cohomology
 from lagfloor.expr import AnsatzSpec, Expr, function_monomials, mono_expr, parse_expr, to_string
 from lagfloor.linalg import kernel_of_rows
@@ -105,7 +114,10 @@ def test_pi_naturality_random_closed_forms():
 
 @pytest.mark.parametrize("pair", STANDARD, ids=lambda p: p.name)
 def test_action_table_matches_lie_derivatives(pair):
-    """Every table entry at the fixtures' ansatz (degree 3, Fourier order 3)."""
+    """Every table entry against the symbolic Lie derivative of the
+    elementary function or form: at the fixtures' ansatz (degree 3, Fourier
+    order 3), and for 2-forms at degree 2 (1 on four coordinates), Fourier
+    order 2."""
     ch = pair.chart
     zero = Expr.const(ch, 0)
     for m in function_monomials(ch, 3, 3):
@@ -120,6 +132,16 @@ def test_action_table_matches_lie_derivatives(pair):
                 unit = OneForm(ch, tuple(comps))
                 assert pair.action.oneform(i, mu, m) == lie_derivative_oneform(x, unit)
                 assert pair.action.contraction(i, mu, m) == me * x.components[mu]
+    # 2-form images are the costliest to build symbolically, so a lower
+    # degree; the fields of the 4-coordinate pairs are linear, and degree 1
+    # already meets every term of theirs
+    pairs = TwoForm.pairs(ch)
+    for m in function_monomials(ch, 2 if len(ch.names) <= 3 else 1, 2):
+        me = mono_expr(ch, m)
+        for i, x in enumerate(pair.fields):
+            for ab in pairs:
+                unit = TwoForm(ch, tuple(me if pq == ab else zero for pq in pairs))
+                assert pair.action.twoform(i, ab, m) == lie_derivative_twoform(x, unit)
 
 
 def test_action_table_is_not_part_of_pair_equality():
