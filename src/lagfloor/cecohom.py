@@ -26,7 +26,6 @@ from .linalg import (
     kernel_basis,
     quotient,
     solve,
-    sparse_product,
 )
 
 F = Fraction
@@ -50,16 +49,15 @@ class GModule:
     basis_labels: tuple | None = None
 
     def __post_init__(self):
-        assert len(self.action) == self.algebra.dim
+        if len(self.action) != self.algebra.dim:
+            raise InvariantViolation(f"{len(self.action)} action matrices for an algebra of dimension {self.algebra.dim}")
         for m in self.action:
-            assert m.rows == m.cols == self.dim
+            if not m.rows == m.cols == self.dim:
+                raise InvariantViolation(f"a {m.rows}x{m.cols} action matrix on a module of dimension {self.dim}")
 
     @staticmethod
     def trivial(algebra):
         return GModule(1, algebra, tuple(Mat.zero(1, 1) for _ in range(algebra.dim)))
-
-    def act(self, i, vec):
-        return self.action[i].mul_vec(vec)
 
 
 @dataclass(frozen=True)
@@ -71,17 +69,18 @@ class ModuleReport:
 def validate_module(a: GModule) -> ModuleReport:
     """Check rho_i rho_j - rho_j rho_i = c^k_{ij} rho_k for all i < j."""
     g = a.algebra
+    rho = a.action
     bad = []
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            lhs = a.action[i].mul(a.action[j])
-            rhs = a.action[j].mul(a.action[i])
-            diff = [x - y for x, y in zip(lhs.entries, rhs.entries)]
-            for k in range(g.dim):
-                ck = g.coeff(i, j, k)
-                if ck:
-                    diff = [d - ck * e for d, e in zip(diff, a.action[k].entries)]
-            if any(diff):
+            terms = [(1, rho[i].mul(rho[j])), (-1, rho[j].mul(rho[i]))]
+            terms += [(-c, rho[k]) for k in range(g.dim) if (c := g.coeff(i, j, k))]
+            diff = [{} for _ in range(a.dim)]
+            for c, m in terms:
+                for acc, row in zip(diff, m.data):
+                    for col, x in row.items():
+                        acc[col] = acc.get(col, 0) + c * x
+            if any(x for acc in diff for x in acc.values()):
                 bad.append((i, j))
     return ModuleReport(not bad, tuple(bad))
 
@@ -105,10 +104,13 @@ class Cochain:
 
     def __post_init__(self):
         # above the algebra's dimension the cochain space is 0
-        assert self.degree >= 0
+        if self.degree < 0:
+            raise InvariantViolation(f"cochain of negative degree {self.degree}")
         for t, v in self.components.items():
-            assert len(t) == self.degree and tuple(sorted(t)) == t
-            assert len(v) == self.module.dim
+            if len(t) != self.degree or tuple(sorted(t)) != t:
+                raise InvariantViolation(f"cochain component {t} is not an increasing {self.degree}-tuple")
+            if len(v) != self.module.dim:
+                raise InvariantViolation(f"cochain value of length {len(v)} in a module of dimension {self.module.dim}")
 
     def value(self, t):
         return self.components.get(t, (F(0),) * self.module.dim)
@@ -123,7 +125,8 @@ class Cochain:
     @staticmethod
     def from_vector(module, q, vec):
         tuples = cochain_tuples(module.algebra.dim, q)
-        assert len(vec) == len(tuples) * module.dim
+        if len(vec) != len(tuples) * module.dim:
+            raise InvariantViolation(f"a vector of length {len(vec)} for {len(tuples) * module.dim} cochain coordinates")
         comps = {}
         for idx, t in enumerate(tuples):
             v = tuple(F(x) for x in vec[idx * module.dim : (idx + 1) * module.dim])
@@ -156,45 +159,37 @@ def ce_differential(g: StructureConstants, a: GModule, q: int) -> Mat:
         return _DIFF_CACHE[key][-1]
     n = g.dim
     m = a.dim
-    src = cochain_tuples(n, q)
-    tgt = cochain_tuples(n, q + 1)
-    src_index = {t: i for i, t in enumerate(src)}
-    rows = len(tgt) * m
-    cols = len(src) * m
-    ent = [F(0)] * (rows * cols)
+    src_index = {t: i for i, t in enumerate(cochain_tuples(n, q))}
+    brackets = {(i, j): [(k, c) for k in range(n) if (c := g.coeff(i, j, k))] for i in range(n) for j in range(i + 1, n)}
+    data = []
+    for U in cochain_tuples(n, q + 1):
+        rows = [{} for _ in range(m)]
 
-    def add(row, col, v):
-        ent[row * cols + col] += v
+        def add(t, col, v):
+            rows[t][col] = rows[t].get(col, 0) + v
 
-    for u_idx, U in enumerate(tgt):
         for i, ui in enumerate(U):
             rest = U[:i] + U[i + 1 :]
             sign = (-1) ** i
             # action term: sign * rho_{ui} applied to c(rest)
             col_base = src_index[rest] * m
-            rho = a.action[ui]
-            for t in range(m):
-                row = u_idx * m + t
-                for s in range(m):
-                    v = rho[t, s]
-                    if v:
-                        add(row, col_base + s, sign * v)
+            for t, rho_row in enumerate(a.action[ui].data):
+                for s, v in rho_row.items():
+                    add(t, col_base + s, sign * v)
             for j in range(i + 1, len(U)):
                 uj = U[j]
                 pair_rest = tuple(x for x in U if x != ui and x != uj)
                 bsign = (-1) ** (i + j)
-                for k in range(n):
-                    gamma = g.coeff(ui, uj, k)
-                    if not gamma:
-                        continue
+                for k, gamma in brackets[(ui, uj)]:
                     ins = _insert_sorted(k, pair_rest)
                     if ins is None:
                         continue
                     W, psign = ins
                     col_base = src_index[W] * m
                     for t in range(m):
-                        add(u_idx * m + t, col_base + t, bsign * gamma * psign)
-    out = Mat(rows, cols, tuple(ent))
+                        add(t, col_base + t, bsign * gamma * psign)
+        data.extend({col: v for col, v in row.items() if v} for row in rows)
+    out = Mat(len(data), len(src_index) * m, tuple(data))
     _DIFF_CACHE[key] = (g, a, out)
     return out
 
@@ -215,14 +210,15 @@ def cohomology(g: StructureConstants, a: GModule, q: int) -> CohomologyResult:
 
     Any q >= 0 is accepted; above dim G the cochains, and so H^q, are 0.
     """
-    assert q >= 0
+    if q < 0:
+        raise InvariantViolation(f"cohomology in negative degree {q}")
     d_q = ce_differential(g, a, q)
     z = kernel_basis(d_q)
     if q == 0:
         b = Subspace(z.ambient_dim, ())
     else:
         d_prev = ce_differential(g, a, q - 1)
-        if sparse_product(d_q, d_prev):
+        if not d_q.mul(d_prev).is_zero():
             raise InvariantViolation("delta^2 != 0: invalid module")
         b = image_basis(d_prev)
     qt = quotient(z, b)

@@ -794,7 +794,7 @@ def _coordinate_map(family, targets, failure):
         if c is None:
             raise InvariantViolation(failure)
         cols.append(c)
-    return Mat(len(family), len(cols), tuple(c[r] for r in range(len(family)) for c in cols))
+    return Mat.from_rows(cols, len(family)).transpose()
 
 
 def build_invariance_double_complex(p: GMPair, opts: ClassifyOptions | None = None) -> InvarianceComplex:
@@ -891,13 +891,5 @@ def build_invariance_double_complex(p: GMPair, opts: ClassifyOptions | None = No
 
 
 def _block_diag(m: Mat, count: int) -> Mat:
-    rows, cols = m.rows * count, m.cols * count
-    ent = [F(0)] * (rows * cols)
-    for b in range(count):
-        for i in range(m.rows):
-            base = (b * m.rows + i) * cols + b * m.cols
-            for j in range(m.cols):
-                v = m[i, j]
-                if v:
-                    ent[base + j] = v
-    return Mat(rows, cols, tuple(ent))
+    data = tuple({b * m.cols + j: v for j, v in row.items()} for b in range(count) for row in m.data)
+    return Mat(m.rows * count, m.cols * count, data)

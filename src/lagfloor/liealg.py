@@ -220,12 +220,6 @@ def _build_catalog(name, params):
 
 def zero_one_cocycles(g: StructureConstants):
     """Basis of Z^1(G) = {t : c^k_{ij} t_k = 0}, i.e. H^1 with trivial coeffs."""
-    from .linalg import Mat, kernel_basis
+    from .linalg import kernel_of_rows
 
-    rows = []
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            rows.append([g.coeff(i, j, k) for k in range(g.dim)])
-    if not rows:
-        return kernel_basis(Mat.zero(1, g.dim))
-    return kernel_basis(Mat.from_rows(rows, g.dim))
+    return kernel_of_rows([g.c[ij] for ij in sorted(g.c)], g.dim)

@@ -9,16 +9,19 @@ that grow one vector at a time.  All arithmetic is exact (``Fraction`` and
 and cohomology dimensions are integers and a single rounded pivot decision
 would corrupt them.
 
-Batch elimination goes through :func:`rref`, which clears denominators and
-hands integer rows to the fraction-free :func:`row_reduce`.  Its output is
-the canonical RREF of the row space, so every result here is reproducible
-bit for bit.
+Matrices are :class:`Mat`, which keeps only its nonzero entries, row by
+row; producers build those rows directly and elimination reads them as
+they are.  Batch elimination goes through :func:`rref`, which clears
+denominators and hands integer rows to the fraction-free
+:func:`row_reduce`.  Its output is the canonical RREF of the row space, so
+every result here is reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 # Row reduction is the pure-Python ``row_reduce`` below and nothing else.
@@ -30,8 +33,8 @@ KERNEL_IMPL = "python"
 # this many bits; the final pass makes every row primitive regardless.
 NORMALIZE_BITS = 64
 
-Scalar = Fraction
 Vector = tuple[Fraction, ...]
+ZERO = Fraction(0)
 
 
 class DenominatorNotContained(Exception):
@@ -46,122 +49,95 @@ class InvariantViolation(AssertionError):
     """
 
 
-def _as_fraction_row(row):
-    return tuple(Fraction(x) for x in row)
-
-
 @dataclass(frozen=True)
 class Mat:
-    """Dense rows x cols matrix, row-major entries."""
+    """Sparse rows x cols matrix over the rationals.
+
+    ``data[i]`` is row i as a ``{column: Fraction}`` dict of its nonzero
+    entries and nothing else, so ``==`` means same shape and same entries.
+    The rows go to :func:`rref` as they are; treat them as read-only.
+    """
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    data: tuple[dict, ...]
 
     def __post_init__(self):
-        assert len(self.entries) == self.rows * self.cols
+        if len(self.data) != self.rows:
+            raise InvariantViolation(f"{len(self.data)} sparse rows for a matrix of {self.rows} rows")
+        for r in self.data:
+            if r and (min(r) < 0 or max(r) >= self.cols or not all(r.values())):
+                raise InvariantViolation(f"a sparse row stores a zero or a column outside 0..{self.cols - 1}")
 
     @staticmethod
     def from_rows(rows, cols=None):
-        rows = [list(r) for r in rows]
+        """Mat of dense rows of numbers, each converted to Fraction."""
+        rows = list(rows)
         if cols is None:
             cols = len(rows[0]) if rows else 0
-        ent = []
+        data = []
         for r in rows:
-            assert len(r) == cols
-            ent.extend(Fraction(x) for x in r)
-        return Mat(len(rows), cols, tuple(ent))
+            if len(r) != cols:
+                raise InvariantViolation(f"a row of {len(r)} entries in a matrix of {cols} columns")
+            data.append({j: Fraction(x) for j, x in enumerate(r) if x})
+        return Mat(len(data), cols, tuple(data))
 
     @staticmethod
     def zero(rows, cols):
-        return Mat(rows, cols, (Fraction(0),) * (rows * cols))
+        return Mat(rows, cols, tuple({} for _ in range(rows)))
 
     @staticmethod
     def identity(n):
-        ent = [Fraction(0)] * (n * n)
-        for i in range(n):
-            ent[i * n + i] = Fraction(1)
-        return Mat(n, n, tuple(ent))
+        return Mat(n, n, tuple({i: Fraction(1)} for i in range(n)))
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i * self.cols + j]
+        return self.data[i].get(j, ZERO)
 
-    def row(self, i):
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def col(self, j):
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def row_lists(self):
-        return [list(self.row(i)) for i in range(self.rows)]
+    @cached_property
+    def entries(self) -> tuple[Fraction, ...]:
+        """Dense row-major view, built once: entry (i, j) is at i * cols + j."""
+        ent = [ZERO] * (self.rows * self.cols)
+        for i, row in enumerate(self.data):
+            base = i * self.cols
+            for j, x in row.items():
+                ent[base + j] = x
+        return tuple(ent)
 
     def transpose(self):
-        ent = []
-        for j in range(self.cols):
-            for i in range(self.rows):
-                ent.append(self.entries[i * self.cols + j])
-        return Mat(self.cols, self.rows, tuple(ent))
+        data = tuple({} for _ in range(self.cols))
+        for i, row in enumerate(self.data):
+            for j, x in row.items():
+                data[j][i] = x
+        return Mat(self.cols, self.rows, data)
 
     def mul_vec(self, v) -> Vector:
-        assert len(v) == self.cols
+        if len(v) != self.cols:
+            raise InvariantViolation(f"a vector of length {len(v)} times a matrix of {self.cols} columns")
         out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            s = Fraction(0)
-            for j, x in enumerate(v):
-                if x:
-                    e = self.entries[base + j]
-                    if e:
-                        s += e * x
+        for row in self.data:
+            s = ZERO
+            for j, x in row.items():
+                y = v[j]
+                if y:
+                    s += x * y
             out.append(s)
         return tuple(out)
 
     def mul(self, other: "Mat") -> "Mat":
-        assert self.cols == other.rows
-        cols = [other.col(j) for j in range(other.cols)]
-        ent = []
-        for i in range(self.rows):
-            row = self.row(i)
-            for c in cols:
-                s = Fraction(0)
-                for a, b in zip(row, c):
-                    if a and b:
-                        s += a * b
-                ent.append(s)
-        return Mat(self.rows, other.cols, tuple(ent))
+        if self.cols != other.rows:
+            raise InvariantViolation(f"product of {self.rows}x{self.cols} and {other.rows}x{other.cols} matrices")
+        data = []
+        for row in self.data:
+            acc = {}
+            for k, a in row.items():
+                for j, b in other.data[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            data.append({j: x for j, x in acc.items() if x})
+        return Mat(self.rows, other.cols, tuple(data))
 
     def is_zero(self):
-        return all(x == 0 for x in self.entries)
-
-
-def sparse_product(a: Mat, b: Mat) -> dict:
-    """The nonzero entries of a.mul(b) as {(row, col): value}, computed
-    from the nonzero columns of b and the nonzero rows of a, without building
-    the dense product; an empty dict means the product is zero."""
-    assert a.cols == b.rows
-    cols_b = {}
-    for r in range(b.rows):
-        base = r * b.cols
-        for c in range(b.cols):
-            v = b.entries[base + c]
-            if v:
-                cols_b.setdefault(c, []).append((r, v))
-    rows_a = []
-    for r in range(a.rows):
-        base = r * a.cols
-        rows_a.append({c: a.entries[base + c] for c in range(a.cols) if a.entries[base + c]})
-    out = {}
-    for c, contrib in cols_b.items():
-        for r, row in enumerate(rows_a):
-            s = 0
-            for k, v in contrib:
-                av = row.get(k)
-                if av:
-                    s += av * v
-            if s:
-                out[(r, c)] = s
-    return out
+        return not any(self.data)
 
 
 def _row_gcd(row):
@@ -292,7 +268,8 @@ class Subspace:
 
     def __post_init__(self):
         for v in self.basis:
-            assert len(v) == self.ambient_dim
+            if len(v) != self.ambient_dim:
+                raise InvariantViolation(f"a basis vector of length {len(v)} in a space of dimension {self.ambient_dim}")
         if self.basis and not self.verified:
             pivots, _ = rref(self.basis, self.ambient_dim)
             if len(pivots) != len(self.basis):
@@ -325,7 +302,7 @@ def kernel_basis(m: Mat) -> Subspace:
     Representatives come from the reduced echelon form: one vector per free
     column, free columns ascending, so the output is canonical.
     """
-    return kernel_of_rows(m.row_lists(), m.cols)
+    return kernel_of_rows(m.data, m.cols)
 
 
 def kernel_of_rows(rows, ncols) -> Subspace:
@@ -352,10 +329,10 @@ def kernel_of_rows(rows, ncols) -> Subspace:
 
 def image_basis(m: Mat) -> Subspace:
     """Canonical basis of the column space (RREF of the transpose)."""
-    _, rows = rref(m.transpose().row_lists(), m.rows)
+    _, rows = rref(m.transpose().data, m.rows)
     sub = Subspace(m.rows, tuple(rows), verified=True)
     # rank-nullity, checked exactly: row rank equals column rank
-    row_pivots, _ = rref(m.row_lists(), m.cols)
+    row_pivots, _ = rref(m.data, m.cols)
     nullity = m.cols - len(row_pivots)
     if sub.dim + nullity != m.cols:
         raise InvariantViolation("rank-nullity failed: row and column rank differ")
@@ -368,9 +345,10 @@ def solve(m: Mat, rhs) -> Vector | None:
     Deterministic: free variables of the underdetermined system are set to 0
     against the canonical RREF.
     """
-    rhs = _as_fraction_row(rhs)
-    assert len(rhs) == m.rows
-    return solve_rows([list(m.row(i)) + [-rhs[i]] for i in range(m.rows)], m.cols)
+    if len(rhs) != m.rows:
+        raise InvariantViolation(f"a right-hand side of length {len(rhs)} for a matrix of {m.rows} rows")
+    rows = [{**row, m.cols: -Fraction(b)} if b else row for row, b in zip(m.data, rhs)]
+    return solve_rows(rows, m.cols)
 
 
 def span_coordinates(vectors, target) -> Vector | None:
@@ -483,7 +461,8 @@ class QuotientSpace:
 
 def quotient(z: Subspace, b: Subspace) -> QuotientSpace:
     """Quotient of span(z) by span(b); raises if b is not contained in z."""
-    assert z.ambient_dim == b.ambient_dim
+    if z.ambient_dim != b.ambient_dim:
+        raise InvariantViolation(f"quotient of a subspace of Q^{z.ambient_dim} by one of Q^{b.ambient_dim}")
     # columns of [B | Z]; z-columns that stay pivotal are the representatives
     cols = list(b.basis) + list(z.basis)
     pivots = pivot_columns(cols, z.ambient_dim)
@@ -492,7 +471,8 @@ def quotient(z: Subspace, b: Subspace) -> QuotientSpace:
         raise DenominatorNotContained("a denominator vector lies outside the numerator span")
     reps = tuple(z.basis[i - b.dim] for i in pivots if i >= b.dim)
     q = QuotientSpace(z.ambient_dim, z, b, len(reps), reps, tuple(b.basis) + reps)
-    assert q.dim + b.dim == z.dim
+    if q.dim + b.dim != z.dim:
+        raise InvariantViolation("dim Z/B + dim B != dim Z")
     return q
 
 

@@ -347,11 +347,7 @@ def closure_module(p: GMPair, seeds, cap: int = 64) -> FunctionModule:
             if coords is None:
                 raise InvariantViolation("closure is not closed: internal error")
             cols.append(coords)
-        ent = []
-        for t in range(m):
-            for j in range(m):
-                ent.append(cols[j][t])
-        mats.append(Mat(m, m, tuple(ent)))
+        mats.append(Mat.from_rows(cols, m).transpose())
     gm = GModule(m, p.algebra, tuple(mats), basis_labels=basis)
     report = validate_module(gm)
     if not report.ok:

@@ -342,18 +342,29 @@ def build_module(pf: ProblemFile, name: str, algebra: StructureConstants):
         rows = sec.get(gen)
         if rows is None:
             raise ProblemFileError(f"[module.{name}] missing action matrix for {gen!r}")
-        if not (isinstance(rows, list) and len(rows) == dim):
-            raise ProblemFileError(f"[module.{name}] {gen}: need {dim} rows")
-        mats.append(Mat.from_rows([[_rat(x, f"module.{name}") for x in row] for row in rows], dim))
+        mats.append(_matrix(rows, dim, dim, f"[module.{name}] {gen}"))
     return GModule(dim, algebra, tuple(mats))
+
+
+def _matrix(rows, nrows, ncols, where) -> Mat:
+    """Mat of a list of nrows rows, each a list of ncols rationals."""
+    if not (isinstance(rows, list) and len(rows) == nrows):
+        got = len(rows) if isinstance(rows, list) else repr(rows)
+        raise ProblemFileError(f"{where}: expected {nrows} rows, got {got}")
+    for row in rows:
+        if not (isinstance(row, list) and len(row) == ncols):
+            raise ProblemFileError(f"{where}: expected rows of {ncols} entries, got {row!r}")
+    return Mat.from_rows([[_rat(x, where) for x in row] for row in rows], ncols)
 
 
 def build_double_complex(pf: ProblemFile) -> DoubleComplex:
     sec = pf.section("double_complex", required=True)
-    dims = sec.get("dims")
-    if not isinstance(dims, list):
-        raise ProblemFileError("[double_complex] needs dims = [[...], ...] (dims[p][q])")
-    grid = [[int(x) for x in col] for col in dims]
+    grid = sec.get("dims")
+    shape_ok = isinstance(grid, list) and grid and all(isinstance(col, list) and col for col in grid)
+    if not shape_ok or any(len(col) != len(grid[0]) for col in grid):
+        raise ProblemFileError("[double_complex] needs dims = [[...], ...] (dims[p][q]), a non-empty rectangular grid")
+    if not all(type(x) is int and x >= 0 for col in grid for x in col):
+        raise ProblemFileError("[double_complex] dims entries must be non-negative integers")
     width, height = len(grid), len(grid[0])
     d1, d2 = {}, {}
     for key, value in sec.items():
@@ -366,11 +377,11 @@ def build_double_complex(pf: ProblemFile) -> DoubleComplex:
             p, q = (int(x) for x in rest.split("_"))
         except ValueError:
             raise ProblemFileError(f"[double_complex] keys look like d1_p_q: {key!r}")
-        rows = [[_rat(x, key) for x in row] for row in value]
+        if not (0 <= p < width and 0 <= q < height):
+            raise ProblemFileError(f"[double_complex] {key}: cell ({p},{q}) is outside the {width}x{height} dims grid")
         tp, tq = (p, q + 1) if kind == "d1" else (p + 1, q)
         want_rows = grid[tp][tq] if tp < width and tq < height else 0
-        mat = Mat.from_rows(rows, grid[p][q]) if rows else Mat.zero(want_rows, grid[p][q])
-        if mat.rows != want_rows:
-            raise ProblemFileError(f"{key}: expected {want_rows} rows, got {mat.rows}")
+        # an empty list is the zero map
+        mat = _matrix(value, want_rows, grid[p][q], key) if value != [] else Mat.zero(want_rows, grid[p][q])
         (d1 if kind == "d1" else d2)[(p, q)] = mat
     return DoubleComplex(grid, d1, d2)

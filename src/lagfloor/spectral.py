@@ -20,7 +20,17 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Mat, QuotientSpace, Subspace, image_basis, kernel_basis, pivot_columns, quotient, sparse_product
+from .linalg import (
+    InvariantViolation,
+    Mat,
+    QuotientSpace,
+    Subspace,
+    image_basis,
+    kernel_basis,
+    kernel_of_rows,
+    pivot_columns,
+    quotient,
+)
 
 F = Fraction
 
@@ -38,13 +48,15 @@ class DoubleComplex:
         self.width = len(self.dims)
         self.height = len(self.dims[0]) if self.dims else 0
         for col in self.dims:
-            assert len(col) == self.height
+            if len(col) != self.height:
+                raise InvariantViolation("dims is not a rectangular grid")
         self._d1 = d1  # {(p,q): Mat}
         self._d2 = d2
-        for (p, q), m in d1.items():
-            assert m.rows == self.dim_at(p, q + 1) and m.cols == self.dim_at(p, q)
-        for (p, q), m in d2.items():
-            assert m.rows == self.dim_at(p + 1, q) and m.cols == self.dim_at(p, q)
+        for name, blocks, (dp, dq) in (("d1", d1, (0, 1)), ("d2", d2, (1, 0))):
+            for (p, q), m in blocks.items():
+                if (m.rows, m.cols) != (self.dim_at(p + dp, q + dq), self.dim_at(p, q)):
+                    raise InvariantViolation(f"{name} at ({p},{q}) is {m.rows}x{m.cols}, "
+                                             f"expected {self.dim_at(p + dp, q + dq)}x{self.dim_at(p, q)}")
         self._pages = {}
 
     def dim_at(self, p, q):
@@ -75,13 +87,11 @@ def validate_double_complex(dc: DoubleComplex) -> ComplexReport:
     bad = []
     for p in range(dc.width):
         for q in range(dc.height):
-            if sparse_product(dc.d1_at(p, q + 1), dc.d1_at(p, q)):
+            if not dc.d1_at(p, q + 1).mul(dc.d1_at(p, q)).is_zero():
                 bad.append(("d1.d1", p, q))
-            if sparse_product(dc.d2_at(p + 1, q), dc.d2_at(p, q)):
+            if not dc.d2_at(p + 1, q).mul(dc.d2_at(p, q)).is_zero():
                 bad.append(("d2.d2", p, q))
-            lhs = sparse_product(dc.d1_at(p + 1, q), dc.d2_at(p, q))
-            rhs = sparse_product(dc.d2_at(p, q + 1), dc.d1_at(p, q))
-            if lhs != rhs:
+            if dc.d1_at(p + 1, q).mul(dc.d2_at(p, q)) != dc.d2_at(p, q + 1).mul(dc.d1_at(p, q)):
                 bad.append(("commute", p, q))
     return ComplexReport(not bad, tuple(bad))
 
@@ -107,27 +117,22 @@ def total_differential(dc: DoubleComplex, m: int) -> Mat:
     tgt_dims = [dc.dim_at(p, q) for p, q in tgt]
     src_off = _offsets(src_dims)
     tgt_off = _offsets(tgt_dims)
-    rows, cols = sum(tgt_dims), sum(src_dims)
-    ent = [F(0)] * (rows * cols)
-
-    def put(block_r, block_c, mat, sign=1):
-        r0, c0 = tgt_off[block_r], src_off[block_c]
-        for i in range(mat.rows):
-            base = (r0 + i) * cols + c0
-            row = mat.row(i)
-            for j, v in enumerate(row):
-                if v:
-                    ent[base + j] += sign * v
-
+    data = tuple({} for _ in range(sum(tgt_dims)))
     tgt_index = {cell: k for k, cell in enumerate(tgt)}
+    # each (target, source) block pair holds one matrix, so nothing overlaps
     for k, (p, q) in enumerate(src):
-        up = (p, q + 1)
-        if up in tgt_index:
-            put(tgt_index[up], k, dc.d1_at(p, q))
-        right = (p + 1, q)
-        if right in tgt_index:
-            put(tgt_index[right], k, dc.d2_at(p, q), sign=(-1) ** q)
-    return Mat(rows, cols, tuple(ent))
+        for cell, mat, sign in (((p, q + 1), dc.d1_at(p, q), 1), ((p + 1, q), dc.d2_at(p, q), (-1) ** q)):
+            if cell in tgt_index:
+                _put_block(data, tgt_off[tgt_index[cell]], src_off[k], mat, sign)
+    return Mat(len(data), sum(src_dims), data)
+
+
+def _put_block(data, r0, c0, mat, sign):
+    """Write sign * mat into the sparse rows data at row r0, column c0."""
+    for i, row in enumerate(mat.data):
+        out = data[r0 + i]
+        for j, v in row.items():
+            out[c0 + j] = sign * v
 
 
 def _offsets(dims):
@@ -151,7 +156,7 @@ def total_cohomology(dc: DoubleComplex, m: int) -> QuotientSpace:
 
 def total_q_squared_is_zero(dc: DoubleComplex) -> bool:
     for m in range(dc.width + dc.height):
-        if sparse_product(total_differential(dc, m + 1), total_differential(dc, m)):
+        if not total_differential(dc, m + 1).mul(total_differential(dc, m)).is_zero():
             return False
     return True
 
@@ -191,26 +196,16 @@ def _block_kernel(blocks, equations):
     (rows, [(block_index, Mat, sign), ...]) contributions.
     """
     offs = _offsets(blocks)
-    cols = sum(blocks)
     all_rows = []
     for rows, contribs in equations:
-        if rows == 0:
-            continue
-        block_rows = [[F(0)] * cols for _ in range(rows)]
+        block_rows = tuple({} for _ in range(rows))
+        # the contributions of one equation act on distinct variable blocks
         for bidx, mat, sign in contribs:
-            if mat.rows == 0 or mat.cols == 0:
-                continue
-            assert mat.rows == rows
-            c0 = offs[bidx]
-            for i in range(rows):
-                row = mat.row(i)
-                for j, v in enumerate(row):
-                    if v:
-                        block_rows[i][c0 + j] += sign * v
+            if mat.rows != rows:
+                raise InvariantViolation(f"a {mat.rows}-row block in an equation of {rows} rows")
+            _put_block(block_rows, 0, offs[bidx], mat, sign)
         all_rows.extend(block_rows)
-    if not all_rows:
-        return [tuple(F(i == j) for j in range(cols)) for i in range(cols)]
-    return list(kernel_basis(Mat.from_rows(all_rows, cols)).basis)
+    return list(kernel_of_rows(all_rows, sum(blocks)).basis)
 
 
 def _zigzag_cocycles(dc, p, q, r):
@@ -269,7 +264,8 @@ def _split_blocks(vec, blocks):
 
 def page(dc: DoubleComplex, r: int) -> Page:
     """Page E_r; page(max(width,height)+1) is stable and equals E_infinity."""
-    assert r >= 0
+    if r < 0:
+        raise InvariantViolation(f"page {r} does not exist")
     if r in dc._pages:
         return dc._pages[r]
     cells = {}
@@ -323,11 +319,7 @@ def page_differential(dc: DoubleComplex, r: int, p: int, q: int) -> Mat:
             cols.append(tgt.quotient.reduce(v))
         except ValueError as exc:
             raise LiftFailure(f"page differential value escaped Z_r at ({tp},{tq})") from exc
-    ent = []
-    for i in range(tgt_dim):
-        for c in cols:
-            ent.append(c[i])
-    return Mat(tgt_dim, src_dim, tuple(ent))
+    return Mat.from_rows(cols, tgt_dim).transpose()
 
 
 def transpose(dc: DoubleComplex) -> DoubleComplex:
@@ -373,10 +365,11 @@ def abutment_check(dc: DoubleComplex) -> AbutmentReport:
 # ---------------------------------------------------------------------------
 
 def _random_mat(rng, rows, cols, density=0.6, lo=-3, hi=3):
-    ent = []
-    for _ in range(rows * cols):
-        ent.append(F(rng.randint(lo, hi)) if rng.random() < density else F(0))
-    return Mat(rows, cols, tuple(ent))
+    data = tuple({} for _ in range(rows))
+    for k in range(rows * cols):
+        if rng.random() < density and (x := rng.randint(lo, hi)):
+            data[k // cols][k % cols] = F(x)
+    return Mat(rows, cols, data)
 
 
 def random_double_complex(seed, width=None, height=None, maxdim=4) -> DoubleComplex:
@@ -429,44 +422,27 @@ def random_double_complex(seed, width=None, height=None, maxdim=4) -> DoubleComp
         def entry_index(qq, i, j):
             return offs[qq] + i * sizes[qq][1] + j
 
-        d1_here = {q: d1.get((p, q), Mat.zero(dims[p][q + 1] if q + 1 < Q else 0, dims[p][q])) for q in range(Q - 1)}
-        d1_next = {q: d1.get((p + 1, q), Mat.zero(dims[p + 1][q + 1] if q + 1 < Q else 0, dims[p + 1][q])) for q in range(Q - 1)}
-        # commutation: d1' X_q - X_{q+1} d1 = 0
+        # commutation: d1' X_q - X_{q+1} d1 = 0; every unknown appears once
+        # in a row, so the rows are written, not accumulated
         for q in range(Q - 1):
-            a = d1_next[q]
-            b = d1_here[q]
+            a = d1.get((p + 1, q), Mat.zero(dims[p + 1][q + 1], dims[p + 1][q]))
+            b_cols = d1.get((p, q), Mat.zero(dims[p][q + 1], dims[p][q])).transpose().data
             for i in range(dims[p + 1][q + 1]):
                 for j in range(dims[p][q]):
-                    row = [F(0)] * nunk
-                    for k in range(dims[p + 1][q]):
-                        v = a[i, k]
-                        if v:
-                            row[entry_index(q, k, j)] += v
-                    for k in range(dims[p][q + 1]):
-                        v = b[k, j]
-                        if v:
-                            row[entry_index(q + 1, i, k)] -= v
-                    if any(row):
+                    row = {entry_index(q, k, j): v for k, v in a.data[i].items()}
+                    row.update((entry_index(q + 1, i, k), -v) for k, v in b_cols[j].items())
+                    if row:
                         rows.append(row)
         # squared-zero with the previous column: X_q . prev_q = 0
         if prev_col is not None:
             for q in range(Q):
-                prev_m = prev_col[q]
+                prev_cols = prev_col[q].transpose().data
                 for i in range(sizes[q][0]):
-                    for j in range(prev_m.cols):
-                        row = [F(0)] * nunk
-                        for k in range(sizes[q][1]):
-                            v = prev_m[k, j]
-                            if v:
-                                row[entry_index(q, i, k)] += v
-                        if any(row):
+                    for col in prev_cols:
+                        row = {entry_index(q, i, k): v for k, v in col.items()}
+                        if row:
                             rows.append(row)
-        if rows:
-            sol_space = kernel_basis(Mat.from_rows(rows, nunk))
-        else:
-            sol_space = Subspace(
-                nunk, tuple(tuple(F(i == j) for j in range(nunk)) for i in range(nunk))
-            )
+        sol_space = kernel_of_rows(rows, nunk)
         flat = [F(0)] * nunk
         for b in sol_space.basis:
             coeff = F(rng.randint(-2, 2))
@@ -475,8 +451,7 @@ def random_double_complex(seed, width=None, height=None, maxdim=4) -> DoubleComp
         col = []
         for q in range(Q):
             r, c = sizes[q]
-            ent = tuple(flat[entry_index(q, i, j)] for i in range(r) for j in range(c))
-            col.append(Mat(r, c, ent))
+            col.append(Mat.from_rows([flat[entry_index(q, i, 0) : entry_index(q, i, c)] for i in range(r)], c))
             if r and c:
                 d2[(p, q)] = col[q]
         prev_col = col

@@ -372,3 +372,72 @@ def test_spectral_from_pair_machine_output_pinned(golden, monkeypatch):
     code, out = run("--format", "machine", "spectral", f"src/lagfloor/fixtures/{name}.toml", "--from-pair", *extra)
     assert code == 0
     assert out == (GOLDEN / "spectral_from_pair" / f"{golden}.txt").read_text()
+
+
+SPIN1 = """
+[algebra]
+name = "so3"
+
+[module.spin1]
+dim = 3
+e1 = [["0", "0", "0"], ["0", "0", "-1"], ["0", "1", "0"]]
+e2 = [["0", "0", "1"], ["0", "0", "0"], ["-1", "0", "0"]]
+e3 = [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]]
+"""
+
+
+@pytest.mark.parametrize(
+    "golden, degrees",
+    [("galilean_r4", range(7)), ("poincare_c1", range(7)), ("spin1", range(4))],
+)
+def test_cohomology_machine_output_pinned(golden, degrees, tmp_path, monkeypatch):
+    """Dimensions and representatives of H^q, against files captured before
+    the coboundary matrices were stored sparse."""
+    degree_flags = [flag for q in degrees for flag in ("--degree", str(q))]
+    if golden == "spin1":
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "spin1.toml").write_text(SPIN1)
+        argv = ["spin1.toml", "--coefficients", "spin1"]
+    else:
+        monkeypatch.chdir(ROOT)
+        argv = [f"src/lagfloor/fixtures/{golden}.toml"]
+    code, out = run("--format", "machine", "cohomology", *argv, *degree_flags)
+    assert code == 0
+    assert out == (GOLDEN / "cohomology" / f"{golden}.txt").read_text()
+
+
+SPECTRAL_EXAMPLE = (FIXTURES / "spectral_example.toml").read_text()
+EXAMPLE_DIMS = "dims = [[0, 1], [1, 1], [1, 0]]"
+
+
+@pytest.mark.parametrize(
+    "text, command",
+    [
+        (SPECTRAL_EXAMPLE.replace(EXAMPLE_DIMS, "dims = []"), "spectral"),
+        (SPECTRAL_EXAMPLE.replace(EXAMPLE_DIMS, 'dims = [["a", 1]]'), "spectral"),
+        (SPECTRAL_EXAMPLE.replace(EXAMPLE_DIMS, "dims = [[0, 1], [1]]"), "spectral"),
+        (SPECTRAL_EXAMPLE.replace(EXAMPLE_DIMS, "dims = [[0, 1], [1, 1], [1, -1]]"), "spectral"),
+        (SPECTRAL_EXAMPLE + 'd1_7_0 = [["1"]]\n', "spectral"),
+        (SPECTRAL_EXAMPLE.replace('d1_1_0 = [["1"]]', 'd1_1_0 = [["1", "2"]]'), "spectral"),
+        (SPIN1.replace('e2 = [["0", "0", "1"],', 'e2 = [["0", "1"],'), "cohomology"),
+    ],
+    ids=["empty-dims", "non-integer-dim", "ragged-dims", "negative-dim", "key-outside-grid", "row-too-long",
+         "module-row-length"],
+)
+def test_malformed_matrices_are_parse_errors(text, command, tmp_path):
+    """Shape errors in [double_complex] and [module.*] exit 2 with an error
+    line, also under python -O, where no assert would catch them."""
+    import subprocess
+    import sys
+
+    f = tmp_path / "bad.toml"
+    f.write_text(text)
+    extra = ("--coefficients", "spin1") if command == "cohomology" else ()
+    for flags in ((), ("-O",)):
+        res = subprocess.run(
+            [sys.executable, *flags, "-m", "lagfloor.cli", "--format", "machine", command, str(f), *extra],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+        assert res.returncode == 2, (flags, res.stdout, res.stderr)
+        assert "error = " in res.stdout
+        assert "Traceback" not in res.stderr

@@ -9,6 +9,7 @@ from lagfloor.linalg import (
     NORMALIZE_BITS,
     DenominatorNotContained,
     Echelon,
+    InvariantViolation,
     Mat,
     Subspace,
     image_basis,
@@ -19,7 +20,6 @@ from lagfloor.linalg import (
     rref,
     solve,
     span_coordinates,
-    sparse_product,
 )
 
 
@@ -157,14 +157,44 @@ def test_rank_nullity(m):
     assert kernel_basis(m).dim + image_basis(m).dim == m.cols
 
 
-@given(matrices(), st.integers(min_value=1, max_value=5), st.data())
+def test_mat_rejects_stored_zeros_and_bad_shapes():
+    for data in (({0: F(0)},), ({2: F(1)},), ({-1: F(1)},), ({}, {})):
+        with pytest.raises(InvariantViolation):
+            Mat(1, 2, data)
+    with pytest.raises(InvariantViolation):
+        Mat.from_rows([[1, 2], [3]])
+    with pytest.raises(InvariantViolation):
+        M([[1, 2]]).mul(M([[1, 2]]))
+    assert Mat.from_rows([[0, 2]]) == Mat(1, 2, ({1: F(2)},))
+
+
+@given(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=5),
+       st.integers(min_value=0, max_value=5), st.data())
 @settings(max_examples=100, deadline=None)
-def test_sparse_product_lists_the_nonzero_entries_of_the_dense_product(a, cols, data):
-    ent = data.draw(st.lists(st.sampled_from([0, 0, 1, -2, 3]), min_size=a.cols * cols, max_size=a.cols * cols))
-    b = Mat.from_rows([ent[i * cols : (i + 1) * cols] for i in range(a.cols)])
-    dense = a.mul(b)
-    want = {(i, j): dense[i, j] for i in range(dense.rows) for j in range(dense.cols) if dense[i, j]}
-    assert sparse_product(a, b) == want
+def test_sparse_mat_matches_a_list_of_lists_reference(rows, inner, cols, data):
+    """mul, mul_vec, transpose, entries and == against plain nested lists."""
+    sparse_entries = st.sampled_from([0, 0, 0, 1, -2, F(3, 2)])
+
+    def lists(r, c):
+        return [data.draw(st.lists(sparse_entries, min_size=c, max_size=c)) for _ in range(r)]
+
+    a_lists, b_lists, (v,) = lists(rows, inner), lists(inner, cols), lists(1, inner)
+    a, b = Mat.from_rows(a_lists, inner), Mat.from_rows(b_lists, cols)
+    product = [[sum((a_lists[i][k] * b_lists[k][j] for k in range(inner)), F(0)) for j in range(cols)]
+               for i in range(rows)]
+
+    assert list(a.entries) == [F(x) for row in a_lists for x in row]
+    assert all(a[i, j] == a_lists[i][j] for i in range(rows) for j in range(inner))
+    assert all(x for row in a.data for x in row.values())  # no stored zeros
+    ab = a.mul(b)
+    assert (ab.rows, ab.cols) == (rows, cols)
+    assert list(ab.entries) == [x for row in product for x in row]
+    assert ab == Mat.from_rows(product, cols)
+    assert ab.is_zero() == (not any(x for row in product for x in row))
+    assert all(x for row in ab.data for x in row.values())
+    assert a.mul_vec(v) == tuple(sum((a_lists[i][k] * v[k] for k in range(inner)), F(0)) for i in range(rows))
+    assert list(a.transpose().entries) == [F(a_lists[i][j]) for j in range(inner) for i in range(rows)]
+    assert a.transpose().transpose() == a
 
 
 @given(matrices(), st.lists(small_entries, min_size=5, max_size=5))
