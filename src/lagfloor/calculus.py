@@ -297,9 +297,8 @@ def find_potential(w: OneForm, ansatz: AnsatzSpec | None = None) -> Expr | None:
     if sol is None:
         return None
     f = Expr.const(ch, 0)
-    for c, m in zip(sol, monos):
-        if c:
-            f = f + mono_expr(ch, m) * c
+    for k, c in sorted(sol.items()):
+        f = f + mono_expr(ch, monos[k]) * c
     f = f / den
     return f
 

@@ -22,6 +22,8 @@ from .linalg import (
     Mat,
     QuotientSpace,
     Subspace,
+    Vector,
+    dense,
     image_basis,
     kernel_basis,
     quotient,
@@ -115,21 +117,19 @@ class Cochain:
     def value(self, t):
         return self.components.get(t, (F(0),) * self.module.dim)
 
-    def to_vector(self):
+    def to_vector(self) -> Vector:
+        m = self.module.dim
         tuples = cochain_tuples(self.module.algebra.dim, self.degree)
-        out = []
-        for t in tuples:
-            out.extend(self.value(t))
-        return tuple(out)
+        return {i * m + s: x for i, t in enumerate(tuples) for s, x in enumerate(self.components.get(t, ())) if x}
 
     @staticmethod
-    def from_vector(module, q, vec):
+    def from_vector(module, q, vec: Vector):
         tuples = cochain_tuples(module.algebra.dim, q)
-        if len(vec) != len(tuples) * module.dim:
-            raise InvariantViolation(f"a vector of length {len(vec)} for {len(tuples) * module.dim} cochain coordinates")
+        m = module.dim
+        full = dense(vec, len(tuples) * m)
         comps = {}
         for idx, t in enumerate(tuples):
-            v = tuple(F(x) for x in vec[idx * module.dim : (idx + 1) * module.dim])
+            v = full[idx * m : (idx + 1) * m]
             if any(v):
                 comps[t] = v
         return Cochain(q, module, comps)
@@ -228,7 +228,7 @@ def cohomology(g: StructureConstants, a: GModule, q: int) -> CohomologyResult:
 
 def is_cocycle(g: StructureConstants, a: GModule, z: Cochain) -> bool:
     d = ce_differential(g, a, z.degree)
-    return not any(d.mul_vec(z.to_vector()))
+    return not d.mul_vec(z.to_vector())
 
 
 def coboundary_witness(g: StructureConstants, a: GModule, z: Cochain) -> Cochain | None:

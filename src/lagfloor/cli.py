@@ -254,8 +254,8 @@ def cmd_classify(args, report):
         qt, _ = k4_quotient(pair, _options(args, pf))
         combo = [F(0)] * len(pair.chart.angle_names)
         for c, rep_vec in zip(qt_coords or (), qt.representatives):
-            for idx in range(len(combo)):
-                combo[idx] += c * rep_vec[idx]
+            for idx, x in rep_vec.items():
+                combo[idx] += c * x
         report.add("k4", _angle_combo_str(combo, pair.chart.angle_names))
     else:
         _format_class(report, "k4", res.k4_class)

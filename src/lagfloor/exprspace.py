@@ -72,16 +72,6 @@ def poly_terms(e: Expr) -> dict:
     return e.num.terms
 
 
-def add_scaled(acc: dict, c, terms: dict):
-    """acc += c * terms on sparse {key: coefficient} dicts, zeros dropped."""
-    for k, x in terms.items():
-        v = acc.get(k, 0) + c * x
-        if v:
-            acc[k] = v
-        else:
-            acc.pop(k, None)
-
-
 def equation_rows(terms):
     """Sparse rows ``{unknown: coefficient}`` of one identity sum == 0.
 
@@ -120,8 +110,8 @@ def kernel_of_expr_system(columns: list[list[Expr]]) -> Subspace:
 def solve_linear_expr_system(columns: list[list[Expr]], rhs: list[Expr]):
     """Solve sum_k c_k * columns[k][e] = rhs[e] for every equation index e.
 
-    Returns a tuple of Fractions or None.  Each equation is cleared to a
-    common denominator, then compared monomial by monomial.
+    Returns a sparse {unknown: Fraction} vector or None.  Each equation is
+    cleared to a common denominator, then compared monomial by monomial.
     """
     nunk = len(columns)
     rows = []

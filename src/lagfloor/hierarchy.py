@@ -39,13 +39,15 @@ from .calculus import (
 )
 from .cecohom import Cochain, GModule, ce_differential, cohomology, coboundary_witness, validate_module
 from .expr import TP, UNIT, AnsatzSpec, EvaluationPole, Expr, function_monomials, mono_expr
-from .exprspace import add_scaled, equation_rows, poly_terms
+from .exprspace import equation_rows, poly_terms
 from .liealg import zero_one_cocycles
 from .linalg import (
     Echelon,
     InvariantViolation,
     Mat,
     Subspace,
+    add_scaled,
+    dense,
     kernel_of_rows,
     quotient,
     solve_rows,
@@ -165,7 +167,8 @@ def weak_invariance_split(p: GMPair, L: Expr) -> WeakInvarianceSplit:
     Raises NotWeaklyInvariantError with the offending generator and residue
     (quadratic-in-velocity part, non-constant remainder, or non-closed w).
     """
-    assert not L.has_accelerations(), "rank-1 Lagrangians only"
+    if L.has_accelerations():
+        raise InvariantViolation("rank-1 Lagrangians only")
     ch = p.chart
     vel_names = [ch.velocity(n) for n in ch.names]
     ws = []
@@ -195,8 +198,9 @@ def weak_invariance_split(p: GMPair, L: Expr) -> WeakInvarianceSplit:
         ws.append(w)
         ts.append(t_val)
     split = WeakInvarianceSplit(p, tuple(ws), tuple(ts))
-    # delta^2 L = 0 forces t in Z^1(G); asserted, never assumed
-    assert _in_z1(p, split.t), "split t-vector escaped Z^1: invariant violation"
+    # delta^2 L = 0 forces t in Z^1(G); checked, never assumed
+    if not _in_z1(p, split.t):
+        raise InvariantViolation("split t-vector escaped Z^1")
     return split
 
 
@@ -225,7 +229,7 @@ def psi(split: WeakInvarianceSplit) -> ClassValue:
 def phi1(p: GMPair, split: WeakInvarianceSplit):
     """(class in K1 = H^1(M) (x) H^1(G), stage-1 potentials alpha).
 
-    The harmonic coefficient matrix columns are asserted to lie in Z^1(G).
+    The harmonic coefficient matrix columns are checked to lie in Z^1(G).
     """
     ch = p.chart
     harmonic_matrix = {}  # (angle, generator) -> Fraction
@@ -238,7 +242,8 @@ def phi1(p: GMPair, split: WeakInvarianceSplit):
         alphas.append(pot)
     for a in ch.angle_names:
         col = tuple(harmonic_matrix.get((a, i), F(0)) for i in range(p.algebra.dim))
-        assert _in_z1(p, col), "harmonic column escaped Z^1: invariant violation"
+        if not _in_z1(p, col):
+            raise InvariantViolation("harmonic column escaped Z^1")
     data = tuple(sorted(harmonic_matrix.items()))
     status = NONZERO if harmonic_matrix else ZERO
     return ClassValue(status, data), tuple(alphas)
@@ -262,7 +267,7 @@ def _h2(p: GMPair):
 def phi2(p: GMPair, split: WeakInvarianceSplit, alphas):
     """Class of f_ij = (delta alpha)_ij in H^2(G), plus the adjusted alpha.
 
-    f is asserted constant and a cocycle.  When the class vanishes, alpha is
+    f is checked to be constant and a cocycle.  When the class vanishes, alpha is
     shifted by constants t' with delta t' = -f, so delta(alpha') = 0.
     """
     g = p.algebra
@@ -272,20 +277,23 @@ def phi2(p: GMPair, split: WeakInvarianceSplit, alphas):
         for j in range(i + 1, g.dim):
             val = alpha.delta_component(i, j)
             c = val.const_value()
-            assert c is not None, "(delta alpha) must be constant for closed splits"
+            if c is None:
+                raise InvariantViolation("(delta alpha) must be constant for closed splits")
             if c:
                 f2[(i, j)] = c
     triv = GModule.trivial(g)
     z = Cochain(2, triv, {ij: (v,) for ij, v in f2.items()})
-    assert not any(ce_differential(g, triv, 2).mul_vec(z.to_vector())), "f must be a 2-cocycle"
+    if ce_differential(g, triv, 2).mul_vec(z.to_vector()):
+        raise InvariantViolation("f must be a 2-cocycle")
     witness = coboundary_witness(g, triv, z)
     if witness is None:
-        coords = _h2(p).quotient.reduce(z.to_vector())
-        return ClassValue(NONZERO, tuple(coords)), alpha, f2
+        h2 = _h2(p)
+        return ClassValue(NONZERO, dense(h2.quotient.reduce(z.to_vector()), h2.dim)), alpha, f2
     # delta t' = -f  =>  use -witness of f
     t_prime = tuple(-witness.value((k,))[0] for k in range(g.dim))
     adjusted = alpha.add_constants(t_prime)
-    assert adjusted.is_cocycle(), "adjusted alpha must satisfy delta(alpha') = 0"
+    if not adjusted.is_cocycle():
+        raise InvariantViolation("adjusted alpha must satisfy delta(alpha') = 0")
     return ClassValue(ZERO, tuple(F(0) for _ in range(_h2(p).dim))), adjusted, f2
 
 
@@ -318,7 +326,7 @@ def phi3(p: GMPair, alpha: FunctionCochain, opts: ClassifyOptions):
         fm = closure_module(p, [c for c in alpha.components if not c.is_zero()], cap=opts.closure_cap)
         z = function_cochain_to_module_cochain(fm, alpha)
         d = ce_differential(g, fm.module, 1)
-        if any(d.mul_vec(z.to_vector())):
+        if d.mul_vec(z.to_vector()):
             raise InvariantViolation("alpha must be a module cocycle")
     except CapExceededError:
         pass
@@ -336,19 +344,23 @@ def phi3(p: GMPair, alpha: FunctionCochain, opts: ClassifyOptions):
     rows = closedness_rows(p, monos)
     for i in range(n):
         terms = [(k, 1, act.contraction(i, mu, m)) for k, (mu, m) in enumerate(units)]
-        terms += [(nw + a, 1, Expr.const(ch, tvec[i])) for a, tvec in enumerate(z1.basis)]
+        terms += [(nw + a, 1, Expr.const(ch, tvec.get(i, 0))) for a, tvec in enumerate(z1.basis)]
         terms += [(nw + nt + k, 1, act.scalar(i, m)) for k, m in enumerate(fmonos)]
         terms.append((nunk, -1, alpha.components[i]))
         rows.extend(equation_rows(terms))
     sol = solve_rows(rows, nunk)
     if sol is not None:
-        wvec = sol[:nw]
-        nm = len(monos)
-        w = OneForm(ch, tuple(Expr(ch, TP(dict(zip(monos, wvec[k : k + nm])))) for k in range(0, nw, nm)))
-        t2 = tuple(
-            sum((sol[nw + a] * z1.basis[a][i] for a in range(nt)), F(0)) for i in range(n)
-        )
-        fexpr = Expr(ch, TP(dict(zip(fmonos, sol[nw + nt :]))))
+        wvec = {k: x for k, x in sol.items() if k < nw}
+        wterms = [{} for _ in ch.names]
+        for k, x in wvec.items():
+            mu, m = units[k]
+            wterms[mu][m] = x
+        w = OneForm(ch, tuple(Expr(ch, TP(terms)) for terms in wterms))
+        t2 = {}
+        for a, tvec in enumerate(z1.basis):
+            add_scaled(t2, sol.get(nw + a, 0), tvec)
+        t2 = dense(t2, n)
+        fexpr = Expr(ch, TP({m: sol[k] for k, m in enumerate(fmonos, nw + nt) if k in sol}))
         if not is_closed(w):
             raise InvariantViolation("the witness form must be closed")
         # exact witness check; pi_images certifies both naturality identities
@@ -364,8 +376,8 @@ def phi3(p: GMPair, alpha: FunctionCochain, opts: ClassifyOptions):
             values = restrict_cocycle(p, alpha, point, check_constancy=False)
         except EvaluationPole:
             continue
-        vals = tuple(values.values())
-        if not any(vals):
+        vals = {a: x for a, x in enumerate(values.values()) if x}
+        if not vals:
             continue
         accounted, _ = stability_values_of_constant_cocycles(p, point)
         if not accounted.contains(vals):
@@ -392,7 +404,8 @@ def harmonic_vector(w: OneForm):
     from .calculus import harmonic_coefficient
 
     ch = w.chart
-    return tuple(harmonic_coefficient(w.components[ch.names.index(a)]) for a in ch.angle_names)
+    coeffs = (harmonic_coefficient(w.components[ch.names.index(a)]) for a in ch.angle_names)
+    return {k: c for k, c in enumerate(coeffs) if c}
 
 
 def k4_quotient(p: GMPair, opts: ClassifyOptions):
@@ -402,7 +415,7 @@ def k4_quotient(p: GMPair, opts: ClassifyOptions):
     nb = len(ch.angle_names)
     inv = _invariant_forms(p, opts)
     image = Subspace.spanned_by([harmonic_vector(w) for w in inv.closed_invariant_basis], nb)
-    full = Subspace(nb, tuple(tuple(F(i == j) for j in range(nb)) for i in range(nb)))
+    full = Subspace(nb, tuple({i: F(1)} for i in range(nb)))
     return quotient(full, image), inv
 
 
@@ -413,16 +426,16 @@ def phi4(p: GMPair, L: Expr, split, alpha, k3_witness, opts: ClassifyOptions):
     qt, inv = k4_quotient(p, opts)
     h = harmonic_vector(w)
     coords = qt.reduce(h)
-    if any(coords):
-        return ClassValue(NONZERO, tuple(coords)), None
+    if coords:
+        return ClassValue(NONZERO, dense(coords, qt.dim)), None
     # decomposition: write w = w_inv + d f''
     w_inv = OneForm(p.chart, tuple(Expr.const(p.chart, 0) for _ in p.chart.names))
-    if any(h):
+    if h:
         combo = span_coordinates([harmonic_vector(x) for x in inv.closed_invariant_basis], h)
-        assert combo is not None
-        for c, form in zip(combo, inv.closed_invariant_basis):
-            if c:
-                w_inv = w_inv + form.scale(c)
+        if combo is None:
+            raise InvariantViolation("a zero K4 class must lie in the span of the invariant forms")
+        for k, c in sorted(combo.items()):
+            w_inv = w_inv + inv.closed_invariant_basis[k].scale(c)
     residue_form = w - w_inv
     from .calculus import find_potential
 
@@ -433,14 +446,15 @@ def phi4(p: GMPair, L: Expr, split, alpha, k3_witness, opts: ClassifyOptions):
     # verify: delta_i L_inv = t_i exactly (invariant on the + track)
     for i in range(p.algebra.dim):
         d = lie_derivative_lagrangian(p.fields[i], l_inv)
-        assert (d - Expr.const(p.chart, split.t[i])).is_zero(), "decomposition failed verification"
+        if not (d - Expr.const(p.chart, split.t[i])).is_zero():
+            raise InvariantViolation("decomposition failed verification")
     decomposition = {
         "l_inv": l_inv,
         "w_inv": w_inv,
         "full_derivative_potential": fexpr + f2,
         "t": split.t,
     }
-    return ClassValue(ZERO, tuple(coords)), decomposition
+    return ClassValue(ZERO, dense(coords, qt.dim)), decomposition
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +531,7 @@ def classify(p: GMPair, L: Expr, opts: ClassifyOptions | None = None) -> FloorRe
 # ---------------------------------------------------------------------------
 
 def noether_charges(p: GMPair, L: Expr, report: FloorReport):
-    """N_i = X_i^mu dL/d(dq^mu) - alpha_i - t_i tau, conservation asserted:
+    """N_i = X_i^mu dL/d(dq^mu) - alpha_i - t_i tau, conservation checked:
     D_t N_i + X_i^mu F_mu(L) = 0 identically (D_t includes d/d tau)."""
     if report.witnesses.alpha is None:
         raise PotentialUnavailable("charges need the stage-1 potentials (phi_1 = 0)")
@@ -532,11 +546,12 @@ def noether_charges(p: GMPair, L: Expr, report: FloorReport):
         n_i = n_i - report.witnesses.alpha[i]
         if split.t[i]:
             n_i = n_i - Expr.var(ch, "tau") * split.t[i]
-        # conservation identity, asserted symbolically
+        # conservation identity, checked symbolically
         residual = total_time_derivative(n_i, tau=True)
         for mu in range(len(ch.names)):
             residual = residual + p.fields[i].components[mu] * el.components[mu]
-        assert residual.is_zero(), "Noether conservation identity failed"
+        if not residual.is_zero():
+            raise InvariantViolation("Noether conservation identity failed")
         charges.append(n_i)
     return tuple(charges)
 
@@ -602,16 +617,15 @@ def k3_space(p: GMPair, opts: ClassifyOptions):
     # in the cocycle basis; canonical echelon forms depend on it
     rank = {}
     for v in zbasis:
-        for col, c in enumerate(v):
-            if c:
-                rank.setdefault(col % nm, len(rank))
+        for col in sorted(v):
+            rank.setdefault(col % nm, len(rank))
     for k in range(nm):
         rank.setdefault(k, len(rank))
     order = sorted(range(nm), key=rank.__getitem__)
     ambient = n * nm
 
     def permuted(v):
-        return tuple(v[slot * nm + k] for slot in range(n) for k in order)
+        return {col - col % nm + rank[col % nm]: x for col, x in v.items()}
 
     zsub = Subspace.spanned_by([permuted(v) for v in zbasis], ambient)
     # denominator generators as cochains of {monomial: coefficient} dicts
@@ -619,7 +633,7 @@ def k3_space(p: GMPair, opts: ClassifyOptions):
     closed = kernel_of_rows(closedness_rows(p, monos), len(units))
     fixed = pi_images(p, units, closed.basis)
     for tvec in zero_one_cocycles(g).basis:
-        fixed.append([{UNIT: tv} if tv else {} for tv in tvec])
+        fixed.append([{UNIT: tvec[i]} if i in tvec else {} for i in range(n)])
     position = {m: rank[k] for k, m in enumerate(monos)}
 
     def inside_span(gens):
@@ -639,13 +653,9 @@ def k3_space(p: GMPair, opts: ClassifyOptions):
         # combinations whose outside coordinates cancel
         for combo in kernel_of_rows(list(outside.values()), len(gens)).basis:
             acc = {}
-            for c, vec in zip(combo, inside):
-                if c:
-                    add_scaled(acc, c, vec)
-            v = [F(0)] * ambient
-            for col, x in acc.items():
-                v[col] = x
-            out.append(v)
+            for k, c in sorted(combo.items()):
+                add_scaled(acc, c, inside[k])
+            out.append(acc)
         return out
 
     prev = None
@@ -659,11 +669,10 @@ def k3_space(p: GMPair, opts: ClassifyOptions):
         if qt.dim == prev:
             reps = []
             for v in qt.representatives:
-                comps = []
-                for slot in range(n):
-                    block = v[slot * nm : (slot + 1) * nm]
-                    comps.append(Expr(ch, TP({monos[k]: c for k, c in zip(order, block) if c})))
-                reps.append(FunctionCochain(p, tuple(comps)))
+                comps = [{} for _ in range(n)]
+                for col, c in sorted(v.items()):
+                    comps[col // nm][monos[order[col % nm]]] = c
+                reps.append(FunctionCochain(p, tuple(Expr(ch, TP(terms)) for terms in comps)))
             return _certify_k3(p, qt.dim, tuple(reps))
         prev = qt.dim
     return _certify_k3(p, prev, ())
@@ -691,7 +700,7 @@ def _certify_k3(p: GMPair, raw_dim, reps):
     value_rows = []
     for alpha in reps:
         vals = restrict_cocycle(p, alpha, point, check_constancy=False)
-        value_rows.append(tuple(vals.values()))
+        value_rows.append({a: x for a, x in enumerate(vals.values()) if x})
     nstab = len(vecs)
     joint = Subspace.spanned_by(list(accounted.basis) + value_rows, nstab)
     certified = joint.dim - accounted.dim
@@ -710,7 +719,8 @@ def k_spaces(p: GMPair, opts: ClassifyOptions | None = None) -> KSpacesReport:
     nb = len(p.chart.angle_names)
     qt4, _inv = k4_quotient(p, opts)
     k3_dim, k3_reps, k3_residual = k3_space(p, opts)
-    k1_reps = tuple((a, t) for a in p.chart.angle_names for t in z1.basis)
+    k0_reps = tuple(dense(t, g.dim) for t in z1.basis)
+    k1_reps = tuple((a, t) for a in p.chart.angle_names for t in k0_reps)
     return KSpacesReport(
         truncation=opts,
         k0_dim=z1.dim,
@@ -718,11 +728,11 @@ def k_spaces(p: GMPair, opts: ClassifyOptions | None = None) -> KSpacesReport:
         k2_dim=h2.dim,
         k3_dim=k3_dim,
         k4_dim=qt4.dim,
-        k0_reps=tuple(z1.basis),
+        k0_reps=k0_reps,
         k1_reps=k1_reps,
         k2_reps=h2.representatives,
         k3_reps=k3_reps,
-        k4_reps=tuple(qt4.representatives),
+        k4_reps=tuple(dense(v, nb) for v in qt4.representatives),
         k3_residual_dim=k3_residual,
     )
 
@@ -776,9 +786,8 @@ def _largest_invariant_subspace(basis, unit_images):
         new_basis = []
         for combo in combos.basis:
             acc = {}
-            for c, b in zip(combo, basis):
-                if c:
-                    add_scaled(acc, c, b)
+            for k, c in sorted(combo.items()):
+                add_scaled(acc, c, basis[k])
             new_basis.append(acc)
         basis = new_basis
     return []
@@ -794,7 +803,7 @@ def _coordinate_map(family, targets, failure):
         if c is None:
             raise InvariantViolation(failure)
         cols.append(c)
-    return Mat.from_rows(cols, len(family)).transpose()
+    return Mat(len(cols), len(family), tuple(cols)).transpose()
 
 
 def build_invariance_double_complex(p: GMPair, opts: ClassifyOptions | None = None) -> InvarianceComplex:

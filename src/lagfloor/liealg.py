@@ -166,7 +166,7 @@ def _derive_constants(fields, names) -> StructureConstants:
             br = fields[i].bracket(fields[j])
             sol = solve_linear_expr_system(columns, list(br.components))
             assert sol is not None, "bracket escaped the span of the fields"
-            comps = {k: v for k, v in enumerate(sol) if v}
+            comps = dict(sorted(sol.items()))
             if comps:
                 c[(i, j)] = comps
     return StructureConstants(n, tuple(names), c)

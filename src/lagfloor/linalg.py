@@ -9,10 +9,13 @@ that grow one vector at a time.  All arithmetic is exact (``Fraction`` and
 and cohomology dimensions are integers and a single rounded pivot decision
 would corrupt them.
 
-Matrices are :class:`Mat`, which keeps only its nonzero entries, row by
-row; producers build those rows directly and elimination reads them as
-they are.  Batch elimination goes through :func:`rref`, which clears
-denominators and hands integer rows to the fraction-free
+There is one sparse matrix type and one sparse vector type.  A vector is a
+``{index: Fraction}`` dict of its nonzero entries and nothing else; every
+function here takes and returns vectors in that form, and :func:`dense`
+writes one out as a tuple for the report-level shapes.  :class:`Mat` keeps
+its rows as such vectors; producers build them directly and elimination
+reads them as they are.  Batch elimination goes through :func:`rref`, which
+clears denominators and hands integer rows to the fraction-free
 :func:`row_reduce`.  Its output is the canonical RREF of the row space, so
 every result here is reproducible bit for bit.
 """
@@ -33,8 +36,10 @@ KERNEL_IMPL = "python"
 # this many bits; the final pass makes every row primitive regardless.
 NORMALIZE_BITS = 64
 
-Vector = tuple[Fraction, ...]
+# {index: Fraction}, nonzero entries only; the keys carry no order
+Vector = dict[int, Fraction]
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 class DenominatorNotContained(Exception):
@@ -47,6 +52,30 @@ class InvariantViolation(AssertionError):
     It is raised explicitly, so ``python -O`` cannot strip the check the way
     it strips ``assert``; as an AssertionError it keeps the CLI's exit code 3.
     """
+
+
+def _check_vector(v, n, what):
+    if v and (min(v) < 0 or max(v) >= n or not all(v.values())):
+        raise InvariantViolation(f"{what} stores a zero or an index outside 0..{n - 1}")
+
+
+def dense(v: Vector, n) -> tuple[Fraction, ...]:
+    """The vector v of Q^n written out as a tuple, for report-level shapes."""
+    _check_vector(v, n, "a vector")
+    out = [ZERO] * n
+    for i, x in v.items():
+        out[i] = x
+    return tuple(out)
+
+
+def add_scaled(acc: dict, c, terms: dict):
+    """acc += c * terms on sparse {key: coefficient} dicts, zeros dropped."""
+    for k, x in terms.items():
+        v = acc.get(k, 0) + c * x
+        if v:
+            acc[k] = v
+        else:
+            acc.pop(k, None)
 
 
 @dataclass(frozen=True)
@@ -66,8 +95,7 @@ class Mat:
         if len(self.data) != self.rows:
             raise InvariantViolation(f"{len(self.data)} sparse rows for a matrix of {self.rows} rows")
         for r in self.data:
-            if r and (min(r) < 0 or max(r) >= self.cols or not all(r.values())):
-                raise InvariantViolation(f"a sparse row stores a zero or a column outside 0..{self.cols - 1}")
+            _check_vector(r, self.cols, "a sparse row")
 
     @staticmethod
     def from_rows(rows, cols=None):
@@ -88,7 +116,7 @@ class Mat:
 
     @staticmethod
     def identity(n):
-        return Mat(n, n, tuple({i: Fraction(1)} for i in range(n)))
+        return Mat(n, n, tuple({i: ONE} for i in range(n)))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -111,18 +139,18 @@ class Mat:
                 data[j][i] = x
         return Mat(self.cols, self.rows, data)
 
-    def mul_vec(self, v) -> Vector:
-        if len(v) != self.cols:
-            raise InvariantViolation(f"a vector of length {len(v)} times a matrix of {self.cols} columns")
-        out = []
-        for row in self.data:
+    def mul_vec(self, v: Vector) -> Vector:
+        _check_vector(v, self.cols, "a vector times a matrix")
+        out = {}
+        for i, row in enumerate(self.data):
             s = ZERO
             for j, x in row.items():
-                y = v[j]
+                y = v.get(j)
                 if y:
                     s += x * y
-            out.append(s)
-        return tuple(out)
+            if s:
+                out[i] = s
+        return out
 
     def mul(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
@@ -213,50 +241,33 @@ def row_reduce(rows, ncols):
 
 
 def _int_rows(rows, ncols):
-    """Clear denominators row by row; row scaling preserves row space.
-
-    A row is a dense sequence of int or Fraction entries (int.denominator is
-    1), or a sparse ``{column: entry}`` dict, which comes out dense.
-    """
+    """Clear denominators row by row (row scaling preserves the row space),
+    writing each sparse row out as a dense list of ints for ``row_reduce``."""
     out = []
     for r in rows:
-        if isinstance(r, dict):
-            den = 1
-            for x in r.values():
-                den = lcm(den, x.denominator)
-            dense = [0] * ncols
-            for j, x in r.items():
-                dense[j] = x.numerator * (den // x.denominator)
-            out.append(dense)
-            continue
         den = 1
-        for x in r:
-            if x:
-                den = lcm(den, x.denominator)
-        if den == 1:
-            out.append([int(x) for x in r])
-        else:
-            out.append([int(x * den) for x in r])
+        for x in r.values():
+            den = lcm(den, x.denominator)
+        dense_row = [0] * ncols
+        for j, x in r.items():
+            dense_row[j] = x.numerator * (den // x.denominator)
+        out.append(dense_row)
     return out
 
 
 def rref(rows, ncols):
-    """Canonical rational RREF: (pivots, rows with pivot entries = 1).
-
-    Rows may be dense sequences or sparse ``{column: entry}`` dicts.
-    """
+    """Canonical rational RREF of sparse rows: (pivots, rows with pivot entries = 1)."""
     pivots, red = row_reduce(_int_rows(rows, ncols), ncols)
-    zero = Fraction(0)
     out = []
     for p, r in zip(pivots, red):
         d = r[p]
-        out.append(tuple(Fraction(x, d) if x else zero for x in r))
+        out.append({j: Fraction(x, d) for j, x in enumerate(r) if x})
     return pivots, out
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """Span of linearly independent column vectors of a fixed ambient space.
+    """Span of linearly independent vectors of a fixed ambient space.
 
     ``verified=True`` skips the independence check; internal constructors
     use it when the basis already comes out of a reduction.
@@ -268,8 +279,7 @@ class Subspace:
 
     def __post_init__(self):
         for v in self.basis:
-            if len(v) != self.ambient_dim:
-                raise InvariantViolation(f"a basis vector of length {len(v)} in a space of dimension {self.ambient_dim}")
+            _check_vector(v, self.ambient_dim, "a basis vector")
         if self.basis and not self.verified:
             pivots, _ = rref(self.basis, self.ambient_dim)
             if len(pivots) != len(self.basis):
@@ -289,7 +299,7 @@ class Subspace:
     @staticmethod
     def spanned_by(vectors, ambient_dim):
         """Canonical subspace spanned by arbitrary (possibly dependent) vectors."""
-        vecs = [v for v in vectors if any(x != 0 for x in v)]
+        vecs = [v for v in vectors if v]
         if not vecs:
             return Subspace(ambient_dim, ())
         _, rows = rref(vecs, ambient_dim)
@@ -306,24 +316,20 @@ def kernel_basis(m: Mat) -> Subspace:
 
 
 def kernel_of_rows(rows, ncols) -> Subspace:
-    """``kernel_basis`` of the matrix with these rows, without building a Mat.
-
-    Rows are dense sequences or sparse ``{column: entry}`` dicts; with no
-    rows the kernel is the whole space.
-    """
+    """``kernel_basis`` of the matrix with these sparse rows, without building
+    a Mat; with no rows the kernel is the whole space."""
     pivots, red = rref(rows, ncols)
     pivot_set = set(pivots)
-    zero = Fraction(0)
     basis = []
     for f in range(ncols):
         if f in pivot_set:
             continue
-        v = [zero] * ncols
-        v[f] = Fraction(1)
+        v = {f: ONE}
         for p, r in zip(pivots, red):
-            if r[f]:
-                v[p] = -r[f]
-        basis.append(tuple(v))
+            x = r.get(f)
+            if x:
+                v[p] = -x
+        basis.append(v)
     return Subspace(ncols, tuple(basis), verified=True)
 
 
@@ -339,67 +345,63 @@ def image_basis(m: Mat) -> Subspace:
     return sub
 
 
-def solve(m: Mat, rhs) -> Vector | None:
+def solve(m: Mat, rhs: Vector) -> Vector | None:
     """One exact solution of m x = rhs, or None when rhs is not in the image.
 
     Deterministic: free variables of the underdetermined system are set to 0
     against the canonical RREF.
     """
-    if len(rhs) != m.rows:
-        raise InvariantViolation(f"a right-hand side of length {len(rhs)} for a matrix of {m.rows} rows")
-    rows = [{**row, m.cols: -Fraction(b)} if b else row for row, b in zip(m.data, rhs)]
+    _check_vector(rhs, m.rows, "a right-hand side")
+    rows = [{**row, m.cols: -rhs[i]} if i in rhs else row for i, row in enumerate(m.data)]
     return solve_rows(rows, m.cols)
 
 
-def span_coordinates(vectors, target) -> Vector | None:
+def span_coordinates(vectors, target: Vector) -> Vector | None:
     """Coefficients c with sum_k c[k] * vectors[k] == target, or None when
     target lies outside the span.
 
-    Vectors and target are dense sequences or sparse ``{coordinate: entry}``
-    dicts.  This is :func:`solve` on the matrix whose columns are the
-    vectors, so coefficients of dependent vectors are set to 0 the same way.
+    This is :func:`solve` on the matrix whose columns are the vectors, so
+    coefficients of dependent vectors are set to 0 the same way.
     """
     n = len(vectors)
-    rows = {}
-    for k, v in enumerate(vectors):
-        for i, x in _nonzero_entries(v):
-            rows.setdefault(i, {})[k] = x
-    for i, x in _nonzero_entries(target):
+    rows = _scatter(vectors)
+    for i, x in target.items():
         rows.setdefault(i, {})[n] = -x
     return solve_rows(list(rows.values()), n)
 
 
-def _nonzero_entries(v):
-    return v.items() if isinstance(v, dict) else ((i, x) for i, x in enumerate(v) if x)
+def _scatter(columns):
+    """{row index: sparse row} of the matrix whose columns are these vectors."""
+    rows = {}
+    for k, v in enumerate(columns):
+        for i, x in v.items():
+            rows.setdefault(i, {})[k] = x
+    return rows
 
 
-def solve_rows(rows, nvars):
-    """``solve`` for augmented rows: x with sum_k row[k] x[k] + row[nvars] = 0
-    for every row, or None.
+def solve_rows(rows, nvars) -> Vector | None:
+    """``solve`` for augmented sparse rows: x with
+    sum_k row[k] x[k] + row[nvars] = 0 for every row, or None.
 
-    Rows are dense sequences or sparse ``{column: entry}`` dicts; column
-    ``nvars`` holds minus the right-hand side.  Free variables are 0 against
-    the canonical RREF.
+    Column ``nvars`` holds minus the right-hand side.  Free variables are 0
+    against the canonical RREF.
     """
     pivots, red = rref(rows, nvars + 1)
     if nvars in pivots:
         return None
-    x = [Fraction(0)] * nvars
-    for p, r in zip(pivots, red):
-        x[p] = -r[nvars]
-    return tuple(x)
+    return {p: -r[nvars] for p, r in zip(pivots, red) if nvars in r}
 
 
 class Echelon:
-    """Echelon basis of a span that grows one sparse vector at a time.
+    """Echelon basis of a span that grows one vector at a time.
 
-    Vectors are ``{column: entry}`` dicts.  ``reduce`` subtracts the rows in
-    insertion order; ``insert`` keeps a vector whose residual is nonzero as a
-    new row, pivoting on the residual's lowest nonzero column and scaling
-    that pivot to 1.  Each row vanishes at the pivots of earlier rows, so a
-    residual vanishes at every pivot, and it is empty exactly when the vector
-    lies in the span.  ``insert`` therefore accepts exactly the vectors that
-    raise the rank of those inserted before them.
+    ``reduce`` subtracts the rows in insertion order; ``insert`` keeps a
+    vector whose residual is nonzero as a new row, pivoting on the
+    residual's lowest nonzero column and scaling that pivot to 1.  Each row
+    vanishes at the pivots of earlier rows, so a residual vanishes at every
+    pivot, and it is empty exactly when the vector lies in the span.
+    ``insert`` therefore accepts exactly the vectors that raise the rank of
+    those inserted before them.
     """
 
     def __init__(self):
@@ -411,12 +413,7 @@ class Echelon:
         for row, p in zip(self.rows, self.pivots):
             c = v.get(p)
             if c:
-                for col, x in row.items():
-                    y = v.get(col, 0) - c * x
-                    if y:
-                        v[col] = y
-                    else:
-                        del v[col]
+                add_scaled(v, -c, row)
         return v
 
     def insert(self, v) -> bool:
@@ -425,7 +422,7 @@ class Echelon:
         if not v:
             return False
         p = min(v)
-        inv = Fraction(1) / v[p]
+        inv = ONE / v[p]
         self.rows.append({col: x * inv for col, x in v.items()})
         self.pivots.append(p)
         return True
@@ -436,8 +433,9 @@ class QuotientSpace:
     """Exact quotient Z/B of two subspaces of the same ambient space.
 
     ``representatives`` are basis vectors of Z projecting to a basis of the
-    quotient; ``reduce`` maps any vector of Z to its quotient coordinates
-    through the columns [B | representatives].
+    quotient, and ``positions`` their indices in ``numerator.basis``;
+    ``reduce`` maps any vector of Z to its quotient coordinates through the
+    columns [B | representatives].
     """
 
     ambient_dim: int
@@ -445,6 +443,7 @@ class QuotientSpace:
     denominator: Subspace
     dim: int
     representatives: tuple[Vector, ...]
+    positions: tuple[int, ...]
     _reduction_columns: tuple[Vector, ...]
 
     def reduce(self, v) -> Vector:
@@ -453,10 +452,10 @@ class QuotientSpace:
         if coeffs is None:
             raise ValueError("vector is not in the numerator subspace")
         k = self.denominator.dim
-        return tuple(coeffs[k:])
+        return {i - k: x for i, x in coeffs.items() if i >= k}
 
     def is_zero_class(self, v) -> bool:
-        return all(x == 0 for x in self.reduce(v))
+        return not self.reduce(v)
 
 
 def quotient(z: Subspace, b: Subspace) -> QuotientSpace:
@@ -464,23 +463,20 @@ def quotient(z: Subspace, b: Subspace) -> QuotientSpace:
     if z.ambient_dim != b.ambient_dim:
         raise InvariantViolation(f"quotient of a subspace of Q^{z.ambient_dim} by one of Q^{b.ambient_dim}")
     # columns of [B | Z]; z-columns that stay pivotal are the representatives
-    cols = list(b.basis) + list(z.basis)
-    pivots = pivot_columns(cols, z.ambient_dim)
+    pivots = pivot_columns(b.basis + z.basis)
     # containment: B inside span(Z) iff rank[B|Z] = dim Z (bases independent)
     if len(pivots) != z.dim:
         raise DenominatorNotContained("a denominator vector lies outside the numerator span")
-    reps = tuple(z.basis[i - b.dim] for i in pivots if i >= b.dim)
-    q = QuotientSpace(z.ambient_dim, z, b, len(reps), reps, tuple(b.basis) + reps)
+    positions = tuple(i - b.dim for i in pivots if i >= b.dim)
+    reps = tuple(z.basis[i] for i in positions)
+    q = QuotientSpace(z.ambient_dim, z, b, len(reps), reps, positions, b.basis + reps)
     if q.dim + b.dim != z.dim:
         raise InvariantViolation("dim Z/B + dim B != dim Z")
     return q
 
 
-def pivot_columns(cols, ambient_dim):
+def pivot_columns(cols):
     """Pivot column indices of the matrix whose columns are ``cols``: the
     vectors independent of those before them."""
-    if not cols:
-        return []
-    rows = [[c[i] for c in cols] for i in range(ambient_dim)]
-    pivots, _ = rref(rows, len(cols))
+    pivots, _ = rref(list(_scatter(cols).values()), len(cols))
     return pivots

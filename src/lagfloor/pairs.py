@@ -28,9 +28,9 @@ from .calculus import (
 )
 from .cecohom import GModule, NotACocycle, validate_module
 from .expr import TP, AnsatzSpec, Chart, Expr, chart, function_monomials, mono_expr, parse_expr
-from .exprspace import ExprSpan, add_scaled, equation_rows, kernel_of_expr_system, poly_terms
+from .exprspace import ExprSpan, equation_rows, kernel_of_expr_system, poly_terms
 from .liealg import StructureConstants, catalog, poincare_fields, R4
-from .linalg import InvariantViolation, Mat, QuotientSpace, Subspace, kernel_basis, kernel_of_rows, quotient
+from .linalg import InvariantViolation, Mat, QuotientSpace, Subspace, add_scaled, dense, kernel_basis, kernel_of_rows, quotient
 
 F = Fraction
 
@@ -261,7 +261,7 @@ def pi_images(p: GMPair, units, basis):
     ]
     out = []
     for v in basis:
-        support = [(mu, m, c) for (mu, m), c in zip(units, v) if c]
+        support = [(*units[k], c) for k, c in sorted(v.items())]
         pw = []
         for i in range(n):
             acc = {}
@@ -347,7 +347,7 @@ def closure_module(p: GMPair, seeds, cap: int = 64) -> FunctionModule:
             if coords is None:
                 raise InvariantViolation("closure is not closed: internal error")
             cols.append(coords)
-        mats.append(Mat.from_rows(cols, m).transpose())
+        mats.append(Mat(m, m, tuple(cols)).transpose())
     gm = GModule(m, p.algebra, tuple(mats), basis_labels=basis)
     report = validate_module(gm)
     if not report.ok:
@@ -364,8 +364,8 @@ def function_cochain_to_module_cochain(fm: FunctionModule, alpha: FunctionCochai
         coords = fm.coordinates(c)
         if coords is None:
             raise InvariantViolation("cochain component outside the module")
-        if any(coords):
-            comps[(i,)] = tuple(coords)
+        if coords:
+            comps[(i,)] = dense(coords, fm.dim)
     return Cochain(1, fm.module, comps)
 
 
@@ -387,9 +387,8 @@ def invariant_functions(p: GMPair, ansatz: AnsatzSpec) -> InvariantFunctions:
     basis = []
     for v in coeffs.basis:
         f = Expr.const(p.chart, 0)
-        for c, m in zip(v, monos):
-            if c:
-                f = f + mono_expr(p.chart, m) * c
+        for k, c in sorted(v.items()):
+            f = f + mono_expr(p.chart, monos[k]) * c
         basis.append(f)
     return InvariantFunctions(tuple(basis), coeffs)
 
@@ -437,9 +436,9 @@ def invariant_closed_forms(p: GMPair, ansatz: AnsatzSpec) -> InvariantForms:
 
     def vec_to_form(v):
         comps = [zero] * ncoords
-        for (mu, k), c in zip(unknowns, v):
-            if c:
-                comps[mu] = comps[mu] + mono_expr(ch, monos[k]) * c
+        for col, c in sorted(v.items()):
+            mu, k = unknowns[col]
+            comps[mu] = comps[mu] + mono_expr(ch, monos[k]) * c
         return OneForm(ch, tuple(comps))
 
     closed_inv = tuple(vec_to_form(v) for v in coeffs.basis)
@@ -449,7 +448,7 @@ def invariant_closed_forms(p: GMPair, ansatz: AnsatzSpec) -> InvariantForms:
     d_vectors = []
     for f in inv.basis:
         df = gradient(f)
-        v = [F(0)] * len(unknowns)
+        v = {}
         usable = True
         for mu in range(ncoords):
             comp = df.components[mu]
@@ -465,8 +464,8 @@ def invariant_closed_forms(p: GMPair, ansatz: AnsatzSpec) -> InvariantForms:
                 v[mu * len(monos) + mono_index[m]] = c
             if not usable:
                 break
-        if usable and any(v):
-            d_vectors.append(tuple(v))
+        if usable and v:
+            d_vectors.append(v)
     dsub = Subspace.spanned_by(d_vectors, len(unknowns))
     zsub = Subspace(len(unknowns), coeffs.basis)
     qt = quotient(zsub, dsub)
@@ -480,13 +479,12 @@ def invariant_closed_forms(p: GMPair, ansatz: AnsatzSpec) -> InvariantForms:
 
 def evaluation_matrix(p: GMPair, point) -> Mat:
     """Rows = chart coordinates, columns = generators; entries X_i^mu(point)."""
+    n = p.algebra.dim
     rows = []
     for mu in range(len(p.chart.names)):
-        row = []
-        for i in range(p.algebra.dim):
-            row.append(p.fields[i].components[mu].evaluate(point))
-        rows.append(row)
-    return Mat.from_rows(rows, p.algebra.dim)
+        values = (p.fields[i].components[mu].evaluate(point) for i in range(n))
+        rows.append({i: x for i, x in enumerate(values) if x})
+    return Mat(len(rows), n, tuple(rows))
 
 
 def stability_subalgebra(p: GMPair, point) -> Subspace:
@@ -497,7 +495,8 @@ def stability_subalgebra(p: GMPair, point) -> Subspace:
 def _section_vectors(p: GMPair, point):
     out = []
     for section in p.stability_sections or ():
-        out.append(tuple(comp.evaluate(point) for comp in section))
+        values = (comp.evaluate(point) for comp in section)
+        out.append({i: x for i, x in enumerate(values) if x})
     return out
 
 
@@ -525,11 +524,7 @@ def restrict_cocycle(p: GMPair, alpha: FunctionCochain, point, check_constancy=N
             vecs = list(stab.basis)
         out = []
         for v in vecs:
-            s = F(0)
-            for xi, comp in zip(v, alpha.components):
-                if xi:
-                    s += xi * comp.evaluate(pt)
-            out.append(s)
+            out.append(sum((xi * alpha.components[i].evaluate(pt) for i, xi in sorted(v.items())), F(0)))
         return vecs, out
 
     vecs, vals = values_at(point)
@@ -538,7 +533,7 @@ def restrict_cocycle(p: GMPair, alpha: FunctionCochain, point, check_constancy=N
         for pt in extra:
             _, other = values_at(pt)
             assert other == vals, "cocycle restriction must be point-independent"
-    return {tuple(v): val for v, val in zip(vecs, vals)}
+    return {dense(v, p.algebra.dim): val for v, val in zip(vecs, vals)}
 
 
 def stability_values_of_constant_cocycles(p: GMPair, point):
@@ -553,7 +548,8 @@ def stability_values_of_constant_cocycles(p: GMPair, point):
     z1 = zero_one_cocycles(p.algebra)
     values = []
     for t in z1.basis:
-        values.append(tuple(sum(a * b for a, b in zip(t, v)) for v in vecs))
+        pairings = (sum((x * t[i] for i, x in v.items() if i in t), F(0)) for v in vecs)
+        values.append({a: s for a, s in enumerate(pairings) if s})
     return Subspace.spanned_by(values, len(vecs)), vecs
 
 

@@ -327,7 +327,10 @@ def build_lagrangian(pf: ProblemFile, set_params=None) -> Expr:
     extra = set(set_params or ()) - set(declared)
     if extra:
         raise ProblemFileError(f"--set names not declared in [lagrangian]: {sorted(extra)}")
-    return parse_expr(chart, text, params=params)
+    lagrangian = parse_expr(chart, text, params=params)
+    if lagrangian.has_accelerations():
+        raise ProblemFileError("[lagrangian] expr must not depend on accelerations (rank-1 Lagrangians only)")
+    return lagrangian
 
 
 def build_module(pf: ProblemFile, name: str, algebra: StructureConstants):

@@ -17,6 +17,7 @@ identity sum_p dim E_inf^{p,m-p} = dim H^m(Q).
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from .linalg import (
     Mat,
     QuotientSpace,
     Subspace,
+    add_scaled,
     image_basis,
     kernel_basis,
     kernel_of_rows,
@@ -220,13 +222,10 @@ def _zigzag_cocycles(dc, p, q, r):
         rows = dc.dim_at(p + i, q - i + 1)
         contribs = [(i, dc.d1_at(p + i, q - i), 1), (i - 1, dc.d2_at(p + i - 1, q - i + 1), (-1) ** (q - i + 1))]
         equations.append((rows, contribs))
-    tuples = _block_kernel(blocks, equations)
-    projections = [v[:d0] for v in tuples]
-    # pick tuples whose projections are independent (deterministic pivots)
-    keep = pivot_columns(projections, d0)
-    basis = tuple(projections[i] for i in keep)
-    lifts = tuple(_split_blocks(tuples[i], blocks) for i in keep)
-    return Subspace(d0, basis), lifts
+    chains = [_split_blocks(v, blocks) for v in _block_kernel(blocks, equations)]
+    # pick chains whose leader terms are independent (deterministic pivots)
+    keep = pivot_columns([ch[0] for ch in chains])
+    return Subspace(d0, tuple(chains[i][0] for i in keep)), tuple(chains[i] for i in keep)
 
 
 def _zigzag_boundaries(dc, p, q, r):
@@ -240,26 +239,28 @@ def _zigzag_boundaries(dc, p, q, r):
         if i + 1 < r:
             contribs.append((i + 1, dc.d2_at(p - i - 1, q + i), (-1) ** (q + i)))
         equations.append((rows, contribs))
-    chains = _block_kernel(blocks, equations)
     values = []
-    offs = _offsets(blocks)
     m_d1 = dc.d1_at(p, q - 1)
     m_d2 = dc.d2_at(p - 1, q)
-    for ch in chains:
-        b0 = ch[offs[0] : offs[0] + blocks[0]]
-        v = list(m_d1.mul_vec(b0)) if blocks[0] else [F(0)] * d0
-        if r >= 2 and blocks[1]:
-            b1 = ch[offs[1] : offs[1] + blocks[1]]
-            w = m_d2.mul_vec(b1)
-            sign = (-1) ** q
-            v = [a + sign * b for a, b in zip(v, w)]
-        values.append(tuple(v))
+    for v in _block_kernel(blocks, equations):
+        ch = _split_blocks(v, blocks)
+        value = m_d1.mul_vec(ch[0])
+        if r >= 2:
+            add_scaled(value, (-1) ** q, m_d2.mul_vec(ch[1]))
+        values.append(value)
     return Subspace.spanned_by(values, d0)
 
 
 def _split_blocks(vec, blocks):
+    """The sparse vector vec over consecutive blocks of these sizes, cut into
+    one sparse vector per block."""
     offs = _offsets(blocks)
-    return tuple(tuple(vec[offs[i] : offs[i] + blocks[i]]) for i in range(len(blocks)))
+    out = tuple({} for _ in blocks)
+    for j, x in vec.items():
+        # the last block starting at or before j; empty blocks hold nothing
+        i = bisect_right(offs, j) - 1
+        out[i][j - offs[i]] = x
+    return out
 
 
 def page(dc: DoubleComplex, r: int) -> Page:
@@ -275,7 +276,7 @@ def page(dc: DoubleComplex, r: int) -> Page:
             if d0 == 0:
                 continue
             if r == 0:
-                full = Subspace(d0, tuple(tuple(F(i == j) for j in range(d0)) for i in range(d0)))
+                full = Subspace(d0, tuple({i: F(1)} for i in range(d0)))
                 qt = quotient(full, Subspace(d0, ()))
                 lifts = tuple((v,) for v in qt.representatives)
                 cells[(p, q)] = PageCell(qt, lifts)
@@ -283,11 +284,7 @@ def page(dc: DoubleComplex, r: int) -> Page:
             z, lifts = _zigzag_cocycles(dc, p, q, r)
             b = _zigzag_boundaries(dc, p, q, r)
             qt = quotient(z, b)
-            rep_lifts = []
-            for rep in qt.representatives:
-                idx = z.basis.index(rep)
-                rep_lifts.append(lifts[idx])
-            cells[(p, q)] = PageCell(qt, tuple(rep_lifts))
+            cells[(p, q)] = PageCell(qt, tuple(lifts[i] for i in qt.positions))
     pg = Page(r, cells)
     dc._pages[r] = pg
     return pg
@@ -313,13 +310,12 @@ def page_differential(dc: DoubleComplex, r: int, p: int, q: int) -> Mat:
     m_d2 = dc.d2_at(p + r - 1, q - r + 1)
     cols = []
     for chain in src.lifts:
-        last = chain[r - 1]
-        v = tuple(sign * x for x in m_d2.mul_vec(last))
+        v = {i: sign * x for i, x in m_d2.mul_vec(chain[r - 1]).items()}
         try:
             cols.append(tgt.quotient.reduce(v))
         except ValueError as exc:
             raise LiftFailure(f"page differential value escaped Z_r at ({tp},{tq})") from exc
-    return Mat.from_rows(cols, tgt_dim).transpose()
+    return Mat(src_dim, tgt_dim, tuple(cols)).transpose()
 
 
 def transpose(dc: DoubleComplex) -> DoubleComplex:
@@ -399,7 +395,7 @@ def random_double_complex(seed, width=None, height=None, maxdim=4) -> DoubleComp
                     m = Mat.zero(rows, cols)
                 else:
                     mix = _random_mat(rng, rows, left_kernel.dim, density=0.7)
-                    kmat = Mat.from_rows(list(left_kernel.basis), cols)
+                    kmat = Mat(left_kernel.dim, cols, left_kernel.basis)
                     m = mix.mul(kmat)
             d1[(p, q)] = m
             prev = m
@@ -443,15 +439,18 @@ def random_double_complex(seed, width=None, height=None, maxdim=4) -> DoubleComp
                         if row:
                             rows.append(row)
         sol_space = kernel_of_rows(rows, nunk)
-        flat = [F(0)] * nunk
+        flat = {}
         for b in sol_space.basis:
             coeff = F(rng.randint(-2, 2))
             if coeff:
-                flat = [x + coeff * y for x, y in zip(flat, b)]
+                add_scaled(flat, coeff, b)
         col = []
-        for q in range(Q):
-            r, c = sizes[q]
-            col.append(Mat.from_rows([flat[entry_index(q, i, 0) : entry_index(q, i, c)] for i in range(r)], c))
+        # block q of the solution is the r x c matrix X_q, row-major
+        for q, ((r, c), block) in enumerate(zip(sizes, _split_blocks(flat, [r * c for r, c in sizes]))):
+            data = tuple({} for _ in range(r))
+            for k, x in block.items():
+                data[k // c][k % c] = x
+            col.append(Mat(r, c, data))
             if r and c:
                 d2[(p, q)] = col[q]
         prev_col = col

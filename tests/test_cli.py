@@ -353,6 +353,31 @@ def test_k_spaces_machine_output_pinned(name, monkeypatch):
     assert out == (GOLDEN / "k_spaces" / f"{name}.txt").read_text()
 
 
+CLASSIFY = {
+    "l3_cylinder_a": ("classify", "l3_cylinder", "a=1,b=0,c=0,d=0,q=0"),
+    "l3_cylinder_b": ("classify", "l3_cylinder", "a=0,b=1,c=0,d=0,q=0"),
+    "l3_cylinder_c": ("classify", "l3_cylinder", "a=0,b=0,c=1,d=0,q=0"),
+    "l3_cylinder_dq": ("classify", "l3_cylinder", "a=0,b=0,c=0,d=1,q=1"),
+    "so3_sphere": ("classify", "so3_sphere", "m=7,g=2/3"),
+    "translations_r2": ("classify", "translations_r2", "m=1,B=2,E1=1,E2=3"),
+    "galilean_r4": ("classify", "galilean_r4", "m=2"),
+    "galilean_r4_noether": ("noether", "galilean_r4", "m=2"),
+    "spectral_example": ("spectral", "spectral_example", None),
+}
+
+
+@pytest.mark.parametrize("golden", sorted(CLASSIFY))
+def test_classify_machine_output_pinned(golden, monkeypatch):
+    """Full machine output of classify, noether and spectral, against files
+    captured before vectors in linalg became sparse dicts."""
+    command, name, params = CLASSIFY[golden]
+    monkeypatch.chdir(ROOT)
+    extra = ("--set", params) if params else ()
+    code, out = run("--format", "machine", command, f"src/lagfloor/fixtures/{name}.toml", *extra)
+    assert code == 0
+    assert out == (GOLDEN / "classify" / f"{golden}.txt").read_text()
+
+
 SPECTRAL_FROM_PAIR = {
     "l3_cylinder": ("l3_cylinder", ()),
     "l3_cylinder_d0_f2": ("l3_cylinder", ("--ansatz-degree", "0", "--fourier", "2")),
@@ -372,6 +397,28 @@ def test_spectral_from_pair_machine_output_pinned(golden, monkeypatch):
     code, out = run("--format", "machine", "spectral", f"src/lagfloor/fixtures/{name}.toml", "--from-pair", *extra)
     assert code == 0
     assert out == (GOLDEN / "spectral_from_pair" / f"{golden}.txt").read_text()
+
+
+@pytest.mark.parametrize("command", ["classify", "noether"])
+def test_acceleration_lagrangian_is_a_parse_error(command, tmp_path):
+    """A Lagrangian with accelerations exits 2 with an error line, also
+    under python -O, where the classifier once reported it as classified."""
+    import subprocess
+    import sys
+
+    f = tmp_path / "acc.toml"
+    f.write_text((FIXTURES / "l3_cylinder.toml").read_text().replace(
+        'expr = "a*dphi + b*z*dphi + c*z + d*dphi/dz + (q/2)*dphi^2/dz"\nparams = ["a", "b", "c", "d", "q"]',
+        'expr = "ddphi + dz^2/2"\nparams = []',
+    ))
+    for flags in ((), ("-O",)):
+        res = subprocess.run(
+            [sys.executable, *flags, "-m", "lagfloor.cli", "--format", "machine", command, str(f)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+        assert res.returncode == 2, (flags, res.stdout, res.stderr)
+        assert "error = [lagrangian] expr must not depend on accelerations" in res.stdout
+        assert "Traceback" not in res.stderr
 
 
 SPIN1 = """

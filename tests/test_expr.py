@@ -229,4 +229,4 @@ def test_kernel_of_expr_system_without_equations_is_whole_space():
 def test_kernel_of_expr_system_clears_denominators():
     # c0 * 1/(1+u) + c1 * u/(1+u) + c2 * 1 = 0 forces c0 + c2 = 0 = c1 + c2
     cols = [[P("1/(1 + u)", PLANE)], [P("u/(1 + u)", PLANE)], [P("1", PLANE)]]
-    assert kernel_of_expr_system(cols).basis == ((F(-1), F(-1), F(1)),)
+    assert kernel_of_expr_system(cols).basis == ({0: F(-1), 1: F(-1), 2: F(1)},)

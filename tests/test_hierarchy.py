@@ -321,10 +321,13 @@ def test_family_images_exhaust_the_k_spaces():
             k3_all_zero = False
         if rep.k4_class is not None and rep.k4_class.status in ("zero", "nonzero"):
             k4_vecs.append(rep.k4_class.data)
-    assert Subspace.spanned_by(psi_vecs, 3).dim == kdims[0]
-    assert Subspace.spanned_by(k1_vecs, 3).dim == kdims[1]
+    def span_dim(vectors, n):
+        return Subspace.spanned_by([{i: x for i, x in enumerate(v) if x} for v in vectors], n).dim
+
+    assert span_dim(psi_vecs, 3) == kdims[0]
+    assert span_dim(k1_vecs, 3) == kdims[1]
     assert k2_all_zero and k3_all_zero
-    assert Subspace.spanned_by(k4_vecs, 1).dim == kdims[4]
+    assert span_dim(k4_vecs, 1) == kdims[4]
 
 
 def test_k_spaces_translations_r3():
@@ -509,6 +512,48 @@ def test_invariance_complex_check_raises_under_python_O():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.startswith("raised: invariance complex failed validation"), res.stdout
+
+
+def test_hierarchy_certificates_raise_under_python_O():
+    """The classifier's checks are explicit raises, so python -O keeps them:
+    an acceleration Lagrangian and a tampered Noether potential each raise
+    InvariantViolation."""
+    script = textwrap.dedent(
+        """
+        from lagfloor.expr import parse_expr
+        from lagfloor.hierarchy import classify, noether_charges, weak_invariance_split
+        from lagfloor.linalg import InvariantViolation
+        from lagfloor.pairs import standard_pair
+
+        assert False, "asserts must be stripped under -O"
+        L3 = standard_pair("l3_cylinder")
+        ch = L3.chart
+        L = parse_expr(ch, "z")
+        report = classify(L3, L)
+        report.witnesses.alpha = tuple(a + parse_expr(ch, "z") for a in report.witnesses.alpha)
+        cases = [
+            lambda: weak_invariance_split(L3, parse_expr(ch, "ddphi + dz^2/2")),
+            lambda: noether_charges(L3, L, report),
+        ]
+        for case in cases:
+            try:
+                case()
+            except InvariantViolation as exc:
+                print("raised:", exc)
+            else:
+                print("passed")
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env={"PYTHONPATH": src, "PATH": ""},
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        "raised: rank-1 Lagrangians only",
+        "raised: Noether conservation identity failed",
+    ], res.stdout
 
 
 def test_hierarchy_reads_the_action_through_the_pair():

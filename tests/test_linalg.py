@@ -12,6 +12,7 @@ from lagfloor.linalg import (
     InvariantViolation,
     Mat,
     Subspace,
+    dense,
     image_basis,
     kernel_basis,
     kernel_of_rows,
@@ -30,11 +31,16 @@ def M(rows):
     return Mat.from_rows(rows)
 
 
+def sp(seq):
+    """The sparse vector of a dense sequence."""
+    return {i: F(x) for i, x in enumerate(seq) if x}
+
+
 # -- kernel_basis ------------------------------------------------------------
 
 def test_kernel_of_zero_map_is_standard_basis():
     k = kernel_basis(Mat.zero(2, 2))
-    assert k.basis == ((F(1), F(0)), (F(0), F(1)))
+    assert k.basis == ({0: F(1)}, {1: F(1)})
 
 
 def test_kernel_of_identity_is_empty():
@@ -43,7 +49,7 @@ def test_kernel_of_identity_is_empty():
 
 def test_kernel_rank_one():
     k = kernel_basis(M([[1, 2], [2, 4]]))
-    assert k.basis == ((F(-2), F(1)),)
+    assert k.basis == ({0: F(-2), 1: F(1)},)
 
 
 def test_kernel_of_sparse_rows_matches_dense():
@@ -57,7 +63,7 @@ def test_kernel_of_sparse_rows_matches_dense():
 
 
 def test_kernel_of_no_rows_is_whole_space():
-    assert kernel_of_rows([], 2).basis == ((F(1), F(0)), (F(0), F(1)))
+    assert kernel_of_rows([], 2).basis == ({0: F(1)}, {1: F(1)})
     assert kernel_of_rows([], 0).dim == 0
 
 
@@ -74,33 +80,46 @@ def test_image_of_identity_is_full():
 
 def test_image_rank_one():
     im = image_basis(M([[1, 2], [2, 4]]))
-    assert im.basis == ((F(1), F(2)),)
+    assert im.basis == ({0: F(1), 1: F(2)},)
 
 
 # -- solve -------------------------------------------------------------------
 
 def test_solve_identity():
-    assert solve(Mat.identity(2), (1, 2)) == (F(1), F(2))
+    assert solve(Mat.identity(2), {0: F(1), 1: F(2)}) == {0: F(1), 1: F(2)}
 
 
 def test_solve_zero_map_no_solution():
-    assert solve(Mat.zero(2, 2), (1, 0)) is None
+    assert solve(Mat.zero(2, 2), {0: F(1)}) is None
 
 
 def test_solve_exact_division():
-    assert solve(M([[2]]), (3,)) == (F(3, 2),)
+    assert solve(M([[2]]), {0: F(3)}) == {0: F(3, 2)}
 
 
 def test_solve_underdetermined_is_consistent():
     m = M([[1, 1, 0], [0, 0, 1]])
-    x = solve(m, (5, 7))
-    assert m.mul_vec(x) == (F(5), F(7))
+    x = solve(m, {0: F(5), 1: F(7)})
+    assert m.mul_vec(x) == {0: F(5), 1: F(7)}
+
+
+def test_vectors_reject_stored_zeros_and_bad_indices():
+    for v in ({0: F(0)}, {3: F(1)}, {-1: F(1)}):
+        with pytest.raises(InvariantViolation):
+            Subspace(3, (v,))
+        with pytest.raises(InvariantViolation):
+            Mat.identity(3).mul_vec(v)
+        with pytest.raises(InvariantViolation):
+            solve(Mat.identity(3), v)
+        with pytest.raises(InvariantViolation):
+            dense(v, 3)
+    assert dense({2: F(5)}, 3) == (F(0), F(0), F(5))
 
 
 # -- quotient ----------------------------------------------------------------
 
 def full_space(n):
-    return Subspace.spanned_by([tuple(F(i == j) for j in range(n)) for i in range(n)], n)
+    return Subspace.spanned_by([{i: F(1)} for i in range(n)], n)
 
 
 def test_quotient_by_zero():
@@ -109,32 +128,35 @@ def test_quotient_by_zero():
 
 
 def test_quotient_by_itself():
-    s = Subspace.spanned_by([(F(1), F(0))], 2)
+    s = Subspace.spanned_by([{0: F(1)}], 2)
     assert quotient(s, s).dim == 0
 
 
 def test_quotient_r3_by_line():
-    q = quotient(full_space(3), Subspace.spanned_by([(F(1), F(1), F(0))], 3))
+    q = quotient(full_space(3), Subspace.spanned_by([{0: F(1), 1: F(1)}], 3))
     assert q.dim == 2
     # reduction of the killed vector is the zero class
-    assert q.is_zero_class((F(1), F(1), F(0)))
+    assert q.is_zero_class({0: F(1), 1: F(1)})
+    # a class whose only coordinate is the first one is not zero
+    assert not q.is_zero_class({1: F(1)})
+    assert q.reduce({1: F(1)}) == {0: F(-1)}  # e2 = (e1 + e2) - e1
 
 
 def test_quotient_denominator_not_contained():
-    z = Subspace.spanned_by([(F(1), F(0), F(0))], 3)
-    b = Subspace.spanned_by([(F(0), F(1), F(0))], 3)
+    z = Subspace.spanned_by([{0: F(1)}], 3)
+    b = Subspace.spanned_by([{1: F(1)}], 3)
     with pytest.raises(DenominatorNotContained):
         quotient(z, b)
 
 
 def test_quotient_reduce_linear():
     z = full_space(3)
-    b = Subspace.spanned_by([(F(1), F(1), F(0))], 3)
+    b = Subspace.spanned_by([{0: F(1), 1: F(1)}], 3)
     q = quotient(z, b)
     v = (F(2), F(0), F(5))
     w = (F(1), F(3), F(-1))
-    lhs = q.reduce(tuple(a + b_ for a, b_ in zip(v, w)))
-    rhs = tuple(a + b_ for a, b_ in zip(q.reduce(v), q.reduce(w)))
+    lhs = q.reduce(sp(a + b_ for a, b_ in zip(v, w)))
+    rhs = sp(a + b_ for a, b_ in zip(dense(q.reduce(sp(v)), q.dim), dense(q.reduce(sp(w)), q.dim)))
     assert lhs == rhs
 
 
@@ -192,7 +214,7 @@ def test_sparse_mat_matches_a_list_of_lists_reference(rows, inner, cols, data):
     assert ab == Mat.from_rows(product, cols)
     assert ab.is_zero() == (not any(x for row in product for x in row))
     assert all(x for row in ab.data for x in row.values())
-    assert a.mul_vec(v) == tuple(sum((a_lists[i][k] * v[k] for k in range(inner)), F(0)) for i in range(rows))
+    assert a.mul_vec(sp(v)) == sp(sum((a_lists[i][k] * v[k] for k in range(inner)), F(0)) for i in range(rows))
     assert list(a.transpose().entries) == [F(a_lists[i][j]) for j in range(inner) for i in range(rows)]
     assert a.transpose().transpose() == a
 
@@ -200,7 +222,7 @@ def test_sparse_mat_matches_a_list_of_lists_reference(rows, inner, cols, data):
 @given(matrices(), st.lists(small_entries, min_size=5, max_size=5))
 @settings(max_examples=100, deadline=None)
 def test_solve_of_image_vector_roundtrips(m, xs):
-    x = tuple(F(v) for v in xs[: m.cols])
+    x = sp(xs[: m.cols])
     rhs = m.mul_vec(x)
     x2 = solve(m, rhs)
     assert x2 is not None
@@ -255,8 +277,8 @@ def test_kernels_match_oracle(seed):
     r, c = rng.randint(1, 6), rng.randint(1, 6)
     rows = [[rng.randint(-8, 8) for _ in range(c)] for _ in range(r)]
     want = naive_fraction_rref(rows, c)
-    got = rref(rows, c)
-    assert got == want
+    pivots, red = rref([sp(row) for row in rows], c)
+    assert (pivots, [dense(v, c) for v in red]) == want
     assert row_reduce(rows, c)[0] == want[0]
 
 
@@ -279,7 +301,78 @@ def test_interim_gcd_normalization_path_matches_oracle():
     rng = random.Random(17)
     rows = [[rng.randint(-99, 99) for _ in range(10)] for _ in range(10)]
     want = naive_fraction_rref(rows, 10)
-    assert rref(rows, 10) == want
+    pivots, red = rref([sp(row) for row in rows], 10)
+    assert (pivots, [dense(v, 10) for v in red]) == want
+
+
+# -- every vector is sparse and matches a dense reference ---------------------
+
+def naive_kernel(rows, ncols):
+    """Dense kernel basis read off the textbook RREF, free columns ascending."""
+    pivots, red = naive_fraction_rref(rows, ncols)
+    out = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [F(0)] * ncols
+            v[f] = F(1)
+            for p, r in zip(pivots, red):
+                v[p] = -r[f]
+            out.append(tuple(v))
+    return out
+
+
+def naive_solve(columns, target, nrows):
+    """Dense x with sum_k x[k] columns[k] == target, free variables 0, or None."""
+    n = len(columns)
+    pivots, red = naive_fraction_rref([[c[i] for c in columns] + [-target[i]] for i in range(nrows)], n + 1)
+    if n in pivots:
+        return None
+    x = [F(0)] * n
+    for p, r in zip(pivots, red):
+        x[p] = -r[n]
+    return tuple(x)
+
+
+def assert_sparse(v, n):
+    assert isinstance(v, dict)
+    assert all(isinstance(k, int) and 0 <= k < n for k in v)
+    assert all(x != 0 for x in v.values())
+
+
+def dense_all(vectors, n):
+    for v in vectors:
+        assert_sparse(v, n)
+    return [dense(v, n) for v in vectors]
+
+
+@given(matrices(), st.lists(small_entries, min_size=5, max_size=5), st.lists(small_entries, min_size=5, max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_linalg_returns_sparse_vectors_matching_a_dense_reference(m, xs, ts):
+    rows = [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
+    cols = [tuple(r[j] for r in rows) for j in range(m.cols)]
+    pivots, red = rref(m.data, m.cols)
+    assert (pivots, dense_all(red, m.cols)) == naive_fraction_rref(rows, m.cols)
+    assert dense_all(kernel_basis(m).basis, m.cols) == naive_kernel(rows, m.cols)
+    image = image_basis(m)
+    assert dense_all(image.basis, m.rows) == naive_fraction_rref(cols, m.rows)[1]
+    # Q^rows modulo the image: standard basis vectors independent of the image
+    unit = [tuple(F(i == j) for j in range(m.rows)) for i in range(m.rows)]
+    full = Subspace(m.rows, tuple(sp(e) for e in unit))
+    q = quotient(full, image)
+    generators = naive_fraction_rref(cols, m.rows)[1] + unit
+    pivots = naive_fraction_rref([[g[i] for g in generators] for i in range(m.rows)], len(generators))[0]
+    reps = [generators[p] for p in pivots if p >= image.dim]
+    assert dense_all(q.representatives, m.rows) == reps
+    # solve an image vector, span coordinates and reduce a random target
+    x = [F(v) for v in xs[: m.cols]]
+    rhs = [sum((r[j] * x[j] for j in range(m.cols)), F(0)) for r in rows]
+    assert dense_all([solve(m, sp(rhs))], m.cols) == [naive_solve(cols, rhs, m.rows)]
+    target = [F(v) for v in ts[: m.rows]]
+    got = span_coordinates([sp(c) for c in cols], sp(target))
+    want = naive_solve(cols, target, m.rows)
+    assert (got is None and want is None) or dense_all([got], m.cols) == [want]
+    coords = naive_solve(generators[: image.dim] + reps, target, m.rows)
+    assert dense_all([q.reduce(sp(target))], q.dim) == [coords[image.dim :]]
 
 
 # -- the incremental echelon and span coordinates -----------------------------
@@ -297,19 +390,18 @@ def vector_lists(draw):
 @settings(max_examples=150, deadline=None)
 def test_echelon_accepts_rank_raising_vectors_and_coordinates_match_solve(data, target):
     n, vectors = data
-    sparse = [{i: x for i, x in enumerate(v) if x} for v in vectors]
+    sparse = [sp(v) for v in vectors]
     ech = Echelon()
     for k, v in enumerate(sparse):
-        rank_before = len(rref(vectors[:k], n)[0])
-        rank_after = len(rref(vectors[: k + 1], n)[0])
+        rank_before = len(rref(sparse[:k], n)[0])
+        rank_after = len(rref(sparse[: k + 1], n)[0])
         assert ech.insert(v) == (rank_after > rank_before)
         assert not ech.reduce(v)
-    assert len(ech.rows) == len(rref(vectors, n)[0])
+    assert len(ech.rows) == len(rref(sparse, n)[0])
     target = target[:n]
-    want = solve(Mat.from_rows([list(col) for col in zip(*vectors)], len(vectors)), target) if vectors else (
-        () if not any(target) else None)
-    sparse_target = {i: x for i, x in enumerate(target) if x}
-    assert span_coordinates(vectors, target) == want
+    sparse_target = sp(target)
+    want = solve(Mat.from_rows([list(col) for col in zip(*vectors)], len(vectors)), sparse_target) if vectors else (
+        {} if not any(target) else None)
     assert span_coordinates(sparse, sparse_target) == want
     # the residual of the target is empty exactly when it has coordinates
     assert (not ech.reduce(sparse_target)) == (want is not None)
