@@ -198,13 +198,13 @@ class TP:
         return not self.terms
 
     def is_one(self):
-        return self.terms == {UNIT: F(1)}
+        return len(self.terms) == 1 and self.terms.get(UNIT) == 1
 
     def const_value(self):
         if not self.terms:
             return F(0)
-        if set(self.terms) == {UNIT}:
-            return self.terms[UNIT]
+        if len(self.terms) == 1:
+            return self.terms.get(UNIT)
         return None
 
     def __eq__(self, other):

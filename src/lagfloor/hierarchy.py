@@ -54,7 +54,6 @@ from .linalg import (
     span_coordinates,
 )
 from .pairs import (
-    CapExceeded as CapExceededError,
     FunctionCochain,
     GMPair,
     closedness_rows,
@@ -308,10 +307,8 @@ def phi3(p: GMPair, alpha: FunctionCochain, opts: ClassifyOptions):
     Nonzero: only with a stability-restriction certificate in hand.
     Otherwise Undetermined at the declared ansatz.
 
-    When the components generate a finite module within the closure cap,
-    alpha is cross-checked as an honest module-valued cocycle; a blown cap
-    (e.g. rotations acting on chart polynomials) is not fatal, since the
-    witness search and the restriction certificate never need the module.
+    No function module is built: delta(alpha) = 0 is certified once, in
+    phi2 (restrict_cocycle checks it again only on the certificate path).
 
     The system is read off the pair's action table as sparse rows.  Its
     unknowns are the coefficients of w over the elementary forms (mu-major),
@@ -319,24 +316,13 @@ def phi3(p: GMPair, alpha: FunctionCochain, opts: ClassifyOptions):
     up; the witness is the canonical particular solution in that order.
     """
     ch = p.chart
-    g = p.algebra
-    try:
-        from .pairs import closure_module, function_cochain_to_module_cochain
-
-        fm = closure_module(p, [c for c in alpha.components if not c.is_zero()], cap=opts.closure_cap)
-        z = function_cochain_to_module_cochain(fm, alpha)
-        d = ce_differential(g, fm.module, 1)
-        if d.mul_vec(z.to_vector()):
-            raise InvariantViolation("alpha must be a module cocycle")
-    except CapExceededError:
-        pass
     deg = max(opts.degree, max(c.line_degree() for c in alpha.components) + 1)
     four = max(opts.fourier, max(c.fourier_order() for c in alpha.components))
-    n = g.dim
+    n = p.algebra.dim
     act = p.action
     monos = function_monomials(ch, deg, four)
     units = [(mu, m) for mu in range(len(ch.names)) for m in monos]
-    z1 = zero_one_cocycles(g)
+    z1 = zero_one_cocycles(p.algebra)
     fmonos = function_monomials(ch, deg + 1, four)
     nw = len(units)
     nt = z1.dim
@@ -532,10 +518,13 @@ def classify(p: GMPair, L: Expr, opts: ClassifyOptions | None = None) -> FloorRe
 
 def noether_charges(p: GMPair, L: Expr, report: FloorReport):
     """N_i = X_i^mu dL/d(dq^mu) - alpha_i - t_i tau, conservation checked:
-    D_t N_i + X_i^mu F_mu(L) = 0 identically (D_t includes d/d tau)."""
+    D_t N_i + X_i^mu F_mu(L) = 0 identically (D_t includes d/d tau).
+
+    t is read from the report's psi class; the conservation identity, checked
+    for every charge, rejects a report made from another Lagrangian."""
     if report.witnesses.alpha is None:
         raise PotentialUnavailable("charges need the stage-1 potentials (phi_1 = 0)")
-    split = weak_invariance_split(p, L)
+    t = report.psi_class.data
     ch = p.chart
     el = euler_lagrange(L)
     charges = []
@@ -544,8 +533,8 @@ def noether_charges(p: GMPair, L: Expr, report: FloorReport):
         for mu, name in enumerate(ch.names):
             n_i = n_i + p.fields[i].components[mu] * L.partial(ch.velocity(name))
         n_i = n_i - report.witnesses.alpha[i]
-        if split.t[i]:
-            n_i = n_i - Expr.var(ch, "tau") * split.t[i]
+        if t[i]:
+            n_i = n_i - Expr.var(ch, "tau") * t[i]
         # conservation identity, checked symbolically
         residual = total_time_derivative(n_i, tau=True)
         for mu in range(len(ch.names)):

@@ -138,10 +138,10 @@ class GMPair:
     action: ActionTable = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        assert len(self.fields) == self.algebra.dim
-        if self.stability_sections is not None:
-            for s in self.stability_sections:
-                assert len(s) == self.algebra.dim
+        if len(self.fields) != self.algebra.dim:
+            raise InvariantViolation("a pair needs one vector field per basis element")
+        if any(len(s) != self.algebra.dim for s in self.stability_sections or ()):
+            raise InvariantViolation("a stability section needs one component per basis element")
         object.__setattr__(self, "action", ActionTable(self.chart, self.fields))
 
     def lie_scalar(self, i, f):
@@ -179,9 +179,10 @@ class FunctionCochain:
     components: tuple[Expr, ...]
 
     def __post_init__(self):
-        assert len(self.components) == self.pair.algebra.dim
-        for c in self.components:
-            assert c.is_velocity_free()
+        if len(self.components) != self.pair.algebra.dim:
+            raise InvariantViolation("a cochain needs one component per basis element")
+        if not all(c.is_velocity_free() for c in self.components):
+            raise InvariantViolation("cochain components must be velocity-free")
 
     def delta_component(self, i, j) -> Expr:
         p = self.pair
@@ -223,7 +224,7 @@ def pi_map(p: GMPair, w: OneForm) -> FunctionCochain:
     """(pi w)(e_i) = w contracted with the i-th fundamental field.
 
     For closed w the naturality identities delta(pi w) = 0 and
-    L_{X_i} w = d((pi w)_i) hold and are asserted.
+    L_{X_i} w = d((pi w)_i) hold and are checked.
     """
     comps = []
     for i in range(p.algebra.dim):
@@ -505,7 +506,7 @@ def restrict_cocycle(p: GMPair, alpha: FunctionCochain, point, check_constancy=N
 
     Returns {basis_vector: value}.  With pair-provided stability sections the
     basis is the section evaluation (canonical across points) and, for
-    transitive pairs, constancy over the pair's sample points is asserted.
+    transitive pairs, constancy over the pair's sample points is checked.
     Without sections the reduced-echelon kernel basis at the point is used.
     """
     if not alpha.is_cocycle():
@@ -517,9 +518,11 @@ def restrict_cocycle(p: GMPair, alpha: FunctionCochain, point, check_constancy=N
         stab = stability_subalgebra(p, pt)
         if p.stability_sections is not None:
             vecs = _section_vectors(p, pt)
-            assert len(vecs) == stab.dim, "sections must span the stability subalgebra"
+            if len(vecs) != stab.dim:
+                raise InvariantViolation("sections must span the stability subalgebra")
             for v in vecs:
-                assert stab.contains(v), "section does not vanish at the point"
+                if not stab.contains(v):
+                    raise InvariantViolation("section does not vanish at the point")
         else:
             vecs = list(stab.basis)
         out = []
@@ -532,7 +535,8 @@ def restrict_cocycle(p: GMPair, alpha: FunctionCochain, point, check_constancy=N
         extra = [pt for pt in p.sample_points if pt != point][:2]
         for pt in extra:
             _, other = values_at(pt)
-            assert other == vals, "cocycle restriction must be point-independent"
+            if other != vals:
+                raise InvariantViolation("cocycle restriction must be point-independent")
     return {dense(v, p.algebra.dim): val for v, val in zip(vecs, vals)}
 
 

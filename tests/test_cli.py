@@ -488,3 +488,59 @@ def test_malformed_matrices_are_parse_errors(text, command, tmp_path):
         assert res.returncode == 2, (flags, res.stdout, res.stderr)
         assert "error = " in res.stdout
         assert "Traceback" not in res.stderr
+
+
+def test_section_that_misses_the_stability_algebra_exits_3(tmp_path):
+    """A stability section that does not vanish at the point is an invariant
+    violation under python and under python -O alike; with an assert, -O
+    once skipped the check and printed a k3 certificate."""
+    import subprocess
+    import sys
+
+    f = tmp_path / "badsec.toml"
+    f.write_text((FIXTURES / "so3_sphere.toml").read_text().replace(
+        's1 = ["2*u/(1 + u^2 + v^2)", "2*v/(1 + u^2 + v^2)"',
+        's1 = ["2*u/(1 + u^2 + v^2)", "1 + 2*v/(1 + u^2 + v^2)"',
+    ))
+    for flags in ((), ("-O",)):
+        res = subprocess.run(
+            [sys.executable, *flags, "-m", "lagfloor.cli", "--format", "machine", "classify", str(f),
+             "--set", "m=7,g=2/3"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+        assert res.returncode == 3, (flags, res.stdout, res.stderr)
+        assert "invariant_violation = section does not vanish at the point" in res.stdout
+        assert "Traceback" not in res.stderr
+
+
+def test_rational_component_pair_returns_promptly(tmp_path):
+    """X = 1/(1 + z^2) d/dz with L = d_EL(z^2): classify ends promptly with
+    a documented exit code.  It must build no function module: closing one
+    over the rational component raises the denominator's power at every
+    step and does not end within the cap for minutes."""
+    import subprocess
+    import sys
+
+    f = tmp_path / "rational.toml"
+    f.write_text(
+        """
+[algebra]
+dim = 1
+basis = ["e1"]
+
+[chart]
+coords = [["z", "line"]]
+
+[action]
+e1 = ["1/(1 + z^2)"]
+
+[lagrangian]
+expr = "2*z*dz"
+"""
+    )
+    res = subprocess.run(
+        [sys.executable, "-m", "lagfloor.cli", "--format", "machine", "classify", str(f)],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert res.returncode in (0, 3, 4), (res.stdout, res.stderr)
+    assert "Traceback" not in res.stdout + res.stderr

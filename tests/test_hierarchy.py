@@ -22,6 +22,7 @@ from lagfloor.hierarchy import (
     psi,
     weak_invariance_split,
 )
+from lagfloor.linalg import InvariantViolation
 from lagfloor.pairs import standard_pair
 from lagfloor.spectral import abutment_check, page, total_cohomology
 
@@ -236,8 +237,8 @@ def test_monopole_floor_2_plus_with_certificate():
 
 
 def test_monopole_classifies_at_tiny_closure_cap():
-    # the cocycle components never close into a finite module; the blown
-    # cap must not block the certificate route
+    # the cocycle components never close into a finite module, and the
+    # classifier builds none: the cap is accepted and changes nothing
     r = classify(SPHERE, monopole(m=1, g=2), ClassifyOptions(closure_cap=4))
     assert (r.floor, r.sign) == (2, "+")
 
@@ -285,6 +286,15 @@ def test_galilean_boost_charges():
     # boost charge: t * (m dx^i / dt) - m x^i
     want = parse_expr(ch, "2*t*dx1/dt - 2*x1")
     assert (charges[idx["B1"]] - want).is_zero()
+
+
+@pytest.mark.parametrize("other", [dict(B=2, E=(2, 5)), dict(B=1, E=(0, 5))])
+def test_charges_reject_a_report_of_another_lagrangian(other):
+    """The charges take alpha and t from the report; the conservation
+    identity rejects them when the report belongs to another Lagrangian."""
+    r = classify(TRANS2, magnetic(TRANS2, B=1, E=(2, 5)))
+    with pytest.raises(InvariantViolation):
+        noether_charges(TRANS2, magnetic(TRANS2, **other), r)
 
 
 def test_charges_unavailable_on_floor_zero():
@@ -563,6 +573,7 @@ def test_hierarchy_reads_the_action_through_the_pair():
     banned = {
         "lie_derivative_scalar", "lie_derivative_oneform", "lie_derivative_twoform",
         "pi_map", "solve_linear_expr_system",
+        "closure_module", "function_cochain_to_module_cochain", "CapExceeded",
     }
     imported = set()
     for node in ast.walk(ast.parse(source.read_text())):
