@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import AnsatzSpec, Chart, Expr, function_monomials, mono_expr
+from .expr import TP, AnsatzSpec, Chart, Expr, function_monomials, mono_expr
 from .exprspace import common_denominator, solve_linear_expr_system
 from .linalg import InvariantViolation
 
@@ -27,10 +27,14 @@ class AnsatzExhausted(Exception):
     """The remainder is closed but no potential exists within the ansatz."""
 
 
-def _check_velocity_free(chart, components):
+def _check_components(chart, components):
+    if len(components) != len(chart.names):
+        raise ValueError("one component per chart coordinate is needed")
     for c in components:
-        assert c.chart is chart or c.chart == chart
-        assert c.is_velocity_free(), "components must be velocity-free"
+        if not (c.chart is chart or c.chart == chart):
+            raise ValueError("components must live on the form's chart")
+        if not c.is_velocity_free():
+            raise ValueError("components must be velocity-free")
 
 
 @dataclass(frozen=True)
@@ -39,8 +43,7 @@ class OneForm:
     components: tuple[Expr, ...]
 
     def __post_init__(self):
-        assert len(self.components) == len(self.chart.names)
-        _check_velocity_free(self.chart, self.components)
+        _check_components(self.chart, self.components)
 
     def __add__(self, other):
         return OneForm(self.chart, tuple(a + b for a, b in zip(self.components, other.components)))
@@ -74,8 +77,7 @@ class VectorFieldExpr:
     components: tuple[Expr, ...]
 
     def __post_init__(self):
-        assert len(self.components) == len(self.chart.names)
-        _check_velocity_free(self.chart, self.components)
+        _check_components(self.chart, self.components)
 
     def __add__(self, other):
         return VectorFieldExpr(
@@ -135,7 +137,8 @@ def lie_derivative_lagrangian(x: VectorFieldExpr, L: Expr) -> Expr:
 
     X^mu dL/dq^mu + (D_t X^mu) dL/d(dq^mu), with D_t X^mu = dq^nu dX^mu/dq^nu.
     """
-    assert not L.has_accelerations(), "rank-1 Lagrangians only"
+    if L.has_accelerations():
+        raise ValueError("rank-1 Lagrangians only")
     ch = x.chart
     out = Expr.const(ch, 0)
     for mu, name in enumerate(ch.names):
@@ -144,7 +147,8 @@ def lie_derivative_lagrangian(x: VectorFieldExpr, L: Expr) -> Expr:
         for nu, nname in enumerate(ch.names):
             dtx = dtx + Expr.var(ch, ch.velocity(nname)) * x.components[mu].partial(nname)
         out = out + dtx * L.partial(ch.velocity(name))
-    assert not out.has_accelerations()
+    if out.has_accelerations():
+        raise InvariantViolation("the Lie derivative of a rank-1 Lagrangian has no accelerations")
     return out
 
 
@@ -167,7 +171,8 @@ def euler_lagrange(L: Expr) -> ELForm:
     Component mu is
       dL/dq^mu - (d2L/dq^nu d(dq^mu)) dq^nu - (d2L/d(dq^nu) d(dq^mu)) dd q^nu.
     """
-    assert not L.has_accelerations()
+    if L.has_accelerations():
+        raise ValueError("rank-1 Lagrangians only")
     ch = L.chart
     comps = []
     for mu, name in enumerate(ch.names):
@@ -182,7 +187,6 @@ def euler_lagrange(L: Expr) -> ELForm:
 
 def d_el(f: Expr) -> Expr:
     """d_EL on functions: the full-derivative Lagrangian dq^mu df/dq^mu."""
-    assert f.is_velocity_free()
     return gradient(f).as_lagrangian()
 
 
@@ -199,7 +203,8 @@ def total_time_derivative(e: Expr, tau=False) -> Expr:
 
 
 def gradient(f: Expr) -> OneForm:
-    assert f.is_velocity_free()
+    if not f.is_velocity_free():
+        raise ValueError("the gradient needs a velocity-free function")
     ch = f.chart
     return OneForm(ch, tuple(f.partial(name) for name in ch.names))
 
@@ -296,11 +301,7 @@ def find_potential(w: OneForm, ansatz: AnsatzSpec | None = None) -> Expr | None:
     sol = solve_linear_expr_system(columns, rhs)
     if sol is None:
         return None
-    f = Expr.const(ch, 0)
-    for k, c in sorted(sol.items()):
-        f = f + mono_expr(ch, monos[k]) * c
-    f = f / den
-    return f
+    return Expr(ch, TP({monos[k]: c for k, c in sorted(sol.items())})) / den
 
 
 def harmonic_coefficient(comp: Expr) -> Fraction:
@@ -340,5 +341,6 @@ def derham_split(w: OneForm, ansatz: AnsatzSpec | None = None):
             comps = list(rebuilt.components)
             comps[idx] = comps[idx] + c
             rebuilt = OneForm(ch, tuple(comps))
-    assert rebuilt == w, "derham_split reconstruction failed"
+    if rebuilt != w:
+        raise InvariantViolation("derham_split reconstruction failed")
     return harmonic, f

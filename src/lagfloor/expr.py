@@ -53,9 +53,13 @@ class Chart:
 
     def __post_init__(self):
         names = [n for n, _ in self.coords]
-        assert len(set(names)) == len(names), "duplicate coordinate names"
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate coordinate names in {names}")
         for n, k in self.coords:
-            assert n and k in (LINE, ANGLE)
+            if not (isinstance(n, str) and n):
+                raise ValueError(f"a coordinate name must be a non-empty string, got {n!r}")
+            if k not in (LINE, ANGLE):
+                raise ValueError(f"coordinate {n!r} has kind {k!r}; kinds are {LINE!r} and {ANGLE!r}")
 
     @property
     def names(self):
@@ -190,7 +194,8 @@ class TP:
 
     @staticmethod
     def trig(angle, kind, k=1):
-        assert kind in ("s", "c") and k >= 1
+        if kind not in ("s", "c") or k < 1:
+            raise ValueError(f"a Fourier factor is 's' or 'c' with harmonic >= 1, got {kind!r}, {k}")
         return TP({((), ((angle, kind, k),)): F(1)})
 
     # predicates ---------------------------------------------------------
@@ -402,7 +407,8 @@ class TP:
             d = dict(vars_)
             for n, e in factor.items():
                 d[n] = d.get(n, 0) - e
-                assert d[n] >= 0
+                if d[n] < 0:
+                    raise ValueError("the factor must divide every term")
             out[(tuple(sorted((n, e) for n, e in d.items() if e)), trig)] = c
         return TP(out)
 
@@ -519,7 +525,8 @@ class Expr:
         return self._coerce(other) / self
 
     def __pow__(self, k):
-        assert isinstance(k, int)
+        if not isinstance(k, int):
+            raise TypeError(f"expressions take integer powers, got {k!r}")
         if k < 0:
             return Expr.const(self.chart, 1) / self ** (-k)
         out = Expr.const(self.chart, 1)
@@ -589,7 +596,8 @@ class Expr:
         for k, v in point.items():
             if isinstance(v, tuple):
                 s, c = F(v[0]), F(v[1])
-                assert s * s + c * c == 1, f"angle values for {k} not on the unit circle"
+                if s * s + c * c != 1:
+                    raise ValueError(f"angle values for {k} not on the unit circle")
                 angle_values[k] = (s, c)
             else:
                 var_values[k] = F(v)

@@ -9,7 +9,7 @@ monomial coordinates of the numerators, and hand the rows to ``linalg``.
 from __future__ import annotations
 
 from .expr import Expr, TP, TP_ONE
-from .linalg import Echelon, InvariantViolation, Subspace, kernel_of_rows, solve_rows, span_coordinates
+from .linalg import InvariantViolation, Subspace, kernel_of_rows, solve_rows
 
 
 def tp_lcm(a: TP, b: TP) -> TP:
@@ -43,26 +43,10 @@ def common_denominator(exprs) -> tuple[TP, list[TP]]:
             nums.append(e.num)
             continue
         q = lcd.divide_by(e.den)
-        assert q is not None, "lcd construction guarantees divisibility"
+        if q is None:
+            raise InvariantViolation("the common denominator is not a multiple of a denominator")
         nums.append(e.num * q)
     return lcd, nums
-
-
-class MonoIndex:
-    """Growing monomial -> column index map with deterministic ordering."""
-
-    def __init__(self):
-        self.index = {}
-        self.monos = []
-
-    def key(self, mono):
-        if mono not in self.index:
-            self.index[mono] = len(self.monos)
-            self.monos.append(mono)
-        return self.index[mono]
-
-    def __len__(self):
-        return len(self.monos)
 
 
 def poly_terms(e: Expr) -> dict:
@@ -90,7 +74,9 @@ def equation_rows(terms):
     for (k, scale, _), num in zip(terms, nums):
         for m, c in num.terms.items():
             row = rows.setdefault(m, {})
-            v = row.get(k, 0) + (c if scale == 1 else scale * c)
+            v = c if scale == 1 else scale * c
+            if k in row:  # adding to 0 would cost a Fraction addition
+                v += row[k]
             if v:
                 row[k] = v
             else:
@@ -120,61 +106,3 @@ def solve_linear_expr_system(columns: list[list[Expr]], rhs: list[Expr]):
         rows.extend(equation_rows(terms))
     return solve_rows(rows, nunk)
 
-
-class ExprSpan:
-    """Incremental linearly independent span of velocity-free expressions.
-
-    Keeps a ``linalg.Echelon`` over a growing monomial space, with all
-    members held over a running common denominator.  Insertion order is part
-    of the contract: callers rely on deterministic bases.
-    """
-
-    def __init__(self, chart):
-        self.chart = chart
-        self.lcd = TP_ONE
-        self.members: list[Expr] = []
-        self._member_coords: list[dict] = []  # over self.lcd, in self.midx columns
-        self.midx = MonoIndex()
-        self._echelon = Echelon()
-
-    def _coords(self, e: Expr):
-        lcd = tp_lcm(self.lcd, e.den)
-        if lcd != self.lcd:
-            self.lcd = lcd
-            self._rebuild()
-        num = e.num if e.den == self.lcd else e.num * self.lcd.divide_by(e.den)
-        v = {}
-        for m, c in num.terms.items():
-            v[self.midx.key(m)] = c
-        return v
-
-    def _rebuild(self):
-        members = self.members
-        self.members = []
-        self._member_coords = []
-        self._echelon = Echelon()
-        self.midx = MonoIndex()
-        for m in members:
-            if not self.insert(m):
-                raise InvariantViolation("previously independent members must stay independent")
-
-    def insert(self, e: Expr) -> bool:
-        """Add e when it is independent of the members; returns whether it was."""
-        if e.is_zero():
-            return False
-        v = self._coords(e)
-        if not self._echelon.insert(v):
-            return False
-        self.members.append(e)
-        self._member_coords.append(v)
-        return True
-
-    def coordinates_in_members(self, e: Expr):
-        """Coefficients expressing e in the inserted members, or None."""
-        # e's coordinates first: a new denominator re-expresses the members
-        target = self._coords(e)
-        return span_coordinates(self._member_coords, target)
-
-    @property
-    def dim(self):
-        return len(self.members)

@@ -400,7 +400,7 @@ def k4_quotient(p: GMPair, opts: ClassifyOptions):
     ch = p.chart
     nb = len(ch.angle_names)
     inv = _invariant_forms(p, opts)
-    image = Subspace.spanned_by([harmonic_vector(w) for w in inv.closed_invariant_basis], nb)
+    image = Subspace.spanned_by([harmonic_vector(w) for w in inv], nb)
     full = Subspace(nb, tuple({i: F(1)} for i in range(nb)))
     return quotient(full, image), inv
 
@@ -417,11 +417,11 @@ def phi4(p: GMPair, L: Expr, split, alpha, k3_witness, opts: ClassifyOptions):
     # decomposition: write w = w_inv + d f''
     w_inv = OneForm(p.chart, tuple(Expr.const(p.chart, 0) for _ in p.chart.names))
     if h:
-        combo = span_coordinates([harmonic_vector(x) for x in inv.closed_invariant_basis], h)
+        combo = span_coordinates([harmonic_vector(x) for x in inv], h)
         if combo is None:
             raise InvariantViolation("a zero K4 class must lie in the span of the invariant forms")
         for k, c in sorted(combo.items()):
-            w_inv = w_inv + inv.closed_invariant_basis[k].scale(c)
+            w_inv = w_inv + inv[k].scale(c)
     residue_form = w - w_inv
     from .calculus import find_potential
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 from .calculus import VectorFieldExpr
 from .expr import Expr, chart, parse_expr
 from .exprspace import solve_linear_expr_system
+from .linalg import InvariantViolation
 
 F = Fraction
 
@@ -35,11 +36,14 @@ class StructureConstants:
     c: dict = field(default_factory=dict)  # (i, j) i<j -> {k: Fraction}
 
     def __post_init__(self):
-        assert len(self.basis_names) == self.dim
+        if len(self.basis_names) != self.dim:
+            raise ValueError("an algebra needs one basis name per dimension")
         for (i, j), comps in self.c.items():
-            assert 0 <= i < j < self.dim
+            if not 0 <= i < j < self.dim:
+                raise ValueError(f"bracket index pair {(i, j)} is not i < j < dim")
             for k, v in comps.items():
-                assert 0 <= k < self.dim and isinstance(v, Fraction)
+                if not (0 <= k < self.dim and isinstance(v, Fraction)):
+                    raise ValueError(f"bracket component {k} = {v!r} needs 0 <= k < dim and a Fraction value")
 
     def coeff(self, i, j, k) -> Fraction:
         """c^k_{ij} for arbitrary i, j."""
@@ -97,7 +101,8 @@ def jacobi_check(g: StructureConstants) -> JacobiReport:
 
 def bracket(g: StructureConstants, x, y):
     """([x, y])^k = c^k_{ij} x^i y^j for coefficient vectors x, y."""
-    assert len(x) == len(y) == g.dim
+    if not len(x) == len(y) == g.dim:
+        raise ValueError("bracket arguments need one coefficient per basis element")
     out = [F(0)] * g.dim
     for (i, j), comps in g.c.items():
         coeff = F(x[i]) * F(y[j]) - F(x[j]) * F(y[i])
@@ -165,7 +170,8 @@ def _derive_constants(fields, names) -> StructureConstants:
         for j in range(i + 1, n):
             br = fields[i].bracket(fields[j])
             sol = solve_linear_expr_system(columns, list(br.components))
-            assert sol is not None, "bracket escaped the span of the fields"
+            if sol is None:
+                raise InvariantViolation("bracket escaped the span of the fields")
             comps = dict(sorted(sol.items()))
             if comps:
                 c[(i, j)] = comps

@@ -386,6 +386,8 @@ def solve_rows(rows, nvars) -> Vector | None:
     Column ``nvars`` holds minus the right-hand side.  Free variables are 0
     against the canonical RREF.
     """
+    if any(len(r) == 1 and nvars in r for r in rows):  # 0 = a nonzero constant
+        return None
     pivots, red = rref(rows, nvars + 1)
     if nvars in pivots:
         return None

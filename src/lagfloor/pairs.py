@@ -28,9 +28,9 @@ from .calculus import (
 )
 from .cecohom import GModule, NotACocycle, validate_module
 from .expr import TP, AnsatzSpec, Chart, Expr, chart, function_monomials, mono_expr, parse_expr
-from .exprspace import ExprSpan, equation_rows, kernel_of_expr_system, poly_terms
+from .exprspace import equation_rows, kernel_of_expr_system, poly_terms, solve_linear_expr_system
 from .liealg import StructureConstants, catalog, poincare_fields, R4
-from .linalg import InvariantViolation, Mat, QuotientSpace, Subspace, add_scaled, dense, kernel_basis, kernel_of_rows, quotient
+from .linalg import InvariantViolation, Mat, Subspace, add_scaled, dense, kernel_basis, kernel_of_rows
 
 F = Fraction
 
@@ -301,14 +301,18 @@ class FunctionModule:
     module: GModule
     basis_exprs: tuple[Expr, ...]
     pair: GMPair
-    span: ExprSpan = field(compare=False, repr=False)  # members == basis_exprs
 
     @property
     def dim(self):
         return self.module.dim
 
     def coordinates(self, f: Expr):
-        return self.span.coordinates_in_members(f)
+        """Coefficients expressing f in the basis, or None outside the span."""
+        return _coordinates_in(self.basis_exprs, f)
+
+
+def _coordinates_in(members, f: Expr):
+    return solve_linear_expr_system([[b] for b in members], [f])
 
 
 def closure_module(p: GMPair, seeds, cap: int = 64) -> FunctionModule:
@@ -316,44 +320,37 @@ def closure_module(p: GMPair, seeds, cap: int = 64) -> FunctionModule:
 
     Deterministic: seeds in the given order, then breadth-first images under
     the generators in basis order, filtered by exact linear independence.
-    Each member's images are computed once, in that pass, and the module
-    matrices are read off them.
+    Each member's images are computed once, in that pass.  The solve that
+    decides an image's independence also gives its column of the module
+    matrices: the members are independent, so coordinates in the members
+    found so far are coordinates in the final basis.
     """
     n = p.algebra.dim
-    span = ExprSpan(p.chart)
-    queue = []  # the span's members, in order
+    members = []
     for s in seeds:
         if not s.is_velocity_free():
             raise InvariantViolation("closure seeds must be velocity-free")
-        if span.insert(s):
-            queue.append(s)
-    images = []  # images[j][i] = X_i(queue[j])
-    for f in queue:  # the queue grows as members are found
-        row = []
+        if _coordinates_in(members, s) is None:
+            members.append(s)
+    cols = [[] for _ in range(n)]  # cols[i][j] = coordinates of X_i(members[j])
+    for f in members:  # the list grows as members are found
         for i in range(n):
             g = p.lie_scalar(i, f)
-            row.append(g)
-            if span.insert(g):
-                if span.dim > cap:
-                    raise CapExceeded(span.dim, g)
-                queue.append(g)
-        images.append(row)
-    basis = tuple(span.members)
-    m = len(basis)
-    mats = []
-    for i in range(n):
-        cols = []
-        for row in images:
-            coords = span.coordinates_in_members(row[i])
+            coords = _coordinates_in(members, g)
             if coords is None:
-                raise InvariantViolation("closure is not closed: internal error")
-            cols.append(coords)
-        mats.append(Mat(m, m, tuple(cols)).transpose())
-    gm = GModule(m, p.algebra, tuple(mats), basis_labels=basis)
+                coords = {len(members): F(1)}
+                members.append(g)
+                if len(members) > cap:
+                    raise CapExceeded(len(members), g)
+            cols[i].append(coords)
+    basis = tuple(members)
+    m = len(basis)
+    mats = tuple(Mat(m, m, tuple(c)).transpose() for c in cols)
+    gm = GModule(m, p.algebra, mats, basis_labels=basis)
     report = validate_module(gm)
     if not report.ok:
         raise InvariantViolation(f"closure produced an invalid module: {report.violations}")
-    return FunctionModule(gm, basis, p, span)
+    return FunctionModule(gm, basis, p)
 
 
 def function_cochain_to_module_cochain(fm: FunctionModule, alpha: FunctionCochain):
@@ -385,13 +382,8 @@ def invariant_functions(p: GMPair, ansatz: AnsatzSpec) -> InvariantFunctions:
     monos = function_monomials(p.chart, ansatz.degree, ansatz.fourier)
     columns = [[p.action.scalar(i, m) for i in range(p.algebra.dim)] for m in monos]
     coeffs = kernel_of_expr_system(columns)
-    basis = []
-    for v in coeffs.basis:
-        f = Expr.const(p.chart, 0)
-        for k, c in sorted(v.items()):
-            f = f + mono_expr(p.chart, monos[k]) * c
-        basis.append(f)
-    return InvariantFunctions(tuple(basis), coeffs)
+    basis = tuple(Expr(p.chart, TP({monos[k]: c for k, c in sorted(v.items())})) for v in coeffs.basis)
+    return InvariantFunctions(basis, coeffs)
 
 
 def closedness_rows(p: GMPair, monos):
@@ -408,22 +400,13 @@ def closedness_rows(p: GMPair, monos):
     return rows
 
 
-@dataclass(frozen=True)
-class InvariantForms:
-    closed_invariant_basis: tuple[OneForm, ...]
-    h1_inv: QuotientSpace
-    representatives: tuple[OneForm, ...]
-    coordinate_monos: tuple
-
-
-def invariant_closed_forms(p: GMPair, ansatz: AnsatzSpec) -> InvariantForms:
-    """Closed invariant 1-forms modulo differentials of invariant functions."""
+def invariant_closed_forms(p: GMPair, ansatz: AnsatzSpec) -> tuple[OneForm, ...]:
+    """A basis of the closed invariant 1-forms in the ansatz space."""
     ch = p.chart
     act = p.action
     monos = function_monomials(ch, ansatz.degree, ansatz.fourier)
     ncoords = len(ch.names)
     unknowns = [(mu, k) for mu in range(ncoords) for k in range(len(monos))]
-    zero = Expr.const(ch, 0)
     rows = closedness_rows(p, monos)
     for i in range(p.algebra.dim):
         for nu in range(ncoords):
@@ -436,42 +419,13 @@ def invariant_closed_forms(p: GMPair, ansatz: AnsatzSpec) -> InvariantForms:
     coeffs = kernel_of_rows(rows, len(unknowns))
 
     def vec_to_form(v):
-        comps = [zero] * ncoords
+        terms = [{} for _ in range(ncoords)]
         for col, c in sorted(v.items()):
             mu, k = unknowns[col]
-            comps[mu] = comps[mu] + mono_expr(ch, monos[k]) * c
-        return OneForm(ch, tuple(comps))
+            terms[mu][monos[k]] = c
+        return OneForm(ch, tuple(Expr(ch, TP(t)) for t in terms))
 
-    closed_inv = tuple(vec_to_form(v) for v in coeffs.basis)
-    # differentials of invariant functions, one degree up
-    inv = invariant_functions(p, AnsatzSpec(ansatz.degree + 1, ansatz.fourier))
-    mono_index = {m: k for k, m in enumerate(monos)}
-    d_vectors = []
-    for f in inv.basis:
-        df = gradient(f)
-        v = {}
-        usable = True
-        for mu in range(ncoords):
-            comp = df.components[mu]
-            if comp.is_zero():
-                continue
-            if not comp.den.is_one():
-                usable = False
-                break
-            for m, c in comp.num.terms.items():
-                if m not in mono_index:
-                    usable = False
-                    break
-                v[mu * len(monos) + mono_index[m]] = c
-            if not usable:
-                break
-        if usable and v:
-            d_vectors.append(v)
-    dsub = Subspace.spanned_by(d_vectors, len(unknowns))
-    zsub = Subspace(len(unknowns), coeffs.basis)
-    qt = quotient(zsub, dsub)
-    reps = tuple(vec_to_form(v) for v in qt.representatives)
-    return InvariantForms(closed_inv, qt, reps, tuple(monos))
+    return tuple(vec_to_form(v) for v in coeffs.basis)
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,8 @@ class _ValueParser:
         return self.scalar()
 
     def string(self):
-        assert self.text[self.pos] == '"'
+        if self.text[self.pos] != '"':
+            self.error("expected a string")
         self.pos += 1
         out = []
         while self.pos < len(self.text):
@@ -262,7 +263,10 @@ def build_chart(pf: ProblemFile) -> Chart:
         if not (isinstance(entry, list) and len(entry) == 2):
             raise ProblemFileError(f"chart coords entries are [name, kind]: {entry!r}")
         out.append((entry[0], entry[1]))
-    return Chart(tuple(out))
+    try:
+        return Chart(tuple(out))
+    except ValueError as exc:
+        raise ProblemFileError(f"[chart] {exc}") from None
 
 
 def _parse_point(chart, table, where):
@@ -294,15 +298,22 @@ def build_pair(pf: ProblemFile) -> GMPair:
             raise ProblemFileError(f"[action] missing components for generator {name!r}")
         if not (isinstance(comps, list) and len(comps) == len(chart.names)):
             raise ProblemFileError(f"[action] {name}: need one expression per coordinate")
-        fields.append(VectorFieldExpr(chart, tuple(parse_expr(chart, c) for c in comps)))
+        exprs = tuple(parse_expr(chart, c) for c in comps)
+        try:
+            fields.append(VectorFieldExpr(chart, exprs))
+        except ValueError as exc:
+            raise ProblemFileError(f"[action] {name}: {exc}") from None
     sections = None
     sec_s = pf.section("stability_sections")
     if sec_s:
         sections = []
-        for _key, comps in sec_s.items():
+        for key, comps in sec_s.items():
             if not (isinstance(comps, list) and len(comps) == algebra.dim):
                 raise ProblemFileError("[stability_sections]: one expression per generator")
-            sections.append(tuple(parse_expr(chart, c) for c in comps))
+            section = tuple(parse_expr(chart, c) for c in comps)
+            if not all(c.is_velocity_free() for c in section):
+                raise ProblemFileError(f"[stability_sections] {key}: components must be velocity-free")
+            sections.append(section)
         sections = tuple(sections)
     points = []
     for key, table in pf.section("points").items():

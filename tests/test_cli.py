@@ -490,6 +490,60 @@ def test_malformed_matrices_are_parse_errors(text, command, tmp_path):
         assert "Traceback" not in res.stderr
 
 
+LINE_PAIR = """
+[algebra]
+dim = 1
+basis = ["e1"]
+
+[chart]
+coords = [["z", "line"]]
+
+[action]
+e1 = ["1"]
+
+[lagrangian]
+expr = "dz^2/2"
+"""
+
+
+@pytest.mark.parametrize(
+    "text, says",
+    [
+        (LINE_PAIR.replace('[["z", "line"]]', '[["z", "circle"]]'), "[chart] coordinate 'z' has kind 'circle'"),
+        (
+            LINE_PAIR.replace('[["z", "line"]]', '[["z", "line"], ["z", "line"]]').replace('["1"]', '["1", "0"]'),
+            "[chart] duplicate coordinate names",
+        ),
+        (LINE_PAIR.replace('e1 = ["1"]', 'e1 = ["dz"]'), "[action] e1: components must be velocity-free"),
+        (
+            LINE_PAIR + '\n[stability_sections]\ns1 = ["dz"]\n',
+            "[stability_sections] s1: components must be velocity-free",
+        ),
+    ],
+    ids=["unknown-kind", "duplicate-name", "velocity-in-action", "velocity-in-section"],
+)
+def test_malformed_chart_or_action_is_a_parse_error(text, says, tmp_path):
+    """A bad coordinate kind, a repeated coordinate name, or a velocity in
+    an action or stability-section component exits 2 with an error line
+    under python and python -O alike.  As asserts, the chart and action
+    checks exited 3 (under -O the bad chart was classified), and a velocity
+    in a section ended in a KeyError traceback once a section was
+    evaluated."""
+    import subprocess
+    import sys
+
+    f = tmp_path / "bad.toml"
+    f.write_text(text)
+    for flags in ((), ("-O",)):
+        res = subprocess.run(
+            [sys.executable, *flags, "-m", "lagfloor.cli", "--format", "machine", "classify", str(f)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+        assert res.returncode == 2, (flags, res.stdout, res.stderr)
+        assert f"error = {says}" in res.stdout
+        assert "Traceback" not in res.stderr
+
+
 def test_section_that_misses_the_stability_algebra_exits_3(tmp_path):
     """A stability section that does not vanish at the point is an invariant
     violation under python and under python -O alike; with an assert, -O

@@ -373,8 +373,7 @@ def test_closure_cap_on_the_sphere_monopole():
 
 def test_module_coordinates_reuse_the_closure_span():
     fm = closure_module(L3, [P("z")])
-    assert fm.span.members == list(fm.basis_exprs)
-    # a rational target re-expresses the span over a new denominator
+    # a rational target is cleared to a common denominator with the basis
     assert fm.coordinates(P("1/(1 + z^2)")) is None
     assert fm.coordinates(P("2*z + 3")) == {0: 2, 1: 3}
 
@@ -409,24 +408,30 @@ def test_invariant_functions_so3_r3_radius():
     assert degs == [0, 2]
 
 
+def _proportional(w, v):
+    """w = c v for a nonzero constant c."""
+    k = next(k for k, comp in enumerate(v.components) if not comp.is_zero())
+    c = (w.components[k] / v.components[k]).const_value()
+    return c is not None and c != 0 and w == v.scale(c)
+
+
 def test_invariant_forms_cylinder():
-    res = invariant_closed_forms(L3, AnsatzSpec(3, 3))
-    assert res.h1_inv.dim == 1
-    rep = res.representatives[0]
-    # generated by dz: z-component constant, phi-component zero
-    assert rep.components[0].is_constant()
-    assert rep.components[1].is_zero()
+    basis = invariant_closed_forms(L3, AnsatzSpec(3, 3))
+    assert len(basis) == 1 and _proportional(basis[0], gradient(P("z")))
 
 
 def test_invariant_forms_translations():
-    res = invariant_closed_forms(TRANS2, AnsatzSpec(2, 0))
-    assert res.h1_inv.dim == 2  # constant-coefficient dx^i mod d(constants)
+    basis = invariant_closed_forms(TRANS2, AnsatzSpec(2, 0))
+    dq = [gradient(P(q, TRANS2)) for q in ("q1", "q2")]
+    assert len(basis) == 2
+    assert all(_proportional(w, d) for w, d in zip(basis, dq))
 
 
-def test_invariant_forms_so3_r3_quotient_kills_radial():
-    res = invariant_closed_forms(SO3R3, AnsatzSpec(2, 0))
-    # closed invariant forms contain d(x.x); invariant functions contain x.x
-    assert res.h1_inv.dim == 0
+def test_invariant_forms_so3_r3_radial():
+    # the only closed invariant form is d(x.x), the differential of an invariant
+    basis = invariant_closed_forms(SO3R3, AnsatzSpec(2, 0))
+    assert len(basis) == 1
+    assert _proportional(basis[0], gradient(P("x1^2 + x2^2 + x3^2", SO3R3)))
 
 
 # -- stability subalgebras ---------------------------------------------------------------
