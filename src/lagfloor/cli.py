@@ -169,6 +169,9 @@ def cmd_check_pair(args, report):
 
 
 def cmd_cohomology(args, report):
+    for q in args.degree:
+        if q < 0:
+            raise ProblemFileError(f"--degree must be at least 0, got {q}")
     pf = load_problem_file(args.file)
     g = build_algebra(pf)
     if args.coefficients == "trivial":
@@ -325,7 +328,7 @@ def make_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, lag=False, spectral=False, cohom=False):
-        p.add_argument("file", help="problem file (TOML subset)")
+        p.add_argument("file", help="problem file (TOML)")
         # same flag after the subcommand; a separate dest avoids the
         # namespace copy-back clobbering the pre-subcommand value
         p.add_argument("--format", dest="format_sub", choices=("human", "machine"), default=None)
@@ -388,7 +391,7 @@ def main(argv=None):
     report.add("file", args.file)
     try:
         code = _COMMANDS[args.command](args, report)
-    except (ProblemFileError, ParseError, FileNotFoundError, UnknownName, BadParams) as exc:
+    except (ProblemFileError, ParseError, OSError, UnknownName, BadParams) as exc:
         report.add("error", str(exc))
         return _emit(report, args.format, EXIT_PARSE)
     except AnsatzExhausted as exc:

@@ -692,6 +692,7 @@ def mono_expr(chart_, mono):
 # ---------------------------------------------------------------------------
 
 _OPS = set("+-*/^()")
+MAX_NESTING = 100  # parenthesis depth parse_expr accepts
 
 
 def _tokenize(text):
@@ -706,7 +707,10 @@ def _tokenize(text):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            toks.append(("int", int(text[i:j]), i))
+            try:
+                toks.append(("int", int(text[i:j]), i))
+            except ValueError:  # a non-decimal digit such as '²', or too many digits
+                raise ParseError("bad integer literal", i) from None
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -731,6 +735,7 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
         self.extra = set(extra_names)
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -801,8 +806,13 @@ class _Parser:
         if kind == "int":
             return Expr.const(self.chart, val)
         if kind == "(":
+            # each level costs several Python frames; refuse before the interpreter does
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
             e = self.expr()
             self.expect(")")
+            self.depth -= 1
             return e
         if kind == "name":
             if val in ("sin", "cos"):
@@ -848,6 +858,8 @@ def parse_expr(chart_, text, params=None, extra_names=()):
     ``params`` maps parameter names to exact rationals, substituted before
     parsing (the expression algebra itself is parameter-free).
     """
+    if not isinstance(text, str):
+        raise ParseError(f"expected an expression string, got {text!r}", 0)
     if params:
         for name, value in params.items():
             value = F(value)

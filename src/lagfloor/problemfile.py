@@ -1,15 +1,16 @@
-"""Problem files: a small TOML subset for describing algebras, charts,
-actions, Lagrangians, modules and explicit double complexes.
+"""Problem files: TOML 1.0 documents describing algebras, charts, actions,
+Lagrangians, modules and explicit double complexes.
 
-Supported syntax: ``[section]`` and ``[section.name]`` headers, ``key =
-value`` lines, ``#`` comments, and values that are strings, integers,
-booleans, arrays, or inline tables.  Exact rationals are written as strings
-("-1/2") or bare integers.  Files round-trip: parse -> dumps -> parse gives
-an identical structure, and dumps output is byte-stable.
+Files are read by the standard library's ``tomllib``.  Every key sits in a
+``[section]``; ``[module.NAME]`` is the table ``NAME`` of section ``module``.
+Values are strings, integers, booleans, arrays and tables.  Exact rationals
+are written as strings ("-1/2") or integers; floats and dates are rejected,
+so no inexact number is ever built.
 """
 
 from __future__ import annotations
 
+import tomllib
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -24,9 +25,7 @@ F = Fraction
 
 
 class ProblemFileError(Exception):
-    def __init__(self, msg, line=None):
-        super().__init__(msg if line is None else f"line {line}: {msg}")
-        self.line = line
+    """Malformed or unreadable input: the CLI reports it as a parse error (exit 2)."""
 
 
 @dataclass
@@ -40,176 +39,45 @@ class ProblemFile:
             return {}
         return self.sections[name]
 
-    def dumps(self) -> str:
-        out = []
-        for name, body in self.sections.items():
-            out.append(f"[{name}]")
-            for key, value in body.items():
-                out.append(f"{key} = {_format_value(value)}")
-            out.append("")
-        return "\n".join(out)
+
+def _reject_float(text):
+    raise ProblemFileError(f"float {text} is not exact; write rationals as strings (\"1/2\") or integers")
 
 
-def _format_value(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, str):
-        return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    if isinstance(v, list):
-        return "[" + ", ".join(_format_value(x) for x in v) + "]"
-    if isinstance(v, dict):
-        inner = ", ".join(f"{k} = {_format_value(x)}" for k, x in v.items())
-        return "{" + inner + "}"
-    raise ProblemFileError(f"unsupported value {v!r}")
-
-
-class _ValueParser:
-    def __init__(self, text, line_no):
-        self.text = text
-        self.pos = 0
-        self.line_no = line_no
-
-    def error(self, msg):
-        raise ProblemFileError(f"{msg} in value {self.text!r}", self.line_no)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def parse(self):
-        v = self.value()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error("trailing characters")
-        return v
-
-    def value(self):
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            self.error("empty value")
-        ch = self.text[self.pos]
-        if ch == '"':
-            return self.string()
-        if ch == "[":
-            return self.array()
-        if ch == "{":
-            return self.table()
-        return self.scalar()
-
-    def string(self):
-        if self.text[self.pos] != '"':
-            self.error("expected a string")
-        self.pos += 1
-        out = []
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "\\":
-                if self.pos + 1 >= len(self.text):
-                    self.error("dangling escape")
-                out.append(self.text[self.pos + 1])
-                self.pos += 2
-                continue
-            if ch == '"':
-                self.pos += 1
-                return "".join(out)
-            out.append(ch)
-            self.pos += 1
-        self.error("unterminated string")
-
-    def array(self):
-        self.pos += 1
-        items = []
-        while True:
-            self.skip_ws()
-            if self.pos >= len(self.text):
-                self.error("unterminated array")
-            if self.text[self.pos] == "]":
-                self.pos += 1
-                return items
-            items.append(self.value())
-            self.skip_ws()
-            if self.pos < len(self.text) and self.text[self.pos] == ",":
-                self.pos += 1
-            elif self.pos < len(self.text) and self.text[self.pos] == "]":
-                continue
-            else:
-                self.error("expected ',' or ']'")
-
-    def table(self):
-        self.pos += 1
-        out = {}
-        while True:
-            self.skip_ws()
-            if self.pos >= len(self.text):
-                self.error("unterminated inline table")
-            if self.text[self.pos] == "}":
-                self.pos += 1
-                return out
-            key = []
-            while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] in "_-"):
-                key.append(self.text[self.pos])
-                self.pos += 1
-            self.skip_ws()
-            if not key or self.pos >= len(self.text) or self.text[self.pos] != "=":
-                self.error("expected key = value")
-            self.pos += 1
-            out["".join(key)] = self.value()
-            self.skip_ws()
-            if self.pos < len(self.text) and self.text[self.pos] == ",":
-                self.pos += 1
-
-    def scalar(self):
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] not in ",]}":
-            self.pos += 1
-        token = self.text[start : self.pos].strip()
-        if token == "true":
-            return True
-        if token == "false":
-            return False
-        try:
-            return int(token)
-        except ValueError:
-            self.error(f"bad scalar {token!r} (strings need quotes)")
+def _check_values(value, where):
+    """Reject the TOML values a problem file has no use for: dates and times."""
+    if isinstance(value, dict):
+        for key, v in value.items():
+            _check_values(v, f"{where}.{key}")
+    elif isinstance(value, list):
+        for v in value:
+            _check_values(v, where)
+    elif not isinstance(value, (str, int)):
+        raise ProblemFileError(f"{where}: {value} is a date or time; values are strings, integers, booleans, arrays or tables")
 
 
 def parse_problem_file(text: str) -> ProblemFile:
-    sections: dict = {}
-    current = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ProblemFileError("malformed section header", line_no)
-            name = line[1:-1].strip()
-            if not name:
-                raise ProblemFileError("empty section name", line_no)
-            if name in sections:
-                raise ProblemFileError(f"duplicate section [{name}]", line_no)
-            sections[name] = {}
-            current = name
-            continue
-        if "=" not in line:
-            raise ProblemFileError("expected key = value", line_no)
-        if current is None:
-            raise ProblemFileError("key outside any section", line_no)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if not key:
-            raise ProblemFileError("empty key", line_no)
-        if key in sections[current]:
-            raise ProblemFileError(f"duplicate key {key!r}", line_no)
-        sections[current][key] = _ValueParser(value.strip(), line_no).parse()
+    try:
+        sections = tomllib.loads(text, parse_float=_reject_float)
+    except ValueError as exc:  # TOMLDecodeError, or an integer too long to convert
+        raise ProblemFileError(str(exc)) from None
+    except RecursionError:
+        raise ProblemFileError("values nested too deeply") from None
+    for name, body in sections.items():
+        if not isinstance(body, dict):
+            raise ProblemFileError(f"key {name!r} is outside any [section]")
+        _check_values(body, name)
     return ProblemFile(sections)
 
 
 def load_problem_file(path) -> ProblemFile:
-    with open(path) as fh:
-        return parse_problem_file(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProblemFileError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_problem_file(text)
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +98,16 @@ def _rat(v, where):
 def build_algebra(pf: ProblemFile) -> StructureConstants:
     sec = pf.section("algebra", required=True)
     if "name" in sec:
-        params = {k: _rat(v, "algebra.params") for k, v in sec.get("params", {}).items()}
+        params = sec.get("params", {})
+        if not isinstance(params, dict):
+            raise ProblemFileError("[algebra] params must be a table, e.g. {n = 2}")
+        params = {k: _rat(v, "algebra.params") for k, v in params.items()}
         return catalog(sec["name"], **params)
     dim = sec.get("dim")
     basis = sec.get("basis")
-    if not isinstance(dim, int) or not isinstance(basis, list) or len(basis) != dim:
-        raise ProblemFileError("[algebra] needs name=..., or dim and a basis of that length")
+    if not (isinstance(dim, int) and isinstance(basis, list) and len(basis) == dim
+            and all(isinstance(b, str) for b in basis)):
+        raise ProblemFileError("[algebra] needs name=..., or dim and a basis of that many names")
     c: dict = {}
     for entry in sec.get("brackets", []):
         if not (isinstance(entry, list) and len(entry) == 4):
@@ -291,7 +163,9 @@ def build_pair(pf: ProblemFile) -> GMPair:
     chart = build_chart(pf)
     sec = pf.section("action", required=True)
     fields = []
-    transitive = bool(sec.get("transitive", False))
+    transitive = sec.get("transitive", False)
+    if not isinstance(transitive, bool):
+        raise ProblemFileError(f"[action] transitive must be true or false, got {transitive!r}")
     for name in algebra.basis_names:
         comps = sec.get(name)
         if comps is None:
@@ -330,6 +204,8 @@ def build_lagrangian(pf: ProblemFile, set_params=None) -> Expr:
     if not isinstance(text, str):
         raise ProblemFileError("[lagrangian] needs expr = \"...\"")
     declared = sec.get("params", [])
+    if not (isinstance(declared, list) and all(isinstance(n, str) for n in declared)):
+        raise ProblemFileError("[lagrangian] params must be a list of names")
     params = {}
     for name in declared:
         if set_params is None or name not in set_params:
@@ -347,7 +223,9 @@ def build_lagrangian(pf: ProblemFile, set_params=None) -> Expr:
 def build_module(pf: ProblemFile, name: str, algebra: StructureConstants):
     from .cecohom import GModule
 
-    sec = pf.section(f"module.{name}", required=True)
+    sec = pf.section("module").get(name)
+    if not isinstance(sec, dict):
+        raise ProblemFileError(f"missing [module.{name}] section")
     dim = sec.get("dim")
     if not isinstance(dim, int) or dim < 1:
         raise ProblemFileError(f"[module.{name}] needs dim >= 1")

@@ -1,14 +1,20 @@
 import io
 import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagfloor.cli import main
 from lagfloor.problemfile import (
     ProblemFileError,
     build_algebra,
+    build_double_complex,
+    build_pair,
     load_problem_file,
     parse_problem_file,
 )
@@ -29,14 +35,19 @@ def fx(name):
     return str(FIXTURES / name)
 
 
-# -- problem file round-trips ----------------------------------------------------
+# -- problem files ------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", sorted(os.listdir(FIXTURES)))
-def test_fixture_roundtrip(name):
+def test_fixture_loads_and_builds(name):
     pf = load_problem_file(fx(name))
-    again = parse_problem_file(pf.dumps())
-    assert again.sections == pf.sections
-    assert again.dumps() == pf.dumps()
+    if "double_complex" in pf.sections:
+        build_double_complex(pf)
+    else:
+        build_pair(pf)
+
+
+def test_hash_inside_a_string_is_not_a_comment():
+    assert parse_problem_file('[x]\na = "p # q"\n').section("x") == {"a": "p # q"}
 
 
 def test_explicit_brackets_algebra(tmp_path):
@@ -598,3 +609,99 @@ expr = "2*z*dz"
     )
     assert res.returncode in (0, 3, 4), (res.stdout, res.stderr)
     assert "Traceback" not in res.stdout + res.stderr
+
+
+def assert_parse_error(argv, says):
+    """``lagfloor argv`` exits 2 with an ``error =`` line, and raises and
+    prints no traceback, in process and under python -O."""
+    code, out = run("--format", "machine", *argv)
+    assert code == 2, out
+    assert f"error = {says}" in out
+    res = subprocess.run(
+        [sys.executable, "-O", "-m", "lagfloor.cli", "--format", "machine", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert res.returncode == 2, (res.stdout, res.stderr)
+    assert f"error = {says}" in res.stdout
+    assert "Traceback" not in res.stdout + res.stderr
+
+
+L3 = (FIXTURES / "l3_cylinder.toml").read_text()
+L3_E1 = 'e1 = ["1", "0"]'
+
+
+@pytest.mark.parametrize(
+    "text, says",
+    [
+        (L3.replace('p1 = {z = "1/2", phi', 'p1 = {z = "1/2" phi'), "Unclosed inline table (at line 20, column 17)"),
+        (L3.replace("[points]\np1", "[points]p1"), "Expected newline or end of document after a statement (at line 19,"),
+        (L3.replace("degree = 3", "degree = 1.5"), "float 1.5 is not exact"),
+        (L3.replace("degree = 3", "degree = 1979-05-27"), "options.degree: 1979-05-27 is a date or time"),
+        ('name = "l3"\n' + L3, "key 'name' is outside any [section]"),
+        (L3.replace("degree = 3", "degree = 1" + "0" * 5000), "Exceeds the limit"),
+        (L3.replace(L3_E1, "e1 = " + "[" * 5000 + "]" * 5000), "values nested too deeply"),
+        (L3.replace(L3_E1, 'e1 = ["' + "(" * 3000 + "1" + ")" * 3000 + '", "0"]'), "parentheses nested deeper than 100"),
+        (L3.replace(L3_E1, 'e1 = ["1' + "0" * 5000 + '", "0"]'), "bad integer literal"),
+        (L3.replace(L3_E1, "e1 = [1, 0]"), "expected an expression string, got 1"),
+        (L3.replace('name = "l3"', "dim = 1\nbasis = [1]"), "[algebra] needs name=..., or dim and a basis"),
+        (L3.replace('name = "l3"', 'name = "abelian"\nparams = 3'), "[algebra] params must be a table"),
+        (L3.replace('params = ["a", "b", "c", "d", "q"]', "params = 5"), "[lagrangian] params must be a list of names"),
+        (L3.replace("transitive = true", 'transitive = "false"'), "[action] transitive must be true or false"),
+    ],
+    ids=["missing-comma", "header-and-key", "float", "date", "top-level-key", "long-integer", "deep-array",
+         "deep-expression", "long-integer-in-expression", "expression-not-a-string", "basis-not-names",
+         "algebra-params-not-a-table", "lagrangian-params-not-names", "transitive-not-a-boolean"],
+)
+def test_malformed_problem_file_is_a_parse_error(text, says, tmp_path):
+    f = tmp_path / "bad.toml"
+    f.write_text(text)
+    assert_parse_error(("classify", str(f), "--set", "a=1,b=0,c=0,d=0,q=0"), says)
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_file_is_a_parse_error(kind, tmp_path):
+    if kind == "directory":
+        path, says = tmp_path, "[Errno 21] Is a directory"
+    else:
+        path = tmp_path / "latin1.toml"
+        says = f"{path} is not UTF-8 text"
+        path.write_bytes('[chart]\n# caf\xe9\n'.encode("latin-1"))
+    assert_parse_error(("check-algebra", str(path)), says)
+
+
+def test_negative_cohomology_degree_is_a_parse_error():
+    assert_parse_error(("cohomology", fx("so3_r3.toml"), "--degree", "-1"), "--degree must be at least 0")
+
+
+FUZZ_TARGETS = [
+    ("check-pair", "l3_cylinder"),
+    ("check-pair", "so3_r3"),
+    ("check-pair", "translations_r2"),
+    ("spectral", "spectral_example"),
+]
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """A command and a fixture with one character deleted, or one line deleted or duplicated."""
+    command, name = draw(st.sampled_from(FUZZ_TARGETS))
+    text = (FIXTURES / f"{name}.toml").read_text()
+    kind = draw(st.sampled_from(["delete-char", "delete-line", "duplicate-line"]))
+    if kind == "delete-char":
+        i = draw(st.integers(0, len(text) - 1))
+        return command, text[:i] + text[i + 1:]
+    lines = text.splitlines(keepends=True)
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "delete-line":
+        return command, "".join(lines[:i] + lines[i + 1:])
+    return command, "".join(lines[:i + 1] + lines[i:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_fixtures())
+def test_mutated_fixtures_end_in_a_documented_exit_code(tmp_path_factory, case):
+    command, text = case
+    f = tmp_path_factory.getbasetemp() / "mutated.toml"
+    f.write_text(text)
+    code, out = run("--format", "machine", command, str(f))
+    assert code in (0, 2, 3, 4, 5), out
