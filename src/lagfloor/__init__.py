@@ -61,7 +61,7 @@ from .pairs import (
     closure_module,
     invariant_closed_forms,
     invariant_functions,
-    pi_map,
+    pi_images,
     restrict_cocycle,
     stability_subalgebra,
     standard_pair,

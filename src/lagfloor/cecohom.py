@@ -48,7 +48,6 @@ class GModule:
     dim: int
     algebra: StructureConstants
     action: tuple[Mat, ...]
-    basis_labels: tuple | None = None
 
     def __post_init__(self):
         if len(self.action) != self.algebra.dim:

@@ -18,6 +18,7 @@ from fractions import Fraction
 from .calculus import AnsatzExhausted
 from .cecohom import GModule, cohomology, validate_module
 from .expr import ParseError, to_string
+from .exprspace import NotPolynomial
 from .hierarchy import (
     ClassifyOptions,
     PotentialUnavailable,
@@ -287,26 +288,30 @@ def cmd_noether(args, report):
 
 
 def cmd_spectral(args, report):
+    for r in args.page:
+        if r is not None and r < 0:
+            raise ProblemFileError(f"--page must be at least 0, got {r}")
     pf = load_problem_file(args.file)
     if "double_complex" in pf.sections:
         dc = build_double_complex(pf)
+        violations = validate_double_complex(dc).violations
     elif args.from_pair:
         from .hierarchy import build_invariance_double_complex
 
         pair = build_pair(pf)
         dc = build_invariance_double_complex(pair, _options(args, pf)).dc
+        violations = ()  # the builder validates the complex and raises on failure
     else:
         report.add("error", "no [double_complex] section; use --from-pair to build one")
         return EXIT_PARSE
-    check = validate_double_complex(dc)
-    report.add("valid", "ok" if check.ok else "violated")
-    if not check.ok:
-        for rule, p, q in check.violations[:10]:
+    report.add("valid", "violated" if violations else "ok")
+    if violations:
+        for rule, p, q in violations[:10]:
             report.add("violation", f"{rule} at ({p},{q})")
         return EXIT_INVALID
     for r in args.page:
-        pg = page(dc, r) if r >= 0 else page_infinity(dc)
-        label = str(r) if r >= 0 else "inf"
+        pg = page_infinity(dc) if r is None else page(dc, r)
+        label = "inf" if r is None else str(r)
         for p in range(dc.width):
             row = " ".join(str(pg.dim(p, q)) for q in range(dc.height))
             report.add(f"e{label}_p{p}", row)
@@ -386,7 +391,7 @@ def main(argv=None):
         if getattr(args, "degree", None) is None:
             args.degree = [1, 2]
     if getattr(args, "page", None) is None and args.command == "spectral":
-        args.page = [1, 2, -1]
+        args.page = [1, 2, None]  # None: E_inf
     report = Report(args.command)
     report.add("file", args.file)
     try:
@@ -394,7 +399,7 @@ def main(argv=None):
     except (ProblemFileError, ParseError, OSError, UnknownName, BadParams) as exc:
         report.add("error", str(exc))
         return _emit(report, args.format, EXIT_PARSE)
-    except AnsatzExhausted as exc:
+    except (AnsatzExhausted, NotPolynomial) as exc:
         report.add("error", str(exc))
         return _emit(report, args.format, EXIT_UNDETERMINED)
     except PotentialUnavailable as exc:

@@ -49,10 +49,15 @@ def common_denominator(exprs) -> tuple[TP, list[TP]]:
     return lcd, nums
 
 
+class NotPolynomial(Exception):
+    """Monomial coordinates of a rational expression: unsupported input, not
+    a failed certificate, so the CLI reports it as undetermined (exit 4)."""
+
+
 def poly_terms(e: Expr) -> dict:
     """{monomial: coefficient} of a polynomial expression."""
     if not e.den.is_one():
-        raise InvariantViolation("monomial coordinates require polynomial components")
+        raise NotPolynomial("monomial coordinates require polynomial components")
     return e.num.terms
 
 

@@ -37,7 +37,7 @@ from .calculus import (
     lie_derivative_lagrangian,
     total_time_derivative,
 )
-from .cecohom import Cochain, GModule, ce_differential, cohomology, coboundary_witness, validate_module
+from .cecohom import Cochain, GModule, ce_differential, cohomology, coboundary_witness
 from .expr import TP, UNIT, AnsatzSpec, EvaluationPole, Expr, function_monomials, mono_expr
 from .exprspace import equation_rows, poly_terms
 from .liealg import zero_one_cocycles
@@ -56,8 +56,11 @@ from .linalg import (
 from .pairs import (
     FunctionCochain,
     GMPair,
+    action_module,
     closedness_rows,
+    coordinate_map,
     invariant_closed_forms,
+    linear_image,
     pi_images,
     restrict_cocycle,
     stability_values_of_constant_cocycles,
@@ -737,14 +740,6 @@ class InvarianceComplex:
     bases: tuple  # per column, {unit: coefficient} vectors
 
 
-def _image(vec, unit_image):
-    """A linear map on sparse {unit: coefficient} vectors, given on units."""
-    acc = {}
-    for u, c in vec.items():
-        add_scaled(acc, c, unit_image(u))
-    return acc
-
-
 def _keyed_terms(keys, comps):
     """{(key, monomial): coefficient} of polynomial components, one per key."""
     return {(key, m): c for key, comp in zip(keys, comps) for m, c in poly_terms(comp).items()}
@@ -765,7 +760,7 @@ def _largest_invariant_subspace(basis, unit_images):
         residual_rows = {}
         for i, unit_image in enumerate(unit_images):
             for k, b in enumerate(basis):
-                for unit, x in ech.reduce(_image(b, unit_image)).items():
+                for unit, x in ech.reduce(linear_image(b, unit_image)).items():
                     residual_rows.setdefault((i, unit), {})[k] = x
         if not residual_rows:
             return basis
@@ -780,19 +775,6 @@ def _largest_invariant_subspace(basis, unit_images):
             new_basis.append(acc)
         basis = new_basis
     return []
-
-
-def _coordinate_map(family, targets, failure):
-    """Mat whose column j holds the coordinates of targets[j] in the
-    independent sparse family; raises InvariantViolation(failure) when a
-    target lies outside the family's span."""
-    cols = []
-    for t in targets:
-        c = span_coordinates(family, t)
-        if c is None:
-            raise InvariantViolation(failure)
-        cols.append(c)
-    return Mat(len(cols), len(family), tuple(cols)).transpose()
 
 
 def build_invariance_double_complex(p: GMPair, opts: ClassifyOptions | None = None) -> InvarianceComplex:
@@ -840,24 +822,15 @@ def build_invariance_double_complex(p: GMPair, opts: ClassifyOptions | None = No
     w_basis = _largest_invariant_subspace(forms, [w_unit(i) for i in range(n)])
     # Omega^2 = d(Omega^1): an independent subset, deterministic
     ech = Echelon()
-    t_basis = [tw for tw in (_image(w, dw_unit) for w in w_basis) if ech.insert(tw)]
-    modules = []
+    t_basis = [tw for tw in (linear_image(w, dw_unit) for w in w_basis) if ech.insert(tw)]
     families = [(f_basis, f_unit), (w_basis, w_unit)] + ([(t_basis, t_unit)] if t_basis else [])
-    for family, unit in families:
-        mats = tuple(
-            _coordinate_map(family, [_image(b, unit(i)) for b in family], "family not closed under the action")
-            for i in range(n)
-        )
-        gm = GModule(len(family), g, mats, basis_labels=tuple(family))
-        if not validate_module(gm).ok:
-            raise InvariantViolation("invariance module failed validation")
-        modules.append(gm)
+    modules = [action_module(g, family, [unit(i) for i in range(n)]) for family, unit in families]
     if f_basis and w_basis:
-        d_f_to_w = _coordinate_map(w_basis, [_image(f, df_unit) for f in f_basis], "image escaped the target family")
+        d_f_to_w = coordinate_map(w_basis, [linear_image(f, df_unit) for f in f_basis], "image escaped the target family")
     else:
         d_f_to_w = Mat.zero(len(w_basis), len(f_basis))
     if t_basis:
-        d_w_to_t = _coordinate_map(t_basis, [_image(w, dw_unit) for w in w_basis], "image escaped the target family")
+        d_w_to_t = coordinate_map(t_basis, [linear_image(w, dw_unit) for w in w_basis], "image escaped the target family")
     else:
         d_w_to_t = Mat.zero(0, len(w_basis))
     gm0, gm1 = modules[:2]

@@ -3,12 +3,13 @@ built directly on them.
 
 A pair couples an algebra given by structure constants with one vector field
 per basis element; validity means the fields realize the brackets exactly,
-as expression identities.  On top of that live the contraction homomorphism
-``pi_map`` (1-forms to function-valued 1-cochains), finite function modules
-generated by closing seed functions under the action, invariant functions
-and forms, and stability subalgebras with cocycle restriction, which is the
-certificate machinery for nontrivial classes that no finite truncation can
-exhibit.
+as expression identities.  On the pair's action table (the generator action
+on monomials and elementary forms, each image computed once) live the
+contraction ``pi_images``, ``action_module`` (the g-module on an
+action-closed family of sparse vectors), closures of seed functions as
+Krylov spans, invariant functions and forms, and stability subalgebras with
+cocycle restriction, which is the certificate machinery for nontrivial
+classes that no finite truncation can exhibit.
 """
 
 from __future__ import annotations
@@ -16,21 +17,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .calculus import (
-    OneForm,
-    TwoForm,
-    VectorFieldExpr,
-    gradient,
-    is_closed,
-    lie_derivative_oneform,
-    lie_derivative_scalar,
-    lie_derivative_twoform,
-)
+from .calculus import OneForm, TwoForm, VectorFieldExpr, lie_derivative_scalar, lie_derivative_twoform
 from .cecohom import GModule, NotACocycle, validate_module
 from .expr import TP, AnsatzSpec, Chart, Expr, chart, function_monomials, mono_expr, parse_expr
-from .exprspace import equation_rows, kernel_of_expr_system, poly_terms, solve_linear_expr_system
+from .exprspace import equation_rows, kernel_of_expr_system, poly_terms
 from .liealg import StructureConstants, catalog, poincare_fields, R4
-from .linalg import InvariantViolation, Mat, Subspace, add_scaled, dense, kernel_basis, kernel_of_rows
+from .linalg import (
+    Echelon,
+    InvariantViolation,
+    Mat,
+    Subspace,
+    add_scaled,
+    dense,
+    kernel_basis,
+    kernel_of_rows,
+    span_coordinates,
+)
 
 F = Fraction
 
@@ -220,28 +222,6 @@ def scalar_coboundary(p: GMPair, f: Expr) -> FunctionCochain:
     return FunctionCochain(p, tuple(p.lie_scalar(i, f) for i in range(p.algebra.dim)))
 
 
-def pi_map(p: GMPair, w: OneForm) -> FunctionCochain:
-    """(pi w)(e_i) = w contracted with the i-th fundamental field.
-
-    For closed w the naturality identities delta(pi w) = 0 and
-    L_{X_i} w = d((pi w)_i) hold and are checked.
-    """
-    comps = []
-    for i in range(p.algebra.dim):
-        acc = Expr.const(p.chart, 0)
-        for mu in range(len(p.chart.names)):
-            acc = acc + w.components[mu] * p.fields[i].components[mu]
-        comps.append(acc)
-    out = FunctionCochain(p, tuple(comps))
-    if is_closed(w):
-        if not out.is_cocycle():
-            raise InvariantViolation("pi of a closed form must be a cocycle")
-        for i in range(p.algebra.dim):
-            if lie_derivative_oneform(p.fields[i], w) != gradient(comps[i]):
-                raise InvariantViolation("L_X w = d(pi w) must hold for a closed form")
-    return out
-
-
 def pi_images(p: GMPair, units, basis):
     """pi(w) in monomial coordinates, for each w of a basis of closed forms.
 
@@ -293,8 +273,48 @@ def pi_images(p: GMPair, units, basis):
 
 
 # ---------------------------------------------------------------------------
-# function modules by closure
+# modules on action-closed families of sparse vectors
 # ---------------------------------------------------------------------------
+
+def linear_image(vec, unit_image):
+    """A linear map on sparse {unit: coefficient} vectors, given on units."""
+    acc = {}
+    for u, c in vec.items():
+        add_scaled(acc, c, unit_image(u))
+    return acc
+
+
+def coordinate_map(family, targets, failure):
+    """Mat whose column j holds the coordinates of targets[j] in the
+    independent sparse family; raises InvariantViolation(failure) when a
+    target lies outside the family's span."""
+    cols = []
+    for t in targets:
+        c = span_coordinates(family, t)
+        if c is None:
+            raise InvariantViolation(failure)
+        cols.append(c)
+    return Mat(len(cols), len(family), tuple(cols)).transpose()
+
+
+def action_module(algebra: StructureConstants, family, unit_images) -> GModule:
+    """The g-module on span(family), validated.
+
+    ``family`` is an independent list of sparse {unit: coefficient} vectors
+    and ``unit_images[i]`` maps a unit to the sparse image of generator i;
+    the span must be closed under every generator.  Column j of action
+    matrix i holds the coordinates of X_i(family[j]).
+    """
+    mats = tuple(
+        coordinate_map(family, [linear_image(b, unit_image) for b in family], "family not closed under the action")
+        for unit_image in unit_images
+    )
+    gm = GModule(len(family), algebra, mats)
+    report = validate_module(gm)
+    if not report.ok:
+        raise InvariantViolation(f"module failed validation: {report.violations}")
+    return gm
+
 
 @dataclass(frozen=True)
 class FunctionModule:
@@ -308,49 +328,38 @@ class FunctionModule:
 
     def coordinates(self, f: Expr):
         """Coefficients expressing f in the basis, or None outside the span."""
-        return _coordinates_in(self.basis_exprs, f)
-
-
-def _coordinates_in(members, f: Expr):
-    return solve_linear_expr_system([[b] for b in members], [f])
+        if not f.den.is_one():
+            return None
+        return span_coordinates([b.num.terms for b in self.basis_exprs], f.num.terms)
 
 
 def closure_module(p: GMPair, seeds, cap: int = 64) -> FunctionModule:
-    """Smallest action-closed span containing the seeds, or CapExceeded.
+    """Smallest action-closed span containing the polynomial seeds, or
+    CapExceeded: a Krylov span on the action table.
 
-    Deterministic: seeds in the given order, then breadth-first images under
-    the generators in basis order, filtered by exact linear independence.
-    Each member's images are computed once, in that pass.  The solve that
-    decides an image's independence also gives its column of the module
-    matrices: the members are independent, so coordinates in the members
-    found so far are coordinates in the final basis.
+    Seeds in the given order, then breadth-first images under the generators
+    in basis order; a vector that raises the rank of one incremental echelon
+    basis becomes a member.  A rational seed or image raises NotPolynomial.
     """
-    n = p.algebra.dim
-    members = []
+    act = p.action
+    unit_images = [lambda m, i=i: poly_terms(act.scalar(i, m)) for i in range(p.algebra.dim)]
+    ech = Echelon()
+    family = []
     for s in seeds:
         if not s.is_velocity_free():
             raise InvariantViolation("closure seeds must be velocity-free")
-        if _coordinates_in(members, s) is None:
-            members.append(s)
-    cols = [[] for _ in range(n)]  # cols[i][j] = coordinates of X_i(members[j])
-    for f in members:  # the list grows as members are found
-        for i in range(n):
-            g = p.lie_scalar(i, f)
-            coords = _coordinates_in(members, g)
-            if coords is None:
-                coords = {len(members): F(1)}
-                members.append(g)
-                if len(members) > cap:
-                    raise CapExceeded(len(members), g)
-            cols[i].append(coords)
-    basis = tuple(members)
-    m = len(basis)
-    mats = tuple(Mat(m, m, tuple(c)).transpose() for c in cols)
-    gm = GModule(m, p.algebra, mats, basis_labels=basis)
-    report = validate_module(gm)
-    if not report.ok:
-        raise InvariantViolation(f"closure produced an invalid module: {report.violations}")
-    return FunctionModule(gm, basis, p)
+        v = poly_terms(s)
+        if ech.insert(v):
+            family.append(v)
+    for v in family:  # the list grows as members are found
+        for unit_image in unit_images:
+            g = linear_image(v, unit_image)
+            if ech.insert(g):
+                family.append(g)
+                if len(family) > cap:
+                    raise CapExceeded(len(family), Expr(p.chart, TP(g)))
+    module = action_module(p.algebra, family, unit_images)
+    return FunctionModule(module, tuple(Expr(p.chart, TP(v)) for v in family), p)
 
 
 def function_cochain_to_module_cochain(fm: FunctionModule, alpha: FunctionCochain):

@@ -10,6 +10,7 @@ so no inexact number is ever built.
 
 from __future__ import annotations
 
+import sys
 import tomllib
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -59,8 +60,10 @@ def _check_values(value, where):
 def parse_problem_file(text: str) -> ProblemFile:
     try:
         sections = tomllib.loads(text, parse_float=_reject_float)
-    except ValueError as exc:  # TOMLDecodeError, or an integer too long to convert
+    except tomllib.TOMLDecodeError as exc:
         raise ProblemFileError(str(exc)) from None
+    except ValueError:  # the interpreter's limit on integer string conversion
+        raise ProblemFileError(f"an integer has more than {sys.get_int_max_str_digits()} digits") from None
     except RecursionError:
         raise ProblemFileError("values nested too deeply") from None
     for name, body in sections.items():

@@ -15,10 +15,10 @@ from fractions import Fraction
 
 from lagfloor.calculus import d_el, euler_lagrange, gradient, is_closed, lie_derivative_lagrangian, total_time_derivative
 from lagfloor.cecohom import Cochain, GModule, cohomology, is_cocycle
-from lagfloor.expr import Expr, parse_expr
+from lagfloor.expr import TP, Expr, parse_expr
 from lagfloor.hierarchy import classify, k_spaces, noether_charges
 from lagfloor.liealg import catalog
-from lagfloor.pairs import closure_module, pi_map, standard_pair
+from lagfloor.pairs import FunctionCochain, closure_module, pi_images, standard_pair
 from lagfloor.spectral import (
     abutment_check,
     page,
@@ -319,7 +319,9 @@ def test_acceptance_8_symbolic_property_suite():
             residual = lie - contracted - total_time_derivative(momentum)
             assert residual.is_zero()
             count += 1
-        # pi-naturality on 20 random closed forms (asserted inside pi_map)
+        # pi-naturality on 20 random closed forms: pi_images checks both
+        # identities on the monomial images, and is_cocycle checks
+        # delta(pi w) = 0 again symbolically
         count = 0
         while count < 20:
             pair = pairs[count % len(pairs)]
@@ -335,7 +337,14 @@ def test_acceptance_8_symbolic_property_suite():
 
                 w = OneForm(pair.chart, tuple(comps))
             assert is_closed(w)
-            out = pi_map(pair, w)
+            units, vec = [], {}
+            for mu, comp in enumerate(w.components):
+                assert comp.den.is_one()
+                for m, c in comp.num.terms.items():
+                    vec[len(units)] = c
+                    units.append((mu, m))
+            (images,) = pi_images(pair, units, [vec])
+            out = FunctionCochain(pair, tuple(Expr(pair.chart, TP(t)) for t in images))
             assert out.is_cocycle()
             count += 1
         # d^2 = 0 on 50 random functions

@@ -578,17 +578,7 @@ def test_section_that_misses_the_stability_algebra_exits_3(tmp_path):
         assert "Traceback" not in res.stderr
 
 
-def test_rational_component_pair_returns_promptly(tmp_path):
-    """X = 1/(1 + z^2) d/dz with L = d_EL(z^2): classify ends promptly with
-    a documented exit code.  It must build no function module: closing one
-    over the rational component raises the denominator's power at every
-    step and does not end within the cap for minutes."""
-    import subprocess
-    import sys
-
-    f = tmp_path / "rational.toml"
-    f.write_text(
-        """
+RATIONAL_PAIR = """
 [algebra]
 dim = 1
 basis = ["e1"]
@@ -602,12 +592,40 @@ e1 = ["1/(1 + z^2)"]
 [lagrangian]
 expr = "2*z*dz"
 """
-    )
+
+
+def test_rational_component_pair_returns_promptly(tmp_path):
+    """X = 1/(1 + z^2) d/dz with L = d_EL(z^2): classify ends promptly with
+    a documented exit code.  It must build no function module: closing one
+    over the rational component raises the denominator's power at every
+    step and does not end within the cap for minutes."""
+    import subprocess
+    import sys
+
+    f = tmp_path / "rational.toml"
+    f.write_text(RATIONAL_PAIR)
     res = subprocess.run(
         [sys.executable, "-m", "lagfloor.cli", "--format", "machine", "classify", str(f)],
         capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     )
     assert res.returncode in (0, 3, 4), (res.stdout, res.stderr)
+    assert "Traceback" not in res.stdout + res.stderr
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["python", "python-O"])
+@pytest.mark.parametrize("command", [("classify",), ("k-spaces",), ("spectral", "--from-pair")], ids=lambda c: c[0])
+def test_rational_field_component_is_unsupported_input(command, flags, tmp_path):
+    """Monomial coordinates of a rational field component cannot be read:
+    unsupported input exits 4 with an error line, not as a failed certificate."""
+    f = tmp_path / "rational.toml"
+    f.write_text(RATIONAL_PAIR)
+    res = subprocess.run(
+        [sys.executable, *flags, "-m", "lagfloor.cli", "--format", "machine", command[0], str(f), *command[1:]],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert res.returncode == 4, (res.stdout, res.stderr)
+    assert "error = monomial coordinates require polynomial components" in res.stdout
+    assert "invariant_violation" not in res.stdout
     assert "Traceback" not in res.stdout + res.stderr
 
 
@@ -638,7 +656,7 @@ L3_E1 = 'e1 = ["1", "0"]'
         (L3.replace("degree = 3", "degree = 1.5"), "float 1.5 is not exact"),
         (L3.replace("degree = 3", "degree = 1979-05-27"), "options.degree: 1979-05-27 is a date or time"),
         ('name = "l3"\n' + L3, "key 'name' is outside any [section]"),
-        (L3.replace("degree = 3", "degree = 1" + "0" * 5000), "Exceeds the limit"),
+        (L3.replace("degree = 3", "degree = 1" + "0" * 5000), "an integer has more than 4300 digits"),
         (L3.replace(L3_E1, "e1 = " + "[" * 5000 + "]" * 5000), "values nested too deeply"),
         (L3.replace(L3_E1, 'e1 = ["' + "(" * 3000 + "1" + ")" * 3000 + '", "0"]'), "parentheses nested deeper than 100"),
         (L3.replace(L3_E1, 'e1 = ["1' + "0" * 5000 + '", "0"]'), "bad integer literal"),
@@ -671,6 +689,24 @@ def test_unreadable_file_is_a_parse_error(kind, tmp_path):
 
 def test_negative_cohomology_degree_is_a_parse_error():
     assert_parse_error(("cohomology", fx("so3_r3.toml"), "--degree", "-1"), "--degree must be at least 0")
+
+
+@pytest.mark.parametrize("r", ["-1", "-5"])
+def test_negative_spectral_page_is_a_parse_error(r):
+    """E_inf comes only with the default pages; no negative R stands for it."""
+    assert_parse_error(("spectral", fx("spectral_example.toml"), "--page", r), f"--page must be at least 0, got {r}")
+
+
+def test_spectral_reports_an_invalid_explicit_complex(tmp_path):
+    """A [double_complex] file is validated; d1 d2 != d2 d1 exits 3."""
+    f = tmp_path / "dc.toml"
+    f.write_text(
+        '[double_complex]\ndims = [[1, 1], [1, 1]]\n'
+        'd1_0_0 = [["1"]]\nd1_1_0 = [["2"]]\nd2_0_0 = [["1"]]\nd2_0_1 = [["1"]]\n'
+    )
+    code, out = run("--format", "machine", "spectral", str(f))
+    assert code == 3, out
+    assert "valid = violated" in out and "violation = " in out
 
 
 FUZZ_TARGETS = [

@@ -566,19 +566,33 @@ def test_hierarchy_certificates_raise_under_python_O():
     ], res.stdout
 
 
-def test_hierarchy_reads_the_action_through_the_pair():
-    """The classifier and the invariance complex take the generator action
-    from the pair's table; no symbolic second path comes back."""
-    source = Path(__file__).resolve().parent.parent / "src" / "lagfloor" / "hierarchy.py"
-    banned = {
-        "lie_derivative_scalar", "lie_derivative_oneform", "lie_derivative_twoform",
-        "pi_map", "solve_linear_expr_system",
-        "closure_module", "function_cochain_to_module_cochain", "CapExceeded",
-    }
+def _imported_names(module):
+    source = Path(__file__).resolve().parent.parent / "src" / "lagfloor" / f"{module}.py"
     imported = set()
     for node in ast.walk(ast.parse(source.read_text())):
         if isinstance(node, ast.ImportFrom):
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update(part for alias in node.names for part in alias.name.split("."))
+    return imported
+
+
+def test_hierarchy_reads_the_action_through_the_pair():
+    """The classifier and the invariance complex take the generator action
+    from the pair's table; no symbolic second path comes back."""
+    banned = {
+        "lie_derivative_scalar", "lie_derivative_oneform", "lie_derivative_twoform",
+        "pi_map", "solve_linear_expr_system",
+        "closure_module", "function_cochain_to_module_cochain", "CapExceeded",
+    }
+    imported = _imported_names("hierarchy")
+    assert not imported & banned, sorted(imported & banned)
+
+
+def test_pair_modules_read_the_action_table():
+    """Closures, module coordinates and pi read monomial images off the
+    action table: pairs solves no expression system and takes no symbolic
+    Lie derivative of a 1-form."""
+    banned = {"solve_linear_expr_system", "lie_derivative_oneform"}
+    imported = _imported_names("pairs")
     assert not imported & banned, sorted(imported & banned)

@@ -19,7 +19,7 @@ from lagfloor.calculus import (
     lie_derivative_twoform,
 )
 from lagfloor.cecohom import cohomology
-from lagfloor.expr import AnsatzSpec, Expr, function_monomials, mono_expr, parse_expr, to_string
+from lagfloor.expr import TP, AnsatzSpec, Expr, function_monomials, mono_expr, parse_expr, to_string
 from lagfloor.linalg import dense, kernel_of_rows
 from lagfloor.pairs import (
     CapExceeded,
@@ -32,7 +32,6 @@ from lagfloor.pairs import (
     invariant_closed_forms,
     invariant_functions,
     pi_images,
-    pi_map,
     restrict_cocycle,
     scalar_coboundary,
     stability_subalgebra,
@@ -80,8 +79,21 @@ def test_broken_pair_reports_failures():
 
 # -- pi map -----------------------------------------------------------------------
 
+def pi_of(pair, w):
+    """pi(w) through pi_images, for a closed polynomial 1-form w: its
+    elementary forms (mu, m) are the units, and its coefficients the vector."""
+    units, vec = [], {}
+    for mu, comp in enumerate(w.components):
+        assert comp.den.is_one()
+        for m, c in comp.num.terms.items():
+            vec[len(units)] = c
+            units.append((mu, m))
+    (images,) = pi_images(pair, units, [vec])
+    return FunctionCochain(pair, tuple(Expr(pair.chart, TP(t)) for t in images))
+
+
 def test_pi_of_dphi_on_cylinder():
-    out = pi_map(L3, oneform(L3, "0", "1"))
+    out = pi_of(L3, oneform(L3, "0", "1"))
     assert out.components[0].is_zero()
     assert out.components[1] == P("z")
     assert out.components[2] == P("1")
@@ -89,7 +101,7 @@ def test_pi_of_dphi_on_cylinder():
 
 def test_pi_of_gradient_is_coboundary():
     f = P("z^2*sin(phi)")
-    out = pi_map(L3, gradient(f))
+    out = pi_of(L3, gradient(f))
     want = scalar_coboundary(L3, f)
     assert all((a - b).is_zero() for a, b in zip(out.components, want.components))
 
@@ -108,7 +120,7 @@ def test_pi_naturality_random_closed_forms():
         comps[1] = comps[1] + c  # harmonic c*dphi keeps it closed
         w = OneForm(L3.chart, tuple(comps))
         assert is_closed(w)
-        out = pi_map(L3, w)  # asserts naturality internally
+        out = pi_of(L3, w)  # pi_images checks both naturality identities
         assert out.is_cocycle()
 
 
@@ -186,7 +198,8 @@ def test_action_lie_on_a_rational_field_component():
             assert to_string(bent.action.lie(i, f)) == to_string(lie_derivative_scalar(x, f))
 
 
-def test_pi_images_agree_with_pi_map():
+def test_pi_images_agree_with_the_contraction():
+    """pi_images against (pi w)_i = sum_mu w_mu X_i^mu, contracted here."""
     ch = L3.chart
     units = [(mu, m) for mu in range(2) for m in function_monomials(ch, 1, 1)]
     # dphi, d(z sin(phi)) = sin(phi) dz + z cos(phi) dphi, and dz
@@ -199,20 +212,20 @@ def test_pi_images_agree_with_pi_map():
                 v[units.index((mu, m))] = c
         basis.append(v)
     for w, images in zip(forms, pi_images(L3, units, basis)):
-        want = pi_map(L3, w)
-        for comp, terms in zip(want.components, images):
-            assert comp.num.terms == terms
+        for x, terms in zip(L3.fields, images):
+            want = sum((a * b for a, b in zip(w.components, x.components)), P("0"))
+            assert want.den.is_one() and want.num.terms == terms
 
 
 def test_pi_certificates_raise_under_python_O():
     """Explicit checks, so python -O keeps them: a non-closed form and a
-    tampered field each raise InvariantViolation, from pi_images and pi_map."""
+    tampered field each raise InvariantViolation from pi_images."""
     script = textwrap.dedent(
         """
-        from lagfloor.calculus import OneForm, VectorFieldExpr
+        from lagfloor.calculus import VectorFieldExpr
         from lagfloor.expr import parse_expr
         from lagfloor.linalg import InvariantViolation
-        from lagfloor.pairs import GMPair, pi_images, pi_map, standard_pair
+        from lagfloor.pairs import GMPair, pi_images, standard_pair
 
         assert False, "asserts must be stripped under -O"
         L3 = standard_pair("l3_cylinder")
@@ -227,7 +240,6 @@ def test_pi_certificates_raise_under_python_O():
         cases = [
             lambda: pi_images(L3, z_dphi, [{0: 1}]),
             lambda: pi_images(tampered, dphi, [{0: 1}]),
-            lambda: pi_map(tampered, OneForm(ch, (parse_expr(ch, "0"), parse_expr(ch, "1")))),
         ]
         for case in cases:
             try:
@@ -244,15 +256,17 @@ def test_pi_certificates_raise_under_python_O():
     )
     assert res.returncode == 0, res.stderr
     lines = res.stdout.splitlines()
-    assert len(lines) == 3 and all(line.startswith("raised:") for line in lines), res.stdout
+    assert len(lines) == 2 and all(line.startswith("raised:") for line in lines), res.stdout
 
 
 def test_closure_certificates_raise_under_python_O():
     """A velocity-dependent seed or Lie-derivative argument, and a cochain
-    component outside the module, raise InvariantViolation under python -O."""
+    component outside the module, raise InvariantViolation under python -O;
+    a rational seed, which is unsupported input, raises NotPolynomial."""
     script = textwrap.dedent(
         """
         from lagfloor.expr import Expr, parse_expr
+        from lagfloor.exprspace import NotPolynomial
         from lagfloor.linalg import InvariantViolation
         from lagfloor.pairs import (
             FunctionCochain, closure_module, function_cochain_to_module_cochain, standard_pair,
@@ -276,6 +290,12 @@ def test_closure_certificates_raise_under_python_O():
                 print("raised:", exc)
             else:
                 print("passed")
+        try:
+            closure_module(L3, [parse_expr(ch, "1/(1 + z^2)")])
+        except NotPolynomial as exc:
+            print("not polynomial:", exc)
+        else:
+            print("passed")
         """
     )
     res = subprocess.run(
@@ -284,7 +304,8 @@ def test_closure_certificates_raise_under_python_O():
     )
     assert res.returncode == 0, res.stderr
     lines = res.stdout.splitlines()
-    assert len(lines) == 3 and all(line.startswith("raised:") for line in lines), res.stdout
+    assert len(lines) == 4 and all(line.startswith("raised:") for line in lines[:3]), res.stdout
+    assert lines[3] == "not polynomial: monomial coordinates require polynomial components", res.stdout
 
 
 def test_pi_images_pass_on_the_closed_basis_of_each_pair():
