@@ -64,7 +64,6 @@ from .pairs import (
     pi_images,
     restrict_cocycle,
     stability_subalgebra,
-    standard_pair,
     validate_pair,
 )
 from .hierarchy import (

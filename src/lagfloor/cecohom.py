@@ -87,7 +87,7 @@ def validate_module(a: GModule) -> ModuleReport:
 
 
 def cochain_tuples(n, q):
-    return list(combinations(range(n), q))
+    return list(combinations(range(n), q)) if q <= n else []
 
 
 def cochain_dim(g: StructureConstants, a: GModule, q: int) -> int:

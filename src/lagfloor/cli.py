@@ -21,7 +21,9 @@ from .expr import ParseError, to_string
 from .exprspace import NotPolynomial
 from .hierarchy import (
     ClassifyOptions,
+    ComplexTooLarge,
     PotentialUnavailable,
+    UndeterminedError,
     classify,
     k_spaces,
     noether_charges,
@@ -196,7 +198,12 @@ def cmd_k_spaces(args, report):
     pf = load_problem_file(args.file)
     pair = build_pair(pf)
     opts = _options(args, pf)
-    rep = k_spaces(pair, opts)
+    try:
+        rep = k_spaces(pair, opts)
+    except UndeterminedError as exc:
+        report.add("k3_stable", "false")
+        report.add("ansatz", exc.ansatz)
+        return EXIT_UNDETERMINED
     for label, dim in zip(("k0", "k1", "k2", "k3", "k4"), rep.dims):
         report.add(label, dim)
     report.add("k3_caveat", f"truncated at degree {opts.degree}, fourier {opts.fourier}")
@@ -299,7 +306,12 @@ def cmd_spectral(args, report):
         from .hierarchy import build_invariance_double_complex
 
         pair = build_pair(pf)
-        dc = build_invariance_double_complex(pair, _options(args, pf)).dc
+        try:
+            dc = build_invariance_double_complex(pair, _options(args, pf)).dc
+        except ComplexTooLarge as exc:
+            report.add("cells_needed", exc.cells_needed)
+            report.add("error", str(exc))
+            return EXIT_UNDETERMINED
         violations = ()  # the builder validates the complex and raises on failure
     else:
         report.add("error", "no [double_complex] section; use --from-pair to build one")
@@ -386,6 +398,10 @@ def _emit(report, fmt, code):
 def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
+    # argparse reads "--flag=--" as an empty list of values, not as a value
+    for dest, value in vars(args).items():
+        if value == [] or isinstance(value, list) and [] in value:
+            parser.error(f"argument --{dest.replace('_', '-')}: expected one argument")
     args.format = getattr(args, "format_sub", None) or args.format
     if getattr(args, "degree", None) is not None or args.command == "cohomology":
         if getattr(args, "degree", None) is None:

@@ -109,7 +109,6 @@ class WeakInvarianceSplit:
 
 @dataclass
 class ObstructionWitness:
-    stage: int = 0
     alpha: tuple | None = None  # potentials, after the phi2 adjustment
     f2: dict | None = None  # constant 2-cocycle (i,j) -> Fraction
     k3_witness: tuple | None = None  # (OneForm w, t'' tuple, Expr f)
@@ -355,7 +354,7 @@ def phi3(p: GMPair, alpha: FunctionCochain, opts: ClassifyOptions):
         # exact witness check; pi_images certifies both naturality identities
         (pw,) = pi_images(p, units, [wvec])
         for i in range(n):
-            rebuilt = Expr(ch, TP(pw[i])) + Expr.const(ch, t2[i]) + p.lie_scalar(i, fexpr)
+            rebuilt = Expr(ch, TP(pw[i])) + Expr.const(ch, t2[i]) + p.action.lie(i, fexpr)
             if not (rebuilt - alpha.components[i]).is_zero():
                 raise InvariantViolation("the rebuilt witness must reproduce alpha")
         return ClassValue(ZERO, None), (w, t2, fexpr)
@@ -480,7 +479,6 @@ def classify(p: GMPair, L: Expr, opts: ClassifyOptions | None = None) -> FloorRe
     report.k2_class, alpha, f2 = phi2(p, split, alphas)
     report.witnesses.alpha = alpha.components
     report.witnesses.f2 = f2
-    report.witnesses.stage = 2
     if not report.k2_class.is_zero():
         report.floor, report.sign = 1, sign
         report.k3_class = ClassValue(NOT_REACHED)
@@ -499,7 +497,6 @@ def classify(p: GMPair, L: Expr, opts: ClassifyOptions | None = None) -> FloorRe
         return report
     report.witnesses.k3_witness = k3_witness
     report.witnesses.k4_form = k3_witness[0]
-    report.witnesses.stage = 3
     try:
         report.k4_class, decomposition = phi4(p, L, split, alpha, k3_witness, opts)
     except UndeterminedError as e:
@@ -510,7 +507,6 @@ def classify(p: GMPair, L: Expr, opts: ClassifyOptions | None = None) -> FloorRe
         report.floor, report.sign = 3, sign
         return report
     report.floor, report.sign = 4, sign
-    report.witnesses.stage = 4
     report.decomposition = decomposition
     return report
 
@@ -552,9 +548,13 @@ def noether_charges(p: GMPair, L: Expr, report: FloorReport):
 # K-spaces
 # ---------------------------------------------------------------------------
 
+# f-degree raises over the cocycle degree that k3_space tries in turn; K3 is
+# determined once two successive raises give the same dimension
+K3_F_RAISES = (1, 2, 3)
+
+
 @dataclass(frozen=True)
 class KSpacesReport:
-    truncation: ClassifyOptions
     k0_dim: int
     k1_dim: int
     k2_dim: int
@@ -565,7 +565,6 @@ class KSpacesReport:
     k2_reps: tuple
     k3_reps: tuple
     k4_reps: tuple
-    k3_caveat: bool = True
     # truncated classes that neither reduced nor earned a nonzero
     # restriction certificate; an artifact of the ansatz, not a dimension
     k3_residual_dim: int = 0
@@ -579,8 +578,10 @@ def k3_space(p: GMPair, opts: ClassifyOptions):
     """Truncated K3: ansatz cocycles modulo {pi(w) + t + delta(f)}.
 
     Cocycles alpha live in the ansatz monomial space; the denominator is
-    intersected with that space.  The f-degree is raised until the dimension
-    stabilizes (the denominator grows monotonically).  Every system is read
+    intersected with that space.  The f-degree is raised over the cocycle
+    degree by each step of K3_F_RAISES until the dimension stabilizes (the
+    denominator grows monotonically); a dimension that never stabilizes is
+    not reported but raises UndeterminedError(3).  Every system is read
     off the pair's action table as sparse monomial rows.  The closed forms,
     their pi images (both naturality identities checked once per basis
     form) and the constant cocycles do not depend on the f-degree and are
@@ -651,7 +652,7 @@ def k3_space(p: GMPair, opts: ClassifyOptions):
         return out
 
     prev = None
-    for extra in (1, 2, 3):
+    for extra in K3_F_RAISES:
         coboundaries = [
             [poly_terms(act.scalar(i, m)) for i in range(n)]
             for m in function_monomials(ch, opts.degree + extra, opts.fourier)
@@ -667,7 +668,7 @@ def k3_space(p: GMPair, opts: ClassifyOptions):
                 reps.append(FunctionCochain(p, tuple(Expr(ch, TP(terms)) for terms in comps)))
             return _certify_k3(p, qt.dim, tuple(reps))
         prev = qt.dim
-    return _certify_k3(p, prev, ())
+    raise UndeterminedError(3, AnsatzSpec(opts.degree + extra, opts.fourier))
 
 
 def _certify_k3(p: GMPair, raw_dim, reps):
@@ -714,7 +715,6 @@ def k_spaces(p: GMPair, opts: ClassifyOptions | None = None) -> KSpacesReport:
     k0_reps = tuple(dense(t, g.dim) for t in z1.basis)
     k1_reps = tuple((a, t) for a in p.chart.angle_names for t in k0_reps)
     return KSpacesReport(
-        truncation=opts,
         k0_dim=z1.dim,
         k1_dim=nb * z1.dim,
         k2_dim=h2.dim,
@@ -732,6 +732,17 @@ def k_spaces(p: GMPair, opts: ClassifyOptions | None = None) -> KSpacesReport:
 # ---------------------------------------------------------------------------
 # truncated invariance double complex
 # ---------------------------------------------------------------------------
+
+# the largest invariance double complex built, in cells: the sum over p of
+# C(n, p) * (dim Omega^0 + dim Omega^1 + dim Omega^2) = 2^n times the column
+MAX_COMPLEX_CELLS = 4096
+
+
+class ComplexTooLarge(Exception):
+    def __init__(self, cells_needed):
+        super().__init__(f"the invariance complex needs {cells_needed} cells, above the limit of {MAX_COMPLEX_CELLS}")
+        self.cells_needed = cells_needed
+
 
 @dataclass(frozen=True)
 class InvarianceComplex:
@@ -786,7 +797,9 @@ def build_invariance_double_complex(p: GMPair, opts: ClassifyOptions | None = No
     image of d on Omega^1, so the top row is exact by construction.  Every
     object is a sparse vector over units: a monomial m, an elementary 1-form
     (mu, m) or an elementary 2-form ((a, b), m).  The generator action and d
-    are read off the pair's action table.
+    are read off the pair's action table.  A complex of more than
+    MAX_COMPLEX_CELLS cells raises ComplexTooLarge once the three bases are
+    known, before any matrix is built.
     """
     opts = opts or ClassifyOptions()
     ch = p.chart
@@ -823,6 +836,9 @@ def build_invariance_double_complex(p: GMPair, opts: ClassifyOptions | None = No
     # Omega^2 = d(Omega^1): an independent subset, deterministic
     ech = Echelon()
     t_basis = [tw for tw in (linear_image(w, dw_unit) for w in w_basis) if ech.insert(tw)]
+    cells_needed = 2 ** n * (len(f_basis) + len(w_basis) + len(t_basis))
+    if cells_needed > MAX_COMPLEX_CELLS:
+        raise ComplexTooLarge(cells_needed)
     families = [(f_basis, f_unit), (w_basis, w_unit)] + ([(t_basis, t_unit)] if t_basis else [])
     modules = [action_module(g, family, [unit(i) for i in range(n)]) for family, unit in families]
     if f_basis and w_basis:

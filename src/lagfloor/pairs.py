@@ -19,9 +19,9 @@ from fractions import Fraction
 
 from .calculus import OneForm, TwoForm, VectorFieldExpr, lie_derivative_scalar, lie_derivative_twoform
 from .cecohom import GModule, NotACocycle, validate_module
-from .expr import TP, AnsatzSpec, Chart, Expr, chart, function_monomials, mono_expr, parse_expr
+from .expr import TP, AnsatzSpec, Chart, Expr, function_monomials, mono_expr
 from .exprspace import equation_rows, kernel_of_expr_system, poly_terms
-from .liealg import StructureConstants, catalog, poincare_fields, R4
+from .liealg import StructureConstants
 from .linalg import (
     Echelon,
     InvariantViolation,
@@ -136,7 +136,6 @@ class GMPair:
     transitive: bool = False
     stability_sections: tuple | None = None  # tuples of velocity-free Expr, len = dim
     sample_points: tuple = ()
-    name: str = ""
     action: ActionTable = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -145,9 +144,6 @@ class GMPair:
         if any(len(s) != self.algebra.dim for s in self.stability_sections or ()):
             raise InvariantViolation("a stability section needs one component per basis element")
         object.__setattr__(self, "action", ActionTable(self.chart, self.fields))
-
-    def lie_scalar(self, i, f):
-        return self.action.lie(i, f)
 
 
 @dataclass(frozen=True)
@@ -188,7 +184,7 @@ class FunctionCochain:
 
     def delta_component(self, i, j) -> Expr:
         p = self.pair
-        out = p.lie_scalar(i, self.components[j]) - p.lie_scalar(j, self.components[i])
+        out = p.action.lie(i, self.components[j]) - p.action.lie(j, self.components[i])
         for k in range(p.algebra.dim):
             ck = p.algebra.coeff(i, j, k)
             if ck:
@@ -219,7 +215,7 @@ class FunctionCochain:
 
 def scalar_coboundary(p: GMPair, f: Expr) -> FunctionCochain:
     """(delta f)_i = X_i f."""
-    return FunctionCochain(p, tuple(p.lie_scalar(i, f) for i in range(p.algebra.dim)))
+    return FunctionCochain(p, tuple(p.action.lie(i, f) for i in range(p.algebra.dim)))
 
 
 def pi_images(p: GMPair, units, basis):
@@ -518,91 +514,3 @@ def stability_values_of_constant_cocycles(p: GMPair, point):
         pairings = (sum((x * t[i] for i, x in v.items() if i in t), F(0)) for v in vecs)
         values.append({a: s for a, s in enumerate(pairings) if s})
     return Subspace.spanned_by(values, len(vecs)), vecs
-
-
-# ---------------------------------------------------------------------------
-# standard pairs
-# ---------------------------------------------------------------------------
-
-def _vf(ch, *comps):
-    return VectorFieldExpr(ch, tuple(parse_expr(ch, c) for c in comps))
-
-
-def standard_pair(name: str, **params) -> GMPair:
-    """The worked pairs: l3_cylinder, translations(n), so3_r3, so3_sphere,
-    galilean_r4, poincare_r4(c)."""
-    if name == "l3_cylinder":
-        ch = chart(("z", "line"), ("phi", "angle"))
-        fields = (_vf(ch, "1", "0"), _vf(ch, "0", "z"), _vf(ch, "0", "1"))
-        sections = ((parse_expr(ch, "0"), parse_expr(ch, "1"), parse_expr(ch, "-z")),)
-        points = (
-            {"z": F(1, 2), "phi": (F(3, 5), F(4, 5))},
-            {"z": F(-2, 3), "phi": (F(0), F(1))},
-            {"z": F(3), "phi": (F(-4, 5), F(3, 5))},
-        )
-        return GMPair(catalog("l3"), ch, fields, True, sections, points, name)
-    if name == "translations":
-        n = int(params.get("n", 2))
-        ch = chart(*((f"q{i + 1}", "line") for i in range(n)))
-        fields = []
-        for i in range(n):
-            comps = ["0"] * n
-            comps[i] = "1"
-            fields.append(_vf(ch, *comps))
-        points = tuple(
-            {f"q{i + 1}": F(base + i, 3) for i in range(n)} for base in (1, -2, 4)
-        )
-        return GMPair(catalog("abelian", n=n), ch, tuple(fields), True, (), points, name)
-    if name == "so3_r3":
-        ch = chart(("x1", "line"), ("x2", "line"), ("x3", "line"))
-        fields = (
-            _vf(ch, "0", "x3", "-x2"),
-            _vf(ch, "-x3", "0", "x1"),
-            _vf(ch, "x2", "-x1", "0"),
-        )
-        sections = ((parse_expr(ch, "x1"), parse_expr(ch, "x2"), parse_expr(ch, "x3")),)
-        points = (
-            {"x1": F(1), "x2": F(2), "x3": F(2)},
-            {"x1": F(0), "x2": F(1), "x3": F(0)},
-            {"x1": F(-1), "x2": F(1, 2), "x3": F(3)},
-        )
-        return GMPair(catalog("so3"), ch, fields, False, sections, points, name)
-    if name == "so3_sphere":
-        # stereographic chart of the sphere minus its projection pole
-        ch = chart(("u", "line"), ("v", "line"))
-        fields = (
-            _vf(ch, "-u*v", "(u^2 - v^2 - 1)/2"),
-            _vf(ch, "(u^2 - v^2 + 1)/2", "u*v"),
-            _vf(ch, "v", "-u"),
-        )
-        rho = "(u^2 + v^2)"
-        sections = (
-            (
-                parse_expr(ch, f"2*u/(1 + {rho})"),
-                parse_expr(ch, f"2*v/(1 + {rho})"),
-                parse_expr(ch, f"({rho} - 1)/(1 + {rho})"),
-            ),
-        )
-        points = (
-            {"u": F(1), "v": F(0)},
-            {"u": F(1, 2), "v": F(1, 3)},
-            {"u": F(-2), "v": F(1, 5)},
-        )
-        return GMPair(catalog("so3"), ch, fields, True, sections, points, name)
-    if name == "galilean_r4":
-        fields = poincare_fields(None)
-        points = (
-            {"t": F(1, 2), "x1": F(1), "x2": F(-1, 3), "x3": F(2)},
-            {"t": F(-1), "x1": F(0), "x2": F(2, 5), "x3": F(1)},
-            {"t": F(3), "x1": F(1, 7), "x2": F(-2), "x3": F(0)},
-        )
-        return GMPair(catalog("galilean"), R4, fields, True, None, points, name)
-    if name == "poincare_r4":
-        c = F(params.get("c", 1))
-        fields = poincare_fields(c)
-        points = (
-            {"t": F(1, 2), "x1": F(1), "x2": F(-1, 3), "x3": F(2)},
-            {"t": F(-1), "x1": F(0), "x2": F(2, 5), "x3": F(1)},
-        )
-        return GMPair(catalog("poincare", c=c), R4, fields, True, None, points, name)
-    raise KeyError(f"no standard pair named {name!r}")

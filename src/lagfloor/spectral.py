@@ -264,9 +264,11 @@ def _split_blocks(vec, blocks):
 
 
 def page(dc: DoubleComplex, r: int) -> Page:
-    """Page E_r; page(max(width,height)+1) is stable and equals E_infinity."""
+    """Page E_r; page(max(width,height)+1) is stable and equals E_infinity,
+    and every later r reads that page."""
     if r < 0:
         raise InvariantViolation(f"page {r} does not exist")
+    r = min(r, max(dc.width, dc.height) + 1)
     if r in dc._pages:
         return dc._pages[r]
     cells = {}

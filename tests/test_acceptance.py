@@ -18,7 +18,7 @@ from lagfloor.cecohom import Cochain, GModule, cohomology, is_cocycle
 from lagfloor.expr import TP, Expr, parse_expr
 from lagfloor.hierarchy import classify, k_spaces, noether_charges
 from lagfloor.liealg import catalog
-from lagfloor.pairs import FunctionCochain, closure_module, pi_images, standard_pair
+from lagfloor.pairs import FunctionCochain, closure_module, pi_images
 from lagfloor.spectral import (
     abutment_check,
     page,
@@ -26,6 +26,8 @@ from lagfloor.spectral import (
     total_q_squared_is_zero,
     validate_double_complex,
 )
+
+from fixture_pairs import fixture_pair
 
 F = Fraction
 
@@ -40,13 +42,13 @@ def criterion(number, description):
     print(f"criterion {number} ({description}): PASS")
 
 
-L3 = standard_pair("l3_cylinder")
-TRANS2 = standard_pair("translations", n=2)
-TRANS3 = standard_pair("translations", n=3)
-SO3R3 = standard_pair("so3_r3")
-SPHERE = standard_pair("so3_sphere")
-GAL = standard_pair("galilean_r4")
-POI = standard_pair("poincare_r4", c=1)
+L3 = fixture_pair("l3_cylinder")
+TRANS2 = fixture_pair("translations_r2")
+TRANS3 = fixture_pair("translations_r3")
+SO3R3 = fixture_pair("so3_r3")
+SPHERE = fixture_pair("so3_sphere")
+GAL = fixture_pair("galilean_r4")
+POI = fixture_pair("poincare_c1")
 
 
 def h_dims(g):
@@ -368,4 +370,4 @@ def test_acceptance_8_symbolic_property_suite():
         for pair, L, ftext in fixtures:
             base = classify(pair, L)
             shifted = classify(pair, L + d_el(parse_expr(pair.chart, ftext)))
-            assert base.classes_signature() == shifted.classes_signature(), pair.name
+            assert base.classes_signature() == shifted.classes_signature(), ftext

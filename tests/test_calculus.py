@@ -3,7 +3,6 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -25,6 +24,8 @@ from lagfloor.calculus import (
     total_time_derivative,
 )
 from lagfloor.expr import AnsatzSpec, Expr, chart, parse_expr
+
+from fixture_pairs import SCRIPT_ENV
 
 F = Fraction
 
@@ -276,10 +277,10 @@ def test_velocity_dependent_lie_derivative_raises_under_python_O():
         from lagfloor.calculus import lie_derivative_scalar
         from lagfloor.expr import Expr
         from lagfloor.linalg import InvariantViolation
-        from lagfloor.pairs import standard_pair
+        from fixture_pairs import fixture_pair
 
         assert False, "asserts must be stripped under -O"
-        L3 = standard_pair("l3_cylinder")
+        L3 = fixture_pair("l3_cylinder")
         dz = Expr.var(L3.chart, L3.chart.velocity("z"))
         try:
             lie_derivative_scalar(L3.fields[1], dz)
@@ -289,10 +290,8 @@ def test_velocity_dependent_lie_derivative_raises_under_python_O():
             print("passed")
         """
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
     res = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True, text=True, env={"PYTHONPATH": src, "PATH": ""},
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=SCRIPT_ENV
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.startswith("raised:"), res.stdout

@@ -193,10 +193,11 @@ def random_conjugate(rng, module):
 
 def test_delta_squared_zero_fuzz():
     rng = random.Random(2024)
-    from lagfloor.pairs import closure_module, standard_pair
+    from lagfloor.pairs import closure_module
     from lagfloor.expr import parse_expr
+    from fixture_pairs import fixture_pair
 
-    l3_pair = standard_pair("l3_cylinder")
+    l3_pair = fixture_pair("l3_cylinder")
     l3_module = closure_module(l3_pair, [parse_expr(l3_pair.chart, "z")]).module
     for base in (GModule.trivial(catalog("l3")), l3_module, so3_spin1()):
         for _ in range(3):
@@ -247,6 +248,17 @@ def test_h2_of_one_dimensional_algebra_is_zero():
     h2 = cohomology(g, triv, 2)
     assert h2.dim == 0 and h2.representatives == ()
     assert coboundary_witness(g, triv, Cochain(2, triv, {})).is_zero()
+
+
+def test_cohomology_far_above_the_dimension_lists_no_cochain():
+    """Above dim G the cochain tuples are empty without enumerating any
+    combination, so a degree of 10^9 costs nothing."""
+    from lagfloor.cecohom import cochain_tuples
+
+    g = catalog("galilean")
+    assert cochain_tuples(g.dim, g.dim + 1) == []
+    res = cohomology(g, GModule.trivial(g), 10**9)
+    assert res.dim == 0 and res.representatives == ()
 
 
 def test_delta_squared_check_raises_under_python_O():

@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lagfloor import hierarchy
 from lagfloor.cli import main
 from lagfloor.problemfile import (
     ProblemFileError,
@@ -741,3 +743,155 @@ def test_mutated_fixtures_end_in_a_documented_exit_code(tmp_path_factory, case):
     f.write_text(text)
     code, out = run("--format", "machine", command, str(f))
     assert code in (0, 2, 3, 4, 5), out
+
+
+def run_under_O(*argv, script=None):
+    """``lagfloor --format machine argv`` under python -O, or ``script`` with
+    argv as its arguments; asserts that nothing printed a traceback."""
+    head = ["-c", script] if script else ["-m", "lagfloor.cli"]
+    res = subprocess.run(
+        [sys.executable, "-O", *head, "--format", "machine", *argv],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert "Traceback" not in res.stdout + res.stderr
+    return res.returncode, res.stdout
+
+
+def run_timed(*argv):
+    """``run`` in machine format, with the CPU time it took."""
+    start = time.process_time()
+    code, out = run("--format", "machine", *argv)
+    return code, out, time.process_time() - start
+
+
+# one f-degree raise leaves K3 nothing to compare, so it never stabilizes
+K3_UNSTABLE = """
+import sys
+from lagfloor import hierarchy
+from lagfloor.cli import main
+hierarchy.K3_F_RAISES = (1,)
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_k3_that_never_stabilizes_is_undetermined(monkeypatch):
+    """k-spaces exits 4 with k3_stable = false and the last ansatz tried, and
+    reports no dimension, in process and under python -O."""
+    monkeypatch.setattr(hierarchy, "K3_F_RAISES", (1,))
+    argv = ("k-spaces", fx("l3_cylinder.toml"))
+    code, out = run("--format", "machine", *argv)
+    assert code == 4, out
+    assert out == (
+        f"command = k-spaces\nfile = {fx('l3_cylinder.toml')}\n"
+        "k3_stable = false\nansatz = AnsatzSpec(degree=4, fourier=3, denominator=None)\n"
+    )
+    assert run_under_O(*argv, script=K3_UNSTABLE) == (4, out)
+
+
+@pytest.mark.parametrize("extra, cells", [((), 251904), (("--ansatz-degree", "1"), 31744)])
+def test_oversized_invariance_complex_exits_4_before_it_is_built(extra, cells):
+    """The Galilean invariance complex is refused by its size once its three
+    bases are known: exit 4 with the cell count, in under 1 s, also under
+    python -O."""
+    argv = ("spectral", fx("galilean_r4.toml"), "--from-pair", *extra)
+    code, out, seconds = run_timed(*argv)
+    assert code == 4, out
+    assert f"cells_needed = {cells}\nerror = the invariance complex needs {cells} cells" in out
+    assert cells > hierarchy.MAX_COMPLEX_CELLS
+    assert seconds < 1
+    assert run_under_O(*argv) == (4, out)
+
+
+def einf_rows(golden, r):
+    """The E_inf rows of a golden output, labelled as page r."""
+    text = (GOLDEN / golden).read_text()
+    return [line.replace("einf_", f"e{r}_") for line in text.splitlines() if line.startswith("einf_")]
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (("cohomology", fx("galilean_r4.toml"), "--degree", "1000000000"), ["dim_h1000000000 = 0"]),
+        (
+            ("spectral", fx("spectral_example.toml"), "--page", "1000000000"),
+            einf_rows("classify/spectral_example.txt", 1000000000),
+        ),
+        (
+            ("spectral", fx("l3_cylinder.toml"), "--from-pair", "--page", "1000000000"),
+            einf_rows("spectral_from_pair/l3_cylinder.txt", 1000000000),
+        ),
+    ],
+    ids=["degree", "page", "page-from-pair"],
+)
+def test_huge_degree_and_page_are_cheap(argv, want):
+    """H^q above dim G is 0 without listing any cochain, and a page past the
+    stable one prints E_inf under its own label: both answer in under 1 s,
+    also under python -O."""
+    code, out, seconds = run_timed(*argv)
+    assert code == 0, out
+    assert want and all(line in out.splitlines() for line in want), out
+    assert seconds < 1
+    assert run_under_O(*argv) == (0, out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("k-spaces", fx("translations_r2.toml"), "--ansatz-degree=--"),
+        ("spectral", fx("spectral_example.toml"), "--page=--"),
+        ("cohomology", fx("so3_r3.toml"), "--degree=--"),
+        ("classify", fx("translations_r2.toml"), "--set=--"),
+    ],
+    ids=["ansatz-degree", "page", "degree", "set"],
+)
+def test_flag_given_as_double_dash_is_a_usage_error(argv):
+    """argparse hands "--flag=--" over as an empty list; it is rejected as a
+    missing value (exit 2), where the integer flags once ended in a
+    TypeError traceback."""
+    with pytest.raises(SystemExit) as exc:
+        run("--format", "machine", *argv)
+    assert exc.value.code == 2
+    assert run_under_O(*argv)[0] == 2
+
+
+SMALL_INTS = st.integers(-3, 2).map(str)
+MALFORMED = st.sampled_from(["", "x", "1.5", "2/3", "1e3", "--", "0x10", "+"])
+HUGE = st.sampled_from(["1000000000", "-1000000000"]) | st.integers(-3, 10**9).map(str)
+SET_STRINGS = st.sampled_from(["m", "m=", "=1", "m=x", "m=1/0", ",", "x=1", "m=1,B=2,E1=1,E2=3,z=4"]) | st.text(max_size=8)
+FLAG_COMMANDS = {
+    "check-pair": (),
+    "cohomology": ("--degree",),
+    "k-spaces": (),
+    "spectral": ("--page",),
+    "spectral --from-pair": ("--page",),
+    "classify": ("--set",),
+}
+
+
+@st.composite
+def flagged_commands(draw):
+    """A command on translations_r2 or spectral_example with drawn truncation
+    flags and drawn values for its own flags, negative and malformed ones too."""
+    command = draw(st.sampled_from(sorted(FLAG_COMMANDS)))
+    argv = [*command.split()[:1], fx(draw(st.sampled_from(["translations_r2.toml", "spectral_example.toml"])))]
+    argv += command.split()[1:]
+    for flag in ("--ansatz-degree", "--fourier"):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(SMALL_INTS | MALFORMED)}")
+    for flag in FLAG_COMMANDS[command]:
+        values = SET_STRINGS if flag == "--set" else HUGE | SMALL_INTS | MALFORMED
+        for value in draw(st.lists(values, max_size=2)):
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+@settings(max_examples=120, deadline=None)
+@given(flagged_commands())
+def test_flag_values_end_in_a_documented_exit_code(argv):
+    """argparse rejects a malformed integer by exiting 2; every other value
+    reaches the command, which ends in a documented exit code."""
+    try:
+        code, out = run("--format", "machine", *argv)
+    except SystemExit as exc:
+        code, out = exc.code, ""
+    assert code in (0, 2, 3, 4, 5), (argv, out)

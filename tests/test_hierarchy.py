@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from lagfloor.calculus import d_el
-from lagfloor.expr import Expr, parse_expr, to_string
+from lagfloor.calculus import VectorFieldExpr, d_el
+from lagfloor.expr import Expr, chart, parse_expr, to_string
 from lagfloor.hierarchy import (
     ClassifyOptions,
     NotWeaklyInvariantError,
@@ -22,18 +22,21 @@ from lagfloor.hierarchy import (
     psi,
     weak_invariance_split,
 )
+from lagfloor.liealg import catalog
 from lagfloor.linalg import InvariantViolation
-from lagfloor.pairs import standard_pair
+from lagfloor.pairs import GMPair
 from lagfloor.spectral import abutment_check, page, total_cohomology
+
+from fixture_pairs import SCRIPT_ENV, fixture_pair
 
 F = Fraction
 
-L3 = standard_pair("l3_cylinder")
-TRANS2 = standard_pair("translations", n=2)
-TRANS3 = standard_pair("translations", n=3)
-SPHERE = standard_pair("so3_sphere")
-GAL = standard_pair("galilean_r4")
-POI = standard_pair("poincare_r4", c=1)
+L3 = fixture_pair("l3_cylinder")
+TRANS2 = fixture_pair("translations_r2")
+TRANS3 = fixture_pair("translations_r3")
+SPHERE = fixture_pair("so3_sphere")
+GAL = fixture_pair("galilean_r4")
+POI = fixture_pair("poincare_c1")
 
 
 def P(text, pair=L3, **params):
@@ -348,7 +351,6 @@ def test_k_spaces_translations_r3():
 def test_k_spaces_sphere():
     rep = k_spaces(SPHERE)
     assert rep.dims == (0, 0, 0, 1, 0)
-    assert rep.k3_caveat
     # one truncated class restricts to zero (smooth-trivial, log potential)
     assert rep.k3_residual_dim == 1
     # the certified representative restricts to a nonzero constant
@@ -382,10 +384,10 @@ def test_k3_truncated_classes_in_canonical_order():
 # -- invariances of the classifier ---------------------------------------------------------
 
 def random_function(rng, pair):
-    monos = {
-        "l3_cylinder": ["z", "z^2", "z*sin(phi)", "cos(phi)", "z^2*cos(2*phi)"],
-        "translations": ["q1", "q2", "q1*q2", "q1^2"],
-    }[pair.name if pair.name in ("l3_cylinder",) else "translations"]
+    if pair is L3:
+        monos = ["z", "z^2", "z*sin(phi)", "cos(phi)", "z^2*cos(2*phi)"]
+    else:
+        monos = ["q1", "q2", "q1*q2", "q1^2"]
     f = parse_expr(pair.chart, "0")
     for m in monos:
         if rng.random() < 0.5:
@@ -411,7 +413,7 @@ WITNESS_PINS = [
     # depends on the order of phi3's unknowns
     (TRANS3, "(dq1^2 + dq2^2 + dq3^2)/2", "q1*q2^2 + q3",
      ("q2^2", "2*q1*q2", "0"), "1/2*dq3^2 + dq3 + 1/2*dq2^2 + 1/2*dq1^2"),
-    (standard_pair("so3_r3"), "(dx1^2 + dx2^2 + dx3^2)/2", "x1*x2",
+    (fixture_pair("so3_r3"), "(dx1^2 + dx2^2 + dx3^2)/2", "x1*x2",
      ("x2", "x1", "0"), "1/2*dx3^2 + 1/2*dx2^2 + 1/2*dx1^2"),
     (L3, "dz^2/2", "z^3*cos(2*phi) + z",
      ("3*z^2*cos(2*phi)", "-2*z^3*sin(2*phi)"), "1/2*dz^2 + dz"),
@@ -481,7 +483,8 @@ def test_l3_transposed_corner_is_invariant_functions():
 
 
 def test_abelian_r1_invariance_complex():
-    pair = standard_pair("translations", n=1)
+    q = chart(("q", "line"))
+    pair = GMPair(catalog("abelian", n=1), q, (VectorFieldExpr(q, (parse_expr(q, "1"),)),))
     ic = build_invariance_double_complex(pair, ClassifyOptions(degree=2, fourier=0))
     p2 = page(ic.dc, 2)
     assert p2.dim(0, 0) == 1  # Lambda^0 invariants = constants
@@ -495,7 +498,7 @@ def test_invariance_complex_check_raises_under_python_O():
         """
         import lagfloor.hierarchy as h
         from lagfloor.linalg import InvariantViolation, Mat
-        from lagfloor.pairs import standard_pair
+        from fixture_pairs import fixture_pair
 
         assert False, "asserts must be stripped under -O"
         block_diag = h._block_diag
@@ -508,18 +511,14 @@ def test_invariance_complex_check_raises_under_python_O():
 
         h._block_diag = skewed
         try:
-            h.build_invariance_double_complex(standard_pair("l3_cylinder"))
+            h.build_invariance_double_complex(fixture_pair("l3_cylinder"))
         except InvariantViolation as exc:
             print("raised:", exc)
         else:
             print("passed")
         """
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    res = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True, text=True, env={"PYTHONPATH": src, "PATH": ""},
-    )
+    res = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=SCRIPT_ENV)
     assert res.returncode == 0, res.stderr
     assert res.stdout.startswith("raised: invariance complex failed validation"), res.stdout
 
@@ -533,10 +532,10 @@ def test_hierarchy_certificates_raise_under_python_O():
         from lagfloor.expr import parse_expr
         from lagfloor.hierarchy import classify, noether_charges, weak_invariance_split
         from lagfloor.linalg import InvariantViolation
-        from lagfloor.pairs import standard_pair
+        from fixture_pairs import fixture_pair
 
         assert False, "asserts must be stripped under -O"
-        L3 = standard_pair("l3_cylinder")
+        L3 = fixture_pair("l3_cylinder")
         ch = L3.chart
         L = parse_expr(ch, "z")
         report = classify(L3, L)
@@ -554,11 +553,7 @@ def test_hierarchy_certificates_raise_under_python_O():
                 print("passed")
         """
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    res = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True, text=True, env={"PYTHONPATH": src, "PATH": ""},
-    )
+    res = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=SCRIPT_ENV)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == [
         "raised: rank-1 Lagrangians only",

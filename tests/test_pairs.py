@@ -4,7 +4,6 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -36,21 +35,24 @@ from lagfloor.pairs import (
     scalar_coboundary,
     stability_subalgebra,
     stability_values_of_constant_cocycles,
-    standard_pair,
     validate_pair,
 )
 
+from fixture_pairs import SCRIPT_ENV, fixture_pair
+
 F = Fraction
 
-L3 = standard_pair("l3_cylinder")
-SO3R3 = standard_pair("so3_r3")
-SPHERE = standard_pair("so3_sphere")
-GAL = standard_pair("galilean_r4")
-POI = standard_pair("poincare_r4", c=1)
-TRANS2 = standard_pair("translations", n=2)
-TRANS3 = standard_pair("translations", n=3)
+L3 = fixture_pair("l3_cylinder")
+SO3R3 = fixture_pair("so3_r3")
+SPHERE = fixture_pair("so3_sphere")
+GAL = fixture_pair("galilean_r4")
+POI = fixture_pair("poincare_c1")
+TRANS2 = fixture_pair("translations_r2")
+TRANS3 = fixture_pair("translations_r3")
 STANDARD = [L3, SO3R3, SPHERE, GAL, POI, TRANS2, TRANS3]
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+# the test ids these pairs have always run under (pytest numbers the two
+# "translations"), kept so that every test keeps its name
+STANDARD_IDS = ["l3_cylinder", "so3_r3", "so3_sphere", "galilean_r4", "poincare_r4", "translations", "translations"]
 
 
 def P(text, pair=L3):
@@ -63,7 +65,7 @@ def oneform(pair, *comps):
 
 # -- pair validation ------------------------------------------------------------
 
-@pytest.mark.parametrize("pair", [L3, SO3R3, SPHERE, GAL, POI, TRANS2], ids=lambda p: p.name)
+@pytest.mark.parametrize("pair", STANDARD[:-1], ids=STANDARD_IDS[:-1])
 def test_standard_pairs_validate(pair):
     assert validate_pair(pair).ok
 
@@ -124,7 +126,7 @@ def test_pi_naturality_random_closed_forms():
         assert out.is_cocycle()
 
 
-@pytest.mark.parametrize("pair", STANDARD, ids=lambda p: p.name)
+@pytest.mark.parametrize("pair", STANDARD, ids=STANDARD_IDS)
 def test_action_table_matches_lie_derivatives(pair):
     """Every table entry against the symbolic Lie derivative of the
     elementary function or form: at the fixtures' ansatz (degree 3, Fourier
@@ -157,7 +159,7 @@ def test_action_table_matches_lie_derivatives(pair):
 
 
 def test_action_table_is_not_part_of_pair_equality():
-    again = standard_pair("l3_cylinder")
+    again = fixture_pair("l3_cylinder")
     L3.action.scalar(0, ((("z", 1),), ()))
     assert again == L3
     assert again.action is not L3.action
@@ -174,7 +176,7 @@ def _random_function(pair, seed, degree=3, fourier=1):
     return f
 
 
-@pytest.mark.parametrize("pair", STANDARD, ids=lambda p: p.name)
+@pytest.mark.parametrize("pair", STANDARD, ids=STANDARD_IDS)
 def test_action_lie_matches_lie_derivative_scalar(pair):
     """Polynomial and trig-polynomial inputs go through the monomial images,
     rational ones through direct differentiation; both give the same Expr."""
@@ -225,10 +227,11 @@ def test_pi_certificates_raise_under_python_O():
         from lagfloor.calculus import VectorFieldExpr
         from lagfloor.expr import parse_expr
         from lagfloor.linalg import InvariantViolation
-        from lagfloor.pairs import GMPair, pi_images, standard_pair
+        from lagfloor.pairs import GMPair, pi_images
+        from fixture_pairs import fixture_pair
 
         assert False, "asserts must be stripped under -O"
-        L3 = standard_pair("l3_cylinder")
+        L3 = fixture_pair("l3_cylinder")
         ch = L3.chart
         z_dphi = [(1, ((("z", 1),), ()))]  # z dphi is not closed
         dphi = [(1, ((), ()))]
@@ -252,7 +255,7 @@ def test_pi_certificates_raise_under_python_O():
     )
     res = subprocess.run(
         [sys.executable, "-O", "-c", script],
-        capture_output=True, text=True, env={"PYTHONPATH": SRC, "PATH": ""},
+        capture_output=True, text=True, env=SCRIPT_ENV,
     )
     assert res.returncode == 0, res.stderr
     lines = res.stdout.splitlines()
@@ -269,11 +272,12 @@ def test_closure_certificates_raise_under_python_O():
         from lagfloor.exprspace import NotPolynomial
         from lagfloor.linalg import InvariantViolation
         from lagfloor.pairs import (
-            FunctionCochain, closure_module, function_cochain_to_module_cochain, standard_pair,
+            FunctionCochain, closure_module, function_cochain_to_module_cochain,
         )
+        from fixture_pairs import fixture_pair
 
         assert False, "asserts must be stripped under -O"
-        L3 = standard_pair("l3_cylinder")
+        L3 = fixture_pair("l3_cylinder")
         ch = L3.chart
         dz = Expr.var(ch, ch.velocity("z"))
         fm = closure_module(L3, [parse_expr(ch, "z")])
@@ -300,7 +304,7 @@ def test_closure_certificates_raise_under_python_O():
     )
     res = subprocess.run(
         [sys.executable, "-O", "-c", script],
-        capture_output=True, text=True, env={"PYTHONPATH": SRC, "PATH": ""},
+        capture_output=True, text=True, env=SCRIPT_ENV,
     )
     assert res.returncode == 0, res.stderr
     lines = res.stdout.splitlines()

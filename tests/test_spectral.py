@@ -165,6 +165,27 @@ def test_stabilization():
                 assert stable.dim(p, q) == nxt.dim(p, q)
 
 
+def test_pages_past_the_stable_page_read_the_stable_page():
+    """page(dc, r) above r0 = max(width, height) + 1 reads page r0; the
+    zig-zag quotients computed at such an r have the same dims, and d_r is
+    the zero map."""
+    from lagfloor.linalg import quotient
+    from lagfloor.spectral import _zigzag_boundaries, _zigzag_cocycles
+
+    for seed in range(6):
+        dc = random_double_complex(seed)
+        r0 = max(dc.width, dc.height) + 1
+        stable = page(dc, r0)
+        for r in (r0 + 1, r0 + 2, r0 + 5):
+            assert page(dc, r) is stable
+            for p in range(dc.width):
+                for q in range(dc.height):
+                    if dc.dim_at(p, q):
+                        direct = quotient(_zigzag_cocycles(dc, p, q, r)[0], _zigzag_boundaries(dc, p, q, r))
+                        assert direct.dim == stable.dim(p, q)
+                    assert page_differential(dc, r, p, q).is_zero()
+
+
 def test_page_differential_squares_to_zero_and_computes_next_page():
     for seed in (3, 14, 15):
         dc = random_double_complex(seed)

@@ -34,7 +34,7 @@ def torus_pair():
         {"a": (F(0), F(-1)), "b": (F(-4, 5), F(3, 5))},
         {"a": (F(1), F(0)), "b": (F(5, 13), F(12, 13))},
     )
-    return GMPair(catalog("abelian", n=2), T2, fields, True, (), points, "torus")
+    return GMPair(catalog("abelian", n=2), T2, fields, True, (), points)
 
 
 PAIR = torus_pair()
