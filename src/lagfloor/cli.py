@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .calculus import AnsatzExhausted
 from .cecohom import GModule, cohomology, validate_module
-from .expr import ParseError, to_string
+from .expr import AnsatzTooLarge, ParseError, to_string
 from .exprspace import NotPolynomial
 from .hierarchy import (
     ClassifyOptions,
@@ -344,14 +344,15 @@ def make_parser():
     parser.add_argument("--format", choices=("human", "machine"), default="human")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, lag=False, spectral=False, cohom=False):
+    def common(p, truncation=False, lag=False, spectral=False, cohom=False):
         p.add_argument("file", help="problem file (TOML)")
         # same flag after the subcommand; a separate dest avoids the
         # namespace copy-back clobbering the pre-subcommand value
         p.add_argument("--format", dest="format_sub", choices=("human", "machine"), default=None)
-        p.add_argument("--ansatz-degree", type=int, default=None)
-        p.add_argument("--fourier", type=int, default=None)
-        p.add_argument("--closure-cap", type=int, default=None)
+        if truncation:  # the commands that read _options
+            p.add_argument("--ansatz-degree", type=int, default=None)
+            p.add_argument("--fourier", type=int, default=None)
+            p.add_argument("--closure-cap", type=int, default=None)
         if lag:
             p.add_argument("--set", default="", help="parameter values, e.g. a=1,b=0,q=-1/2")
         if spectral:
@@ -364,10 +365,10 @@ def make_parser():
     common(sub.add_parser("check-algebra", help="Jacobi identity report"))
     common(sub.add_parser("check-pair", help="fundamental-field bracket check"))
     common(sub.add_parser("cohomology", help="Lie algebra cohomology dims and representatives"), cohom=True)
-    common(sub.add_parser("k-spaces", help="the five obstruction spaces of a pair"))
-    common(sub.add_parser("classify", help="floor and sign of a Lagrangian"), lag=True)
-    common(sub.add_parser("noether", help="Noether charges with conservation check"), lag=True)
-    common(sub.add_parser("spectral", help="spectral sequence pages and abutment"), spectral=True)
+    common(sub.add_parser("k-spaces", help="the five obstruction spaces of a pair"), truncation=True)
+    common(sub.add_parser("classify", help="floor and sign of a Lagrangian"), truncation=True, lag=True)
+    common(sub.add_parser("noether", help="Noether charges with conservation check"), truncation=True, lag=True)
+    common(sub.add_parser("spectral", help="spectral sequence pages and abutment"), truncation=True, spectral=True)
     return parser
 
 
@@ -415,7 +416,7 @@ def main(argv=None):
     except (ProblemFileError, ParseError, OSError, UnknownName, BadParams) as exc:
         report.add("error", str(exc))
         return _emit(report, args.format, EXIT_PARSE)
-    except (AnsatzExhausted, NotPolynomial) as exc:
+    except (AnsatzExhausted, AnsatzTooLarge, NotPolynomial) as exc:
         report.add("error", str(exc))
         return _emit(report, args.format, EXIT_UNDETERMINED)
     except PotentialUnavailable as exc:

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
+from math import comb
 
 F = Fraction
 
@@ -652,11 +653,28 @@ class AnsatzSpec:
     fourier: int
     denominator: "Expr | None" = None
 
+    def __str__(self):
+        return f"degree {self.degree}, fourier {self.fourier}"
+
+
+MAX_ANSATZ_MONOMIALS = 1000
+
+
+class AnsatzTooLarge(Exception):
+    """The ansatz has more than MAX_ANSATZ_MONOMIALS monomials."""
+
 
 def function_monomials(chart_, degree, fourier):
-    """All velocity-free basis monomials with line-degree<=degree, order<=fourier."""
+    """All velocity-free basis monomials with line-degree<=degree, order<=fourier.
+
+    Their count is computed first, and above MAX_ANSATZ_MONOMIALS none is
+    listed: AnsatzTooLarge."""
     line = chart_.line_names
     angles = chart_.angle_names
+    count = comb(degree + len(line), len(line)) * (2 * fourier + 1) ** len(angles)
+    if count > MAX_ANSATZ_MONOMIALS:
+        raise AnsatzTooLarge(f"the ansatz at {AnsatzSpec(degree, fourier)} has {count} monomials, "
+                             f"above the limit of {MAX_ANSATZ_MONOMIALS}")
     line_parts = []
 
     def rec(i, remaining, current):

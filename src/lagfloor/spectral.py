@@ -3,15 +3,22 @@ sequences.
 
 A double complex is a first-quadrant grid E^{p,q} with commuting squared-zero
 differentials d1: E^{p,q} -> E^{p,q+1} and d2: E^{p,q} -> E^{p+1,q}.  The
-total differential on antidiagonals is Q = (-1)^q d2 + d1.
+total differential on antidiagonals is Q = (-1)^q d2 + d1, and `_q_rows` is
+the one place that writes it.
 
-Pages are computed literally from the zig-zag definitions: Z_r collects
-leader terms of Q-cocycles up to order r (a chain c, c_1, .., c_{r-1} solving
-d1 c = 0, d1 c_i = -(-1)^{q-i+1} d2 c_{i-1}), and B_r the leader terms of
-Q-images from r steps down the filtration.  The stored chains are exactly
-what the page differential d_r needs, and total cohomology computed directly
-on the antidiagonal complex is the independent oracle for the abutment
-identity sum_p dim E_inf^{p,m-p} = dim H^m(Q).
+Pages are computed literally from the filtration F^p, with Z_r^p = F^p ∩
+Q^{-1}(F^{p+r}); every system below is a window of Q between lists of cells.
+With cells = [(p+i, q-i) for i < r]:
+
+- Z_r^{p,q}: the chains over cells whose Q vanishes on the cells shifted up
+  one row; their leader terms, the coordinates in E^{p,q}, span Z_r.
+- B_r^{p,q}: the (p, q) rows of Q on the chains over (p-i, q+i-1), i < r,
+  whose Q vanishes on those cells but the first, shifted up one row.
+- d_r: the (p+r, q-r+1) rows of Q on a stored Z_r chain.
+
+Total cohomology computed directly on the antidiagonal complex is the
+independent oracle for the abutment identity sum_p dim E_inf^{p,m-p} =
+dim H^m(Q).
 """
 
 from __future__ import annotations
@@ -111,30 +118,33 @@ def _antidiagonal_cells(dc, m):
     return cells
 
 
-def total_differential(dc: DoubleComplex, m: int) -> Mat:
-    """Q_m: D^m -> D^{m+1} with Q = (-1)^q d2 + d1, blocks in ascending p."""
-    src = _antidiagonal_cells(dc, m)
-    tgt = _antidiagonal_cells(dc, m + 1)
-    src_dims = [dc.dim_at(p, q) for p, q in src]
-    tgt_dims = [dc.dim_at(p, q) for p, q in tgt]
-    src_off = _offsets(src_dims)
-    tgt_off = _offsets(tgt_dims)
-    data = tuple({} for _ in range(sum(tgt_dims)))
-    tgt_index = {cell: k for k, cell in enumerate(tgt)}
-    # each (target, source) block pair holds one matrix, so nothing overlaps
-    for k, (p, q) in enumerate(src):
-        for cell, mat, sign in (((p, q + 1), dc.d1_at(p, q), 1), ((p + 1, q), dc.d2_at(p, q), (-1) ** q)):
-            if cell in tgt_index:
-                _put_block(data, tgt_off[tgt_index[cell]], src_off[k], mat, sign)
-    return Mat(len(data), sum(src_dims), data)
+def _q_rows(dc, src_cells, tgt_cells) -> Mat:
+    """The rows of Q = (-1)^q d2 + d1 from the blocks src_cells to the blocks
+    tgt_cells, each in the order given; a cell off the grid is an empty block."""
+    src_dims = [dc.dim_at(*cell) for cell in src_cells]
+    data = []
+    for tgt in tgt_cells:
+        block = tuple({} for _ in range(dc.dim_at(*tgt)))
+        # each (target, source) block pair holds one matrix, so nothing overlaps
+        for (p, q), c0 in zip(src_cells, _offsets(src_dims)):
+            if tgt == (p, q + 1):
+                _put_block(block, c0, dc.d1_at(p, q), 1)
+            elif tgt == (p + 1, q):
+                _put_block(block, c0, dc.d2_at(p, q), (-1) ** q)
+        data.extend(block)
+    return Mat(len(data), sum(src_dims), tuple(data))
 
 
-def _put_block(data, r0, c0, mat, sign):
-    """Write sign * mat into the sparse rows data at row r0, column c0."""
-    for i, row in enumerate(mat.data):
-        out = data[r0 + i]
+def _put_block(rows, c0, mat, sign):
+    """Write sign * mat, sign = 1 or -1, into the sparse rows from column c0."""
+    for out, row in zip(rows, mat.data):
         for j, v in row.items():
-            out[c0 + j] = sign * v
+            out[c0 + j] = v if sign == 1 else -v
+
+
+def total_differential(dc: DoubleComplex, m: int) -> Mat:
+    """Q_m: D^m -> D^{m+1}, blocks in ascending p."""
+    return _q_rows(dc, _antidiagonal_cells(dc, m), _antidiagonal_cells(dc, m + 1))
 
 
 def _offsets(dims):
@@ -170,8 +180,8 @@ def total_q_squared_is_zero(dc: DoubleComplex) -> bool:
 @dataclass(frozen=True)
 class PageCell:
     quotient: QuotientSpace
-    # one zig-zag chain per quotient representative: tuple of block vectors
-    # (c, c_1, .., c_{r-1}) with c_i in E^{p+i, q-i}
+    # one zig-zag chain per quotient representative, a flat vector over the
+    # cells (p+i, q-i), i < r; at r = 0 the representative itself
     lifts: tuple
 
 
@@ -191,64 +201,25 @@ class Page:
         return [[self.dim(p, q) for q in range(height)] for p in range(width)]
 
 
-def _block_kernel(blocks, equations):
-    """Kernel of a block-structured system.
-
-    blocks: list of dims of the variable blocks.  equations: list of
-    (rows, [(block_index, Mat, sign), ...]) contributions.
-    """
-    offs = _offsets(blocks)
-    all_rows = []
-    for rows, contribs in equations:
-        block_rows = tuple({} for _ in range(rows))
-        # the contributions of one equation act on distinct variable blocks
-        for bidx, mat, sign in contribs:
-            if mat.rows != rows:
-                raise InvariantViolation(f"a {mat.rows}-row block in an equation of {rows} rows")
-            _put_block(block_rows, 0, offs[bidx], mat, sign)
-        all_rows.extend(block_rows)
-    return list(kernel_of_rows(all_rows, sum(blocks)).basis)
-
-
 def _zigzag_cocycles(dc, p, q, r):
-    """(Z_r basis, lift chains): leader terms c with a length-r zig-zag."""
+    """(Z_r basis, lift chains): chains over the zig-zag cells whose Q lands
+    in F^{p+r}, kept where their leader terms are independent."""
+    cells = [(p + i, q - i) for i in range(r)]
+    chains = kernel_basis(_q_rows(dc, cells, [(a, b + 1) for a, b in cells])).basis
     d0 = dc.dim_at(p, q)
-    blocks = [d0] + [dc.dim_at(p + i, q - i) for i in range(1, r)]
-    equations = []
-    # d1 c = 0
-    equations.append((dc.dim_at(p, q + 1), [(0, dc.d1_at(p, q), 1)]))
-    for i in range(1, r):
-        # d1 c_i + (-1)^{q-i+1} d2 c_{i-1} = 0
-        rows = dc.dim_at(p + i, q - i + 1)
-        contribs = [(i, dc.d1_at(p + i, q - i), 1), (i - 1, dc.d2_at(p + i - 1, q - i + 1), (-1) ** (q - i + 1))]
-        equations.append((rows, contribs))
-    chains = [_split_blocks(v, blocks) for v in _block_kernel(blocks, equations)]
-    # pick chains whose leader terms are independent (deterministic pivots)
-    keep = pivot_columns([ch[0] for ch in chains])
-    return Subspace(d0, tuple(chains[i][0] for i in keep)), tuple(chains[i] for i in keep)
+    leaders = [{j: x for j, x in ch.items() if j < d0} for ch in chains]
+    # deterministic pivots pick the independent leader terms
+    keep = pivot_columns(leaders)
+    return Subspace(d0, tuple(leaders[i] for i in keep)), tuple(chains[i] for i in keep)
 
 
 def _zigzag_boundaries(dc, p, q, r):
-    """B_r: values d1 b_0 + (-1)^q d2 b_1 over constrained chains."""
-    d0 = dc.dim_at(p, q)
-    blocks = [dc.dim_at(p - i, q + i - 1) for i in range(r)]
-    equations = []
-    for i in range(1, r):
-        rows = dc.dim_at(p - i, q + i)
-        contribs = [(i, dc.d1_at(p - i, q + i - 1), 1)]
-        if i + 1 < r:
-            contribs.append((i + 1, dc.d2_at(p - i - 1, q + i), (-1) ** (q + i)))
-        equations.append((rows, contribs))
-    values = []
-    m_d1 = dc.d1_at(p, q - 1)
-    m_d2 = dc.d2_at(p - 1, q)
-    for v in _block_kernel(blocks, equations):
-        ch = _split_blocks(v, blocks)
-        value = m_d1.mul_vec(ch[0])
-        if r >= 2:
-            add_scaled(value, (-1) ** q, m_d2.mul_vec(ch[1]))
-        values.append(value)
-    return Subspace.spanned_by(values, d0)
+    """B_r: the (p, q) values of Q on chains from r steps down the filtration
+    whose Q vanishes everywhere else in the window."""
+    cells = [(p - i, q + i - 1) for i in range(r)]
+    chains = kernel_basis(_q_rows(dc, cells, [(a, b + 1) for a, b in cells[1:]])).basis
+    q_pq = _q_rows(dc, cells, [(p, q)])
+    return Subspace.spanned_by([q_pq.mul_vec(ch) for ch in chains], dc.dim_at(p, q))
 
 
 def _split_blocks(vec, blocks):
@@ -280,8 +251,7 @@ def page(dc: DoubleComplex, r: int) -> Page:
             if r == 0:
                 full = Subspace(d0, tuple({i: F(1)} for i in range(d0)))
                 qt = quotient(full, Subspace(d0, ()))
-                lifts = tuple((v,) for v in qt.representatives)
-                cells[(p, q)] = PageCell(qt, lifts)
+                cells[(p, q)] = PageCell(qt, qt.representatives)
                 continue
             z, lifts = _zigzag_cocycles(dc, p, q, r)
             b = _zigzag_boundaries(dc, p, q, r)
@@ -308,13 +278,11 @@ def page_differential(dc: DoubleComplex, r: int, p: int, q: int) -> Mat:
     tgt_dim = tgt.quotient.dim if tgt else 0
     if src_dim == 0 or tgt_dim == 0:
         return Mat.zero(tgt_dim, src_dim)
-    sign = (-1) ** (q - r + 1)
-    m_d2 = dc.d2_at(p + r - 1, q - r + 1)
+    d_r = _q_rows(dc, [(p + i, q - i) for i in range(r)], [(tp, tq)])
     cols = []
     for chain in src.lifts:
-        v = {i: sign * x for i, x in m_d2.mul_vec(chain[r - 1]).items()}
         try:
-            cols.append(tgt.quotient.reduce(v))
+            cols.append(tgt.quotient.reduce(d_r.mul_vec(chain)))
         except ValueError as exc:
             raise LiftFailure(f"page differential value escaped Z_r at ({tp},{tq})") from exc
     return Mat(src_dim, tgt_dim, tuple(cols)).transpose()

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from lagfloor import hierarchy
 from lagfloor.cli import main
+from lagfloor.expr import MAX_ANSATZ_MONOMIALS
 from lagfloor.problemfile import (
     ProblemFileError,
     build_algebra,
@@ -783,7 +784,7 @@ def test_k3_that_never_stabilizes_is_undetermined(monkeypatch):
     assert code == 4, out
     assert out == (
         f"command = k-spaces\nfile = {fx('l3_cylinder.toml')}\n"
-        "k3_stable = false\nansatz = AnsatzSpec(degree=4, fourier=3, denominator=None)\n"
+        "k3_stable = false\nansatz = degree 4, fourier 3\n"
     )
     assert run_under_O(*argv, script=K3_UNSTABLE) == (4, out)
 
@@ -800,6 +801,36 @@ def test_oversized_invariance_complex_exits_4_before_it_is_built(extra, cells):
     assert cells > hierarchy.MAX_COMPLEX_CELLS
     assert seconds < 1
     assert run_under_O(*argv) == (4, out)
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (("k-spaces", fx("translations_r3.toml"), "--ansatz-degree", "1000000000"), 166666667666666668500000001),
+        (("classify", fx("l3_cylinder.toml"), "--set", "a=1,b=0,c=0,d=0,q=0", "--fourier", "1000000000"), 8000000004),
+    ],
+    ids=["degree", "fourier"],
+)
+def test_oversized_ansatz_exits_4_before_it_is_listed(argv, count):
+    """An ansatz of more than MAX_ANSATZ_MONOMIALS monomials is refused by
+    its count, before any monomial is listed: exit 4 with the count, in
+    under 1 s, also under python -O."""
+    code, out, seconds = run_timed(*argv)
+    assert code == 4, out
+    assert f" has {count} monomials, above the limit of {MAX_ANSATZ_MONOMIALS}" in out
+    assert out.splitlines()[-1].startswith("error = the ansatz at ")
+    assert seconds < 1
+    assert run_under_O(*argv) == (4, out)
+
+
+@pytest.mark.parametrize("command", ["check-algebra", "check-pair", "cohomology"])
+@pytest.mark.parametrize("flag", ["--ansatz-degree", "--fourier", "--closure-cap"])
+def test_truncation_flags_only_on_the_commands_that_read_them(command, flag):
+    """check-algebra, check-pair and cohomology read no truncation, so the
+    flags are usage errors there."""
+    with pytest.raises(SystemExit) as exc:
+        run("--format", "machine", command, fx("so3_r3.toml"), flag, "1")
+    assert exc.value.code == 2
 
 
 def einf_rows(golden, r):
@@ -877,7 +908,7 @@ def flagged_commands(draw):
     argv += command.split()[1:]
     for flag in ("--ansatz-degree", "--fourier"):
         if draw(st.booleans()):
-            argv.append(f"{flag}={draw(SMALL_INTS | MALFORMED)}")
+            argv.append(f"{flag}={draw(HUGE | SMALL_INTS | MALFORMED)}")
     for flag in FLAG_COMMANDS[command]:
         values = SET_STRINGS if flag == "--set" else HUGE | SMALL_INTS | MALFORMED
         for value in draw(st.lists(values, max_size=2)):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +108,38 @@ def test_hand_built_nonzero_d2_page_map():
     assert p3.dim(0, 1) == 0
     assert p3.dim(2, 0) == 0
     assert abutment_check(dc).ok
+
+
+PAGE_DIFFERENTIALS = Path(__file__).resolve().parent / "golden" / "spectral_pages.txt"
+
+
+def page_differential_lines():
+    """One line per page differential d_r: E_r^{p,q} -> E_r^{p+r,q-r+1} with
+    rows and columns, for r = 1..max(width, height)+1 on
+    random_double_complex(seed), seeds 0..29, then d_2 of the hand-built
+    zig-zag complex; each sparse row is written as column:value pairs."""
+
+    def line(label, r, p, q, m):
+        rows = " ".join("[" + " ".join(f"{j}:{x}" for j, x in sorted(row.items())) + "]" for row in m.data)
+        return f"{label} r={r} p={p} q={q} {m.rows}x{m.cols} {rows}\n"
+
+    out = []
+    for seed in range(30):
+        dc = random_double_complex(seed)
+        for r in range(1, max(dc.width, dc.height) + 2):
+            for p in range(dc.width):
+                for q in range(dc.height):
+                    m = page_differential(dc, r, p, q)
+                    if m.rows and m.cols:
+                        out.append(line(f"seed={seed}", r, p, q, m))
+    out.append(line("hand", 2, 0, 1, page_differential(hand_zigzag_complex(), 2, 0, 1)))
+    return "".join(out)
+
+
+def test_page_differentials_pinned():
+    """Every page-differential matrix on its stored representatives, byte for
+    byte; the file was captured before the zig-zag systems were read off Q."""
+    assert page_differential_lines() == PAGE_DIFFERENTIALS.read_text()
 
 
 def test_transpose_involution():
