@@ -47,6 +47,7 @@ from .linalg import (
     Mat,
     Subspace,
     add_scaled,
+    coordinate_map,
     dense,
     kernel_of_rows,
     quotient,
@@ -58,7 +59,6 @@ from .pairs import (
     GMPair,
     action_module,
     closedness_rows,
-    coordinate_map,
     invariant_closed_forms,
     linear_image,
     pi_images,

@@ -14,10 +14,14 @@ There is one sparse matrix type and one sparse vector type.  A vector is a
 function here takes and returns vectors in that form, and :func:`dense`
 writes one out as a tuple for the report-level shapes.  :class:`Mat` keeps
 its rows as such vectors; producers build them directly and elimination
-reads them as they are.  Batch elimination goes through :func:`rref`, which
-clears denominators and hands integer rows to the fraction-free
-:func:`row_reduce`.  Its output is the canonical RREF of the row space, so
-every result here is reproducible bit for bit.
+reads them as they are.
+
+There is one elimination algorithm, the store of :class:`Echelon`: the
+reduced echelon form as primitive ``{column: int}`` rows.
+:func:`row_reduce` feeds it a batch, and :func:`rref` clears denominators
+before and divides by the pivots after.  That form and its primitive rows
+are unique, so every result here is reproducible bit for bit, whatever the
+order of the rows.
 """
 
 from __future__ import annotations
@@ -31,10 +35,6 @@ from math import gcd, lcm
 # The benchmark's traced runs read this name and reject any other value,
 # because they time row reduction by wrapping that module-level function.
 KERNEL_IMPL = "python"
-
-# During elimination a row is divided by its gcd once an entry grows past
-# this many bits; the final pass makes every row primitive regardless.
-NORMALIZE_BITS = 64
 
 # {index: Fraction}, nonzero entries only; the keys carry no order
 Vector = dict[int, Fraction]
@@ -168,101 +168,118 @@ class Mat:
         return not any(self.data)
 
 
-def _row_gcd(row):
-    g = 0
-    for x in row:
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                return 1
-    return g
+def _int_row(v):
+    """(den, w) with v = w / den and w a ``{column: int}`` row: one
+    denominator per row, since row scaling preserves the row space."""
+    den = 1
+    for x in v.values():
+        den = lcm(den, x.denominator)
+    return den, {j: x.numerator * (den // x.denominator) for j, x in v.items() if x}
 
 
-def _make_primitive(row, pivot_col):
-    g = _row_gcd(row)
-    if g == 0:
-        return row
-    if row[pivot_col] < 0:
+def _combine(a, w, x, row):
+    """a*w - x*row on ``{column: int}`` rows, zeros dropped."""
+    out = {j: a * y for j, y in w.items()} if a != 1 else dict(w)
+    for j, y in row.items():
+        z = out.get(j, 0) - x * y
+        if z:
+            out[j] = z
+        else:
+            del out[j]
+    return out
+
+
+def _primitive(w, p):
+    """w divided by its content, signed so that its entry at p is positive."""
+    g = gcd(*w.values())
+    if w[p] < 0:
         g = -g
-    if g != 1:
-        row = [x // g for x in row]
-    return row
+    return {j: y // g for j, y in w.items()} if g != 1 else w
+
+
+class Echelon:
+    """Reduced echelon basis of a span that grows one vector at a time.
+
+    ``rows`` maps each pivot to a primitive integer ``{column: int}`` row
+    with a positive entry there.  A row's pivot is its lowest column, and
+    every row vanishes at every other pivot, so the store is the reduced
+    echelon form of the span at every step.  A vector is reduced by one
+    pass over its pivot entries, as ``a*v - x*row``; a nonzero residual is
+    made primitive, stored under its lowest column, and that column is
+    cleared from the other rows.  ``insert`` therefore accepts exactly the
+    vectors that raise the rank of those inserted before them.  Columns are
+    any mutually comparable keys.
+    """
+
+    def __init__(self):
+        self.rows: dict = {}
+
+    def _eliminate(self, w):
+        """(s, r): r = s*w minus an element of the span, s > 0, r vanishing
+        at every pivot.  The rows are reduced, so each step leaves the other
+        pivot entries of w as they are."""
+        s = 1
+        for p in [p for p in w if p in self.rows]:
+            row = self.rows[p]
+            a, x = row[p], w[p]
+            g = gcd(a, x)
+            a, x = a // g, x // g
+            s *= a
+            w = _combine(a, w, x, row)
+        return s, w
+
+    def reduce(self, v) -> dict:
+        """The residual of v: the one vector that differs from v by an
+        element of the span and vanishes at every pivot; empty exactly when
+        v lies in the span."""
+        den, w = _int_row(v)
+        s, r = self._eliminate(w)
+        return {j: Fraction(x, den * s) for j, x in r.items()}
+
+    def insert(self, v) -> bool:
+        """Add v to the span; False (and nothing stored) when it is already in it."""
+        return self._insert(_int_row(v)[1])
+
+    def _insert(self, w) -> bool:
+        """``insert`` for a ``{column: int}`` row of nonzero entries."""
+        r = self._eliminate(w)[1]
+        if not r:
+            return False
+        p = min(r)
+        r = _primitive(r, p)
+        a = r[p]
+        for q, row in self.rows.items():
+            x = row.get(p)
+            if x:
+                g = gcd(a, x)
+                self.rows[q] = _primitive(_combine(a // g, row, x // g, r), q)
+        self.rows[p] = r
+        return True
 
 
 def row_reduce(rows, ncols):
-    """Fraction-free Gauss-Jordan elimination of integer ``rows`` (a copy).
+    """Fraction-free Gauss-Jordan elimination of ``{column: int}`` rows.
 
-    Returns ``(pivots, reduced)`` where ``pivots`` is the ascending list of
-    pivot columns and ``reduced`` the corresponding primitive integer rows
-    (coprime entries, positive pivot) of the reduced echelon form.  A row is
-    combined as ``p*row - x*pivot_row``, so entries are Python ints and never
-    overflow.  Pivot choice is the first row with a nonzero entry in the
-    scanned column, so the result is deterministic.
+    Returns ``(pivots, reduced)``: the ascending pivot columns and the
+    primitive integer rows (coprime entries, positive pivot) of the reduced
+    echelon form.  The rows go one at a time into an :class:`Echelon`, whose
+    store is that form at every step; since it is unique, so is the result,
+    whatever the order of ``rows``.
     """
-    work = [list(r) for r in rows]
-    nrows = len(work)
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        sel = -1
-        for r in range(rank, nrows):
-            if work[r][col]:
-                sel = r
-                break
-        if sel < 0:
-            continue
-        if sel != rank:
-            work[rank], work[sel] = work[sel], work[rank]
-        prow = _make_primitive(work[rank], col)
-        work[rank] = prow
-        p = prow[col]
-        for r in range(nrows):
-            if r == rank:
-                continue
-            row = work[r]
-            x = row[col]
-            if not x:
-                continue
-            new = [p * a - x * b for a, b in zip(row, prow)]
-            big = False
-            for v in new:
-                if v and v.bit_length() > NORMALIZE_BITS:
-                    big = True
-                    break
-            if big:
-                g = _row_gcd(new)
-                if g > 1:
-                    new = [v // g for v in new]
-            work[r] = new
-        pivots.append(col)
-        rank += 1
-    reduced = [_make_primitive(work[i], pivots[i]) for i in range(rank)]
-    return pivots, reduced
-
-
-def _int_rows(rows, ncols):
-    """Clear denominators row by row (row scaling preserves the row space),
-    writing each sparse row out as a dense list of ints for ``row_reduce``."""
-    out = []
+    ech = Echelon()
     for r in rows:
-        den = 1
-        for x in r.values():
-            den = lcm(den, x.denominator)
-        dense_row = [0] * ncols
-        for j, x in r.items():
-            dense_row[j] = x.numerator * (den // x.denominator)
-        out.append(dense_row)
-    return out
+        ech._insert(r)
+    pivots = sorted(ech.rows)
+    reduced = [ech.rows[p] for p in pivots]
+    if pivots and (pivots[0] < 0 or max(max(r) for r in reduced) >= ncols):
+        raise InvariantViolation(f"a row has an entry outside columns 0..{ncols - 1}")
+    return pivots, reduced
 
 
 def rref(rows, ncols):
     """Canonical rational RREF of sparse rows: (pivots, rows with pivot entries = 1)."""
-    pivots, red = row_reduce(_int_rows(rows, ncols), ncols)
-    out = []
-    for p, r in zip(pivots, red):
-        d = r[p]
-        out.append({j: Fraction(x, d) for j, x in enumerate(r) if x})
-    return pivots, out
+    pivots, red = row_reduce([_int_row(r)[1] for r in rows], ncols)
+    return pivots, [{j: Fraction(r[j], r[p]) for j in sorted(r)} for p, r in zip(pivots, red)]
 
 
 @dataclass(frozen=True)
@@ -379,6 +396,29 @@ def _scatter(columns):
     return rows
 
 
+def coordinate_map(family, targets, failure) -> Mat:
+    """Mat whose column j holds the coordinates of targets[j] in the
+    independent sparse family; raises InvariantViolation(failure) when a
+    target lies outside the family's span.
+
+    One elimination of the columns [family | -targets]: every family column
+    is a pivot, row k of the RREF holds minus the k-th coordinate of each
+    target, and a pivot in a target column is a target outside the span.
+    """
+    n = len(family)
+    rows = _scatter(family)
+    for j, t in enumerate(targets):
+        for i, x in t.items():
+            rows.setdefault(i, {})[n + j] = -x
+    pivots, red = rref(list(rows.values()), n + len(targets))
+    if pivots and pivots[-1] >= n:
+        raise InvariantViolation(failure)
+    data = [{} for _ in range(n)]
+    for p, r in zip(pivots, red):
+        data[p] = {c - n: -x for c, x in r.items() if c >= n}
+    return Mat(n, len(targets), tuple(data))
+
+
 def solve_rows(rows, nvars) -> Vector | None:
     """``solve`` for augmented sparse rows: x with
     sum_k row[k] x[k] + row[nvars] = 0 for every row, or None.
@@ -392,42 +432,6 @@ def solve_rows(rows, nvars) -> Vector | None:
     if nvars in pivots:
         return None
     return {p: -r[nvars] for p, r in zip(pivots, red) if nvars in r}
-
-
-class Echelon:
-    """Echelon basis of a span that grows one vector at a time.
-
-    ``reduce`` subtracts the rows in insertion order; ``insert`` keeps a
-    vector whose residual is nonzero as a new row, pivoting on the
-    residual's lowest nonzero column and scaling that pivot to 1.  Each row
-    vanishes at the pivots of earlier rows, so a residual vanishes at every
-    pivot, and it is empty exactly when the vector lies in the span.
-    ``insert`` therefore accepts exactly the vectors that raise the rank of
-    those inserted before them.
-    """
-
-    def __init__(self):
-        self.rows: list[dict] = []
-        self.pivots: list = []
-
-    def reduce(self, v) -> dict:
-        v = {col: x for col, x in v.items() if x}
-        for row, p in zip(self.rows, self.pivots):
-            c = v.get(p)
-            if c:
-                add_scaled(v, -c, row)
-        return v
-
-    def insert(self, v) -> bool:
-        """Add v to the span; False (and nothing stored) when it is already in it."""
-        v = self.reduce(v)
-        if not v:
-            return False
-        p = min(v)
-        inv = ONE / v[p]
-        self.rows.append({col: x * inv for col, x in v.items()})
-        self.pivots.append(p)
-        return True
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .linalg import (
     Mat,
     Subspace,
     add_scaled,
+    coordinate_map,
     dense,
     kernel_basis,
     kernel_of_rows,
@@ -278,19 +279,6 @@ def linear_image(vec, unit_image):
     for u, c in vec.items():
         add_scaled(acc, c, unit_image(u))
     return acc
-
-
-def coordinate_map(family, targets, failure):
-    """Mat whose column j holds the coordinates of targets[j] in the
-    independent sparse family; raises InvariantViolation(failure) when a
-    target lies outside the family's span."""
-    cols = []
-    for t in targets:
-        c = span_coordinates(family, t)
-        if c is None:
-            raise InvariantViolation(failure)
-        cols.append(c)
-    return Mat(len(cols), len(family), tuple(cols)).transpose()
 
 
 def action_module(algebra: StructureConstants, family, unit_images) -> GModule:

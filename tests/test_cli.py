@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import subprocess
 import sys
@@ -926,3 +927,51 @@ def test_flag_values_end_in_a_documented_exit_code(argv):
     except SystemExit as exc:
         code, out = exc.code, ""
     assert code in (0, 2, 3, 4, 5), (argv, out)
+
+
+TRUNCATIONS = st.integers(-3, 3) | st.sampled_from([10**9, -(10**9)]) | st.integers(10**6, 10**12)
+PARAMETERS = {"l3_cylinder.toml": ("a", "b", "c", "d", "q"), "translations_r2.toml": ("m", "B", "E1", "E2")}
+PARAMETER_VALUES = st.sampled_from(["0", "1", "-1", "2", "2/3", "-5/2"])
+# runs each argv given as a JSON list, printing only its exit code
+EXIT_CODES = """
+import contextlib, io, json, sys
+from lagfloor.cli import main
+for argv in json.loads(sys.argv[-1]):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["--format", "machine", *argv])
+    except SystemExit as exc:
+        code = exc.code
+    print(code)
+"""
+
+
+@st.composite
+def truncated_runs(draw):
+    """noether or classify on a valid parameter set, with small or huge
+    --ansatz-degree and --fourier values."""
+    name = draw(st.sampled_from(sorted(PARAMETERS)))
+    values = ",".join(f"{k}={draw(PARAMETER_VALUES)}" for k in PARAMETERS[name])
+    argv = [draw(st.sampled_from(["classify", "noether"])), fx(name), f"--set={values}"]
+    for flag in ("--ansatz-degree", "--fourier"):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(TRUNCATIONS)}")
+    return argv
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.lists(truncated_runs(), min_size=1, max_size=10))
+def test_noether_and_classify_under_drawn_truncations(runs):
+    """Every run ends in a documented exit code with no traceback, and the
+    same one under python -O."""
+    codes = []
+    for argv in runs:
+        try:
+            code, _ = run("--format", "machine", *argv)
+        except SystemExit as exc:
+            code = exc.code
+        codes.append(code)
+    assert all(code in (0, 2, 3, 4, 5) for code in codes), list(zip(runs, codes))
+    returncode, out = run_under_O(json.dumps(runs), script=EXIT_CODES)
+    assert returncode == 0
+    assert [int(c) for c in out.split()] == codes

@@ -1,17 +1,19 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagfloor.linalg import (
-    NORMALIZE_BITS,
     DenominatorNotContained,
     Echelon,
     InvariantViolation,
     Mat,
     Subspace,
+    add_scaled,
+    coordinate_map,
     dense,
     image_basis,
     kernel_basis,
@@ -34,6 +36,11 @@ def M(rows):
 def sp(seq):
     """The sparse vector of a dense sequence."""
     return {i: F(x) for i, x in enumerate(seq) if x}
+
+
+def int_row(seq):
+    """The ``{column: int}`` row of a dense sequence of ints."""
+    return {i: x for i, x in enumerate(seq) if x}
 
 
 # -- kernel_basis ------------------------------------------------------------
@@ -279,25 +286,31 @@ def test_kernels_match_oracle(seed):
     want = naive_fraction_rref(rows, c)
     pivots, red = rref([sp(row) for row in rows], c)
     assert (pivots, [dense(v, c) for v in red]) == want
-    assert row_reduce(rows, c)[0] == want[0]
+    assert row_reduce([int_row(row) for row in rows], c)[0] == want[0]
 
 
 def test_row_reduce_handles_big_integers():
     rng = random.Random(3)
     rows = [[rng.randint(-10**40, 10**40) for _ in range(4)] for _ in range(4)]
-    assert max(abs(x) for r in rows for x in r).bit_length() > NORMALIZE_BITS
+    assert max(abs(x) for r in rows for x in r).bit_length() > 128
     # agrees with the Fraction oracle after pivot normalization
-    pivots, reduced = row_reduce(rows, 4)
+    pivots, reduced = row_reduce([int_row(row) for row in rows], 4)
     oracle_pivots, oracle_rows = naive_fraction_rref(rows, 4)
     assert pivots == oracle_pivots
     for p, r, want in zip(pivots, reduced, oracle_rows):
         inv = F(1, r[p])
-        assert tuple(F(x) * inv for x in r) == want
+        assert dense({j: F(x) * inv for j, x in r.items()}, 4) == want
+
+
+@pytest.mark.parametrize("column", [-1, 3])
+def test_row_reduce_refuses_a_column_outside_the_width(column):
+    with pytest.raises(InvariantViolation):
+        row_reduce([{0: 2, 1: 1}, {column: 5}], 3)
 
 
 def test_interim_gcd_normalization_path_matches_oracle():
-    # entries large enough that fraction-free growth crosses the
-    # normalization threshold mid-elimination
+    # entries large enough that fraction-free growth needs the gcd
+    # normalization of every stored row mid-elimination
     rng = random.Random(17)
     rows = [[rng.randint(-99, 99) for _ in range(10)] for _ in range(10)]
     want = naive_fraction_rref(rows, 10)
@@ -405,3 +418,77 @@ def test_echelon_accepts_rank_raising_vectors_and_coordinates_match_solve(data, 
     assert span_coordinates(sparse, sparse_target) == want
     # the residual of the target is empty exactly when it has coordinates
     assert (not ech.reduce(sparse_target)) == (want is not None)
+
+
+# -- one reduced store behind row_reduce, rref and Echelon ----------------------
+
+@st.composite
+def rational_vector_lists(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    k = draw(st.integers(min_value=0, max_value=7))
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2, -3, F(1, 2), F(-2, 3)])
+    return n, [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(k)]
+
+
+@given(rational_vector_lists(), st.randoms(use_true_random=False), st.lists(st.sampled_from([0, 1, -2, F(3, 2)]), min_size=6, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_echelon_store_is_the_canonical_reduced_form(data, rnd, target):
+    n, vectors = data
+    # row order does not matter: the reduced echelon form is unique
+    rows = [int_row([int(6 * x) for x in v]) for v in vectors]
+    shuffled = rows[:]
+    rnd.shuffle(shuffled)
+    pivots, reduced = row_reduce(rows, n)
+    assert row_reduce(shuffled, n) == (pivots, reduced)
+    assert all(r[p] > 0 and gcd(*r.values()) == 1 for p, r in zip(pivots, reduced))
+    # after every insert, the stored rows scaled to pivot 1 are the rref
+    ech = Echelon()
+    sparse = [sp(v) for v in vectors]
+    for k, v in enumerate(sparse):
+        ech.insert(v)
+        pivots, red = rref(sparse[: k + 1], n)
+        assert sorted(ech.rows) == pivots
+        assert [{j: F(x, ech.rows[p][p]) for j, x in ech.rows[p].items()} for p in pivots] == red
+    # the residual vanishes at every pivot and differs from v by the span
+    v = sp(target[:n])
+    r = ech.reduce(v)
+    assert not set(r) & set(ech.rows)
+    diff = [v.get(j, 0) - r.get(j, 0) for j in range(n)]
+    rank = len(naive_fraction_rref(vectors, n)[0])
+    assert len(naive_fraction_rref(vectors + [diff], n)[0]) == rank
+
+
+def random_family(rng, m):
+    """An independent list of sparse rational vectors of Q^m."""
+    family, ech = [], Echelon()
+    for _ in range(rng.randint(0, m + 2)):
+        v = {j: F(rng.randint(-4, 4), rng.randint(1, 3)) for j in rng.sample(range(m), rng.randint(1, m))}
+        v = {j: x for j, x in v.items() if x}
+        if v and ech.insert(v):
+            family.append(v)
+    return family
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=80, deadline=None)
+def test_coordinate_map_columns_are_span_coordinates(seed):
+    rng = random.Random(seed)
+    family = random_family(rng, rng.randint(1, 7))
+    targets = []
+    for _ in range(rng.randint(0, 5)):
+        t = {}
+        for v in family:
+            add_scaled(t, F(rng.randint(-3, 3), rng.randint(1, 2)), v)
+        targets.append(t)
+    got = coordinate_map(family, targets, "outside")
+    assert (got.rows, got.cols) == (len(family), len(targets))
+    for j, t in enumerate(targets):
+        assert {k: got[k, j] for k in range(len(family)) if got[k, j]} == span_coordinates(family, t)
+
+
+def test_coordinate_map_refuses_one_target_outside_the_span():
+    family = [{0: F(1)}, {1: F(1), 2: F(2)}]
+    inside = {0: F(3), 1: F(-1), 2: F(-2)}
+    assert coordinate_map(family, [inside], "escaped").data == ({0: F(3)}, {0: F(-1)})
+    with pytest.raises(InvariantViolation, match="^image escaped the family$"):
+        coordinate_map(family, [inside, {2: F(1)}, inside], "image escaped the family")
