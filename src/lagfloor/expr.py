@@ -21,7 +21,7 @@ lowest terms; equality never relies on reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
 from math import comb
@@ -51,20 +51,20 @@ class Chart:
     """Ordered chart coordinates; kind is 'line' or 'angle'."""
 
     coords: tuple[tuple[str, str], ...]
+    # read on every partial derivative, so computed once; derived from
+    # coords, it takes no part in equality, hashing or repr
+    names: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        names = [n for n, _ in self.coords]
+        names = tuple(n for n, _ in self.coords)
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate coordinate names in {names}")
+            raise ValueError(f"duplicate coordinate names in {list(names)}")
         for n, k in self.coords:
             if not (isinstance(n, str) and n):
                 raise ValueError(f"a coordinate name must be a non-empty string, got {n!r}")
             if k not in (LINE, ANGLE):
                 raise ValueError(f"coordinate {n!r} has kind {k!r}; kinds are {LINE!r} and {ANGLE!r}")
-
-    @property
-    def names(self):
-        return tuple(n for n, _ in self.coords)
+        object.__setattr__(self, "names", names)
 
     @property
     def line_names(self):

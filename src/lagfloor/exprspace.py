@@ -1,9 +1,12 @@
 """Coordinate views of finite families of expressions.
 
 Several solvers (potential finding, invariant functions, cocycle spaces,
-module closures) reduce "these expressions must vanish / be dependent" to
-exact linear algebra: bring everything over a common denominator, read off
-monomial coordinates of the numerators, and hand the rows to ``linalg``.
+the K-spaces and the phi_3 witness) reduce "these expressions must vanish /
+be dependent" to exact linear algebra: bring everything over a common
+denominator, read off monomial coordinates of the numerators, and hand the
+rows to ``linalg``.  A term may also come as the sparse monomial vector
+``{monomial: coefficient}`` of a polynomial, which is how the pair's action
+table gives its images; it is read as it is.
 """
 
 from __future__ import annotations
@@ -64,20 +67,25 @@ def poly_terms(e: Expr) -> dict:
 def equation_rows(terms):
     """Sparse rows ``{unknown: coefficient}`` of one identity sum == 0.
 
-    ``terms`` are (unknown, scale, expression) triples standing for
-    unknown * scale * expression; an unknown may repeat, and its
-    contributions add.  Polynomial terms give their monomial coordinates
-    directly; otherwise the identity is first cleared to a common
-    denominator.  One row per monomial, zero rows dropped.
+    ``terms`` are (unknown, scale, term) triples standing for
+    unknown * scale * term, where a term is an expression or a polynomial
+    given as its ``{monomial: coefficient}`` dict; an unknown may repeat,
+    and its contributions add.  Polynomial terms give their monomial
+    coordinates directly; when an expression term is rational the identity
+    is first cleared to a common denominator.  One row per monomial, zero
+    rows dropped.
     """
-    terms = [t for t in terms if not t[2].is_zero()]
-    if all(e.den.is_one() for _, _, e in terms):
-        nums = [e.num for _, _, e in terms]
+    terms = [t for t in terms if (t[2] if isinstance(t[2], dict) else not t[2].is_zero())]
+    exprs = [e for _, _, e in terms if isinstance(e, Expr)]
+    if all(e.den.is_one() for e in exprs):
+        nums = [e if isinstance(e, dict) else e.num.terms for _, _, e in terms]
     else:
-        _, nums = common_denominator([e for _, _, e in terms])
+        ch = exprs[0].chart
+        _, nums = common_denominator([e if isinstance(e, Expr) else Expr(ch, TP(e)) for _, _, e in terms])
+        nums = [num.terms for num in nums]
     rows = {}
     for (k, scale, _), num in zip(terms, nums):
-        for m, c in num.terms.items():
+        for m, c in num.items():
             row = rows.setdefault(m, {})
             v = c if scale == 1 else scale * c
             if k in row:  # adding to 0 would cost a Fraction addition
@@ -89,8 +97,9 @@ def equation_rows(terms):
     return [r for r in rows.values() if r]
 
 
-def kernel_of_expr_system(columns: list[list[Expr]]) -> Subspace:
-    """All (c_k) with sum_k c_k columns[k][e] = 0 identically for every e."""
+def kernel_of_expr_system(columns) -> Subspace:
+    """All (c_k) with sum_k c_k columns[k][e] = 0 identically for every e;
+    an entry is an expression or a polynomial's monomial dict."""
     nunk = len(columns)
     rows = []
     for e in range(len(columns[0]) if columns else 0):

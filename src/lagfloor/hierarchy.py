@@ -38,8 +38,8 @@ from .calculus import (
     total_time_derivative,
 )
 from .cecohom import Cochain, GModule, ce_differential, cohomology, coboundary_witness
-from .expr import TP, UNIT, AnsatzSpec, EvaluationPole, Expr, function_monomials, mono_expr
-from .exprspace import equation_rows, poly_terms
+from .expr import TP, UNIT, AnsatzSpec, EvaluationPole, Expr, function_monomials
+from .exprspace import equation_rows
 from .liealg import zero_one_cocycles
 from .linalg import (
     Echelon,
@@ -332,7 +332,7 @@ def phi3(p: GMPair, alpha: FunctionCochain, opts: ClassifyOptions):
     rows = closedness_rows(p, monos)
     for i in range(n):
         terms = [(k, 1, act.contraction(i, mu, m)) for k, (mu, m) in enumerate(units)]
-        terms += [(nw + a, 1, Expr.const(ch, tvec.get(i, 0))) for a, tvec in enumerate(z1.basis)]
+        terms += [(nw + a, 1, {UNIT: tvec[i]}) for a, tvec in enumerate(z1.basis) if i in tvec]
         terms += [(nw + nt + k, 1, act.scalar(i, m)) for k, m in enumerate(fmonos)]
         terms.append((nunk, -1, alpha.components[i]))
         rows.extend(equation_rows(terms))
@@ -593,7 +593,7 @@ def k3_space(p: GMPair, opts: ClassifyOptions):
     act = p.action
     monos = function_monomials(ch, opts.degree, opts.fourier)
     nm = len(monos)
-    mono_exprs = [mono_expr(ch, m) for m in monos]
+    mono_vectors = [{m: F(1)} for m in monos]
     # cocycle system: unknown i * nm + k is the coefficient of monos[k] in alpha_i
     rows = []
     for a in range(n):
@@ -603,7 +603,7 @@ def k3_space(p: GMPair, opts: ClassifyOptions):
             for k, m in enumerate(monos):
                 terms.append((b * nm + k, 1, act.scalar(a, m)))
                 terms.append((a * nm + k, -1, act.scalar(b, m)))
-                terms.extend((i * nm + k, -c, mono_exprs[k]) for i, c in structure)
+                terms.extend((i * nm + k, -c, mono_vectors[k]) for i, c in structure)
             rows.extend(equation_rows(terms))
     zbasis = kernel_of_rows(rows, n * nm).basis
     # ambient order: generator slot, then each monomial's first appearance
@@ -654,7 +654,7 @@ def k3_space(p: GMPair, opts: ClassifyOptions):
     prev = None
     for extra in K3_F_RAISES:
         coboundaries = [
-            [poly_terms(act.scalar(i, m)) for i in range(n)]
+            [act.scalar(i, m) for i in range(n)]
             for m in function_monomials(ch, opts.degree + extra, opts.fourier)
         ]
         dsub = Subspace.spanned_by(inside_span(fixed + coboundaries), ambient)
@@ -752,8 +752,8 @@ class InvarianceComplex:
 
 
 def _keyed_terms(keys, comps):
-    """{(key, monomial): coefficient} of polynomial components, one per key."""
-    return {(key, m): c for key, comp in zip(keys, comps) for m, c in poly_terms(comp).items()}
+    """{(key, monomial): coefficient} of the component vectors, one per key."""
+    return {(key, m): c for key, comp in zip(keys, comps) for m, c in comp.items()}
 
 
 def _largest_invariant_subspace(basis, unit_images):
@@ -810,16 +810,14 @@ def build_invariance_double_complex(p: GMPair, opts: ClassifyOptions | None = No
     pairs = TwoForm.pairs(ch)
     monos = function_monomials(ch, opts.degree, opts.fourier)
 
-    zero = Expr.const(ch, 0)
-
     def f_unit(i):
-        return lambda m: poly_terms(act.scalar(i, m))
+        return lambda m: act.scalar(i, m)
 
     def w_unit(i):
-        return lambda unit: _keyed_terms(range(ncoords), act.oneform(i, *unit).components)
+        return lambda unit: _keyed_terms(range(ncoords), act.oneform(i, *unit))
 
     def t_unit(i):
-        return lambda unit: _keyed_terms(pairs, act.twoform(i, *unit).components)
+        return lambda unit: _keyed_terms(pairs, act.twoform(i, *unit))
 
     def df_unit(m):
         return _keyed_terms(range(ncoords), [act.partial(mu, m) for mu in range(ncoords)])
@@ -827,7 +825,10 @@ def build_invariance_double_complex(p: GMPair, opts: ClassifyOptions | None = No
     def dw_unit(unit):
         """d(m dq^mu): dm/dq^a on the pair (a, mu), -dm/dq^b on (mu, b)."""
         mu, m = unit
-        comps = [act.partial(a, m) if b == mu else -act.partial(b, m) if a == mu else zero for a, b in pairs]
+        comps = [
+            act.partial(a, m) if b == mu else {k: -c for k, c in act.partial(b, m).items()} if a == mu else {}
+            for a, b in pairs
+        ]
         return _keyed_terms(pairs, comps)
 
     f_basis = _largest_invariant_subspace([{m: F(1)} for m in monos], [f_unit(i) for i in range(n)])

@@ -82,20 +82,26 @@ class JacobiReport:
 
 
 def jacobi_check(g: StructureConstants) -> JacobiReport:
-    """Exact check of sum_m (c^m_ij c^l_mk + c^m_jk c^l_mi + c^m_ki c^l_mj) = 0."""
+    """Exact check of sum_m (c^m_ij c^l_mk + c^m_jk c^l_mi + c^m_ki c^l_mj) = 0
+    for i < j < k, summed over the nonzero constants only; violations in
+    (i, j, k, l) order."""
     n = g.dim
+    full = {}  # (a, b) -> {m: c^m_ab} for a != b, both orders
+    for (a, b), comps in g.c.items():
+        comps = {m: v for m, v in comps.items() if v}
+        if comps:
+            full[(a, b)] = comps
+            full[(b, a)] = {m: -v for m, v in comps.items()}
     bad = []
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                for l in range(n):
-                    s = F(0)
-                    for m in range(n):
-                        s += g.coeff(i, j, m) * g.coeff(m, k, l)
-                        s += g.coeff(j, k, m) * g.coeff(m, i, l)
-                        s += g.coeff(k, i, m) * g.coeff(m, j, l)
-                    if s:
-                        bad.append((i, j, k, l))
+                s = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, x in full.get((a, b), {}).items():
+                        for l, y in full.get((m, c), {}).items():
+                            s[l] = s.get(l, 0) + x * y
+                bad.extend((i, j, k, l) for l in sorted(s) if s[l])
     return JacobiReport(not bad, tuple(bad))
 
 

@@ -3,13 +3,15 @@ built directly on them.
 
 A pair couples an algebra given by structure constants with one vector field
 per basis element; validity means the fields realize the brackets exactly,
-as expression identities.  On the pair's action table (the generator action
-on monomials and elementary forms, each image computed once) live the
-contraction ``pi_images``, ``action_module`` (the g-module on an
-action-closed family of sparse vectors), closures of seed functions as
-Krylov spans, invariant functions and forms, and stability subalgebras with
-cocycle restriction, which is the certificate machinery for nontrivial
-classes that no finite truncation can exhibit.
+as expression identities.  The pair's action table holds the generator
+action on monomials and elementary forms as sparse monomial vectors, each
+filled once by the derivative rule on monomial keys; expressions meet it
+only at its edges (the field components it reads, ``lie`` and the readers'
+results).  On it live the contraction ``pi_images``, ``action_module`` (the
+g-module on an action-closed family of sparse vectors), closures of seed
+functions as Krylov spans, invariant functions and forms, and stability
+subalgebras with cocycle restriction, which is the certificate machinery
+for nontrivial classes that no finite truncation can exhibit.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .calculus import OneForm, TwoForm, VectorFieldExpr, lie_derivative_scalar, lie_derivative_twoform
+from .calculus import OneForm, TwoForm, VectorFieldExpr
 from .cecohom import GModule, NotACocycle, validate_module
-from .expr import TP, AnsatzSpec, Chart, Expr, function_monomials, mono_expr
+from .expr import ANGLE, TP, AnsatzSpec, Chart, Expr, function_monomials
 from .exprspace import equation_rows, kernel_of_expr_system, poly_terms
 from .liealg import StructureConstants
 from .linalg import (
@@ -48,84 +50,112 @@ class CapExceeded(Exception):
 class ActionTable:
     """The generator action on monomials and elementary 1- and 2-forms.
 
-    Each image is computed on first use and kept: ``scalar(i, m)`` is
-    X_i(m), ``oneform(i, mu, m)`` is L_{X_i}(m dq^mu), ``twoform(i, (a, b),
-    m)`` is L_{X_i}(m dq^a ^ dq^b), ``contraction(i, mu, m)`` is (pi(m
-    dq^mu))_i = m X_i^mu and ``partial(mu, m)`` is d m/dq^mu.
-    Images are expressions; ``poly_terms`` reads monomial coordinates off a
-    polynomial one.  ``lie(i, f)`` is X_i(f) for any velocity-free f, read
-    off the monomial images where it can be.
+    Every image is a sparse monomial vector ``{monomial: Fraction}``, or a
+    tuple of them for a form, computed on first use and kept:
+    ``scalar(i, m)`` is X_i(m); ``oneform(i, mu, m)`` is L_{X_i}(m dq^mu),
+    one vector per dq^nu; ``twoform(i, (a, b), m)`` is L_{X_i}(m dq^a ^
+    dq^b), one vector per pair of ``TwoForm.pairs``; ``contraction(i, mu,
+    m)`` is (pi(m dq^mu))_i = m X_i^mu and ``partial(mu, m)`` is d m/dq^mu.
+    They follow from the derivative rule on monomial keys and the field
+    components, read once per generator as trig polynomials; a rational
+    component raises NotPolynomial.  Images are shared between callers, so
+    treat them as read-only.  ``lie(i, f)`` is X_i(f) as an expression, for
+    any velocity-free f.
     """
 
     def __init__(self, chart_: Chart, fields):
         self.chart = chart_
         self.fields = fields
+        self._pair_index = {ab: k for k, ab in enumerate(TwoForm.pairs(chart_))}
+        self._diffs = [(TP.partial_angle if kind == ANGLE else TP.partial_var, name) for name, kind in chart_.coords]
+        self._components_of = {}
         self._scalar = {}
         self._oneform = {}
         self._twoform = {}
         self._contraction = {}
         self._partial = {}
 
-    def scalar(self, i, mono) -> Expr:
+    def _components(self, i):
+        """X_i^mu and the Jacobian d X_i^mu / dq^nu, indexed [mu][nu], as
+        trig polynomials."""
+        comps = self._components_of.get(i)
+        if comps is None:
+            xs = tuple(TP(poly_terms(c)) for c in self.fields[i].components)
+            jac = tuple(tuple(diff(x, name) for diff, name in self._diffs) for x in xs)
+            comps = self._components_of[i] = (xs, jac)
+        return comps
+
+    def partial(self, mu, mono) -> dict:
+        img = self._partial.get((mu, mono))
+        if img is None:
+            diff, name = self._diffs[mu]
+            img = self._partial[(mu, mono)] = diff(TP({mono: F(1)}), name).terms
+        return img
+
+    def scalar(self, i, mono) -> dict:
         img = self._scalar.get((i, mono))
         if img is None:
-            img = lie_derivative_scalar(self.fields[i], mono_expr(self.chart, mono))
-            self._scalar[(i, mono)] = img
+            acc = TP()
+            for mu, x in enumerate(self._components(i)[0]):
+                dm = self.partial(mu, mono)
+                if dm and x.terms:
+                    acc = acc + TP(dm) * x
+            img = self._scalar[(i, mono)] = acc.terms
         return img
 
     def lie(self, i, f: Expr) -> Expr:
-        """X_i(f) as the sum of the monomial images of f's terms, when f and
-        each of those images are polynomial; otherwise (a rational f or a
-        rational field component) by differentiating f directly."""
+        """X_i(f): the sum of the monomial images of f's terms, and for a
+        rational f the quotient rule on the images of numerator and
+        denominator."""
         if not f.is_velocity_free():
             raise InvariantViolation("a Lie derivative of a function needs a velocity-free function")
+        ch = self.chart
         if f.den.is_one():
-            acc = {}
-            for m, c in f.num.terms.items():
-                img = self.scalar(i, m)
-                if not img.den.is_one():
-                    break
-                add_scaled(acc, c, img.num.terms)
-            else:
-                return Expr(self.chart, TP(acc))
-        return lie_derivative_scalar(self.fields[i], f)
+            return Expr(ch, self._image(i, f.num))
+        return Expr(ch, self._image(i, f.num), f.den) - Expr(ch, f.num * self._image(i, f.den), f.den * f.den)
 
-    def partial(self, mu, mono) -> Expr:
-        img = self._partial.get((mu, mono))
-        if img is None:
-            img = mono_expr(self.chart, mono).partial(self.chart.names[mu])
-            self._partial[(mu, mono)] = img
-        return img
+    def _image(self, i, tp) -> TP:
+        acc = {}
+        for m, c in tp.terms.items():
+            add_scaled(acc, c, self.scalar(i, m))
+        return TP(acc)
 
-    def contraction(self, i, mu, mono) -> Expr:
+    def contraction(self, i, mu, mono) -> dict:
         img = self._contraction.get((i, mu, mono))
         if img is None:
-            img = mono_expr(self.chart, mono) * self.fields[i].components[mu]
+            img = (TP({mono: F(1)}) * self._components(i)[0][mu]).terms
             self._contraction[(i, mu, mono)] = img
         return img
 
-    def oneform(self, i, mu, mono) -> OneForm:
+    def oneform(self, i, mu, mono) -> tuple:
         """L_X(m dq^mu) = X(m) dq^mu + m d(X^mu), the Cartan formula's two
         nonzero terms for an elementary form."""
         img = self._oneform.get((i, mu, mono))
         if img is None:
-            ch = self.chart
-            me = mono_expr(ch, mono)
-            x_mu = self.fields[i].components[mu]
-            comps = [me * x_mu.partial(name) for name in ch.names]
-            comps[mu] = comps[mu] + self.scalar(i, mono)
-            img = OneForm(ch, tuple(comps))
-            self._oneform[(i, mu, mono)] = img
+            m = TP({mono: F(1)})
+            comps = [m * d for d in self._components(i)[1][mu]]
+            comps[mu] = comps[mu] + TP(self.scalar(i, mono))
+            img = self._oneform[(i, mu, mono)] = tuple(c.terms for c in comps)
         return img
 
-    def twoform(self, i, ab, mono) -> TwoForm:
-        """L_X(m dq^a ^ dq^b) for a coordinate pair a < b."""
+    def twoform(self, i, ab, mono) -> tuple:
+        """L_X(m dq^a ^ dq^b) = X(m) dq^a ^ dq^b + m d(X^a) ^ dq^b
+        + m dq^a ^ d(X^b), for a coordinate pair a < b."""
         img = self._twoform.get((i, ab, mono))
         if img is None:
-            ch = self.chart
-            comps = [mono_expr(ch, mono) if pair == ab else Expr.const(ch, 0) for pair in TwoForm.pairs(ch)]
-            img = lie_derivative_twoform(self.fields[i], TwoForm(ch, tuple(comps)))
-            self._twoform[(i, ab, mono)] = img
+            a, b = ab
+            jac = self._components(i)[1]
+            m = TP({mono: F(1)})
+            comps = [TP() for _ in self._pair_index]
+            comps[self._pair_index[ab]] = TP(self.scalar(i, mono))
+            for r in range(len(jac)):
+                # the dq^r terms of m d(X^a) ^ dq^b and of m dq^a ^ d(X^b)
+                for p, q, d in ((r, b, jac[a][r]), (a, r, jac[b][r])):
+                    if p < q:
+                        comps[self._pair_index[(p, q)]] += m * d
+                    elif p > q:
+                        comps[self._pair_index[(q, p)]] -= m * d
+            img = self._twoform[(i, ab, mono)] = tuple(c.terms for c in comps)
         return img
 
 
@@ -244,14 +274,14 @@ def pi_images(p: GMPair, units, basis):
         for i in range(n):
             acc = {}
             for mu, m, c in support:
-                add_scaled(acc, c, poly_terms(act.contraction(i, mu, m)))
+                add_scaled(acc, c, act.contraction(i, mu, m))
             pw.append(acc)
         for a, b, structure in brackets:
             acc = {}
             for m, c in pw[b].items():
-                add_scaled(acc, c, poly_terms(act.scalar(a, m)))
+                add_scaled(acc, c, act.scalar(a, m))
             for m, c in pw[a].items():
-                add_scaled(acc, -c, poly_terms(act.scalar(b, m)))
+                add_scaled(acc, -c, act.scalar(b, m))
             for k, ck in structure:
                 add_scaled(acc, -ck, pw[k])
             if acc:
@@ -260,9 +290,9 @@ def pi_images(p: GMPair, units, basis):
             for nu in range(len(p.chart.names)):
                 acc = {}
                 for mu, m, c in support:
-                    add_scaled(acc, c, poly_terms(act.oneform(i, mu, m).components[nu]))
+                    add_scaled(acc, c, act.oneform(i, mu, m)[nu])
                 for m, c in pw[i].items():
-                    add_scaled(acc, -c, poly_terms(act.partial(nu, m)))
+                    add_scaled(acc, -c, act.partial(nu, m))
                 if acc:
                     raise InvariantViolation("L_X w = d(pi w) must hold for a closed form")
         out.append(pw)
@@ -326,7 +356,7 @@ def closure_module(p: GMPair, seeds, cap: int = 64) -> FunctionModule:
     basis becomes a member.  A rational seed or image raises NotPolynomial.
     """
     act = p.action
-    unit_images = [lambda m, i=i: poly_terms(act.scalar(i, m)) for i in range(p.algebra.dim)]
+    unit_images = [lambda m, i=i: act.scalar(i, m) for i in range(p.algebra.dim)]
     ech = Echelon()
     family = []
     for s in seeds:
@@ -405,7 +435,7 @@ def invariant_closed_forms(p: GMPair, ansatz: AnsatzSpec) -> tuple[OneForm, ...]
         for nu in range(ncoords):
             rows.extend(
                 equation_rows(
-                    (col, 1, act.oneform(i, mu, monos[k]).components[nu])
+                    (col, 1, act.oneform(i, mu, monos[k])[nu])
                     for col, (mu, k) in enumerate(unknowns)
                 )
             )

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -412,6 +413,25 @@ def test_spectral_from_pair_machine_output_pinned(golden, monkeypatch):
     code, out = run("--format", "machine", "spectral", f"src/lagfloor/fixtures/{name}.toml", "--from-pair", *extra)
     assert code == 0
     assert out == (GOLDEN / "spectral_from_pair" / f"{golden}.txt").read_text()
+
+
+def test_benchmark_fixture_commands_match_their_digests(monkeypatch):
+    """Every command of the benchmark's byte-identity oracle,
+    perfbench/golden/fixtures_cli.json, with every --set value of its pool:
+    run in process, each gives the recorded exit code and the SHA-256 of
+    its machine output.  The file is only read here."""
+    golden = json.loads((ROOT / "perfbench" / "golden" / "fixtures_cli.json").read_text())["commands"]
+    monkeypatch.chdir(ROOT)
+    ran, wrong = 0, []
+    for key, pool in golden.items():
+        command, name, *extra = key.split()
+        for entry in pool:
+            flags = ("--set", entry["set"]) if entry["set"] else ()
+            code, out = run("--format", "machine", command, f"src/lagfloor/fixtures/{name}.toml", *extra, *flags)
+            ran += 1
+            if (code, hashlib.sha256(out.encode()).hexdigest()) != (entry["exit"], entry["sha256"]):
+                wrong.append((key, entry["set"], code))
+    assert (ran, wrong) == (58, [])
 
 
 @pytest.mark.parametrize("command", ["classify", "noether"])

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lagfloor.expr import (
+    Chart,
     EvaluationPole,
     Expr,
     ParseError,
@@ -23,6 +24,18 @@ PLANE = chart(("u", "line"), ("v", "line"))
 
 def P(text, ch=CYL, **kw):
     return parse_expr(ch, text, **kw)
+
+
+def test_chart_names_are_computed_once_and_stay_out_of_identity():
+    """names is a field set once from coords: equality, hashing and repr
+    read coords alone, as they did when names was a property."""
+    coords = (("z", "line"), ("phi", "angle"))
+    assert CYL.names == ("z", "phi") and CYL.names is CYL.names
+    assert CYL == Chart(coords) and CYL != Chart(coords[::-1])
+    assert hash(CYL) == hash(Chart(coords)) == hash((coords,))
+    assert repr(CYL) == "Chart(coords=(('z', 'line'), ('phi', 'angle')))"
+    with pytest.raises(ValueError, match="duplicate coordinate names in \\['z', 'z'\\]"):
+        chart(("z", "line"), ("z", "angle"))
 
 
 # -- parsing -----------------------------------------------------------------

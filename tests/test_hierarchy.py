@@ -586,8 +586,26 @@ def test_hierarchy_reads_the_action_through_the_pair():
 
 def test_pair_modules_read_the_action_table():
     """Closures, module coordinates and pi read monomial images off the
-    action table: pairs solves no expression system and takes no symbolic
-    Lie derivative of a 1-form."""
-    banned = {"solve_linear_expr_system", "lie_derivative_oneform"}
+    action table, which the derivative rule fills: pairs solves no
+    expression system and takes no symbolic Lie derivative."""
+    banned = {"solve_linear_expr_system", "lie_derivative_scalar", "lie_derivative_oneform", "lie_derivative_twoform"}
     imported = _imported_names("pairs")
     assert not imported & banned, sorted(imported & banned)
+
+
+@pytest.mark.parametrize("name", ["galilean_r4", "poincare_c1"])
+def test_k_spaces_differentiate_no_expression(name, monkeypatch):
+    """On a fresh pair, so with a cold action table, the K-spaces take every
+    derivative by the derivative rule on monomial keys: Expr.partial is
+    never called."""
+    calls = []
+    partial = Expr.partial
+
+    def counted(self, gen):
+        calls.append(gen)
+        return partial(self, gen)
+
+    pair = fixture_pair(name)
+    monkeypatch.setattr(Expr, "partial", counted)
+    k_spaces(pair, ClassifyOptions())
+    assert calls == []

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +6,8 @@ import pytest
 
 from lagfloor.liealg import (
     BadParams,
+    JacobiReport,
+    StructureConstants,
     UnknownName,
     bracket,
     catalog,
@@ -134,6 +137,72 @@ def test_jacobi_violation_detected():
     report = jacobi_check(bad)
     assert not report.ok
     assert report.violations
+
+
+def dense_jacobi(g):
+    """The Jacobi identity by the dense formula over every index: the
+    reference that jacobi_check's sum over nonzero constants must equal.
+    The constants are scaled to integers by their common denominator, which
+    scales every sum by its square and keeps it exact."""
+    n = g.dim
+    den = math.lcm(*(v.denominator for comps in g.c.values() for v in comps.values()))
+    c = [[[int(g.coeff(i, j, k) * den) for k in range(n)] for j in range(n)] for i in range(n)]
+    bad = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                for l in range(n):
+                    s = sum(c[i][j][m] * c[m][k][l] + c[j][k][m] * c[m][i][l] + c[k][i][m] * c[m][j][l]
+                            for m in range(n))
+                    if s:
+                        bad.append((i, j, k, l))
+    return JacobiReport(not bad, tuple(bad))
+
+
+CATALOG = [
+    ("abelian", {"n": 1}), ("abelian", {"n": 4}), ("l3", {}), ("so3", {}), ("galilean", {}),
+    ("poincare", {"c": 1}), ("poincare", {"c": F(1, 2)}),
+]
+
+
+def mutate_one_constant(g, rng):
+    """g with one structure constant c^k_ij (i < j) set to a fresh value,
+    zero included, drawn from the seeded rng."""
+    i, j = sorted(rng.sample(range(g.dim), 2))
+    k = rng.randrange(g.dim)
+    c = {ij: dict(comps) for ij, comps in g.c.items()}
+    c.setdefault((i, j), {})[k] = F(rng.randint(-3, 3), rng.randint(1, 2))
+    return StructureConstants(g.dim, g.basis_names, c)
+
+
+def test_sparse_jacobi_equals_the_dense_formula():
+    """Equal reports, violations in the same order, on every catalog
+    algebra, on 60 seeded single-constant mutations of the Galilean and
+    Poincare tables, most of which break the identity, and on 20 random
+    tables, whose violations share (i, j, k) across several l."""
+    for name, params in CATALOG:
+        g = catalog(name, **params)
+        assert jacobi_check(g) == dense_jacobi(g)
+    rng = random.Random(16)
+    broken = 0
+    for name, params in [("galilean", {}), ("poincare", {"c": 1})] * 30:
+        g = mutate_one_constant(catalog(name, **params), rng)
+        report = jacobi_check(g)
+        assert report == dense_jacobi(g)
+        broken += not report.ok
+    assert broken >= 30
+    shared = 0
+    for _ in range(20):
+        c = {}
+        for i in range(5):
+            for j in range(i + 1, 5):
+                c[(i, j)] = {k: F(rng.randint(-2, 2)) for k in range(5) if rng.random() < 0.4}
+        g = StructureConstants(5, tuple(f"e{i}" for i in range(5)), c)
+        report = jacobi_check(g)
+        assert report == dense_jacobi(g)
+        triples = [v[:3] for v in report.violations]
+        shared += len(triples) > len(set(triples))
+    assert shared >= 10
 
 
 def test_zero_one_cocycles_dims():
