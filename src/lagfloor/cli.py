@@ -21,7 +21,6 @@ from .expr import AnsatzTooLarge, ParseError, to_string
 from .exprspace import NotPolynomial
 from .hierarchy import (
     ClassifyOptions,
-    ComplexTooLarge,
     PotentialUnavailable,
     UndeterminedError,
     classify,
@@ -39,7 +38,7 @@ from .problemfile import (
     build_pair,
     load_problem_file,
 )
-from .spectral import abutment_check, page, page_infinity, validate_double_complex
+from .spectral import ComplexTooLarge, abutment_check, page, page_infinity, validate_double_complex
 
 F = Fraction
 
@@ -299,23 +298,22 @@ def cmd_spectral(args, report):
         if r is not None and r < 0:
             raise ProblemFileError(f"--page must be at least 0, got {r}")
     pf = load_problem_file(args.file)
-    if "double_complex" in pf.sections:
-        dc = build_double_complex(pf)
-        violations = validate_double_complex(dc).violations
-    elif args.from_pair:
-        from .hierarchy import build_invariance_double_complex
+    try:
+        if "double_complex" in pf.sections:
+            dc = build_double_complex(pf)
+            violations = validate_double_complex(dc).violations
+        elif args.from_pair:
+            from .hierarchy import build_invariance_double_complex
 
-        pair = build_pair(pf)
-        try:
-            dc = build_invariance_double_complex(pair, _options(args, pf)).dc
-        except ComplexTooLarge as exc:
-            report.add("cells_needed", exc.cells_needed)
-            report.add("error", str(exc))
-            return EXIT_UNDETERMINED
-        violations = ()  # the builder validates the complex and raises on failure
-    else:
-        report.add("error", "no [double_complex] section; use --from-pair to build one")
-        return EXIT_PARSE
+            dc = build_invariance_double_complex(build_pair(pf), _options(args, pf)).dc
+            violations = ()  # the builder validates the complex and raises on failure
+        else:
+            report.add("error", "no [double_complex] section; use --from-pair to build one")
+            return EXIT_PARSE
+    except ComplexTooLarge as exc:
+        report.add("cells_needed", exc.cells_needed)
+        report.add("error", str(exc))
+        return EXIT_UNDETERMINED
     report.add("valid", "violated" if violations else "ok")
     if violations:
         for rule, p, q in violations[:10]:

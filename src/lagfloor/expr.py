@@ -424,7 +424,7 @@ TP_ZERO = TP()
 class Expr:
     """Canonical fraction of two trig polynomials on a fixed chart."""
 
-    __slots__ = ("chart", "num", "den")
+    __slots__ = ("chart", "num", "den", "_partials")
 
     def __init__(self, chart_, num, den=None):
         den = den if den is not None else TP_ONE
@@ -437,6 +437,7 @@ class Expr:
         self.chart = chart_
         self.num = num
         self.den = den
+        self._partials = None  # {generator: derivative}, filled by partial
 
     # constructors ---------------------------------------------------------
     @staticmethod
@@ -549,8 +550,11 @@ class Expr:
         """Exact partial derivative by a coordinate, velocity or acceleration.
 
         For an angle coordinate the derivative acts through the sin/cos
-        generators by the chain rule.
+        generators by the chain rule.  An expression is not changed after
+        construction, so each derivative is computed once and kept on it.
         """
+        if self._partials is not None and gen in self._partials:
+            return self._partials[gen]
         ch = self.chart
         if gen in ch.names and ch.kind(gen) == ANGLE:
             dnum = self.num.partial_angle(gen)
@@ -561,8 +565,13 @@ class Expr:
         else:
             raise UnknownSymbol(f"unknown generator {gen!r}", 0)
         if dden.is_zero():
-            return Expr(ch, dnum, self.den)
-        return Expr(ch, dnum * self.den - self.num * dden, self.den * self.den)
+            d = Expr(ch, dnum, self.den)
+        else:
+            d = Expr(ch, dnum * self.den - self.num * dden, self.den * self.den)
+        if self._partials is None:
+            self._partials = {}
+        self._partials[gen] = d
+        return d
 
     # structure ----------------------------------------------------------
     def is_velocity_free(self):
@@ -711,6 +720,10 @@ def mono_expr(chart_, mono):
 
 _OPS = set("+-*/^()")
 MAX_NESTING = 100  # parenthesis depth parse_expr accepts
+# a power base^k whose numerator or denominator has t > 1 terms expands to
+# up to C(|k| + t - 1, t - 1) products; above this many, parse_expr refuses
+# it before expanding (a monomial base takes any exponent)
+MAX_POWER_TERMS = MAX_ANSATZ_MONOMIALS
 
 
 def _tokenize(text):
@@ -815,6 +828,10 @@ class _Parser:
                 neg = True
             t = self.expect("int")
             k = -t[1] if neg else t[1]
+            terms = max(len(base.num.terms), len(base.den.terms))
+            if terms > 1 and (bound := comb(t[1] + terms - 1, terms - 1)) > MAX_POWER_TERMS:
+                raise ParseError(f"a {terms}-term base to the power {k} expands to up to {bound} terms, "
+                                 f"above the limit of {MAX_POWER_TERMS}", t[2])
             return base**k
         return base
 

@@ -65,7 +65,7 @@ from .pairs import (
     restrict_cocycle,
     stability_values_of_constant_cocycles,
 )
-from .spectral import DoubleComplex, validate_double_complex
+from .spectral import MAX_COMPLEX_CELLS, ComplexTooLarge, DoubleComplex, validate_double_complex
 
 F = Fraction
 
@@ -733,17 +733,6 @@ def k_spaces(p: GMPair, opts: ClassifyOptions | None = None) -> KSpacesReport:
 # truncated invariance double complex
 # ---------------------------------------------------------------------------
 
-# the largest invariance double complex built, in cells: the sum over p of
-# C(n, p) * (dim Omega^0 + dim Omega^1 + dim Omega^2) = 2^n times the column
-MAX_COMPLEX_CELLS = 4096
-
-
-class ComplexTooLarge(Exception):
-    def __init__(self, cells_needed):
-        super().__init__(f"the invariance complex needs {cells_needed} cells, above the limit of {MAX_COMPLEX_CELLS}")
-        self.cells_needed = cells_needed
-
-
 @dataclass(frozen=True)
 class InvarianceComplex:
     dc: DoubleComplex
@@ -837,9 +826,10 @@ def build_invariance_double_complex(p: GMPair, opts: ClassifyOptions | None = No
     # Omega^2 = d(Omega^1): an independent subset, deterministic
     ech = Echelon()
     t_basis = [tw for tw in (linear_image(w, dw_unit) for w in w_basis) if ech.insert(tw)]
+    # the sum over p of C(n, p) * (dim Omega^0 + dim Omega^1 + dim Omega^2)
     cells_needed = 2 ** n * (len(f_basis) + len(w_basis) + len(t_basis))
     if cells_needed > MAX_COMPLEX_CELLS:
-        raise ComplexTooLarge(cells_needed)
+        raise ComplexTooLarge("invariance complex", cells_needed)
     families = [(f_basis, f_unit), (w_basis, w_unit)] + ([(t_basis, t_unit)] if t_basis else [])
     modules = [action_module(g, family, [unit(i) for i in range(n)]) for family, unit in families]
     if f_basis and w_basis:

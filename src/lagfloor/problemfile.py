@@ -20,7 +20,7 @@ from .expr import Chart, Expr, parse_expr
 from .liealg import StructureConstants, catalog
 from .linalg import Mat
 from .pairs import GMPair
-from .spectral import DoubleComplex
+from .spectral import MAX_COMPLEX_CELLS, ComplexTooLarge, DoubleComplex
 
 F = Fraction
 
@@ -260,6 +260,9 @@ def build_double_complex(pf: ProblemFile) -> DoubleComplex:
         raise ProblemFileError("[double_complex] needs dims = [[...], ...] (dims[p][q]), a non-empty rectangular grid")
     if not all(type(x) is int and x >= 0 for col in grid for x in col):
         raise ProblemFileError("[double_complex] dims entries must be non-negative integers")
+    cells_needed = sum(map(sum, grid))
+    if cells_needed > MAX_COMPLEX_CELLS:
+        raise ComplexTooLarge("double complex", cells_needed)
     width, height = len(grid), len(grid[0])
     d1, d2 = {}, {}
     for key, value in sec.items():

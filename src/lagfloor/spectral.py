@@ -19,6 +19,11 @@ With cells = [(p+i, q-i) for i < r]:
 Total cohomology computed directly on the antidiagonal complex is the
 independent oracle for the abutment identity sum_p dim E_inf^{p,m-p} =
 dim H^m(Q).
+
+A complex keeps what is derived from it: each page, each page cell keyed by
+its two windows once the grid clips them, and each H^m(Q).  A page that
+reaches windows an earlier page solved reads those cells, and nothing is
+shared between complexes: `transpose` builds a new one with empty stores.
 """
 
 from __future__ import annotations
@@ -48,9 +53,24 @@ class LiftFailure(Exception):
     """Internal invariant violation: a page representative failed to reduce."""
 
 
+# the largest double complex whose pages are computed, in cells (the sum of
+# its dims); the eliminations of a page grow about quadratically with it
+MAX_COMPLEX_CELLS = 4096
+
+
+class ComplexTooLarge(Exception):
+    def __init__(self, what, cells_needed):
+        super().__init__(f"the {what} needs {cells_needed} cells, above the limit of {MAX_COMPLEX_CELLS}")
+        self.cells_needed = cells_needed
+
+
 class DoubleComplex:
     """Grid of dimensions plus the two differentials, cells (p, q) with
-    0 <= p < width and 0 <= q < height; everything outside is zero."""
+    0 <= p < width and 0 <= q < height; everything outside is zero.
+
+    The complex is not changed after construction, so it stores what is
+    derived from it: pages by r, page cells by (p, q, cocycle window length,
+    boundary window length), and total cohomology by degree."""
 
     def __init__(self, dims, d1, d2):
         self.dims = [list(col) for col in dims]
@@ -67,6 +87,8 @@ class DoubleComplex:
                     raise InvariantViolation(f"{name} at ({p},{q}) is {m.rows}x{m.cols}, "
                                              f"expected {self.dim_at(p + dp, q + dq)}x{self.dim_at(p, q)}")
         self._pages = {}
+        self._cells = {}
+        self._totals = {}
 
     def dim_at(self, p, q):
         if 0 <= p < self.width and 0 <= q < self.height:
@@ -157,13 +179,17 @@ def _offsets(dims):
 
 
 def total_cohomology(dc: DoubleComplex, m: int) -> QuotientSpace:
-    """H^m(Q) computed directly on the total complex (the brute-force oracle)."""
-    z = kernel_basis(total_differential(dc, m))
-    if m == 0:
-        b = Subspace(z.ambient_dim, ())
-    else:
-        b = image_basis(total_differential(dc, m - 1))
-    return quotient(z, b)
+    """H^m(Q) computed directly on the total complex (the brute-force oracle),
+    once per degree and complex."""
+    h = dc._totals.get(m)
+    if h is None:
+        z = kernel_basis(total_differential(dc, m))
+        if m == 0:
+            b = Subspace(z.ambient_dim, ())
+        else:
+            b = image_basis(total_differential(dc, m - 1))
+        h = dc._totals[m] = quotient(z, b)
+    return h
 
 
 def total_q_squared_is_zero(dc: DoubleComplex) -> bool:
@@ -201,6 +227,28 @@ class Page:
         return [[self.dim(p, q) for q in range(height)] for p in range(width)]
 
 
+def _window_length(dc, r, cell_at, row_at):
+    """r less the trailing window cells i that add no column, cell_at(i), and
+    no row, row_at(i): the system of the shorter window is the same matrix.
+    The first cell always stays."""
+    while r > 1 and not dc.dim_at(*cell_at(r - 1)) and not dc.dim_at(*row_at(r - 1)):
+        r -= 1
+    return r
+
+
+def _page_cell(dc, p, q, r) -> PageCell:
+    """E_r^{p,q}, r >= 1, solved once per pair of clipped windows."""
+    zr = _window_length(dc, r, lambda i: (p + i, q - i), lambda i: (p + i, q - i + 1))
+    br = _window_length(dc, r, lambda i: (p - i, q + i - 1), lambda i: (p - i, q + i))
+    key = (p, q, zr, br)
+    cell = dc._cells.get(key)
+    if cell is None:
+        z, lifts = _zigzag_cocycles(dc, p, q, zr)
+        qt = quotient(z, _zigzag_boundaries(dc, p, q, br))
+        cell = dc._cells[key] = PageCell(qt, tuple(lifts[i] for i in qt.positions))
+    return cell
+
+
 def _zigzag_cocycles(dc, p, q, r):
     """(Z_r basis, lift chains): chains over the zig-zag cells whose Q lands
     in F^{p+r}, kept where their leader terms are independent."""
@@ -236,7 +284,11 @@ def _split_blocks(vec, blocks):
 
 def page(dc: DoubleComplex, r: int) -> Page:
     """Page E_r; page(max(width,height)+1) is stable and equals E_infinity,
-    and every later r reads that page."""
+    and every later r reads that page.
+
+    The page is kept on dc, and so is each of its cells, under its clipped
+    windows: a cell whose windows an earlier page of dc reached is read, not
+    solved again, whatever order the pages are asked for in."""
     if r < 0:
         raise InvariantViolation(f"page {r} does not exist")
     r = min(r, max(dc.width, dc.height) + 1)
@@ -253,10 +305,7 @@ def page(dc: DoubleComplex, r: int) -> Page:
                 qt = quotient(full, Subspace(d0, ()))
                 cells[(p, q)] = PageCell(qt, qt.representatives)
                 continue
-            z, lifts = _zigzag_cocycles(dc, p, q, r)
-            b = _zigzag_boundaries(dc, p, q, r)
-            qt = quotient(z, b)
-            cells[(p, q)] = PageCell(qt, tuple(lifts[i] for i in qt.positions))
+            cells[(p, q)] = _page_cell(dc, p, q, r)
     pg = Page(r, cells)
     dc._pages[r] = pg
     return pg
@@ -316,7 +365,9 @@ def abutment_check(dc: DoubleComplex) -> AbutmentReport:
 
     The transposed total complex is the given one with its summands
     reordered and the cell (p, q) scaled by (-1)^(pq), an isomorphism, so
-    H^m(Q) is computed once per m."""
+    H^m(Q) is computed once per m, on dc, and read from dc where the caller
+    asked for it already.  The transposed filtration runs on a fresh
+    `transpose(dc)`, so its E_inf is computed here, from nothing of dc's."""
     totals = [total_cohomology(dc, m).dim for m in range(dc.width + dc.height - 1)]
     rows = []
     for label, complex_ in (("given", dc), ("transposed", transpose(dc))):

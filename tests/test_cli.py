@@ -824,6 +824,36 @@ def test_oversized_invariance_complex_exits_4_before_it_is_built(extra, cells):
     assert run_under_O(*argv) == (4, out)
 
 
+def test_oversized_explicit_complex_exits_4_before_any_page(tmp_path):
+    """A [double_complex] file is bounded by the cell count --from-pair
+    uses: its summed dims above MAX_COMPLEX_CELLS exit 4 with the count, in
+    under 1 s, also under python -O."""
+    cells = hierarchy.MAX_COMPLEX_CELLS + 1
+    f = tmp_path / "big.toml"
+    f.write_text(f"[double_complex]\ndims = [[{cells}]]\n")
+    code, out, seconds = run_timed("spectral", str(f))
+    assert code == 4, out
+    assert out == (f"command = spectral\nfile = {f}\ncells_needed = {cells}\n"
+                   f"error = the double complex needs {cells} cells, above the limit of {cells - 1}\n")
+    assert seconds < 1
+    assert run_under_O("spectral", str(f)) == (4, out)
+
+
+def test_oversized_power_in_a_lagrangian_is_a_parse_error(tmp_path):
+    """A power of a many-term base is refused by its expansion bound before
+    it is expanded: exit 2 in under 1 s, with the bound in the error line."""
+    text = (FIXTURES / "translations_r2.toml").read_text()
+    old = 'expr = "m*(dq1^2 + dq2^2)/2 + B*(q1*dq2 - q2*dq1) + E1*q1 + E2*q2"'
+    assert old in text
+    f = tmp_path / "power.toml"
+    f.write_text(text.replace(old, 'expr = "m*(dq1^2 + dq2^2)/2 + (1 + q1 + q2)^300"'))
+    argv = ("classify", str(f), "--set", "m=1,B=2,E1=1,E2=3")
+    code, out, seconds = run_timed(*argv)
+    assert code == 2, out
+    assert seconds < 1
+    assert_parse_error(argv, "a 3-term base to the power 300 expands to up to 45451 terms, above the limit of 1000")
+
+
 @pytest.mark.parametrize(
     "argv, count",
     [

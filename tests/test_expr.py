@@ -116,6 +116,75 @@ def test_partial_unknown_generator():
         P("z").partial("nope")
 
 
+def fixture_expressions():
+    """Every shipped Lagrangian, its parameters set to generic values, and
+    every field component, as (label, Expr)."""
+    from fixture_pairs import FIXTURES, fixture_pair
+    from lagfloor.problemfile import build_lagrangian, load_problem_file
+
+    out = []
+    for path in sorted(FIXTURES.glob("*.toml")):
+        pf = load_problem_file(path)
+        if "lagrangian" in pf.sections:
+            names = pf.section("lagrangian")["params"]
+            values = {n: F(2 * i + 3, i + 2) for i, n in enumerate(names)}
+            out.append((f"{path.stem} L", build_lagrangian(pf, values)))
+        if "action" in pf.sections:
+            for i, field in enumerate(fixture_pair(path.stem).fields):
+                out.extend((f"{path.stem} X{i}^{mu}", c) for mu, c in enumerate(field.components))
+    return out
+
+
+def test_partials_are_kept_and_equal_a_fresh_derivative():
+    """e.partial(g) is computed once and kept on e: it equals, as a string
+    and by ==, the derivative of a fresh equal copy, and a second call
+    returns the same object; derivatives of derivatives are kept the same way."""
+    exprs = fixture_expressions()
+    labels = " ".join(label for label, _ in exprs)
+    assert "so3_sphere L" in labels and "l3_cylinder X0^1" in labels
+    for label, e in exprs:
+        ch = e.chart
+        gens = (*ch.names, *ch.velocity_names, *ch.acceleration_names, "tau")
+        for g in gens:
+            d = e.partial(g)
+            fresh = Expr(ch, e.num, e.den).partial(g)
+            assert to_string(d) == to_string(fresh) and d == fresh, (label, g)
+            assert e.partial(g) is d, (label, g)
+            for h in gens[:len(ch.names)]:
+                assert to_string(d.partial(h)) == to_string(Expr(ch, d.num, d.den).partial(h)), (label, g, h)
+    sphere = dict(exprs)["so3_sphere L"]
+    assert not sphere.den.is_one()  # a rational Lagrangian is among them
+    assert CYL.kind("phi") == "angle" and P("z*cos(phi)").partial("phi") == P("-z*sin(phi)")
+
+
+def test_unknown_generator_raises_every_time_and_keeps_nothing():
+    e = P("z^2*dphi")
+    for _ in range(2):
+        with pytest.raises(UnknownSymbol):
+            e.partial("nope")
+    assert e._partials is None
+    assert e.partial("z") == P("2*z*dphi")
+    with pytest.raises(UnknownSymbol):
+        e.partial("nope")
+    assert list(e._partials) == ["z"]
+
+
+def test_power_of_a_sum_is_bounded_before_expansion():
+    """base^k with t > 1 terms in its numerator or denominator is refused
+    when C(|k| + t - 1, t - 1) exceeds MAX_POWER_TERMS; a monomial base takes
+    any exponent."""
+    from lagfloor.expr import MAX_POWER_TERMS
+
+    for text, bound in (("(1 + u + v)^300", 45451), ("(1 + u + v)^44", 1035), ("1/(1 + u + v)^-300", 45451),
+                        ("(u/(1 + u + v))^-44", 1035), ("((1 + u)^40)^3", 12341)):
+        with pytest.raises(ParseError, match=f"expands to up to {bound} terms, above the limit of {MAX_POWER_TERMS}"):
+            parse_expr(PLANE, text)
+    assert to_string(parse_expr(PLANE, "u^1000")) == "u^1000"
+    assert parse_expr(PLANE, "(u*v/3)^-500") == parse_expr(PLANE, "3^500/(u^500*v^500)")
+    assert parse_expr(PLANE, "(1 + u^2 + v^2)^2") == P("1 + 2*u^2 + 2*v^2 + u^4 + 2*u^2*v^2 + v^4", PLANE)
+    assert len(parse_expr(PLANE, "(1 + u + v)^10").num.terms) == 66
+
+
 # -- canonical-form property ---------------------------------------------------
 
 def random_point(rng, ch):
