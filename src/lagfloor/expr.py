@@ -722,7 +722,9 @@ _OPS = set("+-*/^()")
 MAX_NESTING = 100  # parenthesis depth parse_expr accepts
 # a power base^k whose numerator or denominator has t > 1 terms expands to
 # up to C(|k| + t - 1, t - 1) products; above this many, parse_expr refuses
-# it before expanding (a monomial base takes any exponent)
+# it before expanding (a monomial base takes any exponent).  A product a*b or
+# quotient a/b is refused the same way when the term counts of the two
+# numerators (or the two denominators) it multiplies have a product above it.
 MAX_POWER_TERMS = MAX_ANSATZ_MONOMIALS
 
 
@@ -800,14 +802,16 @@ class _Parser:
     def term(self):
         e = self.factor()
         while self.peek()[0] in ("*", "/"):
-            op = self.next()[0]
+            op, _, pos = self.next()
             rhs = self.factor()
-            if op == "*":
-                e = e * rhs
-            else:
-                if rhs.is_zero():
-                    raise ParseError("division by zero", self.peek()[2])
-                e = e / rhs
+            if op == "/" and rhs.is_zero():
+                raise ParseError("division by zero", self.peek()[2])
+            # e / rhs multiplies by rhs.den over rhs.num
+            num, den = (rhs.num, rhs.den) if op == "*" else (rhs.den, rhs.num)
+            bound = max(len(e.num.terms) * len(num.terms), len(e.den.terms) * len(den.terms))
+            if bound > MAX_POWER_TERMS:
+                raise ParseError(f"a product expands to up to {bound} terms, above the limit of {MAX_POWER_TERMS}", pos)
+            e = e * rhs if op == "*" else e / rhs
         return e
 
     def factor(self):

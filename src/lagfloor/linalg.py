@@ -334,18 +334,26 @@ def kernel_basis(m: Mat) -> Subspace:
 
 def kernel_of_rows(rows, ncols) -> Subspace:
     """``kernel_basis`` of the matrix with these sparse rows, without building
-    a Mat; with no rows the kernel is the whole space."""
+    a Mat; with no rows the kernel is the whole space.
+
+    The reduced rows vanish at every other pivot, so each of their entries
+    off the pivot lies in a free column.  One pass over them, in ascending
+    pivot order, indexes those entries by free column; the vector of free
+    column f is then ``{f: 1, p: -x, ...}`` read from the index."""
     pivots, red = rref(rows, ncols)
+    free = {}  # {free column: [(pivot, entry), ...]}, pivots ascending
+    for p, r in zip(pivots, red):
+        for c, x in r.items():
+            if c != p:
+                free.setdefault(c, []).append((p, x))
     pivot_set = set(pivots)
     basis = []
     for f in range(ncols):
         if f in pivot_set:
             continue
         v = {f: ONE}
-        for p, r in zip(pivots, red):
-            x = r.get(f)
-            if x:
-                v[p] = -x
+        for p, x in free.get(f, ()):
+            v[p] = -x
         basis.append(v)
     return Subspace(ncols, tuple(basis), verified=True)
 

@@ -13,7 +13,11 @@ With cells = [(p+i, q-i) for i < r]:
 - Z_r^{p,q}: the chains over cells whose Q vanishes on the cells shifted up
   one row; their leader terms, the coordinates in E^{p,q}, span Z_r.
 - B_r^{p,q}: the (p, q) rows of Q on the chains over (p-i, q+i-1), i < r,
-  whose Q vanishes on those cells but the first, shifted up one row.
+  whose Q vanishes on those cells but the first, shifted up one row.  It
+  is solved in one elimination, of the window's transpose with the (p, q)
+  rows last: the reduced rows that vanish on every other row of the window
+  are its reduced echelon basis (Romero, Rubio and Sergeraert, "Computing
+  spectral sequences", 2006).
 - d_r: the (p+r, q-r+1) rows of Q on a stored Z_r chain.
 
 Total cohomology computed directly on the antidiagonal complex is the
@@ -44,6 +48,7 @@ from .linalg import (
     kernel_of_rows,
     pivot_columns,
     quotient,
+    rref,
 )
 
 F = Fraction
@@ -263,11 +268,20 @@ def _zigzag_cocycles(dc, p, q, r):
 
 def _zigzag_boundaries(dc, p, q, r):
     """B_r: the (p, q) values of Q on chains from r steps down the filtration
-    whose Q vanishes everywhere else in the window."""
+    whose Q vanishes everywhere else in the window.
+
+    One elimination: the window's rows of Q are [A; T], the k constraint
+    rows A first and the (p, q) rows T last, and the RREF of the transpose
+    spans {(A x, T x)}.  A reduced row whose pivot, its lowest column, is
+    at or past k vanishes on A, so it is (0, T x) with A x = 0; those rows
+    span B_r and are already its reduced echelon basis."""
     cells = [(p - i, q + i - 1) for i in range(r)]
-    chains = kernel_basis(_q_rows(dc, cells, [(a, b + 1) for a, b in cells[1:]])).basis
-    q_pq = _q_rows(dc, cells, [(p, q)])
-    return Subspace.spanned_by([q_pq.mul_vec(ch) for ch in chains], dc.dim_at(p, q))
+    window = _q_rows(dc, cells, [(a, b + 1) for a, b in cells[1:]] + [(p, q)])
+    d0 = dc.dim_at(p, q)
+    k = window.rows - d0
+    pivots, red = rref(window.transpose().data, window.rows)
+    basis = tuple({c - k: x for c, x in row.items()} for piv, row in zip(pivots, red) if piv >= k)
+    return Subspace(d0, basis, verified=True)
 
 
 def _split_blocks(vec, blocks):

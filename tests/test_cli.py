@@ -854,6 +854,23 @@ def test_oversized_power_in_a_lagrangian_is_a_parse_error(tmp_path):
     assert_parse_error(argv, "a 3-term base to the power 300 expands to up to 45451 terms, above the limit of 1000")
 
 
+def test_oversized_product_in_a_lagrangian_is_a_parse_error(tmp_path):
+    """A product of many-term factors is refused by its term-count bound
+    before it is expanded, as a power is: exit 2 in under 1 s, with the
+    bound in the error line."""
+    text = (FIXTURES / "translations_r2.toml").read_text()
+    old = 'expr = "m*(dq1^2 + dq2^2)/2 + B*(q1*dq2 - q2*dq1) + E1*q1 + E2*q2"'
+    assert old in text
+    f = tmp_path / "product.toml"
+    product = "*".join(["(1 + q1 + q2)"] * 60)
+    f.write_text(text.replace(old, f'expr = "m*(dq1^2 + dq2^2)/2 + {product}"'))
+    argv = ("classify", str(f), "--set", "m=1,B=2,E1=1,E2=3")
+    code, out, seconds = run_timed(*argv)
+    assert code == 2, out
+    assert seconds < 1
+    assert_parse_error(argv, "a product expands to up to 1053 terms, above the limit of 1000")
+
+
 @pytest.mark.parametrize(
     "argv, count",
     [

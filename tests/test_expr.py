@@ -185,6 +185,24 @@ def test_power_of_a_sum_is_bounded_before_expansion():
     assert len(parse_expr(PLANE, "(1 + u + v)^10").num.terms) == 66
 
 
+def test_product_of_sums_is_bounded_before_expansion():
+    """a*b and a/b are refused when the term counts of the two numerators, or
+    of the two denominators, that they multiply have a product above
+    MAX_POWER_TERMS; products under the bound expand as before."""
+    from lagfloor.expr import MAX_POWER_TERMS
+
+    sixty = ["(1 + u + v)"] * 60
+    for text, bound in (("*".join(sixty), 1053), ("/".join(["1"] + sixty), 1053),
+                        ("(1 + u)^40*(1 + v)^30", 1271), ("1/(1 + u)^40/(1 + v)^30", 1271),
+                        ("(1 + u)^40/(1/(1 + v)^30)", 1271), ("(1/(1 + u)^40)/(1 + v)^30", 1271)):
+        with pytest.raises(ParseError, match=f"a product expands to up to {bound} terms, above the limit of {MAX_POWER_TERMS}"):
+            parse_expr(PLANE, text)
+    assert parse_expr(PLANE, "*".join(sixty[:25])) == parse_expr(PLANE, "(1 + u + v)^25")
+    assert len(parse_expr(PLANE, "*".join(sixty[:25])).num.terms) == 351
+    assert parse_expr(PLANE, "/".join(["1"] + sixty[:25])) == parse_expr(PLANE, "(1 + u + v)^-25")
+    assert parse_expr(PLANE, "(1 + u)^40*(u/(1 + v))^30") == parse_expr(PLANE, "(1 + u)^40*u^30/(1 + v)^30")
+
+
 # -- canonical-form property ---------------------------------------------------
 
 def random_point(rng, ch):

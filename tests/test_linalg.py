@@ -74,6 +74,40 @@ def test_kernel_of_no_rows_is_whole_space():
     assert kernel_of_rows([], 0).dim == 0
 
 
+def per_pivot_kernel(rows, ncols):
+    """Kernel basis built by walking every pivot row for each free column."""
+    pivots, red = rref(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = {f: F(1)}
+        for p, r in zip(pivots, red):
+            x = r.get(f)
+            if x:
+                v[p] = -x
+        basis.append(v)
+    return tuple(basis)
+
+
+def test_kernel_of_rows_matches_the_per_pivot_walk():
+    """The kernel vectors read from the free-column index equal, dict order
+    included, the vectors built by walking every pivot row per free column."""
+    rng = random.Random(18)
+    systems = [([], 4), ([], 0), ([{}, {}], 0), ([{}, {}], 3),
+               ([{j: F(j + 1, 2)} for j in range(5)], 5),  # all columns pivotal
+               ([{0: F(1), 2: F(-1, 3)}, {1: F(2)}, {0: F(1), 1: F(1), 2: F(5, 7)}], 3)]
+    for _ in range(300):
+        ncols = rng.randint(0, 12)
+        rows = [{j: F(rng.randint(-9, 9) or 1, rng.randint(1, 6)) for j in range(ncols) if rng.random() < 0.3}
+                for _ in range(rng.randint(0, 10))]
+        systems.append((rows, ncols))
+    for rows, ncols in systems:
+        assert repr(kernel_of_rows(rows, ncols).basis) == repr(per_pivot_kernel(rows, ncols))
+    assert kernel_of_rows(*systems[4]).dim == 0
+    assert kernel_of_rows(*systems[3]).basis == ({0: F(1)}, {1: F(1)}, {2: F(1)})
+
+
 # -- image_basis -------------------------------------------------------------
 
 def test_image_of_zero_is_empty():

@@ -219,6 +219,40 @@ def test_pages_past_the_stable_page_read_the_stable_page():
                     assert page_differential(dc, r, p, q).is_zero()
 
 
+def three_step_boundaries(dc, p, q, r):
+    """B_r^{p,q} the long way: the kernel of the window's constraint rows,
+    the (p, q) rows of Q on each kernel vector, then the span of the images."""
+    from lagfloor.linalg import Subspace, kernel_basis
+    from lagfloor.spectral import _q_rows
+
+    cells = [(p - i, q + i - 1) for i in range(r)]
+    chains = kernel_basis(_q_rows(dc, cells, [(a, b + 1) for a, b in cells[1:]])).basis
+    q_pq = _q_rows(dc, cells, [(p, q)])
+    return Subspace.spanned_by([q_pq.mul_vec(ch) for ch in chains], dc.dim_at(p, q))
+
+
+def test_boundaries_match_the_three_step_oracle():
+    """B_r from one elimination of the window's transpose equals the kernel,
+    image and span route, basis for basis and dict order included, for every
+    cell and every r up to the stable page, under both filtrations."""
+    from lagfloor.spectral import _zigzag_boundaries
+
+    constrained = 0  # cells with r >= 2 and a nonzero B_r
+    for given in [random_double_complex(seed) for seed in range(30)] + [hand_zigzag_complex()]:
+        for dc in (given, transpose(given)):
+            for r in range(1, max(dc.width, dc.height) + 2):
+                for p in range(dc.width):
+                    for q in range(dc.height):
+                        if not dc.dim_at(p, q):
+                            continue
+                        got = _zigzag_boundaries(dc, p, q, r)
+                        want = three_step_boundaries(dc, p, q, r)
+                        assert got.ambient_dim == want.ambient_dim
+                        assert repr(got.basis) == repr(want.basis), (p, q, r)
+                        constrained += r >= 2 and want.dim > 0
+    assert constrained > 100
+
+
 def test_page_differential_squares_to_zero_and_computes_next_page():
     for seed in (3, 14, 15):
         dc = random_double_complex(seed)
