@@ -54,13 +54,9 @@ from .spectral import (
     validate_double_complex,
 )
 from .pairs import (
-    CapExceeded,
     FunctionCochain,
-    FunctionModule,
     GMPair,
-    closure_module,
     invariant_closed_forms,
-    invariant_functions,
     pi_images,
     restrict_cocycle,
     stability_subalgebra,

@@ -1,18 +1,18 @@
 """Coordinate views of finite families of expressions.
 
-Several solvers (potential finding, invariant functions, cocycle spaces,
-the K-spaces and the phi_3 witness) reduce "these expressions must vanish /
-be dependent" to exact linear algebra: bring everything over a common
-denominator, read off monomial coordinates of the numerators, and hand the
-rows to ``linalg``.  A term may also come as the sparse monomial vector
-``{monomial: coefficient}`` of a polynomial, which is how the pair's action
-table gives its images; it is read as it is.
+Several solvers (potential finding, cocycle spaces, the K-spaces and the
+phi_3 witness) reduce "these expressions must vanish / be dependent" to
+exact linear algebra: bring everything over a common denominator, read off
+monomial coordinates of the numerators, and hand the rows to ``linalg``.  A
+term may also come as the sparse monomial vector ``{monomial: coefficient}``
+of a polynomial, which is how the pair's action table gives its images; it
+is read as it is.
 """
 
 from __future__ import annotations
 
 from .expr import Expr, TP, TP_ONE
-from .linalg import InvariantViolation, Subspace, kernel_of_rows, solve_rows
+from .linalg import InvariantViolation, solve_rows
 
 
 def tp_lcm(a: TP, b: TP) -> TP:
@@ -95,16 +95,6 @@ def equation_rows(terms):
             else:
                 row.pop(k, None)
     return [r for r in rows.values() if r]
-
-
-def kernel_of_expr_system(columns) -> Subspace:
-    """All (c_k) with sum_k c_k columns[k][e] = 0 identically for every e;
-    an entry is an expression or a polynomial's monomial dict."""
-    nunk = len(columns)
-    rows = []
-    for e in range(len(columns[0]) if columns else 0):
-        rows.extend(equation_rows((k, 1, columns[k][e]) for k in range(nunk)))
-    return kernel_of_rows(rows, nunk)
 
 
 def solve_linear_expr_system(columns: list[list[Expr]], rhs: list[Expr]):

@@ -97,7 +97,7 @@ class UndeterminedError(Exception):
 class ClassifyOptions:
     degree: int = 3
     fourier: int = 3
-    closure_cap: int = 64
+    closure_cap: int = 64  # validated, read by no computation
 
 
 @dataclass(frozen=True)
@@ -736,7 +736,6 @@ def k_spaces(p: GMPair, opts: ClassifyOptions | None = None) -> KSpacesReport:
 @dataclass(frozen=True)
 class InvarianceComplex:
     dc: DoubleComplex
-    modules: tuple[GModule, ...]  # (functions, one-forms, two-forms)
     bases: tuple  # per column, {unit: coefficient} vectors
 
 
@@ -865,7 +864,7 @@ def build_invariance_double_complex(p: GMPair, opts: ClassifyOptions | None = No
     if not report.ok:
         raise InvariantViolation(f"invariance complex failed validation: {report.violations[:3]}")
     bases = (tuple(f_basis), tuple(w_basis), tuple(t_basis))
-    return InvarianceComplex(dc, tuple(modules), bases)
+    return InvarianceComplex(dc, bases)
 
 
 def _block_diag(m: Mat, count: int) -> Mat:

@@ -8,10 +8,10 @@ action on monomials and elementary forms as sparse monomial vectors, each
 filled once by the derivative rule on monomial keys; expressions meet it
 only at its edges (the field components it reads, ``lie`` and the readers'
 results).  On it live the contraction ``pi_images``, ``action_module`` (the
-g-module on an action-closed family of sparse vectors), closures of seed
-functions as Krylov spans, invariant functions and forms, and stability
-subalgebras with cocycle restriction, which is the certificate machinery
-for nontrivial classes that no finite truncation can exhibit.
+g-module on an action-closed family of sparse vectors, the one way a
+g-module is built), the invariant closed 1-forms, and stability subalgebras
+with cocycle restriction, which is the certificate machinery for nontrivial
+classes that no finite truncation can exhibit.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ from fractions import Fraction
 from .calculus import OneForm, TwoForm, VectorFieldExpr
 from .cecohom import GModule, NotACocycle, validate_module
 from .expr import ANGLE, TP, AnsatzSpec, Chart, Expr, function_monomials
-from .exprspace import equation_rows, kernel_of_expr_system, poly_terms
+from .exprspace import equation_rows, poly_terms
 from .liealg import StructureConstants
 from .linalg import (
-    Echelon,
     InvariantViolation,
     Mat,
     Subspace,
@@ -34,17 +33,9 @@ from .linalg import (
     dense,
     kernel_basis,
     kernel_of_rows,
-    span_coordinates,
 )
 
 F = Fraction
-
-
-class CapExceeded(Exception):
-    def __init__(self, dim_reached, witness):
-        super().__init__(f"action does not close within {dim_reached} dimensions")
-        self.dim_reached = dim_reached
-        self.witness = witness
 
 
 class ActionTable:
@@ -244,11 +235,6 @@ class FunctionCochain:
         return all(c.is_zero() for c in self.components)
 
 
-def scalar_coboundary(p: GMPair, f: Expr) -> FunctionCochain:
-    """(delta f)_i = X_i f."""
-    return FunctionCochain(p, tuple(p.action.lie(i, f) for i in range(p.algebra.dim)))
-
-
 def pi_images(p: GMPair, units, basis):
     """pi(w) in monomial coordinates, for each w of a basis of closed forms.
 
@@ -330,84 +316,9 @@ def action_module(algebra: StructureConstants, family, unit_images) -> GModule:
     return gm
 
 
-@dataclass(frozen=True)
-class FunctionModule:
-    module: GModule
-    basis_exprs: tuple[Expr, ...]
-    pair: GMPair
-
-    @property
-    def dim(self):
-        return self.module.dim
-
-    def coordinates(self, f: Expr):
-        """Coefficients expressing f in the basis, or None outside the span."""
-        if not f.den.is_one():
-            return None
-        return span_coordinates([b.num.terms for b in self.basis_exprs], f.num.terms)
-
-
-def closure_module(p: GMPair, seeds, cap: int = 64) -> FunctionModule:
-    """Smallest action-closed span containing the polynomial seeds, or
-    CapExceeded: a Krylov span on the action table.
-
-    Seeds in the given order, then breadth-first images under the generators
-    in basis order; a vector that raises the rank of one incremental echelon
-    basis becomes a member.  A rational seed or image raises NotPolynomial.
-    """
-    act = p.action
-    unit_images = [lambda m, i=i: act.scalar(i, m) for i in range(p.algebra.dim)]
-    ech = Echelon()
-    family = []
-    for s in seeds:
-        if not s.is_velocity_free():
-            raise InvariantViolation("closure seeds must be velocity-free")
-        v = poly_terms(s)
-        if ech.insert(v):
-            family.append(v)
-    for v in family:  # the list grows as members are found
-        for unit_image in unit_images:
-            g = linear_image(v, unit_image)
-            if ech.insert(g):
-                family.append(g)
-                if len(family) > cap:
-                    raise CapExceeded(len(family), Expr(p.chart, TP(g)))
-    module = action_module(p.algebra, family, unit_images)
-    return FunctionModule(module, tuple(Expr(p.chart, TP(v)) for v in family), p)
-
-
-def function_cochain_to_module_cochain(fm: FunctionModule, alpha: FunctionCochain):
-    """Express a function-valued 1-cochain in a module's coordinates."""
-    from .cecohom import Cochain
-
-    comps = {}
-    for i, c in enumerate(alpha.components):
-        coords = fm.coordinates(c)
-        if coords is None:
-            raise InvariantViolation("cochain component outside the module")
-        if coords:
-            comps[(i,)] = dense(coords, fm.dim)
-    return Cochain(1, fm.module, comps)
-
-
 # ---------------------------------------------------------------------------
-# invariants
+# invariant closed forms
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InvariantFunctions:
-    basis: tuple[Expr, ...]
-    coefficients: Subspace  # over the ansatz monomial coordinates
-
-
-def invariant_functions(p: GMPair, ansatz: AnsatzSpec) -> InvariantFunctions:
-    """All ansatz-space solutions of X_i f = 0 for every generator."""
-    monos = function_monomials(p.chart, ansatz.degree, ansatz.fourier)
-    columns = [[p.action.scalar(i, m) for i in range(p.algebra.dim)] for m in monos]
-    coeffs = kernel_of_expr_system(columns)
-    basis = tuple(Expr(p.chart, TP({monos[k]: c for k, c in sorted(v.items())})) for v in coeffs.basis)
-    return InvariantFunctions(basis, coeffs)
-
 
 def closedness_rows(p: GMPair, monos):
     """Rows of dw = 0 for w = sum c_(mu,k) monos[k] dq^mu, unknowns mu-major."""

@@ -261,9 +261,10 @@ def _zigzag_cocycles(dc, p, q, r):
     chains = kernel_basis(_q_rows(dc, cells, [(a, b + 1) for a, b in cells])).basis
     d0 = dc.dim_at(p, q)
     leaders = [{j: x for j, x in ch.items() if j < d0} for ch in chains]
-    # deterministic pivots pick the independent leader terms
+    # deterministic pivots pick the independent leader terms; their
+    # elimination is the independence certificate, so Subspace skips its own
     keep = pivot_columns(leaders)
-    return Subspace(d0, tuple(leaders[i] for i in keep)), tuple(chains[i] for i in keep)
+    return Subspace(d0, tuple(leaders[i] for i in keep), verified=True), tuple(chains[i] for i in keep)
 
 
 def _zigzag_boundaries(dc, p, q, r):

@@ -3,6 +3,9 @@
 import os
 from pathlib import Path
 
+from lagfloor.expr import parse_expr
+from lagfloor.exprspace import poly_terms
+from lagfloor.pairs import action_module
 from lagfloor.problemfile import build_pair, load_problem_file
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -14,3 +17,16 @@ SCRIPT_ENV = {"PYTHONPATH": os.pathsep.join((str(ROOT / "src"), str(ROOT / "test
 def fixture_pair(name):
     """The pair of ``src/lagfloor/fixtures/NAME.toml``."""
     return build_pair(load_problem_file(FIXTURES / f"{name}.toml"))
+
+# rotation-closed families on so3_r3: the spin-1 coordinates and the spin-2
+# harmonic quadratics, the modules of acceptance criterion 2
+SPIN1 = ("x1", "-x3", "x2")
+SPIN2 = ("x1*x2", "-x2^2 + x1^2", "x1*x3", "-x2*x3", "-x3^2 + x1^2")
+
+
+def polynomial_module(pair, family):
+    """The g-module on span(family), an action-closed list of polynomial
+    strings, built by ``action_module`` with the pair's ``scalar`` images."""
+    act = pair.action
+    units = [lambda m, i=i: act.scalar(i, m) for i in range(pair.algebra.dim)]
+    return action_module(pair.algebra, [poly_terms(parse_expr(pair.chart, f)) for f in family], units)

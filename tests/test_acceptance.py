@@ -18,7 +18,7 @@ from lagfloor.cecohom import Cochain, GModule, cohomology, is_cocycle
 from lagfloor.expr import TP, Expr, parse_expr
 from lagfloor.hierarchy import classify, k_spaces, noether_charges
 from lagfloor.liealg import catalog
-from lagfloor.pairs import FunctionCochain, closure_module, pi_images
+from lagfloor.pairs import FunctionCochain, pi_images
 from lagfloor.spectral import (
     abutment_check,
     page,
@@ -27,7 +27,7 @@ from lagfloor.spectral import (
     validate_double_complex,
 )
 
-from fixture_pairs import fixture_pair
+from fixture_pairs import SPIN1, SPIN2, fixture_pair, polynomial_module
 
 F = Fraction
 
@@ -110,15 +110,13 @@ def test_acceptance_1_trivial_coefficient_cohomology_table():
 
 def test_acceptance_2_whitehead_fixture():
     with criterion(2, "Whitehead: H^1 = H^2 = 0 for so(3) spin-1 and spin-2"):
-        spin1 = closure_module(SO3R3, [parse_expr(SO3R3.chart, "x1")])
+        spin1 = polynomial_module(SO3R3, SPIN1)
         assert spin1.dim == 3
-        spin2 = closure_module(
-            SO3R3, [parse_expr(SO3R3.chart, "x1*x2"), parse_expr(SO3R3.chart, "x1^2 - x2^2")]
-        )
+        spin2 = polynomial_module(SO3R3, SPIN2)
         assert spin2.dim == 5
-        for fm in (spin1, spin2):
-            assert cohomology(SO3R3.algebra, fm.module, 1).dim == 0
-            assert cohomology(SO3R3.algebra, fm.module, 2).dim == 0
+        for module in (spin1, spin2):
+            assert cohomology(SO3R3.algebra, module, 1).dim == 0
+            assert cohomology(SO3R3.algebra, module, 2).dim == 0
 
 
 def test_acceptance_3_k_space_reports():

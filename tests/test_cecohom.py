@@ -193,12 +193,9 @@ def random_conjugate(rng, module):
 
 def test_delta_squared_zero_fuzz():
     rng = random.Random(2024)
-    from lagfloor.pairs import closure_module
-    from lagfloor.expr import parse_expr
-    from fixture_pairs import fixture_pair
+    from fixture_pairs import fixture_pair, polynomial_module
 
-    l3_pair = fixture_pair("l3_cylinder")
-    l3_module = closure_module(l3_pair, [parse_expr(l3_pair.chart, "z")]).module
+    l3_module = polynomial_module(fixture_pair("l3_cylinder"), ["z", "1"])
     for base in (GModule.trivial(catalog("l3")), l3_module, so3_spin1()):
         for _ in range(3):
             a = random_conjugate(rng, base)

@@ -14,7 +14,8 @@ from lagfloor.expr import (
     parse_expr,
     to_string,
 )
-from lagfloor.exprspace import kernel_of_expr_system
+from lagfloor.exprspace import equation_rows
+from lagfloor.linalg import kernel_of_rows
 
 F = Fraction
 
@@ -317,16 +318,7 @@ def test_const_value_of_rational():
 
 # -- exprspace ------------------------------------------------------------------
 
-def test_kernel_of_expr_system_without_unknowns():
-    k = kernel_of_expr_system([])
-    assert k.ambient_dim == 0 and k.dim == 0
-
-
-def test_kernel_of_expr_system_without_equations_is_whole_space():
-    assert kernel_of_expr_system([[], []]).dim == 2
-
-
 def test_kernel_of_expr_system_clears_denominators():
     # c0 * 1/(1+u) + c1 * u/(1+u) + c2 * 1 = 0 forces c0 + c2 = 0 = c1 + c2
-    cols = [[P("1/(1 + u)", PLANE)], [P("u/(1 + u)", PLANE)], [P("1", PLANE)]]
-    assert kernel_of_expr_system(cols).basis == ({0: F(-1), 1: F(-1), 2: F(1)},)
+    terms = [(0, 1, P("1/(1 + u)", PLANE)), (1, 1, P("u/(1 + u)", PLANE)), (2, 1, P("1", PLANE))]
+    assert kernel_of_rows(equation_rows(terms), 3).basis == ({0: F(-1), 1: F(-1), 2: F(1)},)

@@ -578,16 +578,15 @@ def test_hierarchy_reads_the_action_through_the_pair():
     banned = {
         "lie_derivative_scalar", "lie_derivative_oneform", "lie_derivative_twoform",
         "pi_map", "solve_linear_expr_system",
-        "closure_module", "function_cochain_to_module_cochain", "CapExceeded",
     }
     imported = _imported_names("hierarchy")
     assert not imported & banned, sorted(imported & banned)
 
 
 def test_pair_modules_read_the_action_table():
-    """Closures, module coordinates and pi read monomial images off the
-    action table, which the derivative rule fills: pairs solves no
-    expression system and takes no symbolic Lie derivative."""
+    """Modules, invariant forms and pi read monomial images off the action
+    table, which the derivative rule fills: pairs solves no expression
+    system and takes no symbolic Lie derivative."""
     banned = {"solve_linear_expr_system", "lie_derivative_scalar", "lie_derivative_oneform", "lie_derivative_twoform"}
     imported = _imported_names("pairs")
     assert not imported & banned, sorted(imported & banned)

@@ -1,4 +1,3 @@
-import hashlib
 import random
 import subprocess
 import sys
@@ -20,26 +19,21 @@ from lagfloor.calculus import (
 from lagfloor.cecohom import cohomology
 from lagfloor.expr import TP, AnsatzSpec, Expr, function_monomials, mono_expr, parse_expr, to_string
 from lagfloor.exprspace import NotPolynomial
-from lagfloor.linalg import dense, kernel_of_rows
+from lagfloor.linalg import InvariantViolation, dense, kernel_of_rows
 from lagfloor.pairs import (
-    CapExceeded,
     FunctionCochain,
     GMPair,
     NotACocycle,
     closedness_rows,
-    closure_module,
-    function_cochain_to_module_cochain,
     invariant_closed_forms,
-    invariant_functions,
     pi_images,
     restrict_cocycle,
-    scalar_coboundary,
     stability_subalgebra,
     stability_values_of_constant_cocycles,
     validate_pair,
 )
 
-from fixture_pairs import SCRIPT_ENV, fixture_pair
+from fixture_pairs import SCRIPT_ENV, SPIN1, SPIN2, fixture_pair, polynomial_module
 
 F = Fraction
 
@@ -58,6 +52,11 @@ STANDARD_IDS = ["l3_cylinder", "so3_r3", "so3_sphere", "galilean_r4", "poincare_
 
 def P(text, pair=L3):
     return parse_expr(pair.chart, text)
+
+
+def scalar_coboundary(p, f):
+    """(delta f)_i = X_i f."""
+    return FunctionCochain(p, tuple(p.action.lie(i, f) for i in range(p.algebra.dim)))
 
 
 def oneform(pair, *comps):
@@ -289,29 +288,23 @@ def test_pi_certificates_raise_under_python_O():
 
 
 def test_closure_certificates_raise_under_python_O():
-    """A velocity-dependent seed or Lie-derivative argument, and a cochain
-    component outside the module, raise InvariantViolation under python -O;
-    a rational seed, which is unsupported input, raises NotPolynomial."""
+    """A velocity-dependent Lie-derivative argument or cochain component
+    raises InvariantViolation under python -O."""
     script = textwrap.dedent(
         """
         from lagfloor.expr import Expr, parse_expr
-        from lagfloor.exprspace import NotPolynomial
         from lagfloor.linalg import InvariantViolation
-        from lagfloor.pairs import (
-            FunctionCochain, closure_module, function_cochain_to_module_cochain,
-        )
+        from lagfloor.pairs import FunctionCochain
         from fixture_pairs import fixture_pair
 
         assert False, "asserts must be stripped under -O"
         L3 = fixture_pair("l3_cylinder")
         ch = L3.chart
         dz = Expr.var(ch, ch.velocity("z"))
-        fm = closure_module(L3, [parse_expr(ch, "z")])
-        outside = FunctionCochain(L3, (parse_expr(ch, "0"), parse_expr(ch, "z^2"), parse_expr(ch, "0")))
+        zero = parse_expr(ch, "0")
         cases = [
-            lambda: closure_module(L3, [dz]),
             lambda: L3.action.lie(0, dz),
-            lambda: function_cochain_to_module_cochain(fm, outside),
+            lambda: FunctionCochain(L3, (zero, dz, zero)),
         ]
         for case in cases:
             try:
@@ -320,12 +313,6 @@ def test_closure_certificates_raise_under_python_O():
                 print("raised:", exc)
             else:
                 print("passed")
-        try:
-            closure_module(L3, [parse_expr(ch, "1/(1 + z^2)")])
-        except NotPolynomial as exc:
-            print("not polynomial:", exc)
-        else:
-            print("passed")
         """
     )
     res = subprocess.run(
@@ -334,8 +321,7 @@ def test_closure_certificates_raise_under_python_O():
     )
     assert res.returncode == 0, res.stderr
     lines = res.stdout.splitlines()
-    assert len(lines) == 4 and all(line.startswith("raised:") for line in lines[:3]), res.stdout
-    assert lines[3] == "not polynomial: monomial coordinates require polynomial components", res.stdout
+    assert len(lines) == 2 and all(line.startswith("raised:") for line in lines), res.stdout
 
 
 def test_pi_images_pass_on_the_closed_basis_of_each_pair():
@@ -357,45 +343,40 @@ def test_monopole_contraction_consistency():
     assert list(values.values()) == [-g]
 
 
-# -- closure modules -----------------------------------------------------------------
+# -- modules on action-closed families ---------------------------------------------
 
 def test_closure_of_z_on_cylinder():
-    fm = closure_module(L3, [P("z")])
-    assert fm.dim == 2
-    labels = [str(e) for e in fm.basis_exprs]
-    assert any("z" in s for s in labels)
+    """z alone is not closed (a generator maps it to 1); with 1 it spans a
+    2-dimensional module."""
+    with pytest.raises(InvariantViolation, match="not closed"):
+        polynomial_module(L3, ["z"])
+    assert polynomial_module(L3, ["z", "1"]).dim == 2
 
 
 def test_closure_spin1_on_r3():
-    fm = closure_module(SO3R3, [parse_expr(SO3R3.chart, "x1")])
-    assert fm.dim == 3
-    h1 = cohomology(SO3R3.algebra, fm.module, 1)
-    h2 = cohomology(SO3R3.algebra, fm.module, 2)
+    module = polynomial_module(SO3R3, SPIN1)
+    assert module.dim == 3
+    h1 = cohomology(SO3R3.algebra, module, 1)
+    h2 = cohomology(SO3R3.algebra, module, 2)
     assert h1.dim == 0 and h2.dim == 0  # Whitehead at spin 1
 
 
 def test_closure_spin2_whitehead():
-    seeds = [parse_expr(SO3R3.chart, s) for s in ("x1*x2", "x1^2 - x2^2")]
-    fm = closure_module(SO3R3, seeds)
-    assert fm.dim == 5
-    assert cohomology(SO3R3.algebra, fm.module, 1).dim == 0
-    assert cohomology(SO3R3.algebra, fm.module, 2).dim == 0
+    module = polynomial_module(SO3R3, SPIN2)
+    assert module.dim == 5
+    assert cohomology(SO3R3.algebra, module, 1).dim == 0
+    assert cohomology(SO3R3.algebra, module, 2).dim == 0
 
 
-def test_closure_cap_exceeded_on_fourier_seed():
-    with pytest.raises(CapExceeded):
-        closure_module(L3, [P("z*sin(phi)")], cap=8)
-
-
-# basis strings and action matrices, one row-major tuple per generator
+# families and action matrices, one row-major tuple per generator
 PINNED_CLOSURES = [
-    (L3, ["z"], ["z", "1"], [(0, 0, 1, 0), (0, 0, 0, 0), (0, 0, 0, 0)]),
-    (SO3R3, ["x1"], ["x1", "-x3", "x2"], [
+    (L3, ["z", "1"], [(0, 0, 1, 0), (0, 0, 0, 0), (0, 0, 0, 0)]),
+    (SO3R3, SPIN1, [
         (0, 0, 0, 0, 0, -1, 0, 1, 0),
         (0, -1, 0, 1, 0, 0, 0, 0, 0),
         (0, 0, -1, 0, 0, 0, 1, 0, 0),
     ]),
-    (SO3R3, ["x1*x2", "x1^2 - x2^2"], ["x1*x2", "-x2^2 + x1^2", "x1*x3", "-x2*x3", "-x3^2 + x1^2"], [
+    (SO3R3, SPIN2, [
         (0, 0, -1, 0, 0, 0, 0, 0, -1, 0, 1, 0, 0, 0, 0, 0, 2, 0, 0, -2, 0, 0, 0, 1, 0),
         (0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0, -2, 0, 0, -4, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0),
         (0, 4, 0, 0, 2, -1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0),
@@ -403,61 +384,12 @@ PINNED_CLOSURES = [
 ]
 
 
-@pytest.mark.parametrize("pair, seeds, basis, action", PINNED_CLOSURES, ids=["l3_z", "spin1", "spin2"])
-def test_closure_basis_and_matrices_pinned(pair, seeds, basis, action):
-    fm = closure_module(pair, [P(s, pair) for s in seeds])
-    assert [to_string(b) for b in fm.basis_exprs] == basis
-    assert [m.entries for m in fm.module.action] == action
+@pytest.mark.parametrize("pair, family, action", PINNED_CLOSURES, ids=["l3_z", "spin1", "spin2"])
+def test_closure_basis_and_matrices_pinned(pair, family, action):
+    assert [m.entries for m in polynomial_module(pair, family).action] == action
 
 
-def test_closure_cap_on_the_sphere_monopole():
-    """The rotation fields raise the degree by one per step; the witness is
-    the degree-32 member that takes the span past the cap."""
-    with pytest.raises(CapExceeded) as info:
-        closure_module(SPHERE, [P(s, SPHERE) for s in ("-u", "-v", "1")], cap=64)
-    w = info.value.witness
-    assert info.value.dim_reached == 65
-    assert w.den.is_one() and w.line_degree() == 32 and len(w.num.terms) == 153
-    digest = hashlib.sha256(to_string(w).encode()).hexdigest()
-    assert digest == "b3fa6a2629bbc96b2836c47049e2dfade727692dac6516ece00f5223cbffd9c8"
-
-
-def test_module_coordinates_reuse_the_closure_span():
-    fm = closure_module(L3, [P("z")])
-    # a rational target is cleared to a common denominator with the basis
-    assert fm.coordinates(P("1/(1 + z^2)")) is None
-    assert fm.coordinates(P("2*z + 3")) == {0: 2, 1: 3}
-
-
-def test_module_cochain_conversion():
-    fm = closure_module(L3, [P("z")])
-    alpha = FunctionCochain(L3, (P("0"), P("2*z + 3"), P("2")))
-    z = function_cochain_to_module_cochain(fm, alpha)
-    d = __import__("lagfloor.cecohom", fromlist=["ce_differential"]).ce_differential(
-        L3.algebra, fm.module, 1
-    )
-    assert not any(d.mul_vec(z.to_vector()))
-
-
-# -- invariants ------------------------------------------------------------------------
-
-def test_invariant_functions_cylinder_constants_only():
-    inv = invariant_functions(L3, AnsatzSpec(3, 3))
-    assert len(inv.basis) == 1
-    assert inv.basis[0].is_constant()
-
-
-def test_invariant_functions_translations_constants_only():
-    inv = invariant_functions(TRANS2, AnsatzSpec(3, 0))
-    assert len(inv.basis) == 1
-
-
-def test_invariant_functions_so3_r3_radius():
-    inv = invariant_functions(SO3R3, AnsatzSpec(2, 0))
-    assert len(inv.basis) == 2  # constants and x.x
-    degs = sorted(f.line_degree() for f in inv.basis)
-    assert degs == [0, 2]
-
+# -- invariant closed forms ---------------------------------------------------------
 
 def _proportional(w, v):
     """w = c v for a nonzero constant c."""

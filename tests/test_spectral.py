@@ -358,6 +358,30 @@ def test_page_cells_are_solved_once_per_window(monkeypatch):
     assert not calls
 
 
+def test_zigzag_cocycles_eliminate_twice(monkeypatch):
+    """One _zigzag_cocycles call runs two eliminations, the kernel of the
+    window and the pivots of the leader terms; those pivots certify the
+    kept leaders independent, so Subspace runs no third."""
+    import lagfloor.linalg as la
+    import lagfloor.spectral as sp
+
+    dc = random_double_complex(5, width=4, height=4)
+    calls = []
+    rref = la.rref
+    monkeypatch.setattr(la, "rref", lambda *a: calls.append(1) or rref(*a))
+    kept = []
+    for p in range(dc.width):
+        for q in range(dc.height):
+            if dc.dim_at(p, q):
+                calls.clear()
+                z, _ = sp._zigzag_cocycles(dc, p, q, 2)
+                assert len(calls) == 2, (p, q)
+                kept.append(z)
+    assert any(z.dim for z in kept)
+    for z in kept:  # the checked constructor accepts every kept basis
+        assert la.Subspace(z.ambient_dim, z.basis).dim == z.dim
+
+
 def test_total_cohomology_is_computed_once_per_degree(monkeypatch):
     """abutment_check reads the totals its caller computed, and the reverse;
     it still runs the zig-zag engine on a fresh transposed complex."""
