@@ -32,8 +32,6 @@ from .calculus import (
 )
 from .liealg import BadParams, StructureConstants, UnknownName, bracket, catalog, jacobi_check
 from .cecohom import (
-    Cochain,
-    CohomologyResult,
     GModule,
     NotACocycle,
     ce_differential,

@@ -19,7 +19,7 @@ from .linalg import InvariantViolation
 F = Fraction
 
 
-class NotClosed(Exception):
+class NotClosed(InvariantViolation):
     pass
 
 

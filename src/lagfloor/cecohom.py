@@ -1,39 +1,30 @@
 """Chevalley-Eilenberg cochain complex and Lie-algebra cohomology.
 
-Cochains of degree q are antisymmetric q-linear maps into a finite module,
-stored on strictly increasing index tuples.  The differential is
+A cochain of degree q is an antisymmetric q-linear map into a module of
+dimension m, given by its values on the strictly increasing index tuples.
+It is stored as the sparse vector ``{index: Fraction}`` of :mod:`.linalg`,
+with index = (position of the tuple in ``cochain_tuples(n, q)``) * m +
+module slot: the tuples in lexicographic order, the module index fastest.
+These are the coordinates :func:`ce_differential` acts on, so its matrices
+are reproducible.  The differential is
 
   (dc)(h_0..h_q) = sum_i (-1)^i  h_i . c(.. h_i ..)
                  + sum_{i<j} (-1)^{i+j} c([h_i,h_j], .. h_i .. h_j ..)
 
-(0-indexed signs).  Coordinates are ordered lexicographically on the tuples
-with the module index fastest, so differential matrices are reproducible.
+(0-indexed signs).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .liealg import StructureConstants
-from .linalg import (
-    InvariantViolation,
-    Mat,
-    QuotientSpace,
-    Subspace,
-    Vector,
-    dense,
-    image_basis,
-    kernel_basis,
-    quotient,
-    solve,
-)
-
-F = Fraction
+from .linalg import InvariantViolation, Mat, QuotientSpace, Vector, homology, solve
 
 
-class NotACocycle(Exception):
+class NotACocycle(InvariantViolation):
     pass
 
 
@@ -57,7 +48,10 @@ class GModule:
                 raise InvariantViolation(f"a {m.rows}x{m.cols} action matrix on a module of dimension {self.dim}")
 
     @staticmethod
+    @cache
     def trivial(algebra):
+        """The one-dimensional trivial module, one per algebra, so that
+        ``ce_differential`` finds its matrices again."""
         return GModule(1, algebra, tuple(Mat.zero(1, 1) for _ in range(algebra.dim)))
 
 
@@ -87,54 +81,9 @@ def validate_module(a: GModule) -> ModuleReport:
 
 
 def cochain_tuples(n, q):
+    if q < 0:
+        raise InvariantViolation(f"cochains of negative degree {q}")
     return list(combinations(range(n), q)) if q <= n else []
-
-
-def cochain_dim(g: StructureConstants, a: GModule, q: int) -> int:
-    n = g.dim
-    if q < 0 or q > n:
-        return 0
-    return len(cochain_tuples(n, q)) * a.dim
-
-
-@dataclass(frozen=True)
-class Cochain:
-    degree: int
-    module: GModule
-    components: dict  # increasing tuple -> module vector (tuple of Fraction)
-
-    def __post_init__(self):
-        # above the algebra's dimension the cochain space is 0
-        if self.degree < 0:
-            raise InvariantViolation(f"cochain of negative degree {self.degree}")
-        for t, v in self.components.items():
-            if len(t) != self.degree or tuple(sorted(t)) != t:
-                raise InvariantViolation(f"cochain component {t} is not an increasing {self.degree}-tuple")
-            if len(v) != self.module.dim:
-                raise InvariantViolation(f"cochain value of length {len(v)} in a module of dimension {self.module.dim}")
-
-    def value(self, t):
-        return self.components.get(t, (F(0),) * self.module.dim)
-
-    def to_vector(self) -> Vector:
-        m = self.module.dim
-        tuples = cochain_tuples(self.module.algebra.dim, self.degree)
-        return {i * m + s: x for i, t in enumerate(tuples) for s, x in enumerate(self.components.get(t, ())) if x}
-
-    @staticmethod
-    def from_vector(module, q, vec: Vector):
-        tuples = cochain_tuples(module.algebra.dim, q)
-        m = module.dim
-        full = dense(vec, len(tuples) * m)
-        comps = {}
-        for idx, t in enumerate(tuples):
-            v = full[idx * m : (idx + 1) * m]
-            if any(v):
-                comps[t] = v
-        return Cochain(q, module, comps)
-
-    def is_zero(self):
-        return all(not any(v) for v in self.components.values())
 
 
 def _insert_sorted(k, rest):
@@ -193,51 +142,30 @@ def ce_differential(g: StructureConstants, a: GModule, q: int) -> Mat:
     return out
 
 
-@dataclass(frozen=True)
-class CohomologyResult:
-    degree: int
-    quotient: QuotientSpace
-    representatives: tuple[Cochain, ...]
-
-    @property
-    def dim(self):
-        return self.quotient.dim
-
-
-def cohomology(g: StructureConstants, a: GModule, q: int) -> CohomologyResult:
-    """H^q(G, A) = ker(delta_q) / im(delta_{q-1}) with chosen representatives.
+def cohomology(g: StructureConstants, a: GModule, q: int) -> QuotientSpace:
+    """H^q(G, A) = ker(delta_q) / im(delta_{q-1}): its ``dim``, its
+    ``representatives`` as cochain vectors, and ``reduce`` to classes.
 
     Any q >= 0 is accepted; above dim G the cochains, and so H^q, are 0.
     """
     if q < 0:
         raise InvariantViolation(f"cohomology in negative degree {q}")
     d_q = ce_differential(g, a, q)
-    z = kernel_basis(d_q)
-    if q == 0:
-        b = Subspace(z.ambient_dim, ())
-    else:
-        d_prev = ce_differential(g, a, q - 1)
-        if not d_q.mul(d_prev).is_zero():
-            raise InvariantViolation("delta^2 != 0: invalid module")
-        b = image_basis(d_prev)
-    qt = quotient(z, b)
-    reps = tuple(Cochain.from_vector(a, q, v) for v in qt.representatives)
-    return CohomologyResult(q, qt, reps)
+    d_prev = ce_differential(g, a, q - 1) if q else None
+    if d_prev is not None and not d_q.mul(d_prev).is_zero():
+        raise InvariantViolation("delta^2 != 0: invalid module")
+    return homology(d_q, d_prev)
 
 
-def is_cocycle(g: StructureConstants, a: GModule, z: Cochain) -> bool:
-    d = ce_differential(g, a, z.degree)
-    return not d.mul_vec(z.to_vector())
+def is_cocycle(g: StructureConstants, a: GModule, q: int, z: Vector) -> bool:
+    return not ce_differential(g, a, q).mul_vec(z)
 
 
-def coboundary_witness(g: StructureConstants, a: GModule, z: Cochain) -> Cochain | None:
-    """b with delta b = z, or None when [z] != 0.  Raises NotACocycle."""
-    if not is_cocycle(g, a, z):
+def coboundary_witness(g: StructureConstants, a: GModule, q: int, z: Vector) -> Vector | None:
+    """b with delta b = z for the q-cochain z, or None when [z] != 0.
+    Raises NotACocycle."""
+    if not is_cocycle(g, a, q, z):
         raise NotACocycle("coboundary_witness requires a cocycle")
-    if z.degree == 0:
-        return None if not z.is_zero() else Cochain(0, a, {})
-    d_prev = ce_differential(g, a, z.degree - 1)
-    x = solve(d_prev, z.to_vector())
-    if x is None:
-        return None
-    return Cochain.from_vector(a, z.degree - 1, x)
+    if q == 0:
+        return None if z else {}
+    return solve(ce_differential(g, a, q - 1), z)

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .calculus import AnsatzExhausted
-from .cecohom import GModule, cohomology, validate_module
+from .cecohom import GModule, cochain_tuples, cohomology, validate_module
 from .expr import AnsatzTooLarge, ParseError, to_string
 from .exprspace import NotPolynomial
 from .hierarchy import (
@@ -117,15 +117,17 @@ def _options(args, pf=None):
     )
 
 
-def _cochain_str(cochain, names):
+def _cochain_str(vec, q, m, names):
+    """The q-cochain vector ``vec`` with values in a module of dimension m,
+    one ``(tuple): value`` part per tuple where it is nonzero."""
+    tuples = cochain_tuples(len(names), q)
+    values = {}  # tuple position -> value vector; sorted indices keep tuple order
+    for j in sorted(vec):
+        values.setdefault(j // m, [F(0)] * m)[j % m] = vec[j]
     parts = []
-    for t in sorted(cochain.components):
-        vec = cochain.components[t]
-        label = "^".join(names[i] for i in t)
-        if len(vec) == 1:
-            parts.append(f"({label}): {frac_str(vec[0])}")
-        else:
-            parts.append(f"({label}): {vec_str(vec)}")
+    for pos, value in values.items():
+        label = "^".join(names[i] for i in tuples[pos])
+        parts.append(f"({label}): {frac_str(value[0]) if m == 1 else vec_str(value)}")
     return "; ".join(parts) if parts else "0"
 
 
@@ -189,7 +191,7 @@ def cmd_cohomology(args, report):
         res = cohomology(g, module, q)
         report.add(f"dim_h{q}", res.dim)
         for idx, rep in enumerate(res.representatives, start=1):
-            report.add(f"h{q}_rep_{idx}", _cochain_str(rep, g.basis_names))
+            report.add(f"h{q}_rep_{idx}", _cochain_str(rep, q, module.dim, g.basis_names))
     return EXIT_OK
 
 
@@ -212,7 +214,7 @@ def cmd_k_spaces(args, report):
     for idx, (angle, t) in enumerate(rep.k1_reps, start=1):
         report.add(f"k1_rep_{idx}", f"d{angle} (x) {vec_str(t)}")
     for idx, c in enumerate(rep.k2_reps, start=1):
-        report.add(f"k2_rep_{idx}", _cochain_str(c, pair.algebra.basis_names))
+        report.add(f"k2_rep_{idx}", _cochain_str(c, 2, 1, pair.algebra.basis_names))
     for idx, alpha in enumerate(rep.k3_reps, start=1):
         report.add(
             f"k3_rep_{idx}",

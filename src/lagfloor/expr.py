@@ -460,9 +460,6 @@ class Expr:
         c = self.num.coeff(lead) / self.den.coeff(lead)
         return c if (self.num - self.den.scale(c)).is_zero() else None
 
-    def is_constant(self):
-        return self.const_value() is not None
-
     def __eq__(self, other):
         if not isinstance(other, Expr):
             return NotImplemented
@@ -763,11 +760,10 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, chart_, text, extra_names=()):
+    def __init__(self, chart_, text):
         self.chart = chart_
         self.toks = _tokenize(text)
         self.pos = 0
-        self.extra = set(extra_names)
         self.depth = 0
 
     def peek(self):
@@ -886,12 +882,12 @@ class _Parser:
                     pos,
                 )
             return Expr.var(ch, name)
-        if name in ch.velocity_names or name in ch.acceleration_names or name in self.extra:
+        if name in ch.velocity_names or name in ch.acceleration_names:
             return Expr.var(ch, name)
         raise UnknownSymbol(f"unknown symbol {name!r}", pos)
 
 
-def parse_expr(chart_, text, params=None, extra_names=()):
+def parse_expr(chart_, text, params=None):
     """Parse ``text`` against a chart.
 
     ``params`` maps parameter names to exact rationals, substituted before
@@ -903,7 +899,7 @@ def parse_expr(chart_, text, params=None, extra_names=()):
         for name, value in params.items():
             value = F(value)
             text = _substitute_name(text, name, f"({value.numerator}/{value.denominator})")
-    return _Parser(chart_, text, extra_names).parse()
+    return _Parser(chart_, text).parse()
 
 
 def _substitute_name(text, name, replacement):

@@ -37,7 +37,7 @@ from .calculus import (
     lie_derivative_lagrangian,
     total_time_derivative,
 )
-from .cecohom import Cochain, GModule, ce_differential, cohomology, coboundary_witness
+from .cecohom import GModule, ce_differential, coboundary_witness, cochain_tuples, cohomology
 from .expr import TP, UNIT, AnsatzSpec, EvaluationPole, Expr, function_monomials
 from .exprspace import equation_rows
 from .liealg import zero_one_cocycles
@@ -207,12 +207,7 @@ def weak_invariance_split(p: GMPair, L: Expr) -> WeakInvarianceSplit:
 
 def _in_z1(p: GMPair, t) -> bool:
     g = p.algebra
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            s = sum(g.coeff(i, j, k) * t[k] for k in range(g.dim))
-            if s:
-                return False
-    return True
+    return not ce_differential(g, GModule.trivial(g), 1).mul_vec({k: x for k, x in enumerate(t) if x})
 
 
 # ---------------------------------------------------------------------------
@@ -274,24 +269,19 @@ def phi2(p: GMPair, split: WeakInvarianceSplit, alphas):
     g = p.algebra
     alpha = FunctionCochain(p, tuple(alphas))
     f2 = {}
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            val = alpha.delta_component(i, j)
-            c = val.const_value()
-            if c is None:
-                raise InvariantViolation("(delta alpha) must be constant for closed splits")
-            if c:
-                f2[(i, j)] = c
-    triv = GModule.trivial(g)
-    z = Cochain(2, triv, {ij: (v,) for ij, v in f2.items()})
-    if ce_differential(g, triv, 2).mul_vec(z.to_vector()):
-        raise InvariantViolation("f must be a 2-cocycle")
-    witness = coboundary_witness(g, triv, z)
+    f = {}  # f2 as a 2-cochain vector
+    for idx, (i, j) in enumerate(cochain_tuples(g.dim, 2)):
+        c = alpha.delta_component(i, j).const_value()
+        if c is None:
+            raise InvariantViolation("(delta alpha) must be constant for closed splits")
+        if c:
+            f2[(i, j)] = f[idx] = c
+    witness = coboundary_witness(g, GModule.trivial(g), 2, f)
     if witness is None:
         h2 = _h2(p)
-        return ClassValue(NONZERO, dense(h2.quotient.reduce(z.to_vector()), h2.dim)), alpha, f2
+        return ClassValue(NONZERO, dense(h2.reduce(f), h2.dim)), alpha, f2
     # delta t' = -f  =>  use -witness of f
-    t_prime = tuple(-witness.value((k,))[0] for k in range(g.dim))
+    t_prime = tuple(-witness.get(k, 0) for k in range(g.dim))
     adjusted = alpha.add_constants(t_prime)
     if not adjusted.is_cocycle():
         raise InvariantViolation("adjusted alpha must satisfy delta(alpha') = 0")
@@ -562,7 +552,7 @@ class KSpacesReport:
     k4_dim: int
     k0_reps: tuple
     k1_reps: tuple  # (angle name, Z^1 basis vector) pairs
-    k2_reps: tuple
+    k2_reps: tuple  # H^2(G) representatives as 2-cochain vectors
     k3_reps: tuple
     k4_reps: tuple
     # truncated classes that neither reduced nor earned a nonzero
@@ -842,8 +832,6 @@ def build_invariance_double_complex(p: GMPair, opts: ClassifyOptions | None = No
     gm0, gm1 = modules[:2]
     gm2 = modules[2] if t_basis else None
     dims = []
-    from .cecohom import cochain_tuples
-
     col_dims = [len(f_basis), len(w_basis), len(t_basis)]
     for pdeg in range(n + 1):
         ntuples = len(cochain_tuples(n, pdeg))

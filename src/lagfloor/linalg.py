@@ -2,7 +2,7 @@
 
 Everything downstream (Lie-algebra cohomology, spectral sequences, the
 classifier) reduces to the operations here: :func:`kernel_basis`,
-:func:`image_basis`, :func:`quotient`, :func:`solve` and
+:func:`image_basis`, :func:`quotient`, :func:`homology`, :func:`solve` and
 :func:`span_coordinates`, plus the incremental :class:`Echelon` for spans
 that grow one vector at a time.  All arithmetic is exact (``Fraction`` and
 ``int``); there is no floating point anywhere in the package, because ranks
@@ -42,16 +42,17 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class DenominatorNotContained(Exception):
-    """Quotient denominator has a basis vector outside the numerator span."""
-
-
 class InvariantViolation(AssertionError):
     """A certificate failed: an identity that must hold exactly did not.
 
     It is raised explicitly, so ``python -O`` cannot strip the check the way
     it strips ``assert``; as an AssertionError it keeps the CLI's exit code 3.
+    The package's named internal failures derive from it.
     """
+
+
+class DenominatorNotContained(InvariantViolation):
+    """Quotient denominator has a basis vector outside the numerator span."""
 
 
 def _check_vector(v, n, what):
@@ -487,6 +488,14 @@ def quotient(z: Subspace, b: Subspace) -> QuotientSpace:
     if q.dim + b.dim != z.dim:
         raise InvariantViolation("dim Z/B + dim B != dim Z")
     return q
+
+
+def homology(d_out: Mat, d_in: Mat | None) -> QuotientSpace:
+    """ker d_out / im d_in, the homology at the space between two maps of a
+    complex; by the zero subspace when d_in is None."""
+    z = kernel_basis(d_out)
+    b = image_basis(d_in) if d_in is not None else Subspace(z.ambient_dim, ())
+    return quotient(z, b)
 
 
 def pivot_columns(cols):

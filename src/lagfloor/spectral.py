@@ -43,7 +43,7 @@ from .linalg import (
     QuotientSpace,
     Subspace,
     add_scaled,
-    image_basis,
+    homology,
     kernel_basis,
     kernel_of_rows,
     pivot_columns,
@@ -54,7 +54,7 @@ from .linalg import (
 F = Fraction
 
 
-class LiftFailure(Exception):
+class LiftFailure(InvariantViolation):
     """Internal invariant violation: a page representative failed to reduce."""
 
 
@@ -188,12 +188,7 @@ def total_cohomology(dc: DoubleComplex, m: int) -> QuotientSpace:
     once per degree and complex."""
     h = dc._totals.get(m)
     if h is None:
-        z = kernel_basis(total_differential(dc, m))
-        if m == 0:
-            b = Subspace(z.ambient_dim, ())
-        else:
-            b = image_basis(total_differential(dc, m - 1))
-        h = dc._totals[m] = quotient(z, b)
+        h = dc._totals[m] = homology(total_differential(dc, m), total_differential(dc, m - 1) if m else None)
     return h
 
 

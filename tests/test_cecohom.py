@@ -1,3 +1,4 @@
+import ast
 import random
 import subprocess
 import sys
@@ -8,18 +9,17 @@ from pathlib import Path
 import pytest
 
 from lagfloor.cecohom import (
-    Cochain,
     GModule,
     NotACocycle,
     ce_differential,
     coboundary_witness,
-    cochain_dim,
+    cochain_tuples,
     cohomology,
     is_cocycle,
     validate_module,
 )
 from lagfloor.liealg import StructureConstants, catalog
-from lagfloor.linalg import Mat
+from lagfloor.linalg import InvariantViolation, Mat
 
 F = Fraction
 
@@ -92,7 +92,7 @@ def test_l3_trivial_h1_h2():
     assert h1.dim == 2
     for rep in h1.representatives:
         # components (a, b, 0): nothing on e3
-        assert rep.value((2,)) == (F(0),)
+        assert 2 not in rep
     assert cohomology(g, triv, 2).dim == 2
 
 
@@ -107,13 +107,15 @@ def test_abelian_trivial_hq_binomial():
 
 
 def bargmann_pattern(g):
-    """delta_ij pairing of p_i with B_j, all other components zero."""
+    """delta_ij pairing of p_i with B_j, all other components zero, as a
+    2-cochain vector indexed by cochain_tuples."""
     idx = {n: i for i, n in enumerate(g.basis_names)}
-    comps = {}
+    pos = {t: k for k, t in enumerate(cochain_tuples(g.dim, 2))}
+    vec = {}
     for i in range(1, 4):
         a, b = idx[f"p{i}"], idx[f"B{i}"]
-        comps[(min(a, b), max(a, b))] = (F(1) if a < b else F(-1),)
-    return comps
+        vec[pos[(min(a, b), max(a, b))]] = F(1) if a < b else F(-1)
+    return vec
 
 
 def test_galilean_h2_is_bargmann():
@@ -122,11 +124,11 @@ def test_galilean_h2_is_bargmann():
     h2 = cohomology(g, triv, 2)
     assert h2.dim == 1
     # the Bargmann pattern is a nontrivial cocycle...
-    z = Cochain(2, triv, bargmann_pattern(g))
-    assert is_cocycle(g, triv, z)
-    assert coboundary_witness(g, triv, z) is None
+    z = bargmann_pattern(g)
+    assert is_cocycle(g, triv, 2, z)
+    assert coboundary_witness(g, triv, 2, z) is None
     # ...and spans the quotient: reducing it gives a nonzero coordinate
-    assert h2.quotient.reduce(z.to_vector())
+    assert h2.reduce(z)
 
 
 def test_poincare_h2_zero_and_witness_exists():
@@ -134,11 +136,11 @@ def test_poincare_h2_zero_and_witness_exists():
     triv = GModule.trivial(g)
     assert cohomology(g, triv, 1).dim == 0
     assert cohomology(g, triv, 2).dim == 0
-    z = Cochain(2, triv, bargmann_pattern(g))
+    z = bargmann_pattern(g)
     # same component pattern is NOT a cocycle of the Poincare algebra; the
     # honest statement is that every Poincare 2-cocycle is a coboundary
-    if is_cocycle(g, triv, z):
-        assert coboundary_witness(g, triv, z) is not None
+    if is_cocycle(g, triv, 2, z):
+        assert coboundary_witness(g, triv, 2, z) is not None
     h2 = cohomology(g, triv, 2)
     assert h2.dim == 0
 
@@ -149,21 +151,28 @@ def test_witness_roundtrip_random_coboundaries():
     triv = GModule.trivial(g)
     d1 = ce_differential(g, triv, 1)
     for _ in range(10):
-        b = {i: x for i in range(cochain_dim(g, triv, 1)) if (x := F(rng.randint(-5, 5)))}
-        z = Cochain.from_vector(triv, 2, d1.mul_vec(b))
-        w = coboundary_witness(g, triv, z)
+        b = {i: x for i in range(len(cochain_tuples(g.dim, 1))) if (x := F(rng.randint(-5, 5)))}
+        z = d1.mul_vec(b)
+        w = coboundary_witness(g, triv, 2, z)
         assert w is not None
-        assert d1.mul_vec(w.to_vector()) == z.to_vector()
+        assert d1.mul_vec(w) == z
 
 
 def test_witness_requires_cocycle():
     g = catalog("so3")
     triv = GModule.trivial(g)
-    z = Cochain(1, triv, {(0,): (F(1),)})
-    # delta z != 0 for so3: z(e3)=0 but z([e1,e2]) = z(e3) = 0... pick one that fails
-    z = Cochain(1, triv, {(2,): (F(1),)})
+    # z = e^3: (delta z)(e1, e2) = -z([e1, e2]) = -z(e3) = -1 for so3
+    z = {2: F(1)}
     with pytest.raises(NotACocycle):
-        coboundary_witness(g, triv, z)
+        coboundary_witness(g, triv, 1, z)
+
+
+def test_negative_degree_cochains_are_rejected():
+    g = catalog("so3")
+    triv = GModule.trivial(g)
+    for call in (lambda: is_cocycle(g, triv, -1, {}), lambda: coboundary_witness(g, triv, -1, {})):
+        with pytest.raises(InvariantViolation, match="negative degree -1"):
+            call()
 
 
 def test_whitehead_spin1():
@@ -241,10 +250,10 @@ def test_h2_of_one_dimensional_algebra_is_zero():
     g = StructureConstants(1, ("e1",))
     triv = GModule.trivial(g)
     assert cohomology(g, triv, 1).dim == 1
-    assert cochain_dim(g, triv, 2) == 0
+    assert cochain_tuples(g.dim, 2) == []
     h2 = cohomology(g, triv, 2)
     assert h2.dim == 0 and h2.representatives == ()
-    assert coboundary_witness(g, triv, Cochain(2, triv, {})).is_zero()
+    assert coboundary_witness(g, triv, 2, {}) == {}
 
 
 def test_cohomology_far_above_the_dimension_lists_no_cochain():
@@ -286,3 +295,51 @@ def test_delta_squared_check_raises_under_python_O():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.startswith("raised:"), res.stdout
+
+
+def test_witness_of_a_non_cocycle_raises_under_python_O():
+    """NotACocycle is an InvariantViolation raised explicitly, so python -O
+    keeps it, and a command that met it would exit 3 with no traceback."""
+    script = textwrap.dedent(
+        """
+        from fractions import Fraction
+        from lagfloor.cecohom import GModule, coboundary_witness
+        from lagfloor.liealg import catalog
+        from lagfloor.linalg import InvariantViolation
+
+        assert False, "asserts must be stripped under -O"
+        g = catalog("so3")
+        try:
+            coboundary_witness(g, GModule.trivial(g), 1, {2: Fraction(1)})
+        except InvariantViolation as exc:
+            print("raised:", type(exc).__name__, exc)
+        else:
+            print("passed")
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env={"PYTHONPATH": src, "PATH": ""},
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "raised: NotACocycle coboundary_witness requires a cocycle\n", res.stdout
+
+
+def test_internal_failures_are_invariant_violations():
+    from lagfloor.calculus import NotClosed
+    from lagfloor.linalg import DenominatorNotContained, InvariantViolation
+    from lagfloor.spectral import LiftFailure
+
+    for exc in (NotACocycle, DenominatorNotContained, NotClosed, LiftFailure):
+        assert issubclass(exc, InvariantViolation), exc
+
+
+def test_cochains_have_no_wrapper_type():
+    """A cochain is the sparse vector ce_differential acts on, and H^q is the
+    QuotientSpace itself: cecohom defines no second cochain or result type."""
+    path = Path(__file__).resolve().parent.parent / "src" / "lagfloor" / "cecohom.py"
+    tree = ast.parse(path.read_text(), filename=path.name)
+    names = {node.name for node in ast.walk(tree) if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    assert {"GModule", "ce_differential", "cohomology"} <= names
+    assert not names & {"Cochain", "CohomologyResult", "cochain_dim"}

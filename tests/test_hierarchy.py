@@ -163,6 +163,19 @@ def test_family_key_fixtures():
     assert (r.floor, r.sign) == (4, "+")
 
 
+def test_repeated_classify_adds_no_ce_differential():
+    """GModule.trivial gives one module per algebra, so a second classify of
+    the same pair and Lagrangian finds each CE differential it needs in
+    ``_DIFF_CACHE``, which is keyed by the module's id."""
+    from lagfloor import cecohom
+
+    L = family(c=1, d=1)
+    classify(L3, L)
+    before = len(cecohom._DIFF_CACHE)
+    classify(L3, L)
+    assert len(cecohom._DIFF_CACHE) == before
+
+
 def test_floor4_decomposition_certificate():
     r = classify(L3, P("dz^2") + d_el(P("z^2*sin(phi)")))
     assert (r.floor, r.sign) == (4, "+")

@@ -15,6 +15,7 @@ from lagfloor.linalg import (
     add_scaled,
     coordinate_map,
     dense,
+    homology,
     image_basis,
     kernel_basis,
     kernel_of_rows,
@@ -188,6 +189,18 @@ def test_quotient_denominator_not_contained():
     b = Subspace.spanned_by([{1: F(1)}], 3)
     with pytest.raises(DenominatorNotContained):
         quotient(z, b)
+
+
+def test_homology_of_a_short_complex():
+    # Q -> Q^2 -> Q, 1 |-> (1, 1) and (x, y) |-> x - y: exact in the middle
+    d_in = M([[1], [1]])
+    d_out = M([[1, -1]])
+    h = homology(d_out, d_in)
+    assert h.dim == 0 and h.representatives == ()
+    # with no incoming map the homology is the whole kernel of d_out
+    h = homology(d_out, None)
+    assert h.dim == 1 and h.representatives == ({0: F(1), 1: F(1)},)
+    assert h.reduce({0: F(3), 1: F(3)}) == {0: F(3)}
 
 
 def test_quotient_reduce_linear():
