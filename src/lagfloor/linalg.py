@@ -239,13 +239,14 @@ class Echelon:
 
     def insert(self, v) -> bool:
         """Add v to the span; False (and nothing stored) when it is already in it."""
-        return self._insert(_int_row(v)[1])
+        return self._insert(_int_row(v)[1]) is not None
 
-    def _insert(self, w) -> bool:
-        """``insert`` for a ``{column: int}`` row of nonzero entries."""
+    def _insert(self, w):
+        """``insert`` for a ``{column: int}`` row of nonzero entries: the
+        new pivot, or None (and nothing stored) when w is in the span."""
         r = self._eliminate(w)[1]
         if not r:
-            return False
+            return None
         p = min(r)
         r = _primitive(r, p)
         a = r[p]
@@ -255,7 +256,7 @@ class Echelon:
                 g = gcd(a, x)
                 self.rows[q] = _primitive(_combine(a // g, row, x // g, r), q)
         self.rows[p] = r
-        return True
+        return p
 
 
 def row_reduce(rows, ncols):

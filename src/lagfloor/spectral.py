@@ -6,9 +6,16 @@ differentials d1: E^{p,q} -> E^{p,q+1} and d2: E^{p,q} -> E^{p+1,q}.  The
 total differential on antidiagonals is Q = (-1)^q d2 + d1, and `_q_rows` is
 the one place that writes it.
 
-Pages are computed literally from the filtration F^p, with Z_r^p = F^p ∩
-Q^{-1}(F^{p+r}); every system below is a window of Q between lists of cells.
-With cells = [(p+i, q-i) for i < r]:
+The dimension of every cell on every page comes from one filtered reduction
+of Q per complex, the persistence reduction in filtration order: a basis
+element paired across a gap of g filtration steps lives on E_0 to E_g, and an
+unpaired one on every page.
+
+A page cell with its representatives and their lifts is solved only when
+asked for, by zig-zag lifting in the filtration F^p, with Z_r^p = F^p ∩
+Q^{-1}(F^{p+r}), and its dimension is checked against the reduction's.  Every
+system is a window of Q between lists of cells.  With cells = [(p+i, q-i) for
+i < r]:
 
 - Z_r^{p,q}: the chains over cells whose Q vanishes on the cells shifted up
   one row; their leader terms, the coordinates in E^{p,q}, span Z_r.
@@ -24,20 +31,23 @@ Total cohomology computed directly on the antidiagonal complex is the
 independent oracle for the abutment identity sum_p dim E_inf^{p,m-p} =
 dim H^m(Q).
 
-A complex keeps what is derived from it: each page, each page cell keyed by
-its two windows once the grid clips them, and each H^m(Q).  A page that
-reaches windows an earlier page solved reads those cells, and nothing is
-shared between complexes: `transpose` builds a new one with empty stores.
+A complex keeps what is derived from it: the reduction, each page while it
+is in use, each page cell keyed by its two windows once the grid clips them,
+and each H^m(Q).  A cell that an earlier page solved under the same windows
+is read, and nothing is shared between complexes: `transpose` builds a new
+one with empty stores.
 """
 
 from __future__ import annotations
 
 import random
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (
+    Echelon,
     InvariantViolation,
     Mat,
     QuotientSpace,
@@ -49,6 +59,7 @@ from .linalg import (
     pivot_columns,
     quotient,
     rref,
+    _int_row,
 )
 
 F = Fraction
@@ -74,8 +85,9 @@ class DoubleComplex:
     0 <= p < width and 0 <= q < height; everything outside is zero.
 
     The complex is not changed after construction, so it stores what is
-    derived from it: pages by r, page cells by (p, q, cocycle window length,
-    boundary window length), and total cohomology by degree."""
+    derived from it: the filtered reduction's lives by cell, the pages in
+    use by r, page cells by (p, q, cocycle window length, boundary window
+    length), and total cohomology by degree."""
 
     def __init__(self, dims, d1, d2):
         self.dims = [list(col) for col in dims]
@@ -91,7 +103,9 @@ class DoubleComplex:
                 if (m.rows, m.cols) != (self.dim_at(p + dp, q + dq), self.dim_at(p, q)):
                     raise InvariantViolation(f"{name} at ({p},{q}) is {m.rows}x{m.cols}, "
                                              f"expected {self.dim_at(p + dp, q + dq)}x{self.dim_at(p, q)}")
-        self._pages = {}
+        self._lives = None
+        # a page holds its complex, so the complex holds its pages weakly
+        self._pages = weakref.WeakValueDictionary()
         self._cells = {}
         self._totals = {}
 
@@ -200,8 +214,58 @@ def total_q_squared_is_zero(dc: DoubleComplex) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# pages via zig-zag lifting
+# pages: dimensions from one filtered reduction, cells by zig-zag lifting
 # ---------------------------------------------------------------------------
+
+def _filtered_reduction(dc):
+    """{(p, q): the life of each basis element at (p, q)}, the element alive
+    on E_r exactly when r <= its life, from one persistence reduction of Q
+    in filtration order (Zomorodian and Carlsson, "Computing persistent
+    homology", 2005) with the clearing step (Chen and Kerber, "Persistent
+    homology computation with a twist", 2011).
+
+    Each D^m is ordered by p descending, then q descending, and within a
+    cell by index descending: the reverse of `total_differential`'s blocks,
+    so each F^p is a prefix and Q maps every element into the span of
+    earlier ones.  For each degree m, ascending, one Echelon takes the
+    columns of Q_m in that order, keyed by their row indices, so the pivot
+    of a stored row, its lowest key, is its latest element.  A column that
+    raises the rank pairs its element with the new pivot's element; the
+    pair's gap g = p(pivot) - p(column) is the life of both, since d_g maps
+    one onto the other.  A column whose element the degree below made a
+    pivot lies in the span of the columns before it, so it is skipped
+    (clearing).  An unpaired element lives through the stable page."""
+    r0 = max(dc.width, dc.height) + 1
+
+    def element_cells(m):
+        return [cell for cell in _antidiagonal_cells(dc, m) for _ in range(dc.dim_at(*cell))]
+
+    lives = {}
+    cleared = set()
+    tgt = element_cells(0)
+    for m in range(dc.width + dc.height - 1):
+        src, tgt = tgt, element_cells(m + 1)
+        ech = Echelon()
+        pivots = set()
+        cols = total_differential(dc, m).transpose().data
+        for c in reversed(range(len(cols))):
+            if c in cleared:
+                continue
+            i = ech._insert(_int_row(cols[c])[1])
+            if i is not None:
+                pivots.add(i)
+                gap = tgt[i][0] - src[c][0]
+                lives.setdefault(src[c], []).append(gap)
+                lives.setdefault(tgt[i], []).append(gap)
+        cleared = pivots
+    out = {}
+    for p in range(dc.width):
+        for q in range(dc.height):
+            if d0 := dc.dim_at(p, q):
+                paired = lives.get((p, q), [])
+                out[(p, q)] = paired + [r0] * (d0 - len(paired))
+    return out
+
 
 @dataclass(frozen=True)
 class PageCell:
@@ -212,16 +276,27 @@ class PageCell:
 
 
 class Page:
-    def __init__(self, r, cells):
+    """E_r of a complex: its dimensions, read from the complex's filtered
+    reduction, and its cells, solved by zig-zag lifting only when asked for."""
+
+    def __init__(self, dc, r, dims):
         self.r = r
-        self.cells = cells  # {(p,q): PageCell}
+        self._dc = dc
+        self._dims = dims  # {(p, q): dim}, over the nonzero cells of dc
 
     def cell(self, p, q) -> PageCell | None:
-        return self.cells.get((p, q))
+        """E_r^{p,q} with its representatives and lifts, None off the
+        nonzero cells; its dimension must be the reduction's."""
+        if not self._dc.dim_at(p, q):
+            return None
+        c = _page_cell(self._dc, p, q, self.r)
+        if c.quotient.dim != self.dim(p, q):
+            raise InvariantViolation(f"E_{self.r}^{{{p},{q}}} has dimension {c.quotient.dim} by zig-zag "
+                                     f"lifting and {self.dim(p, q)} by the filtered reduction")
+        return c
 
     def dim(self, p, q) -> int:
-        c = self.cells.get((p, q))
-        return c.quotient.dim if c else 0
+        return self._dims.get((p, q), 0)
 
     def dims_grid(self, width, height):
         return [[self.dim(p, q) for q in range(height)] for p in range(width)]
@@ -237,15 +312,22 @@ def _window_length(dc, r, cell_at, row_at):
 
 
 def _page_cell(dc, p, q, r) -> PageCell:
-    """E_r^{p,q}, r >= 1, solved once per pair of clipped windows."""
+    """E_r^{p,q} of a nonzero cell, solved once per pair of clipped windows;
+    at r = 0 the whole cell, each representative its own lift."""
     zr = _window_length(dc, r, lambda i: (p + i, q - i), lambda i: (p + i, q - i + 1))
     br = _window_length(dc, r, lambda i: (p - i, q + i - 1), lambda i: (p - i, q + i))
     key = (p, q, zr, br)
     cell = dc._cells.get(key)
     if cell is None:
-        z, lifts = _zigzag_cocycles(dc, p, q, zr)
-        qt = quotient(z, _zigzag_boundaries(dc, p, q, br))
-        cell = dc._cells[key] = PageCell(qt, tuple(lifts[i] for i in qt.positions))
+        if r == 0:
+            d0 = dc.dim_at(p, q)
+            qt = quotient(Subspace(d0, tuple({i: F(1)} for i in range(d0))), Subspace(d0, ()))
+            cell = PageCell(qt, qt.representatives)
+        else:
+            z, lifts = _zigzag_cocycles(dc, p, q, zr)
+            qt = quotient(z, _zigzag_boundaries(dc, p, q, br))
+            cell = PageCell(qt, tuple(lifts[i] for i in qt.positions))
+        dc._cells[key] = cell
     return cell
 
 
@@ -296,28 +378,19 @@ def page(dc: DoubleComplex, r: int) -> Page:
     """Page E_r; page(max(width,height)+1) is stable and equals E_infinity,
     and every later r reads that page.
 
-    The page is kept on dc, and so is each of its cells, under its clipped
+    Every page's dimensions come from one filtered reduction, run once per
+    complex and kept on it.  Each cell solved is kept too, under its clipped
     windows: a cell whose windows an earlier page of dc reached is read, not
-    solved again, whatever order the pages are asked for in."""
+    solved again.  A page is kept on dc while it is in use."""
     if r < 0:
         raise InvariantViolation(f"page {r} does not exist")
     r = min(r, max(dc.width, dc.height) + 1)
-    if r in dc._pages:
-        return dc._pages[r]
-    cells = {}
-    for p in range(dc.width):
-        for q in range(dc.height):
-            d0 = dc.dim_at(p, q)
-            if d0 == 0:
-                continue
-            if r == 0:
-                full = Subspace(d0, tuple({i: F(1)} for i in range(d0)))
-                qt = quotient(full, Subspace(d0, ()))
-                cells[(p, q)] = PageCell(qt, qt.representatives)
-                continue
-            cells[(p, q)] = _page_cell(dc, p, q, r)
-    pg = Page(r, cells)
-    dc._pages[r] = pg
+    pg = dc._pages.get(r)
+    if pg is None:
+        if dc._lives is None:
+            dc._lives = _filtered_reduction(dc)
+        dims = {cell: sum(1 for life in lives if life >= r) for cell, lives in dc._lives.items()}
+        pg = dc._pages[r] = Page(dc, r, dims)
     return pg
 
 
@@ -330,13 +403,11 @@ def page_differential(dc: DoubleComplex, r: int, p: int, q: int) -> Mat:
     if r == 0:
         return dc.d1_at(p, q)
     pg = page(dc, r)
-    src = pg.cell(p, q)
     tp, tq = p + r, q - r + 1
-    tgt = pg.cell(tp, tq)
-    src_dim = src.quotient.dim if src else 0
-    tgt_dim = tgt.quotient.dim if tgt else 0
+    src_dim, tgt_dim = pg.dim(p, q), pg.dim(tp, tq)
     if src_dim == 0 or tgt_dim == 0:
         return Mat.zero(tgt_dim, src_dim)
+    src, tgt = pg.cell(p, q), pg.cell(tp, tq)
     d_r = _q_rows(dc, [(p + i, q - i) for i in range(r)], [(tp, tq)])
     cols = []
     for chain in src.lifts:
@@ -377,7 +448,8 @@ def abutment_check(dc: DoubleComplex) -> AbutmentReport:
     reordered and the cell (p, q) scaled by (-1)^(pq), an isomorphism, so
     H^m(Q) is computed once per m, on dc, and read from dc where the caller
     asked for it already.  The transposed filtration runs on a fresh
-    `transpose(dc)`, so its E_inf is computed here, from nothing of dc's."""
+    `transpose(dc)`, so its E_inf comes from a filtered reduction of its
+    own, computed here from nothing of dc's."""
     totals = [total_cohomology(dc, m).dim for m in range(dc.width + dc.height - 1)]
     rows = []
     for label, complex_ in (("given", dc), ("transposed", transpose(dc))):

@@ -505,6 +505,20 @@ def test_echelon_store_is_the_canonical_reduced_form(data, rnd, target):
     assert len(naive_fraction_rref(vectors + [diff], n)[0]) == rank
 
 
+def test_echelon_private_insert_returns_the_new_pivot():
+    """_insert gives the pivot the row added, the lowest column of its
+    residual, key 0 included, and None for a row in the span; insert keeps
+    returning a bool."""
+    ech = Echelon()
+    assert ech._insert({2: 3, 5: 1}) == 2
+    assert ech._insert({2: 1, 5: 1}) == 5  # residual 3*row - stored row = {5: 2}
+    assert ech._insert({2: 2, 5: -4}) is None
+    assert ech._insert({0: -7, 2: 1}) == 0
+    assert sorted(ech.rows) == [0, 2, 5]
+    assert ech.insert({4: F(1, 2)}) is True
+    assert ech.insert({0: F(1), 4: F(3)}) is False
+
+
 def random_family(rng, m):
     """An independent list of sparse rational vectors of Q^m."""
     family, ech = [], Echelon()

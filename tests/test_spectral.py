@@ -1,3 +1,6 @@
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +12,7 @@ from lagfloor.spectral import (
     abutment_check,
     page,
     page_differential,
+    page_infinity,
     random_double_complex,
     total_cohomology,
     total_q_squared_is_zero,
@@ -289,26 +293,35 @@ def fresh_copy(dc):
     return DoubleComplex(dc.dims, d1, d2)
 
 
-def page_contents(pg):
-    """Every cell's dim, representatives and lifts, as plain sorted data."""
+def page_contents(dc, pg):
+    """Every nonzero cell's dim, representatives and lifts, as plain sorted data."""
     def vecs(vs):
         return [sorted(v.items()) for v in vs]
 
-    return {key: (c.quotient.dim, vecs(c.quotient.representatives), vecs(c.lifts))
-            for key, c in sorted(pg.cells.items())}
+    out = {}
+    for p in range(dc.width):
+        for q in range(dc.height):
+            c = pg.cell(p, q)
+            if c is not None:
+                out[(p, q)] = (pg.dim(p, q), c.quotient.dim, vecs(c.quotient.representatives), vecs(c.lifts))
+    return out
 
 
 def test_pages_do_not_depend_on_the_order_they_are_asked_in():
     """Each page computed alone on a fresh complex equals the same page
     computed after every other page, asked for in descending order, so a
-    page cell read from an earlier page's store is the cell it would solve."""
+    page cell read from an earlier page's store is the cell it would solve,
+    and a page's dimensions do not depend on which pages came first."""
     complexes = [random_double_complex(seed) for seed in range(30)] + [hand_zigzag_complex()]
     for given in complexes:
         for dc in (given, transpose(given)):
             r0 = max(dc.width, dc.height) + 1
-            alone = {r: page_contents(page(fresh_copy(dc), r)) for r in range(r0 + 2)}
+            alone = {}
+            for r in range(r0 + 2):
+                fresh = fresh_copy(dc)
+                alone[r] = page_contents(fresh, page(fresh, r))
             shared = fresh_copy(dc)
-            after = {r: page_contents(page(shared, r)) for r in reversed(range(r0 + 2))}
+            after = {r: page_contents(shared, page(shared, r)) for r in reversed(range(r0 + 2))}
             assert after == alone
 
 
@@ -328,33 +341,46 @@ def expected_cell_keys(dc, pages):
 
 
 def test_page_cells_are_solved_once_per_window(monkeypatch):
+    """The filtered reduction runs once per complex, whatever pages are
+    asked for; pages solve no cell until one is asked for, and each cell
+    asked for is solved once per pair of clipped windows."""
     import lagfloor.spectral as sp
 
     calls = []
 
     def counted(builder):
-        def wrapper(dc, p, q, r):
-            calls.append((builder.__name__, p, q, r))
-            return builder(dc, p, q, r)
+        def wrapper(dc, *args):
+            calls.append((builder.__name__, *args))
+            return builder(dc, *args)
         return wrapper
 
+    monkeypatch.setattr(sp, "_filtered_reduction", counted(sp._filtered_reduction))
     monkeypatch.setattr(sp, "_zigzag_cocycles", counted(sp._zigzag_cocycles))
     monkeypatch.setattr(sp, "_zigzag_boundaries", counted(sp._zigzag_boundaries))
     dc = random_double_complex(5, width=4, height=4)
     r_inf = max(dc.width, dc.height) + 1
+    grids = {r: page(dc, r).dims_grid(dc.width, dc.height) for r in range(r_inf + 3)}
+    assert calls == [("_filtered_reduction",)]
+    calls.clear()
     for r in (1, 2, r_inf):
-        page(dc, r)
+        pg = page(dc, r)
+        for p in range(dc.width):
+            for q in range(dc.height):
+                pg.cell(p, q)
     keys = expected_cell_keys(dc, (1, 2, r_inf))
     cocycles = [c[1:] for c in calls if c[0] == "_zigzag_cocycles"]
     boundaries = [c[1:] for c in calls if c[0] == "_zigzag_boundaries"]
+    assert len(cocycles) + len(boundaries) == len(calls)  # no second reduction
     assert sorted(cocycles) == sorted((p, q, z) for p, q, z, _ in keys)
     assert sorted(boundaries) == sorted((p, q, b) for p, q, _, b in keys)
     nonzero = sum(1 for col in dc.dims for d in col if d)
     assert len(cocycles) < 3 * nonzero  # some windows were reached twice
-    want = page_contents(page(fresh_copy(dc), r_inf))
+    fresh = fresh_copy(dc)
+    want = page_contents(fresh, page(fresh, r_inf))
     calls.clear()
-    assert page_contents(page(dc, r_inf + 3)) == want
+    assert page_contents(dc, page(dc, r_inf + 3)) == want
     assert page(dc, 2) is page(dc, 2)
+    assert {r: page(dc, r).dims_grid(dc.width, dc.height) for r in range(r_inf + 3)} == grids
     assert not calls
 
 
@@ -383,26 +409,27 @@ def test_zigzag_cocycles_eliminate_twice(monkeypatch):
 
 
 def test_total_cohomology_is_computed_once_per_degree(monkeypatch):
-    """abutment_check reads the totals its caller computed, and the reverse;
-    it still runs the zig-zag engine on a fresh transposed complex."""
+    """abutment_check reads the totals its caller computed on dc, and the
+    reverse; it runs the filtered reduction once more, on a fresh
+    transposed complex, and reads dc's own reduction from dc."""
     import lagfloor.spectral as sp
 
     built = []
     total_differential = sp.total_differential
-    monkeypatch.setattr(sp, "total_differential", lambda dc, m: built.append(m) or total_differential(dc, m))
-    cocycles = []
-    zigzag_cocycles = sp._zigzag_cocycles
-    monkeypatch.setattr(sp, "_zigzag_cocycles", lambda *a: cocycles.append(a[1:]) or zigzag_cocycles(*a))
+    monkeypatch.setattr(sp, "total_differential", lambda dc, m: built.append((dc, m)) or total_differential(dc, m))
+    reduced = []
+    filtered_reduction = sp._filtered_reduction
+    monkeypatch.setattr(sp, "_filtered_reduction", lambda dc: reduced.append(dc) or filtered_reduction(dc))
     for first_totals in (True, False):
         dc = random_double_complex(5, width=4, height=4)
         degrees = range(dc.width + dc.height - 1)
         sp.page_infinity(dc)
+        reduced.clear()
         if first_totals:
             totals = [total_cohomology(dc, m) for m in degrees]
             built.clear()
-            cocycles.clear()
             report = abutment_check(dc)
-            assert not built
+            assert all(c is not dc for c, _ in built)
         else:
             report = abutment_check(dc)
             built.clear()
@@ -411,7 +438,121 @@ def test_total_cohomology_is_computed_once_per_degree(monkeypatch):
         assert [total_cohomology(dc, m) for m in degrees] == totals
         assert [total for _, _, total, _ in report.rows] == 2 * [h.dim for h in totals]
         assert report.ok
-    assert cocycles  # the transposed filtration was computed, not read
+        # the transposed filtration was reduced, on its own complex, once
+        assert len(reduced) == 1 and reduced[0] is not dc
+        assert reduced[0].dims == transpose(dc).dims
+
+
+def reduction_mismatches(dc):
+    """(filtration, r, p, q, reduction's dim, zig-zag's dim) wherever page r
+    of the filtered reduction differs from the zig-zag quotient, for every r
+    from 0 to the stable page, under both filtrations of fresh copies of dc."""
+    from lagfloor.spectral import _page_cell
+
+    out = []
+    for label, c in (("given", fresh_copy(dc)), ("transposed", transpose(dc))):
+        for r in range(max(c.width, c.height) + 2):
+            pg = page(c, r)
+            for p in range(c.width):
+                for q in range(c.height):
+                    if c.dim_at(p, q):
+                        want = _page_cell(c, p, q, r).quotient.dim
+                        if pg.dim(p, q) != want:
+                            out.append((label, r, p, q, pg.dim(p, q), want))
+    return out
+
+
+def oracle_complexes():
+    from fixture_pairs import fixture_pair
+    from lagfloor.hierarchy import ClassifyOptions, build_invariance_double_complex
+
+    l3 = build_invariance_double_complex(fixture_pair("l3_cylinder"), ClassifyOptions(degree=3, fourier=3)).dc
+    return [random_double_complex(seed) for seed in range(30)] + [hand_zigzag_complex(), l3]
+
+
+def test_filtered_reduction_matches_the_zigzag_on_every_page():
+    """The zig-zag quotients are the reduction's oracle: the same dimension
+    on every cell of every page, under both filtrations."""
+    complexes = oracle_complexes()
+    for dc in complexes:
+        assert reduction_mismatches(dc) == []
+    # pages past E_1 that differ from E_1 were compared, in both filtrations
+    moved = set()
+    for dc in complexes:
+        for label, c in (("given", dc), ("transposed", transpose(dc))):
+            if page(c, 1).dims_grid(c.width, c.height) != page_infinity(c).dims_grid(c.width, c.height):
+                moved.add(label)
+    assert moved == {"given", "transposed"}
+
+
+@pytest.mark.parametrize("dropped", ["d1", "d2"])
+def test_reduction_of_a_q_without_one_differential_fails_the_oracle(monkeypatch, dropped):
+    """A mutant whose Q loses all of d1 or all of d2 gives the reduction
+    pages that the zig-zag, which reads the whole Q, does not agree with."""
+    import lagfloor.spectral as sp
+
+    total_differential = sp.total_differential
+
+    def mutant(dc, m):
+        kept = {"d1": ({}, dc._d2), "d2": (dc._d1, {})}[dropped]
+        return total_differential(DoubleComplex(dc.dims, *kept), m)
+
+    monkeypatch.setattr(sp, "total_differential", mutant)
+    assert any(reduction_mismatches(dc) for dc in oracle_complexes())
+
+
+def test_a_cell_that_disagrees_with_the_reduction_raises_under_python_O():
+    """Page.cell checks the zig-zag quotient's dimension against the
+    reduction's count explicitly, so python -O keeps the check."""
+    script = textwrap.dedent(
+        """
+        import lagfloor.spectral as sp
+        from lagfloor.linalg import InvariantViolation
+
+        assert False, "asserts must be stripped under -O"
+        dc = sp.random_double_complex(5, width=4, height=4)
+        lives = sp._filtered_reduction(dc)
+        cell = next(iter(lives))
+        lives[cell] = lives[cell] + [1]  # one element too many on E_0 and E_1
+        dc._lives = lives
+        pg = sp.page(dc, 1)
+        try:
+            pg.cell(*cell)
+        except InvariantViolation as exc:
+            print("raised:", exc)
+        else:
+            print("passed")
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env={"PYTHONPATH": src, "PATH": ""},
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("raised:"), res.stdout
+
+
+def test_pages_of_a_single_cell_without_maps_run_no_elimination(monkeypatch):
+    """E_1, E_2 and E_inf of one 4096-dimensional cell with no maps are the
+    whole cell, read off a reduction that pairs nothing, with no rref."""
+    import lagfloor.linalg as la
+    import lagfloor.spectral as sp
+
+    calls = []
+    rref = la.rref
+
+    def counted(*a):
+        calls.append(a)
+        return rref(*a)
+
+    monkeypatch.setattr(la, "rref", counted)
+    monkeypatch.setattr(sp, "rref", counted)
+    dc = DoubleComplex([[4096]], {}, {})
+    assert page(dc, 1).dims_grid(1, 1) == [[4096]]
+    assert page(dc, 2).dims_grid(1, 1) == [[4096]]
+    assert page_infinity(dc).dims_grid(1, 1) == [[4096]]
+    assert not calls
 
 
 RANDOM_COMPLEX_DIGESTS = {
