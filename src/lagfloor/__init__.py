@@ -41,10 +41,8 @@ from .cecohom import (
 )
 from .spectral import (
     DoubleComplex,
-    LiftFailure,
     abutment_check,
     page,
-    page_differential,
     page_infinity,
     random_double_complex,
     total_cohomology,

@@ -449,9 +449,8 @@ class QuotientSpace:
     """Exact quotient Z/B of two subspaces of the same ambient space.
 
     ``representatives`` are basis vectors of Z projecting to a basis of the
-    quotient, and ``positions`` their indices in ``numerator.basis``;
-    ``reduce`` maps any vector of Z to its quotient coordinates through the
-    columns [B | representatives].
+    quotient; ``reduce`` maps any vector of Z to its quotient coordinates
+    through the columns [B | representatives].
     """
 
     ambient_dim: int
@@ -459,7 +458,6 @@ class QuotientSpace:
     denominator: Subspace
     dim: int
     representatives: tuple[Vector, ...]
-    positions: tuple[int, ...]
     _reduction_columns: tuple[Vector, ...]
 
     def reduce(self, v) -> Vector:
@@ -483,9 +481,8 @@ def quotient(z: Subspace, b: Subspace) -> QuotientSpace:
     # containment: B inside span(Z) iff rank[B|Z] = dim Z (bases independent)
     if len(pivots) != z.dim:
         raise DenominatorNotContained("a denominator vector lies outside the numerator span")
-    positions = tuple(i - b.dim for i in pivots if i >= b.dim)
-    reps = tuple(z.basis[i] for i in positions)
-    q = QuotientSpace(z.ambient_dim, z, b, len(reps), reps, positions, b.basis + reps)
+    reps = tuple(z.basis[i - b.dim] for i in pivots if i >= b.dim)
+    q = QuotientSpace(z.ambient_dim, z, b, len(reps), reps, b.basis + reps)
     if q.dim + b.dim != z.dim:
         raise InvariantViolation("dim Z/B + dim B != dim Z")
     return q

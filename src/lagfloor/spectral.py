@@ -11,37 +11,18 @@ of Q per complex, the persistence reduction in filtration order: a basis
 element paired across a gap of g filtration steps lives on E_0 to E_g, and an
 unpaired one on every page.
 
-A page cell with its representatives and their lifts is solved only when
-asked for, by zig-zag lifting in the filtration F^p, with Z_r^p = F^p ∩
-Q^{-1}(F^{p+r}), and its dimension is checked against the reduction's.  Every
-system is a window of Q between lists of cells.  With cells = [(p+i, q-i) for
-i < r]:
-
-- Z_r^{p,q}: the chains over cells whose Q vanishes on the cells shifted up
-  one row; their leader terms, the coordinates in E^{p,q}, span Z_r.
-- B_r^{p,q}: the (p, q) rows of Q on the chains over (p-i, q+i-1), i < r,
-  whose Q vanishes on those cells but the first, shifted up one row.  It
-  is solved in one elimination, of the window's transpose with the (p, q)
-  rows last: the reduced rows that vanish on every other row of the window
-  are its reduced echelon basis (Romero, Rubio and Sergeraert, "Computing
-  spectral sequences", 2006).
-- d_r: the (p+r, q-r+1) rows of Q on a stored Z_r chain.
-
 Total cohomology computed directly on the antidiagonal complex is the
 independent oracle for the abutment identity sum_p dim E_inf^{p,m-p} =
 dim H^m(Q).
 
-A complex keeps what is derived from it: the reduction, each page while it
-is in use, each page cell keyed by its two windows once the grid clips them,
-and each H^m(Q).  A cell that an earlier page solved under the same windows
-is read, and nothing is shared between complexes: `transpose` builds a new
-one with empty stores.
+A complex keeps what is derived from it: the reduction, each page asked
+for, and each H^m(Q).  Nothing is shared between complexes: `transpose`
+builds a new one with empty stores.
 """
 
 from __future__ import annotations
 
 import random
-import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,26 +32,21 @@ from .linalg import (
     InvariantViolation,
     Mat,
     QuotientSpace,
-    Subspace,
     add_scaled,
     homology,
     kernel_basis,
     kernel_of_rows,
-    pivot_columns,
-    quotient,
-    rref,
     _int_row,
 )
 
 F = Fraction
 
 
-class LiftFailure(InvariantViolation):
-    """Internal invariant violation: a page representative failed to reduce."""
-
-
 # the largest double complex whose pages are computed, in cells (the sum of
-# its dims); the eliminations of a page grow about quadratically with it
+# its dims).  The pages of a cell without maps run no elimination; what grows
+# about quadratically with it is building the complex and the quotient in
+# total_cohomology, 3.40 s of abutment_check's 3.45 s on dims [[4096]] under
+# cProfile (2-vCPU x86-64)
 MAX_COMPLEX_CELLS = 4096
 
 
@@ -85,9 +61,8 @@ class DoubleComplex:
     0 <= p < width and 0 <= q < height; everything outside is zero.
 
     The complex is not changed after construction, so it stores what is
-    derived from it: the filtered reduction's lives by cell, the pages in
-    use by r, page cells by (p, q, cocycle window length, boundary window
-    length), and total cohomology by degree."""
+    derived from it: the filtered reduction's lives by cell, the pages by
+    r, and total cohomology by degree."""
 
     def __init__(self, dims, d1, d2):
         self.dims = [list(col) for col in dims]
@@ -104,9 +79,7 @@ class DoubleComplex:
                     raise InvariantViolation(f"{name} at ({p},{q}) is {m.rows}x{m.cols}, "
                                              f"expected {self.dim_at(p + dp, q + dq)}x{self.dim_at(p, q)}")
         self._lives = None
-        # a page holds its complex, so the complex holds its pages weakly
-        self._pages = weakref.WeakValueDictionary()
-        self._cells = {}
+        self._pages = {}
         self._totals = {}
 
     def dim_at(self, p, q):
@@ -214,7 +187,7 @@ def total_q_squared_is_zero(dc: DoubleComplex) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# pages: dimensions from one filtered reduction, cells by zig-zag lifting
+# pages: dimensions from one filtered reduction
 # ---------------------------------------------------------------------------
 
 def _filtered_reduction(dc):
@@ -267,99 +240,19 @@ def _filtered_reduction(dc):
     return out
 
 
-@dataclass(frozen=True)
-class PageCell:
-    quotient: QuotientSpace
-    # one zig-zag chain per quotient representative, a flat vector over the
-    # cells (p+i, q-i), i < r; at r = 0 the representative itself
-    lifts: tuple
-
-
 class Page:
     """E_r of a complex: its dimensions, read from the complex's filtered
-    reduction, and its cells, solved by zig-zag lifting only when asked for."""
+    reduction."""
 
-    def __init__(self, dc, r, dims):
+    def __init__(self, r, dims):
         self.r = r
-        self._dc = dc
-        self._dims = dims  # {(p, q): dim}, over the nonzero cells of dc
-
-    def cell(self, p, q) -> PageCell | None:
-        """E_r^{p,q} with its representatives and lifts, None off the
-        nonzero cells; its dimension must be the reduction's."""
-        if not self._dc.dim_at(p, q):
-            return None
-        c = _page_cell(self._dc, p, q, self.r)
-        if c.quotient.dim != self.dim(p, q):
-            raise InvariantViolation(f"E_{self.r}^{{{p},{q}}} has dimension {c.quotient.dim} by zig-zag "
-                                     f"lifting and {self.dim(p, q)} by the filtered reduction")
-        return c
+        self._dims = dims  # {(p, q): dim}, over the nonzero cells of the complex
 
     def dim(self, p, q) -> int:
         return self._dims.get((p, q), 0)
 
     def dims_grid(self, width, height):
         return [[self.dim(p, q) for q in range(height)] for p in range(width)]
-
-
-def _window_length(dc, r, cell_at, row_at):
-    """r less the trailing window cells i that add no column, cell_at(i), and
-    no row, row_at(i): the system of the shorter window is the same matrix.
-    The first cell always stays."""
-    while r > 1 and not dc.dim_at(*cell_at(r - 1)) and not dc.dim_at(*row_at(r - 1)):
-        r -= 1
-    return r
-
-
-def _page_cell(dc, p, q, r) -> PageCell:
-    """E_r^{p,q} of a nonzero cell, solved once per pair of clipped windows;
-    at r = 0 the whole cell, each representative its own lift."""
-    zr = _window_length(dc, r, lambda i: (p + i, q - i), lambda i: (p + i, q - i + 1))
-    br = _window_length(dc, r, lambda i: (p - i, q + i - 1), lambda i: (p - i, q + i))
-    key = (p, q, zr, br)
-    cell = dc._cells.get(key)
-    if cell is None:
-        if r == 0:
-            d0 = dc.dim_at(p, q)
-            qt = quotient(Subspace(d0, tuple({i: F(1)} for i in range(d0))), Subspace(d0, ()))
-            cell = PageCell(qt, qt.representatives)
-        else:
-            z, lifts = _zigzag_cocycles(dc, p, q, zr)
-            qt = quotient(z, _zigzag_boundaries(dc, p, q, br))
-            cell = PageCell(qt, tuple(lifts[i] for i in qt.positions))
-        dc._cells[key] = cell
-    return cell
-
-
-def _zigzag_cocycles(dc, p, q, r):
-    """(Z_r basis, lift chains): chains over the zig-zag cells whose Q lands
-    in F^{p+r}, kept where their leader terms are independent."""
-    cells = [(p + i, q - i) for i in range(r)]
-    chains = kernel_basis(_q_rows(dc, cells, [(a, b + 1) for a, b in cells])).basis
-    d0 = dc.dim_at(p, q)
-    leaders = [{j: x for j, x in ch.items() if j < d0} for ch in chains]
-    # deterministic pivots pick the independent leader terms; their
-    # elimination is the independence certificate, so Subspace skips its own
-    keep = pivot_columns(leaders)
-    return Subspace(d0, tuple(leaders[i] for i in keep), verified=True), tuple(chains[i] for i in keep)
-
-
-def _zigzag_boundaries(dc, p, q, r):
-    """B_r: the (p, q) values of Q on chains from r steps down the filtration
-    whose Q vanishes everywhere else in the window.
-
-    One elimination: the window's rows of Q are [A; T], the k constraint
-    rows A first and the (p, q) rows T last, and the RREF of the transpose
-    spans {(A x, T x)}.  A reduced row whose pivot, its lowest column, is
-    at or past k vanishes on A, so it is (0, T x) with A x = 0; those rows
-    span B_r and are already its reduced echelon basis."""
-    cells = [(p - i, q + i - 1) for i in range(r)]
-    window = _q_rows(dc, cells, [(a, b + 1) for a, b in cells[1:]] + [(p, q)])
-    d0 = dc.dim_at(p, q)
-    k = window.rows - d0
-    pivots, red = rref(window.transpose().data, window.rows)
-    basis = tuple({c - k: x for c, x in row.items()} for piv, row in zip(pivots, red) if piv >= k)
-    return Subspace(d0, basis, verified=True)
 
 
 def _split_blocks(vec, blocks):
@@ -379,9 +272,7 @@ def page(dc: DoubleComplex, r: int) -> Page:
     and every later r reads that page.
 
     Every page's dimensions come from one filtered reduction, run once per
-    complex and kept on it.  Each cell solved is kept too, under its clipped
-    windows: a cell whose windows an earlier page of dc reached is read, not
-    solved again.  A page is kept on dc while it is in use."""
+    complex and kept on it, as each page is."""
     if r < 0:
         raise InvariantViolation(f"page {r} does not exist")
     r = min(r, max(dc.width, dc.height) + 1)
@@ -390,32 +281,12 @@ def page(dc: DoubleComplex, r: int) -> Page:
         if dc._lives is None:
             dc._lives = _filtered_reduction(dc)
         dims = {cell: sum(1 for life in lives if life >= r) for cell, lives in dc._lives.items()}
-        pg = dc._pages[r] = Page(dc, r, dims)
+        pg = dc._pages[r] = Page(r, dims)
     return pg
 
 
 def page_infinity(dc: DoubleComplex) -> Page:
     return page(dc, max(dc.width, dc.height) + 1)
-
-
-def page_differential(dc: DoubleComplex, r: int, p: int, q: int) -> Mat:
-    """Matrix of d_r: E_r^{p,q} -> E_r^{p+r, q+1-r} on stored representatives."""
-    if r == 0:
-        return dc.d1_at(p, q)
-    pg = page(dc, r)
-    tp, tq = p + r, q - r + 1
-    src_dim, tgt_dim = pg.dim(p, q), pg.dim(tp, tq)
-    if src_dim == 0 or tgt_dim == 0:
-        return Mat.zero(tgt_dim, src_dim)
-    src, tgt = pg.cell(p, q), pg.cell(tp, tq)
-    d_r = _q_rows(dc, [(p + i, q - i) for i in range(r)], [(tp, tq)])
-    cols = []
-    for chain in src.lifts:
-        try:
-            cols.append(tgt.quotient.reduce(d_r.mul_vec(chain)))
-        except ValueError as exc:
-            raise LiftFailure(f"page differential value escaped Z_r at ({tp},{tq})") from exc
-    return Mat(src_dim, tgt_dim, tuple(cols)).transpose()
 
 
 def transpose(dc: DoubleComplex) -> DoubleComplex:

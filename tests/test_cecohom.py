@@ -329,9 +329,8 @@ def test_witness_of_a_non_cocycle_raises_under_python_O():
 def test_internal_failures_are_invariant_violations():
     from lagfloor.calculus import NotClosed
     from lagfloor.linalg import DenominatorNotContained, InvariantViolation
-    from lagfloor.spectral import LiftFailure
 
-    for exc in (NotACocycle, DenominatorNotContained, NotClosed, LiftFailure):
+    for exc in (NotACocycle, DenominatorNotContained, NotClosed):
         assert issubclass(exc, InvariantViolation), exc
 
 
@@ -343,3 +342,26 @@ def test_cochains_have_no_wrapper_type():
     names = {node.name for node in ast.walk(tree) if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
     assert {"GModule", "ce_differential", "cohomology"} <= names
     assert not names & {"Cochain", "CohomologyResult", "cochain_dim"}
+
+
+def test_pages_have_no_zigzag_engine():
+    """A page is the filtered reduction's dimensions alone: spectral defines
+    no zig-zag cell, lift or page differential, a quotient records no
+    positions of its representatives, and lagfloor exports neither name."""
+    import lagfloor
+    from dataclasses import fields
+    from lagfloor.linalg import QuotientSpace
+    from lagfloor.spectral import DoubleComplex
+
+    path = Path(__file__).resolve().parent.parent / "src" / "lagfloor" / "spectral.py"
+    tree = ast.parse(path.read_text(), filename=path.name)
+    names = {node.name for node in ast.walk(tree) if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    assert {"Page", "page", "_filtered_reduction"} <= names
+    assert not names & {"LiftFailure", "PageCell", "cell", "page_differential", "_page_cell",
+                        "_window_length", "_zigzag_cocycles", "_zigzag_boundaries"}
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "weakref" not in imported
+    assert not hasattr(DoubleComplex([[1]], {}, {}), "_cells")
+    assert "positions" not in {f.name for f in fields(QuotientSpace)}
+    assert not hasattr(lagfloor, "page_differential") and not hasattr(lagfloor, "LiftFailure")

@@ -1,6 +1,4 @@
-import subprocess
-import sys
-import textwrap
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +9,6 @@ from lagfloor.spectral import (
     DoubleComplex,
     abutment_check,
     page,
-    page_differential,
     page_infinity,
     random_double_complex,
     total_cohomology,
@@ -19,6 +16,7 @@ from lagfloor.spectral import (
     transpose,
     validate_double_complex,
 )
+from zigzag import page_cell, page_differential
 
 F = Fraction
 
@@ -141,8 +139,9 @@ def page_differential_lines():
 
 
 def test_page_differentials_pinned():
-    """Every page-differential matrix on its stored representatives, byte for
-    byte; the file was captured before the zig-zag systems were read off Q."""
+    """Every page-differential matrix of the zig-zag oracle on its
+    representatives, byte for byte; the file was captured from the zig-zag
+    page engine before it left the package."""
     assert page_differential_lines() == PAGE_DIFFERENTIALS.read_text()
 
 
@@ -206,9 +205,6 @@ def test_pages_past_the_stable_page_read_the_stable_page():
     """page(dc, r) above r0 = max(width, height) + 1 reads page r0; the
     zig-zag quotients computed at such an r have the same dims, and d_r is
     the zero map."""
-    from lagfloor.linalg import quotient
-    from lagfloor.spectral import _zigzag_boundaries, _zigzag_cocycles
-
     for seed in range(6):
         dc = random_double_complex(seed)
         r0 = max(dc.width, dc.height) + 1
@@ -218,43 +214,8 @@ def test_pages_past_the_stable_page_read_the_stable_page():
             for p in range(dc.width):
                 for q in range(dc.height):
                     if dc.dim_at(p, q):
-                        direct = quotient(_zigzag_cocycles(dc, p, q, r)[0], _zigzag_boundaries(dc, p, q, r))
-                        assert direct.dim == stable.dim(p, q)
+                        assert page_cell(dc, p, q, r)[0].dim == stable.dim(p, q)
                     assert page_differential(dc, r, p, q).is_zero()
-
-
-def three_step_boundaries(dc, p, q, r):
-    """B_r^{p,q} the long way: the kernel of the window's constraint rows,
-    the (p, q) rows of Q on each kernel vector, then the span of the images."""
-    from lagfloor.linalg import Subspace, kernel_basis
-    from lagfloor.spectral import _q_rows
-
-    cells = [(p - i, q + i - 1) for i in range(r)]
-    chains = kernel_basis(_q_rows(dc, cells, [(a, b + 1) for a, b in cells[1:]])).basis
-    q_pq = _q_rows(dc, cells, [(p, q)])
-    return Subspace.spanned_by([q_pq.mul_vec(ch) for ch in chains], dc.dim_at(p, q))
-
-
-def test_boundaries_match_the_three_step_oracle():
-    """B_r from one elimination of the window's transpose equals the kernel,
-    image and span route, basis for basis and dict order included, for every
-    cell and every r up to the stable page, under both filtrations."""
-    from lagfloor.spectral import _zigzag_boundaries
-
-    constrained = 0  # cells with r >= 2 and a nonzero B_r
-    for given in [random_double_complex(seed) for seed in range(30)] + [hand_zigzag_complex()]:
-        for dc in (given, transpose(given)):
-            for r in range(1, max(dc.width, dc.height) + 2):
-                for p in range(dc.width):
-                    for q in range(dc.height):
-                        if not dc.dim_at(p, q):
-                            continue
-                        got = _zigzag_boundaries(dc, p, q, r)
-                        want = three_step_boundaries(dc, p, q, r)
-                        assert got.ambient_dim == want.ambient_dim
-                        assert repr(got.basis) == repr(want.basis), (p, q, r)
-                        constrained += r >= 2 and want.dim > 0
-    assert constrained > 100
 
 
 def test_page_differential_squares_to_zero_and_computes_next_page():
@@ -293,119 +254,47 @@ def fresh_copy(dc):
     return DoubleComplex(dc.dims, d1, d2)
 
 
-def page_contents(dc, pg):
-    """Every nonzero cell's dim, representatives and lifts, as plain sorted data."""
-    def vecs(vs):
-        return [sorted(v.items()) for v in vs]
-
-    out = {}
-    for p in range(dc.width):
-        for q in range(dc.height):
-            c = pg.cell(p, q)
-            if c is not None:
-                out[(p, q)] = (pg.dim(p, q), c.quotient.dim, vecs(c.quotient.representatives), vecs(c.lifts))
-    return out
+def page_orders(dc, rng):
+    """Pages 0 to stable + 2 of dc, ascending, descending and shuffled."""
+    pages = list(range(max(dc.width, dc.height) + 4))
+    return pages, [pages, pages[::-1], rng.sample(pages, len(pages))]
 
 
 def test_pages_do_not_depend_on_the_order_they_are_asked_in():
-    """Each page computed alone on a fresh complex equals the same page
-    computed after every other page, asked for in descending order, so a
-    page cell read from an earlier page's store is the cell it would solve,
-    and a page's dimensions do not depend on which pages came first."""
-    complexes = [random_double_complex(seed) for seed in range(30)] + [hand_zigzag_complex()]
-    for given in complexes:
+    """Every page's grid, with pages asked for ascending, descending or
+    shuffled on one complex, equals the grid of the same page asked for
+    alone on a fresh copy, under both filtrations."""
+    rng = random.Random(0)
+    for given in [random_double_complex(seed) for seed in range(30)] + [hand_zigzag_complex()]:
         for dc in (given, transpose(given)):
-            r0 = max(dc.width, dc.height) + 1
-            alone = {}
-            for r in range(r0 + 2):
-                fresh = fresh_copy(dc)
-                alone[r] = page_contents(fresh, page(fresh, r))
-            shared = fresh_copy(dc)
-            after = {r: page_contents(shared, page(shared, r)) for r in reversed(range(r0 + 2))}
-            assert after == alone
-
-
-def expected_cell_keys(dc, pages):
-    """(p, q, cocycle window, boundary window) of every nonzero cell of these
-    pages, each window cut after its last cell that adds a column or a row."""
-    keys = set()
-    for r in pages:
-        for p in range(dc.width):
-            for q in range(dc.height):
-                if dc.dim_at(p, q) == 0:
-                    continue
-                z = 1 + max(i for i in range(r) if dc.dim_at(p + i, q - i) or dc.dim_at(p + i, q - i + 1))
-                b = 1 + max([0] + [i for i in range(1, r) if dc.dim_at(p - i, q + i - 1) or dc.dim_at(p - i, q + i)])
-                keys.add((p, q, z, b))
-    return keys
+            w, h = dc.width, dc.height
+            pages, orders = page_orders(dc, rng)
+            alone = {r: page(fresh_copy(dc), r).dims_grid(w, h) for r in pages}
+            for order in orders:
+                shared = fresh_copy(dc)
+                assert {r: page(shared, r).dims_grid(w, h) for r in order} == alone
 
 
 def test_page_cells_are_solved_once_per_window(monkeypatch):
-    """The filtered reduction runs once per complex, whatever pages are
-    asked for; pages solve no cell until one is asked for, and each cell
-    asked for is solved once per pair of clipped windows."""
+    """Every cell of every page is read off one filtered reduction: it runs
+    once per complex, whichever pages are asked for and in whatever order,
+    and a page asked for twice is the same page."""
     import lagfloor.spectral as sp
 
-    calls = []
-
-    def counted(builder):
-        def wrapper(dc, *args):
-            calls.append((builder.__name__, *args))
-            return builder(dc, *args)
-        return wrapper
-
-    monkeypatch.setattr(sp, "_filtered_reduction", counted(sp._filtered_reduction))
-    monkeypatch.setattr(sp, "_zigzag_cocycles", counted(sp._zigzag_cocycles))
-    monkeypatch.setattr(sp, "_zigzag_boundaries", counted(sp._zigzag_boundaries))
-    dc = random_double_complex(5, width=4, height=4)
-    r_inf = max(dc.width, dc.height) + 1
-    grids = {r: page(dc, r).dims_grid(dc.width, dc.height) for r in range(r_inf + 3)}
-    assert calls == [("_filtered_reduction",)]
-    calls.clear()
-    for r in (1, 2, r_inf):
-        pg = page(dc, r)
-        for p in range(dc.width):
-            for q in range(dc.height):
-                pg.cell(p, q)
-    keys = expected_cell_keys(dc, (1, 2, r_inf))
-    cocycles = [c[1:] for c in calls if c[0] == "_zigzag_cocycles"]
-    boundaries = [c[1:] for c in calls if c[0] == "_zigzag_boundaries"]
-    assert len(cocycles) + len(boundaries) == len(calls)  # no second reduction
-    assert sorted(cocycles) == sorted((p, q, z) for p, q, z, _ in keys)
-    assert sorted(boundaries) == sorted((p, q, b) for p, q, _, b in keys)
-    nonzero = sum(1 for col in dc.dims for d in col if d)
-    assert len(cocycles) < 3 * nonzero  # some windows were reached twice
-    fresh = fresh_copy(dc)
-    want = page_contents(fresh, page(fresh, r_inf))
-    calls.clear()
-    assert page_contents(dc, page(dc, r_inf + 3)) == want
-    assert page(dc, 2) is page(dc, 2)
-    assert {r: page(dc, r).dims_grid(dc.width, dc.height) for r in range(r_inf + 3)} == grids
-    assert not calls
-
-
-def test_zigzag_cocycles_eliminate_twice(monkeypatch):
-    """One _zigzag_cocycles call runs two eliminations, the kernel of the
-    window and the pivots of the leader terms; those pivots certify the
-    kept leaders independent, so Subspace runs no third."""
-    import lagfloor.linalg as la
-    import lagfloor.spectral as sp
-
-    dc = random_double_complex(5, width=4, height=4)
-    calls = []
-    rref = la.rref
-    monkeypatch.setattr(la, "rref", lambda *a: calls.append(1) or rref(*a))
-    kept = []
-    for p in range(dc.width):
-        for q in range(dc.height):
-            if dc.dim_at(p, q):
-                calls.clear()
-                z, _ = sp._zigzag_cocycles(dc, p, q, 2)
-                assert len(calls) == 2, (p, q)
-                kept.append(z)
-    assert any(z.dim for z in kept)
-    for z in kept:  # the checked constructor accepts every kept basis
-        assert la.Subspace(z.ambient_dim, z.basis).dim == z.dim
+    reduced = []
+    filtered_reduction = sp._filtered_reduction
+    monkeypatch.setattr(sp, "_filtered_reduction", lambda dc: reduced.append(dc) or filtered_reduction(dc))
+    rng = random.Random(0)
+    for given in [random_double_complex(seed) for seed in range(30)] + [hand_zigzag_complex()]:
+        for dc in (given, transpose(given)):
+            _, orders = page_orders(dc, rng)
+            for order in orders:
+                shared = fresh_copy(dc)
+                reduced.clear()
+                for r in order:
+                    page(shared, r).dims_grid(dc.width, dc.height)
+                assert page(shared, 2) is page(shared, 2)
+                assert reduced == [shared]
 
 
 def test_total_cohomology_is_computed_once_per_degree(monkeypatch):
@@ -447,8 +336,6 @@ def reduction_mismatches(dc):
     """(filtration, r, p, q, reduction's dim, zig-zag's dim) wherever page r
     of the filtered reduction differs from the zig-zag quotient, for every r
     from 0 to the stable page, under both filtrations of fresh copies of dc."""
-    from lagfloor.spectral import _page_cell
-
     out = []
     for label, c in (("given", fresh_copy(dc)), ("transposed", transpose(dc))):
         for r in range(max(c.width, c.height) + 2):
@@ -456,7 +343,7 @@ def reduction_mismatches(dc):
             for p in range(c.width):
                 for q in range(c.height):
                     if c.dim_at(p, q):
-                        want = _page_cell(c, p, q, r).quotient.dim
+                        want = page_cell(c, p, q, r)[0].dim
                         if pg.dim(p, q) != want:
                             out.append((label, r, p, q, pg.dim(p, q), want))
     return out
@@ -501,38 +388,6 @@ def test_reduction_of_a_q_without_one_differential_fails_the_oracle(monkeypatch,
     assert any(reduction_mismatches(dc) for dc in oracle_complexes())
 
 
-def test_a_cell_that_disagrees_with_the_reduction_raises_under_python_O():
-    """Page.cell checks the zig-zag quotient's dimension against the
-    reduction's count explicitly, so python -O keeps the check."""
-    script = textwrap.dedent(
-        """
-        import lagfloor.spectral as sp
-        from lagfloor.linalg import InvariantViolation
-
-        assert False, "asserts must be stripped under -O"
-        dc = sp.random_double_complex(5, width=4, height=4)
-        lives = sp._filtered_reduction(dc)
-        cell = next(iter(lives))
-        lives[cell] = lives[cell] + [1]  # one element too many on E_0 and E_1
-        dc._lives = lives
-        pg = sp.page(dc, 1)
-        try:
-            pg.cell(*cell)
-        except InvariantViolation as exc:
-            print("raised:", exc)
-        else:
-            print("passed")
-        """
-    )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    res = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True, text=True, env={"PYTHONPATH": src, "PATH": ""},
-    )
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.startswith("raised:"), res.stdout
-
-
 def test_pages_of_a_single_cell_without_maps_run_no_elimination(monkeypatch):
     """E_1, E_2 and E_inf of one 4096-dimensional cell with no maps are the
     whole cell, read off a reduction that pairs nothing, with no rref."""
@@ -547,7 +402,6 @@ def test_pages_of_a_single_cell_without_maps_run_no_elimination(monkeypatch):
         return rref(*a)
 
     monkeypatch.setattr(la, "rref", counted)
-    monkeypatch.setattr(sp, "rref", counted)
     dc = DoubleComplex([[4096]], {}, {})
     assert page(dc, 1).dims_grid(1, 1) == [[4096]]
     assert page(dc, 2).dims_grid(1, 1) == [[4096]]
