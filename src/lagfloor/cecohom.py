@@ -147,6 +147,9 @@ def cohomology(g: StructureConstants, a: GModule, q: int) -> QuotientSpace:
     ``representatives`` as cochain vectors, and ``reduce`` to classes.
 
     Any q >= 0 is accepted; above dim G the cochains, and so H^q, are 0.
+    Each delta's reductions are kept on its cached matrix, so a delta is
+    eliminated once whether it is ``d_out`` here or ``d_in`` at q + 1; the
+    check delta^2 = 0 runs on every call.
     """
     if q < 0:
         raise InvariantViolation(f"cohomology in negative degree {q}")

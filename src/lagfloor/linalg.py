@@ -14,7 +14,10 @@ There is one sparse matrix type and one sparse vector type.  A vector is a
 function here takes and returns vectors in that form, and :func:`dense`
 writes one out as a tuple for the report-level shapes.  :class:`Mat` keeps
 its rows as such vectors; producers build them directly and elimination
-reads them as they are.
+reads them as they are.  A :class:`Mat` is eliminated at most twice, once
+by rows and once by columns, and keeps both reductions: a kernel reads the
+first, an image the second, and the image's rank-nullity certificate
+compares the two.
 
 There is one elimination algorithm, the store of :class:`Echelon`: the
 reduced echelon form as primitive ``{column: int}`` rows.
@@ -85,7 +88,8 @@ class Mat:
 
     ``data[i]`` is row i as a ``{column: Fraction}`` dict of its nonzero
     entries and nothing else, so ``==`` means same shape and same entries.
-    The rows go to :func:`rref` as they are; treat them as read-only.
+    The rows go to :func:`rref` as they are; treat them as read-only, and
+    the rows of the two reductions it keeps too, since they are shared.
     """
 
     rows: int
@@ -132,6 +136,16 @@ class Mat:
             for j, x in row.items():
                 ent[base + j] = x
         return tuple(ent)
+
+    @cached_property
+    def row_reduction(self):
+        """``rref`` of the rows, computed once: (pivots, reduced rows)."""
+        return rref(self.data, self.cols)
+
+    @cached_property
+    def column_reduction(self):
+        """``rref`` of the columns (the rows of the transpose), computed once."""
+        return rref(self.transpose().data, self.rows)
 
     def transpose(self):
         data = tuple({} for _ in range(self.cols))
@@ -326,23 +340,28 @@ class Subspace:
 
 
 def kernel_basis(m: Mat) -> Subspace:
-    """Basis of the null space {v : m v = 0}.
+    """Basis of the null space {v : m v = 0}, read from m's row reduction.
 
     Representatives come from the reduced echelon form: one vector per free
     column, free columns ascending, so the output is canonical.
     """
-    return kernel_of_rows(m.data, m.cols)
+    return _kernel_from_rref(*m.row_reduction, m.cols)
 
 
 def kernel_of_rows(rows, ncols) -> Subspace:
     """``kernel_basis`` of the matrix with these sparse rows, without building
-    a Mat; with no rows the kernel is the whole space.
+    a Mat; with no rows the kernel is the whole space."""
+    return _kernel_from_rref(*rref(rows, ncols), ncols)
+
+
+def _kernel_from_rref(pivots, red, ncols) -> Subspace:
+    """The kernel basis of the matrix whose reduced echelon form is
+    (pivots, red).
 
     The reduced rows vanish at every other pivot, so each of their entries
     off the pivot lies in a free column.  One pass over them, in ascending
     pivot order, indexes those entries by free column; the vector of free
     column f is then ``{f: 1, p: -x, ...}`` read from the index."""
-    pivots, red = rref(rows, ncols)
     free = {}  # {free column: [(pivot, entry), ...]}, pivots ascending
     for p, r in zip(pivots, red):
         for c, x in r.items():
@@ -361,12 +380,15 @@ def kernel_of_rows(rows, ncols) -> Subspace:
 
 
 def image_basis(m: Mat) -> Subspace:
-    """Canonical basis of the column space (RREF of the transpose)."""
-    _, rows = rref(m.transpose().data, m.rows)
+    """Canonical basis of the column space, read from m's column reduction.
+
+    Its rank-nullity certificate compares that reduction with m's row
+    reduction, two independent eliminations, each kept on m and so run at
+    most once per matrix.  The basis vectors are the kept reduced rows."""
+    _, rows = m.column_reduction
     sub = Subspace(m.rows, tuple(rows), verified=True)
     # rank-nullity, checked exactly: row rank equals column rank
-    row_pivots, _ = rref(m.data, m.cols)
-    nullity = m.cols - len(row_pivots)
+    nullity = m.cols - len(m.row_reduction[0])
     if sub.dim + nullity != m.cols:
         raise InvariantViolation("rank-nullity failed: row and column rank differ")
     return sub
@@ -473,15 +495,24 @@ class QuotientSpace:
 
 
 def quotient(z: Subspace, b: Subspace) -> QuotientSpace:
-    """Quotient of span(z) by span(b); raises if b is not contained in z."""
+    """Quotient of span(z) by span(b); raises if b is not contained in z.
+
+    An Echelon seeded with B takes Z's basis in order; the Z vectors that
+    raise its rank are the representatives, the vectors of Z independent of
+    B and of the Z vectors before them.  By the zero subspace they are all
+    of Z's basis, which is independent, and nothing is eliminated."""
     if z.ambient_dim != b.ambient_dim:
         raise InvariantViolation(f"quotient of a subspace of Q^{z.ambient_dim} by one of Q^{b.ambient_dim}")
-    # columns of [B | Z]; z-columns that stay pivotal are the representatives
-    pivots = pivot_columns(b.basis + z.basis)
-    # containment: B inside span(Z) iff rank[B|Z] = dim Z (bases independent)
-    if len(pivots) != z.dim:
-        raise DenominatorNotContained("a denominator vector lies outside the numerator span")
-    reps = tuple(z.basis[i - b.dim] for i in pivots if i >= b.dim)
+    if b.basis:
+        ech = Echelon()
+        for v in b.basis:
+            ech.insert(v)
+        reps = tuple(v for v in z.basis if ech.insert(v))
+        # containment: B inside span(Z) iff rank[B|Z] = dim Z (bases independent)
+        if len(ech.rows) != z.dim:
+            raise DenominatorNotContained("a denominator vector lies outside the numerator span")
+    else:
+        reps = z.basis
     q = QuotientSpace(z.ambient_dim, z, b, len(reps), reps, b.basis + reps)
     if q.dim + b.dim != z.dim:
         raise InvariantViolation("dim Z/B + dim B != dim Z")
@@ -495,9 +526,3 @@ def homology(d_out: Mat, d_in: Mat | None) -> QuotientSpace:
     b = image_basis(d_in) if d_in is not None else Subspace(z.ambient_dim, ())
     return quotient(z, b)
 
-
-def pivot_columns(cols):
-    """Pivot column indices of the matrix whose columns are ``cols``: the
-    vectors independent of those before them."""
-    pivots, _ = rref(list(_scatter(cols).values()), len(cols))
-    return pivots

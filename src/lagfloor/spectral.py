@@ -15,9 +15,12 @@ Total cohomology computed directly on the antidiagonal complex is the
 independent oracle for the abutment identity sum_p dim E_inf^{p,m-p} =
 dim H^m(Q).
 
-A complex keeps what is derived from it: the reduction, each page asked
-for, and each H^m(Q).  Nothing is shared between complexes: `transpose`
-builds a new one with empty stores.
+A complex keeps what is derived from it: each Q_m, the reduction, each
+page asked for, and each H^m(Q).  Q_m is built once, and its row and column
+reductions are kept on that one `Mat`, so H^m and H^{m+1} share them; the
+filtered reduction reads the same Q_m through an `Echelon` of its own, and
+the totals never read that reduction.  Nothing is shared between complexes:
+`transpose` builds a new one with empty stores.
 """
 
 from __future__ import annotations
@@ -43,10 +46,10 @@ F = Fraction
 
 
 # the largest double complex whose pages are computed, in cells (the sum of
-# its dims).  The pages of a cell without maps run no elimination; what grows
-# about quadratically with it is building the complex and the quotient in
-# total_cohomology, 3.40 s of abutment_check's 3.45 s on dims [[4096]] under
-# cProfile (2-vCPU x86-64)
+# its dims).  A cell without maps runs no elimination, for its pages or its
+# totals (the quotient by the zero subspace is Z itself): abutment_check on
+# dims [[4096]] takes about 0.02 s (2-vCPU x86-64).  What grows with the
+# cells is building the complex and eliminating its maps
 MAX_COMPLEX_CELLS = 4096
 
 
@@ -61,8 +64,8 @@ class DoubleComplex:
     0 <= p < width and 0 <= q < height; everything outside is zero.
 
     The complex is not changed after construction, so it stores what is
-    derived from it: the filtered reduction's lives by cell, the pages by
-    r, and total cohomology by degree."""
+    derived from it: Q_m by degree, the filtered reduction's lives by cell,
+    the pages by r, and total cohomology by degree."""
 
     def __init__(self, dims, d1, d2):
         self.dims = [list(col) for col in dims]
@@ -78,6 +81,7 @@ class DoubleComplex:
                 if (m.rows, m.cols) != (self.dim_at(p + dp, q + dq), self.dim_at(p, q)):
                     raise InvariantViolation(f"{name} at ({p},{q}) is {m.rows}x{m.cols}, "
                                              f"expected {self.dim_at(p + dp, q + dq)}x{self.dim_at(p, q)}")
+        self._q = {}
         self._lives = None
         self._pages = {}
         self._totals = {}
@@ -157,8 +161,12 @@ def _put_block(rows, c0, mat, sign):
 
 
 def total_differential(dc: DoubleComplex, m: int) -> Mat:
-    """Q_m: D^m -> D^{m+1}, blocks in ascending p."""
-    return _q_rows(dc, _antidiagonal_cells(dc, m), _antidiagonal_cells(dc, m + 1))
+    """Q_m: D^m -> D^{m+1}, blocks in ascending p, built once per degree and
+    complex, so its reductions are too."""
+    q = dc._q.get(m)
+    if q is None:
+        q = dc._q[m] = _q_rows(dc, _antidiagonal_cells(dc, m), _antidiagonal_cells(dc, m + 1))
+    return q
 
 
 def _offsets(dims):
@@ -172,7 +180,9 @@ def _offsets(dims):
 
 def total_cohomology(dc: DoubleComplex, m: int) -> QuotientSpace:
     """H^m(Q) computed directly on the total complex (the brute-force oracle),
-    once per degree and complex."""
+    once per degree and complex: the kernel of Q_m and the image of Q_{m-1},
+    each from the reductions kept on that Q, never from the filtered
+    reduction."""
     h = dc._totals.get(m)
     if h is None:
         h = dc._totals[m] = homology(total_differential(dc, m), total_differential(dc, m - 1) if m else None)

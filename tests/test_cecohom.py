@@ -297,6 +297,39 @@ def test_delta_squared_check_raises_under_python_O():
     assert res.stdout.startswith("raised:"), res.stdout
 
 
+def test_delta_squared_check_raises_on_every_call():
+    """The delta^2 = 0 check runs on every call, so an invalid module raises
+    again on a second call, while a valid one keeps its cohomology."""
+    g = catalog("so3")
+    bad = GModule(1, g, (Mat.from_rows([[1]]), Mat.zero(1, 1), Mat.zero(1, 1)))
+    for _ in range(2):
+        with pytest.raises(InvariantViolation, match="delta"):
+            cohomology(g, bad, 1)
+    triv = GModule.trivial(g)
+    assert [cohomology(g, triv, 2).dim for _ in range(2)] == [0, 0]
+
+
+def test_cohomology_reduces_each_delta_once_by_rows_and_columns(monkeypatch):
+    """H^q for q = 0..dim on Galilean runs at most one row and one column
+    rref per delta_q: delta_q is d_out at q and d_in at q + 1, and its
+    reductions are kept on the cached matrix."""
+    import dataclasses
+
+    import lagfloor.linalg as la
+    from lagfloor.cecohom import ce_differential
+
+    g = dataclasses.replace(catalog("galilean"))  # a new algebra: nothing cached for it
+    triv = GModule.trivial(g)
+    calls = []
+    rref = la.rref
+    monkeypatch.setattr(la, "rref", lambda rows, ncols: calls.append(rows) or rref(rows, ncols))
+    dims = [cohomology(g, triv, q).dim for q in range(g.dim + 1)]
+    deltas = [ce_differential(g, triv, q) for q in range(g.dim + 1)]
+    assert len(calls) <= 2 * len(deltas)
+    assert dims == [cohomology(catalog("galilean"), GModule.trivial(catalog("galilean")), q).dim
+                    for q in range(g.dim + 1)]
+
+
 def test_witness_of_a_non_cocycle_raises_under_python_O():
     """NotACocycle is an InvariantViolation raised explicitly, so python -O
     keeps it, and a command that met it would exit 3 with no traceback."""

@@ -1,6 +1,10 @@
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +29,7 @@ from lagfloor.linalg import (
     solve,
     span_coordinates,
 )
+from zigzag import pivot_columns
 
 
 F = Fraction
@@ -553,3 +558,102 @@ def test_coordinate_map_refuses_one_target_outside_the_span():
     assert coordinate_map(family, [inside], "escaped").data == ({0: F(3)}, {0: F(-1)})
     with pytest.raises(InvariantViolation, match="^image escaped the family$"):
         coordinate_map(family, [inside, {2: F(1)}, inside], "image escaped the family")
+
+
+# -- each matrix is eliminated once; quotient extends B's echelon store --------
+
+def test_a_mat_is_reduced_once_by_rows_and_once_by_columns(monkeypatch):
+    """Kernels and images read the two reductions kept on the Mat, so any
+    number of them costs one row and one column elimination."""
+    import lagfloor.linalg as la
+
+    calls = []
+    rref_ = la.rref
+    monkeypatch.setattr(la, "rref", lambda rows, ncols: calls.append(ncols) or rref_(rows, ncols))
+    m = M([[1, 2, 3], [2, 4, 6]])
+    for _ in range(3):
+        assert kernel_basis(m).dim == 2
+        assert image_basis(m).dim == 1
+    assert sorted(calls) == [m.rows, m.cols]
+    # the same entries in another Mat are eliminated again: nothing is shared
+    assert kernel_basis(M([[1, 2, 3], [2, 4, 6]])).dim == 2
+    assert len(calls) == 3
+
+
+def test_image_rank_nullity_check_raises_under_python_O():
+    """An explicit check, so python -O keeps it: a Mat whose kept column
+    reduction has lost a row disagrees with its row reduction, and
+    image_basis raises InvariantViolation."""
+    script = textwrap.dedent(
+        """
+        from lagfloor.linalg import InvariantViolation, Mat, image_basis
+
+        assert False, "asserts must be stripped under -O"
+        m = Mat.from_rows([[1, 0, 2], [0, 1, 3]])
+        pivots, rows = m.column_reduction
+        m.__dict__["column_reduction"] = (pivots[:-1], rows[:-1])
+        try:
+            image_basis(m)
+        except InvariantViolation as exc:
+            print("raised:", exc)
+        else:
+            print("passed")
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env={"PYTHONPATH": src, "PATH": ""},
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("raised: rank-nullity"), res.stdout
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_quotient_picks_the_pivot_columns_of_b_then_z(seed, reduced_b):
+    """The Z vectors that raise the rank of an Echelon seeded with B are the
+    pivot columns of [B | Z] past B, in order; a B with a vector outside
+    span(Z) is refused."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    z = random_family(rng, n)
+    combos = []
+    for _ in range(rng.randint(0, len(z) + 1)):
+        t = {}
+        for v in z:
+            if rng.random() < 0.6:
+                add_scaled(t, F(rng.randint(-3, 3), rng.randint(1, 2)), v)
+        combos.append(t)
+    if reduced_b:
+        b = Subspace.spanned_by(combos, n)
+    else:
+        ech, kept = Echelon(), []
+        for t in combos:
+            if t and ech.insert(t):
+                kept.append(t)
+        b = Subspace(n, tuple(kept))
+    zs = Subspace(n, tuple(z))
+    q = quotient(zs, b)
+    want = [zs.basis[i - b.dim] for i in pivot_columns(b.basis + zs.basis) if i >= b.dim]
+    assert list(q.representatives) == want
+    assert q.dim + b.dim == zs.dim
+    outside = next(({j: F(1)} for j in range(n) if zs.coordinates({j: F(1)}) is None), None)
+    if outside is not None:
+        with pytest.raises(DenominatorNotContained):
+            quotient(zs, Subspace.spanned_by(list(b.basis) + [outside], n))
+
+
+def test_quotient_by_the_zero_subspace_runs_no_elimination(monkeypatch):
+    """Z's basis is independent, so by the zero subspace it is the set of
+    representatives as it is, with no Echelon and no rref."""
+    import lagfloor.linalg as la
+
+    def refuse(*a, **k):
+        raise AssertionError("eliminated")
+
+    monkeypatch.setattr(la, "rref", refuse)
+    monkeypatch.setattr(la.Echelon, "_insert", refuse)
+    z = Subspace(4096, tuple({i: F(1)} for i in range(4096)), verified=True)
+    q = quotient(z, Subspace(4096, ()))
+    assert q.dim == 4096 and q.representatives is z.basis

@@ -332,6 +332,56 @@ def test_total_cohomology_is_computed_once_per_degree(monkeypatch):
         assert reduced[0].dims == transpose(dc).dims
 
 
+def test_totals_and_abutment_reduce_each_q_once_by_rows_and_columns(monkeypatch):
+    """Every total_cohomology degree plus abutment_check run at most one row
+    and one column rref per Q_m of dc: H^m and H^{m+1} share Q_m and its
+    kept reductions, the quotients extend an Echelon, and the transposed
+    filtration's reduction uses an Echelon of its own."""
+    import lagfloor.linalg as la
+    import lagfloor.spectral as sp
+
+    dc = random_double_complex(5, width=4, height=4)
+    calls = []
+    rref = la.rref
+    monkeypatch.setattr(la, "rref", lambda rows, ncols: calls.append(rows) or rref(rows, ncols))
+    degrees = range(dc.width + dc.height - 1)
+    dims = [total_cohomology(dc, m).dim for m in degrees]
+    assert abutment_check(dc).ok
+    qs = [sp.total_differential(dc, m) for m in degrees]
+    assert all(q is sp.total_differential(dc, m) for m, q in zip(degrees, qs))
+    assert len(calls) <= 2 * len(qs)
+    assert calls and [total_cohomology(fresh_copy(dc), m).dim for m in degrees] == dims
+
+
+@pytest.mark.parametrize("mutant", ["pairs_nothing", "one_element_unpaired"])
+def test_a_wrong_filtered_reduction_fails_the_abutment(monkeypatch, mutant):
+    """The totals never read the filtered reduction, so a reduction that
+    gets E_inf wrong is caught: one that lengthens every gap past the stable
+    page, and one that leaves a single paired element unpaired.  (A gap
+    lengthened by 1 stays below the stable page, width + 1 or height + 1,
+    so E_inf would not move.)"""
+    import lagfloor.spectral as sp
+
+    filtered_reduction = sp._filtered_reduction
+
+    def wrong(dc):
+        r0 = max(dc.width, dc.height) + 1
+        lives = filtered_reduction(dc)
+        if mutant == "pairs_nothing":
+            return {cell: [life + r0 for life in ls] for cell, ls in lives.items()}
+        cell = next(cell for cell, ls in sorted(lives.items()) if min(ls) < r0)
+        ls = sorted(lives[cell])
+        return {**lives, cell: [r0] + ls[1:]}
+
+    dcs = [random_double_complex(seed, width=4, height=4) for seed in range(5)]
+    want = [[total_cohomology(fresh_copy(dc), m).dim for m in range(7)] for dc in dcs]
+    monkeypatch.setattr(sp, "_filtered_reduction", wrong)
+    for dc, totals in zip(dcs, want):
+        report = abutment_check(dc)
+        assert not report.ok
+        assert [total for _, _, total, label in report.rows if label == "given"] == totals
+
+
 def reduction_mismatches(dc):
     """(filtration, r, p, q, reduction's dim, zig-zag's dim) wherever page r
     of the filtered reduction differs from the zig-zag quotient, for every r

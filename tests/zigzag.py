@@ -17,8 +17,15 @@ nothing stored:
 
 from fractions import Fraction
 
-from lagfloor.linalg import Mat, Subspace, kernel_basis, pivot_columns, quotient
+from lagfloor.linalg import Mat, Subspace, _scatter, kernel_basis, quotient, rref
 from lagfloor.spectral import _q_rows
+
+
+def pivot_columns(cols):
+    """Pivot column indices of the matrix whose columns are ``cols``: the
+    vectors independent of those before them."""
+    pivots, _ = rref(list(_scatter(cols).values()), len(cols))
+    return pivots
 
 
 def cocycles(dc, p, q, r):
