@@ -23,7 +23,9 @@ from .hierarchy import (
     ClassifyOptions,
     PotentialUnavailable,
     UndeterminedError,
+    build_invariance_double_complex,
     classify,
+    k4_quotient,
     k_spaces,
     noether_charges,
 )
@@ -261,8 +263,6 @@ def cmd_classify(args, report):
     _format_class(report, "k3", res.k3_class)
     if res.k4_class is not None and res.k4_class.status in ("zero", "nonzero"):
         qt_coords = res.k4_class.data
-        from .hierarchy import k4_quotient
-
         qt, _ = k4_quotient(pair, _options(args, pf))
         combo = [F(0)] * len(pair.chart.angle_names)
         for c, rep_vec in zip(qt_coords or (), qt.representatives):
@@ -305,8 +305,6 @@ def cmd_spectral(args, report):
             dc = build_double_complex(pf)
             violations = validate_double_complex(dc).violations
         elif args.from_pair:
-            from .hierarchy import build_invariance_double_complex
-
             dc = build_invariance_double_complex(build_pair(pf), _options(args, pf)).dc
             violations = ()  # the builder validates the complex and raises on failure
         else:

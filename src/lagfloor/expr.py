@@ -760,8 +760,9 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, chart_, text):
+    def __init__(self, chart_, text, params):
         self.chart = chart_
+        self.params = params
         self.toks = _tokenize(text)
         self.pos = 0
         self.depth = 0
@@ -850,6 +851,8 @@ class _Parser:
             self.depth -= 1
             return e
         if kind == "name":
+            if val in self.params:
+                return Expr.const(self.chart, self.params[val])
             if val in ("sin", "cos"):
                 return self.trig_call(val, pos)
             return self.symbol(val, pos)
@@ -863,7 +866,7 @@ class _Parser:
             k = t[1]
             self.expect("*")
             t = self.next()
-        if t[0] != "name":
+        if t[0] != "name" or t[1] in self.params:
             raise ParseError(f"{fn} argument must be an angle coordinate", t[2])
         name = t[1]
         if name not in self.chart.angle_names:
@@ -890,37 +893,14 @@ class _Parser:
 def parse_expr(chart_, text, params=None):
     """Parse ``text`` against a chart.
 
-    ``params`` maps parameter names to exact rationals, substituted before
-    parsing (the expression algebra itself is parameter-free).
+    ``params`` maps parameter names to exact rationals; the parser reads each
+    such name as its value, before any other meaning of the name (the
+    expression algebra itself is parameter-free).
     """
     if not isinstance(text, str):
         raise ParseError(f"expected an expression string, got {text!r}", 0)
-    if params:
-        for name, value in params.items():
-            value = F(value)
-            text = _substitute_name(text, name, f"({value.numerator}/{value.denominator})")
-    return _Parser(chart_, text).parse()
-
-
-def _substitute_name(text, name, replacement):
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        j = text.find(name, i)
-        if j < 0:
-            out.append(text[i:])
-            break
-        before_ok = j == 0 or not (text[j - 1].isalnum() or text[j - 1] == "_")
-        after = j + len(name)
-        after_ok = after >= n or not (text[after].isalnum() or text[after] == "_")
-        if before_ok and after_ok:
-            out.append(text[i:j])
-            out.append(replacement)
-            i = after
-        else:
-            out.append(text[i : j + 1])
-            i = j + 1
-    return "".join(out)
+    params = {name: F(value) for name, value in (params or {}).items()}
+    return _Parser(chart_, text, params).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,8 @@ from .calculus import (
     d_el,
     derham_split,
     euler_lagrange,
+    find_potential,
+    harmonic_coefficient,
     is_closed,
     lie_derivative_lagrangian,
     total_time_derivative,
@@ -113,7 +115,6 @@ class ObstructionWitness:
     f2: dict | None = None  # constant 2-cocycle (i,j) -> Fraction
     k3_witness: tuple | None = None  # (OneForm w, t'' tuple, Expr f)
     k3_certificate: dict | None = None  # restriction data when nonzero
-    k4_form: OneForm | None = None
 
 
 @dataclass
@@ -379,8 +380,6 @@ def _invariant_forms(p: GMPair, opts: ClassifyOptions):
 
 
 def harmonic_vector(w: OneForm):
-    from .calculus import harmonic_coefficient
-
     ch = w.chart
     coeffs = (harmonic_coefficient(w.components[ch.names.index(a)]) for a in ch.angle_names)
     return {k: c for k, c in enumerate(coeffs) if c}
@@ -415,8 +414,6 @@ def phi4(p: GMPair, L: Expr, split, alpha, k3_witness, opts: ClassifyOptions):
         for k, c in sorted(combo.items()):
             w_inv = w_inv + inv[k].scale(c)
     residue_form = w - w_inv
-    from .calculus import find_potential
-
     f2 = find_potential(residue_form)
     if f2 is None:
         raise UndeterminedError(4, "potential adjustment exhausted the ansatz")
@@ -486,7 +483,6 @@ def classify(p: GMPair, L: Expr, opts: ClassifyOptions | None = None) -> FloorRe
         report.k4_class = ClassValue(NOT_REACHED)
         return report
     report.witnesses.k3_witness = k3_witness
-    report.witnesses.k4_form = k3_witness[0]
     try:
         report.k4_class, decomposition = phi4(p, L, split, alpha, k3_witness, opts)
     except UndeterminedError as e:
@@ -684,14 +680,13 @@ def _certify_k3(p: GMPair, raw_dim, reps):
     for alpha in reps:
         vals = restrict_cocycle(p, alpha, point, check_constancy=False)
         value_rows.append({a: x for a, x in enumerate(vals.values()) if x})
-    nstab = len(vecs)
-    joint = Subspace.spanned_by(list(accounted.basis) + value_rows, nstab)
-    certified = joint.dim - accounted.dim
-    certified_reps = []
-    for alpha, row in zip(reps, value_rows):
-        if not accounted.contains(row):
-            certified_reps.append(alpha)
-    return certified, tuple(certified_reps), raw_dim - certified
+    # as in ``quotient``: the reps whose values raise the rank of the
+    # accounted values and of the reps before them are the certified ones
+    ech = Echelon()
+    for v in accounted.basis:
+        ech.insert(v)
+    certified = tuple(alpha for alpha, row in zip(reps, value_rows) if ech.insert(row))
+    return len(certified), certified, raw_dim - len(certified)
 
 
 def k_spaces(p: GMPair, opts: ClassifyOptions | None = None) -> KSpacesReport:

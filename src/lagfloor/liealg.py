@@ -1,9 +1,12 @@
 """Finite-dimensional Lie algebras by structure constants, plus a catalog.
 
 The Poincare and Galilean tables are never typed in by hand: they are derived
-once per process by symbolically commuting the defining vector fields on R^4
-and reading coefficients off with an exact linear solve.  A golden test pins
-the derived values, which removes transcription risk without freezing files.
+once per process by commuting the defining vector fields on R^4.  Every one
+of them is affine, x -> Ax + b, and the bracket of two affine fields is the
+affine field of a matrix commutator, so the derivation is exact linear
+algebra and reads the coefficients off with one coordinate solve.  A golden
+test pins the derived values, which removes transcription risk without
+freezing files.
 """
 
 from __future__ import annotations
@@ -11,10 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .calculus import VectorFieldExpr
-from .expr import Expr, chart, parse_expr
-from .exprspace import solve_linear_expr_system
-from .linalg import InvariantViolation
+from .linalg import coordinate_map, kernel_of_rows
 
 F = Fraction
 
@@ -128,59 +128,47 @@ def _sc(dim, names, entries):
 _EPS = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1, (1, 0, 2): -1, (2, 1, 0): -1, (0, 2, 1): -1}
 
 
-R4 = chart(("t", "line"), ("x1", "line"), ("x2", "line"), ("x3", "line"))
-
 POINCARE_BASIS = ("p0", "p1", "p2", "p3", "B1", "B2", "B3", "L1", "L2", "L3")
 
+_BCOL = 4  # [A | b] has the coordinates (t, x1, x2, x3) in columns 0..3 and b in column 4
 
-def poincare_fields(c_light: Fraction | None) -> tuple[VectorFieldExpr, ...]:
-    """Fundamental fields on R^4 in the order (p0, p_i, B_i, L_i).
 
-    ``c_light=None`` gives the Galilean contraction (the 1/c^2 terms of the
-    boosts dropped).
+def _affine_generators(inv_c2: Fraction | None) -> list[dict]:
+    """The fields x -> Ax + b of (p0, p_i, B_i, L_i) on R^4, each as the
+    sparse matrix [A | b], a ``{(row, column): Fraction}`` dict.
+
+    p_mu = d/dx^mu; B_i = t d/dx^i + (1/c^2) x^i d/dt, whose second term
+    ``inv_c2=None`` drops (the Galilean contraction); L_i = -eps_{ijk} x^j d/dx^k.
     """
-
-    def f(*comps):
-        return VectorFieldExpr(R4, tuple(parse_expr(R4, s) for s in comps))
-
-    fields = [f("1", "0", "0", "0"), f("0", "1", "0", "0"), f("0", "0", "1", "0"), f("0", "0", "0", "1")]
-    inv_c2 = None if c_light is None else F(1) / (F(c_light) * F(c_light))
+    gens = [{(mu, _BCOL): F(1)} for mu in range(4)]
     for i in (1, 2, 3):
-        comps = ["0", "0", "0", "0"]
-        comps[i] = "t"
-        boost = f(*comps)
+        boost = {(i, 0): F(1)}
         if inv_c2 is not None:
-            extra = ["0"] * 4
-            extra[0] = f"x{i}"
-            boost = VectorFieldExpr(
-                R4, tuple(a + b * inv_c2 for a, b in zip(boost.components, f(*extra).components))
-            )
-        fields.append(boost)
-    # L_i = -eps_{ijk} x^j d/dx^k
+            boost[(0, i)] = inv_c2
+        gens.append(boost)
     for i in range(3):
-        comps = [Expr.const(R4, 0)] * 4
-        for jj in range(3):
-            for kk in range(3):
-                e = _EPS.get((i, jj, kk), 0)
-                if e:
-                    comps[kk + 1] = comps[kk + 1] - Expr.var(R4, f"x{jj + 1}") * e
-        fields.append(VectorFieldExpr(R4, tuple(comps)))
-    return tuple(fields)
+        gens.append({(k + 1, j + 1): F(-e) for (ii, j, k), e in _EPS.items() if ii == i})
+    return gens
 
 
-def _derive_constants(fields, names) -> StructureConstants:
-    n = len(fields)
-    columns = [list(fields[k].components) for k in range(n)]
-    c = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            br = fields[i].bracket(fields[j])
-            sol = solve_linear_expr_system(columns, list(br.components))
-            if sol is None:
-                raise InvariantViolation("bracket escaped the span of the fields")
-            comps = dict(sorted(sol.items()))
-            if comps:
-                c[(i, j)] = comps
+def _commutator(m, n):
+    """[X_M, X_N] = X_{NM - MN}, with M = [[A, b], [0, 0]]: the bracket
+    X(Y^mu) - Y(X^mu) of two affine fields given as [A | b]."""
+    out = {}
+    for left, right, sign in ((n, m, 1), (m, n, -1)):
+        for (r, k), x in left.items():
+            for (kk, col), y in right.items():
+                if kk == k:
+                    out[r, col] = out.get((r, col), 0) + sign * x * y
+    return {rc: v for rc, v in out.items() if v}
+
+
+def _derive_constants(gens, names) -> StructureConstants:
+    n = len(gens)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    brackets = [_commutator(gens[i], gens[j]) for i, j in pairs]
+    coords = coordinate_map(gens, brackets, "bracket escaped the span of the fields").transpose()
+    c = {ij: comps for ij, comps in zip(pairs, coords.data) if comps}
     return StructureConstants(n, tuple(names), c)
 
 
@@ -218,7 +206,7 @@ def _build_catalog(name, params):
     if name == "galilean":
         if params:
             raise BadParams("galilean takes no parameters")
-        return _derive_constants(poincare_fields(None), POINCARE_BASIS)
+        return _derive_constants(_affine_generators(None), POINCARE_BASIS)
     if name == "poincare":
         c = F(params.get("c", 1))
         if c <= 0:
@@ -226,12 +214,10 @@ def _build_catalog(name, params):
         extra = set(params) - {"c"}
         if extra:
             raise BadParams(f"unknown parameters {sorted(extra)}")
-        return _derive_constants(poincare_fields(c), POINCARE_BASIS)
+        return _derive_constants(_affine_generators(1 / (c * c)), POINCARE_BASIS)
     raise UnknownName(f"no catalog algebra named {name!r}")
 
 
 def zero_one_cocycles(g: StructureConstants):
     """Basis of Z^1(G) = {t : c^k_{ij} t_k = 0}, i.e. H^1 with trivial coeffs."""
-    from .linalg import kernel_of_rows
-
     return kernel_of_rows([g.c[ij] for ij in sorted(g.c)], g.dim)

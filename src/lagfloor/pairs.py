@@ -23,7 +23,7 @@ from .calculus import OneForm, TwoForm, VectorFieldExpr
 from .cecohom import GModule, NotACocycle, validate_module
 from .expr import ANGLE, TP, AnsatzSpec, Chart, Expr, function_monomials
 from .exprspace import equation_rows, poly_terms
-from .liealg import StructureConstants
+from .liealg import StructureConstants, zero_one_cocycles
 from .linalg import (
     InvariantViolation,
     Mat,
@@ -430,8 +430,6 @@ def restrict_cocycle(p: GMPair, alpha: FunctionCochain, point, check_constancy=N
 
 def stability_values_of_constant_cocycles(p: GMPair, point):
     """The subspace {(t(xi_a))_a : t in Z^1(G)} of restriction values."""
-    from .liealg import zero_one_cocycles
-
     stab = stability_subalgebra(p, point)
     if p.stability_sections is not None:
         vecs = _section_vectors(p, point)

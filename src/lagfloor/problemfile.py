@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .calculus import VectorFieldExpr
+from .cecohom import GModule
 from .expr import Chart, Expr, parse_expr
 from .liealg import StructureConstants, catalog
 from .linalg import Mat
@@ -207,7 +208,7 @@ def build_lagrangian(pf: ProblemFile, set_params=None) -> Expr:
     if not isinstance(text, str):
         raise ProblemFileError("[lagrangian] needs expr = \"...\"")
     declared = sec.get("params", [])
-    if not (isinstance(declared, list) and all(isinstance(n, str) for n in declared)):
+    if not (isinstance(declared, list) and all(isinstance(n, str) and n.isidentifier() for n in declared)):
         raise ProblemFileError("[lagrangian] params must be a list of names")
     params = {}
     for name in declared:
@@ -224,8 +225,6 @@ def build_lagrangian(pf: ProblemFile, set_params=None) -> Expr:
 
 
 def build_module(pf: ProblemFile, name: str, algebra: StructureConstants):
-    from .cecohom import GModule
-
     sec = pf.section("module").get(name)
     if not isinstance(sec, dict):
         raise ProblemFileError(f"missing [module.{name}] section")

@@ -10,8 +10,13 @@ from lagfloor.problemfile import build_pair, load_problem_file
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "src" / "lagfloor" / "fixtures"
-# environment of a `python -c` script that imports lagfloor and this module
-SCRIPT_ENV = {"PYTHONPATH": os.pathsep.join((str(ROOT / "src"), str(ROOT / "tests"))), "PATH": ""}
+# environment of a `python -c` script that imports lagfloor and this module;
+# it writes no bytecode into the source tree
+SCRIPT_ENV = {
+    "PYTHONPATH": os.pathsep.join((str(ROOT / "src"), str(ROOT / "tests"))),
+    "PATH": "",
+    "PYTHONDONTWRITEBYTECODE": "1",
+}
 
 
 def fixture_pair(name):

@@ -291,7 +291,7 @@ def test_delta_squared_check_raises_under_python_O():
     src = str(Path(__file__).resolve().parent.parent / "src")
     res = subprocess.run(
         [sys.executable, "-O", "-c", script],
-        capture_output=True, text=True, env={"PYTHONPATH": src, "PATH": ""},
+        capture_output=True, text=True, env={"PYTHONPATH": src, "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.startswith("raised:"), res.stdout
@@ -353,7 +353,7 @@ def test_witness_of_a_non_cocycle_raises_under_python_O():
     src = str(Path(__file__).resolve().parent.parent / "src")
     res = subprocess.run(
         [sys.executable, "-O", "-c", script],
-        capture_output=True, text=True, env={"PYTHONPATH": src, "PATH": ""},
+        capture_output=True, text=True, env={"PYTHONPATH": src, "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout == "raised: NotACocycle coboundary_witness requires a cocycle\n", res.stdout

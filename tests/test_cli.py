@@ -706,11 +706,13 @@ L3_E1 = 'e1 = ["1", "0"]'
         (L3.replace('name = "l3"', "dim = 1\nbasis = [1]"), "[algebra] needs name=..., or dim and a basis"),
         (L3.replace('name = "l3"', 'name = "abelian"\nparams = 3'), "[algebra] params must be a table"),
         (L3.replace('params = ["a", "b", "c", "d", "q"]', "params = 5"), "[lagrangian] params must be a list of names"),
+        (L3.replace('"d", "q"]', '"d", "q", "2"]'), "[lagrangian] params must be a list of names"),
         (L3.replace("transitive = true", 'transitive = "false"'), "[action] transitive must be true or false"),
     ],
     ids=["missing-comma", "header-and-key", "float", "date", "top-level-key", "long-integer", "deep-array",
          "deep-expression", "long-integer-in-expression", "expression-not-a-string", "basis-not-names",
-         "algebra-params-not-a-table", "lagrangian-params-not-names", "transitive-not-a-boolean"],
+         "algebra-params-not-a-table", "lagrangian-params-not-names", "lagrangian-param-not-a-name",
+         "transitive-not-a-boolean"],
 )
 def test_malformed_problem_file_is_a_parse_error(text, says, tmp_path):
     f = tmp_path / "bad.toml"

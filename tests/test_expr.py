@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lagfloor.expr import (
+    MAX_NESTING,
     Chart,
     EvaluationPole,
     Expr,
@@ -69,6 +70,18 @@ def test_unknown_symbol():
 def test_params_substitution():
     e = P("a*z + b", params={"a": F(2), "b": F(-1, 3)})
     assert e == P("2*z - 1/3")
+
+
+def test_params_keep_the_positions_and_depth_of_the_text():
+    """A parameter is bound by the parser, not rewritten into the text:
+    error positions index the text as written, and a parameter nests no
+    deeper than the literal in its place."""
+    line = chart(("x", "line"))
+    with pytest.raises(ParseError) as exc:
+        parse_expr(line, "a)", {"a": F(2)})
+    assert exc.value.pos == 1
+    deep = "(" * MAX_NESTING + "{}" + ")" * MAX_NESTING
+    assert parse_expr(line, deep.format("a"), {"a": F(2)}) == parse_expr(line, deep.format("2"))
 
 
 def test_double_angle_product_to_sum():

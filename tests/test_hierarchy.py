@@ -373,6 +373,15 @@ def test_k_spaces_sphere():
     assert any(vals.values())
 
 
+def test_k3_certified_reps_are_as_many_as_the_certified_classes():
+    """A rep whose values repeat an earlier rep's certifies no new class:
+    the certified reps are those that raise the rank of the accounted values."""
+    from lagfloor.hierarchy import _certify_k3
+
+    r = k_spaces(SPHERE).k3_reps[0]
+    assert _certify_k3(SPHERE, 2, (r, r)) == (1, (r,), 1)
+
+
 def test_k3_truncated_classes_in_canonical_order():
     """Uncertified K3 representatives, in the order the quotient picks them.
 

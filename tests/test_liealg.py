@@ -1,9 +1,13 @@
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from lagfloor.calculus import VectorFieldExpr
+from lagfloor.expr import chart, parse_expr
 from lagfloor.liealg import (
     BadParams,
     JacobiReport,
@@ -14,6 +18,7 @@ from lagfloor.liealg import (
     jacobi_check,
     zero_one_cocycles,
 )
+from lagfloor.pairs import GMPair, validate_pair
 
 F = Fraction
 
@@ -214,3 +219,45 @@ def test_zero_one_cocycles_dims():
     assert z.dim == 1
     assert z.basis == ({0: 1},)
     assert zero_one_cocycles(catalog("poincare", c=1)).dim == 0
+
+
+R4 = chart(("t", "line"), ("x1", "line"), ("x2", "line"), ("x3", "line"))
+
+
+def symbolic_fields(c):
+    """The fields (p0, p_i, B_i, L_i) on R^4 from strings, as the fixtures
+    write them; ``c=None`` drops the 1/c^2 terms of the boosts."""
+    boost_t = "0" if c is None else "x{i}/c^2"
+    comps = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
+    for i in (1, 2, 3):
+        b = [boost_t.format(i=i), "0", "0", "0"]
+        b[i] = "t"
+        comps.append(b)
+    comps += [["0", "0", "x3", "-x2"], ["0", "-x3", "0", "x1"], ["0", "x2", "-x1", "0"]]
+    params = {} if c is None else {"c": c}
+    return tuple(VectorFieldExpr(R4, tuple(parse_expr(R4, s, params) for s in f)) for f in comps)
+
+
+def algebra(c):
+    return catalog("galilean") if c is None else catalog("poincare", c=c)
+
+
+@pytest.mark.parametrize("c", [None, 1, 3, F(1, 2)])
+def test_catalog_constants_bracket_the_symbolic_fields(c):
+    """The derived tables against an independent oracle: the symbolic
+    bracket of the fields, written as expressions, checked by validate_pair."""
+    assert validate_pair(GMPair(algebra(c), R4, symbolic_fields(c))).ok
+
+
+def test_symbolic_oracle_tells_the_speeds_of_light_apart():
+    assert not validate_pair(GMPair(algebra(3), R4, symbolic_fields(1))).ok
+    assert not validate_pair(GMPair(algebra(None), R4, symbolic_fields(F(1, 2)))).ok
+
+
+def test_liealg_imports_only_linalg_from_the_package():
+    """The catalog derivation is exact linear algebra: liealg reads nothing
+    of the symbolic layer (calculus, expr, exprspace)."""
+    source = Path(__file__).resolve().parent.parent / "src" / "lagfloor" / "liealg.py"
+    package = {node.module for node in ast.walk(ast.parse(source.read_text()))
+               if isinstance(node, ast.ImportFrom) and node.level}
+    assert package == {"linalg"}

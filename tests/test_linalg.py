@@ -603,7 +603,7 @@ def test_image_rank_nullity_check_raises_under_python_O():
     src = str(Path(__file__).resolve().parent.parent / "src")
     res = subprocess.run(
         [sys.executable, "-O", "-c", script],
-        capture_output=True, text=True, env={"PYTHONPATH": src, "PATH": ""},
+        capture_output=True, text=True, env={"PYTHONPATH": src, "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.startswith("raised: rank-nullity"), res.stdout
