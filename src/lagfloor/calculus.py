@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import TP, AnsatzSpec, Chart, Expr, function_monomials, mono_expr
+from .expr import TP, TP_ONE, AnsatzSpec, Chart, Expr, derivation, function_monomials, mono_expr, quotient_rule
 from .exprspace import common_denominator, solve_linear_expr_system
 from .linalg import InvariantViolation
 
@@ -168,20 +168,22 @@ def lie_derivative_oneform(x: VectorFieldExpr, w: OneForm) -> OneForm:
 def euler_lagrange(L: Expr) -> ELForm:
     """Left-hand side of the motion equations of a rank-1 Lagrangian.
 
-    Component mu is
-      dL/dq^mu - (d2L/dq^nu d(dq^mu)) dq^nu - (d2L/d(dq^nu) d(dq^mu)) dd q^nu.
+    Component mu is dL/dq^mu - D_t dL/d(dq^mu), with D_t = dq^nu d/dq^nu +
+    ddq^nu d/d(dq^nu).  Each derivative is one quotient rule on numerators
+    and denominators (a denominator that a derivative annihilates is kept,
+    not squared), and each component is built as one expression.
     """
     if L.has_accelerations():
         raise ValueError("rank-1 Lagrangians only")
     ch = L.chart
+    dt = _time_derivation(ch, tau=False)
     comps = []
-    for mu, name in enumerate(ch.names):
-        dLdv = L.partial(ch.velocity(name))
-        acc = L.partial(name)
-        for nu, nname in enumerate(ch.names):
-            acc = acc - dLdv.partial(nname) * Expr.var(ch, ch.velocity(nname))
-            acc = acc - dLdv.partial(ch.velocity(nname)) * Expr.var(ch, ch.acceleration(nname))
-        comps.append(acc)
+    for name in ch.names:
+        a, b = quotient_rule(L.num, L.den, derivation(ch, name))
+        c, e = quotient_rule(*quotient_rule(L.num, L.den, derivation(ch, ch.velocity(name))), dt)
+        if b != e and (q := e.divide_by(b)) is not None:
+            a, b = a * q, e
+        comps.append(Expr(ch, a - c, b) if b == e else Expr(ch, a * e - c * b, b * e))
     return ELForm(ch, tuple(comps))
 
 
@@ -190,16 +192,31 @@ def d_el(f: Expr) -> Expr:
     return gradient(f).as_lagrangian()
 
 
-def total_time_derivative(e: Expr, tau=False) -> Expr:
-    """Chain-rule total derivative: q -> dq -> ddq (and tau -> 1 if enabled)."""
-    ch = e.chart
-    out = Expr.const(ch, 0)
+def _time_derivation(ch, tau):
+    """D_t on trig polynomials: dq^mu d/dq^mu + ddq^mu d/d(dq^mu), plus
+    d/d tau when ``tau``."""
+    steps = []
     for name in ch.names:
-        out = out + Expr.var(ch, ch.velocity(name)) * e.partial(name)
-        out = out + Expr.var(ch, ch.acceleration(name)) * e.partial(ch.velocity(name))
+        steps.append((TP.var(ch.velocity(name)), derivation(ch, name)))
+        steps.append((TP.var(ch.acceleration(name)), derivation(ch, ch.velocity(name))))
     if tau:
-        out = out + e.partial("tau")
-    return out
+        steps.append((TP_ONE, derivation(ch, "tau")))
+
+    def dt(tp):
+        out = TP()
+        for factor, d in steps:
+            out = out + factor * d(tp)
+        return out
+
+    return dt
+
+
+def total_time_derivative(e: Expr, tau=False) -> Expr:
+    """Chain-rule total derivative: q -> dq -> ddq (and tau -> 1 if enabled).
+
+    One quotient rule on e's numerator and denominator, with D_t applied to
+    each as a trig polynomial, builds the result as one expression."""
+    return Expr(e.chart, *quotient_rule(e.num, e.den, _time_derivation(e.chart, tau)))
 
 
 def gradient(f: Expr) -> OneForm:

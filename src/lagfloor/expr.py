@@ -17,6 +17,15 @@ Denominators are reduced by content/sign normalization, common monomial
 factors and exact trial division (full, and divisor-vs-divisor when adding),
 which keeps every fraction arising from the supported Lagrangian families in
 lowest terms; equality never relies on reduction.
+
+Most products and trial divisions involve no trig factor at all, so the
+kernel keeps them cheap without changing any result.  A product of two
+trig-free monomials merges their variables and multiplies the coefficients
+once; only pairs with a trig factor go through the Fourier product
+``_mono_mul``.  A trial division returns zero at once for a zero dividend,
+and refuses a dividend whose largest exponent of some variable is below the
+divisor's before setting up the long division: deg_n(q*d) = deg_n(q) +
+deg_n(d), so such a dividend is no multiple of the divisor.
 """
 
 from __future__ import annotations
@@ -114,6 +123,16 @@ def _merge_vars(a, b):
     for n, e in b:
         d[n] = d.get(n, 0) + e
     return tuple(sorted((n, e) for n, e in d.items() if e))
+
+
+def _max_exponents(tp):
+    """{variable: largest exponent} over the terms of a trig polynomial."""
+    out = {}
+    for vars_, _ in tp.terms:
+        for n, e in vars_:
+            if e > out.get(n, 0):
+                out[n] = e
+    return out
 
 
 def _trig_pair_product(f1, f2):
@@ -241,9 +260,17 @@ class TP:
     def __mul__(self, other):
         out = {}
         for m1, c1 in self.terms.items():
+            v1, t1 = m1
             for m2, c2 in other.terms.items():
-                for m, extra in _mono_mul(m1, m2):
-                    out[m] = out.get(m, F(0)) + c1 * c2 * extra
+                v2, t2 = m2
+                c = c1 * c2
+                if t1 or t2:
+                    for m, extra in _mono_mul(m1, m2):
+                        out[m] = out.get(m, F(0)) + c * extra
+                    continue
+                # two trig-free monomials: one product, no Fourier expansion
+                m = (_merge_vars(v1, v2) if v1 and v2 else v1 or v2, ())
+                out[m] = out[m] + c if m in out else c
         return TP(out)
 
     # structure ----------------------------------------------------------
@@ -345,9 +372,17 @@ class TP:
             raise ZeroDivisionError
         if not d.is_trig_free():
             return None
+        if not self.terms:
+            return TP()
         dc = d.const_value()
         if dc is not None:
             return self.scale(F(1) / dc)
+        # deg_n(q*d) = deg_n(q) + deg_n(d) for every variable n, so a
+        # dividend of lower degree than d in some n is not a multiple of d
+        dmax = _max_exponents(d)
+        smax = _max_exponents(self)
+        if any(smax.get(n, 0) < e for n, e in dmax.items()):
+            return None
         groups = {}
         for (vars_, trig), c in self.terms.items():
             groups.setdefault(trig, {})[vars_] = c
@@ -552,19 +587,7 @@ class Expr:
         """
         if self._partials is not None and gen in self._partials:
             return self._partials[gen]
-        ch = self.chart
-        if gen in ch.names and ch.kind(gen) == ANGLE:
-            dnum = self.num.partial_angle(gen)
-            dden = self.den.partial_angle(gen)
-        elif gen in ch.names or gen in ch.velocity_names or gen in ch.acceleration_names or gen == "tau":
-            dnum = self.num.partial_var(gen)
-            dden = self.den.partial_var(gen)
-        else:
-            raise UnknownSymbol(f"unknown generator {gen!r}", 0)
-        if dden.is_zero():
-            d = Expr(ch, dnum, self.den)
-        else:
-            d = Expr(ch, dnum * self.den - self.num * dden, self.den * self.den)
+        d = Expr(self.chart, *quotient_rule(self.num, self.den, derivation(self.chart, gen)))
         if self._partials is None:
             self._partials = {}
         self._partials[gen] = d
@@ -615,6 +638,28 @@ class Expr:
 
     def __repr__(self):
         return f"Expr({to_string(self)!r})"
+
+
+def derivation(chart_, gen):
+    """The partial derivative by ``gen`` as a map of trig polynomials.
+
+    An angle coordinate acts through the sin/cos generators by the chain
+    rule; a line coordinate, velocity, acceleration or ``tau`` by the power
+    rule."""
+    if gen in chart_.names and chart_.kind(gen) == ANGLE:
+        return lambda tp: tp.partial_angle(gen)
+    if gen in chart_.names or gen in chart_.velocity_names or gen in chart_.acceleration_names or gen == "tau":
+        return lambda tp: tp.partial_var(gen)
+    raise UnknownSymbol(f"unknown generator {gen!r}", 0)
+
+
+def quotient_rule(num, den, d):
+    """(num', den') with num'/den' = d(num/den) for a derivation ``d`` of trig
+    polynomials; a denominator that ``d`` annihilates is kept, not squared."""
+    dn, dd = d(num), d(den)
+    if dd.is_zero():
+        return dn, den
+    return dn * den - num * dd, den * den
 
 
 def _reduce_fraction(num, den):

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .calculus import OneForm, TwoForm, VectorFieldExpr
 from .cecohom import GModule, NotACocycle, validate_module
-from .expr import ANGLE, TP, AnsatzSpec, Chart, Expr, function_monomials
+from .expr import TP, AnsatzSpec, Chart, Expr, derivation, function_monomials
 from .exprspace import equation_rows, poly_terms
 from .liealg import StructureConstants, zero_one_cocycles
 from .linalg import (
@@ -58,7 +58,7 @@ class ActionTable:
         self.chart = chart_
         self.fields = fields
         self._pair_index = {ab: k for k, ab in enumerate(TwoForm.pairs(chart_))}
-        self._diffs = [(TP.partial_angle if kind == ANGLE else TP.partial_var, name) for name, kind in chart_.coords]
+        self._diffs = [derivation(chart_, name) for name in chart_.names]
         self._components_of = {}
         self._scalar = {}
         self._oneform = {}
@@ -72,15 +72,14 @@ class ActionTable:
         comps = self._components_of.get(i)
         if comps is None:
             xs = tuple(TP(poly_terms(c)) for c in self.fields[i].components)
-            jac = tuple(tuple(diff(x, name) for diff, name in self._diffs) for x in xs)
+            jac = tuple(tuple(diff(x) for diff in self._diffs) for x in xs)
             comps = self._components_of[i] = (xs, jac)
         return comps
 
     def partial(self, mu, mono) -> dict:
         img = self._partial.get((mu, mono))
         if img is None:
-            diff, name = self._diffs[mu]
-            img = self._partial[(mu, mono)] = diff(TP({mono: F(1)}), name).terms
+            img = self._partial[(mu, mono)] = self._diffs[mu](TP({mono: F(1)})).terms
         return img
 
     def scalar(self, i, mono) -> dict:

@@ -1,3 +1,4 @@
+import json
 import random
 import subprocess
 import sys
@@ -23,9 +24,12 @@ from lagfloor.calculus import (
     lie_derivative_scalar,
     total_time_derivative,
 )
-from lagfloor.expr import AnsatzSpec, Expr, chart, parse_expr
+from lagfloor.expr import TP, AnsatzSpec, Expr, chart, derivation, parse_expr, quotient_rule, to_string
+from lagfloor.hierarchy import ClassifyOptions, classify, noether_charges
+from lagfloor.problemfile import build_lagrangian, load_problem_file
 
-from fixture_pairs import SCRIPT_ENV
+import calculus_oracle
+from fixture_pairs import FIXTURES, ROOT, SCRIPT_ENV, fixture_pair
 
 F = Fraction
 
@@ -295,3 +299,91 @@ def test_velocity_dependent_lie_derivative_raises_under_python_O():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.startswith("raised:"), res.stdout
+
+
+# -- Euler-Lagrange and D_t against the term-by-term oracle -----------------------
+
+def golden_sets():
+    """{fixture: [--set values]} of the benchmark's fixture commands."""
+    commands = json.loads((ROOT / "perfbench" / "golden" / "fixtures_cli.json").read_text())["commands"]
+    out = {}
+    for key, pool in commands.items():
+        for entry in pool:
+            if entry["set"]:
+                out.setdefault(key.split()[1], []).append(entry["set"])
+    return out
+
+
+def fixture_case(name, values):
+    """(pair, Lagrangian, Noether charges or ()) of a fixture at ``values``."""
+    pf = load_problem_file(FIXTURES / f"{name}.toml")
+    o = pf.section("options")
+    pair = fixture_pair(name)
+    L = build_lagrangian(pf, values)
+    report = classify(pair, L, ClassifyOptions(degree=o["degree"], fourier=o["fourier"], closure_cap=o["closure_cap"]))
+    charges = noether_charges(pair, L, report) if report.witnesses.alpha is not None else ()
+    return pair, L, charges
+
+
+def parse_set(text):
+    return {k: F(v) for k, v in (item.split("=") for item in text.split(","))}
+
+
+def assert_matches_oracle(e):
+    assert euler_lagrange(e).components == calculus_oracle.euler_lagrange(e)
+    for tau in (False, True):
+        assert total_time_derivative(e, tau=tau) == calculus_oracle.total_time_derivative(e, tau=tau)
+
+
+@pytest.mark.parametrize("name", sorted(golden_sets()))
+def test_euler_lagrange_and_time_derivative_match_the_oracle_on_the_fixtures(name):
+    """Every fixture Lagrangian at each --set value of the benchmark's pools,
+    and every Noether charge of it; the charges of the electric Lagrangians
+    on translations_r2 carry tau, so D_t's d/d tau is checked too."""
+    charges = with_tau = 0
+    for text in golden_sets()[name]:
+        _, L, ns = fixture_case(name, parse_set(text))
+        assert_matches_oracle(L)
+        for n in ns:
+            assert_matches_oracle(n)
+            with_tau += n.num.has_any_var(("tau",))
+        charges += len(ns)
+    assert charges or name == "l3_cylinder"
+    assert with_tau or name != "translations_r2"
+
+
+def test_a_denominator_the_derivative_annihilates_is_kept():
+    """d/d(dz) leaves a velocity-free denominator alone, and D_t without tau
+    one in tau alone: the quotient rule keeps it instead of squaring it."""
+    e = P("dz^2/(1 + z^2)")
+    assert quotient_rule(e.num, e.den, derivation(CYL, "dz"))[1] is e.den
+    e = Expr(CYL, TP.var("dz"), TP.var("tau", 2) + TP.const(1))
+    assert to_string(total_time_derivative(e)) == "(ddz)/(tau^2 + 1)"
+    assert to_string(total_time_derivative(e, tau=True)) == "(-2*dz*tau + ddz*tau^2 + ddz)/(tau^4 + 2*tau^2 + 1)"
+
+
+EXPR_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                  "__truediv__", "__rtruediv__", "__neg__", "__pow__")
+
+
+@pytest.mark.parametrize("name, values, built", [
+    ("galilean_r4", {"m": 1}, 4 + 11),
+    ("so3_sphere", {"m": 1, "g": 1}, 2 + 4),
+])
+def test_euler_lagrange_and_time_derivative_build_one_expression_each(name, values, built, monkeypatch):
+    """Each Euler-Lagrange component and each total time derivative is one
+    Expr built from trig polynomials: no Expr operator runs, so the
+    term-by-term path cannot come back unnoticed."""
+    _, L, charges = fixture_case(name, values)
+    calls = {"ops": 0, "built": 0}
+    for attr in EXPR_OPERATORS + ("__init__",):
+        def counted(*args, _raw=getattr(Expr, attr), _key="built" if attr == "__init__" else "ops"):
+            calls[_key] += 1
+            return _raw(*args)
+
+        monkeypatch.setattr(Expr, attr, counted)
+    euler_lagrange(L)
+    for e in (L, *charges):
+        total_time_derivative(e, tau=True)
+    monkeypatch.undo()
+    assert calls == {"ops": 0, "built": built}

@@ -720,6 +720,24 @@ def test_malformed_problem_file_is_a_parse_error(text, says, tmp_path):
     assert_parse_error(("classify", str(f), "--set", "a=1,b=0,c=0,d=0,q=0"), says)
 
 
+TR2 = (FIXTURES / "translations_r2.toml").read_text()
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [("classify", "q1"), ("noether", "q1"), ("classify", "dq2"), ("noether", "ddq1"), ("classify", "tau")],
+)
+def test_a_parameter_named_like_a_chart_symbol_is_a_parse_error(command, name, tmp_path):
+    """The parser reads a parameter before any other meaning of its name,
+    so a parameter q1 would replace the coordinate q1 in the Lagrangian
+    but not its velocity dq1: refused, as are velocities, accelerations
+    and tau."""
+    f = tmp_path / "tr2.toml"
+    f.write_text(TR2.replace('params = ["m", "B", "E1", "E2"]', f'params = ["m", "B", "E1", "E2", "{name}"]'))
+    assert_parse_error((command, str(f), "--set", f"m=1,B=0,E1=1,E2=0,{name}=5"),
+                       f"[lagrangian] parameter '{name}' is a coordinate, velocity, acceleration or tau")
+
+
 @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
 def test_unreadable_file_is_a_parse_error(kind, tmp_path):
     if kind == "directory":

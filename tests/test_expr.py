@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagfloor.expr import (
     MAX_NESTING,
+    TP,
     Chart,
     EvaluationPole,
     Expr,
@@ -17,6 +20,8 @@ from lagfloor.expr import (
 )
 from lagfloor.exprspace import equation_rows
 from lagfloor.linalg import kernel_of_rows
+
+import tp_reference
 
 F = Fraction
 
@@ -335,3 +340,69 @@ def test_kernel_of_expr_system_clears_denominators():
     # c0 * 1/(1+u) + c1 * u/(1+u) + c2 * 1 = 0 forces c0 + c2 = 0 = c1 + c2
     terms = [(0, 1, P("1/(1 + u)", PLANE)), (1, 1, P("u/(1 + u)", PLANE)), (2, 1, P("1", PLANE))]
     assert kernel_of_rows(equation_rows(terms), 3).basis == ({0: F(-1), 1: F(-1), 2: F(1)},)
+
+
+# -- trig-polynomial kernel against its plain reference -----------------------
+
+KERNEL_VARS = ("dz", "u", "z")
+KERNEL_ANGLES = ("phi", "th")
+
+
+@st.composite
+def monomials(draw, trig):
+    exps = draw(st.lists(st.integers(0, 3), min_size=len(KERNEL_VARS), max_size=len(KERNEL_VARS)))
+    vars_ = tuple((n, e) for n, e in zip(KERNEL_VARS, exps) if e)
+    factors = []
+    if trig:
+        for a in KERNEL_ANGLES:
+            if draw(st.booleans()):
+                factors.append((a, draw(st.sampled_from("sc")), draw(st.integers(1, 3))))
+    return vars_, tuple(factors)
+
+
+def tps(trig=True, max_terms=5):
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+    return st.dictionaries(monomials(trig), coeffs, max_size=max_terms).map(TP)
+
+
+def same_tp(a, b):
+    """Equal trig polynomials with the same terms in the same order."""
+    return list(a.terms.items()) == list(b.terms.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans().flatmap(lambda trig: st.tuples(tps(trig), tps(trig))))
+def test_product_matches_the_fourier_product_reference(pair):
+    """Trig-free pairs skip _mono_mul; the terms and their insertion order
+    are the reference's, with and without trig factors."""
+    a, b = pair
+    assert same_tp(a * b, tp_reference.mul(a, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tps(), tps(trig=False, max_terms=3).filter(lambda d: not d.is_zero()))
+def test_division_matches_the_long_division_reference(a, d):
+    got, want = a.divide_by(d), tp_reference.divide_by(a, d)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert same_tp(got, want)
+
+
+@settings(max_examples=50, deadline=None)
+@given(tps(), tps(trig=False, max_terms=3).filter(lambda d: not d.is_zero()))
+def test_an_exact_product_divides_back(q, d):
+    """The degree test rejects only non-multiples: q*d / d is q."""
+    assert (q * d).divide_by(d) == q
+
+
+@pytest.mark.parametrize("d", ["1 + u^2 + z", "dz", "3", "u*z^2 - 1"])
+def test_zero_divided_by_a_polynomial_is_zero(d):
+    zero = TP().divide_by(P(d, chart(("z", "line"), ("u", "line"))).num)
+    assert zero is not None and same_tp(zero, TP())
+
+
+def test_lower_degree_is_refused_before_the_division():
+    """u^2*z + 1 has degree 1 in z, u*z^2 + 1 degree 2: not a multiple."""
+    ch = chart(("z", "line"), ("u", "line"))
+    a, d = P("u^2*z + 1", ch).num, P("u*z^2 + 1", ch).num
+    assert a.divide_by(d) is None and tp_reference.divide_by(a, d) is None

@@ -7,17 +7,30 @@ exercised with two independent circles at once.
 
 from fractions import Fraction
 
-from lagfloor.calculus import OneForm, VectorFieldExpr, d_el, derham_split, gradient
+import pytest
+
+from lagfloor.calculus import (
+    OneForm,
+    VectorFieldExpr,
+    d_el,
+    derham_split,
+    euler_lagrange,
+    gradient,
+    total_time_derivative,
+)
 from lagfloor.expr import chart, parse_expr
 from lagfloor.hierarchy import (
     ClassifyOptions,
     build_invariance_double_complex,
     classify,
     k_spaces,
+    noether_charges,
 )
 from lagfloor.liealg import catalog
 from lagfloor.pairs import GMPair, validate_pair
 from lagfloor.spectral import abutment_check, page
+
+import calculus_oracle
 
 F = Fraction
 
@@ -100,3 +113,22 @@ def test_invariance_complex_on_torus():
     # Fourier modes survive the truncation shrink: the function column is
     # the full Fourier space, closed under translations
     assert len(ic.bases[0]) == 25  # (1 + 2*2)^2 monomials at fourier = 2
+
+
+@pytest.mark.parametrize("text", [
+    "da^2 + db^2 + cos(a)*cos(b)*da - sin(a)*sin(b)*db",  # da^2 + db^2 + d_EL(sin(a)*cos(b))
+    "da + 2*db",
+    "sin(b)*da",
+    "da^2*cos(2*a)/(2 + sin(b))",
+])
+def test_euler_lagrange_and_time_derivative_match_the_oracle(text):
+    """The trig Lagrangians above, one over a trig denominator, and the
+    Noether charges of those that reach phi_1 = 0, against the term-by-term
+    oracle."""
+    L = P(text)
+    rep = classify(PAIR, L, ClassifyOptions(degree=0, fourier=2))
+    charges = noether_charges(PAIR, L, rep) if rep.witnesses.alpha is not None else ()
+    for e in (L, *charges):
+        assert euler_lagrange(e).components == calculus_oracle.euler_lagrange(e)
+        for tau in (False, True):
+            assert total_time_derivative(e, tau=tau) == calculus_oracle.total_time_derivative(e, tau=tau)
