@@ -17,8 +17,10 @@ are reproducible.  The differential is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from math import lcm
 
 from .liealg import StructureConstants
 from .linalg import InvariantViolation, Mat, QuotientSpace, Vector, homology, solve
@@ -72,9 +74,9 @@ def validate_module(a: GModule) -> ModuleReport:
             terms += [(-c, rho[k]) for k in range(g.dim) if (c := g.coeff(i, j, k))]
             diff = [{} for _ in range(a.dim)]
             for c, m in terms:
-                for acc, row in zip(diff, m.data):
+                for acc, row, den in zip(diff, m.data, m.dens):
                     for col, x in row.items():
-                        acc[col] = acc.get(col, 0) + c * x
+                        acc[col] = acc.get(col, 0) + c * Fraction(x, den)
             if any(x for acc in diff for x in acc.values()):
                 bad.append((i, j))
     return ModuleReport(not bad, tuple(bad))
@@ -101,7 +103,11 @@ _DIFF_CACHE: dict = {}
 
 
 def ce_differential(g: StructureConstants, a: GModule, q: int) -> Mat:
-    """Matrix of delta: C^q -> C^{q+1} in the canonical coordinates."""
+    """Matrix of delta: C^q -> C^{q+1} in the canonical coordinates.
+
+    Its rows are written as integer rows over one denominator, the lcm of
+    the action matrices' row denominators and of the structure constants'
+    denominators (1 for the catalog algebras on a trivial module)."""
     key = (id(g), id(a), q)
     if key in _DIFF_CACHE:
         return _DIFF_CACHE[key][-1]
@@ -109,6 +115,8 @@ def ce_differential(g: StructureConstants, a: GModule, q: int) -> Mat:
     m = a.dim
     src_index = {t: i for i, t in enumerate(cochain_tuples(n, q))}
     brackets = {(i, j): [(k, c) for k in range(n) if (c := g.coeff(i, j, k))] for i in range(n) for j in range(i + 1, n)}
+    den = lcm(*[d for rho in a.action for d in rho.dens], *[c.denominator for b in brackets.values() for _, c in b])
+    brackets = {ij: [(k, c.numerator * (den // c.denominator)) for k, c in b] for ij, b in brackets.items()}
     data = []
     for U in cochain_tuples(n, q + 1):
         rows = [{} for _ in range(m)]
@@ -121,9 +129,11 @@ def ce_differential(g: StructureConstants, a: GModule, q: int) -> Mat:
             sign = (-1) ** i
             # action term: sign * rho_{ui} applied to c(rest)
             col_base = src_index[rest] * m
-            for t, rho_row in enumerate(a.action[ui].data):
+            rho = a.action[ui]
+            for t, (rho_row, rho_den) in enumerate(zip(rho.data, rho.dens)):
+                scale = sign * (den // rho_den)
                 for s, v in rho_row.items():
-                    add(t, col_base + s, sign * v)
+                    add(t, col_base + s, scale * v)
             for j in range(i + 1, len(U)):
                 uj = U[j]
                 pair_rest = tuple(x for x in U if x != ui and x != uj)
@@ -137,7 +147,7 @@ def ce_differential(g: StructureConstants, a: GModule, q: int) -> Mat:
                     for t in range(m):
                         add(t, col_base + t, bsign * gamma * psign)
         data.extend({col: v for col, v in row.items() if v} for row in rows)
-    out = Mat(len(data), len(src_index) * m, tuple(data))
+    out = Mat.over(den, data, len(src_index) * m)
     _DIFF_CACHE[key] = (g, a, out)
     return out
 

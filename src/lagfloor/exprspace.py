@@ -12,7 +12,7 @@ is read as it is.
 from __future__ import annotations
 
 from .expr import Expr, TP, TP_ONE
-from .linalg import InvariantViolation, solve_rows
+from .linalg import InvariantViolation, clear_denominators, solve_rows
 
 
 def tp_lcm(a: TP, b: TP) -> TP:
@@ -65,15 +65,15 @@ def poly_terms(e: Expr) -> dict:
 
 
 def equation_rows(terms):
-    """Sparse rows ``{unknown: coefficient}`` of one identity sum == 0.
+    """Integer rows ``{unknown: int}`` of one identity sum == 0.
 
     ``terms`` are (unknown, scale, term) triples standing for
     unknown * scale * term, where a term is an expression or a polynomial
     given as its ``{monomial: coefficient}`` dict; an unknown may repeat,
     and its contributions add.  Polynomial terms give their monomial
     coordinates directly; when an expression term is rational the identity
-    is first cleared to a common denominator.  One row per monomial, zero
-    rows dropped.
+    is first cleared to a common denominator.  One row per monomial, each
+    cleared of its own denominators; zero rows dropped.
     """
     terms = [t for t in terms if (t[2] if isinstance(t[2], dict) else not t[2].is_zero())]
     exprs = [e for _, _, e in terms if isinstance(e, Expr)]
@@ -94,7 +94,7 @@ def equation_rows(terms):
                 row[k] = v
             else:
                 row.pop(k, None)
-    return [r for r in rows.values() if r]
+    return [clear_denominators(r) for r in rows.values() if r]
 
 
 def solve_linear_expr_system(columns: list[list[Expr]], rhs: list[Expr]):

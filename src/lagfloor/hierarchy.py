@@ -49,6 +49,7 @@ from .linalg import (
     Mat,
     Subspace,
     add_scaled,
+    clear_denominators,
     coordinate_map,
     dense,
     kernel_of_rows,
@@ -630,7 +631,7 @@ def k3_space(p: GMPair, opts: ClassifyOptions):
             inside.append(vec)
         out = []
         # combinations whose outside coordinates cancel
-        for combo in kernel_of_rows(list(outside.values()), len(gens)).basis:
+        for combo in kernel_of_rows([clear_denominators(r) for r in outside.values()], len(gens)).basis:
             acc = {}
             for k, c in sorted(combo.items()):
                 add_scaled(acc, c, inside[k])
@@ -748,7 +749,7 @@ def _largest_invariant_subspace(basis, unit_images):
                     residual_rows.setdefault((i, unit), {})[k] = x
         if not residual_rows:
             return basis
-        combos = kernel_of_rows(list(residual_rows.values()), len(basis))
+        combos = kernel_of_rows([clear_denominators(r) for r in residual_rows.values()], len(basis))
         if combos.dim == len(basis):
             return basis
         new_basis = []
@@ -852,4 +853,4 @@ def build_invariance_double_complex(p: GMPair, opts: ClassifyOptions | None = No
 
 def _block_diag(m: Mat, count: int) -> Mat:
     data = tuple({b * m.cols + j: v for j, v in row.items()} for b in range(count) for row in m.data)
-    return Mat(m.rows * count, m.cols * count, data)
+    return Mat(m.rows * count, m.cols * count, data, m.dens * count)

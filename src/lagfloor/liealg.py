@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import coordinate_map, kernel_of_rows
+from .linalg import clear_denominators, coordinate_map, kernel_of_rows
 
 F = Fraction
 
@@ -168,7 +168,7 @@ def _derive_constants(gens, names) -> StructureConstants:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     brackets = [_commutator(gens[i], gens[j]) for i, j in pairs]
     coords = coordinate_map(gens, brackets, "bracket escaped the span of the fields").transpose()
-    c = {ij: comps for ij, comps in zip(pairs, coords.data) if comps}
+    c = {ij: comps for ij, comps in zip(pairs, map(coords.vector, range(coords.rows))) if comps}
     return StructureConstants(n, tuple(names), c)
 
 
@@ -220,4 +220,4 @@ def _build_catalog(name, params):
 
 def zero_one_cocycles(g: StructureConstants):
     """Basis of Z^1(G) = {t : c^k_{ij} t_k = 0}, i.e. H^1 with trivial coeffs."""
-    return kernel_of_rows([g.c[ij] for ij in sorted(g.c)], g.dim)
+    return kernel_of_rows([clear_denominators(g.c[ij]) for ij in sorted(g.c)], g.dim)

@@ -4,32 +4,43 @@ Everything downstream (Lie-algebra cohomology, spectral sequences, the
 classifier) reduces to the operations here: :func:`kernel_basis`,
 :func:`image_basis`, :func:`quotient`, :func:`homology`, :func:`solve` and
 :func:`span_coordinates`, plus the incremental :class:`Echelon` for spans
-that grow one vector at a time.  All arithmetic is exact (``Fraction`` and
-``int``); there is no floating point anywhere in the package, because ranks
-and cohomology dimensions are integers and a single rounded pivot decision
-would corrupt them.
+that grow one vector at a time.  All arithmetic is exact (``int``, and
+``Fraction`` at the edges); there is no floating point anywhere in the
+package, because ranks and cohomology dimensions are integers and a single
+rounded pivot decision would corrupt them.
 
-There is one sparse matrix type and one sparse vector type.  A vector is a
-``{index: Fraction}`` dict of its nonzero entries and nothing else; every
-function here takes and returns vectors in that form, and :func:`dense`
-writes one out as a tuple for the report-level shapes.  :class:`Mat` keeps
-its rows as such vectors; producers build them directly and elimination
-reads them as they are.  A :class:`Mat` is eliminated at most twice, once
-by rows and once by columns, and keeps both reductions: a kernel reads the
-first, an image the second, and the image's rank-nullity certificate
-compares the two.
+Inside, every row is an integer row: a ``{column: int}`` dict of its
+nonzero entries.  A :class:`Mat` keeps one per row, over one positive
+denominator per row, in canonical form (the denominator is the lcm of the
+entries' denominators), so ``==`` compares values.  An equation is an
+integer row with no denominator, since scaling it keeps its solutions:
+:func:`kernel_of_rows` and :func:`solve_rows` take such rows, and
+:func:`clear_denominators` makes one of a rational row.  Products,
+transposes, both reductions of a Mat, kernels, images and quotients all run
+on integer rows.
 
-There is one elimination algorithm, the store of :class:`Echelon`: the
-reduced echelon form as primitive ``{column: int}`` rows.
-:func:`row_reduce` feeds it a batch, and :func:`rref` clears denominators
-before and divides by the pivots after.  That form and its primitive rows
-are unique, so every result here is reproducible bit for bit, whatever the
-order of the rows.
+``Fraction`` is left to the edges.  A vector is a ``{index: Fraction}``
+dict of its nonzero entries and nothing else (:data:`Vector`): what
+:class:`Subspace` and :class:`QuotientSpace` hand to their readers, the
+input and output of ``Mat.mul_vec``, ``solve`` and ``span_coordinates``,
+and what :func:`dense` writes out as a tuple.  A subspace keeps its basis
+as canonical integer rows and builds those vectors only when they are read.
+
+A :class:`Mat` is eliminated at most twice, once by rows and once by
+columns, and keeps both reductions: a kernel reads the first, an image the
+second, and the image's rank-nullity certificate compares the two.  There
+is one elimination algorithm, the store of :class:`Echelon`: the reduced
+echelon form as primitive integer rows.  :func:`row_reduce` feeds it a
+batch, and :func:`rref`, which every reduction enters through, returns that
+form as it is: row k stands for the rational row ``reduced[k] /
+reduced[k][pivots[k]]``.  That form and its primitive rows are unique, so
+every result here is reproducible bit for bit, whatever the order of the
+rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -42,7 +53,6 @@ KERNEL_IMPL = "python"
 # {index: Fraction}, nonzero entries only; the keys carry no order
 Vector = dict[int, Fraction]
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class InvariantViolation(AssertionError):
@@ -82,38 +92,96 @@ def add_scaled(acc: dict, c, terms: dict):
             acc.pop(k, None)
 
 
+def _int_row(v):
+    """(den, w): the rational row v as the integer row w over den, the lcm
+    of its entries' denominators, which is the canonical form; zeros dropped."""
+    den = lcm(*[x.denominator for x in v.values()])
+    return den, {j: x.numerator * (den // x.denominator) for j, x in v.items() if x}
+
+
+def clear_denominators(v) -> dict:
+    """The equation row v (rational entries) times the lcm of its entries'
+    denominators: a ``{column: int}`` row with the same solutions."""
+    return _int_row(v)[1]
+
+
+def _canonical(den, w):
+    """The canonical form of the row w / den, den > 0: both divided by the
+    gcd of den and w's entries."""
+    if den != 1:
+        g = gcd(den, *w.values())
+        if g != 1:
+            return den // g, {j: x // g for j, x in w.items()}
+    return den, w
+
+
+def _vector(den, w) -> Vector:
+    """The {index: Fraction} vector w / den, in w's key order."""
+    if den == 1:
+        return {j: Fraction(x) for j, x in w.items()}
+    return {j: Fraction(x, den) for j, x in w.items()}
+
+
 @dataclass(frozen=True)
 class Mat:
-    """Sparse rows x cols matrix over the rationals.
+    """Sparse rows x cols matrix over the rationals, kept as integer rows.
 
-    ``data[i]`` is row i as a ``{column: Fraction}`` dict of its nonzero
-    entries and nothing else, so ``==`` means same shape and same entries.
-    The rows go to :func:`rref` as they are; treat them as read-only, and
-    the rows of the two reductions it keeps too, since they are shared.
+    Row i is ``data[i] / dens[i]``: a ``{column: int}`` dict of its nonzero
+    entries and nothing else, over a positive denominator.  The form is
+    canonical: each denominator is the lcm of its row's entry denominators,
+    so it shares no factor with all of the row's entries, and ``==`` means
+    same shape and same values.  ``dens`` defaults to all ones, an integer
+    matrix.  The integer rows go to :func:`rref` as they are, since scaling
+    a row keeps its row space; treat them as read-only, and the rows of the
+    two reductions it keeps too, since they are shared.
     """
 
     rows: int
     cols: int
     data: tuple[dict, ...]
+    dens: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if len(self.data) != self.rows:
             raise InvariantViolation(f"{len(self.data)} sparse rows for a matrix of {self.rows} rows")
-        for r in self.data:
+        if self.dens is None:
+            object.__setattr__(self, "dens", (1,) * self.rows)
+        elif len(self.dens) != self.rows:
+            raise InvariantViolation(f"{len(self.dens)} row denominators for a matrix of {self.rows} rows")
+        for r, den in zip(self.data, self.dens):
             _check_vector(r, self.cols, "a sparse row")
+            if den != 1 and (den < 1 or gcd(den, *r.values()) != 1):
+                raise InvariantViolation(f"row denominator {den} is not in lowest terms with its row")
 
+    # The benchmark's total-cohomology oracle reads a Mat through
+    # ``entries``, ``rows`` and ``cols``, and its self-test builds one with
+    # ``from_rows``: keep these as they are.
     @staticmethod
     def from_rows(rows, cols=None):
-        """Mat of dense rows of numbers, each converted to Fraction."""
+        """Mat of dense rows of numbers, each read as a Fraction."""
         rows = list(rows)
         if cols is None:
             cols = len(rows[0]) if rows else 0
-        data = []
+        vectors = []
         for r in rows:
             if len(r) != cols:
                 raise InvariantViolation(f"a row of {len(r)} entries in a matrix of {cols} columns")
-            data.append({j: Fraction(x) for j, x in enumerate(r) if x})
-        return Mat(len(data), cols, tuple(data))
+            vectors.append({j: Fraction(x) for j, x in enumerate(r) if x})
+        return Mat.from_vectors(vectors, cols)
+
+    @staticmethod
+    def from_vectors(vectors, cols):
+        """Mat whose rows are these sparse {column: rational} vectors."""
+        for v in vectors:
+            _check_vector(v, cols, "a sparse row")
+        pairs = [_int_row(v) for v in vectors]
+        return Mat(len(pairs), cols, tuple(w for _, w in pairs), tuple(d for d, _ in pairs))
+
+    @staticmethod
+    def over(den, rows, cols):
+        """Mat of the integer rows ``rows[i] / den``, put in canonical form."""
+        pairs = [_canonical(den, w) for w in rows]
+        return Mat(len(pairs), cols, tuple(w for _, w in pairs), tuple(d for d, _ in pairs))
 
     @staticmethod
     def zero(rows, cols):
@@ -121,20 +189,26 @@ class Mat:
 
     @staticmethod
     def identity(n):
-        return Mat(n, n, tuple({i: ONE} for i in range(n)))
+        return Mat(n, n, tuple({i: 1} for i in range(n)))
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.data[i].get(j, ZERO)
+        x = self.data[i].get(j)
+        return Fraction(x, self.dens[i]) if x else ZERO
 
+    def vector(self, i) -> Vector:
+        """Row i as a {column: Fraction} vector."""
+        return _vector(self.dens[i], self.data[i])
+
+    # read by the benchmark's oracle (see above from_rows)
     @cached_property
     def entries(self) -> tuple[Fraction, ...]:
         """Dense row-major view, built once: entry (i, j) is at i * cols + j."""
         ent = [ZERO] * (self.rows * self.cols)
-        for i, row in enumerate(self.data):
+        for i, (row, den) in enumerate(zip(self.data, self.dens)):
             base = i * self.cols
             for j, x in row.items():
-                ent[base + j] = x
+                ent[base + j] = Fraction(x, den)
         return tuple(ent)
 
     @cached_property
@@ -145,51 +219,61 @@ class Mat:
     @cached_property
     def column_reduction(self):
         """``rref`` of the columns (the rows of the transpose), computed once."""
-        return rref(self.transpose().data, self.rows)
+        return rref(self.int_columns(), self.rows)
+
+    def _over_lcm(self):
+        """(d, rows): the matrix as integer rows over one denominator d, the
+        lcm of the row denominators."""
+        d = lcm(*self.dens)
+        if d == 1:
+            return 1, self.data
+        return d, [{j: x * (d // den) for j, x in row.items()} if den != d else row
+                   for row, den in zip(self.data, self.dens)]
+
+    def int_columns(self) -> tuple[dict, ...]:
+        """The columns as integer rows, each the column times the lcm of the
+        row denominators: what an elimination of the columns reads."""
+        cols = tuple({} for _ in range(self.cols))
+        for i, row in enumerate(self._over_lcm()[1]):
+            for j, x in row.items():
+                cols[j][i] = x
+        return cols
 
     def transpose(self):
-        data = tuple({} for _ in range(self.cols))
-        for i, row in enumerate(self.data):
-            for j, x in row.items():
-                data[j][i] = x
-        return Mat(self.cols, self.rows, data)
+        return Mat.over(lcm(*self.dens), self.int_columns(), self.rows)
 
     def mul_vec(self, v: Vector) -> Vector:
         _check_vector(v, self.cols, "a vector times a matrix")
+        dv, w = _int_row(v)
         out = {}
-        for i, row in enumerate(self.data):
-            s = ZERO
+        for i, (row, den) in enumerate(zip(self.data, self.dens)):
+            s = 0
             for j, x in row.items():
-                y = v.get(j)
+                y = w.get(j)
                 if y:
                     s += x * y
             if s:
-                out[i] = s
+                out[i] = Fraction(s, den * dv)
         return out
 
     def mul(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise InvariantViolation(f"product of {self.rows}x{self.cols} and {other.rows}x{other.cols} matrices")
+        d, right = other._over_lcm()
         data = []
-        for row in self.data:
+        dens = []
+        for row, den in zip(self.data, self.dens):
             acc = {}
             for k, a in row.items():
-                for j, b in other.data[k].items():
+                for j, b in right[k].items():
                     acc[j] = acc.get(j, 0) + a * b
-            data.append({j: x for j, x in acc.items() if x})
-        return Mat(self.rows, other.cols, tuple(data))
+            den, w = _canonical(den * d, {j: x for j, x in acc.items() if x})
+            data.append(w)
+            dens.append(den)
+        return Mat(self.rows, other.cols, tuple(data), tuple(dens))
 
     def is_zero(self):
         return not any(self.data)
-
-
-def _int_row(v):
-    """(den, w) with v = w / den and w a ``{column: int}`` row: one
-    denominator per row, since row scaling preserves the row space."""
-    den = 1
-    for x in v.values():
-        den = lcm(den, x.denominator)
-    return den, {j: x.numerator * (den // x.denominator) for j, x in v.items() if x}
 
 
 def _combine(a, w, x, row):
@@ -244,15 +328,16 @@ class Echelon:
         return s, w
 
     def reduce(self, v) -> dict:
-        """The residual of v: the one vector that differs from v by an
-        element of the span and vanishes at every pivot; empty exactly when
-        v lies in the span."""
+        """The residual of the rational vector v: the one vector that differs
+        from v by an element of the span and vanishes at every pivot; empty
+        exactly when v lies in the span."""
         den, w = _int_row(v)
         s, r = self._eliminate(w)
         return {j: Fraction(x, den * s) for j, x in r.items()}
 
     def insert(self, v) -> bool:
-        """Add v to the span; False (and nothing stored) when it is already in it."""
+        """Add the rational vector v to the span; False (and nothing stored)
+        when it is already in it."""
         return self._insert(_int_row(v)[1]) is not None
 
     def _insert(self, w):
@@ -293,34 +378,75 @@ def row_reduce(rows, ncols):
 
 
 def rref(rows, ncols):
-    """Canonical rational RREF of sparse rows: (pivots, rows with pivot entries = 1)."""
-    pivots, red = row_reduce([_int_row(r)[1] for r in rows], ncols)
-    return pivots, [{j: Fraction(r[j], r[p]) for j in sorted(r)} for p, r in zip(pivots, red)]
+    """The canonical reduced echelon form of ``{column: int}`` rows.
+
+    Returns ``(pivots, reduced)`` as :func:`row_reduce` does: row k stands
+    for the rational row ``reduced[k] / reduced[k][pivots[k]]``, whose
+    pivot entry is 1.  Every elimination of a Mat, and of the rows and
+    vectors handed to this module, enters here; the benchmark counts these
+    calls and their cells."""
+    return row_reduce(rows, ncols)
 
 
-@dataclass(frozen=True)
+def _echelon_basis(pivots, red):
+    """The canonical integer rows of the rational RREF: row r over its pivot
+    entry (primitive, so in lowest terms), its columns ascending."""
+    return tuple((r[p], {j: r[j] for j in sorted(r)}) for p, r in zip(pivots, red))
+
+
 class Subspace:
     """Span of linearly independent vectors of a fixed ambient space.
 
-    ``verified=True`` skips the independence check; internal constructors
-    use it when the basis already comes out of a reduction.
+    The basis is kept as ``int_basis``, canonical integer rows ``(den,
+    {index: int})`` standing for the vectors ``w / den``, which is what
+    quotients eliminate.  ``basis`` gives them as {index: Fraction} vectors,
+    built when first read.  Built from vectors, the basis is checked for
+    independence unless ``verified=True``; kernels, images and spans build
+    their subspaces from the rows of a reduction, with no check.
     """
 
-    ambient_dim: int
-    basis: tuple[Vector, ...]
-    verified: bool = field(default=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        for v in self.basis:
-            _check_vector(v, self.ambient_dim, "a basis vector")
-        if self.basis and not self.verified:
-            pivots, _ = rref(self.basis, self.ambient_dim)
-            if len(pivots) != len(self.basis):
+    def __init__(self, ambient_dim, basis, verified=False):
+        basis = tuple(basis)
+        for v in basis:
+            _check_vector(v, ambient_dim, "a basis vector")
+        self.ambient_dim = ambient_dim
+        self.int_basis = tuple(_int_row(v) for v in basis)
+        self.__dict__["basis"] = basis
+        if basis and not verified:
+            pivots, _ = rref([w for _, w in self.int_basis], ambient_dim)
+            if len(pivots) != len(basis):
                 raise InvariantViolation("basis is linearly dependent")
+
+    @classmethod
+    def _of_rows(cls, ambient_dim, int_basis):
+        """The subspace of these canonical, independent integer rows."""
+        sub = cls.__new__(cls)
+        sub.ambient_dim = ambient_dim
+        sub.int_basis = int_basis
+        return sub
+
+    @cached_property
+    def basis(self) -> tuple[Vector, ...]:
+        return tuple(_vector(den, w) for den, w in self.int_basis)
+
+    def __eq__(self, other):
+        if not isinstance(other, Subspace):
+            return NotImplemented
+        return (self.ambient_dim, self.int_basis) == (other.ambient_dim, other.int_basis)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Subspace(ambient_dim={self.ambient_dim}, basis={self.basis!r})"
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.int_basis)
+
+    def matrix(self) -> Mat:
+        """The dim x ambient_dim Mat whose rows are the basis vectors."""
+        return Mat(self.dim, self.ambient_dim, tuple(w for _, w in self.int_basis),
+                   tuple(den for den, _ in self.int_basis))
 
     def contains(self, v) -> bool:
         return self.coordinates(v) is not None
@@ -332,11 +458,10 @@ class Subspace:
     @staticmethod
     def spanned_by(vectors, ambient_dim):
         """Canonical subspace spanned by arbitrary (possibly dependent) vectors."""
-        vecs = [v for v in vectors if v]
-        if not vecs:
+        rows = [_int_row(v)[1] for v in vectors if v]
+        if not rows:
             return Subspace(ambient_dim, ())
-        _, rows = rref(vecs, ambient_dim)
-        return Subspace(ambient_dim, tuple(rows), verified=True)
+        return Subspace._of_rows(ambient_dim, _echelon_basis(*rref(rows, ambient_dim)))
 
 
 def kernel_basis(m: Mat) -> Subspace:
@@ -349,8 +474,8 @@ def kernel_basis(m: Mat) -> Subspace:
 
 
 def kernel_of_rows(rows, ncols) -> Subspace:
-    """``kernel_basis`` of the matrix with these sparse rows, without building
-    a Mat; with no rows the kernel is the whole space."""
+    """``kernel_basis`` of the matrix with these ``{column: int}`` rows,
+    without building a Mat; with no rows the kernel is the whole space."""
     return _kernel_from_rref(*rref(rows, ncols), ncols)
 
 
@@ -361,22 +486,28 @@ def _kernel_from_rref(pivots, red, ncols) -> Subspace:
     The reduced rows vanish at every other pivot, so each of their entries
     off the pivot lies in a free column.  One pass over them, in ascending
     pivot order, indexes those entries by free column; the vector of free
-    column f is then ``{f: 1, p: -x, ...}`` read from the index."""
-    free = {}  # {free column: [(pivot, entry), ...]}, pivots ascending
+    column f is then ``{f: 1, p: -x / a, ...}`` read from the index, with a
+    the entry of row p at its pivot.  As an integer row it is ``{f: L, p:
+    -x * L / a, ...}`` over L, the lcm of those pivot entries, in lowest
+    terms."""
+    free = {}  # {free column: [(pivot, entry, pivot entry), ...]}, pivots ascending
     for p, r in zip(pivots, red):
+        a = r[p]
         for c, x in r.items():
             if c != p:
-                free.setdefault(c, []).append((p, x))
+                free.setdefault(c, []).append((p, x, a))
     pivot_set = set(pivots)
     basis = []
     for f in range(ncols):
         if f in pivot_set:
             continue
-        v = {f: ONE}
-        for p, x in free.get(f, ()):
-            v[p] = -x
-        basis.append(v)
-    return Subspace(ncols, tuple(basis), verified=True)
+        entries = free.get(f, ())
+        den = lcm(*[a for _, _, a in entries])
+        w = {f: den}
+        for p, x, a in entries:
+            w[p] = -x * (den // a)
+        basis.append(_canonical(den, w))
+    return Subspace._of_rows(ncols, tuple(basis))
 
 
 def image_basis(m: Mat) -> Subspace:
@@ -385,8 +516,7 @@ def image_basis(m: Mat) -> Subspace:
     Its rank-nullity certificate compares that reduction with m's row
     reduction, two independent eliminations, each kept on m and so run at
     most once per matrix.  The basis vectors are the kept reduced rows."""
-    _, rows = m.column_reduction
-    sub = Subspace(m.rows, tuple(rows), verified=True)
+    sub = Subspace._of_rows(m.rows, _echelon_basis(*m.column_reduction))
     # rank-nullity, checked exactly: row rank equals column rank
     nullity = m.cols - len(m.row_reduction[0])
     if sub.dim + nullity != m.cols:
@@ -401,7 +531,17 @@ def solve(m: Mat, rhs: Vector) -> Vector | None:
     against the canonical RREF.
     """
     _check_vector(rhs, m.rows, "a right-hand side")
-    rows = [{**row, m.cols: -rhs[i]} if i in rhs else row for i, row in enumerate(m.data)]
+    rows = []
+    for i, (row, den) in enumerate(zip(m.data, m.dens)):
+        y = rhs.get(i)
+        if y is None:
+            rows.append(row)
+            continue
+        # row / den . x = y, times den * y.denominator
+        q = y.denominator
+        r = {j: x * q for j, x in row.items()} if q != 1 else dict(row)
+        r[m.cols] = -den * y.numerator
+        rows.append(r)
     return solve_rows(rows, m.cols)
 
 
@@ -416,7 +556,7 @@ def span_coordinates(vectors, target: Vector) -> Vector | None:
     rows = _scatter(vectors)
     for i, x in target.items():
         rows.setdefault(i, {})[n] = -x
-    return solve_rows(list(rows.values()), n)
+    return solve_rows([_int_row(r)[1] for r in rows.values()], n)
 
 
 def _scatter(columns):
@@ -435,24 +575,26 @@ def coordinate_map(family, targets, failure) -> Mat:
 
     One elimination of the columns [family | -targets]: every family column
     is a pivot, row k of the RREF holds minus the k-th coordinate of each
-    target, and a pivot in a target column is a target outside the span.
+    target over its pivot entry, and a pivot in a target column is a target
+    outside the span.
     """
     n = len(family)
     rows = _scatter(family)
     for j, t in enumerate(targets):
         for i, x in t.items():
             rows.setdefault(i, {})[n + j] = -x
-    pivots, red = rref(list(rows.values()), n + len(targets))
+    pivots, red = rref([_int_row(r)[1] for r in rows.values()], n + len(targets))
     if pivots and pivots[-1] >= n:
         raise InvariantViolation(failure)
     data = [{} for _ in range(n)]
+    dens = [1] * n
     for p, r in zip(pivots, red):
-        data[p] = {c - n: -x for c, x in r.items() if c >= n}
-    return Mat(n, len(targets), tuple(data))
+        dens[p], data[p] = _canonical(r[p], {c - n: -x for c, x in r.items() if c >= n})
+    return Mat(n, len(targets), tuple(data), tuple(dens))
 
 
 def solve_rows(rows, nvars) -> Vector | None:
-    """``solve`` for augmented sparse rows: x with
+    """``solve`` for augmented ``{column: int}`` rows: x with
     sum_k row[k] x[k] + row[nvars] = 0 for every row, or None.
 
     Column ``nvars`` holds minus the right-hand side.  Free variables are 0
@@ -463,7 +605,7 @@ def solve_rows(rows, nvars) -> Vector | None:
     pivots, red = rref(rows, nvars + 1)
     if nvars in pivots:
         return None
-    return {p: -r[nvars] for p, r in zip(pivots, red) if nvars in r}
+    return {p: Fraction(-r[nvars], r[p]) for p, r in zip(pivots, red) if nvars in r}
 
 
 @dataclass(frozen=True)
@@ -471,20 +613,26 @@ class QuotientSpace:
     """Exact quotient Z/B of two subspaces of the same ambient space.
 
     ``representatives`` are basis vectors of Z projecting to a basis of the
-    quotient; ``reduce`` maps any vector of Z to its quotient coordinates
-    through the columns [B | representatives].
+    quotient, kept as Z keeps them, as ``int_representatives``, and built
+    as vectors when first read; ``reduce`` maps any vector of Z to its
+    quotient coordinates through the columns [B | representatives].
     """
 
     ambient_dim: int
     numerator: Subspace
     denominator: Subspace
     dim: int
-    representatives: tuple[Vector, ...]
-    _reduction_columns: tuple[Vector, ...]
+    int_representatives: tuple
+
+    @cached_property
+    def representatives(self) -> tuple[Vector, ...]:
+        if self.dim == self.numerator.dim:  # all of Z's basis
+            return self.numerator.basis
+        return tuple(_vector(den, w) for den, w in self.int_representatives)
 
     def reduce(self, v) -> Vector:
         """Coordinates of [v] in the representative basis; v must lie in Z+B."""
-        coeffs = span_coordinates(self._reduction_columns, v)
+        coeffs = span_coordinates(self.denominator.basis + self.representatives, v)
         if coeffs is None:
             raise ValueError("vector is not in the numerator subspace")
         k = self.denominator.dim
@@ -497,26 +645,25 @@ class QuotientSpace:
 def quotient(z: Subspace, b: Subspace) -> QuotientSpace:
     """Quotient of span(z) by span(b); raises if b is not contained in z.
 
-    An Echelon seeded with B takes Z's basis in order; the Z vectors that
-    raise its rank are the representatives, the vectors of Z independent of
-    B and of the Z vectors before them.  By the zero subspace they are all
-    of Z's basis, which is independent, and nothing is eliminated."""
+    An Echelon seeded with B's integer rows takes Z's in order; the Z
+    vectors that raise its rank are the representatives, the vectors of Z
+    independent of B and of the Z vectors before them.  By the zero
+    subspace they are all of Z's basis, which is independent, and nothing
+    is eliminated."""
     if z.ambient_dim != b.ambient_dim:
         raise InvariantViolation(f"quotient of a subspace of Q^{z.ambient_dim} by one of Q^{b.ambient_dim}")
-    if b.basis:
+    reps = z.int_basis
+    if b.int_basis:
         ech = Echelon()
-        for v in b.basis:
-            ech.insert(v)
-        reps = tuple(v for v in z.basis if ech.insert(v))
+        for _, w in b.int_basis:
+            ech._insert(w)
+        reps = tuple(row for row in z.int_basis if ech._insert(row[1]) is not None)
         # containment: B inside span(Z) iff rank[B|Z] = dim Z (bases independent)
         if len(ech.rows) != z.dim:
             raise DenominatorNotContained("a denominator vector lies outside the numerator span")
-    else:
-        reps = z.basis
-    q = QuotientSpace(z.ambient_dim, z, b, len(reps), reps, b.basis + reps)
-    if q.dim + b.dim != z.dim:
+    if len(reps) + b.dim != z.dim:
         raise InvariantViolation("dim Z/B + dim B != dim Z")
-    return q
+    return QuotientSpace(z.ambient_dim, z, b, len(reps), reps)
 
 
 def homology(d_out: Mat, d_in: Mat | None) -> QuotientSpace:
@@ -525,4 +672,3 @@ def homology(d_out: Mat, d_in: Mat | None) -> QuotientSpace:
     z = kernel_basis(d_out)
     b = image_basis(d_in) if d_in is not None else Subspace(z.ambient_dim, ())
     return quotient(z, b)
-

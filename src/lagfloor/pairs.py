@@ -372,7 +372,7 @@ def evaluation_matrix(p: GMPair, point) -> Mat:
     for mu in range(len(p.chart.names)):
         values = (p.fields[i].components[mu].evaluate(point) for i in range(n))
         rows.append({i: x for i, x in enumerate(values) if x})
-    return Mat(len(rows), n, tuple(rows))
+    return Mat.from_vectors(rows, n)
 
 
 def stability_subalgebra(p: GMPair, point) -> Subspace:

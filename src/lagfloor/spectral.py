@@ -28,21 +28,17 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
 from .linalg import (
     Echelon,
     InvariantViolation,
     Mat,
     QuotientSpace,
-    add_scaled,
     homology,
     kernel_basis,
     kernel_of_rows,
-    _int_row,
 )
-
-F = Fraction
 
 
 # the largest double complex whose pages are computed, in cells (the sum of
@@ -141,23 +137,38 @@ def _q_rows(dc, src_cells, tgt_cells) -> Mat:
     tgt_cells, each in the order given; a cell off the grid is an empty block."""
     src_dims = [dc.dim_at(*cell) for cell in src_cells]
     data = []
+    dens = []
     for tgt in tgt_cells:
-        block = tuple({} for _ in range(dc.dim_at(*tgt)))
+        n = dc.dim_at(*tgt)
+        block, block_dens = [{} for _ in range(n)], [1] * n
         # each (target, source) block pair holds one matrix, so nothing overlaps
         for (p, q), c0 in zip(src_cells, _offsets(src_dims)):
             if tgt == (p, q + 1):
-                _put_block(block, c0, dc.d1_at(p, q), 1)
+                _put_block(block, block_dens, c0, dc.d1_at(p, q), 1)
             elif tgt == (p + 1, q):
-                _put_block(block, c0, dc.d2_at(p, q), (-1) ** q)
+                _put_block(block, block_dens, c0, dc.d2_at(p, q), (-1) ** q)
         data.extend(block)
-    return Mat(len(data), sum(src_dims), tuple(data))
+        dens.extend(block_dens)
+    return Mat(len(data), sum(src_dims), tuple(data), tuple(dens))
 
 
-def _put_block(rows, c0, mat, sign):
-    """Write sign * mat, sign = 1 or -1, into the sparse rows from column c0."""
-    for out, row in zip(rows, mat.data):
+def _put_block(rows, dens, c0, mat, sign):
+    """Write sign * mat, sign = 1 or -1, into the integer rows over dens
+    from column c0.  The blocks of a row hold disjoint columns, each in
+    lowest terms, so the lcm of their denominators keeps the row so."""
+    for k, (row, den) in enumerate(zip(mat.data, mat.dens)):
+        if not row:
+            continue
+        d = dens[k]
+        if den != d:
+            m = lcm(d, den)
+            if m != d:
+                rows[k] = {j: x * (m // d) for j, x in rows[k].items()}
+                dens[k] = d = m
+        s = sign * (d // den)
+        out = rows[k]
         for j, v in row.items():
-            out[c0 + j] = v if sign == 1 else -v
+            out[c0 + j] = v * s
 
 
 def total_differential(dc: DoubleComplex, m: int) -> Mat:
@@ -230,11 +241,11 @@ def _filtered_reduction(dc):
         src, tgt = tgt, element_cells(m + 1)
         ech = Echelon()
         pivots = set()
-        cols = total_differential(dc, m).transpose().data
+        cols = total_differential(dc, m).int_columns()
         for c in reversed(range(len(cols))):
             if c in cleared:
                 continue
-            i = ech._insert(_int_row(cols[c])[1])
+            i = ech._insert(cols[c])
             if i is not None:
                 pivots.add(i)
                 gap = tgt[i][0] - src[c][0]
@@ -349,7 +360,7 @@ def _random_mat(rng, rows, cols, density=0.6, lo=-3, hi=3):
     data = tuple({} for _ in range(rows))
     for k in range(rows * cols):
         if rng.random() < density and (x := rng.randint(lo, hi)):
-            data[k // cols][k % cols] = F(x)
+            data[k // cols][k % cols] = x
     return Mat(rows, cols, data)
 
 
@@ -380,8 +391,7 @@ def random_double_complex(seed, width=None, height=None, maxdim=4) -> DoubleComp
                     m = Mat.zero(rows, cols)
                 else:
                     mix = _random_mat(rng, rows, left_kernel.dim, density=0.7)
-                    kmat = Mat(left_kernel.dim, cols, left_kernel.basis)
-                    m = mix.mul(kmat)
+                    m = mix.mul(left_kernel.matrix())
             d1[(p, q)] = m
             prev = m
     dc_dims = dims
@@ -403,39 +413,45 @@ def random_double_complex(seed, width=None, height=None, maxdim=4) -> DoubleComp
         def entry_index(qq, i, j):
             return offs[qq] + i * sizes[qq][1] + j
 
-        # commutation: d1' X_q - X_{q+1} d1 = 0; every unknown appears once
-        # in a row, so the rows are written, not accumulated
+        # commutation: d1' X_q - X_{q+1} d1 = 0, each equation times the
+        # denominators of its two rows; every unknown appears once in a row,
+        # so the rows are written, not accumulated
         for q in range(Q - 1):
             a = d1.get((p + 1, q), Mat.zero(dims[p + 1][q + 1], dims[p + 1][q]))
-            b_cols = d1.get((p, q), Mat.zero(dims[p][q + 1], dims[p][q])).transpose().data
+            b = d1.get((p, q), Mat.zero(dims[p][q + 1], dims[p][q])).transpose()
             for i in range(dims[p + 1][q + 1]):
                 for j in range(dims[p][q]):
-                    row = {entry_index(q, k, j): v for k, v in a.data[i].items()}
-                    row.update((entry_index(q + 1, i, k), -v) for k, v in b_cols[j].items())
+                    da, db = a.dens[i], b.dens[j]
+                    row = {entry_index(q, k, j): v * db for k, v in a.data[i].items()}
+                    row.update((entry_index(q + 1, i, k), -v * da) for k, v in b.data[j].items())
                     if row:
                         rows.append(row)
         # squared-zero with the previous column: X_q . prev_q = 0
         if prev_col is not None:
             for q in range(Q):
-                prev_cols = prev_col[q].transpose().data
+                prev_cols = prev_col[q].int_columns()
                 for i in range(sizes[q][0]):
                     for col in prev_cols:
                         row = {entry_index(q, i, k): v for k, v in col.items()}
                         if row:
                             rows.append(row)
         sol_space = kernel_of_rows(rows, nunk)
+        picks = [(coeff, den, w) for den, w in sol_space.int_basis if (coeff := rng.randint(-2, 2))]
+        # the solution sum coeff * w / den, as an integer vector over den_all
+        den_all = lcm(*[den for _, den, _ in picks])
         flat = {}
-        for b in sol_space.basis:
-            coeff = F(rng.randint(-2, 2))
-            if coeff:
-                add_scaled(flat, coeff, b)
+        for coeff, den, w in picks:
+            s = coeff * (den_all // den)
+            for k, x in w.items():
+                flat[k] = flat.get(k, 0) + s * x
+        flat = {k: x for k, x in flat.items() if x}
         col = []
         # block q of the solution is the r x c matrix X_q, row-major
         for q, ((r, c), block) in enumerate(zip(sizes, _split_blocks(flat, [r * c for r, c in sizes]))):
             data = tuple({} for _ in range(r))
             for k, x in block.items():
                 data[k // c][k % c] = x
-            col.append(Mat(r, c, data))
+            col.append(Mat.over(den_all, data, c))
             if r and c:
                 d2[(p, q)] = col[q]
         prev_col = col

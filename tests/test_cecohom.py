@@ -267,21 +267,23 @@ def test_cohomology_far_above_the_dimension_lists_no_cochain():
     assert res.dim == 0 and res.representatives == ()
 
 
-def test_delta_squared_check_raises_under_python_O():
-    """An explicit check, so python -O keeps it: on a 'module' of so(3) that
-    breaks the bracket relations, delta^2 != 0 raises InvariantViolation."""
+def _cohomology_under_python_O(module, q):
+    """Standard output of a python -O script that computes H^q(so3, module),
+    module a Python expression in F and Mat: "raised: ..." on an
+    InvariantViolation, "passed" otherwise."""
     script = textwrap.dedent(
-        """
+        f"""
+        from fractions import Fraction as F
+
         from lagfloor.cecohom import GModule, cohomology
         from lagfloor.liealg import catalog
         from lagfloor.linalg import InvariantViolation, Mat
 
         assert False, "asserts must be stripped under -O"
         g = catalog("so3")
-        # rho_1 = 1, rho_2 = rho_3 = 0 on a line: rho_[e2,e3] = rho_1 fails
-        bad = GModule(1, g, (Mat.from_rows([[1]]), Mat.zero(1, 1), Mat.zero(1, 1)))
+        bad = {module}
         try:
-            cohomology(g, bad, 1)
+            cohomology(g, bad, {q})
         except InvariantViolation as exc:
             print("raised:", exc)
         else:
@@ -294,7 +296,26 @@ def test_delta_squared_check_raises_under_python_O():
         capture_output=True, text=True, env={"PYTHONPATH": src, "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.startswith("raised:"), res.stdout
+    return res.stdout
+
+
+def test_delta_squared_check_raises_under_python_O():
+    """An explicit check, so python -O keeps it: on a 'module' of so(3) that
+    breaks the bracket relations, delta^2 != 0 raises InvariantViolation."""
+    # rho_1 = 1, rho_2 = rho_3 = 0 on a line: rho_[e2,e3] = rho_1 fails
+    out = _cohomology_under_python_O("GModule(1, g, (Mat.from_rows([[1]]), Mat.zero(1, 1), Mat.zero(1, 1)))", 1)
+    assert out.startswith("raised:"), out
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_delta_squared_check_raises_under_python_O_on_fractional_entries(q):
+    """The same certificate on action matrices with non-integer entries,
+    whose differentials are integer rows over row denominators 6 and 3: the
+    product delta_q delta_{q-1} is exact, and the bad module raises at
+    degrees 1 and 2 under python -O."""
+    rho1 = "Mat.from_rows([[F(1, 2), F(1, 3)], [0, F(2, 3)]])"
+    out = _cohomology_under_python_O(f"GModule(2, g, ({rho1}, Mat.zero(2, 2), Mat.zero(2, 2)))", q)
+    assert out.startswith("raised: delta^2 != 0"), out
 
 
 def test_delta_squared_check_raises_on_every_call():

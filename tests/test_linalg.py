@@ -3,7 +3,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -17,6 +17,7 @@ from lagfloor.linalg import (
     Mat,
     Subspace,
     add_scaled,
+    clear_denominators,
     coordinate_map,
     dense,
     homology,
@@ -49,6 +50,13 @@ def int_row(seq):
     return {i: x for i, x in enumerate(seq) if x}
 
 
+def rational_rref(rows, ncols):
+    """``rref`` of sparse rational rows, its rows read as rationals with
+    pivot entry 1 and columns ascending."""
+    pivots, red = rref([clear_denominators(r) for r in rows], ncols)
+    return pivots, [{j: F(r[j], r[p]) for j in sorted(r)} for p, r in zip(pivots, red)]
+
+
 # -- kernel_basis ------------------------------------------------------------
 
 def test_kernel_of_zero_map_is_standard_basis():
@@ -72,7 +80,7 @@ def test_kernel_of_sparse_rows_matches_dense():
                 for _ in range(rng.randint(0, 6))]
         sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
         want = kernel_basis(Mat.from_rows(rows, 7)) if rows else kernel_basis(Mat.zero(0, 7))
-        assert kernel_of_rows(sparse, 7) == want
+        assert kernel_of_rows([clear_denominators(r) for r in sparse], 7) == want
 
 
 def test_kernel_of_no_rows_is_whole_space():
@@ -82,7 +90,7 @@ def test_kernel_of_no_rows_is_whole_space():
 
 def per_pivot_kernel(rows, ncols):
     """Kernel basis built by walking every pivot row for each free column."""
-    pivots, red = rref(rows, ncols)
+    pivots, red = rational_rref(rows, ncols)
     basis = []
     for f in range(ncols):
         if f in pivots:
@@ -109,8 +117,9 @@ def test_kernel_of_rows_matches_the_per_pivot_walk():
                 for _ in range(rng.randint(0, 10))]
         systems.append((rows, ncols))
     for rows, ncols in systems:
-        assert repr(kernel_of_rows(rows, ncols).basis) == repr(per_pivot_kernel(rows, ncols))
-    assert kernel_of_rows(*systems[4]).dim == 0
+        cleared = [clear_denominators(r) for r in rows]
+        assert repr(kernel_of_rows(cleared, ncols).basis) == repr(per_pivot_kernel(rows, ncols))
+    assert kernel_of_rows([clear_denominators(r) for r in systems[4][0]], 5).dim == 0
     assert kernel_of_rows(*systems[3]).basis == ({0: F(1)}, {1: F(1)}, {2: F(1)})
 
 
@@ -336,7 +345,7 @@ def test_kernels_match_oracle(seed):
     r, c = rng.randint(1, 6), rng.randint(1, 6)
     rows = [[rng.randint(-8, 8) for _ in range(c)] for _ in range(r)]
     want = naive_fraction_rref(rows, c)
-    pivots, red = rref([sp(row) for row in rows], c)
+    pivots, red = rational_rref([sp(row) for row in rows], c)
     assert (pivots, [dense(v, c) for v in red]) == want
     assert row_reduce([int_row(row) for row in rows], c)[0] == want[0]
 
@@ -366,7 +375,7 @@ def test_interim_gcd_normalization_path_matches_oracle():
     rng = random.Random(17)
     rows = [[rng.randint(-99, 99) for _ in range(10)] for _ in range(10)]
     want = naive_fraction_rref(rows, 10)
-    pivots, red = rref([sp(row) for row in rows], 10)
+    pivots, red = rational_rref([sp(row) for row in rows], 10)
     assert (pivots, [dense(v, 10) for v in red]) == want
 
 
@@ -415,7 +424,7 @@ def dense_all(vectors, n):
 def test_linalg_returns_sparse_vectors_matching_a_dense_reference(m, xs, ts):
     rows = [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
     cols = [tuple(r[j] for r in rows) for j in range(m.cols)]
-    pivots, red = rref(m.data, m.cols)
+    pivots, red = rational_rref(m.data, m.cols)
     assert (pivots, dense_all(red, m.cols)) == naive_fraction_rref(rows, m.cols)
     assert dense_all(kernel_basis(m).basis, m.cols) == naive_kernel(rows, m.cols)
     image = image_basis(m)
@@ -458,11 +467,11 @@ def test_echelon_accepts_rank_raising_vectors_and_coordinates_match_solve(data, 
     sparse = [sp(v) for v in vectors]
     ech = Echelon()
     for k, v in enumerate(sparse):
-        rank_before = len(rref(sparse[:k], n)[0])
-        rank_after = len(rref(sparse[: k + 1], n)[0])
+        rank_before = len(rational_rref(sparse[:k], n)[0])
+        rank_after = len(rational_rref(sparse[: k + 1], n)[0])
         assert ech.insert(v) == (rank_after > rank_before)
         assert not ech.reduce(v)
-    assert len(ech.rows) == len(rref(sparse, n)[0])
+    assert len(ech.rows) == len(rational_rref(sparse, n)[0])
     target = target[:n]
     sparse_target = sp(target)
     want = solve(Mat.from_rows([list(col) for col in zip(*vectors)], len(vectors)), sparse_target) if vectors else (
@@ -498,7 +507,7 @@ def test_echelon_store_is_the_canonical_reduced_form(data, rnd, target):
     sparse = [sp(v) for v in vectors]
     for k, v in enumerate(sparse):
         ech.insert(v)
-        pivots, red = rref(sparse[: k + 1], n)
+        pivots, red = rational_rref(sparse[: k + 1], n)
         assert sorted(ech.rows) == pivots
         assert [{j: F(x, ech.rows[p][p]) for j, x in ech.rows[p].items()} for p in pivots] == red
     # the residual vanishes at every pivot and differs from v by the span
@@ -657,3 +666,91 @@ def test_quotient_by_the_zero_subspace_runs_no_elimination(monkeypatch):
     z = Subspace(4096, tuple({i: F(1)} for i in range(4096)), verified=True)
     q = quotient(z, Subspace(4096, ()))
     assert q.dim == 4096 and q.representatives is z.basis
+
+
+# -- the integer-row Mat against a Fraction reference --------------------------
+
+BIG = 10**30
+
+
+@st.composite
+def rational_lists(draw, rows, cols):
+    """Dense rows of sparse rationals: denominators differ from row to row,
+    and some numerators are near 10^30."""
+    numerators = st.one_of(st.integers(min_value=-9, max_value=9), st.integers(min_value=BIG - 9, max_value=BIG + 9),
+                           st.integers(min_value=-BIG - 9, max_value=-BIG + 9))
+    out = []
+    for _ in range(rows):
+        dens = draw(st.sampled_from([(1,), (1, 2), (3,), (2, 5, 7), (4, 6), (BIG + 1,)]))
+        entries = st.one_of(st.just(0), st.builds(F, numerators, st.sampled_from(dens)))
+        out.append(draw(st.lists(entries, min_size=cols, max_size=cols)))
+    return out
+
+
+def reference_mat(lists, cols):
+    """Mat built by value, with its canonical form checked against the lists."""
+    m = Mat.from_rows(lists, cols)
+    for row, w, den in zip(lists, m.data, m.dens):
+        assert den == lcm(*(F(x).denominator for x in row))
+        assert {j: F(x, den) for j, x in w.items()} == {j: F(x) for j, x in enumerate(row) if x}
+    return m
+
+
+def columns_of(lists, cols):
+    return [[row[j] for row in lists] for j in range(cols)]
+
+
+def rational_rows(reduction, n):
+    """The dense rational rows, pivot entry 1, of a reduction (pivots, reduced)."""
+    pivots, red = reduction
+    return pivots, [dense({j: F(x, r[p]) for j, x in r.items()}, n) for p, r in zip(pivots, red)]
+
+
+@given(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=5),
+       st.integers(min_value=0, max_value=5), st.data())
+@settings(max_examples=150, deadline=None)
+def test_integer_row_mat_matches_a_fraction_reference(rows, inner, cols, data):
+    """mul, mul_vec, transpose, entries, ==, both kept reductions, kernels,
+    images and homology of integer-row Mats equal their values computed
+    straight over Fractions."""
+    a_lists = data.draw(rational_lists(rows, inner))
+    b_lists = data.draw(rational_lists(inner, cols))
+    (v,) = data.draw(rational_lists(1, inner))
+    a, b = reference_mat(a_lists, inner), reference_mat(b_lists, cols)
+    product = [[sum((a_lists[i][k] * b_lists[k][j] for k in range(inner)), F(0)) for j in range(cols)]
+               for i in range(rows)]
+
+    assert list(a.entries) == [F(x) for row in a_lists for x in row]
+    ab = a.mul(b)
+    assert list(ab.entries) == [x for row in product for x in row]
+    assert ab == reference_mat(product, cols)
+    assert ab.is_zero() == (not any(x for row in product for x in row))
+    assert a.mul_vec(sp(v)) == sp(sum((a_lists[i][k] * v[k] for k in range(inner)), F(0)) for i in range(rows))
+    at = a.transpose()
+    assert at == reference_mat(columns_of(a_lists, inner), rows)
+    assert at.transpose() == a
+    if a_lists and any(x for row in a_lists for x in row):
+        # == compares values: one changed entry makes the matrices differ
+        i, j = next((i, j) for i, row in enumerate(a_lists) for j, x in enumerate(row) if x)
+        changed = [row[:] for row in a_lists]
+        changed[i][j] = changed[i][j] / 2
+        assert reference_mat(changed, inner) != a
+
+    assert rational_rows(a.row_reduction, inner) == naive_fraction_rref(a_lists, inner)
+    assert rational_rows(a.column_reduction, rows) == naive_fraction_rref(columns_of(a_lists, inner), rows)
+    assert dense_all(kernel_basis(a).basis, inner) == naive_kernel(a_lists, inner)
+    assert dense_all(image_basis(a).basis, rows) == naive_fraction_rref(columns_of(a_lists, inner), rows)[1]
+
+    # homology at the middle of Q^cols -> Q^inner -> Q^rows, the incoming
+    # map sending e_j to a combination of a's kernel vectors
+    kernel = naive_kernel(a_lists, inner)
+    mix = data.draw(rational_lists(len(kernel), cols)) if kernel else []
+    d_in_cols = [[sum((mix[k][j] * kernel[k][i] for k in range(len(kernel))), F(0)) for i in range(inner)]
+                 for j in range(cols)]
+    d_in = reference_mat(columns_of(d_in_cols, inner), cols) if inner else Mat.zero(0, cols)
+    h = homology(a, d_in)
+    image_rank = len(naive_fraction_rref(d_in_cols, inner)[0])
+    assert h.dim == len(kernel) - image_rank
+    reps = dense_all(h.representatives, inner)
+    assert all(not a.mul_vec(sp(r)) for r in reps)
+    assert len(naive_fraction_rref(d_in_cols + reps, inner)[0]) == image_rank + h.dim

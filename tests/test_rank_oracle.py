@@ -82,13 +82,13 @@ def sparse_mats(draw, max_dim=6):
     for _ in range(rows):
         values = draw(st.lists(entry, min_size=cols, max_size=cols))
         data.append({j: Fraction(x) for j, x in enumerate(values) if x})
-    return Mat(rows, cols, tuple(data))
+    return Mat.from_vectors(data, cols)
 
 
 @given(sparse_mats())
 @settings(max_examples=80, deadline=None)
 def test_kernel_image_and_quotient_dims_match_the_oracle(m):
-    rank = oracle_rank(m.rows, m.cols, {(i, j): x for i, row in enumerate(m.data) for j, x in row.items()})
+    rank = oracle_rank(m.rows, m.cols, {(i, j): x for i in range(m.rows) for j, x in m.vector(i).items()})
     kernel = kernel_basis(m)
     image = image_basis(m)
     assert kernel.dim == m.cols - rank

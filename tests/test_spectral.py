@@ -43,6 +43,24 @@ def test_validate_detects_random_garbage():
     assert report.violations
 
 
+def test_validate_flags_one_perturbed_fractional_d2_block():
+    """The d2 block at (0, 0) of random_double_complex(3) has row
+    denominators 5, 5 and 15; moving one entry by 1/7 breaks the complex, and
+    the exact products flag the cell, while the drawn complex validates."""
+    dc = random_double_complex(3)
+    assert validate_double_complex(dc).ok
+    block = dc.d2_at(0, 0)
+    assert set(block.dens) == {5, 15}
+    rows = [block.vector(i) for i in range(block.rows)]
+    rows[0] = {**rows[0], 1: rows[0].get(1, 0) + F(1, 7)}
+    d1 = {(p, q): dc.d1_at(p, q) for p in range(dc.width) for q in range(dc.height - 1)}
+    d2 = {(p, q): dc.d2_at(p, q) for p in range(dc.width - 1) for q in range(dc.height)}
+    d2[(0, 0)] = Mat.from_vectors(rows, block.cols)
+    report = validate_double_complex(DoubleComplex(dc.dims, d1, d2))
+    assert not report.ok
+    assert {(p, q) for _, p, q in report.violations} == {(0, 0)}
+
+
 def test_single_cell_total_cohomology():
     dc = single_cell()
     assert total_cohomology(dc, 0).dim == 1
@@ -122,7 +140,7 @@ def page_differential_lines():
     zig-zag complex; each sparse row is written as column:value pairs."""
 
     def line(label, r, p, q, m):
-        rows = " ".join("[" + " ".join(f"{j}:{x}" for j, x in sorted(row.items())) + "]" for row in m.data)
+        rows = " ".join("[" + " ".join(f"{j}:{x}" for j, x in sorted(m.vector(i).items())) + "]" for i in range(m.rows))
         return f"{label} r={r} p={p} q={q} {m.rows}x{m.cols} {rows}\n"
 
     out = []

@@ -17,14 +17,14 @@ nothing stored:
 
 from fractions import Fraction
 
-from lagfloor.linalg import Mat, Subspace, _scatter, kernel_basis, quotient, rref
+from lagfloor.linalg import Mat, Subspace, _scatter, clear_denominators, kernel_basis, quotient, rref
 from lagfloor.spectral import _q_rows
 
 
 def pivot_columns(cols):
     """Pivot column indices of the matrix whose columns are ``cols``: the
     vectors independent of those before them."""
-    pivots, _ = rref(list(_scatter(cols).values()), len(cols))
+    pivots, _ = rref([clear_denominators(r) for r in _scatter(cols).values()], len(cols))
     return pivots
 
 
@@ -73,4 +73,4 @@ def page_differential(dc, r, p, q):
         return Mat.zero(tgt.dim, src.dim)
     d_r = _q_rows(dc, [(p + i, q - i) for i in range(r)], [(tp, tq)])
     cols = tuple(tgt.reduce(d_r.mul_vec(chain)) for chain in lifts)
-    return Mat(src.dim, tgt.dim, cols).transpose()
+    return Mat.from_vectors(cols, tgt.dim).transpose()
