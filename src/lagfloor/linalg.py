@@ -150,6 +150,8 @@ class Mat:
             raise InvariantViolation(f"{len(self.dens)} row denominators for a matrix of {self.rows} rows")
         for r, den in zip(self.data, self.dens):
             _check_vector(r, self.cols, "a sparse row")
+            if type(den) is not int or r and set(map(type, r.values())) != {int}:
+                raise InvariantViolation("a row of a Mat holds an entry or a denominator that is not an int")
             if den != 1 and (den < 1 or gcd(den, *r.values()) != 1):
                 raise InvariantViolation(f"row denominator {den} is not in lowest terms with its row")
 
@@ -401,18 +403,18 @@ class Subspace:
     {index: int})`` standing for the vectors ``w / den``, which is what
     quotients eliminate.  ``basis`` gives them as {index: Fraction} vectors,
     built when first read.  Built from vectors, the basis is checked for
-    independence unless ``verified=True``; kernels, images and spans build
-    their subspaces from the rows of a reduction, with no check.
+    independence; kernels, images and spans build their subspaces from the
+    rows of a reduction, with no check.
     """
 
-    def __init__(self, ambient_dim, basis, verified=False):
+    def __init__(self, ambient_dim, basis):
         basis = tuple(basis)
         for v in basis:
             _check_vector(v, ambient_dim, "a basis vector")
         self.ambient_dim = ambient_dim
         self.int_basis = tuple(_int_row(v) for v in basis)
         self.__dict__["basis"] = basis
-        if basis and not verified:
+        if basis:
             pivots, _ = rref([w for _, w in self.int_basis], ambient_dim)
             if len(pivots) != len(basis):
                 raise InvariantViolation("basis is linearly dependent")

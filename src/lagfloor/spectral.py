@@ -11,16 +11,16 @@ of Q per complex, the persistence reduction in filtration order: a basis
 element paired across a gap of g filtration steps lives on E_0 to E_g, and an
 unpaired one on every page.
 
-Total cohomology computed directly on the antidiagonal complex is the
+Total cohomology read off the ranks of the antidiagonal complex is the
 independent oracle for the abutment identity sum_p dim E_inf^{p,m-p} =
 dim H^m(Q).
 
 A complex keeps what is derived from it: each Q_m, the reduction, each
-page asked for, and each H^m(Q).  Q_m is built once, and its row and column
-reductions are kept on that one `Mat`, so H^m and H^{m+1} share them; the
-filtered reduction reads the same Q_m through an `Echelon` of its own, and
-the totals never read that reduction.  Nothing is shared between complexes:
-`transpose` builds a new one with empty stores.
+page asked for, and each dim H^m(Q).  Q_m is built once, and its row
+reduction is kept on that one `Mat`, so H^m and H^{m+1} share it; the
+filtered reduction reads the same Q_m's columns through an `Echelon` of
+its own, and the totals never read that reduction.  Nothing is shared
+between complexes: `transpose` builds a new one with empty stores.
 """
 
 from __future__ import annotations
@@ -30,22 +30,14 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from math import lcm
 
-from .linalg import (
-    Echelon,
-    InvariantViolation,
-    Mat,
-    QuotientSpace,
-    homology,
-    kernel_basis,
-    kernel_of_rows,
-)
+from .linalg import Echelon, InvariantViolation, Mat, kernel_basis, kernel_of_rows
 
 
 # the largest double complex whose pages are computed, in cells (the sum of
 # its dims).  A cell without maps runs no elimination, for its pages or its
-# totals (the quotient by the zero subspace is Z itself): abutment_check on
-# dims [[4096]] takes about 0.02 s (2-vCPU x86-64).  What grows with the
-# cells is building the complex and eliminating its maps
+# totals (every Q_m is zero, of rank 0): abutment_check on dims [[4096]]
+# takes about 0.01 s (2-vCPU x86-64).  What grows with the cells is building
+# the complex and eliminating its maps
 MAX_COMPLEX_CELLS = 4096
 
 
@@ -189,22 +181,24 @@ def _offsets(dims):
     return out
 
 
-def total_cohomology(dc: DoubleComplex, m: int) -> QuotientSpace:
-    """H^m(Q) computed directly on the total complex (the brute-force oracle),
-    once per degree and complex: the kernel of Q_m and the image of Q_{m-1},
-    each from the reductions kept on that Q, never from the filtered
-    reduction."""
+# a record, not a bare int, because the benchmark (perfbench/workloads.py) reads .dim
+@dataclass(frozen=True)
+class TotalCohomology:
+    dim: int
+
+
+def total_cohomology(dc: DoubleComplex, m: int) -> TotalCohomology:
+    """dim H^m(Q) = dim D^m - rank Q_m - rank Q_{m-1} (Q_{-1} maps from 0),
+    the brute-force oracle, once per degree and complex: each rank is read
+    from the row reduction kept on that Q, never from the filtered
+    reduction.  Ranks do not see Q^2 != 0, so Q_m Q_{m-1} = 0 is checked."""
     h = dc._totals.get(m)
     if h is None:
-        h = dc._totals[m] = homology(total_differential(dc, m), total_differential(dc, m - 1) if m else None)
+        q, q_in = total_differential(dc, m), total_differential(dc, m - 1)
+        if not q.mul(q_in).is_zero():
+            raise InvariantViolation(f"Q^2 != 0 at degree {m}: not a double complex")
+        h = dc._totals[m] = TotalCohomology(q.cols - len(q.row_reduction[0]) - len(q_in.row_reduction[0]))
     return h
-
-
-def total_q_squared_is_zero(dc: DoubleComplex) -> bool:
-    for m in range(dc.width + dc.height):
-        if not total_differential(dc, m + 1).mul(total_differential(dc, m)).is_zero():
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +332,7 @@ def abutment_check(dc: DoubleComplex) -> AbutmentReport:
 
     The transposed total complex is the given one with its summands
     reordered and the cell (p, q) scaled by (-1)^(pq), an isomorphism, so
-    H^m(Q) is computed once per m, on dc, and read from dc where the caller
+    dim H^m(Q) is computed once per m, on dc, and read from dc where the caller
     asked for it already.  The transposed filtration runs on a fresh
     `transpose(dc)`, so its E_inf comes from a filtered reduction of its
     own, computed here from nothing of dc's."""

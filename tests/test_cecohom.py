@@ -56,7 +56,7 @@ def test_corrupted_module_detected():
     a = so3_spin1()
     bad_action = list(a.action)
     rho = bad_action[0]
-    bad_action[0] = Mat(3, 3, ({**rho.data[0], 0: rho[0, 0] + 1},) + rho.data[1:])
+    bad_action[0] = Mat(3, 3, ({**rho.data[0], 0: rho.data[0].get(0, 0) + 1},) + rho.data[1:])
     report = validate_module(GModule(3, a.algebra, tuple(bad_action)))
     assert not report.ok
     assert (0, 1) in report.violations
@@ -196,7 +196,7 @@ def random_conjugate(rng, module):
 
     # P^{-1} column by column
     inv_cols = [solve(p, {j: F(1)}) for j in range(n)]
-    pinv = Mat(n, n, tuple(inv_cols)).transpose()
+    pinv = Mat.from_vectors(inv_cols, n).transpose()
     return GModule(n, module.algebra, tuple(p.mul(m).mul(pinv) for m in module.action))
 
 

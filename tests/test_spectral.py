@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from lagfloor.linalg import Mat
+from lagfloor.linalg import InvariantViolation, Mat
 from lagfloor.spectral import (
     DoubleComplex,
     abutment_check,
@@ -12,10 +12,10 @@ from lagfloor.spectral import (
     page_infinity,
     random_double_complex,
     total_cohomology,
-    total_q_squared_is_zero,
     transpose,
     validate_double_complex,
 )
+from test_cli import run_under_O
 from zigzag import page_cell, page_differential
 
 F = Fraction
@@ -203,9 +203,42 @@ def test_transposed_page1_is_d2_cohomology():
 
 
 def test_q_squared_zero_and_sign_rule():
+    """With Q = (-1)^q d2 + d1, commuting d1 and d2 give Q^2 = 0, so the
+    check Q_m Q_{m-1} = 0 in total_cohomology passes at every degree."""
     for seed in range(10):
         dc = random_double_complex(seed)
-        assert total_q_squared_is_zero(dc)
+        for m in range(dc.width + dc.height - 1):
+            total_cohomology(dc, m)
+
+
+# a column 1 -> 1 -> 1 whose two d1 maps are both the identity, so d1 d1 != 0
+D1_SQUARED_NONZERO = """
+import sys
+from lagfloor.linalg import InvariantViolation, Mat
+from lagfloor.spectral import DoubleComplex, abutment_check, total_cohomology
+
+dc = DoubleComplex([[1, 1, 1]], {(0, 0): Mat.identity(1), (0, 1): Mat.identity(1)}, {})
+raised = 0
+for check in (lambda: total_cohomology(dc, 1), lambda: abutment_check(dc)):
+    try:
+        check()
+    except InvariantViolation:
+        raised += 1
+sys.exit(raised)
+"""
+
+
+def test_q_squared_nonzero_raises_also_under_python_O():
+    """On that column Q_1 Q_0 = d1 d1 != 0, though its ranks still give
+    dimensions; total_cohomology at degree 1 raises instead, and so does
+    abutment_check, also under python -O."""
+    dc = DoubleComplex([[1, 1, 1]], {(0, 0): Mat.identity(1), (0, 1): Mat.identity(1)}, {})
+    assert validate_double_complex(dc).violations == (("d1.d1", 0, 0),)
+    with pytest.raises(InvariantViolation, match="Q\\^2 != 0 at degree 1"):
+        total_cohomology(dc, 1)
+    with pytest.raises(InvariantViolation):
+        abutment_check(dc)
+    assert run_under_O(script=D1_SQUARED_NONZERO) == (2, "")
 
 
 def test_stabilization():
@@ -350,11 +383,11 @@ def test_total_cohomology_is_computed_once_per_degree(monkeypatch):
         assert reduced[0].dims == transpose(dc).dims
 
 
-def test_totals_and_abutment_reduce_each_q_once_by_rows_and_columns(monkeypatch):
-    """Every total_cohomology degree plus abutment_check run at most one row
-    and one column rref per Q_m of dc: H^m and H^{m+1} share Q_m and its
-    kept reductions, the quotients extend an Echelon, and the transposed
-    filtration's reduction uses an Echelon of its own."""
+def test_totals_and_abutment_row_reduce_each_q_once(monkeypatch):
+    """Every total_cohomology degree plus abutment_check run at most one
+    rref per Q_m of dc, of its rows: H^m and H^{m+1} share Q_m and its kept
+    row reduction, no Q_m is reduced by columns, and the filtered
+    reductions use Echelons of their own."""
     import lagfloor.linalg as la
     import lagfloor.spectral as sp
 
@@ -365,10 +398,12 @@ def test_totals_and_abutment_reduce_each_q_once_by_rows_and_columns(monkeypatch)
     degrees = range(dc.width + dc.height - 1)
     dims = [total_cohomology(dc, m).dim for m in degrees]
     assert abutment_check(dc).ok
-    qs = [sp.total_differential(dc, m) for m in degrees]
-    assert all(q is sp.total_differential(dc, m) for m, q in zip(degrees, qs))
-    assert len(calls) <= 2 * len(qs)
-    assert calls and [total_cohomology(fresh_copy(dc), m).dim for m in degrees] == dims
+    maps = range(-1, dc.width + dc.height - 1)  # Q_{-1} maps into D^0
+    qs = [sp.total_differential(dc, m) for m in maps]
+    assert all(q is sp.total_differential(dc, m) for m, q in zip(maps, qs))
+    assert calls and len(calls) <= len(qs) and all(any(rows is q.data for q in qs) for rows in calls)
+    assert not any("column_reduction" in q.__dict__ for q in qs)
+    assert [total_cohomology(fresh_copy(dc), m).dim for m in degrees] == dims
 
 
 @pytest.mark.parametrize("mutant", ["pairs_nothing", "one_element_unpaired"])
