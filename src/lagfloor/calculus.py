@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .expr import TP, TP_ONE, AnsatzSpec, Chart, Expr, derivation, function_monomials, mono_expr, quotient_rule
 from .exprspace import common_denominator, solve_linear_expr_system
@@ -294,6 +295,23 @@ def default_ansatz(w: OneForm) -> AnsatzSpec:
     return AnsatzSpec(degree=deg + 1, fourier=four, denominator=den_expr)
 
 
+# A process meets only a few distinct ansaetze: the default ansatz follows
+# the degree, Fourier order and denominator of the form, and a stream over
+# one family repeats them.  So a small bound keeps every one that recurs.
+@lru_cache(maxsize=32)
+def _potential_columns(ch: Chart, degree, fourier, den_num: TP, den_den: TP):
+    """The ansatz monomials m and, per m, the components of d(m/den) times
+    den^2: (dm * den - m * d den), the columns of every potential search on
+    this ansatz."""
+    monos = tuple(function_monomials(ch, degree, fourier))
+    den = Expr(ch, den_num, den_den)
+    columns = []
+    for m in monos:
+        me = mono_expr(ch, m)
+        columns.append(tuple(me.partial(name) * den - me * den.partial(name) for name in ch.names))
+    return monos, tuple(columns)
+
+
 def find_potential(w: OneForm, ansatz: AnsatzSpec | None = None) -> Expr | None:
     """Velocity-free f with df = w, searched over the ansatz basis; exact.
 
@@ -304,16 +322,8 @@ def find_potential(w: OneForm, ansatz: AnsatzSpec | None = None) -> Expr | None:
     if ansatz is None:
         ansatz = default_ansatz(w)
     ch = w.chart
-    monos = function_monomials(ch, ansatz.degree, ansatz.fourier)
     den = ansatz.denominator if ansatz.denominator is not None else Expr.const(ch, 1)
-    columns = []
-    for m in monos:
-        me = mono_expr(ch, m)
-        col = []
-        for name in ch.names:
-            # d(m/den) = (dm * den - m * d den)/den^2 ; cleared of den^2 below
-            col.append(me.partial(name) * den - me * den.partial(name))
-        columns.append(col)
+    monos, columns = _potential_columns(ch, ansatz.degree, ansatz.fourier, den.num, den.den)
     rhs = [w.components[i] * den * den for i in range(len(ch.names))]
     sol = solve_linear_expr_system(columns, rhs)
     if sol is None:

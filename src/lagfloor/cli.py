@@ -15,7 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .calculus import AnsatzExhausted
+from .calculus import AnsatzExhausted, OneForm
 from .cecohom import GModule, cochain_tuples, cohomology, validate_module
 from .expr import AnsatzTooLarge, ParseError, to_string
 from .exprspace import NotPolynomial
@@ -133,6 +133,11 @@ def _cochain_str(vec, q, m, names):
     return "; ".join(parts) if parts else "0"
 
 
+def _components_str(components) -> str:
+    """A tuple of expressions in chart order, as ``(c_1, ..., c_n)``."""
+    return "(" + ", ".join(to_string(c) for c in components) + ")"
+
+
 def _angle_combo_str(coords, angle_names):
     terms = []
     for c, a in zip(coords, angle_names):
@@ -218,10 +223,7 @@ def cmd_k_spaces(args, report):
     for idx, c in enumerate(rep.k2_reps, start=1):
         report.add(f"k2_rep_{idx}", _cochain_str(c, 2, 1, pair.algebra.basis_names))
     for idx, alpha in enumerate(rep.k3_reps, start=1):
-        report.add(
-            f"k3_rep_{idx}",
-            "(" + ", ".join(to_string(c) for c in alpha.components) + ")",
-        )
+        report.add(f"k3_rep_{idx}", _components_str(alpha.components))
     for idx, v in enumerate(rep.k4_reps, start=1):
         report.add(f"k4_rep_{idx}", _angle_combo_str(v, pair.chart.angle_names))
     return EXIT_OK
@@ -249,7 +251,9 @@ def cmd_classify(args, report):
     if res.status == "not_weakly_invariant":
         gen, residue = res.failure
         report.add("generator", gen)
-        report.add("residue", to_string(residue) if hasattr(residue, "chart") else str(residue))
+        # the split's residue is an expression, or a 1-form w that is not closed
+        text = _components_str(residue.components) if isinstance(residue, OneForm) else to_string(residue)
+        report.add("residue", text)
         return EXIT_NOT_WEAKLY_INVARIANT
     if res.status == "undetermined":
         report.add("stage", res.failure[0])

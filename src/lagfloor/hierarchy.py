@@ -36,7 +36,6 @@ from .calculus import (
     find_potential,
     harmonic_coefficient,
     is_closed,
-    lie_derivative_lagrangian,
     total_time_derivative,
 )
 from .cecohom import GModule, ce_differential, coboundary_witness, cochain_tuples, cohomology
@@ -177,7 +176,7 @@ def weak_invariance_split(p: GMPair, L: Expr) -> WeakInvarianceSplit:
     ws = []
     ts = []
     for i in range(p.algebra.dim):
-        d = lie_derivative_lagrangian(p.fields[i], L)
+        d = p.action.lie_lagrangian(i, L)
         try:
             coeffs = []
             for vn in vel_names:
@@ -421,7 +420,7 @@ def phi4(p: GMPair, L: Expr, split, alpha, k3_witness, opts: ClassifyOptions):
     l_inv = L - w.as_lagrangian() - d_el(fexpr)
     # verify: delta_i L_inv = t_i exactly (invariant on the + track)
     for i in range(p.algebra.dim):
-        d = lie_derivative_lagrangian(p.fields[i], l_inv)
+        d = p.action.lie_lagrangian(i, l_inv)
         if not (d - Expr.const(p.chart, split.t[i])).is_zero():
             raise InvariantViolation("decomposition failed verification")
     decomposition = {

@@ -43,15 +43,19 @@ class ActionTable:
 
     Every image is a sparse monomial vector ``{monomial: Fraction}``, or a
     tuple of them for a form, computed on first use and kept:
-    ``scalar(i, m)`` is X_i(m); ``oneform(i, mu, m)`` is L_{X_i}(m dq^mu),
-    one vector per dq^nu; ``twoform(i, (a, b), m)`` is L_{X_i}(m dq^a ^
-    dq^b), one vector per pair of ``TwoForm.pairs``; ``contraction(i, mu,
-    m)`` is (pi(m dq^mu))_i = m X_i^mu and ``partial(mu, m)`` is d m/dq^mu.
+    ``scalar(i, m)`` is X_i(m); ``prolonged(i, m)`` is X_i^(1)(m) for a
+    monomial in coordinates and velocities, the prolonged field X_i^mu
+    d/dq^mu + (D_t X_i^mu) d/d(dq^mu); ``oneform(i, mu, m)`` is L_{X_i}(m
+    dq^mu), one vector per dq^nu; ``twoform(i, (a, b), m)`` is L_{X_i}(m
+    dq^a ^ dq^b), one vector per pair of ``TwoForm.pairs``; ``contraction(i,
+    mu, m)`` is (pi(m dq^mu))_i = m X_i^mu and ``partial(mu, m)`` is d m/dq^mu.
     They follow from the derivative rule on monomial keys and the field
     components, read once per generator as trig polynomials; a rational
     component raises NotPolynomial.  Images are shared between callers, so
     treat them as read-only.  ``lie(i, f)`` is X_i(f) as an expression, for
-    any velocity-free f.
+    any velocity-free f, and ``lie_lagrangian(i, L)`` is delta_i L =
+    X_i^(1)(L) for a rank-1 Lagrangian; both sum the images of the terms,
+    with the quotient rule for a rational argument.
     """
 
     def __init__(self, chart_: Chart, fields):
@@ -59,21 +63,25 @@ class ActionTable:
         self.fields = fields
         self._pair_index = {ab: k for k, ab in enumerate(TwoForm.pairs(chart_))}
         self._diffs = [derivation(chart_, name) for name in chart_.names]
+        self._velocity_diffs = [derivation(chart_, name) for name in chart_.velocity_names]
         self._components_of = {}
         self._scalar = {}
+        self._prolonged = {}
         self._oneform = {}
         self._twoform = {}
         self._contraction = {}
         self._partial = {}
 
     def _components(self, i):
-        """X_i^mu and the Jacobian d X_i^mu / dq^nu, indexed [mu][nu], as
-        trig polynomials."""
+        """X_i^mu, the Jacobian d X_i^mu / dq^nu, indexed [mu][nu], and
+        D_t X_i^mu = dq^nu d X_i^mu / dq^nu, as trig polynomials."""
         comps = self._components_of.get(i)
         if comps is None:
             xs = tuple(TP(poly_terms(c)) for c in self.fields[i].components)
             jac = tuple(tuple(diff(x) for diff in self._diffs) for x in xs)
-            comps = self._components_of[i] = (xs, jac)
+            velocities = [TP.var(v) for v in self.chart.velocity_names]
+            dts = tuple(sum((v * d for v, d in zip(velocities, row)), TP()) for row in jac)
+            comps = self._components_of[i] = (xs, jac, dts)
         return comps
 
     def partial(self, mu, mono) -> dict:
@@ -93,22 +101,45 @@ class ActionTable:
             img = self._scalar[(i, mono)] = acc.terms
         return img
 
+    def prolonged(self, i, mono) -> dict:
+        """X_i^(1)(m) = X_i(m) + (D_t X_i^mu) dm/d(dq^mu), for a monomial in
+        coordinates and velocities."""
+        img = self._prolonged.get((i, mono))
+        if img is None:
+            acc = TP(self.scalar(i, mono))
+            m = TP({mono: F(1)})
+            for vdiff, dt in zip(self._velocity_diffs, self._components(i)[2]):
+                dm = vdiff(m)
+                if dm.terms and dt.terms:
+                    acc = acc + dm * dt
+            img = self._prolonged[(i, mono)] = acc.terms
+        return img
+
     def lie(self, i, f: Expr) -> Expr:
-        """X_i(f): the sum of the monomial images of f's terms, and for a
-        rational f the quotient rule on the images of numerator and
-        denominator."""
+        """X_i(f) for a velocity-free function f."""
         if not f.is_velocity_free():
             raise InvariantViolation("a Lie derivative of a function needs a velocity-free function")
-        ch = self.chart
-        if f.den.is_one():
-            return Expr(ch, self._image(i, f.num))
-        return Expr(ch, self._image(i, f.num), f.den) - Expr(ch, f.num * self._image(i, f.den), f.den * f.den)
+        return self._derive(f, lambda m: self.scalar(i, m))
 
-    def _image(self, i, tp) -> TP:
-        acc = {}
-        for m, c in tp.terms.items():
-            add_scaled(acc, c, self.scalar(i, m))
-        return TP(acc)
+    def lie_lagrangian(self, i, L: Expr) -> Expr:
+        """delta_i L = X_i^(1)(L) for a rank-1 Lagrangian L, the derivative
+        ``calculus.lie_derivative_lagrangian`` computes symbolically."""
+        if L.has_accelerations():
+            raise ValueError("rank-1 Lagrangians only")
+        out = self._derive(L, lambda m: self.prolonged(i, m))
+        if out.has_accelerations():
+            raise InvariantViolation("the Lie derivative of a rank-1 Lagrangian has no accelerations")
+        return out
+
+    def _derive(self, f: Expr, image) -> Expr:
+        """A derivation given on monomials, applied to f: the sum of the
+        images of f's terms, and for a rational f the quotient rule on the
+        images of numerator and denominator."""
+        ch = self.chart
+        num = TP(linear_image(f.num.terms, image))
+        if f.den.is_one():
+            return Expr(ch, num)
+        return Expr(ch, num, f.den) - Expr(ch, f.num * TP(linear_image(f.den.terms, image)), f.den * f.den)
 
     def contraction(self, i, mu, mono) -> dict:
         img = self._contraction.get((i, mu, mono))

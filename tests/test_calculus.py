@@ -196,6 +196,27 @@ def test_rational_potential_with_fixed_denominator():
     assert gradient(got) == w
 
 
+def test_find_potential_builds_its_columns_once_per_ansatz():
+    """The columns d(m/den) depend on the chart, degree, Fourier order and
+    denominator, not on the form: forms that share an ansatz share one
+    build, also when the denominator is parsed afresh (equal, not the same
+    object)."""
+    from lagfloor.calculus import _potential_columns
+
+    _potential_columns.cache_clear()
+    for text in ("u", "v", "u*v - 2"):
+        one_plus = parse_expr(R2, "1 + u^2 + v^2")
+        f = parse_expr(R2, text) / one_plus
+        got = find_potential(gradient(f), AnsatzSpec(3, 0, one_plus))
+        assert gradient(got) == gradient(f)
+    # default ansaetze: degree 2 for d(u^2) and d(u*v), degree 3 for d(u^3)
+    for text in ("u^2", "u*v", "u^3"):
+        f = parse_expr(R2, text)
+        assert find_potential(gradient(f)) == f
+    info = _potential_columns.cache_info()
+    assert (info.misses, info.hits) == (3, 3)
+
+
 # -- Noether identity (the key symbolic invariant) -----------------------------------
 
 def random_poly_lagrangian(rng, ch):

@@ -159,6 +159,35 @@ def test_classify_exit_code_not_weakly_invariant(tmp_path):
     assert "not_weakly_invariant" in out
 
 
+
+@pytest.mark.parametrize("flags", [None, ("-O",)], ids=["in-process", "python-O"])
+def test_classify_reports_a_non_closed_w_by_its_components(flags, tmp_path):
+    """The split reports a w_i that is not closed as the residue: its
+    components in chart order (t, x1, x2, x3), not a traceback.  Under the
+    boost B1, x1*dx2 adds t*dx2 to the kinetic term's 3*dx1."""
+    f = tmp_path / "not_closed.toml"
+    f.write_text(
+        (FIXTURES / "galilean_r4.toml").read_text().replace(
+            'expr = "m*(dx1^2 + dx2^2 + dx3^2)/(2*dt)"',
+            'expr = "m*(dx1^2 + dx2^2)/(2*dt) + x1*dx2"',
+        )
+    )
+    argv = ("--format", "machine", "classify", str(f), "--set", "m=3")
+    if flags is None:
+        code, out = run(*argv)
+    else:
+        res = subprocess.run(
+            [sys.executable, *flags, "-m", "lagfloor.cli", *argv],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+        code, out = res.returncode, res.stdout
+        assert "Traceback" not in res.stdout + res.stderr
+    assert code == 5, out
+    lines = out.splitlines()
+    assert "status = not_weakly_invariant" in lines
+    assert "generator = B1" in lines
+    assert "residue = (0, 3, t, 0)" in lines
+
 def test_classify_missing_param_is_parse_error():
     code, out = run("classify", fx("l3_cylinder.toml"), "--set", "a=1")
     assert code == 2
@@ -670,6 +699,19 @@ def test_rational_field_component_is_unsupported_input(command, flags, tmp_path)
     assert "invariant_violation" not in res.stdout
     assert "Traceback" not in res.stdout + res.stderr
 
+
+
+def test_rational_field_component_stops_the_split(tmp_path):
+    """The split reads the prolonged action from the pair's table, so on a
+    rational field component it is unsupported input (exit 4) before it can
+    judge weak invariance: dz^2 is not weakly invariant under
+    X = 1/(1 + z^2) d/dz, yet classify reports the error line, not exit 5."""
+    f = tmp_path / "rational.toml"
+    f.write_text(RATIONAL_PAIR.replace('expr = "2*z*dz"', 'expr = "dz^2"'))
+    code, out = run("--format", "machine", "classify", str(f))
+    assert code == 4, out
+    assert "error = monomial coordinates require polynomial components" in out
+    assert "not_weakly_invariant" not in out
 
 def assert_parse_error(argv, says):
     """``lagfloor argv`` exits 2 with an ``error =`` line, and raises and

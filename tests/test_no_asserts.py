@@ -37,3 +37,24 @@ def test_module_imports_no_private_name_from_linalg(name):
         if alias.name.startswith("_")
     ]
     assert private == [], f"{name} imports private linalg names {private}"
+
+
+def test_hierarchy_does_not_import_the_symbolic_prolonged_derivative():
+    """The split and phi_4's check read delta_i L from the pair's action
+    table (``ActionTable.lie_lagrangian``); the symbolic
+    ``calculus.lie_derivative_lagrangian`` stays public and is tier-1's
+    oracle, but the classifier does not call it."""
+    tree = ast.parse((PACKAGE / "hierarchy.py").read_text(), filename="hierarchy.py")
+    names = [
+        (node.lineno, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.name == "lie_derivative_lagrangian"
+    ]
+    attributes = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "lie_derivative_lagrangian"
+    ]
+    assert names == [] and attributes == [], f"hierarchy reaches lie_derivative_lagrangian at {names or attributes}"

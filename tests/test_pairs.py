@@ -5,6 +5,8 @@ import textwrap
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagfloor.calculus import (
     OneForm,
@@ -12,6 +14,7 @@ from lagfloor.calculus import (
     VectorFieldExpr,
     gradient,
     is_closed,
+    lie_derivative_lagrangian,
     lie_derivative_oneform,
     lie_derivative_scalar,
     lie_derivative_twoform,
@@ -19,6 +22,7 @@ from lagfloor.calculus import (
 from lagfloor.cecohom import cohomology
 from lagfloor.expr import TP, AnsatzSpec, Expr, function_monomials, mono_expr, parse_expr, to_string
 from lagfloor.exprspace import NotPolynomial
+from lagfloor.hierarchy import classify
 from lagfloor.linalg import InvariantViolation, dense, kernel_of_rows
 from lagfloor.pairs import (
     FunctionCochain,
@@ -32,8 +36,9 @@ from lagfloor.pairs import (
     stability_values_of_constant_cocycles,
     validate_pair,
 )
+from lagfloor.problemfile import build_lagrangian, load_problem_file
 
-from fixture_pairs import SCRIPT_ENV, SPIN1, SPIN2, fixture_pair, polynomial_module
+from fixture_pairs import FIXTURES, SCRIPT_ENV, SPIN1, SPIN2, fixture_pair, polynomial_module
 
 F = Fraction
 
@@ -223,6 +228,108 @@ def test_action_lie_on_a_rational_field_component():
                     bent.action.lie(i, f)
             else:
                 assert to_string(bent.action.lie(i, f)) == to_string(lie_derivative_scalar(x, f))
+
+
+# -- the prolonged action: delta_i L from the table ---------------------------
+
+FAMILIES = ["galilean_r4", "l3_cylinder", "so3_r3", "so3_sphere", "translations_r2", "translations_r3"]
+
+
+def family_lagrangian(name, rng):
+    """The fixture's [lagrangian] at a random nonzero rational draw of its
+    parameters."""
+    pf = load_problem_file(FIXTURES / f"{name}.toml")
+    values = {p: F(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 4)) for p in pf.section("lagrangian")["params"]}
+    return build_lagrangian(pf, values)
+
+
+def assert_lie_lagrangian_matches(pair, L, printed=True):
+    """delta_i L from the table against the symbolic prolonged derivative,
+    by value and, unless ``printed`` is false, by printed form."""
+    for i, x in enumerate(pair.fields):
+        got, want = pair.action.lie_lagrangian(i, L), lie_derivative_lagrangian(x, L)
+        assert got == want
+        if printed:
+            assert to_string(got) == to_string(want)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_lie_lagrangian_matches_the_symbolic_derivative_on_the_shipped_families(name):
+    """Every generator of every shipped pair with a Lagrangian family, at
+    random parameter draws; the split prints what this derivative gives, so
+    the printed forms must agree too."""
+    pair = fixture_pair(name)
+    rng = random.Random(name)
+    for _ in range(4):
+        assert_lie_lagrangian_matches(pair, family_lagrangian(name, rng))
+
+
+def test_lie_lagrangian_on_a_trig_lagrangian():
+    """On the cylinder X_2 = z d/dphi has D_t X_2^phi = dz, so both the
+    coordinate and the velocity terms of the prolonged field meet Fourier
+    factors."""
+    L = P("sin(phi)*dz^2 + z*cos(2*phi)*dphi + sin(phi)*cos(phi)*dphi/dz + z^2*dphi^2/(1 + z^2)")
+    assert_lie_lagrangian_matches(L3, L)
+    assert L3.action.lie_lagrangian(1, P("dphi")) == P("dz")
+
+
+@st.composite
+def lagrangian_terms(draw, pair, trig_free=False, max_terms=4):
+    """A trig polynomial in the chart's line coordinates and velocities, with
+    Fourier factors of order <= 2 on its angles unless ``trig_free``."""
+    ch = pair.chart
+    names = sorted(ch.line_names + ch.velocity_names)
+    monomial = st.tuples(
+        st.lists(st.integers(0, 2), min_size=len(names), max_size=len(names)),
+        st.tuples(*(st.one_of(st.none(), st.tuples(st.sampled_from("sc"), st.integers(1, 2)))
+                    for _ in ch.angle_names)),
+    ).map(lambda mt: (
+        tuple((n, e) for n, e in zip(names, mt[0]) if e),
+        () if trig_free else tuple(sorted((a, *f) for a, f in zip(ch.angle_names, mt[1]) if f)),
+    ))
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+    return TP(draw(st.dictionaries(monomial, coeffs, max_size=max_terms)))
+
+
+HYPOTHESIS_PAIRS = [L3, SPHERE, GAL, TRANS3]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(HYPOTHESIS_PAIRS).flatmap(lambda p: st.tuples(st.just(p), lagrangian_terms(p))))
+def test_lie_lagrangian_matches_on_random_polynomial_lagrangians(case):
+    pair, num = case
+    assert_lie_lagrangian_matches(pair, Expr(pair.chart, num))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(HYPOTHESIS_PAIRS).flatmap(lambda p: st.tuples(
+    st.just(p), lagrangian_terms(p), lagrangian_terms(p, trig_free=True, max_terms=3).filter(lambda d: not d.is_zero()))))
+def test_lie_lagrangian_matches_on_random_rational_lagrangians(case):
+    """By value only: the quotient rule on the table's images may cancel a
+    factor that the symbolic sum keeps, as for ``lie``."""
+    pair, num, den = case
+    assert_lie_lagrangian_matches(pair, Expr(pair.chart, num, den), printed=False)
+
+
+def test_lie_lagrangian_takes_rank_1_lagrangians_only():
+    """An explicit raise, as in ``lie_derivative_lagrangian``; the module
+    scan of test_no_asserts keeps it one under python -O."""
+    with pytest.raises(ValueError, match="rank-1 Lagrangians only"):
+        L3.action.lie_lagrangian(0, P("ddz*dz"))
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_a_second_classify_of_a_family_adds_no_prolonged_image(name):
+    """Parameter values of one family share their monomials, so once one
+    member is classified (the split, and on floor 4 the check of L_inv),
+    another member reads every prolonged image from the table."""
+    pair = fixture_pair(name)
+    rng = random.Random(name)
+    classify(pair, family_lagrangian(name, rng))
+    filled = len(pair.action._prolonged)
+    assert filled
+    classify(pair, family_lagrangian(name, rng))
+    assert len(pair.action._prolonged) == filled
 
 
 def test_pi_images_agree_with_the_contraction():
