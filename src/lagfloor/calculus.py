@@ -328,7 +328,7 @@ def find_potential(w: OneForm, ansatz: AnsatzSpec | None = None) -> Expr | None:
     sol = solve_linear_expr_system(columns, rhs)
     if sol is None:
         return None
-    return Expr(ch, TP({monos[k]: c for k, c in sorted(sol.items())})) / den
+    return Expr(ch, TP.from_vector({monos[k]: c for k, c in sorted(sol.items())})) / den
 
 
 def harmonic_coefficient(comp: Expr) -> Fraction:

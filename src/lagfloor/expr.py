@@ -5,9 +5,13 @@ polynomials in the line coordinates, velocities ``d<coord>``, accelerations
 ``dd<coord>`` (and the time symbol ``tau`` in Noether outputs), times at most
 one Fourier factor ``sin(k*phi)`` / ``cos(k*phi)`` per angle coordinate.
 Products of trig factors are normalized to Fourier form on the fly
-(product-to-sum identities), so a trig polynomial has one canonical
-representation and equality of expressions is decided exactly: identical
-numerator/denominator pairs, or cross multiplication.
+(product-to-sum identities, their halves kept in the denominator).  A trig
+polynomial holds integer coefficients over one positive denominator, in
+lowest terms (content and primitive part), so it has one canonical
+representation, its arithmetic is on ints, and equality of expressions is
+decided exactly: identical numerator/denominator pairs, or cross
+multiplication.  ``Fraction`` appears only where values enter or leave:
+the parser, the coefficient readers, printing and ``TP.from_vector``.
 
 Angle coordinates never appear bare: ``phi`` is not a function on the
 circle, only ``sin(k*phi)``, ``cos(k*phi)`` and the velocity ``dphi`` are.
@@ -33,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
-from math import comb
+from math import comb, gcd, lcm
 
 F = Fraction
 
@@ -60,9 +64,16 @@ class Chart:
     """Ordered chart coordinates; kind is 'line' or 'angle'."""
 
     coords: tuple[tuple[str, str], ...]
-    # read on every partial derivative, so computed once; derived from
-    # coords, it takes no part in equality, hashing or repr
+    # read on every partial derivative and membership test, so computed
+    # once; derived from coords, they take no part in equality, hashing or repr
     names: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    line_names: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    angle_names: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    velocity_names: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    acceleration_names: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    # the velocities and accelerations, which a function on the chart omits
+    jet_names: frozenset = field(init=False, compare=False, repr=False)
+    _kinds: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         names = tuple(n for n, _ in self.coords)
@@ -73,35 +84,26 @@ class Chart:
                 raise ValueError(f"a coordinate name must be a non-empty string, got {n!r}")
             if k not in (LINE, ANGLE):
                 raise ValueError(f"coordinate {n!r} has kind {k!r}; kinds are {LINE!r} and {ANGLE!r}")
-        object.__setattr__(self, "names", names)
-
-    @property
-    def line_names(self):
-        return tuple(n for n, k in self.coords if k == LINE)
-
-    @property
-    def angle_names(self):
-        return tuple(n for n, k in self.coords if k == ANGLE)
+        derived = {
+            "names": names,
+            "line_names": tuple(n for n, k in self.coords if k == LINE),
+            "angle_names": tuple(n for n, k in self.coords if k == ANGLE),
+            "velocity_names": tuple("d" + n for n in names),
+            "acceleration_names": tuple("dd" + n for n in names),
+            "_kinds": dict(self.coords),
+        }
+        derived["jet_names"] = frozenset(derived["velocity_names"] + derived["acceleration_names"])
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def kind(self, name):
-        for n, k in self.coords:
-            if n == name:
-                return k
-        raise KeyError(name)
+        return self._kinds[name]
 
     def velocity(self, name):
         return "d" + name
 
     def acceleration(self, name):
         return "dd" + name
-
-    @property
-    def velocity_names(self):
-        return tuple("d" + n for n in self.names)
-
-    @property
-    def acceleration_names(self):
-        return tuple("dd" + n for n in self.names)
 
 
 def chart(*coords):
@@ -136,37 +138,31 @@ def _max_exponents(tp):
 
 
 def _trig_pair_product(f1, f2):
-    """Product of two Fourier factors of the same angle -> [(factor|None, coeff)]."""
+    """Twice the product of two Fourier factors of the same angle ->
+    [(factor|None, sign)]: the product-to-sum rule, its 1/2 left out."""
     k1, k2 = f1[1], f2[1]
-
-    def norm(kind, k, coeff):
-        if k == 0:
-            return (None, coeff) if kind == "c" else None
-        if k < 0:
-            k = -k
-            if kind == "s":
-                coeff = -coeff
-        return ((kind, k), coeff)
-
-    half = F(1, 2)
     if f1[0] == "s" and f2[0] == "s":
-        raw = [("c", k1 - k2, half), ("c", k1 + k2, -half)]
+        raw = [("c", k1 - k2, 1), ("c", k1 + k2, -1)]
     elif f1[0] == "c" and f2[0] == "c":
-        raw = [("c", k1 - k2, half), ("c", k1 + k2, half)]
+        raw = [("c", k1 - k2, 1), ("c", k1 + k2, 1)]
     elif f1[0] == "s" and f2[0] == "c":
-        raw = [("s", k1 + k2, half), ("s", k1 - k2, half)]
+        raw = [("s", k1 + k2, 1), ("s", k1 - k2, 1)]
     else:  # c * s
-        raw = [("s", k1 + k2, half), ("s", k2 - k1, half)]
+        raw = [("s", k1 + k2, 1), ("s", k2 - k1, 1)]
     out = []
-    for kind, k, coeff in raw:
-        r = norm(kind, k, coeff)
-        if r is not None:
-            out.append(r)
+    for kind, k, sign in raw:
+        if k < 0:  # cos is even, sin is odd
+            k, sign = -k, -sign if kind == "s" else sign
+        if k:
+            out.append(((kind, k), sign))
+        elif kind == "c":
+            out.append((None, sign))
     return out
 
 
 def _mono_mul(m1, m2):
-    """Product of two monomials -> list of (monomial, coeff)."""
+    """Product of two monomials -> ([(monomial, sign)], halves): each term
+    of the product is sign / 2**halves, one 1/2 per angle in both."""
     vars_ = _merge_vars(m1[0], m2[0])
     t1, t2 = dict(), dict()
     for a, kind, k in m1[1]:
@@ -175,114 +171,174 @@ def _mono_mul(m1, m2):
         t2[a] = (kind, k)
     angles = sorted(set(t1) | set(t2))
     per_angle = []
+    halves = 0
     for a in angles:
         if a in t1 and a in t2:
-            opts = [(a, fac, co) for fac, co in _trig_pair_product(t1[a], t2[a])]
+            opts = [(a, fac, sign) for fac, sign in _trig_pair_product(t1[a], t2[a])]
+            halves += 1
         else:
             kind, k = t1.get(a) or t2.get(a)
-            opts = [(a, (kind, k), F(1))]
+            opts = [(a, (kind, k), 1)]
         per_angle.append(opts)
     results = []
     for combo in iproduct(*per_angle):
-        coeff = F(1)
+        sign = 1
         trig = []
-        for a, fac, co in combo:
-            coeff *= co
+        for a, fac, s in combo:
+            sign *= s
             if fac is not None:
                 trig.append((a, fac[0], fac[1]))
-        results.append(((vars_, tuple(sorted(trig))), coeff))
-    return results
+        results.append(((vars_, tuple(sorted(trig))), sign))
+    return results, halves
 
 
 class TP:
-    """Trig polynomial in canonical Fourier normal form."""
+    """Trig polynomial in canonical Fourier normal form.
 
-    __slots__ = ("terms",)
+    ``terms`` maps each monomial to a nonzero int and ``den`` is a positive
+    int, in lowest terms: gcd(den, *terms.values()) == 1, and the zero
+    polynomial is {} over 1.  The coefficient of m is terms[m] / den, so
+    arithmetic is on ints and ``==`` compares values.  A coefficient that
+    is not an int, or a denominator that is not a positive int, raises
+    TypeError.
+    """
 
-    def __init__(self, terms=None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
+    __slots__ = ("terms", "den")
+
+    def __init__(self, terms=None, den=1):
+        if type(den) is not int or den < 1:
+            raise TypeError(f"a trig polynomial's denominator is a positive int, got {den!r}")
+        terms = {m: c for m, c in terms.items() if c} if terms else {}
+        try:  # gcd reads every coefficient as an int, so it is the type check too
+            g = gcd(den, *terms.values())
+        except TypeError:
+            bad = next(c for c in terms.values() if not isinstance(c, int))
+            raise TypeError(f"a trig polynomial's coefficients are ints, got {bad!r}") from None
+        if g != 1:
+            den //= g
+            terms = {m: c // g for m, c in terms.items()}
+        self.terms = terms
+        self.den = den
 
     # constructors -----------------------------------------------------
     @staticmethod
     def const(c):
         c = F(c)
-        return TP({UNIT: c}) if c else TP()
+        return TP({UNIT: c.numerator}, c.denominator) if c else TP()
 
     @staticmethod
     def var(name, exp=1):
-        return TP({(((name, exp),), ()): F(1)})
+        return TP({(((name, exp),), ()): 1})
 
     @staticmethod
     def trig(angle, kind, k=1):
         if kind not in ("s", "c") or k < 1:
             raise ValueError(f"a Fourier factor is 's' or 'c' with harmonic >= 1, got {kind!r}, {k}")
-        return TP({((), ((angle, kind, k),)): F(1)})
+        return TP({((), ((angle, kind, k),)): 1})
+
+    @staticmethod
+    def from_vector(v):
+        """The trig polynomial of a sparse ``{monomial: rational}`` vector,
+        terms in the vector's order: over the lcm of its denominators."""
+        den = lcm(*[c.denominator for c in v.values()])
+        return TP({m: c.numerator * (den // c.denominator) for m, c in v.items()}, den)
+
+    @staticmethod
+    def combination(pairs, den=1):
+        """sum(c * p for c, p in pairs) / den for rational c, summed in
+        order; a coefficient that cancels is dropped at once, as
+        ``linalg.add_scaled`` drops it, so the terms come in its order."""
+        acc = {}
+        scale = 1  # acc holds the sum times scale
+        for c, p in pairs:
+            q = c.denominator * p.den
+            if scale % q:
+                up = q // gcd(scale, q)
+                acc = {m: x * up for m, x in acc.items()}
+                scale *= up
+            c = c.numerator * (scale // q)
+            for m, x in p.terms.items():
+                v = acc.get(m, 0) + c * x
+                if v:
+                    acc[m] = v
+                else:
+                    acc.pop(m, None)
+        return TP(acc, scale * den)
 
     # predicates ---------------------------------------------------------
     def is_zero(self):
         return not self.terms
 
     def is_one(self):
-        return len(self.terms) == 1 and self.terms.get(UNIT) == 1
+        return self.den == 1 and len(self.terms) == 1 and self.terms.get(UNIT) == 1
 
     def const_value(self):
         if not self.terms:
             return F(0)
-        if len(self.terms) == 1:
-            return self.terms.get(UNIT)
+        if len(self.terms) == 1 and UNIT in self.terms:
+            return F(self.terms[UNIT], self.den)
         return None
 
     def __eq__(self, other):
-        return isinstance(other, TP) and self.terms == other.terms
+        return isinstance(other, TP) and self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self.terms.items()), self.den))
 
     # arithmetic ---------------------------------------------------------
     def __add__(self, other):
-        out = dict(self.terms)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            out = dict(self.terms)
+            for m, c in other.terms.items():
+                out[m] = out.get(m, 0) + c
+            return TP(out, d1)
+        g = gcd(d1, d2)
+        a, b = d2 // g, d1 // g  # the lcm is d1 * a = d2 * b
+        out = {m: c * a for m, c in self.terms.items()}
         for m, c in other.terms.items():
-            out[m] = out.get(m, F(0)) + c
-        return TP(out)
+            out[m] = out.get(m, 0) + c * b
+        return TP(out, d1 * a)
 
     def __neg__(self):
-        return TP({m: -c for m, c in self.terms.items()})
+        return TP({m: -c for m, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        c = F(c)
+        """self times the rational c."""
         if not c:
             return TP()
-        return TP({m: v * c for m, v in self.terms.items()})
+        n = c.numerator
+        return TP({m: v * n for m, v in self.terms.items()}, self.den * c.denominator)
 
     def __mul__(self, other):
         out = {}
+        shift = 0  # out holds the product times 2**shift
         for m1, c1 in self.terms.items():
             v1, t1 = m1
             for m2, c2 in other.terms.items():
                 v2, t2 = m2
                 c = c1 * c2
                 if t1 or t2:
-                    for m, extra in _mono_mul(m1, m2):
-                        out[m] = out.get(m, F(0)) + c * extra
+                    products, halves = _mono_mul(m1, m2)
+                    if halves > shift:
+                        out = {m: x << (halves - shift) for m, x in out.items()}
+                        shift = halves
+                    c <<= shift - halves
+                    for m, sign in products:
+                        out[m] = out.get(m, 0) + (c if sign > 0 else -c)
                     continue
                 # two trig-free monomials: one product, no Fourier expansion
+                if shift:
+                    c <<= shift
                 m = (_merge_vars(v1, v2) if v1 and v2 else v1 or v2, ())
                 out[m] = out[m] + c if m in out else c
-        return TP(out)
+        return TP(out, (self.den * other.den) << shift)
 
     # structure ----------------------------------------------------------
-    def angle_names(self):
-        s = set()
-        for _, trig in self.terms:
-            for a, _k, _n in trig:
-                s.add(a)
-        return s
-
     def has_any_var(self, names):
-        names = set(names)
         return any(n in names for vars_, _ in self.terms for n, _e in vars_)
 
     def is_trig_free(self):
@@ -308,7 +364,11 @@ class TP:
         return max(self.terms) if self.terms else None
 
     def coeff(self, mono):
-        return self.terms.get(mono, F(0))
+        return F(self.terms.get(mono, 0), self.den)
+
+    def vector(self):
+        """The sparse ``{monomial: Fraction}`` vector of the coefficients."""
+        return {m: F(c, self.den) for m, c in self.terms.items()}
 
     # calculus -----------------------------------------------------------
     def partial_var(self, name):
@@ -323,8 +383,8 @@ class TP:
             else:
                 d[name] = e - 1
             m = (tuple(sorted(d.items())), trig)
-            out[m] = out.get(m, F(0)) + c * e
-        return TP(out)
+            out[m] = out.get(m, 0) + c * e
+        return TP(out, self.den)
 
     def partial_angle(self, angle):
         out = {}
@@ -339,8 +399,8 @@ class TP:
                     new = trig[:i] + ((a, "s", k),) + trig[i + 1 :]
                     coeff = -c * k
                 m = (vars_, new)
-                out[m] = out.get(m, F(0)) + coeff
-        return TP(out)
+                out[m] = out.get(m, 0) + coeff
+        return TP(out, self.den)
 
     # evaluation -----------------------------------------------------------
     def evaluate(self, var_values, angle_values):
@@ -363,11 +423,13 @@ class TP:
                 s, co = cache[key]
                 val *= s if kind == "s" else co
             total += val
-        return total
+        return total / self.den
 
     # exact division -------------------------------------------------------
     def divide_by(self, d):
-        """Exact quotient self/d for trig-free d, or None if not divisible."""
+        """Exact quotient self/d for trig-free d, or None if not divisible:
+        fraction-free long division of the numerators, which multiplies the
+        remainder and quotient up when d's leading coefficient needs it."""
         if d.is_zero():
             raise ZeroDivisionError
         if not d.is_trig_free():
@@ -376,7 +438,7 @@ class TP:
             return TP()
         dc = d.const_value()
         if dc is not None:
-            return self.scale(F(1) / dc)
+            return self.scale(1 / dc)
         # deg_n(q*d) = deg_n(q) + deg_n(d) for every variable n, so a
         # dividend of lower degree than d in some n is not a multiple of d
         dmax = _max_exponents(d)
@@ -401,28 +463,34 @@ class TP:
 
         dd = {dense(v): c for v, c in dpoly.items()}
         dlead = max(dd)
+        lc = dd[dlead]
         out = {}
+        scale = 1  # rem and out hold their values times scale
         for trig, g in groups.items():
-            rem = {dense(v): c for v, c in g.items()}
-            quo = {}
+            rem = {dense(v): c * scale for v, c in g.items()}
             while rem:
                 m = max(rem)
                 if any(a < b for a, b in zip(m, dlead)):
                     return None
                 qm = tuple(a - b for a, b in zip(m, dlead))
-                qc = rem[m] / dd[dlead]
-                quo[qm] = qc
+                if rem[m] % lc:
+                    up = abs(lc) // gcd(rem[m], lc)
+                    rem = {k: x * up for k, x in rem.items()}
+                    out = {k: x * up for k, x in out.items()}
+                    scale *= up
+                qc = rem[m] // lc
+                out[(sparse(qm), trig)] = qc
                 for dm, dc2 in dd.items():
                     t = tuple(a + b for a, b in zip(qm, dm))
-                    nv = rem.get(t, F(0)) - qc * dc2
+                    nv = rem.get(t, 0) - qc * dc2
                     if nv:
                         rem[t] = nv
                     else:
                         rem.pop(t, None)
-            for qm, qc in quo.items():
-                mono = (sparse(qm), trig)
-                out[mono] = out.get(mono, F(0)) + qc
-        return TP(out)
+        # self / d is (the numerators' quotient) * d.den / self.den
+        if d.den != 1:
+            out = {mono: x * d.den for mono, x in out.items()}
+        return TP(out, self.den * scale)
 
     def common_var_factor(self):
         """Largest monomial in the plain variables dividing every term."""
@@ -446,10 +514,10 @@ class TP:
                 if d[n] < 0:
                     raise ValueError("the factor must divide every term")
             out[(tuple(sorted((n, e) for n, e in d.items() if e)), trig)] = c
-        return TP(out)
+        return TP(out, self.den)
 
     def __repr__(self):
-        return f"TP({self.terms!r})"
+        return f"TP({self.terms!r}, {self.den})"
 
 
 TP_ONE = TP.const(1)
@@ -595,11 +663,11 @@ class Expr:
 
     # structure ----------------------------------------------------------
     def is_velocity_free(self):
-        vel = set(self.chart.velocity_names) | set(self.chart.acceleration_names)
-        return not (self.num.has_any_var(vel) or self.den.has_any_var(vel))
+        jet = self.chart.jet_names
+        return not (self.num.has_any_var(jet) or self.den.has_any_var(jet))
 
     def has_accelerations(self):
-        acc = set(self.chart.acceleration_names)
+        acc = self.chart.acceleration_names
         return self.num.has_any_var(acc) or self.den.has_any_var(acc)
 
     def line_degree(self):
@@ -613,7 +681,7 @@ class Expr:
         names = set(names)
 
         def kill(tp):
-            return TP({m: c for m, c in tp.terms.items() if not any(n in names for n, _ in m[0])})
+            return TP({m: c for m, c in tp.terms.items() if not any(n in names for n, _ in m[0])}, tp.den)
 
         den = kill(self.den)
         if den.is_zero():
@@ -681,9 +749,9 @@ def _reduce_fraction(num, den):
     if q is not None:
         return q, TP_ONE
     # monic denominator (leading coefficient 1) for a canonical pair
-    lead = den.coeff(den.lead_monomial())
-    if lead != 1:
-        inv = F(1) / lead
+    lead = den.terms[den.lead_monomial()]
+    if lead != den.den:
+        inv = F(den.den, lead)
         num, den = num.scale(inv), den.scale(inv)
     return num, den
 
@@ -753,7 +821,7 @@ def function_monomials(chart_, degree, fourier):
 
 
 def mono_expr(chart_, mono):
-    return Expr(chart_, TP({mono: F(1)}))
+    return Expr(chart_, TP({mono: 1}))
 
 
 # ---------------------------------------------------------------------------
@@ -979,7 +1047,7 @@ def _tp_to_string(tp):
     items = sorted(tp.terms.items(), reverse=True)
     out = []
     for i, (m, c) in enumerate(items):
-        piece = _mono_to_string(m, c)
+        piece = _mono_to_string(m, F(c, tp.den))
         if i == 0:
             out.append(piece if c > 0 else f"-{piece}")
         else:

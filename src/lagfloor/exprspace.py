@@ -4,15 +4,16 @@ Several solvers (potential finding, cocycle spaces, the K-spaces and the
 phi_3 witness) reduce "these expressions must vanish / be dependent" to
 exact linear algebra: bring everything over a common denominator, read off
 monomial coordinates of the numerators, and hand the rows to ``linalg``.  A
-term may also come as the sparse monomial vector ``{monomial: coefficient}``
-of a polynomial, which is how the pair's action table gives its images; it
-is read as it is.
+term may also come as a trig polynomial, which is how the pair's action
+table gives its images; its integer coefficients are read as they are.
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
+
 from .expr import Expr, TP, TP_ONE
-from .linalg import InvariantViolation, clear_denominators, solve_rows
+from .linalg import InvariantViolation, solve_rows
 
 
 def tp_lcm(a: TP, b: TP) -> TP:
@@ -57,44 +58,49 @@ class NotPolynomial(Exception):
     a failed certificate, so the CLI reports it as undetermined (exit 4)."""
 
 
-def poly_terms(e: Expr) -> dict:
-    """{monomial: coefficient} of a polynomial expression."""
+def polynomial(e: Expr) -> TP:
+    """The trig polynomial a polynomial expression is."""
     if not e.den.is_one():
         raise NotPolynomial("monomial coordinates require polynomial components")
-    return e.num.terms
+    return e.num
 
 
 def equation_rows(terms):
     """Integer rows ``{unknown: int}`` of one identity sum == 0.
 
     ``terms`` are (unknown, scale, term) triples standing for
-    unknown * scale * term, where a term is an expression or a polynomial
-    given as its ``{monomial: coefficient}`` dict; an unknown may repeat,
-    and its contributions add.  Polynomial terms give their monomial
-    coordinates directly; when an expression term is rational the identity
-    is first cleared to a common denominator.  One row per monomial, each
-    cleared of its own denominators; zero rows dropped.
+    unknown * scale * term, with a rational scale, where a term is an
+    expression or a trig polynomial; an unknown may repeat, and its
+    contributions add.  Trig polynomials give their monomial coordinates
+    directly; when an expression term is rational the identity is first
+    cleared to a common denominator.  One row per monomial, over the
+    integer lcm of the terms' denominators and divided by its content;
+    zero rows dropped.
     """
-    terms = [t for t in terms if (t[2] if isinstance(t[2], dict) else not t[2].is_zero())]
+    terms = [t for t in terms if not t[2].is_zero()]
     exprs = [e for _, _, e in terms if isinstance(e, Expr)]
     if all(e.den.is_one() for e in exprs):
-        nums = [e if isinstance(e, dict) else e.num.terms for _, _, e in terms]
+        nums = [e.num if isinstance(e, Expr) else e for _, _, e in terms]
     else:
         ch = exprs[0].chart
-        _, nums = common_denominator([e if isinstance(e, Expr) else Expr(ch, TP(e)) for _, _, e in terms])
-        nums = [num.terms for num in nums]
+        _, nums = common_denominator([e if isinstance(e, Expr) else Expr(ch, e) for _, _, e in terms])
+    den = lcm(*[scale.denominator * num.den for (_, scale, _), num in zip(terms, nums)])
     rows = {}
     for (k, scale, _), num in zip(terms, nums):
-        for m, c in num.items():
+        c = scale.numerator * (den // (scale.denominator * num.den))
+        for m, x in num.terms.items():
             row = rows.setdefault(m, {})
-            v = c if scale == 1 else scale * c
-            if k in row:  # adding to 0 would cost a Fraction addition
-                v += row[k]
+            v = row.get(k, 0) + c * x
             if v:
                 row[k] = v
             else:
                 row.pop(k, None)
-    return [clear_denominators(r) for r in rows.values() if r]
+    out = []
+    for r in rows.values():
+        if r:
+            g = gcd(*r.values())
+            out.append({k: x // g for k, x in r.items()} if g != 1 else r)
+    return out
 
 
 def solve_linear_expr_system(columns: list[list[Expr]], rhs: list[Expr]):

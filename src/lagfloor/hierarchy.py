@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
+from math import lcm
 
 from .calculus import (
     AnsatzExhausted,
@@ -39,7 +41,7 @@ from .calculus import (
     total_time_derivative,
 )
 from .cecohom import GModule, ce_differential, coboundary_witness, cochain_tuples, cohomology
-from .expr import TP, UNIT, AnsatzSpec, EvaluationPole, Expr, function_monomials
+from .expr import TP, TP_ZERO, AnsatzSpec, EvaluationPole, Expr, function_monomials
 from .exprspace import equation_rows
 from .liealg import zero_one_cocycles
 from .linalg import (
@@ -323,7 +325,7 @@ def phi3(p: GMPair, alpha: FunctionCochain, opts: ClassifyOptions):
     rows = closedness_rows(p, monos)
     for i in range(n):
         terms = [(k, 1, act.contraction(i, mu, m)) for k, (mu, m) in enumerate(units)]
-        terms += [(nw + a, 1, {UNIT: tvec[i]}) for a, tvec in enumerate(z1.basis) if i in tvec]
+        terms += [(nw + a, 1, TP.const(tvec[i])) for a, tvec in enumerate(z1.basis) if i in tvec]
         terms += [(nw + nt + k, 1, act.scalar(i, m)) for k, m in enumerate(fmonos)]
         terms.append((nunk, -1, alpha.components[i]))
         rows.extend(equation_rows(terms))
@@ -334,18 +336,18 @@ def phi3(p: GMPair, alpha: FunctionCochain, opts: ClassifyOptions):
         for k, x in wvec.items():
             mu, m = units[k]
             wterms[mu][m] = x
-        w = OneForm(ch, tuple(Expr(ch, TP(terms)) for terms in wterms))
+        w = OneForm(ch, tuple(Expr(ch, TP.from_vector(terms)) for terms in wterms))
         t2 = {}
         for a, tvec in enumerate(z1.basis):
             add_scaled(t2, sol.get(nw + a, 0), tvec)
         t2 = dense(t2, n)
-        fexpr = Expr(ch, TP({m: sol[k] for k, m in enumerate(fmonos, nw + nt) if k in sol}))
+        fexpr = Expr(ch, TP.from_vector({m: sol[k] for k, m in enumerate(fmonos, nw + nt) if k in sol}))
         if not is_closed(w):
             raise InvariantViolation("the witness form must be closed")
         # exact witness check; pi_images certifies both naturality identities
         (pw,) = pi_images(p, units, [wvec])
         for i in range(n):
-            rebuilt = Expr(ch, TP(pw[i])) + Expr.const(ch, t2[i]) + p.action.lie(i, fexpr)
+            rebuilt = Expr(ch, pw[i]) + Expr.const(ch, t2[i]) + p.action.lie(i, fexpr)
             if not (rebuilt - alpha.components[i]).is_zero():
                 raise InvariantViolation("the rebuilt witness must reproduce alpha")
         return ClassValue(ZERO, None), (w, t2, fexpr)
@@ -579,7 +581,7 @@ def k3_space(p: GMPair, opts: ClassifyOptions):
     act = p.action
     monos = function_monomials(ch, opts.degree, opts.fourier)
     nm = len(monos)
-    mono_vectors = [{m: F(1)} for m in monos]
+    mono_vectors = [TP({m: 1}) for m in monos]
     # cocycle system: unknown i * nm + k is the coefficient of monos[k] in alpha_i
     rows = []
     for a in range(n):
@@ -607,32 +609,35 @@ def k3_space(p: GMPair, opts: ClassifyOptions):
         return {col - col % nm + rank[col % nm]: x for col, x in v.items()}
 
     zsub = Subspace.spanned_by([permuted(v) for v in zbasis], ambient)
-    # denominator generators as cochains of {monomial: coefficient} dicts
+    # denominator generators as cochains of trig polynomials
     units = [(mu, m) for mu in range(len(ch.names)) for m in monos]
     closed = kernel_of_rows(closedness_rows(p, monos), len(units))
     fixed = pi_images(p, units, closed.basis)
     for tvec in zero_one_cocycles(g).basis:
-        fixed.append([{UNIT: tvec[i]} if i in tvec else {} for i in range(n)])
+        fixed.append([TP.const(tvec.get(i, 0)) for i in range(n)])
     position = {m: rank[k] for k, m in enumerate(monos)}
 
     def inside_span(gens):
-        """Vectors spanning span(gens) intersected with the ansatz space."""
+        """Vectors spanning span(gens) intersected with the ansatz space; each
+        generator is read times its denominators' lcm, which the span ignores."""
         outside = {}
         inside = []
         for j, cochain in enumerate(gens):
+            den = lcm(*[tp.den for tp in cochain])
             vec = {}
-            for slot, terms in enumerate(cochain):
-                for m, c in terms.items():
+            for slot, tp in enumerate(cochain):
+                up = den // tp.den
+                for m, c in tp.terms.items():
                     if m in position:
-                        vec[slot * nm + position[m]] = c
+                        vec[slot * nm + position[m]] = c * up
                     else:
-                        outside.setdefault((slot, m), {})[j] = c
+                        outside.setdefault((slot, m), {})[j] = c * up
             inside.append(vec)
         out = []
-        # combinations whose outside coordinates cancel
-        for combo in kernel_of_rows([clear_denominators(r) for r in outside.values()], len(gens)).basis:
+        # combinations whose outside coordinates cancel, over integers
+        for combo in kernel_of_rows(list(outside.values()), len(gens)).basis:
             acc = {}
-            for k, c in sorted(combo.items()):
+            for k, c in clear_denominators(dict(sorted(combo.items()))).items():
                 add_scaled(acc, c, inside[k])
             out.append(acc)
         return out
@@ -651,7 +656,7 @@ def k3_space(p: GMPair, opts: ClassifyOptions):
                 comps = [{} for _ in range(n)]
                 for col, c in sorted(v.items()):
                     comps[col // nm][monos[order[col % nm]]] = c
-                reps.append(FunctionCochain(p, tuple(Expr(ch, TP(terms)) for terms in comps)))
+                reps.append(FunctionCochain(p, tuple(Expr(ch, TP.from_vector(terms)) for terms in comps)))
             return _certify_k3(p, qt.dim, tuple(reps))
         prev = qt.dim
     raise UndeterminedError(3, AnsatzSpec(opts.degree + extra, opts.fourier))
@@ -725,8 +730,9 @@ class InvarianceComplex:
 
 
 def _keyed_terms(keys, comps):
-    """{(key, monomial): coefficient} of the component vectors, one per key."""
-    return {(key, m): c for key, comp in zip(keys, comps) for m, c in comp.items()}
+    """{(key, monomial): coefficient} of the component trig polynomials,
+    one per key."""
+    return {(key, m): c for key, comp in zip(keys, comps) for m, c in comp.vector().items()}
 
 
 def _largest_invariant_subspace(basis, unit_images):
@@ -783,14 +789,10 @@ def build_invariance_double_complex(p: GMPair, opts: ClassifyOptions | None = No
     pairs = TwoForm.pairs(ch)
     monos = function_monomials(ch, opts.degree, opts.fourier)
 
-    def f_unit(i):
-        return lambda m: act.scalar(i, m)
-
-    def w_unit(i):
-        return lambda unit: _keyed_terms(range(ncoords), act.oneform(i, *unit))
-
-    def t_unit(i):
-        return lambda unit: _keyed_terms(pairs, act.twoform(i, *unit))
+    # the unit images as {unit: Fraction} vectors, each built once
+    f_units = [cache(lambda m, i=i: act.scalar(i, m).vector()) for i in range(n)]
+    w_units = [cache(lambda unit, i=i: _keyed_terms(range(ncoords), act.oneform(i, *unit))) for i in range(n)]
+    t_units = [cache(lambda unit, i=i: _keyed_terms(pairs, act.twoform(i, *unit))) for i in range(n)]
 
     def df_unit(m):
         return _keyed_terms(range(ncoords), [act.partial(mu, m) for mu in range(ncoords)])
@@ -799,14 +801,14 @@ def build_invariance_double_complex(p: GMPair, opts: ClassifyOptions | None = No
         """d(m dq^mu): dm/dq^a on the pair (a, mu), -dm/dq^b on (mu, b)."""
         mu, m = unit
         comps = [
-            act.partial(a, m) if b == mu else {k: -c for k, c in act.partial(b, m).items()} if a == mu else {}
+            act.partial(a, m) if b == mu else -act.partial(b, m) if a == mu else TP_ZERO
             for a, b in pairs
         ]
         return _keyed_terms(pairs, comps)
 
-    f_basis = _largest_invariant_subspace([{m: F(1)} for m in monos], [f_unit(i) for i in range(n)])
+    f_basis = _largest_invariant_subspace([{m: F(1)} for m in monos], f_units)
     forms = [{(mu, m): F(1)} for mu in range(ncoords) for m in monos]
-    w_basis = _largest_invariant_subspace(forms, [w_unit(i) for i in range(n)])
+    w_basis = _largest_invariant_subspace(forms, w_units)
     # Omega^2 = d(Omega^1): an independent subset, deterministic
     ech = Echelon()
     t_basis = [tw for tw in (linear_image(w, dw_unit) for w in w_basis) if ech.insert(tw)]
@@ -814,8 +816,8 @@ def build_invariance_double_complex(p: GMPair, opts: ClassifyOptions | None = No
     cells_needed = 2 ** n * (len(f_basis) + len(w_basis) + len(t_basis))
     if cells_needed > MAX_COMPLEX_CELLS:
         raise ComplexTooLarge("invariance complex", cells_needed)
-    families = [(f_basis, f_unit), (w_basis, w_unit)] + ([(t_basis, t_unit)] if t_basis else [])
-    modules = [action_module(g, family, [unit(i) for i in range(n)]) for family, unit in families]
+    families = [(f_basis, f_units), (w_basis, w_units)] + ([(t_basis, t_units)] if t_basis else [])
+    modules = [action_module(g, family, units) for family, units in families]
     if f_basis and w_basis:
         d_f_to_w = coordinate_map(w_basis, [linear_image(f, df_unit) for f in f_basis], "image escaped the target family")
     else:

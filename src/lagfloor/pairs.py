@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from .calculus import OneForm, TwoForm, VectorFieldExpr
 from .cecohom import GModule, NotACocycle, validate_module
 from .expr import TP, AnsatzSpec, Chart, Expr, derivation, function_monomials
-from .exprspace import equation_rows, poly_terms
+from .exprspace import equation_rows, polynomial
 from .liealg import StructureConstants, zero_one_cocycles
 from .linalg import (
     InvariantViolation,
@@ -41,8 +42,9 @@ F = Fraction
 class ActionTable:
     """The generator action on monomials and elementary 1- and 2-forms.
 
-    Every image is a sparse monomial vector ``{monomial: Fraction}``, or a
-    tuple of them for a form, computed on first use and kept:
+    Every image is a trig polynomial, the sparse monomial vector of integer
+    coefficients over one denominator, or a tuple of them for a form,
+    computed on first use and kept:
     ``scalar(i, m)`` is X_i(m); ``prolonged(i, m)`` is X_i^(1)(m) for a
     monomial in coordinates and velocities, the prolonged field X_i^mu
     d/dq^mu + (D_t X_i^mu) d/d(dq^mu); ``oneform(i, mu, m)`` is L_{X_i}(m
@@ -77,42 +79,42 @@ class ActionTable:
         D_t X_i^mu = dq^nu d X_i^mu / dq^nu, as trig polynomials."""
         comps = self._components_of.get(i)
         if comps is None:
-            xs = tuple(TP(poly_terms(c)) for c in self.fields[i].components)
+            xs = tuple(polynomial(c) for c in self.fields[i].components)
             jac = tuple(tuple(diff(x) for diff in self._diffs) for x in xs)
             velocities = [TP.var(v) for v in self.chart.velocity_names]
             dts = tuple(sum((v * d for v, d in zip(velocities, row)), TP()) for row in jac)
             comps = self._components_of[i] = (xs, jac, dts)
         return comps
 
-    def partial(self, mu, mono) -> dict:
+    def partial(self, mu, mono) -> TP:
         img = self._partial.get((mu, mono))
         if img is None:
-            img = self._partial[(mu, mono)] = self._diffs[mu](TP({mono: F(1)})).terms
+            img = self._partial[(mu, mono)] = self._diffs[mu](TP({mono: 1}))
         return img
 
-    def scalar(self, i, mono) -> dict:
+    def scalar(self, i, mono) -> TP:
         img = self._scalar.get((i, mono))
         if img is None:
             acc = TP()
             for mu, x in enumerate(self._components(i)[0]):
                 dm = self.partial(mu, mono)
-                if dm and x.terms:
-                    acc = acc + TP(dm) * x
-            img = self._scalar[(i, mono)] = acc.terms
+                if dm.terms and x.terms:
+                    acc = acc + dm * x
+            img = self._scalar[(i, mono)] = acc
         return img
 
-    def prolonged(self, i, mono) -> dict:
+    def prolonged(self, i, mono) -> TP:
         """X_i^(1)(m) = X_i(m) + (D_t X_i^mu) dm/d(dq^mu), for a monomial in
         coordinates and velocities."""
         img = self._prolonged.get((i, mono))
         if img is None:
-            acc = TP(self.scalar(i, mono))
-            m = TP({mono: F(1)})
+            acc = self.scalar(i, mono)
+            m = TP({mono: 1})
             for vdiff, dt in zip(self._velocity_diffs, self._components(i)[2]):
                 dm = vdiff(m)
                 if dm.terms and dt.terms:
                     acc = acc + dm * dt
-            img = self._prolonged[(i, mono)] = acc.terms
+            img = self._prolonged[(i, mono)] = acc
         return img
 
     def lie(self, i, f: Expr) -> Expr:
@@ -136,15 +138,19 @@ class ActionTable:
         images of f's terms, and for a rational f the quotient rule on the
         images of numerator and denominator."""
         ch = self.chart
-        num = TP(linear_image(f.num.terms, image))
+
+        def derived(tp):
+            return TP.combination(((c, image(m)) for m, c in tp.terms.items()), tp.den)
+
+        num = derived(f.num)
         if f.den.is_one():
             return Expr(ch, num)
-        return Expr(ch, num, f.den) - Expr(ch, f.num * TP(linear_image(f.den.terms, image)), f.den * f.den)
+        return Expr(ch, num, f.den) - Expr(ch, f.num * derived(f.den), f.den * f.den)
 
-    def contraction(self, i, mu, mono) -> dict:
+    def contraction(self, i, mu, mono) -> TP:
         img = self._contraction.get((i, mu, mono))
         if img is None:
-            img = (TP({mono: F(1)}) * self._components(i)[0][mu]).terms
+            img = TP({mono: 1}) * self._components(i)[0][mu]
             self._contraction[(i, mu, mono)] = img
         return img
 
@@ -153,10 +159,10 @@ class ActionTable:
         nonzero terms for an elementary form."""
         img = self._oneform.get((i, mu, mono))
         if img is None:
-            m = TP({mono: F(1)})
+            m = TP({mono: 1})
             comps = [m * d for d in self._components(i)[1][mu]]
-            comps[mu] = comps[mu] + TP(self.scalar(i, mono))
-            img = self._oneform[(i, mu, mono)] = tuple(c.terms for c in comps)
+            comps[mu] = comps[mu] + self.scalar(i, mono)
+            img = self._oneform[(i, mu, mono)] = tuple(comps)
         return img
 
     def twoform(self, i, ab, mono) -> tuple:
@@ -166,9 +172,9 @@ class ActionTable:
         if img is None:
             a, b = ab
             jac = self._components(i)[1]
-            m = TP({mono: F(1)})
+            m = TP({mono: 1})
             comps = [TP() for _ in self._pair_index]
-            comps[self._pair_index[ab]] = TP(self.scalar(i, mono))
+            comps[self._pair_index[ab]] = self.scalar(i, mono)
             for r in range(len(jac)):
                 # the dq^r terms of m d(X^a) ^ dq^b and of m dq^a ^ d(X^b)
                 for p, q, d in ((r, b, jac[a][r]), (a, r, jac[b][r])):
@@ -176,7 +182,7 @@ class ActionTable:
                         comps[self._pair_index[(p, q)]] += m * d
                     elif p > q:
                         comps[self._pair_index[(q, p)]] -= m * d
-            img = self._twoform[(i, ab, mono)] = tuple(c.terms for c in comps)
+            img = self._twoform[(i, ab, mono)] = tuple(comps)
         return img
 
 
@@ -273,7 +279,7 @@ def pi_images(p: GMPair, units, basis):
     delta(pi w) = 0 and L_{X_i} w = d((pi w)_i), are checked exactly on
     every basis vector, from the pair's action table; linearity carries
     them to the span.  A failure raises InvariantViolation.  Returns one
-    list of n {monomial: coefficient} dicts per basis vector.
+    list of n trig polynomials per basis vector.
     """
     g = p.algebra
     n = g.dim
@@ -286,30 +292,26 @@ def pi_images(p: GMPair, units, basis):
     out = []
     for v in basis:
         support = [(*units[k], c) for k, c in sorted(v.items())]
-        pw = []
-        for i in range(n):
-            acc = {}
-            for mu, m, c in support:
-                add_scaled(acc, c, act.contraction(i, mu, m))
-            pw.append(acc)
+        pw = [TP.combination((c, act.contraction(i, mu, m)) for mu, m, c in support) for i in range(n)]
+        # each identity times the denominators of the pw it reads, summed
+        # once over integer coefficients
         for a, b, structure in brackets:
-            acc = {}
-            for m, c in pw[b].items():
-                add_scaled(acc, c, act.scalar(a, m))
-            for m, c in pw[a].items():
-                add_scaled(acc, -c, act.scalar(b, m))
-            for k, ck in structure:
-                add_scaled(acc, -ck, pw[k])
-            if acc:
+            da, db = pw[a].den, pw[b].den
+            residual = chain(
+                ((x * da, act.scalar(a, m)) for m, x in pw[b].terms.items()),
+                ((-x * db, act.scalar(b, m)) for m, x in pw[a].terms.items()),
+                ((-ck * da * db, pw[k]) for k, ck in structure),
+            )
+            if TP.combination(residual).terms:
                 raise InvariantViolation("pi of a closed form must be a cocycle")
         for i in range(n):
+            scaled = [(mu, m, c * pw[i].den) for mu, m, c in support]
             for nu in range(len(p.chart.names)):
-                acc = {}
-                for mu, m, c in support:
-                    add_scaled(acc, c, act.oneform(i, mu, m)[nu])
-                for m, c in pw[i].items():
-                    add_scaled(acc, -c, act.partial(nu, m))
-                if acc:
+                residual = chain(
+                    ((c, act.oneform(i, mu, m)[nu]) for mu, m, c in scaled),
+                    ((-x, act.partial(nu, m)) for m, x in pw[i].terms.items()),
+                )
+                if TP.combination(residual).terms:
                     raise InvariantViolation("L_X w = d(pi w) must hold for a closed form")
         out.append(pw)
     return out
@@ -387,7 +389,7 @@ def invariant_closed_forms(p: GMPair, ansatz: AnsatzSpec) -> tuple[OneForm, ...]
         for col, c in sorted(v.items()):
             mu, k = unknowns[col]
             terms[mu][monos[k]] = c
-        return OneForm(ch, tuple(Expr(ch, TP(t)) for t in terms))
+        return OneForm(ch, tuple(Expr(ch, TP.from_vector(t)) for t in terms))
 
     return tuple(vec_to_form(v) for v in coeffs.basis)
 

@@ -4,7 +4,7 @@ import os
 from pathlib import Path
 
 from lagfloor.expr import parse_expr
-from lagfloor.exprspace import poly_terms
+from lagfloor.exprspace import polynomial
 from lagfloor.pairs import action_module
 from lagfloor.problemfile import build_pair, load_problem_file
 
@@ -33,5 +33,5 @@ def polynomial_module(pair, family):
     """The g-module on span(family), an action-closed list of polynomial
     strings, built by ``action_module`` with the pair's ``scalar`` images."""
     act = pair.action
-    units = [lambda m, i=i: act.scalar(i, m) for i in range(pair.algebra.dim)]
-    return action_module(pair.algebra, [poly_terms(parse_expr(pair.chart, f)) for f in family], units)
+    units = [lambda m, i=i: act.scalar(i, m).vector() for i in range(pair.algebra.dim)]
+    return action_module(pair.algebra, [polynomial(parse_expr(pair.chart, f)).vector() for f in family], units)

@@ -1,5 +1,9 @@
+import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 from lagfloor.expr import (
     MAX_NESTING,
     TP,
+    UNIT,
     Chart,
     EvaluationPole,
     Expr,
@@ -34,10 +39,17 @@ def P(text, ch=CYL, **kw):
 
 
 def test_chart_names_are_computed_once_and_stay_out_of_identity():
-    """names is a field set once from coords: equality, hashing and repr
-    read coords alone, as they did when names was a property."""
+    """The derived names are fields set once from coords: equality, hashing
+    and repr read coords alone, as they did when the names were properties."""
     coords = (("z", "line"), ("phi", "angle"))
     assert CYL.names == ("z", "phi") and CYL.names is CYL.names
+    assert (CYL.line_names, CYL.angle_names) == (("z",), ("phi",))
+    assert CYL.velocity_names == ("dz", "dphi") and CYL.velocity_names is CYL.velocity_names
+    assert CYL.acceleration_names == ("ddz", "ddphi")
+    assert CYL.jet_names == {"dz", "dphi", "ddz", "ddphi"}
+    assert (CYL.kind("z"), CYL.kind("phi")) == ("line", "angle")
+    with pytest.raises(KeyError):
+        CYL.kind("dz")
     assert CYL == Chart(coords) and CYL != Chart(coords[::-1])
     assert hash(CYL) == hash(Chart(coords)) == hash((coords,))
     assert repr(CYL) == "Chart(coords=(('z', 'line'), ('phi', 'angle')))"
@@ -342,10 +354,13 @@ def test_kernel_of_expr_system_clears_denominators():
     assert kernel_of_rows(equation_rows(terms), 3).basis == ({0: F(-1), 1: F(-1), 2: F(1)},)
 
 
-# -- trig-polynomial kernel against its plain reference -----------------------
+# -- trig-polynomial kernel against its plain Fraction reference -------------
 
 KERNEL_VARS = ("dz", "u", "z")
 KERNEL_ANGLES = ("phi", "th")
+KERNEL_CHART = chart(("z", "line"), ("u", "line"), ("phi", "angle"), ("th", "angle"))
+# rational points of the unit circle, as (sin, cos)
+CIRCLE = [(F(0), F(1)), (F(1), F(0)), (F(3, 5), F(4, 5)), (F(-5, 13), F(12, 13)), (F(4, 5), F(-3, 5))]
 
 
 @st.composite
@@ -360,32 +375,82 @@ def monomials(draw, trig):
     return vars_, tuple(factors)
 
 
+def polys(trig=True, max_terms=5):
+    """Plain {monomial: Fraction} dicts, the reference's polynomials."""
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)
+    return st.dictionaries(monomials(trig), coeffs, max_size=max_terms)
+
+
 def tps(trig=True, max_terms=5):
-    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
-    return st.dictionaries(monomials(trig), coeffs, max_size=max_terms).map(TP)
+    return polys(trig, max_terms).map(TP.from_vector)
+
+
+def divisors():
+    return polys(trig=False, max_terms=3).filter(bool)
 
 
 def same_tp(a, b):
     """Equal trig polynomials with the same terms in the same order."""
-    return list(a.terms.items()) == list(b.terms.items())
+    return a == b and list(a.terms.items()) == list(b.terms.items())
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.booleans().flatmap(lambda trig: st.tuples(tps(trig), tps(trig))))
-def test_product_matches_the_fourier_product_reference(pair):
-    """Trig-free pairs skip _mono_mul; the terms and their insertion order
-    are the reference's, with and without trig factors."""
+def matches_reference(tp, ref):
+    """The integer TP is in lowest terms and has the reference's values, its
+    terms in the reference's order, and its printed form."""
+    assert isinstance(tp.den, int) and tp.den > 0
+    assert all(type(c) is int for c in tp.terms.values())
+    assert math.gcd(tp.den, *tp.terms.values()) == 1
+    assert list(tp.vector().items()) == list(ref.items())
+    assert to_string(Expr(KERNEL_CHART, tp)) == tp_reference.to_string(ref)
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.booleans().flatmap(lambda trig: st.tuples(polys(trig), polys(trig))))
+def test_sums_and_differences_match_the_fraction_reference(pair):
     a, b = pair
-    assert same_tp(a * b, tp_reference.mul(a, b))
+    assert matches_reference(TP.from_vector(a) + TP.from_vector(b), tp_reference.add(a, b))
+    assert matches_reference(TP.from_vector(a) - TP.from_vector(b), tp_reference.sub(a, b))
 
 
 @settings(max_examples=100, deadline=None)
-@given(tps(), tps(trig=False, max_terms=3).filter(lambda d: not d.is_zero()))
-def test_division_matches_the_long_division_reference(a, d):
-    got, want = a.divide_by(d), tp_reference.divide_by(a, d)
+@given(st.booleans().flatmap(lambda trig: st.tuples(polys(trig), polys(trig))))
+def test_product_matches_the_fourier_product_reference(pair):
+    """Trig-free pairs skip _mono_mul, and the product-to-sum halves go into
+    the denominator; values, term order and printed form are the
+    reference's, with and without trig factors."""
+    a, b = pair
+    assert matches_reference(TP.from_vector(a) * TP.from_vector(b), tp_reference.mul(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), st.fractions(min_value=-5, max_value=5, max_denominator=7), st.sampled_from(KERNEL_VARS),
+       st.sampled_from(KERNEL_ANGLES))
+def test_scale_and_partials_match_the_fraction_reference(a, c, var, angle):
+    tp = TP.from_vector(a)
+    assert matches_reference(tp.scale(c), tp_reference.scale(a, c))
+    assert matches_reference(tp.partial_var(var), tp_reference.partial_var(a, var))
+    assert matches_reference(tp.partial_angle(angle), tp_reference.partial_angle(a, angle))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=3, max_size=3),
+       st.sampled_from(CIRCLE), st.sampled_from(CIRCLE))
+def test_evaluation_matches_the_fraction_reference(a, values, phi, th):
+    point = dict(zip(KERNEL_VARS, values)), {"phi": phi, "th": th}
+    assert TP.from_vector(a).evaluate(*point) == tp_reference.evaluate(a, *point)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(), divisors(), st.booleans())
+def test_division_matches_the_long_division_reference(a, d, multiple):
+    """Exact division of a random dividend, and of a multiple of d, against
+    the reference's dense long division; None exactly when it gives None."""
+    if multiple:
+        a = tp_reference.mul(a, d)
+    got, want = TP.from_vector(a).divide_by(TP.from_vector(d)), tp_reference.divide_by(a, d)
     assert (got is None) == (want is None)
-    if want is not None:
-        assert same_tp(got, want)
+    assert want is None or matches_reference(got, want)
 
 
 @settings(max_examples=50, deadline=None)
@@ -393,6 +458,45 @@ def test_division_matches_the_long_division_reference(a, d):
 def test_an_exact_product_divides_back(q, d):
     """The degree test rejects only non-multiples: q*d / d is q."""
     assert (q * d).divide_by(d) == q
+
+
+@settings(max_examples=60, deadline=None)
+@given(tps(), tps())
+def test_equal_values_are_equal_trig_polynomials(a, b):
+    """Lowest terms make == and hash compare values, whatever the route."""
+    for x, y in (((a + b) - b, a), (a * b, b * a), (a.scale(F(6, 4)).scale(F(2, 3)), a)):
+        assert x == y and hash(x) == hash(y)
+
+
+def test_a_trig_polynomial_holds_int_coefficients_over_a_positive_int():
+    """The constructor refuses a Fraction coefficient and a denominator that
+    is not a positive int, and keeps lowest terms: {} over 1 for zero."""
+    m = ((("z", 1),), ())
+    for terms, den in (({m: F(1, 2)}, 1), ({m: 1.5}, 1), ({m: 1}, 0), ({m: 1}, F(2)), ({m: 1}, -2)):
+        with pytest.raises(TypeError):
+            TP(terms, den)
+    assert TP({m: 4, UNIT: 6}, 8).terms == {m: 2, UNIT: 3} and TP({m: 4, UNIT: 6}, 8).den == 4
+    assert (TP({m: 0}, 5).terms, TP({m: 0}, 5).den) == ({}, 1)
+    assert TP.from_vector({m: F(1, 2), UNIT: F(-1, 3)}) == TP({m: 3, UNIT: -2}, 6)
+
+
+def test_a_fraction_coefficient_raises_under_python_O():
+    """An explicit raise, so python -O keeps it."""
+    script = (
+        "from fractions import Fraction\n"
+        "from lagfloor.expr import TP\n"
+        "try:\n"
+        "    TP({((('z', 1),), ()): Fraction(1, 2)})\n"
+        "except TypeError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env={"PYTHONPATH": src, "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("raised: a trig polynomial's coefficients are ints"), res.stdout
 
 
 @pytest.mark.parametrize("d", ["1 + u^2 + z", "dz", "3", "u*z^2 - 1"])
@@ -405,4 +509,4 @@ def test_lower_degree_is_refused_before_the_division():
     """u^2*z + 1 has degree 1 in z, u*z^2 + 1 degree 2: not a multiple."""
     ch = chart(("z", "line"), ("u", "line"))
     a, d = P("u^2*z + 1", ch).num, P("u*z^2 + 1", ch).num
-    assert a.divide_by(d) is None and tp_reference.divide_by(a, d) is None
+    assert a.divide_by(d) is None and tp_reference.divide_by(a.vector(), d.vector()) is None

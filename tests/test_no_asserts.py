@@ -2,7 +2,7 @@
 ``python -O`` strips asserts, and the CLI maps an explicit
 InvariantViolation to exit 3 in either mode.  Every module of the package
 is scanned, also for imports of linalg's private names, which no other
-module may use."""
+module may use, and for trig polynomials built from Fraction literals."""
 
 import ast
 from pathlib import Path
@@ -58,3 +58,19 @@ def test_hierarchy_does_not_import_the_symbolic_prolonged_derivative():
         if isinstance(node, ast.Attribute) and node.attr == "lie_derivative_lagrangian"
     ]
     assert names == [] and attributes == [], f"hierarchy reaches lie_derivative_lagrangian at {names or attributes}"
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "expr.py"])
+def test_no_trig_polynomial_is_built_from_fraction_literals(name):
+    """A TP holds int coefficients over one int denominator; outside expr a
+    module builds one from ints, or from a rational vector through
+    ``TP.from_vector``, never as ``TP({m: F(1)})``."""
+    tree = ast.parse((PACKAGE / name).read_text(), filename=name)
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "TP"
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.Call) and isinstance(inner.func, ast.Name) and inner.func.id in ("F", "Fraction")
+    ]
+    assert calls == [], f"{name} builds a TP from Fraction literals at lines {calls}"
