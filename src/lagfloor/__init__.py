@@ -12,13 +12,11 @@ from .linalg import (
     quotient,
     solve,
 )
-from .expr import AnsatzSpec, Chart, EvaluationPole, Expr, ParseError, UnknownSymbol, chart, parse_expr, to_string
+from .expr import AnsatzSpec, Chart, EvaluationPole, Expr, ParseError, UnknownSymbol, parse_expr, to_string
 from .calculus import (
     AnsatzExhausted,
-    ELForm,
     NotClosed,
     OneForm,
-    TwoForm,
     VectorFieldExpr,
     d_el,
     derham_split,
@@ -26,11 +24,8 @@ from .calculus import (
     find_potential,
     gradient,
     is_closed,
-    lie_derivative_lagrangian,
-    lie_derivative_oneform,
-    lie_derivative_scalar,
 )
-from .liealg import BadParams, StructureConstants, UnknownName, bracket, catalog, jacobi_check
+from .liealg import BadParams, StructureConstants, UnknownName, catalog, jacobi_check
 from .cecohom import (
     GModule,
     NotACocycle,

@@ -1,5 +1,6 @@
-"""Vector calculus on charts: Lie derivatives, Euler-Lagrange covectors,
-closedness, de Rham splitting and linear-ansatz potential finding.
+"""Vector calculus on charts: Euler-Lagrange covectors, total time
+derivatives, closedness, de Rham splitting and linear-ansatz potential
+finding.
 
 Forms and vector fields are tuples of velocity-free expressions indexed by
 the chart coordinates.  Lagrangians are plain expressions in coordinates and
@@ -55,9 +56,6 @@ class OneForm:
     def scale(self, c):
         return OneForm(self.chart, tuple(x * c for x in self.components))
 
-    def is_zero(self):
-        return all(c.is_zero() for c in self.components)
-
     def __eq__(self, other):
         return isinstance(other, OneForm) and all(
             a == b for a, b in zip(self.components, other.components)
@@ -80,14 +78,6 @@ class VectorFieldExpr:
     def __post_init__(self):
         _check_components(self.chart, self.components)
 
-    def __add__(self, other):
-        return VectorFieldExpr(
-            self.chart, tuple(a + b for a, b in zip(self.components, other.components))
-        )
-
-    def scale(self, c):
-        return VectorFieldExpr(self.chart, tuple(x * c for x in self.components))
-
     def bracket(self, other) -> "VectorFieldExpr":
         """Commutator [X, Y], componentwise X(Y^mu) - Y(X^mu)."""
         ch = self.chart
@@ -101,73 +91,16 @@ class VectorFieldExpr:
         return VectorFieldExpr(ch, tuple(comps))
 
 
-@dataclass(frozen=True)
-class ELForm:
-    """Euler-Lagrange covector; components may carry accelerations dd<coord>."""
-
-    chart: Chart
-    components: tuple[Expr, ...]
-
-
-@dataclass(frozen=True)
-class TwoForm:
-    """Antisymmetric 2-form, components indexed by coordinate pairs mu<nu."""
-
-    chart: Chart
-    components: tuple[Expr, ...]  # order: pairs (mu,nu), mu<nu, lexicographic
-
-    @staticmethod
-    def pairs(chart):
-        names = chart.names
-        return [(i, j) for i in range(len(names)) for j in range(i + 1, len(names))]
+def twoform_pairs(chart):
+    """The coordinate pairs (mu, nu), mu < nu, in lexicographic order: the
+    components of a 2-form, one per dq^mu ^ dq^nu."""
+    n = len(chart.names)
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def lie_derivative_scalar(x: VectorFieldExpr, f: Expr) -> Expr:
-    """L_X f = X^mu d f / d q^mu for a velocity-free function f."""
-    if not f.is_velocity_free():
-        raise InvariantViolation("lie_derivative_scalar needs a velocity-free function")
-    ch = x.chart
-    out = Expr.const(ch, 0)
-    for comp, name in zip(x.components, ch.names):
-        out = out + comp * f.partial(name)
-    return out
-
-
-def lie_derivative_lagrangian(x: VectorFieldExpr, L: Expr) -> Expr:
-    """Lie derivative of a rank-1 Lagrangian along a point transformation.
-
-    X^mu dL/dq^mu + (D_t X^mu) dL/d(dq^mu), with D_t X^mu = dq^nu dX^mu/dq^nu.
-    """
-    if L.has_accelerations():
-        raise ValueError("rank-1 Lagrangians only")
-    ch = x.chart
-    out = Expr.const(ch, 0)
-    for mu, name in enumerate(ch.names):
-        out = out + x.components[mu] * L.partial(name)
-        dtx = Expr.const(ch, 0)
-        for nu, nname in enumerate(ch.names):
-            dtx = dtx + Expr.var(ch, ch.velocity(nname)) * x.components[mu].partial(nname)
-        out = out + dtx * L.partial(ch.velocity(name))
-    if out.has_accelerations():
-        raise InvariantViolation("the Lie derivative of a rank-1 Lagrangian has no accelerations")
-    return out
-
-
-def lie_derivative_oneform(x: VectorFieldExpr, w: OneForm) -> OneForm:
-    """Cartan formula expanded in components: X^nu d_nu w_mu + w_nu d_mu X^nu."""
-    ch = x.chart
-    comps = []
-    for mu, mname in enumerate(ch.names):
-        acc = Expr.const(ch, 0)
-        for nu, nname in enumerate(ch.names):
-            acc = acc + x.components[nu] * w.components[mu].partial(nname)
-            acc = acc + w.components[nu] * x.components[nu].partial(mname)
-        comps.append(acc)
-    return OneForm(ch, tuple(comps))
-
-
-def euler_lagrange(L: Expr) -> ELForm:
-    """Left-hand side of the motion equations of a rank-1 Lagrangian.
+def euler_lagrange(L: Expr) -> tuple[Expr, ...]:
+    """Left-hand side of the motion equations of a rank-1 Lagrangian, one
+    component per chart coordinate; components may carry accelerations.
 
     Component mu is dL/dq^mu - D_t dL/d(dq^mu), with D_t = dq^nu d/dq^nu +
     ddq^nu d/d(dq^nu).  Each derivative is one quotient rule on numerators
@@ -185,7 +118,7 @@ def euler_lagrange(L: Expr) -> ELForm:
         if b != e and (q := e.divide_by(b)) is not None:
             a, b = a * q, e
         comps.append(Expr(ch, a - c, b) if b == e else Expr(ch, a * e - c * b, b * e))
-    return ELForm(ch, tuple(comps))
+    return tuple(comps)
 
 
 def d_el(f: Expr) -> Expr:
@@ -237,38 +170,6 @@ def is_closed(w: OneForm) -> bool:
             if not (lhs - rhs).is_zero():
                 return False
     return True
-
-
-def exterior_derivative(w: OneForm) -> TwoForm:
-    ch = w.chart
-    comps = []
-    for i, j in TwoForm.pairs(ch):
-        comps.append(w.components[j].partial(ch.names[i]) - w.components[i].partial(ch.names[j]))
-    return TwoForm(ch, tuple(comps))
-
-
-def lie_derivative_twoform(x: VectorFieldExpr, w2: TwoForm) -> TwoForm:
-    ch = x.chart
-    names = ch.names
-    pairs = TwoForm.pairs(ch)
-    index = {p: k for k, p in enumerate(pairs)}
-
-    def comp(i, j):
-        if i == j:
-            return Expr.const(ch, 0)
-        if i < j:
-            return w2.components[index[(i, j)]]
-        return -w2.components[index[(j, i)]]
-
-    out = []
-    for i, j in pairs:
-        acc = Expr.const(ch, 0)
-        for r, rname in enumerate(names):
-            acc = acc + x.components[r] * comp(i, j).partial(rname)
-            acc = acc + comp(r, j) * x.components[r].partial(names[i])
-            acc = acc + comp(i, r) * x.components[r].partial(names[j])
-        out.append(acc)
-    return TwoForm(ch, tuple(out))
 
 
 def default_ansatz(w: OneForm) -> AnsatzSpec:

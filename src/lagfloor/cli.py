@@ -305,12 +305,12 @@ def cmd_spectral(args, report):
             raise ProblemFileError(f"--page must be at least 0, got {r}")
     pf = load_problem_file(args.file)
     try:
-        if "double_complex" in pf.sections:
-            dc = build_double_complex(pf)
-            violations = validate_double_complex(dc).violations
-        elif args.from_pair:
+        if args.from_pair:
             dc = build_invariance_double_complex(build_pair(pf), _options(args, pf)).dc
             violations = ()  # the builder validates the complex and raises on failure
+        elif "double_complex" in pf.sections:
+            dc = build_double_complex(pf)
+            violations = validate_double_complex(dc).violations
         else:
             report.add("error", "no [double_complex] section; use --from-pair to build one")
             return EXIT_PARSE

@@ -106,11 +106,6 @@ class Chart:
         return "dd" + name
 
 
-def chart(*coords):
-    """chart(('z','line'), ('phi','angle')) convenience constructor."""
-    return Chart(tuple((n, k) for n, k in coords))
-
-
 # ---------------------------------------------------------------------------
 # monomials: (vars, trig)
 #   vars: sorted tuple of (name, exponent>0)

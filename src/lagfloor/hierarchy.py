@@ -31,7 +31,6 @@ from math import lcm
 from .calculus import (
     AnsatzExhausted,
     OneForm,
-    TwoForm,
     d_el,
     derham_split,
     euler_lagrange,
@@ -39,6 +38,7 @@ from .calculus import (
     harmonic_coefficient,
     is_closed,
     total_time_derivative,
+    twoform_pairs,
 )
 from .cecohom import GModule, ce_differential, coboundary_witness, cochain_tuples, cohomology
 from .expr import TP, TP_ZERO, AnsatzSpec, EvaluationPole, Expr, function_monomials
@@ -142,24 +142,6 @@ class FloorReport:
     decomposition: dict | None = None  # floor-4 certificate
     failure: tuple | None = None  # (generator, residue) or (stage, ansatz)
 
-    def classes_signature(self):
-        """Comparable payloads (quotient coordinates, not representatives)."""
-
-        def sig(cv):
-            if cv is None:
-                return None
-            return (cv.status, cv.data)
-
-        return (
-            self.floor,
-            self.sign,
-            sig(self.psi_class),
-            sig(self.k1_class),
-            sig(self.k2_class),
-            None if self.k3_class is None else self.k3_class.status,
-            sig(self.k4_class),
-        )
-
 
 # ---------------------------------------------------------------------------
 # stage 0: the split
@@ -252,15 +234,11 @@ def phi1(p: GMPair, split: WeakInvarianceSplit):
 # phi_2
 # ---------------------------------------------------------------------------
 
-# id-keyed caches hold the keyed objects too, so collected ids never alias
-_H2_CACHE: dict = {}
-
-
-def _h2(p: GMPair):
-    key = id(p.algebra)
-    if key not in _H2_CACHE:
-        _H2_CACHE[key] = (p.algebra, cohomology(p.algebra, GModule.trivial(p.algebra), 2))
-    return _H2_CACHE[key][1]
+@cache
+def _h2(algebra):
+    """H^2 of the algebra with trivial coefficients, one per algebra, as
+    ``GModule.trivial`` keeps one module per algebra."""
+    return cohomology(algebra, GModule.trivial(algebra), 2)
 
 
 def phi2(p: GMPair, split: WeakInvarianceSplit, alphas):
@@ -281,14 +259,14 @@ def phi2(p: GMPair, split: WeakInvarianceSplit, alphas):
             f2[(i, j)] = f[idx] = c
     witness = coboundary_witness(g, GModule.trivial(g), 2, f)
     if witness is None:
-        h2 = _h2(p)
+        h2 = _h2(g)
         return ClassValue(NONZERO, dense(h2.reduce(f), h2.dim)), alpha, f2
     # delta t' = -f  =>  use -witness of f
     t_prime = tuple(-witness.get(k, 0) for k in range(g.dim))
     adjusted = alpha.add_constants(t_prime)
     if not adjusted.is_cocycle():
         raise InvariantViolation("adjusted alpha must satisfy delta(alpha') = 0")
-    return ClassValue(ZERO, tuple(F(0) for _ in range(_h2(p).dim))), adjusted, f2
+    return ClassValue(ZERO, tuple(F(0) for _ in range(_h2(g).dim))), adjusted, f2
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +503,7 @@ def noether_charges(p: GMPair, L: Expr, report: FloorReport):
         # conservation identity, checked symbolically
         residual = total_time_derivative(n_i, tau=True)
         for mu in range(len(ch.names)):
-            residual = residual + p.fields[i].components[mu] * el.components[mu]
+            residual = residual + p.fields[i].components[mu] * el[mu]
         if not residual.is_zero():
             raise InvariantViolation("Noether conservation identity failed")
         charges.append(n_i)
@@ -698,7 +676,7 @@ def k_spaces(p: GMPair, opts: ClassifyOptions | None = None) -> KSpacesReport:
     opts = opts or ClassifyOptions()
     g = p.algebra
     z1 = zero_one_cocycles(g)
-    h2 = _h2(p)
+    h2 = _h2(g)
     nb = len(p.chart.angle_names)
     qt4, _inv = k4_quotient(p, opts)
     k3_dim, k3_reps, k3_residual = k3_space(p, opts)
@@ -786,7 +764,7 @@ def build_invariance_double_complex(p: GMPair, opts: ClassifyOptions | None = No
     n = g.dim
     act = p.action
     ncoords = len(ch.names)
-    pairs = TwoForm.pairs(ch)
+    pairs = twoform_pairs(ch)
     monos = function_monomials(ch, opts.degree, opts.fourier)
 
     # the unit images as {unit: Fraction} vectors, each built once

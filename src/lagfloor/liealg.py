@@ -53,10 +53,6 @@ class StructureConstants:
             return self.c.get((i, j), {}).get(k, F(0))
         return -self.c.get((j, i), {}).get(k, F(0))
 
-    def bracket_vector(self, i, j):
-        """[e_i, e_j] as a coefficient tuple."""
-        return tuple(self.coeff(i, j, k) for k in range(self.dim))
-
     def __hash__(self):
         items = tuple(sorted((ij, tuple(sorted(d.items()))) for ij, d in self.c.items()))
         return hash((self.dim, self.basis_names, items))
@@ -103,19 +99,6 @@ def jacobi_check(g: StructureConstants) -> JacobiReport:
                             s[l] = s.get(l, 0) + x * y
                 bad.extend((i, j, k, l) for l in sorted(s) if s[l])
     return JacobiReport(not bad, tuple(bad))
-
-
-def bracket(g: StructureConstants, x, y):
-    """([x, y])^k = c^k_{ij} x^i y^j for coefficient vectors x, y."""
-    if not len(x) == len(y) == g.dim:
-        raise ValueError("bracket arguments need one coefficient per basis element")
-    out = [F(0)] * g.dim
-    for (i, j), comps in g.c.items():
-        coeff = F(x[i]) * F(y[j]) - F(x[j]) * F(y[i])
-        if coeff:
-            for k, v in comps.items():
-                out[k] += v * coeff
-    return tuple(out)
 
 
 def _sc(dim, names, entries):

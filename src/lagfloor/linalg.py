@@ -189,15 +189,6 @@ class Mat:
     def zero(rows, cols):
         return Mat(rows, cols, tuple({} for _ in range(rows)))
 
-    @staticmethod
-    def identity(n):
-        return Mat(n, n, tuple({i: 1} for i in range(n)))
-
-    def __getitem__(self, ij):
-        i, j = ij
-        x = self.data[i].get(j)
-        return Fraction(x, self.dens[i]) if x else ZERO
-
     def vector(self, i) -> Vector:
         """Row i as a {column: Fraction} vector."""
         return _vector(self.dens[i], self.data[i])
@@ -639,9 +630,6 @@ class QuotientSpace:
             raise ValueError("vector is not in the numerator subspace")
         k = self.denominator.dim
         return {i - k: x for i, x in coeffs.items() if i >= k}
-
-    def is_zero_class(self, v) -> bool:
-        return not self.reduce(v)
 
 
 def quotient(z: Subspace, b: Subspace) -> QuotientSpace:

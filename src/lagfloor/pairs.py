@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
-from .calculus import OneForm, TwoForm, VectorFieldExpr
+from .calculus import OneForm, VectorFieldExpr, twoform_pairs
 from .cecohom import GModule, NotACocycle, validate_module
 from .expr import TP, AnsatzSpec, Chart, Expr, derivation, function_monomials
 from .exprspace import equation_rows, polynomial
@@ -49,7 +49,7 @@ class ActionTable:
     monomial in coordinates and velocities, the prolonged field X_i^mu
     d/dq^mu + (D_t X_i^mu) d/d(dq^mu); ``oneform(i, mu, m)`` is L_{X_i}(m
     dq^mu), one vector per dq^nu; ``twoform(i, (a, b), m)`` is L_{X_i}(m
-    dq^a ^ dq^b), one vector per pair of ``TwoForm.pairs``; ``contraction(i,
+    dq^a ^ dq^b), one vector per pair of ``twoform_pairs``; ``contraction(i,
     mu, m)`` is (pi(m dq^mu))_i = m X_i^mu and ``partial(mu, m)`` is d m/dq^mu.
     They follow from the derivative rule on monomial keys and the field
     components, read once per generator as trig polynomials; a rational
@@ -63,7 +63,7 @@ class ActionTable:
     def __init__(self, chart_: Chart, fields):
         self.chart = chart_
         self.fields = fields
-        self._pair_index = {ab: k for k, ab in enumerate(TwoForm.pairs(chart_))}
+        self._pair_index = {ab: k for k, ab in enumerate(twoform_pairs(chart_))}
         self._diffs = [derivation(chart_, name) for name in chart_.names]
         self._velocity_diffs = [derivation(chart_, name) for name in chart_.velocity_names]
         self._components_of = {}
@@ -124,8 +124,7 @@ class ActionTable:
         return self._derive(f, lambda m: self.scalar(i, m))
 
     def lie_lagrangian(self, i, L: Expr) -> Expr:
-        """delta_i L = X_i^(1)(L) for a rank-1 Lagrangian L, the derivative
-        ``calculus.lie_derivative_lagrangian`` computes symbolically."""
+        """delta_i L = X_i^(1)(L) for a rank-1 Lagrangian L."""
         if L.has_accelerations():
             raise ValueError("rank-1 Lagrangians only")
         out = self._derive(L, lambda m: self.prolonged(i, m))
@@ -255,20 +254,11 @@ class FunctionCochain:
             self.delta_component(i, j).is_zero() for i in range(n) for j in range(i + 1, n)
         )
 
-    def __add__(self, other):
-        return FunctionCochain(self.pair, tuple(a + b for a, b in zip(self.components, other.components)))
-
-    def __sub__(self, other):
-        return FunctionCochain(self.pair, tuple(a - b for a, b in zip(self.components, other.components)))
-
     def add_constants(self, t):
         return FunctionCochain(
             self.pair,
             tuple(c + Expr.const(self.pair.chart, v) for c, v in zip(self.components, t)),
         )
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.components)
 
 
 def pi_images(p: GMPair, units, basis):

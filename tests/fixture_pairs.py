@@ -1,4 +1,5 @@
-"""The worked pairs, read from the shipped fixtures that the CLI reads."""
+"""The worked pairs, read from the shipped fixtures that the CLI reads, and
+the helpers that tests share about them."""
 
 import os
 from pathlib import Path
@@ -35,3 +36,16 @@ def polynomial_module(pair, family):
     act = pair.action
     units = [lambda m, i=i: act.scalar(i, m).vector() for i in range(pair.algebra.dim)]
     return action_module(pair.algebra, [polynomial(parse_expr(pair.chart, f)).vector() for f in family], units)
+
+
+def classes_signature(report):
+    """The comparable payloads of a ``FloorReport``: floor, sign, and the
+    class of each stage as quotient coordinates, not representatives (K3 by
+    its status alone)."""
+
+    def sig(cv):
+        return None if cv is None else (cv.status, cv.data)
+
+    k3 = None if report.k3_class is None else report.k3_class.status
+    return (report.floor, report.sign, sig(report.psi_class), sig(report.k1_class), sig(report.k2_class), k3,
+            sig(report.k4_class))

@@ -15,27 +15,24 @@ from lagfloor.calculus import (
     d_el,
     derham_split,
     euler_lagrange,
-    exterior_derivative,
     find_potential,
     gradient,
     is_closed,
-    lie_derivative_lagrangian,
-    lie_derivative_oneform,
-    lie_derivative_scalar,
     total_time_derivative,
 )
-from lagfloor.expr import TP, AnsatzSpec, Expr, chart, derivation, parse_expr, quotient_rule, to_string
+from lagfloor.expr import TP, AnsatzSpec, Chart, Expr, derivation, parse_expr, quotient_rule, to_string
 from lagfloor.hierarchy import ClassifyOptions, classify, noether_charges
 from lagfloor.problemfile import build_lagrangian, load_problem_file
 
 import calculus_oracle
+from calculus_oracle import exterior_derivative, lie_derivative_lagrangian, lie_derivative_oneform, lie_derivative_scalar
 from fixture_pairs import FIXTURES, ROOT, SCRIPT_ENV, fixture_pair
 
 F = Fraction
 
-CYL = chart(("z", "line"), ("phi", "angle"))
-R2 = chart(("u", "line"), ("v", "line"))
-R4 = chart(("t", "line"), ("x1", "line"), ("x2", "line"), ("x3", "line"))
+CYL = Chart((("z", "line"), ("phi", "angle")))
+R2 = Chart((("u", "line"), ("v", "line")))
+R4 = Chart((("t", "line"), ("x1", "line"), ("x2", "line"), ("x3", "line")))
 
 
 def P(text, ch=CYL):
@@ -88,20 +85,20 @@ def test_lie_lagrangian_constant():
 
 def test_el_free_particle():
     el = euler_lagrange(P("3*dz^2/2"))
-    assert el.components[0] == P("-3*ddz")
-    assert el.components[1].is_zero()
+    assert el[0] == P("-3*ddz")
+    assert el[1].is_zero()
 
 
 def test_el_velocity_free():
     el = euler_lagrange(P("z^3"))
-    assert el.components[0] == P("3*z^2")
+    assert el[0] == P("3*z^2")
 
 
 def test_el_magnetic_term():
     # L = B z dphi: components from the defining formula
     el = euler_lagrange(P("4*z*dphi"))
-    assert el.components[0] == P("4*dphi")
-    assert el.components[1] == P("-4*dz")
+    assert el[0] == P("4*dphi")
+    assert el[1] == P("-4*dz")
 
 
 # -- closedness -------------------------------------------------------------------
@@ -249,7 +246,7 @@ def test_noether_identity_on_20_random_lagrangians():
         contracted = Expr.const(CYL, 0)
         momentum = Expr.const(CYL, 0)
         for mu, name in enumerate(CYL.names):
-            contracted = contracted + X.components[mu] * el.components[mu]
+            contracted = contracted + X.components[mu] * el[mu]
             momentum = momentum + X.components[mu] * L.partial(CYL.velocity(name))
         residual = lie - contracted - total_time_derivative(momentum)
         assert residual.is_zero()
@@ -285,7 +282,7 @@ def test_d_el_of_function_is_full_derivative():
     assert L == P("2*z*dz")
     # and its EL covector vanishes identically
     el = euler_lagrange(L)
-    assert all(c.is_zero() for c in el.components)
+    assert all(c.is_zero() for c in el)
 
 
 def test_exterior_derivative_of_gradient_vanishes():
@@ -296,10 +293,10 @@ def test_exterior_derivative_of_gradient_vanishes():
 
 def test_velocity_dependent_lie_derivative_raises_under_python_O():
     """An explicit check, so python -O keeps it: differentiating dz along a
-    field raises InvariantViolation instead of treating dz as a constant."""
+    field of the action table raises InvariantViolation instead of treating
+    dz as a constant."""
     script = textwrap.dedent(
         """
-        from lagfloor.calculus import lie_derivative_scalar
         from lagfloor.expr import Expr
         from lagfloor.linalg import InvariantViolation
         from fixture_pairs import fixture_pair
@@ -308,7 +305,7 @@ def test_velocity_dependent_lie_derivative_raises_under_python_O():
         L3 = fixture_pair("l3_cylinder")
         dz = Expr.var(L3.chart, L3.chart.velocity("z"))
         try:
-            lie_derivative_scalar(L3.fields[1], dz)
+            L3.action.lie(1, dz)
         except InvariantViolation as exc:
             print("raised:", exc)
         else:
@@ -351,7 +348,7 @@ def parse_set(text):
 
 
 def assert_matches_oracle(e):
-    assert euler_lagrange(e).components == calculus_oracle.euler_lagrange(e)
+    assert euler_lagrange(e) == calculus_oracle.euler_lagrange(e)
     for tau in (False, True):
         assert total_time_derivative(e, tau=tau) == calculus_oracle.total_time_derivative(e, tau=tau)
 

@@ -234,6 +234,29 @@ def test_spectral_explicit_complex():
     assert "abutment = ok" in out
 
 
+def test_spectral_from_pair_on_a_complex_file_exits_2():
+    """--from-pair builds the invariance complex of the file's pair, also
+    when the file holds a [double_complex]: a file with no pair is a parse
+    error, not the file's complex."""
+    code, out = run("--format", "machine", "spectral", fx("spectral_example.toml"), "--from-pair")
+    assert code == 2
+    assert out.splitlines()[2:] == ["error = missing [algebra] section"]
+
+
+def test_spectral_from_pair_reads_the_pair_of_a_file_with_both_sections(tmp_path):
+    """With both a pair and a [double_complex], --from-pair prints what the
+    pair gives, and no flag prints the file's complex."""
+    f = tmp_path / "both.toml"
+    f.write_text((FIXTURES / "l3_cylinder.toml").read_text() + "\n" + SPECTRAL_EXAMPLE)
+    code, out = run("--format", "machine", "spectral", str(f), "--from-pair")
+    assert code == 0
+    golden = (GOLDEN / "spectral_from_pair" / "l3_cylinder.txt").read_text()
+    assert out.splitlines()[2:] == golden.splitlines()[2:]
+    code, out = run("--format", "machine", "spectral", str(f))
+    assert code == 0
+    assert out.splitlines()[2:] == (GOLDEN / "classify" / "spectral_example.txt").read_text().splitlines()[2:]
+
+
 def test_spectral_from_pair():
     code, out = run(
         "--format", "machine",
@@ -386,9 +409,10 @@ def test_closed_stdout_prints_no_traceback(extra, want):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize(
-    "name", ["l3_cylinder", "translations_r3", "so3_sphere", "galilean_r4", "poincare_c1"]
-)
+K_SPACES = ["l3_cylinder", "translations_r3", "so3_sphere", "galilean_r4", "poincare_c1"]
+
+
+@pytest.mark.parametrize("name", K_SPACES)
 def test_k_spaces_machine_output_pinned(name, monkeypatch):
     """Full machine output, representatives included, against files captured
     before the K-spaces were rebuilt on the action table."""
@@ -511,11 +535,11 @@ e2 = [["0", "0"], ["%s", "0"]]
 MODULE_PROBLEMS = {"spin1": SPIN1, "nilpotent_e1": NILPOTENT % "0", "nilpotent_e1_e2": NILPOTENT % "1"}
 
 
-@pytest.mark.parametrize(
-    "golden, degrees",
-    [("galilean_r4", range(7)), ("poincare_c1", range(7)), ("spin1", range(4)),
-     ("nilpotent_e1", range(3)), ("nilpotent_e1_e2", range(3))],
-)
+COHOMOLOGY = [("galilean_r4", range(7)), ("poincare_c1", range(7)), ("spin1", range(4)),
+              ("nilpotent_e1", range(3)), ("nilpotent_e1_e2", range(3))]
+
+
+@pytest.mark.parametrize("golden, degrees", COHOMOLOGY)
 def test_cohomology_machine_output_pinned(golden, degrees, tmp_path, monkeypatch):
     """Dimensions and representatives of H^q, against files captured before
     the coboundary matrices were stored sparse.  The nilpotent modules have

@@ -18,7 +18,6 @@ from lagfloor.expr import (
     Expr,
     ParseError,
     UnknownSymbol,
-    chart,
     function_monomials,
     parse_expr,
     to_string,
@@ -30,8 +29,8 @@ import tp_reference
 
 F = Fraction
 
-CYL = chart(("z", "line"), ("phi", "angle"))
-PLANE = chart(("u", "line"), ("v", "line"))
+CYL = Chart((("z", "line"), ("phi", "angle")))
+PLANE = Chart((("u", "line"), ("v", "line")))
 
 
 def P(text, ch=CYL, **kw):
@@ -54,7 +53,7 @@ def test_chart_names_are_computed_once_and_stay_out_of_identity():
     assert hash(CYL) == hash(Chart(coords)) == hash((coords,))
     assert repr(CYL) == "Chart(coords=(('z', 'line'), ('phi', 'angle')))"
     with pytest.raises(ValueError, match="duplicate coordinate names in \\['z', 'z'\\]"):
-        chart(("z", "line"), ("z", "angle"))
+        Chart((("z", "line"), ("z", "angle")))
 
 
 # -- parsing -----------------------------------------------------------------
@@ -93,7 +92,7 @@ def test_params_keep_the_positions_and_depth_of_the_text():
     """A parameter is bound by the parser, not rewritten into the text:
     error positions index the text as written, and a parameter nests no
     deeper than the literal in its place."""
-    line = chart(("x", "line"))
+    line = Chart((("x", "line"),))
     with pytest.raises(ParseError) as exc:
         parse_expr(line, "a)", {"a": F(2)})
     assert exc.value.pos == 1
@@ -358,7 +357,7 @@ def test_kernel_of_expr_system_clears_denominators():
 
 KERNEL_VARS = ("dz", "u", "z")
 KERNEL_ANGLES = ("phi", "th")
-KERNEL_CHART = chart(("z", "line"), ("u", "line"), ("phi", "angle"), ("th", "angle"))
+KERNEL_CHART = Chart((("z", "line"), ("u", "line"), ("phi", "angle"), ("th", "angle")))
 # rational points of the unit circle, as (sin, cos)
 CIRCLE = [(F(0), F(1)), (F(1), F(0)), (F(3, 5), F(4, 5)), (F(-5, 13), F(12, 13)), (F(4, 5), F(-3, 5))]
 
@@ -501,12 +500,12 @@ def test_a_fraction_coefficient_raises_under_python_O():
 
 @pytest.mark.parametrize("d", ["1 + u^2 + z", "dz", "3", "u*z^2 - 1"])
 def test_zero_divided_by_a_polynomial_is_zero(d):
-    zero = TP().divide_by(P(d, chart(("z", "line"), ("u", "line"))).num)
+    zero = TP().divide_by(P(d, Chart((("z", "line"), ("u", "line")))).num)
     assert zero is not None and same_tp(zero, TP())
 
 
 def test_lower_degree_is_refused_before_the_division():
     """u^2*z + 1 has degree 1 in z, u*z^2 + 1 degree 2: not a multiple."""
-    ch = chart(("z", "line"), ("u", "line"))
+    ch = Chart((("z", "line"), ("u", "line")))
     a, d = P("u^2*z + 1", ch).num, P("u*z^2 + 1", ch).num
     assert a.divide_by(d) is None and tp_reference.divide_by(a.vector(), d.vector()) is None

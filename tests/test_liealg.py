@@ -7,13 +7,12 @@ from pathlib import Path
 import pytest
 
 from lagfloor.calculus import VectorFieldExpr
-from lagfloor.expr import chart, parse_expr
+from lagfloor.expr import Chart, parse_expr
 from lagfloor.liealg import (
     BadParams,
     JacobiReport,
     StructureConstants,
     UnknownName,
-    bracket,
     catalog,
     jacobi_check,
     zero_one_cocycles,
@@ -21,6 +20,16 @@ from lagfloor.liealg import (
 from lagfloor.pairs import GMPair, validate_pair
 
 F = Fraction
+
+
+def bracket(g, x, y):
+    """([x, y])^k = c^k_{ij} x^i y^j for coefficient vectors x, y."""
+    out = [F(0)] * g.dim
+    for (i, j), comps in g.c.items():
+        coeff = F(x[i]) * F(y[j]) - F(x[j]) * F(y[i])
+        for k, v in comps.items():
+            out[k] += v * coeff
+    return tuple(out)
 
 
 def test_abelian_jacobi_ok():
@@ -221,7 +230,7 @@ def test_zero_one_cocycles_dims():
     assert zero_one_cocycles(catalog("poincare", c=1)).dim == 0
 
 
-R4 = chart(("t", "line"), ("x1", "line"), ("x2", "line"), ("x3", "line"))
+R4 = Chart((("t", "line"), ("x1", "line"), ("x2", "line"), ("x3", "line")))
 
 
 def symbolic_fields(c):

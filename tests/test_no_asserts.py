@@ -42,8 +42,8 @@ def test_module_imports_no_private_name_from_linalg(name):
 def test_hierarchy_does_not_import_the_symbolic_prolonged_derivative():
     """The split and phi_4's check read delta_i L from the pair's action
     table (``ActionTable.lie_lagrangian``); the symbolic
-    ``calculus.lie_derivative_lagrangian`` stays public and is tier-1's
-    oracle, but the classifier does not call it."""
+    ``lie_derivative_lagrangian`` is tier-1's oracle in
+    ``tests/calculus_oracle.py``, and the classifier does not bring it back."""
     tree = ast.parse((PACKAGE / "hierarchy.py").read_text(), filename="hierarchy.py")
     names = [
         (node.lineno, alias.name)

@@ -68,7 +68,7 @@ def test_single_cell_total_cohomology():
 
 
 def test_acyclic_two_cells():
-    dc = DoubleComplex([[1, 1]], {(0, 0): Mat.identity(1)}, {})
+    dc = DoubleComplex([[1, 1]], {(0, 0): Mat.from_rows([[1]])}, {})
     for m in range(3):
         assert total_cohomology(dc, m).dim == 0
 
@@ -109,8 +109,8 @@ def test_acyclic_columns_concentrate_in_row_zero():
 def hand_zigzag_complex():
     """E^{0,1} -> (d2) E^{1,1} <- (d1) E^{1,0} -> (d2) E^{2,0}, all R."""
     dims = [[0, 1], [1, 1], [1, 0]]
-    d1 = {(1, 0): Mat.identity(1)}
-    d2 = {(0, 1): Mat.identity(1), (1, 0): Mat.identity(1)}
+    d1 = {(1, 0): Mat.from_rows([[1]])}
+    d2 = {(0, 1): Mat.from_rows([[1]]), (1, 0): Mat.from_rows([[1]])}
     return DoubleComplex(dims, d1, d2)
 
 
@@ -217,7 +217,7 @@ import sys
 from lagfloor.linalg import InvariantViolation, Mat
 from lagfloor.spectral import DoubleComplex, abutment_check, total_cohomology
 
-dc = DoubleComplex([[1, 1, 1]], {(0, 0): Mat.identity(1), (0, 1): Mat.identity(1)}, {})
+dc = DoubleComplex([[1, 1, 1]], {(0, 0): Mat.from_rows([[1]]), (0, 1): Mat.from_rows([[1]])}, {})
 raised = 0
 for check in (lambda: total_cohomology(dc, 1), lambda: abutment_check(dc)):
     try:
@@ -232,7 +232,7 @@ def test_q_squared_nonzero_raises_also_under_python_O():
     """On that column Q_1 Q_0 = d1 d1 != 0, though its ranks still give
     dimensions; total_cohomology at degree 1 raises instead, and so does
     abutment_check, also under python -O."""
-    dc = DoubleComplex([[1, 1, 1]], {(0, 0): Mat.identity(1), (0, 1): Mat.identity(1)}, {})
+    dc = DoubleComplex([[1, 1, 1]], {(0, 0): Mat.from_rows([[1]]), (0, 1): Mat.from_rows([[1]])}, {})
     assert validate_double_complex(dc).violations == (("d1.d1", 0, 0),)
     with pytest.raises(InvariantViolation, match="Q\\^2 != 0 at degree 1"):
         total_cohomology(dc, 1)
