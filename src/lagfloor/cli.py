@@ -229,7 +229,7 @@ def cmd_k_spaces(args, report):
     return EXIT_OK
 
 
-def _format_class(report, label, cv, pair=None):
+def _format_class(report, label, cv):
     if cv is None:
         report.add(label, "-")
         return
@@ -245,7 +245,8 @@ def cmd_classify(args, report):
     pf = load_problem_file(args.file)
     pair = build_pair(pf)
     L = build_lagrangian(pf, _parse_set(args.set))
-    res = classify(pair, L, _options(args, pf))
+    opts = _options(args, pf)
+    res = classify(pair, L, opts)
     report.add("lagrangian", to_string(L))
     report.add("status", res.status)
     if res.status == "not_weakly_invariant":
@@ -267,7 +268,7 @@ def cmd_classify(args, report):
     _format_class(report, "k3", res.k3_class)
     if res.k4_class is not None and res.k4_class.status in ("zero", "nonzero"):
         qt_coords = res.k4_class.data
-        qt, _ = k4_quotient(pair, _options(args, pf))
+        qt, _ = k4_quotient(pair, opts)
         combo = [F(0)] * len(pair.chart.angle_names)
         for c, rep_vec in zip(qt_coords or (), qt.representatives):
             for idx, x in rep_vec.items():
@@ -406,9 +407,8 @@ def main(argv=None):
         if value == [] or isinstance(value, list) and [] in value:
             parser.error(f"argument --{dest.replace('_', '-')}: expected one argument")
     args.format = getattr(args, "format_sub", None) or args.format
-    if getattr(args, "degree", None) is not None or args.command == "cohomology":
-        if getattr(args, "degree", None) is None:
-            args.degree = [1, 2]
+    if args.command == "cohomology" and args.degree is None:
+        args.degree = [1, 2]
     if getattr(args, "page", None) is None and args.command == "spectral":
         args.page = [1, 2, None]  # None: E_inf
     report = Report(args.command)

@@ -40,7 +40,7 @@ from .calculus import (
     total_time_derivative,
     twoform_pairs,
 )
-from .cecohom import GModule, ce_differential, coboundary_witness, cochain_tuples, cohomology
+from .cecohom import GModule, ce_differential, coboundary_witness, cochain_tuples, cohomology, is_cocycle
 from .expr import TP, TP_ZERO, AnsatzSpec, EvaluationPole, Expr, function_monomials
 from .exprspace import equation_rows
 from .liealg import zero_one_cocycles
@@ -183,16 +183,11 @@ def weak_invariance_split(p: GMPair, L: Expr) -> WeakInvarianceSplit:
             raise NotWeaklyInvariantError(p.algebra.basis_names[i], w)
         ws.append(w)
         ts.append(t_val)
-    split = WeakInvarianceSplit(p, tuple(ws), tuple(ts))
-    # delta^2 L = 0 forces t in Z^1(G); checked, never assumed
-    if not _in_z1(p, split.t):
-        raise InvariantViolation("split t-vector escaped Z^1")
-    return split
-
-
-def _in_z1(p: GMPair, t) -> bool:
     g = p.algebra
-    return not ce_differential(g, GModule.trivial(g), 1).mul_vec({k: x for k, x in enumerate(t) if x})
+    # delta^2 L = 0 forces t in Z^1(G); checked, never assumed
+    if not is_cocycle(g, GModule.trivial(g), 1, {i: t for i, t in enumerate(ts) if t}):
+        raise InvariantViolation("split t-vector escaped Z^1")
+    return WeakInvarianceSplit(p, tuple(ws), tuple(ts))
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +216,10 @@ def phi1(p: GMPair, split: WeakInvarianceSplit):
             if c:
                 harmonic_matrix[(a, i)] = c
         alphas.append(pot)
+    g = p.algebra
     for a in ch.angle_names:
-        col = tuple(harmonic_matrix.get((a, i), F(0)) for i in range(p.algebra.dim))
-        if not _in_z1(p, col):
+        col = {i: c for i in range(g.dim) if (c := harmonic_matrix.get((a, i)))}
+        if not is_cocycle(g, GModule.trivial(g), 1, col):
             raise InvariantViolation("harmonic column escaped Z^1")
     data = tuple(sorted(harmonic_matrix.items()))
     status = NONZERO if harmonic_matrix else ZERO
@@ -794,35 +790,22 @@ def build_invariance_double_complex(p: GMPair, opts: ClassifyOptions | None = No
     cells_needed = 2 ** n * (len(f_basis) + len(w_basis) + len(t_basis))
     if cells_needed > MAX_COMPLEX_CELLS:
         raise ComplexTooLarge("invariance complex", cells_needed)
-    families = [(f_basis, f_units), (w_basis, w_units)] + ([(t_basis, t_units)] if t_basis else [])
+    families = [(f_basis, f_units), (w_basis, w_units), (t_basis, t_units)]
     modules = [action_module(g, family, units) for family, units in families]
-    if f_basis and w_basis:
-        d_f_to_w = coordinate_map(w_basis, [linear_image(f, df_unit) for f in f_basis], "image escaped the target family")
-    else:
-        d_f_to_w = Mat.zero(len(w_basis), len(f_basis))
-    if t_basis:
-        d_w_to_t = coordinate_map(t_basis, [linear_image(w, dw_unit) for w in w_basis], "image escaped the target family")
-    else:
-        d_w_to_t = Mat.zero(0, len(w_basis))
-    gm0, gm1 = modules[:2]
-    gm2 = modules[2] if t_basis else None
+    d_f_to_w = coordinate_map(w_basis, [linear_image(f, df_unit) for f in f_basis], "image escaped the target family")
+    d_w_to_t = coordinate_map(t_basis, [linear_image(w, dw_unit) for w in w_basis], "image escaped the target family")
     dims = []
-    col_dims = [len(f_basis), len(w_basis), len(t_basis)]
-    for pdeg in range(n + 1):
-        ntuples = len(cochain_tuples(n, pdeg))
-        dims.append([ntuples * col_dims[0], ntuples * col_dims[1], ntuples * col_dims[2]])
     d1 = {}
     d2 = {}
     for pdeg in range(n + 1):
         ntuples = len(cochain_tuples(n, pdeg))
+        dims.append([ntuples * len(family) for family, _ in families])
         d1[(pdeg, 0)] = _block_diag(d_f_to_w, ntuples)
         d1[(pdeg, 1)] = _block_diag(d_w_to_t, ntuples)
         if pdeg < n:
-            d2[(pdeg, 0)] = ce_differential(g, gm0, pdeg) if col_dims[0] else Mat.zero(0, 0)
-            d2[(pdeg, 1)] = ce_differential(g, gm1, pdeg) if col_dims[1] else Mat.zero(0, 0)
-            if gm2:
-                d2[(pdeg, 2)] = ce_differential(g, gm2, pdeg)
-    dc = DoubleComplex([[dims[pdeg][q] for q in range(3)] for pdeg in range(n + 1)], d1, d2)
+            for q, gm in enumerate(modules):
+                d2[(pdeg, q)] = ce_differential(g, gm, pdeg)
+    dc = DoubleComplex(dims, d1, d2)
     report = validate_double_complex(dc)
     if not report.ok:
         raise InvariantViolation(f"invariance complex failed validation: {report.violations[:3]}")

@@ -4,7 +4,9 @@ sequences.
 A double complex is a first-quadrant grid E^{p,q} with commuting squared-zero
 differentials d1: E^{p,q} -> E^{p,q+1} and d2: E^{p,q} -> E^{p+1,q}.  The
 total differential on antidiagonals is Q = (-1)^q d2 + d1, and `_q_rows` is
-the one place that writes it.
+the one place that writes it.  Validity is read off Q^2 = 0 by blocks: the
+block of Q_m Q_{m-1} from a cell is d1 d1, d2 d2 or, up to sign, d1 d2 -
+d2 d1 there, so the check sees the operator the pages are computed from.
 
 The dimension of every cell on every page comes from one filtered reduction
 of Q per complex, the persistence reduction in filtration order: a basis
@@ -15,12 +17,13 @@ Total cohomology read off the ranks of the antidiagonal complex is the
 independent oracle for the abutment identity sum_p dim E_inf^{p,m-p} =
 dim H^m(Q).
 
-A complex keeps what is derived from it: each Q_m, the reduction, each
-page asked for, and each dim H^m(Q).  Q_m is built once, and its row
-reduction is kept on that one `Mat`, so H^m and H^{m+1} share it; the
-filtered reduction reads the same Q_m's columns through an `Echelon` of
-its own, and the totals never read that reduction.  Nothing is shared
-between complexes: `transpose` builds a new one with empty stores.
+A complex keeps what is derived from it: each Q_m, its validity report,
+the reduction, each page asked for, and each dim H^m(Q).  Q_m is built
+once, and its row reduction is kept on that one `Mat`, so H^m and H^{m+1}
+share it; the filtered reduction reads the same Q_m's columns through an
+`Echelon` of its own, and the totals never read that reduction.  Nothing
+is shared between complexes: `transpose` builds a new one with empty
+stores.
 """
 
 from __future__ import annotations
@@ -52,8 +55,9 @@ class DoubleComplex:
     0 <= p < width and 0 <= q < height; everything outside is zero.
 
     The complex is not changed after construction, so it stores what is
-    derived from it: Q_m by degree, the filtered reduction's lives by cell,
-    the pages by r, and total cohomology by degree."""
+    derived from it: Q_m by degree, the validity report, the filtered
+    reduction's lives by cell, the pages by r, and total cohomology by
+    degree."""
 
     def __init__(self, dims, d1, d2):
         self.dims = [list(col) for col in dims]
@@ -70,6 +74,7 @@ class DoubleComplex:
                     raise InvariantViolation(f"{name} at ({p},{q}) is {m.rows}x{m.cols}, "
                                              f"expected {self.dim_at(p + dp, q + dq)}x{self.dim_at(p, q)}")
         self._q = {}
+        self._report = None
         self._lives = None
         self._pages = {}
         self._totals = {}
@@ -98,17 +103,31 @@ class ComplexReport:
     violations: tuple  # of (rule, p, q)
 
 
+# by dp, the rule that a nonzero block of Q_m Q_{m-1} from (p, q) into
+# (p + dp, q + 2 - dp) breaks, after the rule's place in a report's order
+_RULES = {0: (0, "d1.d1"), 2: (1, "d2.d2"), 1: (2, "commute")}
+
+
 def validate_double_complex(dc: DoubleComplex) -> ComplexReport:
-    bad = []
-    for p in range(dc.width):
-        for q in range(dc.height):
-            if not dc.d1_at(p, q + 1).mul(dc.d1_at(p, q)).is_zero():
-                bad.append(("d1.d1", p, q))
-            if not dc.d2_at(p + 1, q).mul(dc.d2_at(p, q)).is_zero():
-                bad.append(("d2.d2", p, q))
-            if dc.d1_at(p + 1, q).mul(dc.d2_at(p, q)) != dc.d2_at(p, q + 1).mul(dc.d1_at(p, q)):
-                bad.append(("commute", p, q))
-    return ComplexReport(not bad, tuple(bad))
+    """d1 d1 = 0, d2 d2 = 0 and d1 d2 = d2 d1, read off Q^2 = 0 by blocks.
+
+    From the cell (p, q), the block of Q_m Q_{m-1} into (p, q + 2) is d1 d1,
+    into (p + 2, q) is d2 d2, and into (p + 1, q + 1) is (-1)^q (d1 d2 -
+    d2 d1), so each nonzero block is one violation (rule, p, q), and the
+    products check the Q that the pages and totals are computed from.  The
+    report lists them by (p, q), then d1.d1, d2.d2, commute, and is kept on
+    the complex: each Q_m Q_{m-1} is multiplied once per complex."""
+    if dc._report is None:
+        bad = set()
+        for m in range(1, dc.width + dc.height - 1):
+            prod = total_differential(dc, m).mul(total_differential(dc, m - 1))
+            src, tgt = _element_cells(dc, m - 1), _element_cells(dc, m + 1)
+            for (tp, _), row in zip(tgt, prod.data):
+                for j in row:
+                    p, q = src[j]
+                    bad.add((p, q, *_RULES[tp - p]))
+        dc._report = ComplexReport(not bad, tuple((rule, p, q) for p, q, _, rule in sorted(bad)))
+    return dc._report
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +141,11 @@ def _antidiagonal_cells(dc, m):
         if 0 <= q < dc.height:
             cells.append((p, q))
     return cells
+
+
+def _element_cells(dc, m):
+    """The cell of each basis element of D^m, in the order of Q's blocks."""
+    return [cell for cell in _antidiagonal_cells(dc, m) for _ in range(dc.dim_at(*cell))]
 
 
 def _q_rows(dc, src_cells, tgt_cells) -> Mat:
@@ -191,12 +215,13 @@ def total_cohomology(dc: DoubleComplex, m: int) -> TotalCohomology:
     """dim H^m(Q) = dim D^m - rank Q_m - rank Q_{m-1} (Q_{-1} maps from 0),
     the brute-force oracle, once per degree and complex: each rank is read
     from the row reduction kept on that Q, never from the filtered
-    reduction.  Ranks do not see Q^2 != 0, so Q_m Q_{m-1} = 0 is checked."""
+    reduction.  Ranks do not see Q^2 != 0, so Q_m Q_{m-1} = 0 is read from
+    the complex's report: no violation at a cell of degree m - 1."""
     h = dc._totals.get(m)
     if h is None:
-        q, q_in = total_differential(dc, m), total_differential(dc, m - 1)
-        if not q.mul(q_in).is_zero():
+        if any(p + q == m - 1 for _, p, q in validate_double_complex(dc).violations):
             raise InvariantViolation(f"Q^2 != 0 at degree {m}: not a double complex")
+        q, q_in = total_differential(dc, m), total_differential(dc, m - 1)
         h = dc._totals[m] = TotalCohomology(q.cols - len(q.row_reduction[0]) - len(q_in.row_reduction[0]))
     return h
 
@@ -224,15 +249,11 @@ def _filtered_reduction(dc):
     pivot lies in the span of the columns before it, so it is skipped
     (clearing).  An unpaired element lives through the stable page."""
     r0 = max(dc.width, dc.height) + 1
-
-    def element_cells(m):
-        return [cell for cell in _antidiagonal_cells(dc, m) for _ in range(dc.dim_at(*cell))]
-
     lives = {}
     cleared = set()
-    tgt = element_cells(0)
+    tgt = _element_cells(dc, 0)
     for m in range(dc.width + dc.height - 1):
-        src, tgt = tgt, element_cells(m + 1)
+        src, tgt = tgt, _element_cells(dc, m + 1)
         ech = Echelon()
         pivots = set()
         cols = total_differential(dc, m).int_columns()
@@ -307,16 +328,8 @@ def page_infinity(dc: DoubleComplex) -> Page:
 def transpose(dc: DoubleComplex) -> DoubleComplex:
     """Swap the two directions (and the two filtrations)."""
     dims = [[dc.dims[p][q] for p in range(dc.width)] for q in range(dc.height)]
-    d1 = {}
-    d2 = {}
-    for p in range(dc.height):
-        for q in range(dc.width):
-            m = dc.d2_at(q, p)
-            if m.rows and m.cols:
-                d1[(p, q)] = m
-            m = dc.d1_at(q, p)
-            if m.rows and m.cols:
-                d2[(p, q)] = m
+    d1 = {(q, p): m for (p, q), m in dc._d2.items()}
+    d2 = {(q, p): m for (p, q), m in dc._d1.items()}
     return DoubleComplex(dims, d1, d2)
 
 

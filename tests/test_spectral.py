@@ -241,6 +241,47 @@ def test_q_squared_nonzero_raises_also_under_python_O():
     assert run_under_O(script=D1_SQUARED_NONZERO) == (2, "")
 
 
+# Q assembled without the (-1)^q on d2: its square holds d1 d2 + d2 d1 where
+# d1 d2 - d2 d1 should be, although every d1 and d2 block is unchanged
+UNSIGNED_Q = """
+import lagfloor.spectral as sp
+
+put_block = sp._put_block
+sp._put_block = lambda rows, dens, c0, mat, sign: put_block(rows, dens, c0, mat, 1)
+assert False, "asserts must be stripped under -O"
+print(*sp.validate_double_complex(sp.random_double_complex(3)).violations)
+"""
+
+
+def test_validation_reads_the_assembled_q_also_under_python_O():
+    """The check reads Q^2 = 0, so a Q whose sign rule is broken fails it on
+    a complex whose blocks all commute, also under python -O."""
+    assert validate_double_complex(random_double_complex(3)).ok
+    assert run_under_O(script=UNSIGNED_Q) == (0, "('commute', 0, 0)\n")
+
+
+def test_each_q_squared_is_multiplied_once(monkeypatch):
+    """validate_double_complex, total_cohomology at every degree and
+    abutment_check on one complex multiply each Q_m Q_{m-1} once, and
+    nothing else."""
+    products = []
+    mul = Mat.mul
+
+    def counted(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    dc = random_double_complex(5, width=3, height=3)
+    monkeypatch.setattr(Mat, "mul", counted)
+    assert validate_double_complex(dc).ok
+    for m in range(dc.width + dc.height - 1):
+        total_cohomology(dc, m)
+    assert abutment_check(dc).ok
+    assert validate_double_complex(dc).ok
+    degrees = range(1, dc.width + dc.height - 1)
+    assert [(id(a), id(b)) for a, b in products] == [(id(dc._q[m]), id(dc._q[m - 1])) for m in degrees]
+
+
 def test_stabilization():
     for seed in range(6):
         dc = random_double_complex(seed)
