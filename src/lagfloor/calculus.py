@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
-from .expr import TP, TP_ONE, AnsatzSpec, Chart, Expr, derivation, function_monomials, mono_expr, quotient_rule
-from .exprspace import common_denominator, solve_linear_expr_system
-from .linalg import InvariantViolation
+from .expr import TP, TP_ONE, Chart, Expr, derivation, function_monomials, quotient_rule
+from .exprspace import equation_rows, tp_lcm
+from .linalg import InvariantViolation, solve_rows
 
 F = Fraction
 
@@ -172,64 +172,62 @@ def is_closed(w: OneForm) -> bool:
     return True
 
 
-def default_ansatz(w: OneForm) -> AnsatzSpec:
-    """Degree = max line-degree of w (numerator and denominator) + 1.
+def default_ansatz(w: OneForm):
+    """(degree, Fourier order, denominator) of the potential search.
 
-    d respects total degree in this algebra, so exact polynomial-trig forms
-    have potentials within the bound; rational forms fix the denominator to
-    the least common denominator of the components.
+    Degree = max line-degree of w (numerator and denominator) + 1, plus the
+    denominator's degree.  d respects total degree in this algebra, so
+    exact polynomial-trig forms have potentials within the bound; rational
+    forms fix the denominator to a common multiple of the components'.
     """
     ch = w.chart
     deg = 0
     four = 0
-    rational = False
     for c in w.components:
         deg = max(deg, c.num.degree_in(ch.line_names) + c.den.degree_in(ch.line_names))
         four = max(four, c.fourier_order())
-        if not c.den.is_one():
-            rational = True
-    den_expr = None
-    if rational:
-        lcd, _ = common_denominator(list(w.components))
-        den_expr = Expr(ch, lcd)
-        deg += lcd.degree_in(ch.line_names)
-    return AnsatzSpec(degree=deg + 1, fourier=four, denominator=den_expr)
+    lcd = reduce(tp_lcm, (c.den for c in w.components if not c.den.is_one()), TP_ONE)
+    return deg + lcd.degree_in(ch.line_names) + 1, four, lcd
 
 
 # A process meets only a few distinct ansaetze: the default ansatz follows
 # the degree, Fourier order and denominator of the form, and a stream over
 # one family repeats them.  So a small bound keeps every one that recurs.
 @lru_cache(maxsize=32)
-def _potential_columns(ch: Chart, degree, fourier, den_num: TP, den_den: TP):
+def _potential_columns(ch: Chart, degree, fourier, den: TP):
     """The ansatz monomials m and, per m, the components of d(m/den) times
-    den^2: (dm * den - m * d den), the columns of every potential search on
-    this ansatz."""
+    den^2, (dm * den - m * d den) as trig polynomials: the columns of every
+    potential search on this ansatz."""
     monos = tuple(function_monomials(ch, degree, fourier))
-    den = Expr(ch, den_num, den_den)
+    ds = [derivation(ch, name) for name in ch.names]
+    dden = [d(den) for d in ds]
     columns = []
     for m in monos:
-        me = mono_expr(ch, m)
-        columns.append(tuple(me.partial(name) * den - me * den.partial(name) for name in ch.names))
+        tp = TP({m: 1})
+        columns.append(tuple(d(tp) * den - tp * dd for d, dd in zip(ds, dden)))
     return monos, tuple(columns)
 
 
-def find_potential(w: OneForm, ansatz: AnsatzSpec | None = None) -> Expr | None:
-    """Velocity-free f with df = w, searched over the ansatz basis; exact.
+def find_potential(w: OneForm) -> Expr | None:
+    """Velocity-free f with df = w, searched over the default ansatz; exact.
 
     Absence only means "not found within the ansatz".  Requires w closed.
     """
     if not is_closed(w):
         raise NotClosed("potential search requires a closed form")
-    if ansatz is None:
-        ansatz = default_ansatz(w)
     ch = w.chart
-    den = ansatz.denominator if ansatz.denominator is not None else Expr.const(ch, 1)
-    monos, columns = _potential_columns(ch, ansatz.degree, ansatz.fourier, den.num, den.den)
-    rhs = [w.components[i] * den * den for i in range(len(ch.names))]
-    sol = solve_linear_expr_system(columns, rhs)
+    degree, fourier, den = default_ansatz(w)
+    monos, columns = _potential_columns(ch, degree, fourier, den)
+    nunk = len(monos)
+    den2 = Expr(ch, den * den)
+    rows = []
+    for i, c in enumerate(w.components):
+        terms = [(k, 1, col[i]) for k, col in enumerate(columns)]
+        rows.extend(equation_rows(terms, (nunk, c * den2)))
+    sol = solve_rows(rows, nunk)
     if sol is None:
         return None
-    return Expr(ch, TP.from_vector({monos[k]: c for k, c in sorted(sol.items())})) / den
+    return Expr(ch, TP.from_vector({monos[k]: x for k, x in sorted(sol.items())})) / Expr(ch, den)
 
 
 def harmonic_coefficient(comp: Expr) -> Fraction:
@@ -239,7 +237,7 @@ def harmonic_coefficient(comp: Expr) -> Fraction:
     return F(0)
 
 
-def derham_split(w: OneForm, ansatz: AnsatzSpec | None = None):
+def derham_split(w: OneForm):
     """Split a closed form into harmonic angle part plus an exact potential.
 
     Returns ({angle: coefficient}, potential).  Raises NotClosed or
@@ -258,7 +256,7 @@ def derham_split(w: OneForm, ansatz: AnsatzSpec | None = None):
             delta = [Expr.const(ch, 0)] * len(ch.names)
             delta[idx] = Expr.const(ch, c)
             rem = rem - OneForm(ch, tuple(delta))
-    f = find_potential(rem, ansatz)
+    f = find_potential(rem)
     if f is None:
         raise AnsatzExhausted("closed remainder admits no potential within the ansatz")
     # exact reconstruction check

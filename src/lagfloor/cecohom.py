@@ -16,8 +16,8 @@ are reproducible.  The differential is
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import lcm
@@ -64,21 +64,15 @@ class ModuleReport:
 
 
 def validate_module(a: GModule) -> ModuleReport:
-    """Check rho_i rho_j - rho_j rho_i = c^k_{ij} rho_k for all i < j."""
+    """Check rho_i rho_j - rho_j rho_i = c^k_{ij} rho_k for all i < j.
+
+    delta_1 delta_0 sends a module vector v to the 2-cochain whose value
+    on (i, j) is that identity applied to v, so the violations are the
+    tuples of its nonzero rows, in ascending order."""
     g = a.algebra
-    rho = a.action
-    bad = []
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            terms = [(1, rho[i].mul(rho[j])), (-1, rho[j].mul(rho[i]))]
-            terms += [(-c, rho[k]) for k in range(g.dim) if (c := g.coeff(i, j, k))]
-            diff = [{} for _ in range(a.dim)]
-            for c, m in terms:
-                for acc, row, den in zip(diff, m.data, m.dens):
-                    for col, x in row.items():
-                        acc[col] = acc.get(col, 0) + c * Fraction(x, den)
-            if any(x for acc in diff for x in acc.values()):
-                bad.append((i, j))
+    dd = ce_differential(g, a, 1).mul(ce_differential(g, a, 0))
+    tuples = cochain_tuples(g.dim, 2)
+    bad = dict.fromkeys(tuples[r // a.dim] for r, row in enumerate(dd.data) if row)
     return ModuleReport(not bad, tuple(bad))
 
 
@@ -97,8 +91,8 @@ def _insert_sorted(k, rest):
     return out, (-1) ** pos
 
 
-# id-keyed with strong references to the keyed objects: holding them alive
-# keeps the ids valid (a collected object's id can be reused)
+# id-keyed; an entry is dropped when its algebra or module is collected,
+# before that id can be reused
 _DIFF_CACHE: dict = {}
 
 
@@ -110,7 +104,7 @@ def ce_differential(g: StructureConstants, a: GModule, q: int) -> Mat:
     denominators (1 for the catalog algebras on a trivial module)."""
     key = (id(g), id(a), q)
     if key in _DIFF_CACHE:
-        return _DIFF_CACHE[key][-1]
+        return _DIFF_CACHE[key]
     n = g.dim
     m = a.dim
     src_index = {t: i for i, t in enumerate(cochain_tuples(n, q))}
@@ -148,7 +142,9 @@ def ce_differential(g: StructureConstants, a: GModule, q: int) -> Mat:
                         add(t, col_base + t, bsign * gamma * psign)
         data.extend({col: v for col, v in row.items() if v} for row in rows)
     out = Mat.over(den, data, len(src_index) * m)
-    _DIFF_CACHE[key] = (g, a, out)
+    _DIFF_CACHE[key] = out
+    for owner in (g, a):
+        weakref.finalize(owner, _DIFF_CACHE.pop, key, None)
     return out
 
 

@@ -757,15 +757,10 @@ def _reduce_fraction(num, den):
 
 @dataclass(frozen=True)
 class AnsatzSpec:
-    """Search space for potentials/invariants: line-degree and Fourier bounds.
-
-    ``denominator`` (a velocity-free Expr), when set, fixes candidate
-    functions to p/denominator with p ranging over the monomial basis.
-    """
+    """The bounds of an ansatz: line-degree and Fourier order."""
 
     degree: int
     fourier: int
-    denominator: "Expr | None" = None
 
     def __str__(self):
         return f"degree {self.degree}, fourier {self.fourier}"
@@ -813,10 +808,6 @@ def function_monomials(chart_, degree, fourier):
             out.append((tuple(sorted(lp)), trig))
     out.sort()
     return out
-
-
-def mono_expr(chart_, mono):
-    return Expr(chart_, TP({mono: 1}))
 
 
 # ---------------------------------------------------------------------------

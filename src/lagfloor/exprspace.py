@@ -1,19 +1,19 @@
-"""Coordinate views of finite families of expressions.
+"""Coordinate views of finite families of trig polynomials.
 
-Several solvers (potential finding, cocycle spaces, the K-spaces and the
-phi_3 witness) reduce "these expressions must vanish / be dependent" to
-exact linear algebra: bring everything over a common denominator, read off
-monomial coordinates of the numerators, and hand the rows to ``linalg``.  A
-term may also come as a trig polynomial, which is how the pair's action
-table gives its images; its integer coefficients are read as they are.
+Every solver (potential finding, cocycle spaces, the K-spaces and the
+phi_3 witness) reduces "these expressions vanish identically" to exact
+linear algebra the same way: ``equation_rows`` reads the integer monomial
+coordinates of unknown-weighted trig polynomials, such as the pair's
+action-table images, and the rows go to ``linalg``.  One identity may have
+a right-hand side that is a rational expression; its denominator is
+cleared by multiplying every term by it, so nothing is divided.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 
-from .expr import Expr, TP, TP_ONE
-from .linalg import InvariantViolation, solve_rows
+from .expr import Expr, TP
 
 
 def tp_lcm(a: TP, b: TP) -> TP:
@@ -33,26 +33,6 @@ def tp_lcm(a: TP, b: TP) -> TP:
     return a * b
 
 
-def common_denominator(exprs) -> tuple[TP, list[TP]]:
-    """(lcd, numerators) with expr_i = numerators[i] / lcd exactly."""
-    lcd = TP_ONE
-    for e in exprs:
-        if not e.den.is_one():
-            lcd = tp_lcm(lcd, e.den)
-    if lcd.is_one():
-        return lcd, [e.num for e in exprs]
-    nums = []
-    for e in exprs:
-        if e.den is lcd or e.den == lcd:
-            nums.append(e.num)
-            continue
-        q = lcd.divide_by(e.den)
-        if q is None:
-            raise InvariantViolation("the common denominator is not a multiple of a denominator")
-        nums.append(e.num * q)
-    return lcd, nums
-
-
 class NotPolynomial(Exception):
     """Monomial coordinates of a rational expression: unsupported input, not
     a failed certificate, so the CLI reports it as undetermined (exit 4)."""
@@ -65,30 +45,28 @@ def polynomial(e: Expr) -> TP:
     return e.num
 
 
-def equation_rows(terms):
-    """Integer rows ``{unknown: int}`` of one identity sum == 0.
+def equation_rows(terms, rhs=None):
+    """Integer rows ``{unknown: int}`` of one identity sum == rhs.
 
-    ``terms`` are (unknown, scale, term) triples standing for
-    unknown * scale * term, with a rational scale, where a term is an
-    expression or a trig polynomial; an unknown may repeat, and its
-    contributions add.  Trig polynomials give their monomial coordinates
-    directly; when an expression term is rational the identity is first
-    cleared to a common denominator.  One row per monomial, over the
-    integer lcm of the terms' denominators and divided by its content;
-    zero rows dropped.
+    ``terms`` are (unknown, scale, tp) triples standing for
+    unknown * scale * tp, with a rational scale and a trig polynomial tp;
+    an unknown may repeat, and its contributions add.  ``rhs``, when given,
+    is (unknown, e) for one expression e and stands for unknown * e; when e
+    is rational, every term is first multiplied by e's denominator.  One
+    row per monomial, over the integer lcm of the terms' denominators and
+    divided by its content; zero rows dropped.
     """
     terms = [t for t in terms if not t[2].is_zero()]
-    exprs = [e for _, _, e in terms if isinstance(e, Expr)]
-    if all(e.den.is_one() for e in exprs):
-        nums = [e.num if isinstance(e, Expr) else e for _, _, e in terms]
-    else:
-        ch = exprs[0].chart
-        _, nums = common_denominator([e if isinstance(e, Expr) else Expr(ch, e) for _, _, e in terms])
-    den = lcm(*[scale.denominator * num.den for (_, scale, _), num in zip(terms, nums)])
+    if rhs is not None and not rhs[1].is_zero():
+        k, e = rhs
+        if not e.den.is_one():
+            terms = [(u, scale, tp * e.den) for u, scale, tp in terms]
+        terms.append((k, -1, e.num))
+    den = lcm(*[scale.denominator * tp.den for _, scale, tp in terms])
     rows = {}
-    for (k, scale, _), num in zip(terms, nums):
-        c = scale.numerator * (den // (scale.denominator * num.den))
-        for m, x in num.terms.items():
+    for k, scale, tp in terms:
+        c = scale.numerator * (den // (scale.denominator * tp.den))
+        for m, x in tp.terms.items():
             row = rows.setdefault(m, {})
             v = row.get(k, 0) + c * x
             if v:
@@ -101,18 +79,3 @@ def equation_rows(terms):
             g = gcd(*r.values())
             out.append({k: x // g for k, x in r.items()} if g != 1 else r)
     return out
-
-
-def solve_linear_expr_system(columns: list[list[Expr]], rhs: list[Expr]):
-    """Solve sum_k c_k * columns[k][e] = rhs[e] for every equation index e.
-
-    Returns a sparse {unknown: Fraction} vector or None.  Each equation is
-    cleared to a common denominator, then compared monomial by monomial.
-    """
-    nunk = len(columns)
-    rows = []
-    for e in range(len(rhs)):
-        terms = [(k, 1, columns[k][e]) for k in range(nunk)] + [(nunk, -1, rhs[e])]
-        rows.extend(equation_rows(terms))
-    return solve_rows(rows, nunk)
-

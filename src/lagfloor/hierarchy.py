@@ -301,8 +301,7 @@ def phi3(p: GMPair, alpha: FunctionCochain, opts: ClassifyOptions):
         terms = [(k, 1, act.contraction(i, mu, m)) for k, (mu, m) in enumerate(units)]
         terms += [(nw + a, 1, TP.const(tvec[i])) for a, tvec in enumerate(z1.basis) if i in tvec]
         terms += [(nw + nt + k, 1, act.scalar(i, m)) for k, m in enumerate(fmonos)]
-        terms.append((nunk, -1, alpha.components[i]))
-        rows.extend(equation_rows(terms))
+        rows.extend(equation_rows(terms, (nunk, alpha.components[i])))
     sol = solve_rows(rows, nunk)
     if sol is not None:
         wvec = {k: x for k, x in sol.items() if k < nw}
@@ -328,7 +327,7 @@ def phi3(p: GMPair, alpha: FunctionCochain, opts: ClassifyOptions):
     # no witness within the ansatz: try a restriction certificate
     for point in p.sample_points:
         try:
-            values = restrict_cocycle(p, alpha, point, check_constancy=False)
+            values = restrict_cocycle(p, alpha, point)
         except EvaluationPole:
             continue
         vals = {a: x for a, x in enumerate(values.values()) if x}
@@ -657,7 +656,7 @@ def _certify_k3(p: GMPair, raw_dim, reps):
         return raw_dim, reps, 0
     value_rows = []
     for alpha in reps:
-        vals = restrict_cocycle(p, alpha, point, check_constancy=False)
+        vals = restrict_cocycle(p, alpha, point)
         value_rows.append({a: x for a, x in enumerate(vals.values()) if x})
     # as in ``quotient``: the reps whose values raise the rank of the
     # accounted values and of the reps before them are the certified ones

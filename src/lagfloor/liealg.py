@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .linalg import clear_denominators, coordinate_map, kernel_of_rows
 
@@ -155,20 +156,15 @@ def _derive_constants(gens, names) -> StructureConstants:
     return StructureConstants(n, tuple(names), c)
 
 
-_CATALOG_CACHE: dict = {}
-
-
 def catalog(name: str, **params) -> StructureConstants:
-    """Named algebras: abelian(n), l3, so3, galilean, poincare(c)."""
-    key = (name, tuple(sorted((k, F(v)) for k, v in params.items())))
-    if key in _CATALOG_CACHE:
-        return _CATALOG_CACHE[key]
-    g = _build_catalog(name, params)
-    _CATALOG_CACHE[key] = g
-    return g
+    """Named algebras: abelian(n), l3, so3, galilean, poincare(c); one per
+    name and parameter values."""
+    return _build_catalog(name, tuple(sorted((k, F(v)) for k, v in params.items())))
 
 
+@cache
 def _build_catalog(name, params):
+    params = dict(params)
     if name == "abelian":
         n = int(params.get("n", 0))
         if n <= 0:

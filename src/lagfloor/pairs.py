@@ -22,7 +22,7 @@ from itertools import chain
 
 from .calculus import OneForm, VectorFieldExpr, twoform_pairs
 from .cecohom import GModule, NotACocycle, validate_module
-from .expr import TP, AnsatzSpec, Chart, Expr, derivation, function_monomials
+from .expr import TP, AnsatzSpec, Chart, EvaluationPole, Expr, derivation, function_monomials
 from .exprspace import equation_rows, polynomial
 from .liealg import StructureConstants, zero_one_cocycles
 from .linalg import (
@@ -411,18 +411,17 @@ def _section_vectors(p: GMPair, point):
     return out
 
 
-def restrict_cocycle(p: GMPair, alpha: FunctionCochain, point, check_constancy=None):
+def restrict_cocycle(p: GMPair, alpha: FunctionCochain, point):
     """Evaluate a cocycle against the stability subalgebra basis at a point.
 
     Returns {basis_vector: value}.  With pair-provided stability sections the
     basis is the section evaluation (canonical across points) and, for
-    transitive pairs, constancy over the pair's sample points is checked.
+    transitive pairs, the values are checked to be the same at every other
+    sample point where they can be evaluated.
     Without sections the reduced-echelon kernel basis at the point is used.
     """
     if not alpha.is_cocycle():
         raise NotACocycle("restriction requires delta(alpha) = 0")
-    if check_constancy is None:
-        check_constancy = p.transitive and p.stability_sections is not None
 
     def values_at(pt):
         stab = stability_subalgebra(p, pt)
@@ -441,10 +440,14 @@ def restrict_cocycle(p: GMPair, alpha: FunctionCochain, point, check_constancy=N
         return vecs, out
 
     vecs, vals = values_at(point)
-    if check_constancy:
-        extra = [pt for pt in p.sample_points if pt != point][:2]
-        for pt in extra:
-            _, other = values_at(pt)
+    if p.transitive and p.stability_sections is not None:
+        for pt in p.sample_points:
+            if pt == point:
+                continue
+            try:
+                _, other = values_at(pt)
+            except EvaluationPole:
+                continue  # a pole of the fields, sections or alpha: no value to compare
             if other != vals:
                 raise InvariantViolation("cocycle restriction must be point-independent")
     return {dense(v, p.algebra.dim): val for v, val in zip(vecs, vals)}

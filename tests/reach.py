@@ -46,7 +46,6 @@ ALLOWED = {
     "expr:TP.trig": "the trig monomial that sin and cos parse to",
     "expr:_trig_pair_product": "the product-to-sum rule of two trig monomials",
     "exprspace:tp_lcm": "the default ansatz of a 1-form with a rational component",
-    "exprspace:common_denominator": "the default ansatz of a 1-form with a rational component",
     "calculus:OneForm.__add__": "phi4 adds the harmonic part back when the witness has one",
     "calculus:OneForm.scale": "phi4 scales the harmonic part when the witness has one",
     "expr:AnsatzSpec.__str__": "the ansatz = line of an undetermined (exit 4) report",

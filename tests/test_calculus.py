@@ -20,7 +20,7 @@ from lagfloor.calculus import (
     is_closed,
     total_time_derivative,
 )
-from lagfloor.expr import TP, AnsatzSpec, Chart, Expr, derivation, parse_expr, quotient_rule, to_string
+from lagfloor.expr import TP, Chart, Expr, derivation, parse_expr, quotient_rule, to_string
 from lagfloor.hierarchy import ClassifyOptions, classify, noether_charges
 from lagfloor.problemfile import build_lagrangian, load_problem_file
 
@@ -178,10 +178,10 @@ def test_derham_split_not_closed():
 
 
 def test_ansatz_exhausted_reported():
-    # dphi-harmonic removed: z^5*dz needs degree 6, cap the ansatz at 2
-    w = oneform(CYL, "z^5", "0")
+    # du/(1 + u^2) is closed, and its potential arctan(u) is no p/(1 + u^2)
+    w = oneform(R2, "1/(1 + u^2)", "0")
     with pytest.raises(AnsatzExhausted):
-        derham_split(w, AnsatzSpec(degree=2, fourier=0))
+        derham_split(w)
 
 
 def test_rational_potential_with_fixed_denominator():
@@ -201,10 +201,12 @@ def test_find_potential_builds_its_columns_once_per_ansatz():
     from lagfloor.calculus import _potential_columns
 
     _potential_columns.cache_clear()
-    for text in ("u", "v", "u*v - 2"):
+    # each gradient is over (1 + u^2 + v^2)^2 with numerators of degree 2,
+    # so all three share the default ansatz (degree 11, that denominator)
+    for text in ("u", "v", "u - 3*v"):
         one_plus = parse_expr(R2, "1 + u^2 + v^2")
         f = parse_expr(R2, text) / one_plus
-        got = find_potential(gradient(f), AnsatzSpec(3, 0, one_plus))
+        got = find_potential(gradient(f))
         assert gradient(got) == gradient(f)
     # default ansaetze: degree 2 for d(u^2) and d(u*v), degree 3 for d(u^3)
     for text in ("u^2", "u*v", "u^3"):
@@ -212,6 +214,28 @@ def test_find_potential_builds_its_columns_once_per_ansatz():
         assert find_potential(gradient(f)) == f
     info = _potential_columns.cache_info()
     assert (info.misses, info.hits) == (3, 3)
+
+
+def test_potential_columns_do_no_expression_arithmetic(monkeypatch):
+    """A cold column build differentiates and multiplies trig polynomials
+    only: no Expr is differentiated or multiplied, and each column is
+    den^2 d(m/den)."""
+    from lagfloor import calculus
+
+    w = gradient(parse_expr(R2, "u/(1 + u^2 + v^2)"))
+    degree, fourier, den = calculus.default_ansatz(w)
+    calls = []
+    for name in ("partial", "__mul__"):
+        orig = getattr(Expr, name)
+        monkeypatch.setattr(Expr, name, lambda self, x, _orig=orig, _name=name: calls.append(_name) or _orig(self, x))
+    calculus._potential_columns.cache_clear()
+    monos, columns = calculus._potential_columns(R2, degree, fourier, den)
+    assert calls == []
+    monkeypatch.undo()
+    d = Expr(R2, den)
+    for m, col in list(zip(monos, columns))[::7]:
+        f = Expr(R2, TP({m: 1})) / d
+        assert [Expr(R2, c) for c in col] == [f.partial(name) * d * d for name in R2.names]
 
 
 # -- Noether identity (the key symbolic invariant) -----------------------------------

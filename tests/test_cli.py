@@ -673,6 +673,36 @@ def test_section_that_misses_the_stability_algebra_exits_3(tmp_path):
         assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("section,command", [
+    # vanishes at every point but is not normalized; the certificate -4/3
+    # was once printed
+    ('s1 = ["2*u", "2*v", "u^2 + v^2 - 1"]', ["classify", "--set", "m=7,g=2/3"]),
+    # the same section over v, which has a pole at the first sample point:
+    # the other two are compared, where a traceback once came out
+    ('s1 = ["2*u/(v*(1 + u^2 + v^2))", "2/(1 + u^2 + v^2)", "(u^2 + v^2 - 1)/(v*(1 + u^2 + v^2))"]',
+     ["k-spaces"]),
+], ids=["unnormalized", "pole"])
+def test_point_dependent_restriction_exits_3(tmp_path, section, command):
+    """A stability section whose cocycle values change from point to point
+    is refused: the restriction is compared over the sample points."""
+    import subprocess
+    import sys
+
+    f = tmp_path / "point_dependent.toml"
+    text = (FIXTURES / "so3_sphere.toml").read_text()
+    s1 = 's1 = ["2*u/(1 + u^2 + v^2)", "2*v/(1 + u^2 + v^2)", "(u^2 + v^2 - 1)/(1 + u^2 + v^2)"]'
+    assert s1 in text
+    f.write_text(text.replace(s1, section))
+    res = subprocess.run(
+        [sys.executable, "-m", "lagfloor.cli", "--format", "machine", command[0], str(f), *command[1:]],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert res.returncode == 3, (res.stdout, res.stderr)
+    assert "invariant_violation = cocycle restriction must be point-independent" in res.stdout
+    assert "k3_certificate" not in res.stdout
+    assert "Traceback" not in res.stderr
+
+
 RATIONAL_PAIR = """
 [algebra]
 dim = 1

@@ -348,9 +348,20 @@ def test_const_value_of_rational():
 # -- exprspace ------------------------------------------------------------------
 
 def test_kernel_of_expr_system_clears_denominators():
-    # c0 * 1/(1+u) + c1 * u/(1+u) + c2 * 1 = 0 forces c0 + c2 = 0 = c1 + c2
-    terms = [(0, 1, P("1/(1 + u)", PLANE)), (1, 1, P("u/(1 + u)", PLANE)), (2, 1, P("1", PLANE))]
-    assert kernel_of_rows(equation_rows(terms), 3).basis == ({0: F(-1), 1: F(-1), 2: F(1)},)
+    # c0 + c1 * u/2 - 2 * c3 = c2 / (1 + u), times 1 + u:
+    # (c0 - c2 - 2 c3) + (c0 + c1/2 - 2 c3) u + (c1/2) u^2 = 0
+    terms = [(0, 1, TP.const(1)), (1, F(1, 2), TP.var("u")), (3, -1, TP.const(2))]
+    rows = equation_rows(terms, (2, P("1/(1 + u)", PLANE)))
+    assert sorted(sorted(r.items()) for r in rows) == [
+        [(0, 1), (2, -1), (3, -2)],
+        [(0, 2), (1, 1), (3, -4)],
+        [(1, 1)],
+    ]
+    # a rational right-hand side is no polynomial: its unknown is forced to 0
+    assert kernel_of_rows(rows, 4).basis == ({0: F(2), 3: F(1)},)
+    # a polynomial one is read as it is
+    rows = equation_rows(terms, (2, P("1 + u", PLANE)))
+    assert kernel_of_rows(rows, 4).basis == ({0: F(1), 1: F(2), 2: F(1)}, {0: F(2), 3: F(1)})
 
 
 # -- trig-polynomial kernel against its plain Fraction reference -------------

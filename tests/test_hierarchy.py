@@ -177,6 +177,25 @@ def test_repeated_classify_adds_no_ce_differential():
     assert len(cecohom._DIFF_CACHE) == before
 
 
+def test_rebuilt_invariance_complex_adds_no_ce_differential():
+    """Each build of the invariance complex makes new modules, and a CE
+    differential cached for a module goes when the module is collected, so
+    building the same pair's complex again does not grow ``_DIFF_CACHE``."""
+    import gc
+
+    from lagfloor import cecohom
+
+    build_invariance_double_complex(L3)
+    gc.collect()
+    before = len(cecohom._DIFF_CACHE)
+    sizes = []
+    for _ in range(3):
+        build_invariance_double_complex(L3)
+        gc.collect()
+        sizes.append(len(cecohom._DIFF_CACHE) - before)
+    assert sizes == [0, 0, 0]
+
+
 def test_floor4_decomposition_certificate():
     r = classify(L3, P("dz^2") + d_el(P("z^2*sin(phi)")))
     assert (r.floor, r.sign) == (4, "+")

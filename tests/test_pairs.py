@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from lagfloor.calculus import OneForm, VectorFieldExpr, gradient, is_closed, twoform_pairs
 from lagfloor.cecohom import cohomology
-from lagfloor.expr import TP, AnsatzSpec, Expr, function_monomials, mono_expr, parse_expr, to_string
+from lagfloor.expr import TP, AnsatzSpec, Expr, function_monomials, parse_expr, to_string
 from lagfloor.exprspace import NotPolynomial
 from lagfloor.hierarchy import classify
 from lagfloor.linalg import InvariantViolation, dense, kernel_of_rows
@@ -142,7 +142,7 @@ def test_action_table_matches_lie_derivatives(pair):
         return Expr(ch, d)
 
     for m in function_monomials(ch, 3, 3):
-        me = mono_expr(ch, m)
+        me = Expr(ch, TP({m: 1}))
         for mu, name in enumerate(ch.names):
             assert expr(pair.action.partial(mu, m)) == me.partial(name)
         for i, x in enumerate(pair.fields):
@@ -159,7 +159,7 @@ def test_action_table_matches_lie_derivatives(pair):
     # already meets every term of theirs
     pairs = twoform_pairs(ch)
     for m in function_monomials(ch, 2 if len(ch.names) <= 3 else 1, 2):
-        me = mono_expr(ch, m)
+        me = Expr(ch, TP({m: 1}))
         for i, x in enumerate(pair.fields):
             for ab in pairs:
                 unit = TwoForm(ch, tuple(me if pq == ab else zero for pq in pairs))
@@ -183,7 +183,7 @@ def _random_function(pair, seed, degree=3, fourier=1):
     for m in function_monomials(ch, degree, fourier):
         c = F(rng.randint(-3, 3), rng.randint(1, 3))
         if c:
-            f = f + mono_expr(ch, m) * c
+            f = f + Expr(ch, TP({m: 1})) * c
     return f
 
 
