@@ -5,7 +5,9 @@ finding.
 Forms and vector fields are tuples of velocity-free expressions indexed by
 the chart coordinates.  Lagrangians are plain expressions in coordinates and
 velocities; the Euler-Lagrange covector is the only place accelerations
-appear.
+appear.  The Euler-Lagrange covector and the total time derivative, which
+only the Noether charges read, are (numerator, denominator) pairs of trig
+polynomials, not expressions, so the charge sums never build one.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 
-from .expr import TP, TP_ONE, Chart, Expr, derivation, function_monomials, quotient_rule
+from .expr import TP, TP_ONE, Chart, Expr, derivation, fraction_add, function_monomials, quotient_rule
 from .exprspace import equation_rows, tp_lcm
 from .linalg import InvariantViolation, solve_rows
 
@@ -98,14 +100,16 @@ def twoform_pairs(chart):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def euler_lagrange(L: Expr) -> tuple[Expr, ...]:
+def euler_lagrange(L: Expr) -> tuple[tuple[TP, TP], ...]:
     """Left-hand side of the motion equations of a rank-1 Lagrangian, one
-    component per chart coordinate; components may carry accelerations.
+    (numerator, denominator) pair of trig polynomials per chart coordinate;
+    components may carry accelerations.
 
     Component mu is dL/dq^mu - D_t dL/d(dq^mu), with D_t = dq^nu d/dq^nu +
     ddq^nu d/d(dq^nu).  Each derivative is one quotient rule on numerators
     and denominators (a denominator that a derivative annihilates is kept,
-    not squared), and each component is built as one expression.
+    not squared), and the two are subtracted by ``fraction_add``; no
+    expression is built.
     """
     if L.has_accelerations():
         raise ValueError("rank-1 Lagrangians only")
@@ -115,9 +119,7 @@ def euler_lagrange(L: Expr) -> tuple[Expr, ...]:
     for name in ch.names:
         a, b = quotient_rule(L.num, L.den, derivation(ch, name))
         c, e = quotient_rule(*quotient_rule(L.num, L.den, derivation(ch, ch.velocity(name))), dt)
-        if b != e and (q := e.divide_by(b)) is not None:
-            a, b = a * q, e
-        comps.append(Expr(ch, a - c, b) if b == e else Expr(ch, a * e - c * b, b * e))
+        comps.append(fraction_add(a, b, -c, e))
     return tuple(comps)
 
 
@@ -128,29 +130,57 @@ def d_el(f: Expr) -> Expr:
 
 def _time_derivation(ch, tau):
     """D_t on trig polynomials: dq^mu d/dq^mu + ddq^mu d/d(dq^mu), plus
-    d/d tau when ``tau``."""
-    steps = []
-    for name in ch.names:
-        steps.append((TP.var(ch.velocity(name)), derivation(ch, name)))
-        steps.append((TP.var(ch.acceleration(name)), derivation(ch, ch.velocity(name))))
+    d/d tau when ``tau``, in one pass over the terms.
+
+    Each term c * m contributes c * e * m', one per variable of m that D_t
+    moves: a line coordinate q^e turns into e * q^(e-1) dq, a velocity
+    dq^e into e * dq^(e-1) ddq, and tau^e into e * tau^(e-1).  A Fourier
+    factor sin(k*phi) turns into k * cos(k*phi) dphi and cos(k*phi) into
+    -k * sin(k*phi) dphi."""
+    raises = {name: ch.velocity(name) for name in ch.line_names}
+    raises.update({ch.velocity(name): ch.acceleration(name) for name in ch.names})
     if tau:
-        steps.append((TP_ONE, derivation(ch, "tau")))
+        raises["tau"] = None
+    angle_velocity = {a: ch.velocity(a) for a in ch.angle_names}
 
     def dt(tp):
-        out = TP()
-        for factor, d in steps:
-            out = out + factor * d(tp)
-        return out
+        out = {}
+        for (vars_, trig), c in tp.terms.items():
+            for n, e in vars_:
+                if n in raises:
+                    m = (_move_exponent(vars_, n, raises[n]), trig)
+                    out[m] = out.get(m, 0) + c * e
+            for i, (a, kind, k) in enumerate(trig):
+                if a in angle_velocity:
+                    m = (_move_exponent(vars_, None, angle_velocity[a]),
+                         trig[:i] + ((a, "c" if kind == "s" else "s", k),) + trig[i + 1 :])
+                    out[m] = out.get(m, 0) + (c * k if kind == "s" else -c * k)
+        return TP(out, tp.den)
 
     return dt
 
 
-def total_time_derivative(e: Expr, tau=False) -> Expr:
+def _move_exponent(vars_, down, up):
+    """The variables of a monomial with one power of ``down`` taken away and
+    one of ``up`` put on; None for either leaves it out."""
+    d = dict(vars_)
+    if down is not None:
+        if d[down] == 1:
+            del d[down]
+        else:
+            d[down] -= 1
+    if up is not None:
+        d[up] = d.get(up, 0) + 1
+    return tuple(sorted(d.items()))
+
+
+def total_time_derivative(e: Expr, tau=False) -> tuple[TP, TP]:
     """Chain-rule total derivative: q -> dq -> ddq (and tau -> 1 if enabled).
 
     One quotient rule on e's numerator and denominator, with D_t applied to
-    each as a trig polynomial, builds the result as one expression."""
-    return Expr(e.chart, *quotient_rule(e.num, e.den, _time_derivation(e.chart, tau)))
+    each as a trig polynomial in one pass: the (numerator, denominator)
+    pair of the result, no expression built."""
+    return quotient_rule(e.num, e.den, _time_derivation(e.chart, tau))
 
 
 def gradient(f: Expr) -> OneForm:

@@ -572,17 +572,7 @@ class Expr:
     # arithmetic -------------------------------------------------------------
     def __add__(self, other):
         other = self._coerce(other)
-        if self.den.is_one() and other.den.is_one():
-            return Expr(self.chart, self.num + other.num)
-        if self.den == other.den:
-            return Expr(self.chart, self.num + other.num, self.den)
-        q = self.den.divide_by(other.den)
-        if q is not None:
-            return Expr(self.chart, self.num + other.num * q, self.den)
-        q = other.den.divide_by(self.den)
-        if q is not None:
-            return Expr(self.chart, self.num * q + other.num, other.den)
-        return Expr(self.chart, self.num * other.den + other.num * self.den, self.den * other.den)
+        return Expr(self.chart, *fraction_add(self.num, self.den, other.num, other.den))
 
     def __radd__(self, other):
         return self + other
@@ -723,6 +713,22 @@ def quotient_rule(num, den, d):
     if dd.is_zero():
         return dn, den
     return dn * den - num * dd, den * den
+
+
+def fraction_add(n1, d1, n2, d2):
+    """(num, den) with num/den = n1/d1 + n2/d2, for trig polynomials: equal
+    denominators add the numerators, a denominator that divides the other
+    (by exact trial division) scales its numerator up, and any other two
+    cross-multiply.  Nothing is reduced."""
+    if d1 == d2:
+        return n1 + n2, d1
+    q = d1.divide_by(d2)
+    if q is not None:
+        return n1 + n2 * q, d1
+    q = d2.divide_by(d1)
+    if q is not None:
+        return n1 * q + n2, d2
+    return n1 * d2 + n2 * d1, d1 * d2
 
 
 def _reduce_fraction(num, den):

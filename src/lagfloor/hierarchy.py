@@ -16,9 +16,12 @@ The classifier then walks an obstruction chain:
 
 The floor is the last stage with all classes zero (4 when the chain
 completes); the sign records whether t vanished (time-independent Noether
-charges).  Witness searches are linear solves over a declared ansatz, so
-"Undetermined" is a first-class outcome: nonzero phi_3 is only ever claimed
-with a restriction certificate in hand.
+charges).  The charges and their conservation residuals are summed on
+numerator/denominator pairs of trig polynomials, and each charge is built
+as one expression, on which the identity is then checked.  Witness
+searches are linear solves over a declared ansatz, so "Undetermined" is a
+first-class outcome: nonzero phi_3 is only ever claimed with a
+restriction certificate in hand.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .calculus import (
     twoform_pairs,
 )
 from .cecohom import GModule, ce_differential, coboundary_witness, cochain_tuples, cohomology, is_cocycle
-from .expr import TP, TP_ZERO, AnsatzSpec, EvaluationPole, Expr, function_monomials
+from .expr import TP, TP_ONE, TP_ZERO, AnsatzSpec, EvaluationPole, Expr, fraction_add, function_monomials
 from .exprspace import equation_rows
 from .liealg import zero_one_cocycles
 from .linalg import (
@@ -480,29 +483,48 @@ def noether_charges(p: GMPair, L: Expr, report: FloorReport):
     """N_i = X_i^mu dL/d(dq^mu) - alpha_i - t_i tau, conservation checked:
     D_t N_i + X_i^mu F_mu(L) = 0 identically (D_t includes d/d tau).
 
-    t is read from the report's psi class; the conservation identity, checked
-    for every charge, rejects a report made from another Lagrangian."""
+    Both sums run on (numerator, denominator) pairs of trig polynomials by
+    ``fraction_add``, and each charge is built as one expression.  The
+    residual starts from that expression's numerator and denominator, so
+    the identity is checked on the returned charge, exactly: its numerator
+    must vanish.  t is read from the report's psi class; the identity,
+    checked for every charge, rejects a report made from another
+    Lagrangian."""
     if report.witnesses.alpha is None:
         raise PotentialUnavailable("charges need the stage-1 potentials (phi_1 = 0)")
     t = report.psi_class.data
     ch = p.chart
     el = euler_lagrange(L)
+    momenta = [L.partial(ch.velocity(name)) for name in ch.names]
+    tau = TP.var("tau")
     charges = []
     for i in range(p.algebra.dim):
-        n_i = Expr.const(ch, 0)
-        for mu, name in enumerate(ch.names):
-            n_i = n_i + p.fields[i].components[mu] * L.partial(ch.velocity(name))
-        n_i = n_i - report.witnesses.alpha[i]
-        if t[i]:
-            n_i = n_i - Expr.var(ch, "tau") * t[i]
-        # conservation identity, checked symbolically
-        residual = total_time_derivative(n_i, tau=True)
-        for mu in range(len(ch.names)):
-            residual = residual + p.fields[i].components[mu] * el[mu]
-        if not residual.is_zero():
+        xs = p.fields[i].components
+        alpha = report.witnesses.alpha[i]
+        n_i = Expr(ch, *_fraction_sum([
+            *((x.num * m.num, x.den * m.den) for x, m in zip(xs, momenta) if not x.is_zero()),
+            (-alpha.num, alpha.den),
+            (tau.scale(-t[i]), TP_ONE),
+        ]))
+        # conservation identity on the built charge, checked exactly
+        num, _ = _fraction_sum([
+            total_time_derivative(n_i, tau=True),
+            *((x.num * en, x.den * ed) for x, (en, ed) in zip(xs, el) if not x.is_zero()),
+        ])
+        if not num.is_zero():
             raise InvariantViolation("Noether conservation identity failed")
         charges.append(n_i)
     return tuple(charges)
+
+
+def _fraction_sum(pairs):
+    """(num, den) of the sum of num/den over (num, den) pairs of trig
+    polynomials, added in order by ``fraction_add``; zeros are skipped."""
+    num, den = TP_ZERO, TP_ONE
+    for n, d in pairs:
+        if not n.is_zero():
+            num, den = (n, d) if num.is_zero() else fraction_add(num, den, n, d)
+    return num, den
 
 
 # ---------------------------------------------------------------------------

@@ -316,14 +316,14 @@ def test_acceptance_8_symbolic_property_suite():
             if L.is_zero():
                 continue
             X = random_field(rng, pair)
-            el = euler_lagrange(L)
+            el = [Expr(pair.chart, *c) for c in euler_lagrange(L)]
             lie = lie_derivative_lagrangian(X, L)
             contracted = parse_expr(pair.chart, "0")
             momentum = parse_expr(pair.chart, "0")
             for mu, name in enumerate(pair.chart.names):
                 contracted = contracted + X.components[mu] * el[mu]
                 momentum = momentum + X.components[mu] * L.partial(pair.chart.velocity(name))
-            residual = lie - contracted - total_time_derivative(momentum)
+            residual = lie - contracted - Expr(pair.chart, *total_time_derivative(momentum))
             assert residual.is_zero()
             count += 1
         # pi-naturality on 20 random closed forms: pi_images checks both

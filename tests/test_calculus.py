@@ -6,12 +6,15 @@ import textwrap
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagfloor.calculus import (
     AnsatzExhausted,
     NotClosed,
     OneForm,
     VectorFieldExpr,
+    _time_derivation,
     d_el,
     derham_split,
     euler_lagrange,
@@ -83,20 +86,30 @@ def test_lie_lagrangian_constant():
 
 # -- Euler-Lagrange ---------------------------------------------------------------
 
+def el_exprs(L):
+    """The Euler-Lagrange components of L, each (num, den) pair as an Expr."""
+    return tuple(Expr(L.chart, *c) for c in euler_lagrange(L))
+
+
+def dt_expr(e, tau=False):
+    """The total time derivative of e, its (num, den) pair as an Expr."""
+    return Expr(e.chart, *total_time_derivative(e, tau=tau))
+
+
 def test_el_free_particle():
-    el = euler_lagrange(P("3*dz^2/2"))
+    el = el_exprs(P("3*dz^2/2"))
     assert el[0] == P("-3*ddz")
     assert el[1].is_zero()
 
 
 def test_el_velocity_free():
-    el = euler_lagrange(P("z^3"))
+    el = el_exprs(P("z^3"))
     assert el[0] == P("3*z^2")
 
 
 def test_el_magnetic_term():
     # L = B z dphi: components from the defining formula
-    el = euler_lagrange(P("4*z*dphi"))
+    el = el_exprs(P("4*z*dphi"))
     assert el[0] == P("4*dphi")
     assert el[1] == P("-4*dz")
 
@@ -265,14 +278,14 @@ def test_noether_identity_on_20_random_lagrangians():
         if L.is_zero():
             continue
         X = random_field(rng, CYL)
-        el = euler_lagrange(L)
+        el = el_exprs(L)
         lie = lie_derivative_lagrangian(X, L)
         contracted = Expr.const(CYL, 0)
         momentum = Expr.const(CYL, 0)
         for mu, name in enumerate(CYL.names):
             contracted = contracted + X.components[mu] * el[mu]
             momentum = momentum + X.components[mu] * L.partial(CYL.velocity(name))
-        residual = lie - contracted - total_time_derivative(momentum)
+        residual = lie - contracted - dt_expr(momentum)
         assert residual.is_zero()
         checked += 1
 
@@ -305,7 +318,7 @@ def test_d_el_of_function_is_full_derivative():
     L = d_el(f)
     assert L == P("2*z*dz")
     # and its EL covector vanishes identically
-    el = euler_lagrange(L)
+    el = el_exprs(L)
     assert all(c.is_zero() for c in el)
 
 
@@ -356,13 +369,19 @@ def golden_sets():
     return out
 
 
-def fixture_case(name, values):
-    """(pair, Lagrangian, Noether charges or ()) of a fixture at ``values``."""
+def fixture_report(name, values):
+    """(pair, Lagrangian, floor report) of a fixture at ``values``; the
+    Lagrangian is built afresh, so none of its partials is kept yet."""
     pf = load_problem_file(FIXTURES / f"{name}.toml")
     o = pf.section("options")
     pair = fixture_pair(name)
     L = build_lagrangian(pf, values)
-    report = classify(pair, L, ClassifyOptions(degree=o["degree"], fourier=o["fourier"], closure_cap=o["closure_cap"]))
+    return pair, L, classify(pair, L, ClassifyOptions(degree=o["degree"], fourier=o["fourier"], closure_cap=o["closure_cap"]))
+
+
+def fixture_case(name, values):
+    """(pair, Lagrangian, Noether charges or ()) of a fixture at ``values``."""
+    pair, L, report = fixture_report(name, values)
     charges = noether_charges(pair, L, report) if report.witnesses.alpha is not None else ()
     return pair, L, charges
 
@@ -372,9 +391,9 @@ def parse_set(text):
 
 
 def assert_matches_oracle(e):
-    assert euler_lagrange(e) == calculus_oracle.euler_lagrange(e)
+    assert el_exprs(e) == calculus_oracle.euler_lagrange(e)
     for tau in (False, True):
-        assert total_time_derivative(e, tau=tau) == calculus_oracle.total_time_derivative(e, tau=tau)
+        assert dt_expr(e, tau=tau) == calculus_oracle.total_time_derivative(e, tau=tau)
 
 
 @pytest.mark.parametrize("name", sorted(golden_sets()))
@@ -400,23 +419,64 @@ def test_a_denominator_the_derivative_annihilates_is_kept():
     e = P("dz^2/(1 + z^2)")
     assert quotient_rule(e.num, e.den, derivation(CYL, "dz"))[1] is e.den
     e = Expr(CYL, TP.var("dz"), TP.var("tau", 2) + TP.const(1))
-    assert to_string(total_time_derivative(e)) == "(ddz)/(tau^2 + 1)"
-    assert to_string(total_time_derivative(e, tau=True)) == "(-2*dz*tau + ddz*tau^2 + ddz)/(tau^4 + 2*tau^2 + 1)"
+    assert total_time_derivative(e)[1] is e.den
+    assert to_string(dt_expr(e)) == "(ddz)/(tau^2 + 1)"
+    assert to_string(dt_expr(e, tau=True)) == "(-2*dz*tau + ddz*tau^2 + ddz)/(tau^4 + 2*tau^2 + 1)"
+
+
+# -- D_t in one pass against the stepwise sum of partial derivatives -------------
+
+DT_CHART = Chart((("z", "line"), ("u", "line"), ("phi", "angle"), ("th", "angle")))
+# line coordinates, velocities, accelerations and tau
+DT_VARS = ("z", "u", "dz", "du", "dphi", "dth", "ddz", "ddu", "ddphi", "ddth", "tau")
+
+
+@st.composite
+def jet_monomials(draw):
+    exps = draw(st.lists(st.integers(0, 3), min_size=len(DT_VARS), max_size=len(DT_VARS)))
+    vars_ = tuple(sorted((n, e) for n, e in zip(DT_VARS, exps) if e))
+    trig = tuple(
+        (a, draw(st.sampled_from("sc")), draw(st.integers(1, 3)))
+        for a in DT_CHART.angle_names if draw(st.booleans())
+    )
+    return vars_, trig
+
+
+def jet_polys():
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)
+    return st.dictionaries(jet_monomials(), coeffs, max_size=6).map(TP.from_vector)
+
+
+def stepwise_time_derivative(ch, tp, tau):
+    """dq^mu d/dq^mu + ddq^mu d/d(dq^mu) (+ d/d tau), one partial derivative
+    per step, each times its factor and added to the running sum."""
+    out = TP()
+    for name in ch.names:
+        out = out + TP.var(ch.velocity(name)) * derivation(ch, name)(tp)
+        out = out + TP.var(ch.acceleration(name)) * derivation(ch, ch.velocity(name))(tp)
+    if tau:
+        out = out + derivation(ch, "tau")(tp)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(jet_polys(), st.booleans())
+def test_one_pass_time_derivative_equals_the_stepwise_sum(tp, tau):
+    """Random trig polynomials in line coordinates, velocities,
+    accelerations, sin/cos factors of two angles and tau, with and without
+    d/d tau."""
+    assert _time_derivation(DT_CHART, tau)(tp) == stepwise_time_derivative(DT_CHART, tp, tau)
 
 
 EXPR_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                   "__truediv__", "__rtruediv__", "__neg__", "__pow__")
 
 
-@pytest.mark.parametrize("name, values, built", [
-    ("galilean_r4", {"m": 1}, 4 + 11),
-    ("so3_sphere", {"m": 1, "g": 1}, 2 + 4),
-])
-def test_euler_lagrange_and_time_derivative_build_one_expression_each(name, values, built, monkeypatch):
-    """Each Euler-Lagrange component and each total time derivative is one
-    Expr built from trig polynomials: no Expr operator runs, so the
-    term-by-term path cannot come back unnoticed."""
-    _, L, charges = fixture_case(name, values)
+COUNTED_FIXTURES = [("galilean_r4", {"m": 1}), ("so3_sphere", {"m": 1, "g": 1})]
+
+
+def count_expr_calls(monkeypatch, run):
+    """{"ops": Expr operator calls, "built": Expr constructions} of run()."""
     calls = {"ops": 0, "built": 0}
     for attr in EXPR_OPERATORS + ("__init__",):
         def counted(*args, _raw=getattr(Expr, attr), _key="built" if attr == "__init__" else "ops"):
@@ -424,8 +484,33 @@ def test_euler_lagrange_and_time_derivative_build_one_expression_each(name, valu
             return _raw(*args)
 
         monkeypatch.setattr(Expr, attr, counted)
-    euler_lagrange(L)
-    for e in (L, *charges):
-        total_time_derivative(e, tau=True)
+    run()
     monkeypatch.undo()
-    assert calls == {"ops": 0, "built": built}
+    return calls
+
+
+@pytest.mark.parametrize("name, values", COUNTED_FIXTURES)
+def test_euler_lagrange_and_time_derivative_build_one_expression_each(name, values, monkeypatch):
+    """Each Euler-Lagrange component and each total time derivative is a
+    (num, den) pair of trig polynomials: no Expr is built and no Expr
+    operator runs, so the term-by-term path cannot come back unnoticed."""
+    _, L, charges = fixture_case(name, values)
+
+    def run():
+        euler_lagrange(L)
+        for e in (L, *charges):
+            total_time_derivative(e, tau=True)
+
+    assert count_expr_calls(monkeypatch, run) == {"ops": 0, "built": 0}
+
+
+@pytest.mark.parametrize("name, values", COUNTED_FIXTURES)
+def test_noether_charges_build_one_expression_per_charge(name, values, monkeypatch):
+    """The charges and their conservation residuals are summed on (num, den)
+    pairs: one Expr per charge, plus the velocity partials that the fresh
+    Lagrangian keeps, and no Expr operator call."""
+    pair, L, report = fixture_report(name, values)
+    charges = []
+    calls = count_expr_calls(monkeypatch, lambda: charges.extend(noether_charges(pair, L, report)))
+    assert len(charges) == pair.algebra.dim
+    assert calls == {"ops": 0, "built": len(charges) + len(pair.chart.names)}

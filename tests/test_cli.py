@@ -431,6 +431,12 @@ CLASSIFY = {
     "translations_r2": ("classify", "translations_r2", "m=1,B=2,E1=1,E2=3"),
     "galilean_r4": ("classify", "galilean_r4", "m=2"),
     "galilean_r4_noether": ("noether", "galilean_r4", "m=2"),
+    # rational charges over (1 + u^2 + v^2)^2
+    "so3_sphere_noether": ("noether", "so3_sphere", "m=7,g=2/3"),
+    # denominators in dz, and tau terms
+    "l3_cylinder_noether": ("noether", "l3_cylinder", "a=1,b=0,c=1,d=1,q=0"),
+    # tau terms on a polynomial charge
+    "translations_r2_noether": ("noether", "translations_r2", "m=1,B=2,E1=1,E2=3"),
     "spectral_example": ("spectral", "spectral_example", None),
 }
 
