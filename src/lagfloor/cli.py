@@ -15,7 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .calculus import AnsatzExhausted, OneForm
+from .calculus import OneForm
 from .cecohom import GModule, cochain_tuples, cohomology, validate_module
 from .expr import AnsatzTooLarge, ParseError, to_string
 from .exprspace import NotPolynomial
@@ -230,9 +230,6 @@ def cmd_k_spaces(args, report):
 
 
 def _format_class(report, label, cv):
-    if cv is None:
-        report.add(label, "-")
-        return
     if cv.status == "not_reached":
         report.add(label, "not reached")
     elif cv.status == "zero":
@@ -266,7 +263,7 @@ def cmd_classify(args, report):
     _format_class(report, "k1", res.k1_class)
     _format_class(report, "k2", res.k2_class)
     _format_class(report, "k3", res.k3_class)
-    if res.k4_class is not None and res.k4_class.status in ("zero", "nonzero"):
+    if res.k4_class.status in ("zero", "nonzero"):
         qt_coords = res.k4_class.data
         qt, _ = k4_quotient(pair, opts)
         combo = [F(0)] * len(pair.chart.angle_names)
@@ -276,7 +273,7 @@ def cmd_classify(args, report):
         report.add("k4", _angle_combo_str(combo, pair.chart.angle_names))
     else:
         _format_class(report, "k4", res.k4_class)
-    if res.k3_class is not None and res.k3_class.status == "nonzero":
+    if res.k3_class.status == "nonzero":
         cert = res.k3_class.data
         report.add("k3_certificate", ", ".join(frac_str(v) for v in cert["values"].values()))
     if res.decomposition is not None:
@@ -293,6 +290,12 @@ def cmd_noether(args, report):
     if res.status == "not_weakly_invariant":
         report.add("status", res.status)
         return EXIT_NOT_WEAKLY_INVARIANT
+    if res.status == "undetermined" and res.witnesses.alpha is None:
+        # the chain stopped before the potentials that the charges read
+        report.add("status", res.status)
+        report.add("stage", res.failure[0])
+        report.add("ansatz", res.failure[1])
+        return EXIT_UNDETERMINED
     charges = noether_charges(pair, L, res)
     report.add("status", "ok")
     for name, n in zip(pair.algebra.basis_names, charges):
@@ -418,7 +421,7 @@ def main(argv=None):
     except (ProblemFileError, ParseError, OSError, UnknownName, BadParams) as exc:
         report.add("error", str(exc))
         return _emit(report, args.format, EXIT_PARSE)
-    except (AnsatzExhausted, AnsatzTooLarge, NotPolynomial) as exc:
+    except (AnsatzTooLarge, NotPolynomial) as exc:
         report.add("error", str(exc))
         return _emit(report, args.format, EXIT_UNDETERMINED)
     except PotentialUnavailable as exc:

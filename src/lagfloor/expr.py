@@ -73,6 +73,9 @@ class Chart:
     acceleration_names: tuple[str, ...] = field(init=False, compare=False, repr=False)
     # the velocities and accelerations, which a function on the chart omits
     jet_names: frozenset = field(init=False, compare=False, repr=False)
+    # every name the chart gives a meaning: coordinates, jet names and the
+    # Noether time symbol tau
+    symbols: frozenset = field(init=False, compare=False, repr=False)
     _kinds: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -93,6 +96,10 @@ class Chart:
             "_kinds": dict(self.coords),
         }
         derived["jet_names"] = frozenset(derived["velocity_names"] + derived["acceleration_names"])
+        for n in names:
+            if n in derived["jet_names"] or n == "tau":
+                raise ValueError(f"coordinate name {n!r} clashes with a velocity or acceleration name, or with tau")
+        derived["symbols"] = derived["jet_names"] | {*names, "tau"}
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
@@ -701,7 +708,7 @@ def derivation(chart_, gen):
     rule."""
     if gen in chart_.names and chart_.kind(gen) == ANGLE:
         return lambda tp: tp.partial_angle(gen)
-    if gen in chart_.names or gen in chart_.velocity_names or gen in chart_.acceleration_names or gen == "tau":
+    if gen in chart_.symbols:
         return lambda tp: tp.partial_var(gen)
     raise UnknownSymbol(f"unknown generator {gen!r}", 0)
 

@@ -70,7 +70,7 @@ from .pairs import (
     linear_image,
     pi_images,
     restrict_cocycle,
-    stability_values_of_constant_cocycles,
+    stability_frame,
 )
 from .spectral import MAX_COMPLEX_CELLS, ComplexTooLarge, DoubleComplex, validate_double_complex
 
@@ -79,7 +79,6 @@ F = Fraction
 ZERO = "zero"
 NONZERO = "nonzero"
 NOT_REACHED = "not_reached"
-UNDETERMINED = "undetermined"
 
 
 class NotWeaklyInvariantError(Exception):
@@ -109,7 +108,6 @@ class ClassifyOptions:
 
 @dataclass(frozen=True)
 class WeakInvarianceSplit:
-    pair: GMPair
     w: tuple[OneForm, ...]
     t: tuple[Fraction, ...]
 
@@ -190,7 +188,7 @@ def weak_invariance_split(p: GMPair, L: Expr) -> WeakInvarianceSplit:
     # delta^2 L = 0 forces t in Z^1(G); checked, never assumed
     if not is_cocycle(g, GModule.trivial(g), 1, {i: t for i, t in enumerate(ts) if t}):
         raise InvariantViolation("split t-vector escaped Z^1")
-    return WeakInvarianceSplit(p, tuple(ws), tuple(ts))
+    return WeakInvarianceSplit(tuple(ws), tuple(ts))
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +207,17 @@ def phi1(p: GMPair, split: WeakInvarianceSplit):
     """(class in K1 = H^1(M) (x) H^1(G), stage-1 potentials alpha).
 
     The harmonic coefficient matrix columns are checked to lie in Z^1(G).
+    A closed remainder with no potential in the ansatz leaves the stage
+    undetermined.
     """
     ch = p.chart
     harmonic_matrix = {}  # (angle, generator) -> Fraction
     alphas = []
     for i, w in enumerate(split.w):
-        harmonic, pot = derham_split(w)
+        try:
+            harmonic, pot = derham_split(w)
+        except AnsatzExhausted as e:
+            raise UndeterminedError(1, str(e))
         for a, c in harmonic.items():
             if c:
                 harmonic_matrix[(a, i)] = c
@@ -240,7 +243,7 @@ def _h2(algebra):
     return cohomology(algebra, GModule.trivial(algebra), 2)
 
 
-def phi2(p: GMPair, split: WeakInvarianceSplit, alphas):
+def phi2(p: GMPair, alphas):
     """Class of f_ij = (delta alpha)_ij in H^2(G), plus the adjusted alpha.
 
     f is checked to be constant and a cocycle.  When the class vanishes, alpha is
@@ -330,14 +333,12 @@ def phi3(p: GMPair, alpha: FunctionCochain, opts: ClassifyOptions):
     # no witness within the ansatz: try a restriction certificate
     for point in p.sample_points:
         try:
+            _, accounted = stability_frame(p, point)
             values = restrict_cocycle(p, alpha, point)
         except EvaluationPole:
             continue
         vals = {a: x for a, x in enumerate(values.values()) if x}
-        if not vals:
-            continue
-        accounted, _ = stability_values_of_constant_cocycles(p, point)
-        if not accounted.contains(vals):
+        if vals and not accounted.contains(vals):
             cert = {"point": point, "values": values}
             return ClassValue(NONZERO, cert), None
     raise UndeterminedError(3, AnsatzSpec(deg, four))
@@ -419,60 +420,48 @@ def classify(p: GMPair, L: Expr, opts: ClassifyOptions | None = None) -> FloorRe
 
     The barred chain (time-dependent charges allowed) is primary; the sign
     is + exactly when psi vanishes, in which case the unbarred homomorphisms
-    coincide with the barred ones stage by stage.
+    coincide with the barred ones stage by stage.  The floor is the number
+    of classes that vanished before the first nonzero one, and the classes
+    after it are not reached; a stage that cannot decide within its ansatz
+    leaves the report undetermined, with the classes found before it.
     """
     opts = opts or ClassifyOptions()
-    report = FloorReport(status="classified")
     try:
         split = weak_invariance_split(p, L)
     except NotWeaklyInvariantError as e:
         return FloorReport(status="not_weakly_invariant", failure=(e.generator, e.residue))
-    report.psi_class = psi(split)
-    sign = "+" if report.psi_class.is_zero() else "-"
+    report = FloorReport(status="classified", psi_class=psi(split))
+    floor = 0
     try:
-        report.k1_class, alphas = phi1(p, split)
-    except AnsatzExhausted as e:
-        return FloorReport(
-            status="undetermined", psi_class=report.psi_class, failure=(1, str(e))
-        )
-    if not report.k1_class.is_zero():
-        report.floor, report.sign = 0, sign
-        report.k2_class = ClassValue(NOT_REACHED)
-        report.k3_class = ClassValue(NOT_REACHED)
-        report.k4_class = ClassValue(NOT_REACHED)
-        return report
-    report.k2_class, alpha, f2 = phi2(p, split, alphas)
-    report.witnesses.alpha = alpha.components
-    report.witnesses.f2 = f2
-    if not report.k2_class.is_zero():
-        report.floor, report.sign = 1, sign
-        report.k3_class = ClassValue(NOT_REACHED)
-        report.k4_class = ClassValue(NOT_REACHED)
-        return report
-    try:
-        report.k3_class, k3_witness = phi3(p, alpha, opts)
+        for cv in _obstructions(p, L, split, report, opts):
+            if not cv.is_zero():
+                break
+            floor += 1
     except UndeterminedError as e:
         report.status = "undetermined"
         report.failure = (e.stage, str(e.ansatz))
         return report
-    if not report.k3_class.is_zero():
-        report.witnesses.k3_certificate = report.k3_class.data
-        report.floor, report.sign = 2, sign
-        report.k4_class = ClassValue(NOT_REACHED)
-        return report
-    report.witnesses.k3_witness = k3_witness
-    try:
-        report.k4_class, decomposition = phi4(p, L, split, alpha, k3_witness, opts)
-    except UndeterminedError as e:
-        report.status = "undetermined"
-        report.failure = (e.stage, str(e.ansatz))
-        return report
-    if not report.k4_class.is_zero():
-        report.floor, report.sign = 3, sign
-        return report
-    report.floor, report.sign = 4, sign
-    report.decomposition = decomposition
+    report.floor = floor
+    report.sign = "+" if report.psi_class.is_zero() else "-"
+    for name in ("k2_class", "k3_class", "k4_class")[floor:]:
+        setattr(report, name, ClassValue(NOT_REACHED))
     return report
+
+
+def _obstructions(p: GMPair, L: Expr, split: WeakInvarianceSplit, report: FloorReport, opts: ClassifyOptions):
+    """The classes of stages 1 to 4 in turn, each recorded on the report
+    with its witnesses before it is yielded; a stage runs only when the
+    caller asks for the class after a zero one."""
+    report.k1_class, alphas = phi1(p, split)
+    yield report.k1_class
+    report.k2_class, alpha, report.witnesses.f2 = phi2(p, alphas)
+    report.witnesses.alpha = alpha.components
+    yield report.k2_class
+    report.k3_class, report.witnesses.k3_witness = phi3(p, alpha, opts)
+    report.witnesses.k3_certificate = report.k3_class.data
+    yield report.k3_class
+    report.k4_class, report.decomposition = phi4(p, L, split, alpha, report.witnesses.k3_witness, opts)
+    yield report.k4_class
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +658,7 @@ def _certify_k3(p: GMPair, raw_dim, reps):
     point = None
     for candidate in p.sample_points:
         try:
-            accounted, vecs = stability_values_of_constant_cocycles(p, candidate)
+            vecs, accounted = stability_frame(p, candidate)
         except EvaluationPole:
             continue
         point = candidate
@@ -749,9 +738,9 @@ def _largest_invariant_subspace(basis, unit_images):
                     residual_rows.setdefault((i, unit), {})[k] = x
         if not residual_rows:
             return basis
+        # every residual row holds a nonzero entry, so the kernel is a
+        # proper subspace and the basis shrinks
         combos = kernel_of_rows([clear_denominators(r) for r in residual_rows.values()], len(basis))
-        if combos.dim == len(basis):
-            return basis
         new_basis = []
         for combo in combos.basis:
             acc = {}

@@ -22,7 +22,7 @@ from itertools import chain
 
 from .calculus import OneForm, VectorFieldExpr, twoform_pairs
 from .cecohom import GModule, NotACocycle, validate_module
-from .expr import TP, AnsatzSpec, Chart, EvaluationPole, Expr, derivation, function_monomials
+from .expr import TP, AnsatzSpec, Chart, EvaluationPole, Expr, derivation, function_monomials, quotient_rule
 from .exprspace import equation_rows, polynomial
 from .liealg import StructureConstants, zero_one_cocycles
 from .linalg import (
@@ -134,17 +134,12 @@ class ActionTable:
 
     def _derive(self, f: Expr, image) -> Expr:
         """A derivation given on monomials, applied to f: the sum of the
-        images of f's terms, and for a rational f the quotient rule on the
-        images of numerator and denominator."""
-        ch = self.chart
+        images of f's terms, through the quotient rule of ``expr``."""
 
         def derived(tp):
             return TP.combination(((c, image(m)) for m, c in tp.terms.items()), tp.den)
 
-        num = derived(f.num)
-        if f.den.is_one():
-            return Expr(ch, num)
-        return Expr(ch, num, f.den) - Expr(ch, f.num * derived(f.den), f.den * f.den)
+        return Expr(self.chart, *quotient_rule(f.num, f.den, derived))
 
     def contraction(self, i, mu, mono) -> TP:
         img = self._contraction.get((i, mu, mono))
@@ -403,37 +398,50 @@ def stability_subalgebra(p: GMPair, point) -> Subspace:
     return kernel_basis(evaluation_matrix(p, point))
 
 
-def _section_vectors(p: GMPair, point):
-    out = []
-    for section in p.stability_sections or ():
-        values = (comp.evaluate(point) for comp in section)
-        out.append({i: x for i, x in enumerate(values) if x})
-    return out
+def stability_frame(p: GMPair, point):
+    """(vecs, accounted): the stability subalgebra at a point and the
+    restriction values that constant cocycles take on it.
+
+    ``vecs`` are the pair's stability sections evaluated at the point,
+    checked to be a basis of the kernel of x -> (x^i X_i)(point): as many
+    as its dimension, independent, and each vanishing there.  A pair
+    without sections gets the reduced-echelon kernel basis.
+    ``accounted`` is the subspace {(t(v))_v : t in Z^1(G)} of R^len(vecs).
+    Raises EvaluationPole at a pole of the fields or sections.
+    """
+    stab = stability_subalgebra(p, point)
+    if p.stability_sections is None:
+        vecs = list(stab.basis)
+    else:
+        vecs = []
+        for section in p.stability_sections:
+            at_point = (comp.evaluate(point) for comp in section)
+            vecs.append({i: x for i, x in enumerate(at_point) if x})
+        if len(vecs) != stab.dim or Subspace.spanned_by(vecs, p.algebra.dim).dim != stab.dim:
+            raise InvariantViolation("sections must span the stability subalgebra")
+        for v in vecs:
+            if not stab.contains(v):
+                raise InvariantViolation("section does not vanish at the point")
+    values = []
+    for t in zero_one_cocycles(p.algebra).basis:
+        pairings = (sum((x * t[i] for i, x in v.items() if i in t), F(0)) for v in vecs)
+        values.append({a: s for a, s in enumerate(pairings) if s})
+    return vecs, Subspace.spanned_by(values, len(vecs))
 
 
 def restrict_cocycle(p: GMPair, alpha: FunctionCochain, point):
-    """Evaluate a cocycle against the stability subalgebra basis at a point.
+    """Evaluate a cocycle against the stability frame at a point.
 
-    Returns {basis_vector: value}.  With pair-provided stability sections the
-    basis is the section evaluation (canonical across points) and, for
-    transitive pairs, the values are checked to be the same at every other
-    sample point where they can be evaluated.
-    Without sections the reduced-echelon kernel basis at the point is used.
+    Returns {basis_vector: value} over the ``vecs`` of ``stability_frame``.
+    With pair-provided stability sections the basis is canonical across
+    points and, for transitive pairs, the values are checked to be the same
+    at every other sample point where they can be evaluated.
     """
     if not alpha.is_cocycle():
         raise NotACocycle("restriction requires delta(alpha) = 0")
 
     def values_at(pt):
-        stab = stability_subalgebra(p, pt)
-        if p.stability_sections is not None:
-            vecs = _section_vectors(p, pt)
-            if len(vecs) != stab.dim:
-                raise InvariantViolation("sections must span the stability subalgebra")
-            for v in vecs:
-                if not stab.contains(v):
-                    raise InvariantViolation("section does not vanish at the point")
-        else:
-            vecs = list(stab.basis)
+        vecs, _ = stability_frame(p, pt)
         out = []
         for v in vecs:
             out.append(sum((xi * alpha.components[i].evaluate(pt) for i, xi in sorted(v.items())), F(0)))
@@ -451,18 +459,3 @@ def restrict_cocycle(p: GMPair, alpha: FunctionCochain, point):
             if other != vals:
                 raise InvariantViolation("cocycle restriction must be point-independent")
     return {dense(v, p.algebra.dim): val for v, val in zip(vecs, vals)}
-
-
-def stability_values_of_constant_cocycles(p: GMPair, point):
-    """The subspace {(t(xi_a))_a : t in Z^1(G)} of restriction values."""
-    stab = stability_subalgebra(p, point)
-    if p.stability_sections is not None:
-        vecs = _section_vectors(p, point)
-    else:
-        vecs = list(stab.basis)
-    z1 = zero_one_cocycles(p.algebra)
-    values = []
-    for t in z1.basis:
-        pairings = (sum((x * t[i] for i, x in v.items() if i in t), F(0)) for v in vecs)
-        values.append({a: s for a, s in enumerate(pairings) if s})
-    return Subspace.spanned_by(values, len(vecs)), vecs

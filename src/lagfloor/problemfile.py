@@ -211,9 +211,8 @@ def build_lagrangian(pf: ProblemFile, set_params=None) -> Expr:
     if not (isinstance(declared, list) and all(isinstance(n, str) and n.isidentifier() for n in declared)):
         raise ProblemFileError("[lagrangian] params must be a list of names")
     # the parser reads a parameter before any other meaning of its name
-    symbols = {*chart.names, *chart.velocity_names, *chart.acceleration_names, "tau"}
     for name in declared:
-        if name in symbols:
+        if name in chart.symbols:
             raise ProblemFileError(f"[lagrangian] parameter {name!r} is a coordinate, velocity, acceleration or tau")
     params = {}
     for name in declared:

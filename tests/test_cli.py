@@ -453,6 +453,38 @@ def test_classify_machine_output_pinned(golden, monkeypatch):
     assert out == (GOLDEN / "classify" / f"{golden}.txt").read_text()
 
 
+@pytest.mark.parametrize("command, golden", [("classify", "arctan_potential"), ("noether", "arctan_potential_noether")])
+def test_undetermined_machine_output_pinned(command, golden, monkeypatch):
+    """A chain that stops at stage 1, whose closed remainder has no
+    potential in the ansatz, exits 4 with its stage and ansatz; the charges
+    need that potential, so noether reports the same.  The classify output
+    was captured before the stage-1 exit was merged into the others."""
+    monkeypatch.chdir(ROOT)
+    code, out = run("--format", "machine", command, "tests/problems/arctan_potential.toml")
+    assert code == 4
+    assert out == (GOLDEN / "classify" / f"{golden}.txt").read_text()
+
+
+@pytest.mark.parametrize("stage, phi", [(3, "phi3"), (4, "phi4")])
+def test_noether_prints_its_charges_when_a_later_stage_is_undetermined(stage, phi, monkeypatch):
+    """Undetermined at stage 3 or 4, the chain already has its potentials:
+    classify exits 4 with the stage, and noether prints the charges of the
+    classified chain."""
+
+    def undetermined(*args):
+        raise hierarchy.UndeterminedError(stage, "a stand-in ansatz")
+
+    monkeypatch.setattr(hierarchy, phi, undetermined)
+    monkeypatch.chdir(ROOT)
+    argv = ("src/lagfloor/fixtures/l3_cylinder.toml", "--set", "a=1,b=0,c=1,d=1,q=0")
+    code, out = run("--format", "machine", "classify", *argv)
+    assert code == 4
+    assert out.splitlines()[3:] == ["status = undetermined", f"stage = {stage}", "ansatz = a stand-in ansatz"]
+    code, out = run("--format", "machine", "noether", *argv)
+    assert code == 0
+    assert out == (GOLDEN / "classify" / "l3_cylinder_noether.txt").read_text()
+
+
 SPECTRAL_FROM_PAIR = {
     "l3_cylinder": ("l3_cylinder", ()),
     "l3_cylinder_d0_f2": ("l3_cylinder", ("--ansatz-degree", "0", "--fourier", "2")),
@@ -631,13 +663,23 @@ expr = "dz^2/2"
             LINE_PAIR + '\n[stability_sections]\ns1 = ["dz"]\n',
             "[stability_sections] s1: components must be velocity-free",
         ),
+        # these three once ended in a traceback: dz was read as z's velocity
+        *(
+            (
+                LINE_PAIR.replace('[["z", "line"]]', f'[["z", "line"], ["{name}", "line"]]').replace('["1"]', '["1", "0"]'),
+                f"[chart] coordinate name '{name}' clashes with a velocity or acceleration name, or with tau",
+            )
+            for name in ("dz", "ddz", "tau")
+        ),
     ],
-    ids=["unknown-kind", "duplicate-name", "velocity-in-action", "velocity-in-section"],
+    ids=["unknown-kind", "duplicate-name", "velocity-in-action", "velocity-in-section", "velocity-name",
+         "acceleration-name", "tau-name"],
 )
 def test_malformed_chart_or_action_is_a_parse_error(text, says, tmp_path):
-    """A bad coordinate kind, a repeated coordinate name, or a velocity in
-    an action or stability-section component exits 2 with an error line
-    under python and python -O alike.  As asserts, the chart and action
+    """A bad coordinate kind, a repeated coordinate name, a coordinate
+    named like another's velocity or acceleration or like tau, or a
+    velocity in an action or stability-section component exits 2 with an
+    error line under python and python -O alike.  As asserts, the chart and action
     checks exited 3 (under -O the bad chart was classified), and a velocity
     in a section ended in a KeyError traceback once a section was
     evaluated."""

@@ -46,6 +46,7 @@ def test_chart_names_are_computed_once_and_stay_out_of_identity():
     assert CYL.velocity_names == ("dz", "dphi") and CYL.velocity_names is CYL.velocity_names
     assert CYL.acceleration_names == ("ddz", "ddphi")
     assert CYL.jet_names == {"dz", "dphi", "ddz", "ddphi"}
+    assert CYL.symbols == {"z", "phi", "dz", "dphi", "ddz", "ddphi", "tau"}
     assert (CYL.kind("z"), CYL.kind("phi")) == ("line", "angle")
     with pytest.raises(KeyError):
         CYL.kind("dz")
@@ -54,6 +55,9 @@ def test_chart_names_are_computed_once_and_stay_out_of_identity():
     assert repr(CYL) == "Chart(coords=(('z', 'line'), ('phi', 'angle')))"
     with pytest.raises(ValueError, match="duplicate coordinate names in \\['z', 'z'\\]"):
         Chart((("z", "line"), ("z", "angle")))
+    for clash in ("dz", "ddz", "tau"):
+        with pytest.raises(ValueError, match=f"coordinate name '{clash}' clashes"):
+            Chart((("z", "line"), (clash, "line")))
 
 
 # -- parsing -----------------------------------------------------------------

@@ -400,6 +400,18 @@ def test_k3_certified_reps_are_as_many_as_the_certified_classes():
     assert _certify_k3(SPHERE, 2, (r, r)) == (1, (r,), 1)
 
 
+def test_k3_values_that_constant_cocycles_take_certify_nothing():
+    """On l3_cylinder, Z^1 pairs with the stability section e2 - z e3 onto
+    all of R, so every restriction value is accounted for: no class is
+    certified and every truncated class is residual."""
+    from lagfloor.hierarchy import _certify_k3
+    from lagfloor.pairs import FunctionCochain, restrict_cocycle
+
+    alpha = FunctionCochain(L3, (P("0"), P("2*z + 5"), P("2")))
+    assert list(restrict_cocycle(L3, alpha, L3.sample_points[0]).values()) == [5]
+    assert _certify_k3(L3, 1, (alpha,)) == (0, (), 1)
+
+
 def test_k3_truncated_classes_in_canonical_order():
     """Uncertified K3 representatives, in the order the quotient picks them.
 

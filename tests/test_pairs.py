@@ -22,8 +22,8 @@ from lagfloor.pairs import (
     invariant_closed_forms,
     pi_images,
     restrict_cocycle,
+    stability_frame,
     stability_subalgebra,
-    stability_values_of_constant_cocycles,
     validate_pair,
 )
 from lagfloor.problemfile import build_lagrangian, load_problem_file
@@ -593,8 +593,54 @@ def test_restrict_requires_cocycle():
 
 def test_constant_cocycle_values_on_stability():
     # Z^1(l3) restricted to the stability line: t(e2 - z e3) = t2, all of R
-    vals, _ = stability_values_of_constant_cocycles(L3, L3.sample_points[0])
+    _, vals = stability_frame(L3, L3.sample_points[0])
     assert vals.dim == 1
     # for so3 there are no constant cocycles: the value space is zero
-    vals, _ = stability_values_of_constant_cocycles(SPHERE, SPHERE.sample_points[0])
+    _, vals = stability_frame(SPHERE, SPHERE.sample_points[0])
     assert vals.dim == 0
+
+
+def test_stability_frame_without_sections_is_the_kernel_basis():
+    """so3_r3 with its section dropped: the frame is the reduced-echelon
+    kernel basis, the rotation axis, a coboundary restricts to zeros on
+    it, and so3 has no constant cocycles to account for any value."""
+    from dataclasses import replace
+
+    bare = replace(SO3R3, stability_sections=None)
+    pt = bare.sample_points[0]
+    vecs, accounted = stability_frame(bare, pt)
+    assert vecs == list(stability_subalgebra(bare, pt).basis) and len(vecs) == 1
+    assert accounted.dim == 0
+    values = restrict_cocycle(bare, scalar_coboundary(bare, P("x1^2*x2 + x3", bare)), pt)
+    assert list(values) == [dense(vecs[0], 3)] and list(values.values()) == [0]
+
+
+# the stabilizer of Galilean boosts and rotations at the first sample point
+GAL_STAB = [dense(v, GAL.algebra.dim) for v in stability_subalgebra(GAL, GAL.sample_points[0]).basis]
+
+
+@pytest.mark.parametrize("pair, sections, says", [
+    # e1 is no multiple of (x1, x2, x3) at p1
+    (SO3R3, (("1", "0", "0"),), "section does not vanish at the point"),
+    (SO3R3, (("x1", "x2", "x3"), ("2*x1", "2*x2", "2*x3")), "sections must span the stability subalgebra"),
+    # six sections for a six-dimensional stabilizer, but two of them equal
+    (GAL, [GAL_STAB[0], *GAL_STAB[:-1]], "sections must span the stability subalgebra"),
+], ids=["not-vanishing", "too-many", "dependent"])
+def test_stability_frame_checks_the_sections(pair, sections, says):
+    """Every reader of the frame runs the section checks: the restriction
+    and the K3 certificate alike."""
+    from dataclasses import replace
+
+    from lagfloor.hierarchy import _certify_k3
+
+    parsed = tuple(tuple(P(str(c), pair) for c in s) for s in sections)
+    bad = replace(pair, transitive=True, stability_sections=parsed)
+    pt = bad.sample_points[0]
+    cocycle = scalar_coboundary(bad, P("*".join(bad.chart.names[:2]), bad))
+    for read in (
+        lambda: stability_frame(bad, pt),
+        lambda: restrict_cocycle(bad, cocycle, pt),
+        lambda: _certify_k3(bad, 1, (cocycle,)),
+    ):
+        with pytest.raises(InvariantViolation, match=says):
+            read()
