@@ -70,7 +70,6 @@ from .pairs import (
     linear_image,
     pi_images,
     restrict_cocycle,
-    stability_frame,
 )
 from .spectral import MAX_COMPLEX_CELLS, ComplexTooLarge, DoubleComplex, validate_double_complex
 
@@ -331,15 +330,10 @@ def phi3(p: GMPair, alpha: FunctionCochain, opts: ClassifyOptions):
                 raise InvariantViolation("the rebuilt witness must reproduce alpha")
         return ClassValue(ZERO, None), (w, t2, fexpr)
     # no witness within the ansatz: try a restriction certificate
-    for point in p.sample_points:
-        try:
-            _, accounted = stability_frame(p, point)
-            values = restrict_cocycle(p, alpha, point)
-        except EvaluationPole:
-            continue
-        vals = {a: x for a, x in enumerate(values.values()) if x}
+    for (point, vecs, accounted), values in restrict_cocycle(p, alpha):
+        vals = {a: x for a, x in enumerate(values) if x}
         if vals and not accounted.contains(vals):
-            cert = {"point": point, "values": values}
+            cert = {"point": point, "values": {dense(v, n): x for v, x in zip(vecs, values)}}
             return ClassValue(NONZERO, cert), None
     raise UndeterminedError(3, AnsatzSpec(deg, four))
 
@@ -653,26 +647,18 @@ def _certify_k3(p: GMPair, raw_dim, reps):
     stability subalgebra (modulo values of constant cocycles) cannot be
     exhibited nonzero; it is reported as residual, not as dimension.
     """
-    if not p.transitive or raw_dim == 0 or not reps:
+    if not p.transitive or raw_dim == 0 or not reps or not p.frames or not p.frames[0][1]:
         return raw_dim, reps, 0
-    point = None
-    for candidate in p.sample_points:
-        try:
-            vecs, accounted = stability_frame(p, candidate)
-        except EvaluationPole:
-            continue
-        point = candidate
-        break
-    if point is None or not vecs:
-        return raw_dim, reps, 0
+    # reps are polynomial, so each has a value at every frame: its first
+    # restriction entry is at the first frame
     value_rows = []
     for alpha in reps:
-        vals = restrict_cocycle(p, alpha, point)
-        value_rows.append({a: x for a, x in enumerate(vals.values()) if x})
+        _, values = restrict_cocycle(p, alpha)[0]
+        value_rows.append({a: x for a, x in enumerate(values) if x})
     # as in ``quotient``: the reps whose values raise the rank of the
     # accounted values and of the reps before them are the certified ones
     ech = Echelon()
-    for v in accounted.basis:
+    for v in p.frames[0][2].basis:
         ech.insert(v)
     certified = tuple(alpha for alpha, row in zip(reps, value_rows) if ech.insert(row))
     return len(certified), certified, raw_dim - len(certified)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 
 from .calculus import OneForm, VectorFieldExpr, twoform_pairs
@@ -31,7 +32,6 @@ from .linalg import (
     Subspace,
     add_scaled,
     coordinate_map,
-    dense,
     kernel_basis,
     kernel_of_rows,
 )
@@ -196,6 +196,19 @@ class GMPair:
         if any(len(s) != self.algebra.dim for s in self.stability_sections or ()):
             raise InvariantViolation("a stability section needs one component per basis element")
         object.__setattr__(self, "action", ActionTable(self.chart, self.fields))
+
+    @cached_property
+    def frames(self) -> tuple:
+        """(point, vecs, accounted) of ``stability_frame`` at each sample
+        point where neither the fields nor the sections have a pole, in
+        ``sample_points`` order; built on first read."""
+        out = []
+        for point in self.sample_points:
+            try:
+                out.append((point, *stability_frame(self, point)))
+            except EvaluationPole:
+                continue
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -429,33 +442,25 @@ def stability_frame(p: GMPair, point):
     return vecs, Subspace.spanned_by(values, len(vecs))
 
 
-def restrict_cocycle(p: GMPair, alpha: FunctionCochain, point):
-    """Evaluate a cocycle against the stability frame at a point.
+def restrict_cocycle(p: GMPair, alpha: FunctionCochain):
+    """Evaluate a cocycle against the pair's stability frames.
 
-    Returns {basis_vector: value} over the ``vecs`` of ``stability_frame``.
-    With pair-provided stability sections the basis is canonical across
+    Returns one (frame, values) per frame of ``p.frames`` at which alpha has
+    no pole, values[k] being alpha paired with the frame's k-th vector.
+    With pair-provided stability sections the vectors are canonical across
     points and, for transitive pairs, the values are checked to be the same
-    at every other sample point where they can be evaluated.
+    at every frame.
     """
     if not alpha.is_cocycle():
         raise NotACocycle("restriction requires delta(alpha) = 0")
-
-    def values_at(pt):
-        vecs, _ = stability_frame(p, pt)
-        out = []
-        for v in vecs:
-            out.append(sum((xi * alpha.components[i].evaluate(pt) for i, xi in sorted(v.items())), F(0)))
-        return vecs, out
-
-    vecs, vals = values_at(point)
-    if p.transitive and p.stability_sections is not None:
-        for pt in p.sample_points:
-            if pt == point:
-                continue
-            try:
-                _, other = values_at(pt)
-            except EvaluationPole:
-                continue  # a pole of the fields, sections or alpha: no value to compare
-            if other != vals:
-                raise InvariantViolation("cocycle restriction must be point-independent")
-    return {dense(v, p.algebra.dim): val for v, val in zip(vecs, vals)}
+    out = []
+    for frame in p.frames:
+        point, vecs, _ = frame
+        try:
+            values = [sum((xi * alpha.components[i].evaluate(point) for i, xi in sorted(v.items())), F(0)) for v in vecs]
+        except EvaluationPole:
+            continue
+        out.append((frame, values))
+    if p.transitive and p.stability_sections is not None and any(vals != out[0][1] for _, vals in out):
+        raise InvariantViolation("cocycle restriction must be point-independent")
+    return out

@@ -112,6 +112,8 @@ def build_algebra(pf: ProblemFile) -> StructureConstants:
     if not (isinstance(dim, int) and isinstance(basis, list) and len(basis) == dim
             and all(isinstance(b, str) for b in basis)):
         raise ProblemFileError("[algebra] needs name=..., or dim and a basis of that many names")
+    if dim < 1:
+        raise ProblemFileError("[algebra] needs dim >= 1")
     c: dict = {}
     for entry in sec.get("brackets", []):
         if not (isinstance(entry, list) and len(entry) == 4):
@@ -159,6 +161,9 @@ def _parse_point(chart, table, where):
             point[name] = (s, c)
         else:
             point[name] = _rat(value, where)
+    for name in chart.names:
+        if name not in point:
+            raise ProblemFileError(f"{where}: missing coordinate {name!r}")
     return point
 
 

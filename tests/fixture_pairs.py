@@ -6,7 +6,8 @@ from pathlib import Path
 
 from lagfloor.expr import parse_expr
 from lagfloor.exprspace import polynomial
-from lagfloor.pairs import action_module
+from lagfloor.linalg import dense
+from lagfloor.pairs import action_module, restrict_cocycle
 from lagfloor.problemfile import build_pair, load_problem_file
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -23,6 +24,15 @@ SCRIPT_ENV = {
 def fixture_pair(name):
     """The pair of ``src/lagfloor/fixtures/NAME.toml``."""
     return build_pair(load_problem_file(FIXTURES / f"{name}.toml"))
+
+def restricted_at(pair, alpha, point):
+    """The restriction of ``alpha`` at the frame of one sample point, as
+    {dense stability vector: value}, the shape of phi3's certificate."""
+    for (at, vecs, _), values in restrict_cocycle(pair, alpha):
+        if at == point:
+            return {dense(v, pair.algebra.dim): x for v, x in zip(vecs, values)}
+    raise KeyError(f"no restriction entry at {point}")
+
 
 # rotation-closed families on so3_r3: the spin-1 coordinates and the spin-2
 # harmonic quadratics, the modules of acceptance criterion 2

@@ -206,6 +206,25 @@ def test_rational_potential_with_fixed_denominator():
     assert gradient(got) == w
 
 
+XY = Chart((("x", "line"), ("y", "line")))
+
+
+@pytest.mark.parametrize("w", [
+    # dx over (1 + x^2)^4, a multiple of dy's (1 + x^2)^2
+    gradient(parse_expr(XY, "x/(1 + x^2)^2 + y/(1 + x^2)")),
+    # the other way round
+    gradient(parse_expr(XY, "y/(1 + y^2)^2 + x/(1 + y^2)")),
+    # neither divides the other: the denominator is their product
+    OneForm(XY, (parse_expr(XY, "-2*x/(1 + x^2)^2"), parse_expr(XY, "-2*y/(1 + y^2)^2"))),
+], ids=["first-is-a-multiple", "second-is-a-multiple", "product"])
+def test_rational_potential_over_a_common_multiple_of_the_denominators(w):
+    """The potential search puts every component over one common multiple
+    of their denominators (``tp_lcm``), in each of its three cases."""
+    got = find_potential(w)
+    assert got is not None
+    assert gradient(got) == w
+
+
 def test_find_potential_builds_its_columns_once_per_ansatz():
     """The columns d(m/den) depend on the chart, degree, Fourier order and
     denominator, not on the form: forms that share an ansatz share one

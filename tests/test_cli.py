@@ -112,6 +112,13 @@ def test_classify_l3_floor3():
     assert "k4 = [dphi]" in out
 
 
+def test_classify_l3_prints_a_non_unit_k4_coefficient():
+    code, out = run("--format", "machine", "classify", fx("l3_cylinder.toml"), "--set", "a=2,b=0,c=0,d=0,q=0")
+    assert code == 0
+    assert "floor = 3" in out
+    assert "k4 = [2*dphi]" in out
+
+
 SO2_ON_R2 = """
 [algebra]
 dim = 1
@@ -463,6 +470,21 @@ def test_undetermined_machine_output_pinned(command, golden, monkeypatch):
     code, out = run("--format", "machine", command, "tests/problems/arctan_potential.toml")
     assert code == 4
     assert out == (GOLDEN / "classify" / f"{golden}.txt").read_text()
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (("classify", "--set", "m=7,g=2/3"), "classify/so3_sphere_section_pole"),
+    (("k-spaces",), "k_spaces/so3_sphere_section_pole"),
+], ids=["classify", "k-spaces"])
+def test_section_pole_machine_output_pinned(argv, golden, monkeypatch):
+    """so3_sphere with a removable pole in its section at the first sample
+    point: no frame is read there, and the other two certify what they
+    certify on so3_sphere (k3_certificate -2/3, one K3 class and one
+    residual).  Captured before the frames became a table on the pair."""
+    monkeypatch.chdir(ROOT)
+    code, out = run("--format", "machine", argv[0], "tests/problems/so3_sphere_section_pole.toml", *argv[1:])
+    assert code == 0
+    assert out == (GOLDEN / f"{golden}.txt").read_text()
 
 
 @pytest.mark.parametrize("stage, phi", [(3, "phi3"), (4, "phi4")])
@@ -862,6 +884,29 @@ def test_malformed_problem_file_is_a_parse_error(text, says, tmp_path):
     f = tmp_path / "bad.toml"
     f.write_text(text)
     assert_parse_error(("classify", str(f), "--set", "a=1,b=0,c=0,d=0,q=0"), says)
+
+
+@pytest.mark.parametrize("argv", [("classify", "--set", "m=1,g=2"), ("k-spaces",)], ids=["classify", "k-spaces"])
+def test_a_point_missing_a_coordinate_is_a_parse_error(argv, tmp_path):
+    """Every [points] entry gives every chart coordinate: a point without v
+    ended in a KeyError traceback once a frame was evaluated there."""
+    f = tmp_path / "sphere.toml"
+    text = (FIXTURES / "so3_sphere.toml").read_text()
+    assert 'p1 = {u = "1", v = "0"}' in text
+    f.write_text(text.replace('p1 = {u = "1", v = "0"}', 'p1 = {u = "1"}'))
+    assert_parse_error((argv[0], str(f), *argv[1:]), "points.p1: missing coordinate 'v'")
+
+
+@pytest.mark.parametrize("argv", [["classify"], ["noether"], ["check-algebra"], ["cohomology"], ["k-spaces"],
+                                  ["spectral", "--from-pair"]], ids=lambda argv: argv[0])
+def test_a_zero_dimensional_algebra_is_a_parse_error(argv, tmp_path):
+    """[algebra] dim is at least 1, as abelian's n is: classify and noether
+    ended in a ValueError traceback on a zero-dimensional algebra."""
+    f = tmp_path / "zero.toml"
+    text = LINE_PAIR.replace('dim = 1\nbasis = ["e1"]', "dim = 0\nbasis = []").replace('e1 = ["1"]\n', "")
+    assert "dim = 0" in text and "e1" not in text
+    f.write_text(text)
+    assert_parse_error((argv[0], str(f), *argv[1:]), "[algebra] needs dim >= 1")
 
 
 TR2 = (FIXTURES / "translations_r2.toml").read_text()

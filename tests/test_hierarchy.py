@@ -28,7 +28,7 @@ from lagfloor.pairs import GMPair
 from lagfloor.spectral import abutment_check, page, total_cohomology
 
 from calculus_oracle import lie_derivative_lagrangian
-from fixture_pairs import SCRIPT_ENV, classes_signature, fixture_pair
+from fixture_pairs import SCRIPT_ENV, classes_signature, fixture_pair, restricted_at
 
 F = Fraction
 
@@ -385,9 +385,7 @@ def test_k_spaces_sphere():
     # one truncated class restricts to zero (smooth-trivial, log potential)
     assert rep.k3_residual_dim == 1
     # the certified representative restricts to a nonzero constant
-    from lagfloor.pairs import restrict_cocycle
-
-    vals = restrict_cocycle(SPHERE, rep.k3_reps[0], SPHERE.sample_points[0])
+    vals = restricted_at(SPHERE, rep.k3_reps[0], SPHERE.sample_points[0])
     assert any(vals.values())
 
 
@@ -405,11 +403,50 @@ def test_k3_values_that_constant_cocycles_take_certify_nothing():
     all of R, so every restriction value is accounted for: no class is
     certified and every truncated class is residual."""
     from lagfloor.hierarchy import _certify_k3
-    from lagfloor.pairs import FunctionCochain, restrict_cocycle
+    from lagfloor.pairs import FunctionCochain
 
     alpha = FunctionCochain(L3, (P("0"), P("2*z + 5"), P("2")))
-    assert list(restrict_cocycle(L3, alpha, L3.sample_points[0]).values()) == [5]
+    assert list(restricted_at(L3, alpha, L3.sample_points[0]).values()) == [5]
     assert _certify_k3(L3, 1, (alpha,)) == (0, (), 1)
+
+
+def test_k3_without_a_frame_reports_every_truncated_class():
+    """No sample point gives no frame, and a free action gives frames with
+    no vectors: nothing can be certified or set aside as residual."""
+    from dataclasses import replace
+
+    from lagfloor.hierarchy import _certify_k3
+    from lagfloor.pairs import FunctionCochain
+
+    r = k_spaces(SPHERE).k3_reps[0]
+    assert _certify_k3(replace(SPHERE, sample_points=()), 1, (r,)) == (1, (r,), 0)
+    alpha = FunctionCochain(TRANS2, (P("1", TRANS2), P("0", TRANS2)))
+    assert TRANS2.frames and all(not vecs for _, vecs, _ in TRANS2.frames)
+    assert _certify_k3(TRANS2, 1, (alpha,)) == (1, (alpha,), 0)
+
+
+def test_stability_frames_are_built_once_per_pair(monkeypatch):
+    """phi3, the K3 certificate and the restriction read the pair's frames,
+    built on first read, one per sample point: 3 on a fresh so3_sphere,
+    none when the same pair is classified again, 3 for its K-spaces."""
+    from lagfloor import hierarchy, pairs
+
+    built = []
+    frame = pairs.stability_frame
+
+    def counted(p, point):
+        built.append(point)
+        return frame(p, point)
+
+    # in hierarchy too, should it ever import the builder again
+    for module in (pairs, hierarchy):
+        monkeypatch.setattr(module, "stability_frame", counted, raising=False)
+    sphere = fixture_pair("so3_sphere")
+    L = monopole(m=7, g=F(2, 3))
+    assert classify(sphere, L).floor == 2 and len(built) == 3
+    assert classify(sphere, L).floor == 2 and len(built) == 3
+    built.clear()
+    assert k_spaces(fixture_pair("so3_sphere")).k3_residual_dim == 1 and len(built) == 3
 
 
 def test_k3_truncated_classes_in_canonical_order():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from lagfloor.calculus import OneForm, VectorFieldExpr, gradient, is_closed, twoform_pairs
 from lagfloor.cecohom import cohomology
-from lagfloor.expr import TP, AnsatzSpec, Expr, function_monomials, parse_expr, to_string
+from lagfloor.expr import TP, AnsatzSpec, EvaluationPole, Expr, function_monomials, parse_expr, to_string
 from lagfloor.exprspace import NotPolynomial
 from lagfloor.hierarchy import classify
 from lagfloor.linalg import InvariantViolation, dense, kernel_of_rows
@@ -26,7 +26,7 @@ from lagfloor.pairs import (
     stability_subalgebra,
     validate_pair,
 )
-from lagfloor.problemfile import build_lagrangian, load_problem_file
+from lagfloor.problemfile import build_lagrangian, build_pair, load_problem_file
 
 from calculus_oracle import (
     TwoForm,
@@ -35,7 +35,7 @@ from calculus_oracle import (
     lie_derivative_scalar,
     lie_derivative_twoform,
 )
-from fixture_pairs import FIXTURES, SCRIPT_ENV, SPIN1, SPIN2, fixture_pair, polynomial_module
+from fixture_pairs import FIXTURES, ROOT, SCRIPT_ENV, SPIN1, SPIN2, fixture_pair, polynomial_module, restricted_at
 
 F = Fraction
 
@@ -443,7 +443,7 @@ def test_monopole_contraction_consistency():
         SPHERE, (P("-3*u", SPHERE), P("-3*v", SPHERE), P("3", SPHERE))
     )
     assert alpha.is_cocycle()
-    values = restrict_cocycle(SPHERE, alpha, SPHERE.sample_points[0])
+    values = restricted_at(SPHERE, alpha, SPHERE.sample_points[0])
     assert list(values.values()) == [-g]
 
 
@@ -562,7 +562,7 @@ def test_galilean_stability_is_six_dimensional():
 def test_restrict_l3_cocycle_gives_b():
     a, b = F(2), F(5)
     alpha = FunctionCochain(L3, (P("0"), P("2*z + 5"), P("2")))
-    values = restrict_cocycle(L3, alpha, L3.sample_points[0])
+    values = restricted_at(L3, alpha, L3.sample_points[0])
     assert list(values.values()) == [b]
     assert (F(0), F(1), -L3.sample_points[0]["z"]) in values
 
@@ -570,16 +570,34 @@ def test_restrict_l3_cocycle_gives_b():
 def test_restrict_coboundary_is_zero():
     f = P("z^2*cos(phi)")
     cob = scalar_coboundary(L3, f)
-    values = restrict_cocycle(L3, cob, L3.sample_points[1])
+    values = restricted_at(L3, cob, L3.sample_points[1])
     assert all(v == 0 for v in values.values())
+
+
+def test_restriction_skips_a_pole_of_the_cocycle():
+    """delta(sin(phi)/(2z - 1)) has a pole at p1 (z = 1/2): the restriction
+    has no entry there and restricts to zero at p2 and p3."""
+    cob = scalar_coboundary(L3, P("sin(phi)/(2*z - 1)"))
+    entries = restrict_cocycle(L3, cob)
+    assert [point for (point, _, _), _ in entries] == list(L3.sample_points[1:])
+    assert [values for _, values in entries] == [[0], [0]]
+
+
+def test_frames_skip_a_pole_of_the_sections():
+    """The section of so3_sphere_section_pole has a pole at p1: the pair's
+    frames are those at p2 and p3."""
+    pair = build_pair(load_problem_file(ROOT / "tests" / "problems" / "so3_sphere_section_pole.toml"))
+    assert [point for point, _, _ in pair.frames] == list(pair.sample_points[1:])
+    with pytest.raises(EvaluationPole):
+        stability_frame(pair, pair.sample_points[0])
 
 
 def test_restrict_descends_to_cohomology():
     alpha = FunctionCochain(L3, (P("0"), P("2*z + 5"), P("2")))
     cob = scalar_coboundary(L3, P("z*sin(phi)"))
     shifted = FunctionCochain(L3, tuple(a + b for a, b in zip(alpha.components, cob.components)))
-    v1 = restrict_cocycle(L3, alpha, L3.sample_points[0])
-    v2 = restrict_cocycle(L3, shifted, L3.sample_points[0])
+    v1 = restricted_at(L3, alpha, L3.sample_points[0])
+    v2 = restricted_at(L3, shifted, L3.sample_points[0])
     assert list(v1.values()) == list(v2.values())
 
 
@@ -588,7 +606,7 @@ def test_restrict_requires_cocycle():
     bad = FunctionCochain(L3, (P("0"), P("0"), P("z")))
     assert not bad.is_cocycle()
     with pytest.raises(NotACocycle):
-        restrict_cocycle(L3, bad, L3.sample_points[0])
+        restrict_cocycle(L3, bad)
 
 
 def test_constant_cocycle_values_on_stability():
@@ -611,7 +629,7 @@ def test_stability_frame_without_sections_is_the_kernel_basis():
     vecs, accounted = stability_frame(bare, pt)
     assert vecs == list(stability_subalgebra(bare, pt).basis) and len(vecs) == 1
     assert accounted.dim == 0
-    values = restrict_cocycle(bare, scalar_coboundary(bare, P("x1^2*x2 + x3", bare)), pt)
+    values = restricted_at(bare, scalar_coboundary(bare, P("x1^2*x2 + x3", bare)), pt)
     assert list(values) == [dense(vecs[0], 3)] and list(values.values()) == [0]
 
 
@@ -639,7 +657,7 @@ def test_stability_frame_checks_the_sections(pair, sections, says):
     cocycle = scalar_coboundary(bad, P("*".join(bad.chart.names[:2]), bad))
     for read in (
         lambda: stability_frame(bad, pt),
-        lambda: restrict_cocycle(bad, cocycle, pt),
+        lambda: restrict_cocycle(bad, cocycle),
         lambda: _certify_k3(bad, 1, (cocycle,)),
     ):
         with pytest.raises(InvariantViolation, match=says):
