@@ -26,6 +26,7 @@ restriction certificate in hand.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -116,7 +117,6 @@ class ObstructionWitness:
     alpha: tuple | None = None  # potentials, after the phi2 adjustment
     f2: dict | None = None  # constant 2-cocycle (i,j) -> Fraction
     k3_witness: tuple | None = None  # (OneForm w, t'' tuple, Expr f)
-    k3_certificate: dict | None = None  # restriction data when nonzero
 
 
 @dataclass
@@ -342,14 +342,17 @@ def phi3(p: GMPair, alpha: FunctionCochain, opts: ClassifyOptions):
 # phi_4
 # ---------------------------------------------------------------------------
 
+# id-keyed; an entry is dropped when its pair is collected, before that id
+# can be reused
 _INV_FORMS_CACHE: dict = {}
 
 
 def _invariant_forms(p: GMPair, opts: ClassifyOptions):
     key = (id(p), opts.degree, opts.fourier)
     if key not in _INV_FORMS_CACHE:
-        _INV_FORMS_CACHE[key] = (p, invariant_closed_forms(p, AnsatzSpec(opts.degree, opts.fourier)))
-    return _INV_FORMS_CACHE[key][1]
+        _INV_FORMS_CACHE[key] = invariant_closed_forms(p, AnsatzSpec(opts.degree, opts.fourier))
+        weakref.finalize(p, _INV_FORMS_CACHE.pop, key, None)
+    return _INV_FORMS_CACHE[key]
 
 
 def harmonic_vector(w: OneForm):
@@ -452,7 +455,6 @@ def _obstructions(p: GMPair, L: Expr, split: WeakInvarianceSplit, report: FloorR
     report.witnesses.alpha = alpha.components
     yield report.k2_class
     report.k3_class, report.witnesses.k3_witness = phi3(p, alpha, opts)
-    report.witnesses.k3_certificate = report.k3_class.data
     yield report.k3_class
     report.k4_class, report.decomposition = phi4(p, L, split, alpha, report.witnesses.k3_witness, opts)
     yield report.k4_class
@@ -521,11 +523,6 @@ K3_F_RAISES = (1, 2, 3)
 
 @dataclass(frozen=True)
 class KSpacesReport:
-    k0_dim: int
-    k1_dim: int
-    k2_dim: int
-    k3_dim: int
-    k4_dim: int
     k0_reps: tuple
     k1_reps: tuple  # (angle name, Z^1 basis vector) pairs
     k2_reps: tuple  # H^2(G) representatives as 2-cochain vectors
@@ -537,11 +534,12 @@ class KSpacesReport:
 
     @property
     def dims(self):
-        return (self.k0_dim, self.k1_dim, self.k2_dim, self.k3_dim, self.k4_dim)
+        return tuple(len(reps) for reps in (self.k0_reps, self.k1_reps, self.k2_reps, self.k3_reps, self.k4_reps))
 
 
 def k3_space(p: GMPair, opts: ClassifyOptions):
-    """Truncated K3: ansatz cocycles modulo {pi(w) + t + delta(f)}.
+    """Truncated K3: ansatz cocycles modulo {pi(w) + t + delta(f)}, as its
+    dimension and representatives.
 
     Cocycles alpha live in the ansatz monomial space; the denominator is
     intersected with that space.  The f-degree is raised over the cocycle
@@ -635,7 +633,7 @@ def k3_space(p: GMPair, opts: ClassifyOptions):
                 for col, c in sorted(v.items()):
                     comps[col // nm][monos[order[col % nm]]] = c
                 reps.append(FunctionCochain(p, tuple(Expr(ch, TP.from_vector(terms)) for terms in comps)))
-            return _certify_k3(p, qt.dim, tuple(reps))
+            return qt.dim, tuple(reps)
         prev = qt.dim
     raise UndeterminedError(3, AnsatzSpec(opts.degree + extra, opts.fourier))
 
@@ -643,25 +641,26 @@ def k3_space(p: GMPair, opts: ClassifyOptions):
 def _certify_k3(p: GMPair, raw_dim, reps):
     """Split the truncated classes into restriction-certified and residual.
 
-    For transitive group-generated pairs a class restricting to zero on the
-    stability subalgebra (modulo values of constant cocycles) cannot be
-    exhibited nonzero; it is reported as residual, not as dimension.
+    phi3's rule on a family: a combination of the reps that is delta(h) + t,
+    t in Z^1(G), takes t's values on every stability frame, and those lie in
+    the frame's accounted subspace.  So the reps whose values at all frames
+    raise the rank of the accounted values and of the reps before them are
+    nonzero, independent classes; the others are residual.  Columns are
+    (frame index, slot).  Reps are polynomial, so each has a value at every
+    frame, and the frames are read only through a rep's restriction.
     """
-    if not p.transitive or raw_dim == 0 or not reps or not p.frames or not p.frames[0][1]:
-        return raw_dim, reps, 0
-    # reps are polynomial, so each has a value at every frame: its first
-    # restriction entry is at the first frame
-    value_rows = []
-    for alpha in reps:
-        _, values = restrict_cocycle(p, alpha)[0]
-        value_rows.append({a: x for a, x in enumerate(values) if x})
-    # as in ``quotient``: the reps whose values raise the rank of the
-    # accounted values and of the reps before them are the certified ones
     ech = Echelon()
-    for v in p.frames[0][2].basis:
-        ech.insert(v)
-    certified = tuple(alpha for alpha, row in zip(reps, value_rows) if ech.insert(row))
-    return len(certified), certified, raw_dim - len(certified)
+    certified = []
+    for alpha in reps:
+        row = {}
+        for k, ((_, _, accounted), values) in enumerate(restrict_cocycle(p, alpha)):
+            # after the first rep these inserts add nothing
+            for v in accounted.basis:
+                ech.insert({(k, a): x for a, x in v.items()})
+            row.update(((k, a), x) for a, x in enumerate(values) if x)
+        if ech.insert(row):
+            certified.append(alpha)
+    return len(certified), tuple(certified), raw_dim - len(certified)
 
 
 def k_spaces(p: GMPair, opts: ClassifyOptions | None = None) -> KSpacesReport:
@@ -671,15 +670,10 @@ def k_spaces(p: GMPair, opts: ClassifyOptions | None = None) -> KSpacesReport:
     h2 = _h2(g)
     nb = len(p.chart.angle_names)
     qt4, _inv = k4_quotient(p, opts)
-    k3_dim, k3_reps, k3_residual = k3_space(p, opts)
+    _, k3_reps, k3_residual = _certify_k3(p, *k3_space(p, opts))
     k0_reps = tuple(dense(t, g.dim) for t in z1.basis)
     k1_reps = tuple((a, t) for a in p.chart.angle_names for t in k0_reps)
     return KSpacesReport(
-        k0_dim=z1.dim,
-        k1_dim=nb * z1.dim,
-        k2_dim=h2.dim,
-        k3_dim=k3_dim,
-        k4_dim=qt4.dim,
         k0_reps=k0_reps,
         k1_reps=k1_reps,
         k2_reps=h2.representatives,

@@ -2,8 +2,9 @@
 
 The commands are those whose machine output is pinned under
 ``tests/golden/`` (the k-spaces, classify, noether, spectral and cohomology
-tables of ``test_cli``), plus ``check-algebra`` and ``check-pair``, which
-have no golden file.  Run as a script, this module runs each of them through
+tables of ``test_cli``, and its commands on the files under
+``tests/problems/``), plus ``check-algebra`` and ``check-pair``, which have
+no golden file.  Run as a script, this module runs each of them through
 ``lagfloor.cli.main`` under ``sys.setprofile``, in its own interpreter so
 that no cache is warm and the package's import is seen too, and prints every
 function under ``src/lagfloor`` (methods, nested functions and lambdas
@@ -14,7 +15,7 @@ the methods of an exception class, ``__repr__``, and what ``ALLOWED`` names.
 
 It exits 1 when an unreached function is not on the allow-list, when an
 entry names a function that is gone or that the commands reach, or when a
-command exits nonzero::
+command exits with another code than its golden test expects::
 
     PYTHONPATH=src python tests/reach.py
 """
@@ -41,11 +42,7 @@ ALLOWED = {
     "spectral:_random_mat": "random_double_complex's integer matrices",
     "spectral:_split_blocks": "random_double_complex's block split of a flat kernel vector",
     "linalg:Subspace.matrix": "random_double_complex's left kernel as a matrix",
-    # what a problem file can reach though no shipped fixture does
-    "expr:_Parser.trig_call": "parses sin(k*phi) and cos(k*phi), which no fixture writes",
-    "expr:TP.trig": "the trig monomial that sin and cos parse to",
-    "expr:_trig_pair_product": "the product-to-sum rule of two trig monomials",
-    "exprspace:tp_lcm": "the default ansatz of a 1-form with a rational component",
+    # what a problem file can reach though no golden command does
     "calculus:OneForm.__add__": "phi4 adds the harmonic part back when the witness has one",
     "calculus:OneForm.scale": "phi4 scales the harmonic part when the witness has one",
     "expr:AnsatzSpec.__str__": "the ansatz = line of an undetermined (exit 4) report",
@@ -55,7 +52,6 @@ ALLOWED = {
     "expr:Expr.__rsub__": "reflected operator: c - e with a number c",
     "expr:Expr.__rmul__": "reflected operator: c * e with a number c",
     "expr:Expr.__rtruediv__": "reflected operator: c / e with a number c",
-    "liealg:StructureConstants.__eq__": "value equality behind __hash__, for the caches keyed by algebra",
     "linalg:Subspace.__eq__": "value equality of subspaces on their canonical integer bases, which a test reads",
 }
 
@@ -86,12 +82,24 @@ def package_functions():
 
 
 def commands(workdir):
-    """The argv of each command; the cohomology problems with a module are
-    written into ``workdir``."""
-    from test_cli import CLASSIFY, COHOMOLOGY, K_SPACES, MODULE_PROBLEMS, SPECTRAL_FROM_PAIR
+    """(argv, expected exit code) of each command; the cohomology problems
+    with a module are written into ``workdir``."""
+    from test_cli import (
+        CLASSIFY,
+        COHOMOLOGY,
+        K_SPACES,
+        MODULE_PROBLEMS,
+        SECTION_POLE,
+        SL2_CYLINDER,
+        SPECTRAL_FROM_PAIR,
+        UNDETERMINED,
+    )
 
     def fx(name):
         return str(PACKAGE / "fixtures" / f"{name}.toml")
+
+    def problem(name):
+        return str(ROOT / "tests" / "problems" / f"{name}.toml")
 
     out = [["check-algebra", fx("galilean_r4")], ["check-pair", fx("galilean_r4")]]
     out += [["k-spaces", fx(name)] for name in K_SPACES]
@@ -105,30 +113,37 @@ def commands(workdir):
             path.write_text(MODULE_PROBLEMS[golden])
             argv = [str(path), "--coefficients", golden.partition("_")[0]]
         out.append(["cohomology", *argv, *(flag for q in degrees for flag in ("--degree", str(q)))])
-    return [["--format", "machine", *argv] for argv in out]
+    for name, table in (("so3_sphere_section_pole", SECTION_POLE), ("sl2_cylinder", SL2_CYLINDER)):
+        out += [[argv[0], problem(name), *argv[1:]] for argv, _ in table]
+    run = [(["--format", "machine", *argv], 0) for argv in out]
+    run += [(["--format", "machine", command, problem("arctan_potential")], 4) for command, _ in UNDETERMINED]
+    return run
 
 
 def run_commands():
     """(the (path, first line, qualname) of every code object entered, the
-    exit codes), with the package imported under the profile too."""
+    commands whose exit code is not the expected one), with the package
+    imported under the profile too."""
     seen = set()
 
     def record(frame, event, arg):
         if event == "call":
             seen.add(frame.f_code)
 
-    codes = []
+    wrong = []
     sys.setprofile(record)
     try:
         with tempfile.TemporaryDirectory() as workdir:
             from lagfloor.cli import main
 
-            for argv in commands(workdir):
+            for argv, expected in commands(workdir):
                 with contextlib.redirect_stdout(io.StringIO()):
-                    codes.append(main(argv))
+                    code = main(argv)
+                if code != expected:
+                    wrong.append((argv, code))
     finally:
         sys.setprofile(None)
-    return {(str(Path(c.co_filename).resolve()), c.co_firstlineno, c.co_qualname) for c in seen}, codes
+    return {(str(Path(c.co_filename).resolve()), c.co_firstlineno, c.co_qualname) for c in seen}, wrong
 
 
 def _exempt(module, qualname):
@@ -139,9 +154,9 @@ def _exempt(module, qualname):
 
 
 def unreached():
-    """(unreached functions as (name, path, line, length), exit codes).
-    Exempt functions are left out."""
-    reached, codes = run_commands()
+    """(unreached functions as (name, path, line, length), commands with an
+    unexpected exit code).  Exempt functions are left out."""
+    reached, wrong = run_commands()
     functions = package_functions()
     missed = {key for key in functions if key not in reached}
     missed_names = {qualname for _, _, qualname in missed}
@@ -152,14 +167,14 @@ def unreached():
         if nested and outer in missed_names or _exempt(module, qualname):
             continue
         out.append((f"{module}:{qualname}", path, line, length))
-    return out, codes
+    return out, wrong
 
 
 def main():
-    missed, codes = unreached()
-    failed = any(codes)
-    if failed:
-        print(f"a command exited nonzero: {codes}")
+    missed, wrong = unreached()
+    failed = bool(wrong)
+    for argv, code in wrong:
+        print(f"exit {code}, not the expected one: {' '.join(argv)}")
     for name, path, line, length in missed:
         reason = ALLOWED.get(name)
         failed |= reason is None

@@ -212,7 +212,7 @@ def test_acceptance_5_physics_fixtures():
         assert all(v == m for v in rep.witnesses.f2.values())
         rep = classify(SPHERE, monopole(1, 7))
         assert (rep.floor, rep.sign) == (2, "+")
-        cert = rep.witnesses.k3_certificate
+        cert = rep.k3_class.data
         assert list(cert["values"].values()) == [F(-7)]
         rep = classify(SPHERE, monopole(1, 0))
         assert (rep.floor, rep.sign) == (4, "+")

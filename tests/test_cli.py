@@ -460,7 +460,25 @@ def test_classify_machine_output_pinned(golden, monkeypatch):
     assert out == (GOLDEN / "classify" / f"{golden}.txt").read_text()
 
 
-@pytest.mark.parametrize("command, golden", [("classify", "arctan_potential"), ("noether", "arctan_potential_noether")])
+# the commands pinned on files under tests/problems, which tests/reach.py
+# runs too: (command, golden) on arctan_potential, each exiting 4
+UNDETERMINED = [("classify", "arctan_potential"), ("noether", "arctan_potential_noether")]
+# (argv, golden) on so3_sphere_section_pole and sl2_cylinder, each exiting 0;
+# the file goes after the command
+SECTION_POLE = [
+    (("classify", "--set", "m=7,g=2/3"), "classify/so3_sphere_section_pole"),
+    (("k-spaces",), "k_spaces/so3_sphere_section_pole"),
+]
+SL2_CYLINDER = [
+    (("k-spaces",), "k_spaces/sl2_cylinder"),
+    (("classify", "--set", "a=2,b=3,c=1"), "classify/sl2_cylinder_floor3"),
+    (("classify", "--set", "a=1,b=0,c=0"), "classify/sl2_cylinder_floor4"),
+    (("noether", "--set", "a=2,b=3,c=1"), "classify/sl2_cylinder_noether"),
+    (("spectral", "--from-pair"), "spectral_from_pair/sl2_cylinder"),
+]
+
+
+@pytest.mark.parametrize("command, golden", UNDETERMINED)
 def test_undetermined_machine_output_pinned(command, golden, monkeypatch):
     """A chain that stops at stage 1, whose closed remainder has no
     potential in the ansatz, exits 4 with its stage and ansatz; the charges
@@ -472,10 +490,7 @@ def test_undetermined_machine_output_pinned(command, golden, monkeypatch):
     assert out == (GOLDEN / "classify" / f"{golden}.txt").read_text()
 
 
-@pytest.mark.parametrize("argv, golden", [
-    (("classify", "--set", "m=7,g=2/3"), "classify/so3_sphere_section_pole"),
-    (("k-spaces",), "k_spaces/so3_sphere_section_pole"),
-], ids=["classify", "k-spaces"])
+@pytest.mark.parametrize("argv, golden", SECTION_POLE, ids=["classify", "k-spaces"])
 def test_section_pole_machine_output_pinned(argv, golden, monkeypatch):
     """so3_sphere with a removable pole in its section at the first sample
     point: no frame is read there, and the other two certify what they
@@ -483,6 +498,17 @@ def test_section_pole_machine_output_pinned(argv, golden, monkeypatch):
     residual).  Captured before the frames became a table on the pair."""
     monkeypatch.chdir(ROOT)
     code, out = run("--format", "machine", argv[0], "tests/problems/so3_sphere_section_pole.toml", *argv[1:])
+    assert code == 0
+    assert out == (GOLDEN / f"{golden}.txt").read_text()
+
+
+@pytest.mark.parametrize("argv, golden", SL2_CYLINDER, ids=[golden for _, golden in SL2_CYLINDER])
+def test_sl2_cylinder_machine_output_pinned(argv, golden, monkeypatch):
+    """sl(2,R) on the cylinder: a trigonometric action, not transitive, whose
+    K3 class is certified only at its sample point on the orbit z = 0.
+    Captured before K3's certificate read every frame."""
+    monkeypatch.chdir(ROOT)
+    code, out = run("--format", "machine", argv[0], "tests/problems/sl2_cylinder.toml", *argv[1:])
     assert code == 0
     assert out == (GOLDEN / f"{golden}.txt").read_text()
 

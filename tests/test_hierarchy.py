@@ -28,7 +28,8 @@ from lagfloor.pairs import GMPair
 from lagfloor.spectral import abutment_check, page, total_cohomology
 
 from calculus_oracle import lie_derivative_lagrangian
-from fixture_pairs import SCRIPT_ENV, classes_signature, fixture_pair, restricted_at
+from fixture_pairs import ROOT, SCRIPT_ENV, classes_signature, fixture_pair, restricted_at
+from lagfloor.problemfile import build_pair, load_problem_file
 
 F = Fraction
 
@@ -38,6 +39,10 @@ TRANS3 = fixture_pair("translations_r3")
 SPHERE = fixture_pair("so3_sphere")
 GAL = fixture_pair("galilean_r4")
 POI = fixture_pair("poincare_c1")
+# sl(2,R) on the cylinder, not transitive; its last point lies on the
+# singular orbit z = 0
+SL2 = build_pair(load_problem_file(ROOT / "tests" / "problems" / "sl2_cylinder.toml"))
+SL2_OPTS = ClassifyOptions(2, 2)
 
 
 def P(text, pair=L3, **params):
@@ -196,6 +201,27 @@ def test_rebuilt_invariance_complex_adds_no_ce_differential():
     assert sizes == [0, 0, 0]
 
 
+def test_invariant_forms_cache_lets_its_pairs_go():
+    """``_INV_FORMS_CACHE`` holds the forms, not the pair: classified pairs
+    are collected, and their entries go with them."""
+    import gc
+    import weakref
+
+    from lagfloor import hierarchy
+
+    gc.collect()
+    before = len(hierarchy._INV_FORMS_CACHE)
+    pairs = [fixture_pair("l3_cylinder") for _ in range(3)]
+    for pair in pairs:
+        assert classify(pair, family(a=1)).floor == 3
+    assert len(hierarchy._INV_FORMS_CACHE) == before + 3
+    refs = [weakref.ref(pair) for pair in pairs]
+    del pairs, pair
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
+    assert len(hierarchy._INV_FORMS_CACHE) == before
+
+
 def test_floor4_decomposition_certificate():
     r = classify(L3, P("dz^2") + d_el(P("z^2*sin(phi)")))
     assert (r.floor, r.sign) == (4, "+")
@@ -266,7 +292,7 @@ def test_monopole_floor_2_plus_with_certificate():
     r = classify(SPHERE, monopole(m=1, g=2))
     assert (r.floor, r.sign) == (2, "+")
     assert r.k3_class.status == "nonzero"
-    cert = r.witnesses.k3_certificate
+    cert = r.k3_class.data
     assert list(cert["values"].values()) == [F(-2)]
 
 
@@ -412,17 +438,65 @@ def test_k3_values_that_constant_cocycles_take_certify_nothing():
 
 def test_k3_without_a_frame_reports_every_truncated_class():
     """No sample point gives no frame, and a free action gives frames with
-    no vectors: nothing can be certified or set aside as residual."""
+    no vectors: nothing is certified, so every truncated class is reported
+    as residual, not as dimension."""
     from dataclasses import replace
 
     from lagfloor.hierarchy import _certify_k3
     from lagfloor.pairs import FunctionCochain
 
     r = k_spaces(SPHERE).k3_reps[0]
-    assert _certify_k3(replace(SPHERE, sample_points=()), 1, (r,)) == (1, (r,), 0)
+    assert _certify_k3(replace(SPHERE, sample_points=()), 1, (r,)) == (0, (), 1)
     alpha = FunctionCochain(TRANS2, (P("1", TRANS2), P("0", TRANS2)))
     assert TRANS2.frames and all(not vecs for _, vecs, _ in TRANS2.frames)
-    assert _certify_k3(TRANS2, 1, (alpha,)) == (1, (alpha,), 0)
+    assert _certify_k3(TRANS2, 1, (alpha,)) == (0, (), 1)
+
+
+def test_k3_certificate_agrees_with_phi3_on_each_truncated_class():
+    """K3's certificate is phi3's restriction rule applied to a family: on
+    each of so3_sphere's truncated classes alone, phi3 finds a certificate
+    exactly when the K3 rule certifies the class.  The first restricts to
+    zero, and no witness is found within the ansatz; the second restricts
+    to a nonzero constant."""
+    from lagfloor.hierarchy import UndeterminedError, _certify_k3, k3_space, phi3
+
+    opts = ClassifyOptions(3, 0)
+    _, reps = k3_space(SPHERE, opts)
+    verdicts = []
+    for r in reps:
+        try:
+            status = phi3(SPHERE, r, opts)[0].status
+        except UndeterminedError:
+            status = "undetermined"
+        verdicts.append((status, _certify_k3(SPHERE, 1, (r,))[0]))
+    assert verdicts == [("undetermined", 0), ("nonzero", 1)]
+
+
+def test_sl2_cylinder_k3_is_certified_on_the_singular_orbit():
+    """The Gelfand-Fuks class (0, sin(phi), -cos(phi)) restricts to zero at
+    the three points off z = 0, whose stabilizers are one-dimensional; at
+    (z, phi) = (0, 0) the stabilizer is spanned by e2 - e1 and e3, and the
+    class takes the values (0, -1) there.  Z^1(sl2) = 0, so that frame alone
+    certifies it: without the point the class is residual."""
+    from dataclasses import replace
+
+    rep = k_spaces(SL2, SL2_OPTS)
+    assert (rep.dims, rep.k3_residual_dim) == ((0, 0, 0, 1, 1), 0)
+    assert tuple(to_string(c) for c in rep.k3_reps[0].components) == ("0", "sin(phi)", "-cos(phi)")
+    off_orbit = k_spaces(replace(SL2, sample_points=SL2.sample_points[:3]), SL2_OPTS)
+    assert (off_orbit.dims, off_orbit.k3_residual_dim) == ((0, 0, 0, 0, 1), 1)
+
+
+@pytest.mark.parametrize("a", [1, 2, F(-3, 2)])
+def test_sl2_cylinder_charges_are_the_moment_map(a):
+    """The charges of a z dphi + 3 dphi + 1 are the moment map of the
+    cotangent lift, N_i = a z X_i^phi: the closed term b dphi and the
+    constant add nothing."""
+    L = parse_expr(SL2.chart, "a*z*dphi + b*dphi + c", params={"a": F(a), "b": F(3), "c": F(1)})
+    charges = noether_charges(SL2, L, classify(SL2, L, SL2_OPTS))
+    z = Expr.var(SL2.chart, "z")
+    for n_i, field in zip(charges, SL2.fields):
+        assert (n_i - z * field.components[1] * F(a)).is_zero()
 
 
 def test_stability_frames_are_built_once_per_pair(monkeypatch):
@@ -450,20 +524,18 @@ def test_stability_frames_are_built_once_per_pair(monkeypatch):
 
 
 def test_k3_truncated_classes_in_canonical_order():
-    """Uncertified K3 representatives, in the order the quotient picks them.
+    """The truncated quotient's representatives, before the restriction
+    certificate filters them, in the order the quotient picks them.
 
-    Without transitivity no restriction certificate filters the classes, so
-    every truncated class comes back.  The expected cochains were produced
-    before K3 was rebuilt on the action table; their order depends on the
-    ambient coordinate order of the canonical echelon forms.
+    The expected cochains were produced before K3 was rebuilt on the action
+    table; their order depends on the ambient coordinate order of the
+    canonical echelon forms.
     """
-    from dataclasses import replace
-
     from lagfloor.expr import to_string
     from lagfloor.hierarchy import k3_space
 
-    dim, reps, residual = k3_space(replace(SPHERE, transitive=False), ClassifyOptions(3, 0))
-    assert (dim, residual) == (2, 0)
+    dim, reps = k3_space(SPHERE, ClassifyOptions(3, 0))
+    assert dim == 2
     assert [tuple(to_string(c) for c in a.components) for a in reps] == [
         ("v", "-u", "0"),
         ("u", "v", "-1"),

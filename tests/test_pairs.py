@@ -652,7 +652,7 @@ def test_stability_frame_checks_the_sections(pair, sections, says):
     from lagfloor.hierarchy import _certify_k3
 
     parsed = tuple(tuple(P(str(c), pair) for c in s) for s in sections)
-    bad = replace(pair, transitive=True, stability_sections=parsed)
+    bad = replace(pair, stability_sections=parsed)
     pt = bad.sample_points[0]
     cocycle = scalar_coboundary(bad, P("*".join(bad.chart.names[:2]), bad))
     for read in (
