@@ -7,7 +7,9 @@ the chart coordinates.  Lagrangians are plain expressions in coordinates and
 velocities; the Euler-Lagrange covector is the only place accelerations
 appear.  The Euler-Lagrange covector and the total time derivative, which
 only the Noether charges read, are (numerator, denominator) pairs of trig
-polynomials, not expressions, so the charge sums never build one.
+polynomials, not expressions, so the charge sums never build one.  Every
+derivative here is ``expr``'s one rule, ``TP.derive``, through
+``expr.derivation`` (d/dq, d/d(dq)) or ``expr.time_derivation`` (D_t).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 
-from .expr import TP, TP_ONE, Chart, Expr, derivation, fraction_add, function_monomials, quotient_rule
+from .expr import TP, TP_ONE, Chart, Expr, derivation, fraction_add, function_monomials, quotient_rule, time_derivation
 from .exprspace import equation_rows, tp_lcm
 from .linalg import InvariantViolation, solve_rows
 
@@ -114,7 +116,7 @@ def euler_lagrange(L: Expr) -> tuple[tuple[TP, TP], ...]:
     if L.has_accelerations():
         raise ValueError("rank-1 Lagrangians only")
     ch = L.chart
-    dt = _time_derivation(ch, tau=False)
+    dt = time_derivation(ch)
     comps = []
     for name in ch.names:
         a, b = quotient_rule(L.num, L.den, derivation(ch, name))
@@ -128,59 +130,13 @@ def d_el(f: Expr) -> Expr:
     return gradient(f).as_lagrangian()
 
 
-def _time_derivation(ch, tau):
-    """D_t on trig polynomials: dq^mu d/dq^mu + ddq^mu d/d(dq^mu), plus
-    d/d tau when ``tau``, in one pass over the terms.
-
-    Each term c * m contributes c * e * m', one per variable of m that D_t
-    moves: a line coordinate q^e turns into e * q^(e-1) dq, a velocity
-    dq^e into e * dq^(e-1) ddq, and tau^e into e * tau^(e-1).  A Fourier
-    factor sin(k*phi) turns into k * cos(k*phi) dphi and cos(k*phi) into
-    -k * sin(k*phi) dphi."""
-    raises = {name: ch.velocity(name) for name in ch.line_names}
-    raises.update({ch.velocity(name): ch.acceleration(name) for name in ch.names})
-    if tau:
-        raises["tau"] = None
-    angle_velocity = {a: ch.velocity(a) for a in ch.angle_names}
-
-    def dt(tp):
-        out = {}
-        for (vars_, trig), c in tp.terms.items():
-            for n, e in vars_:
-                if n in raises:
-                    m = (_move_exponent(vars_, n, raises[n]), trig)
-                    out[m] = out.get(m, 0) + c * e
-            for i, (a, kind, k) in enumerate(trig):
-                if a in angle_velocity:
-                    m = (_move_exponent(vars_, None, angle_velocity[a]),
-                         trig[:i] + ((a, "c" if kind == "s" else "s", k),) + trig[i + 1 :])
-                    out[m] = out.get(m, 0) + (c * k if kind == "s" else -c * k)
-        return TP(out, tp.den)
-
-    return dt
-
-
-def _move_exponent(vars_, down, up):
-    """The variables of a monomial with one power of ``down`` taken away and
-    one of ``up`` put on; None for either leaves it out."""
-    d = dict(vars_)
-    if down is not None:
-        if d[down] == 1:
-            del d[down]
-        else:
-            d[down] -= 1
-    if up is not None:
-        d[up] = d.get(up, 0) + 1
-    return tuple(sorted(d.items()))
-
-
 def total_time_derivative(e: Expr, tau=False) -> tuple[TP, TP]:
     """Chain-rule total derivative: q -> dq -> ddq (and tau -> 1 if enabled).
 
     One quotient rule on e's numerator and denominator, with D_t applied to
     each as a trig polynomial in one pass: the (numerator, denominator)
     pair of the result, no expression built."""
-    return quotient_rule(e.num, e.den, _time_derivation(e.chart, tau))
+    return quotient_rule(e.num, e.den, time_derivation(e.chart, tau))
 
 
 def gradient(f: Expr) -> OneForm:
@@ -271,11 +227,11 @@ def derham_split(w: OneForm):
     """Split a closed form into harmonic angle part plus an exact potential.
 
     Returns ({angle: coefficient}, potential).  Raises NotClosed or
-    AnsatzExhausted (never guesses).
+    AnsatzExhausted (never guesses).  Closedness is checked once, by
+    ``find_potential`` on the remainder: it differs from w by constant
+    c * dphi terms, so it is closed exactly when w is.
     """
     ch = w.chart
-    if not is_closed(w):
-        raise NotClosed("derham_split requires a closed form")
     harmonic = {}
     rem = w
     for a in ch.angle_names:

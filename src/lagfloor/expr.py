@@ -17,6 +17,12 @@ Angle coordinates never appear bare: ``phi`` is not a function on the
 circle, only ``sin(k*phi)``, ``cos(k*phi)`` and the velocity ``dphi`` are.
 This is precisely what makes ``dphi`` closed but not exact.
 
+``TP.derive`` is the package's one derivative rule: a derivation is fixed
+by its images of the generators, so one pass over the terms serves every
+derivative.  ``derivation`` (d/dq, d/dphi, d/d(dq), d/d tau) and
+``time_derivation`` (D_t, which the Euler-Lagrange covector, the Noether
+charges and the prolonged generator action read) are its entry points.
+
 Denominators are reduced by content/sign normalization, common monomial
 factors and exact trial division (full, and divisor-vs-divisor when adding),
 which keeps every fraction arising from the supported Lagrangian families in
@@ -127,6 +133,22 @@ def _merge_vars(a, b):
     for n, e in b:
         d[n] = d.get(n, 0) + e
     return tuple(sorted((n, e) for n, e in d.items() if e))
+
+
+def _move_exponent(vars_, down, up):
+    """The variables of a monomial with one power of ``down`` taken away and
+    one of ``up`` put on; None for either leaves it out."""
+    if down is None and up is None:
+        return vars_
+    d = dict(vars_)
+    if down is not None:
+        if d[down] == 1:
+            del d[down]
+        else:
+            d[down] -= 1
+    if up is not None:
+        d[up] = d.get(up, 0) + 1
+    return tuple(sorted(d.items()))
 
 
 def _max_exponents(tp):
@@ -373,35 +395,25 @@ class TP:
         return {m: F(c, self.den) for m, c in self.terms.items()}
 
     # calculus -----------------------------------------------------------
-    def partial_var(self, name):
-        out = {}
-        for (vars_, trig), c in self.terms.items():
-            d = dict(vars_)
-            e = d.get(name, 0)
-            if not e:
-                continue
-            if e == 1:
-                del d[name]
-            else:
-                d[name] = e - 1
-            m = (tuple(sorted(d.items())), trig)
-            out[m] = out.get(m, 0) + c * e
-        return TP(out, self.den)
+    def derive(self, images):
+        """The derivation D with D(n) = images[n] for each generator n it
+        moves (a variable name, or None for the constant 1), in one pass.
 
-    def partial_angle(self, angle):
+        A term c * m contributes c * e * (m / n) * D(n) per variable n^e of
+        m, and +-c * k * m' * D(phi) per Fourier factor sin/cos(k*phi),
+        where m' turns that factor into cos/sin(k*phi).  Angle names are
+        never a monomial's variables, so one map holds both kinds."""
         out = {}
         for (vars_, trig), c in self.terms.items():
+            for n, e in vars_:
+                if n in images:
+                    m = (_move_exponent(vars_, n, images[n]), trig)
+                    out[m] = out.get(m, 0) + c * e
             for i, (a, kind, k) in enumerate(trig):
-                if a != angle:
-                    continue
-                if kind == "s":
-                    new = trig[:i] + ((a, "c", k),) + trig[i + 1 :]
-                    coeff = c * k
-                else:
-                    new = trig[:i] + ((a, "s", k),) + trig[i + 1 :]
-                    coeff = -c * k
-                m = (vars_, new)
-                out[m] = out.get(m, 0) + coeff
+                if a in images:
+                    m = (_move_exponent(vars_, None, images[a]),
+                         trig[:i] + ((a, "c" if kind == "s" else "s", k),) + trig[i + 1 :])
+                    out[m] = out.get(m, 0) + (c * k if kind == "s" else -c * k)
         return TP(out, self.den)
 
     # evaluation -----------------------------------------------------------
@@ -701,16 +713,28 @@ class Expr:
 
 
 def derivation(chart_, gen):
-    """The partial derivative by ``gen`` as a map of trig polynomials.
+    """The partial derivative by ``gen`` as a map of trig polynomials,
+    ``TP.derive`` with gen -> 1.
 
     An angle coordinate acts through the sin/cos generators by the chain
     rule; a line coordinate, velocity, acceleration or ``tau`` by the power
     rule."""
-    if gen in chart_.names and chart_.kind(gen) == ANGLE:
-        return lambda tp: tp.partial_angle(gen)
-    if gen in chart_.symbols:
-        return lambda tp: tp.partial_var(gen)
-    raise UnknownSymbol(f"unknown generator {gen!r}", 0)
+    if gen not in chart_.symbols:
+        raise UnknownSymbol(f"unknown generator {gen!r}", 0)
+    images = {gen: None}
+    return lambda tp: tp.derive(images)
+
+
+def time_derivation(chart_, tau=False):
+    """The total time derivative D_t = dq^mu d/dq^mu + ddq^mu d/d(dq^mu),
+    plus d/d tau when ``tau``, as a map of trig polynomials: ``TP.derive``
+    with q -> dq, dq -> ddq for every coordinate (an angle through its
+    sin/cos factors) and tau -> 1."""
+    images = {name: chart_.velocity(name) for name in chart_.names}
+    images.update({chart_.velocity(name): chart_.acceleration(name) for name in chart_.names})
+    if tau:
+        images["tau"] = None
+    return lambda tp: tp.derive(images)
 
 
 def quotient_rule(num, den, d):

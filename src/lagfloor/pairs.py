@@ -23,7 +23,7 @@ from itertools import chain
 
 from .calculus import OneForm, VectorFieldExpr, twoform_pairs
 from .cecohom import GModule, NotACocycle, validate_module
-from .expr import TP, AnsatzSpec, Chart, EvaluationPole, Expr, derivation, function_monomials, quotient_rule
+from .expr import TP, AnsatzSpec, Chart, EvaluationPole, Expr, derivation, function_monomials, quotient_rule, time_derivation
 from .exprspace import equation_rows, polynomial
 from .liealg import StructureConstants, zero_one_cocycles
 from .linalg import (
@@ -66,6 +66,7 @@ class ActionTable:
         self._pair_index = {ab: k for k, ab in enumerate(twoform_pairs(chart_))}
         self._diffs = [derivation(chart_, name) for name in chart_.names]
         self._velocity_diffs = [derivation(chart_, name) for name in chart_.velocity_names]
+        self._dt = time_derivation(chart_)
         self._components_of = {}
         self._scalar = {}
         self._prolonged = {}
@@ -76,14 +77,13 @@ class ActionTable:
 
     def _components(self, i):
         """X_i^mu, the Jacobian d X_i^mu / dq^nu, indexed [mu][nu], and
-        D_t X_i^mu = dq^nu d X_i^mu / dq^nu, as trig polynomials."""
+        D_t X_i^mu, which is dq^nu d X_i^mu / dq^nu on a velocity-free
+        component, as trig polynomials."""
         comps = self._components_of.get(i)
         if comps is None:
             xs = tuple(polynomial(c) for c in self.fields[i].components)
             jac = tuple(tuple(diff(x) for diff in self._diffs) for x in xs)
-            velocities = [TP.var(v) for v in self.chart.velocity_names]
-            dts = tuple(sum((v * d for v, d in zip(velocities, row)), TP()) for row in jac)
-            comps = self._components_of[i] = (xs, jac, dts)
+            comps = self._components_of[i] = (xs, jac, tuple(self._dt(x) for x in xs))
         return comps
 
     def partial(self, mu, mono) -> TP:

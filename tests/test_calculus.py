@@ -14,7 +14,6 @@ from lagfloor.calculus import (
     NotClosed,
     OneForm,
     VectorFieldExpr,
-    _time_derivation,
     d_el,
     derham_split,
     euler_lagrange,
@@ -23,7 +22,7 @@ from lagfloor.calculus import (
     is_closed,
     total_time_derivative,
 )
-from lagfloor.expr import TP, Chart, Expr, derivation, parse_expr, quotient_rule, to_string
+from lagfloor.expr import TP, Chart, Expr, derivation, parse_expr, quotient_rule, time_derivation, to_string
 from lagfloor.hierarchy import ClassifyOptions, classify, noether_charges
 from lagfloor.problemfile import build_lagrangian, load_problem_file
 
@@ -484,7 +483,7 @@ def test_one_pass_time_derivative_equals_the_stepwise_sum(tp, tau):
     """Random trig polynomials in line coordinates, velocities,
     accelerations, sin/cos factors of two angles and tau, with and without
     d/d tau."""
-    assert _time_derivation(DT_CHART, tau)(tp) == stepwise_time_derivative(DT_CHART, tp, tau)
+    assert time_derivation(DT_CHART, tau)(tp) == stepwise_time_derivative(DT_CHART, tp, tau)
 
 
 EXPR_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",

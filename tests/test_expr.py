@@ -18,8 +18,10 @@ from lagfloor.expr import (
     Expr,
     ParseError,
     UnknownSymbol,
+    derivation,
     function_monomials,
     parse_expr,
+    time_derivation,
     to_string,
 )
 from lagfloor.exprspace import equation_rows
@@ -443,8 +445,44 @@ def test_product_matches_the_fourier_product_reference(pair):
 def test_scale_and_partials_match_the_fraction_reference(a, c, var, angle):
     tp = TP.from_vector(a)
     assert matches_reference(tp.scale(c), tp_reference.scale(a, c))
-    assert matches_reference(tp.partial_var(var), tp_reference.partial_var(a, var))
-    assert matches_reference(tp.partial_angle(angle), tp_reference.partial_angle(a, angle))
+    assert matches_reference(derivation(KERNEL_CHART, var)(tp), tp_reference.partial_var(a, var))
+    assert matches_reference(derivation(KERNEL_CHART, angle)(tp), tp_reference.partial_angle(a, angle))
+
+
+RULE_CHART = Chart((("x", "line"), ("y", "line"), ("phi", "angle"), ("th", "angle")))
+# line coordinates, their velocities, the angles' velocities and tau
+RULE_VARS = ("dphi", "dth", "dx", "dy", "tau", "x", "y")
+RULE_DERIVATIONS = (
+    derivation(RULE_CHART, "x"),
+    derivation(RULE_CHART, "phi"),
+    derivation(RULE_CHART, "dx"),
+    time_derivation(RULE_CHART),
+    time_derivation(RULE_CHART, tau=True),
+)
+
+
+@st.composite
+def rule_monomials(draw):
+    exps = draw(st.lists(st.integers(0, 2), min_size=len(RULE_VARS), max_size=len(RULE_VARS)))
+    vars_ = tuple((n, e) for n, e in zip(RULE_VARS, exps) if e)
+    trig = tuple((a, draw(st.sampled_from("sc")), draw(st.integers(1, 3)))
+                 for a in RULE_CHART.angle_names if draw(st.booleans()))
+    return vars_, trig
+
+
+def rule_polys():
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)
+    return st.dictionaries(rule_monomials(), coeffs, max_size=4).map(TP.from_vector)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rule_polys(), rule_polys())
+def test_the_derivative_rule_obeys_the_product_rule(a, b):
+    """D(a*b) == D(a)*b + a*D(b) for d/dx, d/dphi, d/d(dx) and D_t with and
+    without tau; products of Fourier factors of one angle go through the
+    product-to-sum halves of the normal form."""
+    for d in RULE_DERIVATIONS:
+        assert d(a * b) == d(a) * b + a * d(b)
 
 
 @settings(max_examples=60, deadline=None)
