@@ -14,7 +14,6 @@ derivative here is ``expr``'s one rule, ``TP.derive``, through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 
@@ -43,13 +42,13 @@ def _check_components(chart, components):
             raise ValueError("components must be velocity-free")
 
 
-@dataclass(frozen=True)
 class OneForm:
-    chart: Chart
-    components: tuple[Expr, ...]
+    __slots__ = ("chart", "components")
 
-    def __post_init__(self):
-        _check_components(self.chart, self.components)
+    def __init__(self, chart: Chart, components: tuple[Expr, ...]):
+        _check_components(chart, components)
+        self.chart = chart
+        self.components = components
 
     def __add__(self, other):
         return OneForm(self.chart, tuple(a + b for a, b in zip(self.components, other.components)))
@@ -74,13 +73,13 @@ class OneForm:
         return out
 
 
-@dataclass(frozen=True)
 class VectorFieldExpr:
-    chart: Chart
-    components: tuple[Expr, ...]
+    __slots__ = ("chart", "components")
 
-    def __post_init__(self):
-        _check_components(self.chart, self.components)
+    def __init__(self, chart: Chart, components: tuple[Expr, ...]):
+        _check_components(chart, components)
+        self.chart = chart
+        self.components = components
 
     def bracket(self, other) -> "VectorFieldExpr":
         """Commutator [X, Y], componentwise X(Y^mu) - Y(X^mu)."""

@@ -17,7 +17,6 @@ are reproducible.  The differential is
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from math import lcm
@@ -30,7 +29,6 @@ class NotACocycle(InvariantViolation):
     pass
 
 
-@dataclass(frozen=True)
 class GModule:
     """Finite-dimensional module over a Lie algebra, given by action matrices.
 
@@ -38,16 +36,17 @@ class GModule:
     rho_i rho_j - rho_j rho_i = c^k_{ij} rho_k is exactly testable.
     """
 
-    dim: int
-    algebra: StructureConstants
-    action: tuple[Mat, ...]
+    __slots__ = ("dim", "algebra", "action", "__weakref__")
 
-    def __post_init__(self):
-        if len(self.action) != self.algebra.dim:
-            raise InvariantViolation(f"{len(self.action)} action matrices for an algebra of dimension {self.algebra.dim}")
-        for m in self.action:
-            if not m.rows == m.cols == self.dim:
-                raise InvariantViolation(f"a {m.rows}x{m.cols} action matrix on a module of dimension {self.dim}")
+    def __init__(self, dim: int, algebra: StructureConstants, action: tuple[Mat, ...]):
+        if len(action) != algebra.dim:
+            raise InvariantViolation(f"{len(action)} action matrices for an algebra of dimension {algebra.dim}")
+        for m in action:
+            if not m.rows == m.cols == dim:
+                raise InvariantViolation(f"a {m.rows}x{m.cols} action matrix on a module of dimension {dim}")
+        self.dim = dim
+        self.algebra = algebra
+        self.action = action
 
     @staticmethod
     @cache
@@ -57,10 +56,12 @@ class GModule:
         return GModule(1, algebra, tuple(Mat.zero(1, 1) for _ in range(algebra.dim)))
 
 
-@dataclass(frozen=True)
 class ModuleReport:
-    ok: bool
-    violations: tuple  # of (i, j)
+    __slots__ = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: tuple):
+        self.ok = ok
+        self.violations = violations  # of (i, j)
 
 
 def validate_module(a: GModule) -> ModuleReport:

@@ -85,6 +85,8 @@ def _parse_set(text):
         name = name.strip()
         if not name or not value:
             raise ProblemFileError(f"--set entries look like name=rational: {item!r}")
+        if name in out:
+            raise ProblemFileError(f"--set {name} is given twice")
         try:
             out[name] = F(value.strip())
         except (ValueError, ZeroDivisionError):

@@ -40,7 +40,6 @@ deg_n(d), so such a dividend is no multiple of the divisor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
 from math import comb, gcd, lcm
@@ -65,49 +64,53 @@ class EvaluationPole(Exception):
     """Denominator vanishes at the evaluation point."""
 
 
-@dataclass(frozen=True)
 class Chart:
-    """Ordered chart coordinates; kind is 'line' or 'angle'."""
+    """Ordered chart coordinates; kind is 'line' or 'angle'.
 
-    coords: tuple[tuple[str, str], ...]
-    # read on every partial derivative and membership test, so computed
-    # once; derived from coords, they take no part in equality, hashing or repr
-    names: tuple[str, ...] = field(init=False, compare=False, repr=False)
-    line_names: tuple[str, ...] = field(init=False, compare=False, repr=False)
-    angle_names: tuple[str, ...] = field(init=False, compare=False, repr=False)
-    velocity_names: tuple[str, ...] = field(init=False, compare=False, repr=False)
-    acceleration_names: tuple[str, ...] = field(init=False, compare=False, repr=False)
-    # the velocities and accelerations, which a function on the chart omits
-    jet_names: frozenset = field(init=False, compare=False, repr=False)
-    # every name the chart gives a meaning: coordinates, jet names and the
-    # Noether time symbol tau
-    symbols: frozenset = field(init=False, compare=False, repr=False)
-    _kinds: dict = field(init=False, compare=False, repr=False)
+    Equal and hashed by ``coords`` alone; immutable by convention."""
 
-    def __post_init__(self):
-        names = tuple(n for n, _ in self.coords)
+    # coords, then what is derived from it: read on every partial derivative
+    # and membership test, so computed once
+    __slots__ = ("coords", "names", "line_names", "angle_names", "velocity_names", "acceleration_names",
+                 "jet_names", "symbols", "_kinds")
+
+    def __init__(self, coords: tuple[tuple[str, str], ...]):
+        names = tuple(n for n, _ in coords)
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate coordinate names in {list(names)}")
-        for n, k in self.coords:
+        for n, k in coords:
             if not (isinstance(n, str) and n):
                 raise ValueError(f"a coordinate name must be a non-empty string, got {n!r}")
             if k not in (LINE, ANGLE):
                 raise ValueError(f"coordinate {n!r} has kind {k!r}; kinds are {LINE!r} and {ANGLE!r}")
-        derived = {
-            "names": names,
-            "line_names": tuple(n for n, k in self.coords if k == LINE),
-            "angle_names": tuple(n for n, k in self.coords if k == ANGLE),
-            "velocity_names": tuple("d" + n for n in names),
-            "acceleration_names": tuple("dd" + n for n in names),
-            "_kinds": dict(self.coords),
-        }
-        derived["jet_names"] = frozenset(derived["velocity_names"] + derived["acceleration_names"])
+        self.coords = coords
+        self.names = names
+        self.line_names = tuple(n for n, k in coords if k == LINE)
+        self.angle_names = tuple(n for n, k in coords if k == ANGLE)
+        self.velocity_names = tuple("d" + n for n in names)
+        self.acceleration_names = tuple("dd" + n for n in names)
+        self._kinds = dict(coords)
+        # the velocities and accelerations, which a function on the chart omits
+        self.jet_names = frozenset(self.velocity_names + self.acceleration_names)
         for n in names:
-            if n in derived["jet_names"] or n == "tau":
+            if n in self.jet_names or n == "tau":
                 raise ValueError(f"coordinate name {n!r} clashes with a velocity or acceleration name, or with tau")
-        derived["symbols"] = derived["jet_names"] | {*names, "tau"}
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        # every name the chart gives a meaning: coordinates, jet names and the
+        # Noether time symbol tau
+        self.symbols = self.jet_names | {*names, "tau"}
+
+    # a chart keys the potential search's column cache, and charts built
+    # from one coords are one chart
+    def __eq__(self, other):
+        if type(other) is not Chart:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self):
+        return hash((self.coords,))
+
+    def __repr__(self):
+        return f"Chart(coords={self.coords!r})"
 
     def kind(self, name):
         return self._kinds[name]
@@ -792,12 +795,14 @@ def _reduce_fraction(num, den):
 # ansatz enumeration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class AnsatzSpec:
     """The bounds of an ansatz: line-degree and Fourier order."""
 
-    degree: int
-    fourier: int
+    __slots__ = ("degree", "fourier")
+
+    def __init__(self, degree: int, fourier: int):
+        self.degree = degree
+        self.fourier = fourier
 
     def __str__(self):
         return f"degree {self.degree}, fourier {self.fourier}"

@@ -27,7 +27,6 @@ restriction certificate in hand.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import lcm
@@ -99,48 +98,62 @@ class UndeterminedError(Exception):
         self.ansatz = ansatz
 
 
-@dataclass(frozen=True)
 class ClassifyOptions:
-    degree: int = 3
-    fourier: int = 3
-    closure_cap: int = 64  # validated, read by no computation
+    __slots__ = ("degree", "fourier", "closure_cap")
+
+    def __init__(self, degree: int = 3, fourier: int = 3, closure_cap: int = 64):
+        self.degree = degree
+        self.fourier = fourier
+        self.closure_cap = closure_cap  # validated, read by no computation
 
 
-@dataclass(frozen=True)
 class WeakInvarianceSplit:
-    w: tuple[OneForm, ...]
-    t: tuple[Fraction, ...]
+    __slots__ = ("w", "t")
+
+    def __init__(self, w: tuple[OneForm, ...], t: tuple[Fraction, ...]):
+        self.w = w
+        self.t = t
 
 
-@dataclass
 class ObstructionWitness:
-    alpha: tuple | None = None  # potentials, after the phi2 adjustment
-    f2: dict | None = None  # constant 2-cocycle (i,j) -> Fraction
-    k3_witness: tuple | None = None  # (OneForm w, t'' tuple, Expr f)
+    __slots__ = ("alpha", "f2", "k3_witness")
+
+    def __init__(self):
+        self.alpha = None  # potentials, after the phi2 adjustment
+        self.f2 = None  # constant 2-cocycle (i,j) -> Fraction
+        self.k3_witness = None  # (OneForm w, t'' tuple, Expr f)
 
 
-@dataclass
 class ClassValue:
-    status: str
-    data: object = None
+    __slots__ = ("status", "data")
+
+    def __init__(self, status: str, data: object = None):
+        self.status = status
+        self.data = data
 
     def is_zero(self):
         return self.status == ZERO
 
 
-@dataclass
 class FloorReport:
-    status: str  # "classified" | "not_weakly_invariant" | "undetermined"
-    floor: int | None = None
-    sign: str | None = None
-    psi_class: ClassValue | None = None
-    k1_class: ClassValue | None = None
-    k2_class: ClassValue | None = None
-    k3_class: ClassValue | None = None
-    k4_class: ClassValue | None = None
-    witnesses: ObstructionWitness = field(default_factory=ObstructionWitness)
-    decomposition: dict | None = None  # floor-4 certificate
-    failure: tuple | None = None  # (generator, residue) or (stage, ansatz)
+    __slots__ = ("status", "floor", "sign", "psi_class", "k1_class", "k2_class", "k3_class", "k4_class",
+                 "witnesses", "decomposition", "failure")
+
+    def __init__(self, status: str, floor: int | None = None, sign: str | None = None,
+                 psi_class: ClassValue | None = None, k1_class: ClassValue | None = None,
+                 k2_class: ClassValue | None = None, k3_class: ClassValue | None = None,
+                 k4_class: ClassValue | None = None, decomposition: dict | None = None, failure: tuple | None = None):
+        self.status = status  # "classified" | "not_weakly_invariant" | "undetermined"
+        self.floor = floor
+        self.sign = sign
+        self.psi_class = psi_class
+        self.k1_class = k1_class
+        self.k2_class = k2_class
+        self.k3_class = k3_class
+        self.k4_class = k4_class
+        self.witnesses = ObstructionWitness()  # one per report: the stages fill it in
+        self.decomposition = decomposition  # floor-4 certificate
+        self.failure = failure  # (generator, residue) or (stage, ansatz)
 
 
 # ---------------------------------------------------------------------------
@@ -521,16 +534,19 @@ def _fraction_sum(pairs):
 K3_F_RAISES = (1, 2, 3)
 
 
-@dataclass(frozen=True)
 class KSpacesReport:
-    k0_reps: tuple
-    k1_reps: tuple  # (angle name, Z^1 basis vector) pairs
-    k2_reps: tuple  # H^2(G) representatives as 2-cochain vectors
-    k3_reps: tuple
-    k4_reps: tuple
-    # truncated classes that neither reduced nor earned a nonzero
-    # restriction certificate; an artifact of the ansatz, not a dimension
-    k3_residual_dim: int = 0
+    __slots__ = ("k0_reps", "k1_reps", "k2_reps", "k3_reps", "k4_reps", "k3_residual_dim")
+
+    def __init__(self, k0_reps: tuple, k1_reps: tuple, k2_reps: tuple, k3_reps: tuple, k4_reps: tuple,
+                 k3_residual_dim: int = 0):
+        self.k0_reps = k0_reps
+        self.k1_reps = k1_reps  # (angle name, Z^1 basis vector) pairs
+        self.k2_reps = k2_reps  # H^2(G) representatives as 2-cochain vectors
+        self.k3_reps = k3_reps
+        self.k4_reps = k4_reps
+        # truncated classes that neither reduced nor earned a nonzero
+        # restriction certificate; an artifact of the ansatz, not a dimension
+        self.k3_residual_dim = k3_residual_dim
 
     @property
     def dims(self):
@@ -687,10 +703,12 @@ def k_spaces(p: GMPair, opts: ClassifyOptions | None = None) -> KSpacesReport:
 # truncated invariance double complex
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class InvarianceComplex:
-    dc: DoubleComplex
-    bases: tuple  # per column, {unit: coefficient} vectors
+    __slots__ = ("dc", "bases")
+
+    def __init__(self, dc: DoubleComplex, bases: tuple):
+        self.dc = dc
+        self.bases = bases  # per column, {unit: coefficient} vectors
 
 
 def _keyed_terms(keys, comps):

@@ -11,7 +11,6 @@ freezing files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
@@ -28,23 +27,24 @@ class BadParams(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class StructureConstants:
     """Lie algebra given by c^k_{ij} for i<j (antisymmetry implied)."""
 
-    dim: int
-    basis_names: tuple[str, ...]
-    c: dict = field(default_factory=dict)  # (i, j) i<j -> {k: Fraction}
+    __slots__ = ("dim", "basis_names", "c", "__weakref__")
 
-    def __post_init__(self):
-        if len(self.basis_names) != self.dim:
+    def __init__(self, dim: int, basis_names: tuple[str, ...], c: dict | None = None):
+        c = {} if c is None else c  # (i, j) i<j -> {k: Fraction}
+        if len(basis_names) != dim:
             raise ValueError("an algebra needs one basis name per dimension")
-        for (i, j), comps in self.c.items():
-            if not 0 <= i < j < self.dim:
+        for (i, j), comps in c.items():
+            if not 0 <= i < j < dim:
                 raise ValueError(f"bracket index pair {(i, j)} is not i < j < dim")
             for k, v in comps.items():
-                if not (0 <= k < self.dim and isinstance(v, Fraction)):
+                if not (0 <= k < dim and isinstance(v, Fraction)):
                     raise ValueError(f"bracket component {k} = {v!r} needs 0 <= k < dim and a Fraction value")
+        self.dim = dim
+        self.basis_names = basis_names
+        self.c = c
 
     def coeff(self, i, j, k) -> Fraction:
         """c^k_{ij} for arbitrary i, j."""
@@ -72,10 +72,12 @@ class StructureConstants:
         return True
 
 
-@dataclass(frozen=True)
 class JacobiReport:
-    ok: bool
-    violations: tuple  # of (i, j, k, l)
+    __slots__ = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: tuple):
+        self.ok = ok
+        self.violations = violations  # of (i, j, k, l)
 
 
 def jacobi_check(g: StructureConstants) -> JacobiReport:

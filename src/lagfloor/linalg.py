@@ -40,7 +40,6 @@ rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -122,7 +121,6 @@ def _vector(den, w) -> Vector:
     return {j: Fraction(x, den) for j, x in w.items()}
 
 
-@dataclass(frozen=True)
 class Mat:
     """Sparse rows x cols matrix over the rationals, kept as integer rows.
 
@@ -136,24 +134,28 @@ class Mat:
     two reductions it keeps too, since they are shared.
     """
 
-    rows: int
-    cols: int
-    data: tuple[dict, ...]
-    dens: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if len(self.data) != self.rows:
-            raise InvariantViolation(f"{len(self.data)} sparse rows for a matrix of {self.rows} rows")
-        if self.dens is None:
-            object.__setattr__(self, "dens", (1,) * self.rows)
-        elif len(self.dens) != self.rows:
-            raise InvariantViolation(f"{len(self.dens)} row denominators for a matrix of {self.rows} rows")
-        for r, den in zip(self.data, self.dens):
-            _check_vector(r, self.cols, "a sparse row")
+    def __init__(self, rows: int, cols: int, data: tuple[dict, ...], dens: tuple[int, ...] | None = None):
+        if len(data) != rows:
+            raise InvariantViolation(f"{len(data)} sparse rows for a matrix of {rows} rows")
+        if dens is None:
+            dens = (1,) * rows
+        elif len(dens) != rows:
+            raise InvariantViolation(f"{len(dens)} row denominators for a matrix of {rows} rows")
+        for r, den in zip(data, dens):
+            _check_vector(r, cols, "a sparse row")
             if type(den) is not int or r and set(map(type, r.values())) != {int}:
                 raise InvariantViolation("a row of a Mat holds an entry or a denominator that is not an int")
             if den != 1 and (den < 1 or gcd(den, *r.values()) != 1):
                 raise InvariantViolation(f"row denominator {den} is not in lowest terms with its row")
+        self.rows = rows
+        self.cols = cols
+        self.data = data
+        self.dens = dens
+
+    def __eq__(self, other):
+        if type(other) is not Mat:
+            return NotImplemented
+        return (self.rows, self.cols, self.data, self.dens) == (other.rows, other.cols, other.data, other.dens)
 
     # The benchmark's total-cohomology oracle reads a Mat through
     # ``entries``, ``rows`` and ``cols``, and its self-test builds one with
@@ -601,7 +603,6 @@ def solve_rows(rows, nvars) -> Vector | None:
     return {p: Fraction(-r[nvars], r[p]) for p, r in zip(pivots, red) if nvars in r}
 
 
-@dataclass(frozen=True)
 class QuotientSpace:
     """Exact quotient Z/B of two subspaces of the same ambient space.
 
@@ -611,11 +612,13 @@ class QuotientSpace:
     quotient coordinates through the columns [B | representatives].
     """
 
-    ambient_dim: int
-    numerator: Subspace
-    denominator: Subspace
-    dim: int
-    int_representatives: tuple
+    def __init__(self, ambient_dim: int, numerator: Subspace, denominator: Subspace, dim: int,
+                 int_representatives: tuple):
+        self.ambient_dim = ambient_dim
+        self.numerator = numerator
+        self.denominator = denominator
+        self.dim = dim
+        self.int_representatives = int_representatives
 
     @cached_property
     def representatives(self) -> tuple[Vector, ...]:

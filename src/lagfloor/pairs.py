@@ -16,7 +16,6 @@ classes that no finite truncation can exhibit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -180,22 +179,23 @@ class ActionTable:
         return img
 
 
-@dataclass(frozen=True)
 class GMPair:
-    algebra: StructureConstants
-    chart: Chart
-    fields: tuple[VectorFieldExpr, ...]
-    transitive: bool = False
-    stability_sections: tuple | None = None  # tuples of velocity-free Expr, len = dim
-    sample_points: tuple = ()
-    action: ActionTable = field(init=False, compare=False, repr=False)
+    """A Lie algebra acting on a chart by vector fields; immutable by
+    convention, and ``frames`` is built on first read."""
 
-    def __post_init__(self):
-        if len(self.fields) != self.algebra.dim:
+    def __init__(self, algebra: StructureConstants, chart: Chart, fields: tuple[VectorFieldExpr, ...],
+                 transitive: bool = False, stability_sections: tuple | None = None, sample_points: tuple = ()):
+        if len(fields) != algebra.dim:
             raise InvariantViolation("a pair needs one vector field per basis element")
-        if any(len(s) != self.algebra.dim for s in self.stability_sections or ()):
+        if any(len(s) != algebra.dim for s in stability_sections or ()):
             raise InvariantViolation("a stability section needs one component per basis element")
-        object.__setattr__(self, "action", ActionTable(self.chart, self.fields))
+        self.algebra = algebra
+        self.chart = chart
+        self.fields = fields
+        self.transitive = transitive
+        self.stability_sections = stability_sections  # tuples of velocity-free Expr, len = dim
+        self.sample_points = sample_points
+        self.action = ActionTable(chart, fields)
 
     @cached_property
     def frames(self) -> tuple:
@@ -211,10 +211,12 @@ class GMPair:
         return tuple(out)
 
 
-@dataclass(frozen=True)
 class PairReport:
-    ok: bool
-    failures: tuple  # of (i, j)
+    __slots__ = ("ok", "failures")
+
+    def __init__(self, ok: bool, failures: tuple):
+        self.ok = ok
+        self.failures = failures  # of (i, j)
 
 
 def validate_pair(p: GMPair) -> PairReport:
@@ -234,18 +236,18 @@ def validate_pair(p: GMPair) -> PairReport:
     return PairReport(not bad, tuple(bad))
 
 
-@dataclass(frozen=True)
 class FunctionCochain:
     """Degree-1 cochain on the algebra with velocity-free expression values."""
 
-    pair: GMPair
-    components: tuple[Expr, ...]
+    __slots__ = ("pair", "components")
 
-    def __post_init__(self):
-        if len(self.components) != self.pair.algebra.dim:
+    def __init__(self, pair: GMPair, components: tuple[Expr, ...]):
+        if len(components) != pair.algebra.dim:
             raise InvariantViolation("a cochain needs one component per basis element")
-        if not all(c.is_velocity_free() for c in self.components):
+        if not all(c.is_velocity_free() for c in components):
             raise InvariantViolation("cochain components must be velocity-free")
+        self.pair = pair
+        self.components = components
 
     def delta_component(self, i, j) -> Expr:
         p = self.pair

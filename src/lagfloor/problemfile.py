@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import sys
 import tomllib
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .calculus import VectorFieldExpr
@@ -30,9 +29,11 @@ class ProblemFileError(Exception):
     """Malformed or unreadable input: the CLI reports it as a parse error (exit 2)."""
 
 
-@dataclass
 class ProblemFile:
-    sections: dict = field(default_factory=dict)  # name -> {key: value}
+    __slots__ = ("sections",)
+
+    def __init__(self, sections: dict):
+        self.sections = sections  # name -> {key: value}
 
     def section(self, name, required=False):
         if name not in self.sections:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from math import lcm
 
 from .linalg import Echelon, InvariantViolation, Mat, kernel_basis, kernel_of_rows
@@ -97,10 +96,12 @@ class DoubleComplex:
         return m
 
 
-@dataclass(frozen=True)
 class ComplexReport:
-    ok: bool
-    violations: tuple  # of (rule, p, q)
+    __slots__ = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: tuple):
+        self.ok = ok
+        self.violations = violations  # of (rule, p, q)
 
 
 # by dp, the rule that a nonzero block of Q_m Q_{m-1} from (p, q) into
@@ -206,9 +207,11 @@ def _offsets(dims):
 
 
 # a record, not a bare int, because the benchmark (perfbench/workloads.py) reads .dim
-@dataclass(frozen=True)
 class TotalCohomology:
-    dim: int
+    __slots__ = ("dim",)
+
+    def __init__(self, dim: int):
+        self.dim = dim
 
 
 def total_cohomology(dc: DoubleComplex, m: int) -> TotalCohomology:
@@ -333,10 +336,12 @@ def transpose(dc: DoubleComplex) -> DoubleComplex:
     return DoubleComplex(dims, d1, d2)
 
 
-@dataclass(frozen=True)
 class AbutmentReport:
-    ok: bool
-    rows: tuple  # of (m, sum_einf, total_dim, filtration)
+    __slots__ = ("ok", "rows")
+
+    def __init__(self, ok: bool, rows: tuple):
+        self.ok = ok
+        self.rows = rows  # of (m, sum_einf, total_dim, filtration)
 
 
 def abutment_check(dc: DoubleComplex) -> AbutmentReport:

@@ -53,6 +53,7 @@ ALLOWED = {
     "expr:Expr.__rmul__": "reflected operator: c * e with a number c",
     "expr:Expr.__rtruediv__": "reflected operator: c / e with a number c",
     "linalg:Subspace.__eq__": "value equality of subspaces on their canonical integer bases, which a test reads",
+    "linalg:Mat.__eq__": "value equality of matrices on their canonical integer rows, which a test reads",
 }
 
 # code objects that are not functions: module and class bodies are told

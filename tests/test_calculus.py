@@ -247,6 +247,21 @@ def test_find_potential_builds_its_columns_once_per_ansatz():
     assert (info.misses, info.hits) == (3, 3)
 
 
+def test_charts_built_from_one_coords_share_one_column_build():
+    """A chart is a value: two built separately from the same coordinates
+    are equal, hash equal and key one entry of the column cache."""
+    from lagfloor.calculus import _potential_columns
+
+    coords = [("u", "line"), ("v", "line")]
+    a, b = Chart(tuple(coords)), Chart(tuple(coords))
+    assert a is not b and a == b and hash(a) == hash(b)
+    _potential_columns.cache_clear()
+    first = _potential_columns(a, 2, 0, TP.const(1))
+    assert _potential_columns(b, 2, 0, TP.const(1)) is first
+    info = _potential_columns.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+
+
 def test_potential_columns_do_no_expression_arithmetic(monkeypatch):
     """A cold column build differentiates and multiplies trig polynomials
     only: no Expr is differentiated or multiplied, and each column is

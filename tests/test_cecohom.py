@@ -334,12 +334,11 @@ def test_cohomology_reduces_each_delta_once_by_rows_and_columns(monkeypatch):
     """H^q for q = 0..dim on Galilean runs at most one row and one column
     rref per delta_q: delta_q is d_out at q and d_in at q + 1, and its
     reductions are kept on the cached matrix."""
-    import dataclasses
-
     import lagfloor.linalg as la
     from lagfloor.cecohom import ce_differential
 
-    g = dataclasses.replace(catalog("galilean"))  # a new algebra: nothing cached for it
+    gal = catalog("galilean")
+    g = StructureConstants(gal.dim, gal.basis_names, gal.c)  # a new algebra: nothing cached for it
     triv = GModule.trivial(g)
     calls = []
     rref = la.rref
@@ -403,8 +402,7 @@ def test_pages_have_no_zigzag_engine():
     no zig-zag cell, lift or page differential, a quotient records no
     positions of its representatives, and lagfloor exports neither name."""
     import lagfloor
-    from dataclasses import fields
-    from lagfloor.linalg import QuotientSpace
+    from lagfloor.linalg import QuotientSpace, homology
     from lagfloor.spectral import DoubleComplex
 
     path = Path(__file__).resolve().parent.parent / "src" / "lagfloor" / "spectral.py"
@@ -417,5 +415,6 @@ def test_pages_have_no_zigzag_engine():
     imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert "weakref" not in imported
     assert not hasattr(DoubleComplex([[1]], {}, {}), "_cells")
-    assert "positions" not in {f.name for f in fields(QuotientSpace)}
+    h = homology(Mat.zero(0, 1), None)
+    assert type(h) is QuotientSpace and not hasattr(h, "positions")
     assert not hasattr(lagfloor, "page_differential") and not hasattr(lagfloor, "LiftFailure")

@@ -210,6 +210,22 @@ def test_noether_translations():
     assert "N_e1 = " in out and "tau" in out
 
 
+def test_import_loads_no_class_generator():
+    """The package's classes are written out by hand, so importing the CLI
+    loads neither dataclasses nor the modules it brings in (inspect, ast,
+    dis, tokenize), which every cold command would pay for.  The check is
+    on the loaded modules alone; it times nothing."""
+    script = "import sys, lagfloor.cli; print(' '.join(sorted(sys.modules)))"
+    res = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert res.returncode == 0, res.stderr
+    loaded = set(res.stdout.split())
+    assert "lagfloor.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
 def test_machine_output_stable_across_processes():
     import os
     import subprocess
@@ -910,6 +926,14 @@ def test_malformed_problem_file_is_a_parse_error(text, says, tmp_path):
     f = tmp_path / "bad.toml"
     f.write_text(text)
     assert_parse_error(("classify", str(f), "--set", "a=1,b=0,c=0,d=0,q=0"), says)
+
+
+@pytest.mark.parametrize("command", ["classify", "noether"])
+def test_set_name_given_twice_is_a_parse_error(command):
+    """A parameter named twice in --set is ambiguous: no value wins, and the
+    command exits 2 before it builds the Lagrangian."""
+    argv = (command, fx("l3_cylinder.toml"), "--set", "a=1,b=0,c=0,d=0,q=0,a=2")
+    assert_parse_error(argv, "--set a is given twice")
 
 
 @pytest.mark.parametrize("argv", [("classify", "--set", "m=1,g=2"), ("k-spaces",)], ids=["classify", "k-spaces"])

@@ -12,6 +12,7 @@ from lagfloor.calculus import VectorFieldExpr, d_el
 from lagfloor.expr import Chart, Expr, parse_expr, to_string
 from lagfloor.hierarchy import (
     ClassifyOptions,
+    FloorReport,
     NotWeaklyInvariantError,
     PotentialUnavailable,
     build_invariance_double_complex,
@@ -167,6 +168,15 @@ def test_family_key_fixtures():
     assert r.psi_class.data == (F(1), F(1), F(0))
     r = classify(L3, family())
     assert (r.floor, r.sign) == (4, "+")
+
+
+def test_floor_reports_do_not_share_a_witness():
+    """Each report gets a witness record of its own for its stages to fill
+    in: filling one leaves another report's empty."""
+    a, b = FloorReport("classified"), FloorReport("classified")
+    assert a.witnesses is not b.witnesses
+    a.witnesses.f2 = {(0, 1): F(1)}
+    assert (b.witnesses.alpha, b.witnesses.f2, b.witnesses.k3_witness) == (None, None, None)
 
 
 def test_repeated_classify_adds_no_ce_differential():
@@ -440,13 +450,12 @@ def test_k3_without_a_frame_reports_every_truncated_class():
     """No sample point gives no frame, and a free action gives frames with
     no vectors: nothing is certified, so every truncated class is reported
     as residual, not as dimension."""
-    from dataclasses import replace
-
     from lagfloor.hierarchy import _certify_k3
     from lagfloor.pairs import FunctionCochain
 
     r = k_spaces(SPHERE).k3_reps[0]
-    assert _certify_k3(replace(SPHERE, sample_points=()), 1, (r,)) == (0, (), 1)
+    pointless = GMPair(SPHERE.algebra, SPHERE.chart, SPHERE.fields, SPHERE.transitive, SPHERE.stability_sections, ())
+    assert _certify_k3(pointless, 1, (r,)) == (0, (), 1)
     alpha = FunctionCochain(TRANS2, (P("1", TRANS2), P("0", TRANS2)))
     assert TRANS2.frames and all(not vecs for _, vecs, _ in TRANS2.frames)
     assert _certify_k3(TRANS2, 1, (alpha,)) == (0, (), 1)
@@ -478,12 +487,12 @@ def test_sl2_cylinder_k3_is_certified_on_the_singular_orbit():
     (z, phi) = (0, 0) the stabilizer is spanned by e2 - e1 and e3, and the
     class takes the values (0, -1) there.  Z^1(sl2) = 0, so that frame alone
     certifies it: without the point the class is residual."""
-    from dataclasses import replace
-
     rep = k_spaces(SL2, SL2_OPTS)
     assert (rep.dims, rep.k3_residual_dim) == ((0, 0, 0, 1, 1), 0)
     assert tuple(to_string(c) for c in rep.k3_reps[0].components) == ("0", "sin(phi)", "-cos(phi)")
-    off_orbit = k_spaces(replace(SL2, sample_points=SL2.sample_points[:3]), SL2_OPTS)
+    off_orbit_pair = GMPair(SL2.algebra, SL2.chart, SL2.fields, SL2.transitive, SL2.stability_sections,
+                            SL2.sample_points[:3])
+    off_orbit = k_spaces(off_orbit_pair, SL2_OPTS)
     assert (off_orbit.dims, off_orbit.k3_residual_dim) == ((0, 0, 0, 0, 1), 1)
 
 

@@ -268,6 +268,16 @@ def test_mat_rejects_stored_zeros_and_bad_shapes():
     assert Mat.from_rows([[0, 2]]) == Mat(1, 2, ({1: 2},))
 
 
+def test_mat_rebuilt_from_the_same_rows_is_equal():
+    """== compares shape and values: a Mat rebuilt from the same rows is
+    equal to the first, and one changed entry or column is not."""
+    rows = [[1, F(1, 2)], [0, 3]]
+    a, b = Mat.from_rows(rows), Mat.from_rows([list(r) for r in rows])
+    assert a is not b and a == b
+    assert a != Mat.from_rows([[1, F(1, 2)], [0, 4]])
+    assert a != Mat.from_rows([[1, F(1, 2), 0], [0, 3, 0]])
+
+
 @given(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=5),
        st.integers(min_value=0, max_value=5), st.data())
 @settings(max_examples=100, deadline=None)
