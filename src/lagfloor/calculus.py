@@ -2,8 +2,9 @@
 derivatives, closedness, de Rham splitting and linear-ansatz potential
 finding.
 
-Forms and vector fields are tuples of velocity-free expressions indexed by
-the chart coordinates.  Lagrangians are plain expressions in coordinates and
+Forms are tuples of velocity-free expressions indexed by the chart
+coordinates; a pair's vector fields are tuples of trig polynomials, which
+``pairs`` reads.  Lagrangians are plain expressions in coordinates and
 velocities; the Euler-Lagrange covector is the only place accelerations
 appear.  The Euler-Lagrange covector and the total time derivative, which
 only the Noether charges read, are (numerator, denominator) pairs of trig
@@ -32,21 +33,17 @@ class AnsatzExhausted(Exception):
     """The remainder is closed but no potential exists within the ansatz."""
 
 
-def _check_components(chart, components):
-    if len(components) != len(chart.names):
-        raise ValueError("one component per chart coordinate is needed")
-    for c in components:
-        if not (c.chart is chart or c.chart == chart):
-            raise ValueError("components must live on the form's chart")
-        if not c.is_velocity_free():
-            raise ValueError("components must be velocity-free")
-
-
 class OneForm:
     __slots__ = ("chart", "components")
 
     def __init__(self, chart: Chart, components: tuple[Expr, ...]):
-        _check_components(chart, components)
+        if len(components) != len(chart.names):
+            raise ValueError("one component per chart coordinate is needed")
+        for c in components:
+            if not (c.chart is chart or c.chart == chart):
+                raise ValueError("components must live on the form's chart")
+            if not c.is_velocity_free():
+                raise ValueError("components must be velocity-free")
         self.chart = chart
         self.components = components
 
@@ -71,27 +68,6 @@ class OneForm:
         for name, comp in zip(ch.names, self.components):
             out = out + comp * Expr.var(ch, ch.velocity(name))
         return out
-
-
-class VectorFieldExpr:
-    __slots__ = ("chart", "components")
-
-    def __init__(self, chart: Chart, components: tuple[Expr, ...]):
-        _check_components(chart, components)
-        self.chart = chart
-        self.components = components
-
-    def bracket(self, other) -> "VectorFieldExpr":
-        """Commutator [X, Y], componentwise X(Y^mu) - Y(X^mu)."""
-        ch = self.chart
-        comps = []
-        for mu in range(len(ch.names)):
-            acc = Expr.const(ch, 0)
-            for nu, name in enumerate(ch.names):
-                acc = acc + self.components[nu] * other.components[mu].partial(name)
-                acc = acc - other.components[nu] * self.components[mu].partial(name)
-            comps.append(acc)
-        return VectorFieldExpr(ch, tuple(comps))
 
 
 def twoform_pairs(chart):

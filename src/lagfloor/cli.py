@@ -18,7 +18,6 @@ from fractions import Fraction
 from .calculus import OneForm
 from .cecohom import GModule, cochain_tuples, cohomology, validate_module
 from .expr import AnsatzTooLarge, ParseError, to_string
-from .exprspace import NotPolynomial
 from .hierarchy import (
     ClassifyOptions,
     PotentialUnavailable,
@@ -30,8 +29,8 @@ from .hierarchy import (
     noether_charges,
 )
 from .liealg import BadParams, UnknownName, jacobi_check
-from .pairs import validate_pair
 from .problemfile import (
+    NotPolynomial,
     ProblemFileError,
     build_algebra,
     build_double_complex,
@@ -100,7 +99,7 @@ def _options(args, pf=None):
     A value that is not an integer, a negative degree or fourier order, or
     a closure cap below 1 is a parse error wherever it comes from.
     """
-    file_opts = pf.section("options") if pf is not None else {}
+    file_opts = pf.section("options", keys=("degree", "fourier", "closure_cap")) if pf is not None else {}
 
     def pick(flag_value, flag, key, default, least):
         if flag_value is not None:
@@ -169,7 +168,7 @@ def cmd_check_algebra(args, report):
 def cmd_check_pair(args, report):
     pf = load_problem_file(args.file)
     pair = build_pair(pf)
-    res = validate_pair(pair)
+    res = pair.brackets
     report.add("algebra", " ".join(pair.algebra.basis_names))
     report.add("chart", " ".join(f"{n}:{k}" for n, k in pair.chart.coords))
     report.add("brackets", "ok" if res.ok else "violated")

@@ -697,15 +697,7 @@ class Expr:
 
     def evaluate(self, point):
         """point: {line/velocity/acc name: Fraction, angle name: (sin, cos)}."""
-        var_values, angle_values = {}, {}
-        for k, v in point.items():
-            if isinstance(v, tuple):
-                s, c = F(v[0]), F(v[1])
-                if s * s + c * c != 1:
-                    raise ValueError(f"angle values for {k} not on the unit circle")
-                angle_values[k] = (s, c)
-            else:
-                var_values[k] = F(v)
+        var_values, angle_values = point_values(point)
         den = self.den.evaluate(var_values, angle_values)
         if den == 0:
             raise EvaluationPole(f"denominator vanishes at {point}")
@@ -713,6 +705,21 @@ class Expr:
 
     def __repr__(self):
         return f"Expr({to_string(self)!r})"
+
+
+def point_values(point):
+    """(variable values, angle values) of a point {line/velocity/acc name:
+    Fraction, angle name: (sin, cos)}: the arguments of ``TP.evaluate``."""
+    var_values, angle_values = {}, {}
+    for k, v in point.items():
+        if isinstance(v, tuple):
+            s, c = F(v[0]), F(v[1])
+            if s * s + c * c != 1:
+                raise ValueError(f"angle values for {k} not on the unit circle")
+            angle_values[k] = (s, c)
+        else:
+            var_values[k] = F(v)
+    return var_values, angle_values
 
 
 def derivation(chart_, gen):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .expr import Expr, TP
+from .expr import TP
 
 
 def tp_lcm(a: TP, b: TP) -> TP:
@@ -31,18 +31,6 @@ def tp_lcm(a: TP, b: TP) -> TP:
     if b.divide_by(a) is not None:
         return b
     return a * b
-
-
-class NotPolynomial(Exception):
-    """Monomial coordinates of a rational expression: unsupported input, not
-    a failed certificate, so the CLI reports it as undetermined (exit 4)."""
-
-
-def polynomial(e: Expr) -> TP:
-    """The trig polynomial a polynomial expression is."""
-    if not e.den.is_one():
-        raise NotPolynomial("monomial coordinates require polynomial components")
-    return e.num
 
 
 def equation_rows(terms, rhs=None):

@@ -435,6 +435,7 @@ def classify(p: GMPair, L: Expr, opts: ClassifyOptions | None = None) -> FloorRe
     after it are not reached; a stage that cannot decide within its ansatz
     leaves the report undetermined, with the classes found before it.
     """
+    p.certify_brackets()
     opts = opts or ClassifyOptions()
     try:
         split = weak_invariance_split(p, L)
@@ -497,17 +498,17 @@ def noether_charges(p: GMPair, L: Expr, report: FloorReport):
     tau = TP.var("tau")
     charges = []
     for i in range(p.algebra.dim):
-        xs = p.fields[i].components
+        xs = p.fields[i]
         alpha = report.witnesses.alpha[i]
         n_i = Expr(ch, *_fraction_sum([
-            *((x.num * m.num, x.den * m.den) for x, m in zip(xs, momenta) if not x.is_zero()),
+            *((x * m.num, m.den) for x, m in zip(xs, momenta) if x.terms),
             (-alpha.num, alpha.den),
             (tau.scale(-t[i]), TP_ONE),
         ]))
         # conservation identity on the built charge, checked exactly
         num, _ = _fraction_sum([
             total_time_derivative(n_i, tau=True),
-            *((x.num * en, x.den * ed) for x, (en, ed) in zip(xs, el) if not x.is_zero()),
+            *((x * en, ed) for x, (en, ed) in zip(xs, el) if x.terms),
         ])
         if not num.is_zero():
             raise InvariantViolation("Noether conservation identity failed")
@@ -680,6 +681,7 @@ def _certify_k3(p: GMPair, raw_dim, reps):
 
 
 def k_spaces(p: GMPair, opts: ClassifyOptions | None = None) -> KSpacesReport:
+    p.certify_brackets()
     opts = opts or ClassifyOptions()
     g = p.algebra
     z1 = zero_one_cocycles(g)
@@ -762,6 +764,7 @@ def build_invariance_double_complex(p: GMPair, opts: ClassifyOptions | None = No
     MAX_COMPLEX_CELLS cells raises ComplexTooLarge once the three bases are
     known, before any matrix is built.
     """
+    p.certify_brackets()
     opts = opts or ClassifyOptions()
     ch = p.chart
     g = p.algebra

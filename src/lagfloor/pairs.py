@@ -2,16 +2,18 @@
 built directly on them.
 
 A pair couples an algebra given by structure constants with one vector field
-per basis element; validity means the fields realize the brackets exactly,
-as expression identities.  The pair's action table holds the generator
-action on monomials and elementary forms as sparse monomial vectors, each
-filled once by the derivative rule on monomial keys; expressions meet it
-only at its edges (the field components it reads, ``lie`` and the readers'
-results).  On it live the contraction ``pi_images``, ``action_module`` (the
-g-module on an action-closed family of sparse vectors, the one way a
-g-module is built), the invariant closed 1-forms, and stability subalgebras
-with cocycle restriction, which is the certificate machinery for nontrivial
-classes that no finite truncation can exhibit.
+per basis element, a tuple of polynomial trig polynomials.  Its action
+table holds the fields with their Jacobians and the generator action on
+monomials and elementary forms as sparse monomial vectors, each filled once
+by the derivative rule on monomial keys; expressions meet it only at its
+edges (``lie`` and the readers' results).  ``validate_pair`` reads the
+brackets off the table, and the pair keeps its report, which the
+computations certify first.  On the table live the contraction
+``pi_images``, ``action_module`` (the g-module on an action-closed family
+of sparse vectors, the one way a g-module is built), the invariant closed
+1-forms, and stability subalgebras with cocycle restriction, which is the
+certificate machinery for nontrivial classes that no finite truncation can
+exhibit.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 
-from .calculus import OneForm, VectorFieldExpr, twoform_pairs
+from .calculus import OneForm, twoform_pairs
 from .cecohom import GModule, NotACocycle, validate_module
-from .expr import TP, AnsatzSpec, Chart, EvaluationPole, Expr, derivation, function_monomials, quotient_rule, time_derivation
-from .exprspace import equation_rows, polynomial
+from .expr import TP, AnsatzSpec, Chart, EvaluationPole, Expr, derivation, function_monomials, quotient_rule
+from .expr import point_values, time_derivation
+from .exprspace import equation_rows
 from .liealg import StructureConstants, zero_one_cocycles
 from .linalg import (
     InvariantViolation,
@@ -50,40 +53,31 @@ class ActionTable:
     dq^mu), one vector per dq^nu; ``twoform(i, (a, b), m)`` is L_{X_i}(m
     dq^a ^ dq^b), one vector per pair of ``twoform_pairs``; ``contraction(i,
     mu, m)`` is (pi(m dq^mu))_i = m X_i^mu and ``partial(mu, m)`` is d m/dq^mu.
-    They follow from the derivative rule on monomial keys and the field
-    components, read once per generator as trig polynomials; a rational
-    component raises NotPolynomial.  Images are shared between callers, so
-    treat them as read-only.  ``lie(i, f)`` is X_i(f) as an expression, for
-    any velocity-free f, and ``lie_lagrangian(i, L)`` is delta_i L =
-    X_i^(1)(L) for a rank-1 Lagrangian; both sum the images of the terms,
-    with the quotient rule for a rational argument.
+    They follow from the derivative rule on monomial keys and
+    ``components[i]``: the pair's X_i^mu, the Jacobian d X_i^mu / dq^nu,
+    indexed [mu][nu], and D_t X_i^mu = dq^nu d X_i^mu / dq^nu, built once.
+    Images are shared between callers, so treat them as read-only.
+    ``lie(i, f)`` is X_i(f) as an expression, for any velocity-free f, and
+    ``lie_lagrangian(i, L)`` is delta_i L = X_i^(1)(L) for a rank-1
+    Lagrangian; both sum the images of the terms, with the quotient rule
+    for a rational argument.
     """
 
     def __init__(self, chart_: Chart, fields):
         self.chart = chart_
-        self.fields = fields
         self._pair_index = {ab: k for k, ab in enumerate(twoform_pairs(chart_))}
         self._diffs = [derivation(chart_, name) for name in chart_.names]
         self._velocity_diffs = [derivation(chart_, name) for name in chart_.velocity_names]
-        self._dt = time_derivation(chart_)
-        self._components_of = {}
+        dt = time_derivation(chart_)
+        self.components = tuple(
+            (xs, tuple(tuple(d(x) for d in self._diffs) for x in xs), tuple(dt(x) for x in xs)) for xs in fields
+        )
         self._scalar = {}
         self._prolonged = {}
         self._oneform = {}
         self._twoform = {}
         self._contraction = {}
         self._partial = {}
-
-    def _components(self, i):
-        """X_i^mu, the Jacobian d X_i^mu / dq^nu, indexed [mu][nu], and
-        D_t X_i^mu, which is dq^nu d X_i^mu / dq^nu on a velocity-free
-        component, as trig polynomials."""
-        comps = self._components_of.get(i)
-        if comps is None:
-            xs = tuple(polynomial(c) for c in self.fields[i].components)
-            jac = tuple(tuple(diff(x) for diff in self._diffs) for x in xs)
-            comps = self._components_of[i] = (xs, jac, tuple(self._dt(x) for x in xs))
-        return comps
 
     def partial(self, mu, mono) -> TP:
         img = self._partial.get((mu, mono))
@@ -95,7 +89,7 @@ class ActionTable:
         img = self._scalar.get((i, mono))
         if img is None:
             acc = TP()
-            for mu, x in enumerate(self._components(i)[0]):
+            for mu, x in enumerate(self.components[i][0]):
                 dm = self.partial(mu, mono)
                 if dm.terms and x.terms:
                     acc = acc + dm * x
@@ -109,7 +103,7 @@ class ActionTable:
         if img is None:
             acc = self.scalar(i, mono)
             m = TP({mono: 1})
-            for vdiff, dt in zip(self._velocity_diffs, self._components(i)[2]):
+            for vdiff, dt in zip(self._velocity_diffs, self.components[i][2]):
                 dm = vdiff(m)
                 if dm.terms and dt.terms:
                     acc = acc + dm * dt
@@ -143,7 +137,7 @@ class ActionTable:
     def contraction(self, i, mu, mono) -> TP:
         img = self._contraction.get((i, mu, mono))
         if img is None:
-            img = TP({mono: 1}) * self._components(i)[0][mu]
+            img = TP({mono: 1}) * self.components[i][0][mu]
             self._contraction[(i, mu, mono)] = img
         return img
 
@@ -153,7 +147,7 @@ class ActionTable:
         img = self._oneform.get((i, mu, mono))
         if img is None:
             m = TP({mono: 1})
-            comps = [m * d for d in self._components(i)[1][mu]]
+            comps = [m * d for d in self.components[i][1][mu]]
             comps[mu] = comps[mu] + self.scalar(i, mono)
             img = self._oneform[(i, mu, mono)] = tuple(comps)
         return img
@@ -164,7 +158,7 @@ class ActionTable:
         img = self._twoform.get((i, ab, mono))
         if img is None:
             a, b = ab
-            jac = self._components(i)[1]
+            jac = self.components[i][1]
             m = TP({mono: 1})
             comps = [TP() for _ in self._pair_index]
             comps[self._pair_index[ab]] = self.scalar(i, mono)
@@ -180,13 +174,16 @@ class ActionTable:
 
 
 class GMPair:
-    """A Lie algebra acting on a chart by vector fields; immutable by
-    convention, and ``frames`` is built on first read."""
+    """A Lie algebra acting on a chart by vector fields, each a tuple of
+    polynomial trig polynomials, one per chart coordinate; immutable by
+    convention, and ``brackets`` and ``frames`` are built on first read."""
 
-    def __init__(self, algebra: StructureConstants, chart: Chart, fields: tuple[VectorFieldExpr, ...],
+    def __init__(self, algebra: StructureConstants, chart: Chart, fields: tuple[tuple[TP, ...], ...],
                  transitive: bool = False, stability_sections: tuple | None = None, sample_points: tuple = ()):
         if len(fields) != algebra.dim:
             raise InvariantViolation("a pair needs one vector field per basis element")
+        if any(len(x) != len(chart.names) for x in fields):
+            raise InvariantViolation("a vector field needs one component per chart coordinate")
         if any(len(s) != algebra.dim for s in stability_sections or ()):
             raise InvariantViolation("a stability section needs one component per basis element")
         self.algebra = algebra
@@ -198,10 +195,23 @@ class GMPair:
         self.action = ActionTable(chart, fields)
 
     @cached_property
+    def brackets(self) -> PairReport:
+        """``validate_pair``'s report, built on first read."""
+        return validate_pair(self)
+
+    def certify_brackets(self):
+        """Raise InvariantViolation naming the first bracket that the fields
+        do not realize."""
+        if not self.brackets.ok:
+            i, j = self.brackets.failures[0]
+            names = self.algebra.basis_names
+            raise InvariantViolation(f"the fields violate the bracket [{names[i]}, {names[j]}]")
+
+    @cached_property
     def frames(self) -> tuple:
         """(point, vecs, accounted) of ``stability_frame`` at each sample
-        point where neither the fields nor the sections have a pole, in
-        ``sample_points`` order; built on first read."""
+        point where the sections have no pole, in ``sample_points`` order;
+        built on first read."""
         out = []
         for point in self.sample_points:
             try:
@@ -219,20 +229,29 @@ class PairReport:
         self.failures = failures  # of (i, j)
 
 
+def bracket_residuals(p: GMPair, i, j) -> tuple[TP, ...]:
+    """[X_i, X_j]^mu - c^k_{ij} X_k^mu, one trig polynomial per chart
+    coordinate mu, each one combination of the table's components and
+    Jacobians: X_i^nu d_nu X_j^mu - X_j^nu d_nu X_i^mu - c^k_{ij} X_k^mu,
+    with zero products skipped."""
+    g, act = p.algebra, p.action
+    (xi, ji, _), (xj, jj, _) = act.components[i], act.components[j]
+    structure = [(g.coeff(i, j, k), act.components[k][0]) for k in range(g.dim) if g.coeff(i, j, k)]
+    out = []
+    for mu in range(len(xi)):
+        terms = chain(
+            ((1, x * d) for x, d in zip(xi, jj[mu]) if x.terms and d.terms),
+            ((-1, x * d) for x, d in zip(xj, ji[mu]) if x.terms and d.terms),
+            ((-ck, xk[mu]) for ck, xk in structure),
+        )
+        out.append(TP.combination(terms))
+    return tuple(out)
+
+
 def validate_pair(p: GMPair) -> PairReport:
-    """[X_i, X_j] = c^k_{ij} X_k, componentwise, as expression identities."""
-    g = p.algebra
-    bad = []
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            lhs = p.fields[i].bracket(p.fields[j])
-            want = [Expr.const(p.chart, 0)] * len(p.chart.names)
-            for k in range(g.dim):
-                ck = g.coeff(i, j, k)
-                if ck:
-                    want = [w + comp * ck for w, comp in zip(want, p.fields[k].components)]
-            if any(not (a - b).is_zero() for a, b in zip(lhs.components, want)):
-                bad.append((i, j))
+    """[X_i, X_j] = c^k_{ij} X_k, componentwise, read off the action table."""
+    n = p.algebra.dim
+    bad = [(i, j) for i in range(n) for j in range(i + 1, n) if any(r.terms for r in bracket_residuals(p, i, j))]
     return PairReport(not bad, tuple(bad))
 
 
@@ -398,19 +417,12 @@ def invariant_closed_forms(p: GMPair, ansatz: AnsatzSpec) -> tuple[OneForm, ...]
 # stability subalgebras and cocycle restriction
 # ---------------------------------------------------------------------------
 
-def evaluation_matrix(p: GMPair, point) -> Mat:
-    """Rows = chart coordinates, columns = generators; entries X_i^mu(point)."""
-    n = p.algebra.dim
-    rows = []
-    for mu in range(len(p.chart.names)):
-        values = (p.fields[i].components[mu].evaluate(point) for i in range(n))
-        rows.append({i: x for i, x in enumerate(values) if x})
-    return Mat.from_vectors(rows, n)
-
-
 def stability_subalgebra(p: GMPair, point) -> Subspace:
-    """Kernel of x -> (x^i X_i)(point); raises EvaluationPole at field poles."""
-    return kernel_basis(evaluation_matrix(p, point))
+    """Kernel of x -> (x^i X_i)(point): the matrix of the values X_i^mu(point),
+    one row per chart coordinate and one column per generator."""
+    at = point_values(point)
+    rows = [{i: v for i, x in enumerate(p.fields) if (v := x[mu].evaluate(*at))} for mu in range(len(p.chart.names))]
+    return kernel_basis(Mat.from_vectors(rows, p.algebra.dim))
 
 
 def stability_frame(p: GMPair, point):
@@ -422,7 +434,7 @@ def stability_frame(p: GMPair, point):
     as its dimension, independent, and each vanishing there.  A pair
     without sections gets the reduced-echelon kernel basis.
     ``accounted`` is the subspace {(t(v))_v : t in Z^1(G)} of R^len(vecs).
-    Raises EvaluationPole at a pole of the fields or sections.
+    Raises EvaluationPole at a pole of the sections.
     """
     stab = stability_subalgebra(p, point)
     if p.stability_sections is None:

@@ -5,7 +5,8 @@ Files are read by the standard library's ``tomllib``.  Every key sits in a
 ``[section]``; ``[module.NAME]`` is the table ``NAME`` of section ``module``.
 Values are strings, integers, booleans, arrays and tables.  Exact rationals
 are written as strings ("-1/2") or integers; floats and dates are rejected,
-so no inexact number is ever built.
+so no inexact number is ever built, and a key that [algebra], [action] or
+[options] does not know is rejected too.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import sys
 import tomllib
 from fractions import Fraction
 
-from .calculus import VectorFieldExpr
 from .cecohom import GModule
 from .expr import Chart, Expr, parse_expr
 from .liealg import StructureConstants, catalog
@@ -29,17 +29,27 @@ class ProblemFileError(Exception):
     """Malformed or unreadable input: the CLI reports it as a parse error (exit 2)."""
 
 
+class NotPolynomial(Exception):
+    """A rational vector field component: unsupported input, not a failed
+    certificate, so the CLI reports it as undetermined (exit 4)."""
+
+
 class ProblemFile:
     __slots__ = ("sections",)
 
     def __init__(self, sections: dict):
         self.sections = sections  # name -> {key: value}
 
-    def section(self, name, required=False):
+    def section(self, name, required=False, keys=None):
+        """The table of [name], {} when it is absent and not required; with
+        ``keys``, a key outside them is a parse error."""
         if name not in self.sections:
             if required:
                 raise ProblemFileError(f"missing [{name}] section")
             return {}
+        for key in self.sections[name]:
+            if keys is not None and key not in keys:
+                raise ProblemFileError(f"[{name}] unknown key {key!r}")
         return self.sections[name]
 
 
@@ -101,7 +111,7 @@ def _rat(v, where):
 
 
 def build_algebra(pf: ProblemFile) -> StructureConstants:
-    sec = pf.section("algebra", required=True)
+    sec = pf.section("algebra", required=True, keys=("name", "params", "dim", "basis", "brackets"))
     if "name" in sec:
         params = sec.get("params", {})
         if not isinstance(params, dict):
@@ -171,8 +181,8 @@ def _parse_point(chart, table, where):
 def build_pair(pf: ProblemFile) -> GMPair:
     algebra = build_algebra(pf)
     chart = build_chart(pf)
-    sec = pf.section("action", required=True)
-    fields = []
+    sec = pf.section("action", required=True, keys=(*algebra.basis_names, "transitive"))
+    parsed = []
     transitive = sec.get("transitive", False)
     if not isinstance(transitive, bool):
         raise ProblemFileError(f"[action] transitive must be true or false, got {transitive!r}")
@@ -183,10 +193,13 @@ def build_pair(pf: ProblemFile) -> GMPair:
         if not (isinstance(comps, list) and len(comps) == len(chart.names)):
             raise ProblemFileError(f"[action] {name}: need one expression per coordinate")
         exprs = tuple(parse_expr(chart, c) for c in comps)
-        try:
-            fields.append(VectorFieldExpr(chart, exprs))
-        except ValueError as exc:
-            raise ProblemFileError(f"[action] {name}: {exc}") from None
+        if not all(e.is_velocity_free() for e in exprs):
+            raise ProblemFileError(f"[action] {name}: components must be velocity-free")
+        parsed.append(exprs)
+    # the one conversion of the fields to trig polynomials, for every command
+    if any(not e.den.is_one() for exprs in parsed for e in exprs):
+        raise NotPolynomial("monomial coordinates require polynomial components")
+    fields = tuple(tuple(e.num for e in exprs) for exprs in parsed)
     sections = None
     sec_s = pf.section("stability_sections")
     if sec_s:
@@ -204,7 +217,7 @@ def build_pair(pf: ProblemFile) -> GMPair:
         if not isinstance(table, dict):
             raise ProblemFileError(f"[points] {key}: expected an inline table")
         points.append(_parse_point(chart, table, f"points.{key}"))
-    return GMPair(algebra, chart, tuple(fields), transitive, sections, tuple(points))
+    return GMPair(algebra, chart, fields, transitive, sections, tuple(points))
 
 
 def build_lagrangian(pf: ProblemFile, set_params=None) -> Expr:

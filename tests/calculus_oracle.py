@@ -7,12 +7,15 @@ references of ``calculus.euler_lagrange`` and
 sum is its own reduced ``Expr``.  The Lie derivatives of functions, 1-forms,
 2-forms and rank-1 Lagrangians along a vector field, and the exterior
 derivative of a 1-form, are the references of the pair's action table
-(``pairs.ActionTable``), which the commands read instead.
+(``pairs.ActionTable``), which the commands read instead.  The commutator
+of two vector fields written as expressions, ``VectorFieldExpr.bracket``,
+is the reference of ``pairs.bracket_residuals``, which reads the brackets
+off the table.
 """
 
 from dataclasses import dataclass
 
-from lagfloor.calculus import OneForm, VectorFieldExpr, twoform_pairs
+from lagfloor.calculus import OneForm, twoform_pairs
 from lagfloor.expr import Chart, Expr
 from lagfloor.linalg import InvariantViolation
 
@@ -42,6 +45,32 @@ def total_time_derivative(e, tau=False):
     if tau:
         out = out + e.partial("tau")
     return out
+
+
+@dataclass(frozen=True)
+class VectorFieldExpr:
+    """A vector field, one velocity-free expression per chart coordinate."""
+
+    chart: Chart
+    components: tuple[Expr, ...]
+
+    def bracket(self, other) -> "VectorFieldExpr":
+        """Commutator [X, Y], componentwise X(Y^mu) - Y(X^mu)."""
+        ch = self.chart
+        comps = []
+        for mu in range(len(ch.names)):
+            acc = Expr.const(ch, 0)
+            for nu, name in enumerate(ch.names):
+                acc = acc + self.components[nu] * other.components[mu].partial(name)
+                acc = acc - other.components[nu] * self.components[mu].partial(name)
+            comps.append(acc)
+        return VectorFieldExpr(ch, tuple(comps))
+
+
+def field_exprs(pair):
+    """The pair's vector fields, their trig polynomials read as expressions."""
+    ch = pair.chart
+    return tuple(VectorFieldExpr(ch, tuple(Expr(ch, x) for x in field)) for field in pair.fields)
 
 
 @dataclass(frozen=True)

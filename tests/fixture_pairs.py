@@ -5,7 +5,6 @@ import os
 from pathlib import Path
 
 from lagfloor.expr import parse_expr
-from lagfloor.exprspace import polynomial
 from lagfloor.linalg import dense
 from lagfloor.pairs import action_module, restrict_cocycle
 from lagfloor.problemfile import build_pair, load_problem_file
@@ -45,7 +44,7 @@ def polynomial_module(pair, family):
     strings, built by ``action_module`` with the pair's ``scalar`` images."""
     act = pair.action
     units = [lambda m, i=i: act.scalar(i, m).vector() for i in range(pair.algebra.dim)]
-    return action_module(pair.algebra, [polynomial(parse_expr(pair.chart, f)).vector() for f in family], units)
+    return action_module(pair.algebra, [parse_expr(pair.chart, f).num.vector() for f in family], units)
 
 
 def classes_signature(report):

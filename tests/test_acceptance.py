@@ -295,7 +295,7 @@ def random_rank1_lagrangian(rng, pair):
 
 
 def random_field(rng, pair):
-    from lagfloor.calculus import VectorFieldExpr
+    from calculus_oracle import VectorFieldExpr
 
     ch = pair.chart
     opts = ["0", "1"] + list(ch.line_names)

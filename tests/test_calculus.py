@@ -13,7 +13,6 @@ from lagfloor.calculus import (
     AnsatzExhausted,
     NotClosed,
     OneForm,
-    VectorFieldExpr,
     d_el,
     derham_split,
     euler_lagrange,
@@ -27,7 +26,13 @@ from lagfloor.hierarchy import ClassifyOptions, classify, noether_charges
 from lagfloor.problemfile import build_lagrangian, load_problem_file
 
 import calculus_oracle
-from calculus_oracle import exterior_derivative, lie_derivative_lagrangian, lie_derivative_oneform, lie_derivative_scalar
+from calculus_oracle import (
+    VectorFieldExpr,
+    exterior_derivative,
+    lie_derivative_lagrangian,
+    lie_derivative_oneform,
+    lie_derivative_scalar,
+)
 from fixture_pairs import FIXTURES, ROOT, SCRIPT_ENV, fixture_pair
 
 F = Fraction

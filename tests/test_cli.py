@@ -88,9 +88,14 @@ def test_check_algebra_so3():
 
 
 def test_check_pair_all_fixtures():
-    for name in ("l3_cylinder.toml", "so3_sphere.toml", "galilean_r4.toml", "poincare_c1.toml"):
-        code, out = run("check-pair", fx(name))
-        assert code == 0, out
+    """Every file with an [action] section, shipped or under tests/problems,
+    realizes its algebra's brackets."""
+    files = [f for folder in (FIXTURES, ROOT / "tests" / "problems") for f in sorted(folder.glob("*.toml"))
+             if "action" in load_problem_file(f).sections]
+    assert len(files) >= 10
+    for f in files:
+        code, out = run("--format", "machine", "check-pair", str(f))
+        assert code == 0 and "brackets = ok" in out, (f, out)
 
 
 def test_cohomology_galilean_bargmann():
@@ -309,23 +314,48 @@ def test_noether_on_floor_zero_exits_3():
     assert "potentials" in out
 
 
-def test_check_pair_invalid_brackets_exits_3(tmp_path):
-    f = tmp_path / "pair.toml"
-    f.write_text(
-        """
+# l3 with the fields of e2 and e3 swapped: [e1, e2] and [e1, e3] break
+BROKEN_L3 = """
 [algebra]
 name = "l3"
 [chart]
 coords = [["z", "line"], ["phi", "angle"]]
 [action]
+transitive = false
 e1 = ["1", "0"]
 e2 = ["0", "1"]
 e3 = ["0", "z"]
+[lagrangian]
+expr = "dz^2"
 """
-    )
-    code, out = run("check-pair", str(f))
+
+
+def test_check_pair_invalid_brackets_exits_3(tmp_path):
+    f = tmp_path / "pair.toml"
+    f.write_text(BROKEN_L3)
+    code, out = run("--format", "machine", "check-pair", str(f))
     assert code == 3
-    assert "violated" in out
+    assert out.splitlines()[2:] == [
+        "algebra = e1 e2 e3", "chart = z:line phi:angle", "brackets = violated",
+        "failure = [e1, e2]", "failure = [e1, e3]",
+    ]
+
+
+@pytest.mark.parametrize("command", [("classify",), ("noether",), ("k-spaces",), ("spectral", "--from-pair")],
+                         ids=lambda c: c[0])
+def test_fields_that_violate_the_brackets_exit_3(command, tmp_path):
+    """Every command that computes on a pair certifies its brackets first:
+    on fields that break them, classify and noether once exited 0 with a
+    floor and charges, and k-spaces and spectral exited 3 only where a later
+    certificate tripped.  In process and under python -O alike."""
+    f = tmp_path / "pair.toml"
+    f.write_text(BROKEN_L3)
+    argv = (command[0], str(f), *command[1:])
+    want = "invariant_violation = the fields violate the bracket [e1, e2]"
+    for code, out in (run("--format", "machine", *argv), run_under_O(*argv)):
+        assert code == 3, out
+        assert want in out.splitlines()
+        assert "floor" not in out and "N_e1" not in out
 
 
 def test_format_flag_accepted_after_subcommand():
@@ -850,10 +880,12 @@ def test_rational_component_pair_returns_promptly(tmp_path):
 
 
 @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["python", "python-O"])
-@pytest.mark.parametrize("command", [("classify",), ("k-spaces",), ("spectral", "--from-pair")], ids=lambda c: c[0])
+@pytest.mark.parametrize("command", [("check-pair",), ("classify",), ("k-spaces",), ("spectral", "--from-pair")],
+                         ids=lambda c: c[0])
 def test_rational_field_component_is_unsupported_input(command, flags, tmp_path):
     """Monomial coordinates of a rational field component cannot be read:
-    unsupported input exits 4 with an error line, not as a failed certificate."""
+    the pair's build refuses it, so every pair command, check-pair too,
+    exits 4 with an error line, not as a failed certificate."""
     f = tmp_path / "rational.toml"
     f.write_text(RATIONAL_PAIR)
     res = subprocess.run(
@@ -868,10 +900,10 @@ def test_rational_field_component_is_unsupported_input(command, flags, tmp_path)
 
 
 def test_rational_field_component_stops_the_split(tmp_path):
-    """The split reads the prolonged action from the pair's table, so on a
-    rational field component it is unsupported input (exit 4) before it can
-    judge weak invariance: dz^2 is not weakly invariant under
-    X = 1/(1 + z^2) d/dz, yet classify reports the error line, not exit 5."""
+    """The pair's build refuses a rational field component as unsupported
+    input (exit 4) before the split can judge weak invariance: dz^2 is not
+    weakly invariant under X = 1/(1 + z^2) d/dz, yet classify reports the
+    error line, not exit 5."""
     f = tmp_path / "rational.toml"
     f.write_text(RATIONAL_PAIR.replace('expr = "2*z*dz"', 'expr = "dz^2"'))
     code, out = run("--format", "machine", "classify", str(f))
@@ -896,6 +928,8 @@ def assert_parse_error(argv, says):
 
 L3 = (FIXTURES / "l3_cylinder.toml").read_text()
 L3_E1 = 'e1 = ["1", "0"]'
+TR2 = (FIXTURES / "translations_r2.toml").read_text()
+PC1 = (FIXTURES / "poincare_c1.toml").read_text()
 
 
 @pytest.mark.parametrize(
@@ -928,6 +962,23 @@ def test_malformed_problem_file_is_a_parse_error(text, says, tmp_path):
     assert_parse_error(("classify", str(f), "--set", "a=1,b=0,c=0,d=0,q=0"), says)
 
 
+@pytest.mark.parametrize(
+    "command, text, old, new, says",
+    [("k-spaces", TR2, "degree = 3", "degre = 1", "[options] unknown key 'degre'"),
+     ("check-pair", PC1, 'params = {c = "1"}', "parms = {c = 2}", "[algebra] unknown key 'parms'"),
+     ("classify", L3, L3_E1, L3_E1 + '\ne4 = ["0", "1"]', "[action] unknown key 'e4'")],
+    ids=["options", "algebra", "action"],
+)
+def test_unknown_key_is_a_parse_error(command, text, old, new, says, tmp_path):
+    """A misspelt key in [options], [algebra] or [action] once was ignored:
+    the command ran at the default degree, at c = 1, or without the key."""
+    assert old in text
+    f = tmp_path / "typo.toml"
+    f.write_text(text.replace(old, new))
+    extra = ("--set", "a=1,b=0,c=0,d=0,q=0") if command == "classify" else ()
+    assert_parse_error((command, str(f), *extra), says)
+
+
 @pytest.mark.parametrize("command", ["classify", "noether"])
 def test_set_name_given_twice_is_a_parse_error(command):
     """A parameter named twice in --set is ambiguous: no value wins, and the
@@ -958,8 +1009,6 @@ def test_a_zero_dimensional_algebra_is_a_parse_error(argv, tmp_path):
     f.write_text(text)
     assert_parse_error((argv[0], str(f), *argv[1:]), "[algebra] needs dim >= 1")
 
-
-TR2 = (FIXTURES / "translations_r2.toml").read_text()
 
 
 @pytest.mark.parametrize(

@@ -166,8 +166,9 @@ def fixture_expressions():
             values = {n: F(2 * i + 3, i + 2) for i, n in enumerate(names)}
             out.append((f"{path.stem} L", build_lagrangian(pf, values)))
         if "action" in pf.sections:
-            for i, field in enumerate(fixture_pair(path.stem).fields):
-                out.extend((f"{path.stem} X{i}^{mu}", c) for mu, c in enumerate(field.components))
+            pair = fixture_pair(path.stem)
+            for i, field in enumerate(pair.fields):
+                out.extend((f"{path.stem} X{i}^{mu}", Expr(pair.chart, c)) for mu, c in enumerate(field))
     return out
 
 

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from lagfloor.calculus import VectorFieldExpr, d_el
-from lagfloor.expr import Chart, Expr, parse_expr, to_string
+from lagfloor.calculus import d_el
+from lagfloor.expr import TP, Chart, Expr, parse_expr, to_string
 from lagfloor.hierarchy import (
     ClassifyOptions,
     FloorReport,
@@ -28,7 +28,7 @@ from lagfloor.linalg import InvariantViolation
 from lagfloor.pairs import GMPair
 from lagfloor.spectral import abutment_check, page, total_cohomology
 
-from calculus_oracle import lie_derivative_lagrangian
+from calculus_oracle import field_exprs, lie_derivative_lagrangian
 from fixture_pairs import ROOT, SCRIPT_ENV, classes_signature, fixture_pair, restricted_at
 from lagfloor.problemfile import build_pair, load_problem_file
 
@@ -237,8 +237,8 @@ def test_floor4_decomposition_certificate():
     assert (r.floor, r.sign) == (4, "+")
     assert r.decomposition is not None
     l_inv = r.decomposition["l_inv"]
-    for i in range(3):
-        assert lie_derivative_lagrangian(L3.fields[i], l_inv).is_zero()
+    for x in field_exprs(L3):
+        assert lie_derivative_lagrangian(x, l_inv).is_zero()
 
 
 # -- physics fixtures ------------------------------------------------------------------
@@ -504,7 +504,7 @@ def test_sl2_cylinder_charges_are_the_moment_map(a):
     L = parse_expr(SL2.chart, "a*z*dphi + b*dphi + c", params={"a": F(a), "b": F(3), "c": F(1)})
     charges = noether_charges(SL2, L, classify(SL2, L, SL2_OPTS))
     z = Expr.var(SL2.chart, "z")
-    for n_i, field in zip(charges, SL2.fields):
+    for n_i, field in zip(charges, field_exprs(SL2)):
         assert (n_i - z * field.components[1] * F(a)).is_zero()
 
 
@@ -530,6 +530,37 @@ def test_stability_frames_are_built_once_per_pair(monkeypatch):
     assert classify(sphere, L).floor == 2 and len(built) == 3
     built.clear()
     assert k_spaces(fixture_pair("so3_sphere")).k3_residual_dim == 1 and len(built) == 3
+
+
+def test_brackets_are_certified_once_per_pair_before_any_stage(monkeypatch):
+    """classify, k_spaces and the invariance complex certify the pair's
+    brackets first: on l3 with e2 and e3 swapped each raises
+    InvariantViolation naming [e1, e2] before any action image is built,
+    and the report is kept on the pair, so a valid pair is checked once
+    however many commands read it."""
+    from lagfloor import pairs
+
+    checked = []
+    validate = pairs.validate_pair
+
+    def counted(p):
+        checked.append(p)
+        return validate(p)
+
+    monkeypatch.setattr(pairs, "validate_pair", counted)
+    bent = GMPair(L3.algebra, L3.chart, (L3.fields[0], L3.fields[2], L3.fields[1]))
+    opts = ClassifyOptions(degree=1, fourier=1)
+    for compute in (lambda: classify(bent, P("dz^2")), lambda: k_spaces(bent, opts),
+                    lambda: build_invariance_double_complex(bent, opts)):
+        with pytest.raises(InvariantViolation, match=r"the fields violate the bracket \[e1, e2\]"):
+            compute()
+        assert not bent.action._scalar and not bent.action._prolonged
+    assert checked == [bent]
+    pair = fixture_pair("l3_cylinder")
+    classify(pair, P("dz^2"), opts)
+    k_spaces(pair, opts)
+    build_invariance_double_complex(pair, opts)
+    assert checked == [bent, pair]
 
 
 def test_k3_truncated_classes_in_canonical_order():
@@ -654,7 +685,7 @@ def test_l3_transposed_corner_is_invariant_functions():
 
 def test_abelian_r1_invariance_complex():
     q = Chart((("q", "line"),))
-    pair = GMPair(catalog("abelian", n=1), q, (VectorFieldExpr(q, (parse_expr(q, "1"),)),))
+    pair = GMPair(catalog("abelian", n=1), q, ((TP.const(1),),))
     ic = build_invariance_double_complex(pair, ClassifyOptions(degree=2, fourier=0))
     p2 = page(ic.dc, 2)
     assert p2.dim(0, 0) == 1  # Lambda^0 invariants = constants

@@ -8,16 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagfloor.calculus import OneForm, VectorFieldExpr, gradient, is_closed, twoform_pairs
+from lagfloor.calculus import OneForm, gradient, is_closed, twoform_pairs
 from lagfloor.cecohom import cohomology
 from lagfloor.expr import TP, AnsatzSpec, EvaluationPole, Expr, function_monomials, parse_expr, to_string
-from lagfloor.exprspace import NotPolynomial
+from lagfloor.liealg import catalog
 from lagfloor.hierarchy import classify
 from lagfloor.linalg import InvariantViolation, dense, kernel_of_rows
 from lagfloor.pairs import (
     FunctionCochain,
     GMPair,
     NotACocycle,
+    bracket_residuals,
     closedness_rows,
     invariant_closed_forms,
     pi_images,
@@ -26,10 +27,11 @@ from lagfloor.pairs import (
     stability_subalgebra,
     validate_pair,
 )
-from lagfloor.problemfile import build_lagrangian, build_pair, load_problem_file
+from lagfloor.problemfile import NotPolynomial, build_lagrangian, build_pair, load_problem_file, parse_problem_file
 
 from calculus_oracle import (
     TwoForm,
+    field_exprs,
     lie_derivative_lagrangian,
     lie_derivative_oneform,
     lie_derivative_scalar,
@@ -79,6 +81,29 @@ def test_broken_pair_reports_failures():
     report = validate_pair(bad)
     assert not report.ok
     assert report.failures
+
+
+# the components that tests/test_calculus.py::random_field draws
+CYLINDER_COMPONENTS = ("0", "1", "z", "z^2", "sin(phi)", "cos(phi)*z")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(CYLINDER_COMPONENTS), min_size=4, max_size=4))
+def test_table_bracket_matches_the_expression_bracket(comps):
+    """Two random polynomial fields on the cylinder as an abelian pair, so
+    no structure term: the table's commutator, ``bracket_residuals``,
+    equals the expression bracket of calculus_oracle component by
+    component, and validate_pair fails exactly when it is nonzero."""
+    ch = L3.chart
+    fields = (tuple(P(c).num for c in comps[:2]), tuple(P(c).num for c in comps[2:]))
+    pair = GMPair(catalog("abelian", n=2), ch, fields)
+    x, y = field_exprs(pair)
+    want = x.bracket(y).components
+    got = bracket_residuals(pair, 0, 1)
+    assert len(got) == len(want)
+    for r, w in zip(got, want):
+        assert Expr(ch, r) == w
+    assert validate_pair(pair).ok == all(w.is_zero() for w in want)
 
 
 # -- pi map -----------------------------------------------------------------------
@@ -145,7 +170,7 @@ def test_action_table_matches_lie_derivatives(pair):
         me = Expr(ch, TP({m: 1}))
         for mu, name in enumerate(ch.names):
             assert expr(pair.action.partial(mu, m)) == me.partial(name)
-        for i, x in enumerate(pair.fields):
+        for i, x in enumerate(field_exprs(pair)):
             assert expr(pair.action.scalar(i, m)) == lie_derivative_scalar(x, me)
             for mu in range(len(ch.names)):
                 comps = [zero] * len(ch.names)
@@ -160,7 +185,7 @@ def test_action_table_matches_lie_derivatives(pair):
     pairs = twoform_pairs(ch)
     for m in function_monomials(ch, 2 if len(ch.names) <= 3 else 1, 2):
         me = Expr(ch, TP({m: 1}))
-        for i, x in enumerate(pair.fields):
+        for i, x in enumerate(field_exprs(pair)):
             for ab in pairs:
                 unit = TwoForm(ch, tuple(me if pq == ab else zero for pq in pairs))
                 want = lie_derivative_twoform(x, unit)
@@ -175,8 +200,7 @@ def test_action_table_is_not_part_of_pair_equality():
     whose entries L3 has filled."""
 
     def value(p):
-        return (p.algebra, p.chart, [f.components for f in p.fields], p.transitive, p.stability_sections,
-                p.sample_points)
+        return (p.algebra, p.chart, p.fields, p.transitive, p.stability_sections, p.sample_points)
 
     again = fixture_pair("l3_cylinder")
     L3.action.scalar(0, ((("z", 1),), ()))
@@ -210,7 +234,7 @@ def test_action_lie_matches_lie_derivative_scalar(pair):
         rational.append(P("1/(1 + z^2)"))
     if pair is SPHERE:
         rational += [comp for section in SPHERE.stability_sections for comp in section]
-    for i, x in enumerate(pair.fields):
+    for i, x in enumerate(field_exprs(pair)):
         for f in printed_alike:
             assert to_string(pair.action.lie(i, f)) == to_string(lie_derivative_scalar(x, f))
         for f in rational:
@@ -218,21 +242,16 @@ def test_action_lie_matches_lie_derivative_scalar(pair):
             assert pair.action.lie(i, f) == lie_derivative_scalar(x, f)
 
 
-def test_action_lie_on_a_rational_field_component():
-    """X_1 = dz/(1 + z^2) + z dphi has no monomial images: lie(1, f) raises
-    NotPolynomial, even where X_1(f) is polynomial, as for sin(phi).  The
-    polynomial generators of the same pair keep their images."""
-    ch = L3.chart
-    bent = GMPair(
-        L3.algebra, ch, (L3.fields[0], VectorFieldExpr(ch, (P("1/(1 + z^2)"), P("z"))), L3.fields[2])
-    )
-    for f in (P("sin(phi)"), P("z^2 + z*cos(phi)"), P("1/(1 + z^2)")):
-        for i, x in enumerate(bent.fields):
-            if i == 1:
-                with pytest.raises(NotPolynomial, match="monomial coordinates require polynomial components"):
-                    bent.action.lie(i, f)
-            else:
-                assert to_string(bent.action.lie(i, f)) == to_string(lie_derivative_scalar(x, f))
+def test_rational_field_component_is_refused_at_build():
+    """X_2 = dz/(1 + z^2) + z dphi has no trig polynomial components: the
+    pair's one conversion of its fields raises NotPolynomial when the pair
+    is built, before any table entry or command reads a field."""
+    e2 = 'e2 = ["0", "z"]'
+    text = (FIXTURES / "l3_cylinder.toml").read_text()
+    assert e2 in text
+    pf = parse_problem_file(text.replace(e2, 'e2 = ["1/(1 + z^2)", "z"]'))
+    with pytest.raises(NotPolynomial, match="monomial coordinates require polynomial components"):
+        build_pair(pf)
 
 
 # -- the prolonged action: delta_i L from the table ---------------------------
@@ -251,7 +270,7 @@ def family_lagrangian(name, rng):
 def assert_lie_lagrangian_matches(pair, L, printed=True):
     """delta_i L from the table against the symbolic prolonged derivative,
     by value and, unless ``printed`` is false, by printed form."""
-    for i, x in enumerate(pair.fields):
+    for i, x in enumerate(field_exprs(pair)):
         got, want = pair.action.lie_lagrangian(i, L), lie_derivative_lagrangian(x, L)
         assert got == want
         if printed:
@@ -351,7 +370,7 @@ def test_pi_images_agree_with_the_contraction():
                 v[units.index((mu, m))] = c
         basis.append(v)
     for w, images in zip(forms, pi_images(L3, units, basis)):
-        for x, terms in zip(L3.fields, images):
+        for x, terms in zip(field_exprs(L3), images):
             want = sum((a * b for a, b in zip(w.components, x.components)), P("0"))
             assert want.den.is_one() and want.num == terms
 
@@ -361,8 +380,7 @@ def test_pi_certificates_raise_under_python_O():
     tampered field each raise InvariantViolation from pi_images."""
     script = textwrap.dedent(
         """
-        from lagfloor.calculus import VectorFieldExpr
-        from lagfloor.expr import parse_expr
+        from lagfloor.expr import TP, parse_expr
         from lagfloor.linalg import InvariantViolation
         from lagfloor.pairs import GMPair, pi_images
         from fixture_pairs import fixture_pair
@@ -374,7 +392,7 @@ def test_pi_certificates_raise_under_python_O():
         dphi = [(1, ((), ()))]
         tampered = GMPair(L3.algebra, ch, (
             L3.fields[0],
-            VectorFieldExpr(ch, (parse_expr(ch, "0"), parse_expr(ch, "2*z"))),
+            (TP(), parse_expr(ch, "2*z").num),
             L3.fields[2],
         ))
         cases = [

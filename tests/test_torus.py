@@ -11,14 +11,13 @@ import pytest
 
 from lagfloor.calculus import (
     OneForm,
-    VectorFieldExpr,
     d_el,
     derham_split,
     euler_lagrange,
     gradient,
     total_time_derivative,
 )
-from lagfloor.expr import Chart, Expr, parse_expr
+from lagfloor.expr import TP, Chart, Expr, parse_expr
 from lagfloor.hierarchy import (
     ClassifyOptions,
     build_invariance_double_complex,
@@ -38,10 +37,7 @@ T2 = Chart((("a", "angle"), ("b", "angle")))
 
 
 def torus_pair():
-    fields = (
-        VectorFieldExpr(T2, (parse_expr(T2, "1"), parse_expr(T2, "0"))),
-        VectorFieldExpr(T2, (parse_expr(T2, "0"), parse_expr(T2, "1"))),
-    )
+    fields = ((TP.const(1), TP()), (TP(), TP.const(1)))
     points = (
         {"a": (F(3, 5), F(4, 5)), "b": (F(0), F(1))},
         {"a": (F(0), F(-1)), "b": (F(-4, 5), F(3, 5))},
@@ -133,8 +129,8 @@ def test_euler_lagrange_and_time_derivative_match_the_oracle(text):
     charges = noether_charges(PAIR, L, rep) if rep.witnesses.alpha is not None else ()
     for i, n in enumerate(charges):
         want = -rep.witnesses.alpha[i] - Expr.var(T2, "tau") * rep.psi_class.data[i]
-        for x, name in zip(PAIR.fields[i].components, T2.names):
-            want = want + x * L.partial(T2.velocity(name))
+        for x, name in zip(PAIR.fields[i], T2.names):
+            want = want + Expr(T2, x) * L.partial(T2.velocity(name))
         assert n == want
     for e in (L, *charges):
         assert tuple(Expr(e.chart, *c) for c in euler_lagrange(e)) == calculus_oracle.euler_lagrange(e)
