@@ -5,8 +5,9 @@ Files are read by the standard library's ``tomllib``.  Every key sits in a
 ``[section]``; ``[module.NAME]`` is the table ``NAME`` of section ``module``.
 Values are strings, integers, booleans, arrays and tables.  Exact rationals
 are written as strings ("-1/2") or integers; floats and dates are rejected,
-so no inexact number is ever built, and a key that [algebra], [action] or
-[options] does not know is rejected too.
+so no inexact number is ever built.  A section that no builder reads, and
+a key that [algebra], [action] or [options] does not know, are rejected
+too.
 """
 
 from __future__ import annotations
@@ -23,6 +24,11 @@ from .pairs import GMPair
 from .spectral import MAX_COMPLEX_CELLS, ComplexTooLarge, DoubleComplex
 
 F = Fraction
+
+
+# the sections the builders read; any other is a misspelling, not a comment
+SECTIONS = ("algebra", "chart", "action", "lagrangian", "options", "points", "stability_sections", "module",
+            "double_complex")
 
 
 class ProblemFileError(Exception):
@@ -81,6 +87,8 @@ def parse_problem_file(text: str) -> ProblemFile:
     for name, body in sections.items():
         if not isinstance(body, dict):
             raise ProblemFileError(f"key {name!r} is outside any [section]")
+        if name not in SECTIONS:
+            raise ProblemFileError(f"unknown section [{name}]")
         _check_values(body, name)
     return ProblemFile(sections)
 

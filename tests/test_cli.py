@@ -52,7 +52,7 @@ def test_fixture_loads_and_builds(name):
 
 
 def test_hash_inside_a_string_is_not_a_comment():
-    assert parse_problem_file('[x]\na = "p # q"\n').section("x") == {"a": "p # q"}
+    assert parse_problem_file('[lagrangian]\nexpr = "p # q"\n').section("lagrangian") == {"expr": "p # q"}
 
 
 def test_explicit_brackets_algebra(tmp_path):
@@ -977,6 +977,21 @@ def test_unknown_key_is_a_parse_error(command, text, old, new, says, tmp_path):
     f.write_text(text.replace(old, new))
     extra = ("--set", "a=1,b=0,c=0,d=0,q=0") if command == "classify" else ()
     assert_parse_error((command, str(f), *extra), says)
+
+
+@pytest.mark.parametrize(
+    "command, old, new",
+    [("k-spaces", "[options]\ndegree = 3", "[option]\ndegree = 1"),
+     ("check-pair", "[points]", "[point]")],
+    ids=["options", "points"],
+)
+def test_unknown_section_is_a_parse_error(command, old, new, tmp_path):
+    """A misspelt section once was ignored: with [option], k-spaces ran at
+    the default degree 3 and fourier 3 where the file asked for 1 and 0."""
+    assert old in TR2
+    f = tmp_path / "typo.toml"
+    f.write_text(TR2.replace(old, new))
+    assert_parse_error((command, str(f)), f"unknown section {new.splitlines()[0]}")
 
 
 @pytest.mark.parametrize("command", ["classify", "noether"])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lagfloor import expr
 from lagfloor.expr import (
     MAX_NESTING,
     TP,
@@ -275,6 +276,28 @@ def random_expr(rng, ch, depth=3):
     return a * b
 
 
+def random_fraction(rng, ch):
+    num = random_expr(rng, ch, 2)
+    while (den := random_expr(rng, ch, 2)).is_zero():
+        pass
+    return num / den
+
+
+def test_negation_and_difference_skip_a_second_reduction():
+    """-e and a - b build their pairs without reducing again; each is the
+    pair that reducing -num over den gives, terms in the same order."""
+    rng = random.Random(4040)
+
+    def same(x, y):
+        assert same_tp(x.num, y.num) and same_tp(x.den, y.den)
+        assert to_string(x) == to_string(y)
+
+    for _ in range(60):
+        a, b = random_fraction(rng, CYL), random_fraction(rng, CYL)
+        same(-a, Expr(CYL, -a.num, a.den))
+        same(a - b, a + Expr(CYL, -b.num, b.den))
+
+
 def test_equality_agrees_with_random_evaluation_on_100_pairs():
     rng = random.Random(12345)
     agree = 0
@@ -422,6 +445,14 @@ def matches_reference(tp, ref):
     return True
 
 
+def cold_and_warm(compute):
+    """compute() with the monomial rules' tables emptied, then again with
+    the tables that first call filled."""
+    for rule in (expr._merge_vars, expr._mono_mul, expr._move_exponent):
+        rule.cache_clear()
+    return compute(), compute()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.booleans().flatmap(lambda trig: st.tuples(polys(trig), polys(trig))))
 def test_sums_and_differences_match_the_fraction_reference(pair):
@@ -437,7 +468,14 @@ def test_product_matches_the_fourier_product_reference(pair):
     the denominator; values, term order and printed form are the
     reference's, with and without trig factors."""
     a, b = pair
-    assert matches_reference(TP.from_vector(a) * TP.from_vector(b), tp_reference.mul(a, b))
+    ref = tp_reference.mul(a, b)
+    for got in cold_and_warm(lambda: TP.from_vector(a) * TP.from_vector(b)):
+        assert matches_reference(got, ref)
+    # every caller shares a cached product, so none of it can be mutable
+    for m1 in a:
+        for m2 in b:
+            products, _halves = expr._mono_mul(m1, m2)
+            assert type(products) is tuple and all(type(p) is tuple for p in products)
 
 
 @settings(max_examples=60, deadline=None)
@@ -446,8 +484,10 @@ def test_product_matches_the_fourier_product_reference(pair):
 def test_scale_and_partials_match_the_fraction_reference(a, c, var, angle):
     tp = TP.from_vector(a)
     assert matches_reference(tp.scale(c), tp_reference.scale(a, c))
-    assert matches_reference(derivation(KERNEL_CHART, var)(tp), tp_reference.partial_var(a, var))
-    assert matches_reference(derivation(KERNEL_CHART, angle)(tp), tp_reference.partial_angle(a, angle))
+    for d, ref in ((derivation(KERNEL_CHART, var), tp_reference.partial_var(a, var)),
+                   (derivation(KERNEL_CHART, angle), tp_reference.partial_angle(a, angle))):
+        for got in cold_and_warm(lambda: d(tp)):
+            assert matches_reference(got, ref)
 
 
 RULE_CHART = Chart((("x", "line"), ("y", "line"), ("phi", "angle"), ("th", "angle")))
