@@ -29,19 +29,23 @@ as canonical integer rows and builds those vectors only when they are read.
 A :class:`Mat` is eliminated at most twice, once by rows and once by
 columns, and keeps both reductions: a kernel reads the first, an image the
 second, and the image's rank-nullity certificate compares the two.  There
-is one elimination algorithm, the store of :class:`Echelon`: the reduced
-echelon form as primitive integer rows.  :func:`row_reduce` feeds it a
-batch, and :func:`rref`, which every reduction enters through, returns that
-form as it is: row k stands for the rational row ``reduced[k] /
-reduced[k][pivots[k]]``.  That form and its primitive rows are unique, so
-every result here is reproducible bit for bit, whatever the order of the
-rows.
+is one elimination algorithm, the store of :class:`Echelon`: echelon rows,
+primitive integer rows each stored under its lowest column.  An insert
+clears only the new vector's lowest entry, while that column is a pivot,
+and never back-substitutes, since ranks, pivots and residuals need no more.
+:func:`row_reduce` feeds it a batch and back-substitutes once, from the
+highest pivot down, and :func:`rref`, which every reduction enters through,
+returns that reduced echelon form as it is: row k stands for the rational
+row ``reduced[k] / reduced[k][pivots[k]]``.  That form and its primitive
+rows are unique, so every result here is reproducible bit for bit,
+whatever the order of the rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 # Row reduction is the pure-Python ``row_reduce`` below and nothing else.
@@ -292,43 +296,48 @@ def _primitive(w, p):
 
 
 class Echelon:
-    """Reduced echelon basis of a span that grows one vector at a time.
+    """Echelon basis of a span that grows one vector at a time.
 
     ``rows`` maps each pivot to a primitive integer ``{column: int}`` row
-    with a positive entry there.  A row's pivot is its lowest column, and
-    every row vanishes at every other pivot, so the store is the reduced
-    echelon form of the span at every step.  A vector is reduced by one
-    pass over its pivot entries, as ``a*v - x*row``; a nonzero residual is
-    made primitive, stored under its lowest column, and that column is
-    cleared from the other rows.  ``insert`` therefore accepts exactly the
-    vectors that raise the rank of those inserted before them.  Columns are
-    any mutually comparable keys.
+    with a positive entry there, and a row's pivot is its lowest column.
+    The store is forward only: a row may still hold entries at later
+    pivots, since nothing is back-substituted on insert.  A vector is
+    inserted by clearing its lowest entry, as ``a*w - x*row``, while that
+    column is a pivot; what is left is empty, or made primitive and stored
+    under its lowest column, the pivot a full reduction would find, since
+    the rows it would use past that point have larger pivots.  ``insert``
+    therefore accepts exactly the vectors that raise the rank of those
+    inserted before them.  Columns are any mutually comparable keys.
     """
 
     def __init__(self):
         self.rows: dict = {}
 
-    def _eliminate(self, w):
-        """(s, r): r = s*w minus an element of the span, s > 0, r vanishing
-        at every pivot.  The rows are reduced, so each step leaves the other
-        pivot entries of w as they are."""
+    def reduce(self, v) -> dict:
+        """The residual of the rational vector v: the one vector that differs
+        from v by an element of the span and vanishes at every pivot; empty
+        exactly when v lies in the span.  Its pivot entries are cleared in
+        ascending order, from a heap, since a forward row can bring in
+        entries at later pivots."""
+        den, w = _int_row(v)
+        rows = self.rows
         s = 1
-        for p in [p for p in w if p in self.rows]:
-            row = self.rows[p]
+        todo = [p for p in w if p in rows]
+        heapify(todo)
+        while todo:
+            p = heappop(todo)
+            if p not in w:  # a column pushed twice, already cleared
+                continue
+            row = rows[p]
             a, x = row[p], w[p]
             g = gcd(a, x)
             a, x = a // g, x // g
             s *= a
             w = _combine(a, w, x, row)
-        return s, w
-
-    def reduce(self, v) -> dict:
-        """The residual of the rational vector v: the one vector that differs
-        from v by an element of the span and vanishes at every pivot; empty
-        exactly when v lies in the span."""
-        den, w = _int_row(v)
-        s, r = self._eliminate(w)
-        return {j: Fraction(x, den * s) for j, x in r.items()}
+            for q in row:
+                if q in rows and q in w:
+                    heappush(todo, q)
+        return {j: Fraction(x, den * s) for j, x in w.items()}
 
     def insert(self, v) -> bool:
         """Add the rational vector v to the span; False (and nothing stored)
@@ -338,19 +347,17 @@ class Echelon:
     def _insert(self, w):
         """``insert`` for a ``{column: int}`` row of nonzero entries: the
         new pivot, or None (and nothing stored) when w is in the span."""
-        r = self._eliminate(w)[1]
-        if not r:
-            return None
-        p = min(r)
-        r = _primitive(r, p)
-        a = r[p]
-        for q, row in self.rows.items():
-            x = row.get(p)
-            if x:
-                g = gcd(a, x)
-                self.rows[q] = _primitive(_combine(a // g, row, x // g, r), q)
-        self.rows[p] = r
-        return p
+        rows = self.rows
+        while w:
+            p = min(w)
+            row = rows.get(p)
+            if row is None:
+                rows[p] = _primitive(w, p)
+                return p
+            a, x = row[p], w[p]
+            g = gcd(a, x)
+            w = _combine(a // g, w, x // g, row)
+        return None
 
 
 def row_reduce(rows, ncols):
@@ -358,26 +365,39 @@ def row_reduce(rows, ncols):
 
     Returns ``(pivots, reduced)``: the ascending pivot columns and the
     primitive integer rows (coprime entries, positive pivot) of the reduced
-    echelon form.  The rows go one at a time into an :class:`Echelon`, whose
-    store is that form at every step; since it is unique, so is the result,
-    whatever the order of ``rows``.
+    echelon form.  The rows go one at a time into an :class:`Echelon`,
+    sparsest first, since a sparse stored row brings fewer entries into the
+    rows reduced by it; then its forward rows are back-substituted once,
+    from the highest pivot down: each is cleared at the later pivots by the
+    rows already reduced, which vanish at every other pivot, and made
+    primitive.  That form is unique, so the result is too, whatever the
+    order of ``rows``.
     """
     ech = Echelon()
-    for r in rows:
+    for r in sorted(rows, key=len):
         ech._insert(r)
     pivots = sorted(ech.rows)
-    reduced = [ech.rows[p] for p in pivots]
-    if pivots and (pivots[0] < 0 or max(max(r) for r in reduced) >= ncols):
+    if pivots and (pivots[0] < 0 or max(max(r) for r in ech.rows.values()) >= ncols):
         raise InvariantViolation(f"a row has an entry outside columns 0..{ncols - 1}")
-    return pivots, reduced
+    red = {}
+    for p in reversed(pivots):
+        w = ech.rows[p]
+        for q in [q for q in w if q in red]:
+            row = red[q]
+            a, x = row[q], w[q]
+            g = gcd(a, x)
+            w = _combine(a // g, w, x // g, row)
+        red[p] = _primitive(w, p)
+    return pivots, [red[p] for p in pivots]
 
 
 def rref(rows, ncols):
     """The canonical reduced echelon form of ``{column: int}`` rows.
 
-    Returns ``(pivots, reduced)`` as :func:`row_reduce` does: row k stands
-    for the rational row ``reduced[k] / reduced[k][pivots[k]]``, whose
-    pivot entry is 1.  Every elimination of a Mat, and of the rows and
+    Returns ``(pivots, reduced)`` as :func:`row_reduce` does, after its one
+    back-substitution: row k stands for the rational row ``reduced[k] /
+    reduced[k][pivots[k]]``, whose pivot entry is 1 and which vanishes at
+    every other pivot.  Every elimination of a Mat, and of the rows and
     vectors handed to this module, enters here; the benchmark counts these
     calls and their cells."""
     return row_reduce(rows, ncols)

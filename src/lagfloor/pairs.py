@@ -21,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+from math import lcm
 
 from .calculus import OneForm, twoform_pairs
 from .cecohom import GModule, NotACocycle, validate_module
@@ -308,27 +309,34 @@ def pi_images(p: GMPair, units, basis):
         for a in range(n)
         for b in range(a + 1, n)
     ]
+    # the cocycle identity times dc, the lcm of the structure constants'
+    # denominators, so that it sums integer coefficients
+    dc = lcm(*[ck.denominator for _, _, structure in brackets for _, ck in structure])
+    brackets = [(a, b, [(k, ck.numerator * (dc // ck.denominator)) for k, ck in structure])
+                for a, b, structure in brackets]
     out = []
     for v in basis:
         support = [(*units[k], c) for k, c in sorted(v.items())]
         pw = [TP.combination((c, act.contraction(i, mu, m)) for mu, m, c in support) for i in range(n)]
-        # each identity times the denominators of the pw it reads, summed
+        # each identity times the denominators of what it reads, summed
         # once over integer coefficients
         for a, b, structure in brackets:
             da, db = pw[a].den, pw[b].den
             residual = chain(
-                ((x * da, act.scalar(a, m)) for m, x in pw[b].terms.items()),
-                ((-x * db, act.scalar(b, m)) for m, x in pw[a].terms.items()),
+                ((x * da * dc, act.scalar(a, m)) for m, x in pw[b].terms.items()),
+                ((-x * db * dc, act.scalar(b, m)) for m, x in pw[a].terms.items()),
                 ((-ck * da * db, pw[k]) for k, ck in structure),
             )
             if TP.combination(residual).terms:
                 raise InvariantViolation("pi of a closed form must be a cocycle")
+        dv = lcm(*[c.denominator for _, _, c in support])
+        int_support = [(mu, m, c.numerator * (dv // c.denominator)) for mu, m, c in support]
         for i in range(n):
-            scaled = [(mu, m, c * pw[i].den) for mu, m, c in support]
+            scaled = [(mu, m, c * pw[i].den) for mu, m, c in int_support]
             for nu in range(len(p.chart.names)):
                 residual = chain(
                     ((c, act.oneform(i, mu, m)[nu]) for mu, m, c in scaled),
-                    ((-x, act.partial(nu, m)) for m, x in pw[i].terms.items()),
+                    ((-x * dv, act.partial(nu, m)) for m, x in pw[i].terms.items()),
                 )
                 if TP.combination(residual).terms:
                     raise InvariantViolation("L_X w = d(pi w) must hold for a closed form")

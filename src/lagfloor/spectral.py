@@ -21,9 +21,10 @@ A complex keeps what is derived from it: each Q_m, its validity report,
 the reduction, each page asked for, and each dim H^m(Q).  Q_m is built
 once, and its row reduction is kept on that one `Mat`, so H^m and H^{m+1}
 share it; the filtered reduction reads the same Q_m's columns through an
-`Echelon` of its own, and the totals never read that reduction.  Nothing
-is shared between complexes: `transpose` builds a new one with empty
-stores.
+`Echelon` of its own, whose forward store is never back-substituted, since
+persistence pairs need only its pivots, and the totals never read that
+reduction.  Nothing is shared between complexes: `transpose` builds a new
+one with empty stores.
 """
 
 from __future__ import annotations
@@ -245,7 +246,10 @@ def _filtered_reduction(dc):
     so each F^p is a prefix and Q maps every element into the span of
     earlier ones.  For each degree m, ascending, one Echelon takes the
     columns of Q_m in that order, keyed by their row indices, so the pivot
-    of a stored row, its lowest key, is its latest element.  A column that
+    of a stored row, its lowest key, is its latest element.  An insert
+    clears only the column's lowest entry, while that key is a stored
+    pivot, and back-substitutes nothing: the pairs read only the pivots,
+    and this is the standard column reduction of persistence.  A column that
     raises the rank pairs its element with the new pivot's element; the
     pair's gap g = p(pivot) - p(column) is the life of both, since d_g maps
     one onto the other.  A column whose element the degree below made a

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from lagfloor.calculus import d_el
+from lagfloor.cecohom import GModule, cohomology
 from lagfloor.expr import TP, Chart, Expr, parse_expr, to_string
 from lagfloor.hierarchy import (
     ClassifyOptions,
@@ -671,6 +672,23 @@ def test_l3_invariance_complex_e2_column():
     assert p2.dim(2, 0) == 2  # H^2(G) = R^2
     assert total_cohomology(dc, 0).dim == 1
     assert abutment_check(dc).ok
+
+
+def test_galilean_invariance_complex_past_the_cap(monkeypatch):
+    """The filtered reduction on a complex above MAX_COMPLEX_CELLS, with the
+    cap raised in process: 11 x 3 cells at degree 0, the abutment holds,
+    and the q = 0 row of E_2 is H^p(g) with trivial coefficients."""
+    import lagfloor.hierarchy as h
+
+    monkeypatch.setattr(h, "MAX_COMPLEX_CELLS", 10 * h.MAX_COMPLEX_CELLS)
+    dc = build_invariance_double_complex(GAL, ClassifyOptions(degree=0, fourier=0)).dc
+    assert (dc.width, dc.height) == (11, 3)
+    assert abutment_check(dc).ok
+    g = GAL.algebra
+    e2 = page(dc, 2)
+    want = [cohomology(g, GModule.trivial(g), p).dim for p in range(11)]
+    assert want == [1, 1, 1, 3, 3, 2, 3, 3, 1, 1, 1]
+    assert [e2.dim(p, 0) for p in range(11)] == want
 
 
 def test_l3_transposed_corner_is_invariant_functions():

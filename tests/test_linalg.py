@@ -501,7 +501,7 @@ def test_echelon_accepts_rank_raising_vectors_and_coordinates_match_solve(data, 
     assert (not ech.reduce(sparse_target)) == (want is not None)
 
 
-# -- one reduced store behind row_reduce, rref and Echelon ----------------------
+# -- a forward Echelon store; row_reduce back-substitutes once ----------------
 
 @st.composite
 def rational_vector_lists(draw):
@@ -511,32 +511,82 @@ def rational_vector_lists(draw):
     return n, [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(k)]
 
 
+def assert_rational_rref(pivots, reduced, rows, ncols):
+    """(pivots, reduced) is the canonical form of the dense rows: primitive
+    integer rows, positive at their pivots, that read as the rational RREF
+    of the Fraction oracle once scaled to pivot entry 1."""
+    want_pivots, want_rows = naive_fraction_rref(rows, ncols)
+    assert pivots == want_pivots
+    assert all(r[p] > 0 and gcd(*r.values()) == 1 for p, r in zip(pivots, reduced))
+    assert [dense({j: F(x, r[p]) for j, x in r.items()}, ncols) for p, r in zip(pivots, reduced)] == want_rows
+
+
 @given(rational_vector_lists(), st.randoms(use_true_random=False), st.lists(st.sampled_from([0, 1, -2, F(3, 2)]), min_size=6, max_size=6))
 @settings(max_examples=150, deadline=None)
-def test_echelon_store_is_the_canonical_reduced_form(data, rnd, target):
+def test_echelon_store_is_forward_and_row_reduce_is_the_canonical_form(data, rnd, target):
     n, vectors = data
-    # row order does not matter: the reduced echelon form is unique
+    order = list(range(len(vectors)))
+    rnd.shuffle(order)
+    # row_reduce is the rational RREF, whatever the order of the rows
     rows = [int_row([int(6 * x) for x in v]) for v in vectors]
-    shuffled = rows[:]
-    rnd.shuffle(shuffled)
-    pivots, reduced = row_reduce(rows, n)
-    assert row_reduce(shuffled, n) == (pivots, reduced)
-    assert all(r[p] > 0 and gcd(*r.values()) == 1 for p, r in zip(pivots, reduced))
-    # after every insert, the stored rows scaled to pivot 1 are the rref
-    ech = Echelon()
+    assert_rational_rref(*row_reduce(rows, n), vectors, n)
+    assert row_reduce([rows[i] for i in order], n) == row_reduce(rows, n)
+    # after every insert the store has the RREF's pivots, each the lowest
+    # column of a primitive row that is positive there
+    ech, shuffled = Echelon(), Echelon()
     sparse = [sp(v) for v in vectors]
     for k, v in enumerate(sparse):
         ech.insert(v)
-        pivots, red = rational_rref(sparse[: k + 1], n)
-        assert sorted(ech.rows) == pivots
-        assert [{j: F(x, ech.rows[p][p]) for j, x in ech.rows[p].items()} for p in pivots] == red
-    # the residual vanishes at every pivot and differs from v by the span
+        assert sorted(ech.rows) == naive_fraction_rref(vectors[: k + 1], n)[0]
+        for p, r in ech.rows.items():
+            assert min(r) == p and r[p] > 0 and gcd(*r.values()) == 1
+    for i in order:
+        shuffled.insert(sparse[i])
+    # the residual vanishes at every pivot, differs from v by the span and
+    # does not depend on the insertion order
     v = sp(target[:n])
     r = ech.reduce(v)
     assert not set(r) & set(ech.rows)
     diff = [v.get(j, 0) - r.get(j, 0) for j in range(n)]
     rank = len(naive_fraction_rref(vectors, n)[0])
     assert len(naive_fraction_rref(vectors + [diff], n)[0]) == rank
+    assert shuffled.reduce(v) == r
+
+
+def forward_store(rows, ncols):
+    """``row_reduce`` without its back-substitution: the Echelon's rows as
+    they are stored."""
+    ech = Echelon()
+    for r in rows:
+        ech._insert(r)
+    pivots = sorted(ech.rows)
+    return pivots, [ech.rows[p] for p in pivots]
+
+
+def assert_kernel(m, want):
+    """kernel_basis(m) is the expected canonical basis, and m kills it."""
+    basis = kernel_basis(m).basis
+    assert all(not m.mul_vec(v) for v in basis)
+    assert basis == want
+
+
+def test_a_skipped_back_substitution_is_caught(monkeypatch):
+    """The forward rows {0: 1, 1: 1}, {1: 1} are not the RREF {0: 1},
+    {1: 1}: with row_reduce returning the store unreduced, the canonical
+    form and a kernel read from it both fail."""
+    import lagfloor.linalg as la
+
+    rows = [[1, 1], [0, 1]]
+    free = [[1, 1, 1], [0, 1, 2]]  # column 2 is free
+    kernel = ({0: F(1), 1: F(-2), 2: F(1)},)
+    assert_rational_rref(*rref([int_row(r) for r in rows], 2), rows, 2)
+    assert_kernel(M(free), kernel)
+    monkeypatch.setattr(la, "row_reduce", forward_store)
+    assert rref([int_row(r) for r in rows], 2) == ([0, 1], [{0: 1, 1: 1}, {1: 1}])
+    with pytest.raises(AssertionError):
+        assert_rational_rref(*rref([int_row(r) for r in rows], 2), rows, 2)
+    with pytest.raises(AssertionError):
+        assert_kernel(M(free), kernel)
 
 
 def test_echelon_private_insert_returns_the_new_pivot():
