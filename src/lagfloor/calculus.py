@@ -8,9 +8,11 @@ coordinates; a pair's vector fields are tuples of trig polynomials, which
 velocities; the Euler-Lagrange covector is the only place accelerations
 appear.  The Euler-Lagrange covector and the total time derivative, which
 only the Noether charges read, are (numerator, denominator) pairs of trig
-polynomials, not expressions, so the charge sums never build one.  Every
-derivative here is ``expr``'s one rule, ``TP.derive``, through
-``expr.derivation`` (d/dq, d/d(dq)) or ``expr.time_derivation`` (D_t).
+polynomials, not expressions, so the charge sums never build one; so are
+the two sides of the closedness test and of ``derham_split``'s
+reconstruction check, which only test for zero.  Every derivative here is
+``expr``'s one rule, ``TP.derive``, through ``expr.derivation`` (d/dq,
+d/d(dq)) or ``expr.time_derivation`` (D_t).
 """
 
 from __future__ import annotations
@@ -55,11 +57,6 @@ class OneForm:
 
     def scale(self, c):
         return OneForm(self.chart, tuple(x * c for x in self.components))
-
-    def __eq__(self, other):
-        return isinstance(other, OneForm) and all(
-            a == b for a, b in zip(self.components, other.components)
-        )
 
     def as_lagrangian(self) -> Expr:
         """The rank-1 Lagrangian w_mu * dq^mu identified with this form."""
@@ -122,13 +119,17 @@ def gradient(f: Expr) -> OneForm:
 
 
 def is_closed(w: OneForm) -> bool:
+    """dw = 0: d w_j/dq^i = d w_i/dq^j for every i < j, each side one
+    quotient rule on a component's numerator and denominator, compared by
+    ``fraction_add``; no expression is built."""
     ch = w.chart
-    n = len(ch.names)
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = w.components[j].partial(ch.names[i])
-            rhs = w.components[i].partial(ch.names[j])
-            if not (lhs - rhs).is_zero():
+    diffs = [derivation(ch, name) for name in ch.names]
+    for i, wi in enumerate(w.components):
+        for j in range(i + 1, len(diffs)):
+            wj = w.components[j]
+            a, b = quotient_rule(wj.num, wj.den, diffs[i])
+            c, e = quotient_rule(wi.num, wi.den, diffs[j])
+            if not fraction_add(a, b, -c, e)[0].is_zero():
                 return False
     return True
 
@@ -204,7 +205,9 @@ def derham_split(w: OneForm):
     Returns ({angle: coefficient}, potential).  Raises NotClosed or
     AnsatzExhausted (never guesses).  Closedness is checked once, by
     ``find_potential`` on the remainder: it differs from w by constant
-    c * dphi terms, so it is closed exactly when w is.
+    c * dphi terms, so it is closed exactly when w is.  The reconstruction
+    df + c * dphi = w is checked exactly, component by component, on
+    numerator and denominator pairs.
     """
     ch = w.chart
     harmonic = {}
@@ -220,14 +223,11 @@ def derham_split(w: OneForm):
     f = find_potential(rem)
     if f is None:
         raise AnsatzExhausted("closed remainder admits no potential within the ansatz")
-    # exact reconstruction check
-    rebuilt = gradient(f)
-    for a, c in harmonic.items():
-        if c:
-            idx = ch.names.index(a)
-            comps = list(rebuilt.components)
-            comps[idx] = comps[idx] + c
-            rebuilt = OneForm(ch, tuple(comps))
-    if rebuilt != w:
-        raise InvariantViolation("derham_split reconstruction failed")
+    # exact reconstruction check: df/dq^mu + c_mu - w_mu = 0
+    for name, comp in zip(ch.names, w.components):
+        a, b = quotient_rule(f.num, f.den, derivation(ch, name))
+        if harmonic.get(name):
+            a = a + b.scale(harmonic[name])
+        if not fraction_add(a, b, -comp.num, comp.den)[0].is_zero():
+            raise InvariantViolation("derham_split reconstruction failed")
     return harmonic, f

@@ -22,6 +22,10 @@ by its images of the generators, so one pass over the terms serves every
 derivative.  ``derivation`` (d/dq, d/dphi, d/d(dq), d/d tau) and
 ``time_derivation`` (D_t, which the Euler-Lagrange covector, the Noether
 charges and the prolonged generator action read) are its entry points.
+``quotient_rule``, ``fraction_add``, ``fraction_const_value`` and
+``fraction_subs_zero`` act on (numerator, denominator) pairs of trig
+polynomials, which need not be in lowest terms, so a value that a caller
+only tests for zero or for a constant never becomes an expression.
 
 Denominators are reduced by content/sign normalization, common monomial
 factors and exact trial division (full, and divisor-vs-divisor when adding),
@@ -601,14 +605,6 @@ class Expr:
     def is_zero(self):
         return self.num.is_zero()
 
-    def const_value(self):
-        """The Fraction this expression equals identically, or None."""
-        if self.den.is_one():
-            return self.num.const_value()
-        lead = self.den.lead_monomial()
-        c = self.num.coeff(lead) / self.den.coeff(lead)
-        return c if (self.num - self.den.scale(c)).is_zero() else None
-
     def __eq__(self, other):
         if not isinstance(other, Expr):
             return NotImplemented
@@ -718,15 +714,7 @@ class Expr:
 
     def subs_zero(self, names):
         """Set the given plain generators to zero (exactly)."""
-        names = set(names)
-
-        def kill(tp):
-            return TP({m: c for m, c in tp.terms.items() if not any(n in names for n, _ in m[0])}, tp.den)
-
-        den = kill(self.den)
-        if den.is_zero():
-            raise EvaluationPole("denominator vanishes after substitution")
-        return Expr(self.chart, kill(self.num), den)
+        return Expr(self.chart, *fraction_subs_zero(self.num, self.den, names))
 
     def evaluate(self, point):
         """point: {line/velocity/acc name: Fraction, angle name: (sin, cos)}."""
@@ -803,6 +791,32 @@ def fraction_add(n1, d1, n2, d2):
     if q is not None:
         return n1 * q + n2, d2
     return n1 * d2 + n2 * d1, d1 * d2
+
+
+def fraction_const_value(num, den):
+    """The Fraction that num/den equals identically, or None, for trig
+    polynomials num and den, den nonzero: the ratio of the coefficients at
+    den's leading monomial, checked on every term.  The pair need not be in
+    lowest terms."""
+    if den.is_one():
+        return num.const_value()
+    lead = den.lead_monomial()
+    c = num.coeff(lead) / den.coeff(lead)
+    return c if (num - den.scale(c)).is_zero() else None
+
+
+def fraction_subs_zero(num, den, names):
+    """(num', den'), num/den with the given plain generators set to zero:
+    the terms free of them.  Raises EvaluationPole when den' vanishes."""
+    names = set(names)
+
+    def kill(tp):
+        return TP({m: c for m, c in tp.terms.items() if not any(n in names for n, _ in m[0])}, tp.den)
+
+    den = kill(den)
+    if den.is_zero():
+        raise EvaluationPole("denominator vanishes after substitution")
+    return kill(num), den
 
 
 def _reduce_fraction(num, den):

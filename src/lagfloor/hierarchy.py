@@ -44,7 +44,18 @@ from .calculus import (
     twoform_pairs,
 )
 from .cecohom import GModule, ce_differential, coboundary_witness, cochain_tuples, cohomology, is_cocycle
-from .expr import TP, TP_ONE, TP_ZERO, AnsatzSpec, EvaluationPole, Expr, fraction_add, function_monomials
+from .expr import (
+    TP,
+    TP_ONE,
+    TP_ZERO,
+    AnsatzSpec,
+    EvaluationPole,
+    Expr,
+    fraction_add,
+    fraction_const_value,
+    fraction_subs_zero,
+    function_monomials,
+)
 from .exprspace import equation_rows
 from .liealg import zero_one_cocycles
 from .linalg import (
@@ -165,6 +176,10 @@ def weak_invariance_split(p: GMPair, L: Expr) -> WeakInvarianceSplit:
 
     Raises NotWeaklyInvariantError with the offending generator and residue
     (quadratic-in-velocity part, non-constant remainder, or non-closed w).
+    The w_i are expressions; the remainder t_i and the residue
+    delta_i L - t_i - w_i . qdot are only tested, for a constant and for
+    zero, so they are (numerator, denominator) pairs of trig polynomials,
+    and an expression is built for one only to report it.
     """
     if L.has_accelerations():
         raise InvariantViolation("rank-1 Lagrangians only")
@@ -173,24 +188,28 @@ def weak_invariance_split(p: GMPair, L: Expr) -> WeakInvarianceSplit:
     ws = []
     ts = []
     for i in range(p.algebra.dim):
-        d = p.action.lie_lagrangian(i, L)
+        d = Expr(ch, *p.action.lie_lagrangian(i, L.num, L.den))
         try:
             coeffs = []
             for vn in vel_names:
                 c = d.partial(vn).subs_zero(vel_names)
                 coeffs.append(c)
-            t_part = d.subs_zero(vel_names)
+            t_num, t_den = fraction_subs_zero(d.num, d.den, vel_names)
         except EvaluationPole:
             raise NotWeaklyInvariantError(p.algebra.basis_names[i], d)
-        rebuilt = t_part
-        for c, vn in zip(coeffs, vel_names):
-            rebuilt = rebuilt + c * Expr.var(ch, vn)
-        residue = d - rebuilt
+        residue, _ = _fraction_sum([
+            (d.num, d.den),
+            (-t_num, t_den),
+            *((-c.num * TP.var(vn), c.den) for c, vn in zip(coeffs, vel_names)),
+        ])
         if not residue.is_zero():
-            raise NotWeaklyInvariantError(p.algebra.basis_names[i], residue)
-        t_val = t_part.const_value()
+            rebuilt = d.subs_zero(vel_names)
+            for c, vn in zip(coeffs, vel_names):
+                rebuilt = rebuilt + c * Expr.var(ch, vn)
+            raise NotWeaklyInvariantError(p.algebra.basis_names[i], d - rebuilt)
+        t_val = fraction_const_value(t_num, t_den)
         if t_val is None:
-            raise NotWeaklyInvariantError(p.algebra.basis_names[i], t_part)
+            raise NotWeaklyInvariantError(p.algebra.basis_names[i], d.subs_zero(vel_names))
         w = OneForm(ch, tuple(coeffs))
         if not is_closed(w):
             raise NotWeaklyInvariantError(p.algebra.basis_names[i], w)
@@ -259,14 +278,16 @@ def phi2(p: GMPair, alphas):
     """Class of f_ij = (delta alpha)_ij in H^2(G), plus the adjusted alpha.
 
     f is checked to be constant and a cocycle.  When the class vanishes, alpha is
-    shifted by constants t' with delta t' = -f, so delta(alpha') = 0.
+    shifted by constants t' with delta t' = -f, so delta(alpha') = 0.  The
+    coboundaries are ``FunctionCochain.delta``'s numerator and denominator
+    pairs, tested for a constant and for zero; no expression is built.
     """
     g = p.algebra
     alpha = FunctionCochain(p, tuple(alphas))
     f2 = {}
-    f = {}  # f2 as a 2-cochain vector
-    for idx, (i, j) in enumerate(cochain_tuples(g.dim, 2)):
-        c = alpha.delta_component(i, j).const_value()
+    f = {}  # f2 as a 2-cochain vector, indexed in cochain_tuples order
+    for idx, (i, j, num, den) in enumerate(alpha.delta()):
+        c = fraction_const_value(num, den)
         if c is None:
             raise InvariantViolation("(delta alpha) must be constant for closed splits")
         if c:
@@ -301,6 +322,8 @@ def phi3(p: GMPair, alpha: FunctionCochain, opts: ClassifyOptions):
     unknowns are the coefficients of w over the elementary forms (mu-major),
     then of t'' over the Z^1 basis, then of f over the monomials one degree
     up; the witness is the canonical particular solution in that order.
+    The rebuilt witness pi(w)_i + t''_i + X_i f is compared with alpha_i on
+    numerator and denominator pairs; the returned w and f are expressions.
     """
     ch = p.chart
     deg = max(opts.degree, max(c.line_degree() for c in alpha.components) + 1)
@@ -337,9 +360,14 @@ def phi3(p: GMPair, alpha: FunctionCochain, opts: ClassifyOptions):
             raise InvariantViolation("the witness form must be closed")
         # exact witness check; pi_images certifies both naturality identities
         (pw,) = pi_images(p, units, [wvec])
-        for i in range(n):
-            rebuilt = Expr(ch, pw[i]) + Expr.const(ch, t2[i]) + p.action.lie(i, fexpr)
-            if not (rebuilt - alpha.components[i]).is_zero():
+        for i, a in enumerate(alpha.components):
+            residual, _ = _fraction_sum([
+                (pw[i], TP_ONE),
+                (TP.const(t2[i]), TP_ONE),
+                act.lie(i, fexpr.num, fexpr.den),
+                (-a.num, a.den),
+            ])
+            if not residual.is_zero():
                 raise InvariantViolation("the rebuilt witness must reproduce alpha")
         return ClassValue(ZERO, None), (w, t2, fexpr)
     # no witness within the ansatz: try a restriction certificate
@@ -387,7 +415,8 @@ def k4_quotient(p: GMPair, opts: ClassifyOptions):
 
 def phi4(p: GMPair, L: Expr, split, alpha, k3_witness, opts: ClassifyOptions):
     """Class of the witness form in K4; on zero, the certified decomposition
-    L = L_inv + w_inv + d_EL f' (L_inv verified by direct Lie derivative)."""
+    L = L_inv + w_inv + d_EL f' (L_inv verified by direct Lie derivative,
+    delta_i L_inv = t_i, on the derivative's numerator and denominator)."""
     w, t2, fexpr = k3_witness
     qt, inv = k4_quotient(p, opts)
     h = harmonic_vector(w)
@@ -408,9 +437,9 @@ def phi4(p: GMPair, L: Expr, split, alpha, k3_witness, opts: ClassifyOptions):
         raise UndeterminedError(4, "potential adjustment exhausted the ansatz")
     l_inv = L - w.as_lagrangian() - d_el(fexpr)
     # verify: delta_i L_inv = t_i exactly (invariant on the + track)
-    for i in range(p.algebra.dim):
-        d = p.action.lie_lagrangian(i, l_inv)
-        if not (d - Expr.const(p.chart, split.t[i])).is_zero():
+    for i, t in enumerate(split.t):
+        num, den = p.action.lie_lagrangian(i, l_inv.num, l_inv.den)
+        if not (num - den.scale(t)).is_zero():
             raise InvariantViolation("decomposition failed verification")
     decomposition = {
         "l_inv": l_inv,

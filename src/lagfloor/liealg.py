@@ -17,6 +17,9 @@ from functools import cache
 from .linalg import clear_denominators, coordinate_map, kernel_of_rows
 
 F = Fraction
+# the value of every structure constant that a table leaves out; Fractions
+# are immutable, so one shared zero serves every lookup
+ZERO = F(0)
 
 
 class UnknownName(Exception):
@@ -49,10 +52,10 @@ class StructureConstants:
     def coeff(self, i, j, k) -> Fraction:
         """c^k_{ij} for arbitrary i, j."""
         if i == j:
-            return F(0)
+            return ZERO
         if i < j:
-            return self.c.get((i, j), {}).get(k, F(0))
-        return -self.c.get((j, i), {}).get(k, F(0))
+            return self.c.get((i, j), {}).get(k, ZERO)
+        return -self.c.get((j, i), {}).get(k, ZERO)
 
     def __hash__(self):
         items = tuple(sorted((ij, tuple(sorted(d.items()))) for ij, d in self.c.items()))

@@ -5,27 +5,29 @@ A pair couples an algebra given by structure constants with one vector field
 per basis element, a tuple of polynomial trig polynomials.  Its action
 table holds the fields with their Jacobians and the generator action on
 monomials and elementary forms as sparse monomial vectors, each filled once
-by the derivative rule on monomial keys; expressions meet it only at its
-edges (``lie`` and the readers' results).  ``validate_pair`` reads the
-brackets off the table, and the pair keeps its report, which the
-computations certify first.  On the table live the contraction
-``pi_images``, ``action_module`` (the g-module on an action-closed family
-of sparse vectors, the one way a g-module is built), the invariant closed
-1-forms, and stability subalgebras with cocycle restriction, which is the
-certificate machinery for nontrivial classes that no finite truncation can
-exhibit.
+by the derivative rule on monomial keys; its Lie derivatives take and
+return (numerator, denominator) pairs, so an expression meets it only where
+a reader builds one.  ``validate_pair`` reads the brackets off the table,
+and the pair keeps its report, which the computations certify first.  On
+the table live the contraction ``pi_images``, ``action_module`` (the
+g-module on an action-closed family of sparse vectors, the one way a
+g-module is built), the invariant closed 1-forms, the coboundary of
+function-valued cochains, and stability subalgebras with cocycle
+restriction, which is the certificate machinery for nontrivial classes that
+no finite truncation can exhibit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
 from math import lcm
+from operator import mul
 
 from .calculus import OneForm, twoform_pairs
 from .cecohom import GModule, NotACocycle, validate_module
-from .expr import TP, AnsatzSpec, Chart, EvaluationPole, Expr, derivation, function_monomials, quotient_rule
+from .expr import TP, TP_ONE, AnsatzSpec, Chart, EvaluationPole, Expr, derivation, function_monomials, quotient_rule
 from .expr import point_values, time_derivation
 from .exprspace import equation_rows
 from .liealg import StructureConstants, zero_one_cocycles
@@ -58,10 +60,11 @@ class ActionTable:
     ``components[i]``: the pair's X_i^mu, the Jacobian d X_i^mu / dq^nu,
     indexed [mu][nu], and D_t X_i^mu = dq^nu d X_i^mu / dq^nu, built once.
     Images are shared between callers, so treat them as read-only.
-    ``lie(i, f)`` is X_i(f) as an expression, for any velocity-free f, and
-    ``lie_lagrangian(i, L)`` is delta_i L = X_i^(1)(L) for a rank-1
+    ``lie(i, num, den)`` is X_i(f) for any velocity-free f = num/den, and
+    ``lie_lagrangian(i, num, den)`` is delta_i L = X_i^(1)(L) for a rank-1
     Lagrangian; both sum the images of the terms, with the quotient rule
-    for a rational argument.
+    for a rational argument, and return a (numerator, denominator) pair of
+    trig polynomials, not an expression.
     """
 
     def __init__(self, chart_: Chart, fields):
@@ -111,29 +114,34 @@ class ActionTable:
             img = self._prolonged[(i, mono)] = acc
         return img
 
-    def lie(self, i, f: Expr) -> Expr:
-        """X_i(f) for a velocity-free function f."""
-        if not f.is_velocity_free():
+    def lie(self, i, num: TP, den: TP) -> tuple[TP, TP]:
+        """X_i(f) for a velocity-free function f = num/den, as a
+        (numerator, denominator) pair."""
+        jet = self.chart.jet_names
+        if num.has_any_var(jet) or den.has_any_var(jet):
             raise InvariantViolation("a Lie derivative of a function needs a velocity-free function")
-        return self._derive(f, lambda m: self.scalar(i, m))
+        return self._derive(num, den, lambda m: self.scalar(i, m))
 
-    def lie_lagrangian(self, i, L: Expr) -> Expr:
-        """delta_i L = X_i^(1)(L) for a rank-1 Lagrangian L."""
-        if L.has_accelerations():
+    def lie_lagrangian(self, i, num: TP, den: TP) -> tuple[TP, TP]:
+        """delta_i L = X_i^(1)(L) for a rank-1 Lagrangian L = num/den, as a
+        (numerator, denominator) pair."""
+        acc = self.chart.acceleration_names
+        if num.has_any_var(acc) or den.has_any_var(acc):
             raise ValueError("rank-1 Lagrangians only")
-        out = self._derive(L, lambda m: self.prolonged(i, m))
-        if out.has_accelerations():
+        out = self._derive(num, den, lambda m: self.prolonged(i, m))
+        if any(tp.has_any_var(acc) for tp in out):
             raise InvariantViolation("the Lie derivative of a rank-1 Lagrangian has no accelerations")
         return out
 
-    def _derive(self, f: Expr, image) -> Expr:
-        """A derivation given on monomials, applied to f: the sum of the
-        images of f's terms, through the quotient rule of ``expr``."""
+    @staticmethod
+    def _derive(num, den, image) -> tuple[TP, TP]:
+        """A derivation given on monomials, applied to num/den: the sum of
+        the images of the terms, through the quotient rule of ``expr``."""
 
         def derived(tp):
             return TP.combination(((c, image(m)) for m, c in tp.terms.items()), tp.den)
 
-        return Expr(self.chart, *quotient_rule(f.num, f.den, derived))
+        return quotient_rule(num, den, derived)
 
     def contraction(self, i, mu, mono) -> TP:
         img = self._contraction.get((i, mu, mono))
@@ -257,7 +265,11 @@ def validate_pair(p: GMPair) -> PairReport:
 
 
 class FunctionCochain:
-    """Degree-1 cochain on the algebra with velocity-free expression values."""
+    """Degree-1 cochain on the algebra with velocity-free expression values.
+
+    Its coboundary is computed on trig polynomials read from the pair's
+    action table, and no expression is built for it.
+    """
 
     __slots__ = ("pair", "components")
 
@@ -269,20 +281,44 @@ class FunctionCochain:
         self.pair = pair
         self.components = components
 
-    def delta_component(self, i, j) -> Expr:
-        p = self.pair
-        out = p.action.lie(i, self.components[j]) - p.action.lie(j, self.components[i])
-        for k in range(p.algebra.dim):
-            ck = p.algebra.coeff(i, j, k)
-            if ck:
-                out = out - self.components[k] * ck
-        return out
+    def delta(self):
+        """(i, j, num, den) for each i < j, in lexicographic order, where the
+        trig polynomials num/den equal (delta alpha)_ij = X_i alpha_j -
+        X_j alpha_i - c^k_ij alpha_k.
+
+        The components are read as alpha_k = n_k / D over one denominator D,
+        the product of their distinct denominators.  Then S = X_i n_j -
+        X_j n_i - c^k_ij n_k is one combination of the table's scalar images
+        and the structure constants that the algebra stores, and
+        (delta alpha)_ij is (S D - (n_j X_i(D) - n_i X_j(D))) / D^2.  With
+        D = 1 the second term vanishes and the pair is S over 1.
+        """
+        act = self.pair.action
+        g = self.pair.algebra
+        dens = []
+        for a in self.components:
+            if not a.den.is_one() and a.den not in dens:
+                dens.append(a.den)
+        nums = [reduce(mul, (d for d in dens if d != a.den), a.num) for a in self.components]
+        D = reduce(mul, dens, TP_ONE)
+        xd = None if D.is_one() else [act.lie(i, D, TP_ONE)[0] for i in range(g.dim)]
+        for i in range(g.dim):
+            for j in range(i + 1, g.dim):
+                ni, nj = nums[i], nums[j]
+                # S times the integer denominators of n_i and n_j, over them
+                dd = ni.den * nj.den
+                s = TP.combination(chain(
+                    ((c * ni.den, act.scalar(i, m)) for m, c in nj.terms.items()),
+                    ((-c * nj.den, act.scalar(j, m)) for m, c in ni.terms.items()),
+                    ((-ck * dd, nums[k]) for k, ck in g.c.get((i, j), {}).items()),
+                ), dd)
+                if xd is None:
+                    yield i, j, s, TP_ONE
+                else:
+                    yield i, j, s * D - (nj * xd[i] - ni * xd[j]), D * D
 
     def is_cocycle(self) -> bool:
-        n = self.pair.algebra.dim
-        return all(
-            self.delta_component(i, j).is_zero() for i in range(n) for j in range(i + 1, n)
-        )
+        return all(num.is_zero() for _, _, num, _ in self.delta())
 
     def add_constants(self, t):
         return FunctionCochain(

@@ -45,13 +45,13 @@ ALLOWED = {
     # what a problem file can reach though no golden command does
     "calculus:OneForm.__add__": "phi4 adds the harmonic part back when the witness has one",
     "calculus:OneForm.scale": "phi4 scales the harmonic part when the witness has one",
-    "expr:AnsatzSpec.__str__": "the ansatz = line of an undetermined (exit 4) report",
     "problemfile:_reject_float": "tomllib's parse_float hook: a float in a problem file exits 2",
     # the library's expression and value API
     "expr:Expr.__radd__": "reflected operator: c + e with a number c",
     "expr:Expr.__rsub__": "reflected operator: c - e with a number c",
     "expr:Expr.__rmul__": "reflected operator: c * e with a number c",
     "expr:Expr.__rtruediv__": "reflected operator: c / e with a number c",
+    "expr:Expr.__eq__": "value equality of expressions by cross multiplication, which tests read",
     "linalg:Subspace.__eq__": "value equality of subspaces on their canonical integer bases, which a test reads",
     "linalg:Mat.__eq__": "value equality of matrices on their canonical integer rows, which a test reads",
 }
@@ -90,6 +90,7 @@ def commands(workdir):
         COHOMOLOGY,
         K_SPACES,
         MODULE_PROBLEMS,
+        RATIONAL_POTENTIAL,
         SECTION_POLE,
         SL2_CYLINDER,
         SPECTRAL_FROM_PAIR,
@@ -118,6 +119,8 @@ def commands(workdir):
         out += [[argv[0], problem(name), *argv[1:]] for argv, _ in table]
     run = [(["--format", "machine", *argv], 0) for argv in out]
     run += [(["--format", "machine", command, problem("arctan_potential")], 4) for command, _ in UNDETERMINED]
+    run += [(["--format", "machine", argv[0], problem("rational_potential"), *argv[1:]], code)
+            for argv, _, code in RATIONAL_POTENTIAL]
     return run
 
 

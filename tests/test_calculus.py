@@ -150,12 +150,12 @@ def test_d2_zero_on_random_functions():
 def test_find_potential_polynomial():
     f = find_potential(oneform(CYL, "2*z", "0"))
     assert f is not None
-    assert gradient(f) == oneform(CYL, "2*z", "0")
+    assert gradient(f).components == oneform(CYL, "2*z", "0").components
 
 
 def test_find_potential_trig():
     f = find_potential(oneform(CYL, "0", "cos(phi)"))
-    assert gradient(f) == oneform(CYL, "0", "cos(phi)")
+    assert gradient(f).components == oneform(CYL, "0", "cos(phi)").components
 
 
 def test_find_potential_requires_closed():
@@ -186,7 +186,7 @@ def test_derham_split_inverts_gradient():
     f = P("z*sin(phi)")
     harmonic, pot = derham_split(gradient(f))
     assert harmonic == {"phi": F(0)}
-    assert gradient(pot) == gradient(f)
+    assert gradient(pot).components == gradient(f).components
 
 
 def test_derham_split_not_closed():
@@ -207,7 +207,7 @@ def test_rational_potential_with_fixed_denominator():
     w = gradient(f)
     got = find_potential(w)
     assert got is not None
-    assert gradient(got) == w
+    assert gradient(got).components == w.components
 
 
 XY = Chart((("x", "line"), ("y", "line")))
@@ -226,7 +226,7 @@ def test_rational_potential_over_a_common_multiple_of_the_denominators(w):
     of their denominators (``tp_lcm``), in each of its three cases."""
     got = find_potential(w)
     assert got is not None
-    assert gradient(got) == w
+    assert gradient(got).components == w.components
 
 
 def test_find_potential_builds_its_columns_once_per_ansatz():
@@ -243,7 +243,7 @@ def test_find_potential_builds_its_columns_once_per_ansatz():
         one_plus = parse_expr(R2, "1 + u^2 + v^2")
         f = parse_expr(R2, text) / one_plus
         got = find_potential(gradient(f))
-        assert gradient(got) == gradient(f)
+        assert gradient(got).components == gradient(f).components
     # default ansaetze: degree 2 for d(u^2) and d(u*v), degree 3 for d(u^3)
     for text in ("u^2", "u*v", "u^3"):
         f = parse_expr(R2, text)
@@ -348,7 +348,7 @@ def test_lie_oneform_matches_dcontraction_for_closed_forms():
     contraction = Expr.const(CYL, 0)
     for mu in range(2):
         contraction = contraction + w.components[mu] * X.components[mu]
-    assert lhs == gradient(contraction)
+    assert lhs.components == gradient(contraction).components
 
 
 def test_d_el_of_function_is_full_derivative():
@@ -380,7 +380,7 @@ def test_velocity_dependent_lie_derivative_raises_under_python_O():
         L3 = fixture_pair("l3_cylinder")
         dz = Expr.var(L3.chart, L3.chart.velocity("z"))
         try:
-            L3.action.lie(1, dz)
+            L3.action.lie(1, dz.num, dz.den)
         except InvariantViolation as exc:
             print("raised:", exc)
         else:

@@ -523,6 +523,14 @@ SL2_CYLINDER = [
     (("spectral", "--from-pair"), "spectral_from_pair/sl2_cylinder"),
 ]
 
+# (argv, golden, exit code) on rational_potential, whose stage-1 potential
+# c/(1 + z^2) has a denominator: the one pinned cochain whose coboundary is
+# taken over a common denominator other than 1
+RATIONAL_POTENTIAL = [
+    (("classify", "--set", "c=3"), "classify/rational_potential", 4),
+    (("noether", "--set", "c=3"), "classify/rational_potential_noether", 0),
+]
+
 
 @pytest.mark.parametrize("command, golden", UNDETERMINED)
 def test_undetermined_machine_output_pinned(command, golden, monkeypatch):
@@ -534,6 +542,18 @@ def test_undetermined_machine_output_pinned(command, golden, monkeypatch):
     code, out = run("--format", "machine", command, "tests/problems/arctan_potential.toml")
     assert code == 4
     assert out == (GOLDEN / "classify" / f"{golden}.txt").read_text()
+
+
+@pytest.mark.parametrize("argv, golden, exit_code", RATIONAL_POTENTIAL, ids=["classify", "noether"])
+def test_rational_potential_machine_output_pinned(argv, golden, exit_code, monkeypatch):
+    """A stage-1 potential over 1 + z^2: phi2 takes delta(alpha) over that
+    denominator and finds it zero, and phi3 exits 4 at its ansatz; the
+    charges need only the potentials.  Captured before the coboundary was
+    computed on trig polynomials."""
+    monkeypatch.chdir(ROOT)
+    code, out = run("--format", "machine", argv[0], "tests/problems/rational_potential.toml", *argv[1:])
+    assert code == exit_code
+    assert out == (GOLDEN / f"{golden}.txt").read_text()
 
 
 @pytest.mark.parametrize("argv, golden", SECTION_POLE, ids=["classify", "k-spaces"])

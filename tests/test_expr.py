@@ -20,6 +20,7 @@ from lagfloor.expr import (
     ParseError,
     UnknownSymbol,
     derivation,
+    fraction_const_value,
     function_monomials,
     parse_expr,
     time_derivation,
@@ -370,9 +371,13 @@ def test_ansatz_monomials_count():
 
 
 def test_const_value_of_rational():
+    """fraction_const_value reads a constant off a pair of trig polynomials,
+    in lowest terms or not."""
     e = P("(2*z + 2)/(z + 1)")
-    assert e.const_value() == 2
-    assert P("(z + 1)/(z + 2)").const_value() is None
+    assert fraction_const_value(e.num, e.den) == 2
+    assert fraction_const_value(P("2*z + 2").num, P("z + 1").num) == 2
+    assert fraction_const_value(P("6*z^2").num, P("4*z^2").num) == F(3, 2)
+    assert fraction_const_value(P("z + 1").num, P("z + 2").num) is None
 
 
 # -- exprspace ------------------------------------------------------------------

@@ -31,7 +31,7 @@ from lagfloor.spectral import abutment_check, page, total_cohomology
 
 from calculus_oracle import field_exprs, lie_derivative_lagrangian
 from fixture_pairs import ROOT, SCRIPT_ENV, classes_signature, fixture_pair, restricted_at
-from lagfloor.problemfile import build_pair, load_problem_file
+from lagfloor.problemfile import build_lagrangian, build_pair, load_problem_file
 
 F = Fraction
 
@@ -780,6 +780,100 @@ def test_hierarchy_certificates_raise_under_python_O():
     ], res.stdout
 
 
+def test_moved_zero_tests_raise_under_python_O():
+    """The checks that run on numerator and denominator pairs are explicit
+    raises, so python -O keeps them: a perturbed scalar image of the action
+    table, a tampered potential, a tampered phi3 witness and a tampered
+    decomposition each raise InvariantViolation."""
+    script = textwrap.dedent(
+        """
+        import lagfloor.calculus as calculus
+        import lagfloor.hierarchy as h
+        from lagfloor.calculus import gradient
+        from lagfloor.expr import TP, TP_ONE, parse_expr
+        from lagfloor.linalg import InvariantViolation
+        from fixture_pairs import fixture_pair
+
+        assert False, "asserts must be stripped under -O"
+        GAL = fixture_pair("galilean_r4")
+        L3 = fixture_pair("l3_cylinder")
+        ch = L3.chart
+
+        def perturbed_scalar():
+            _, alphas = h.phi1(GAL, h.weak_invariance_split(GAL, parse_expr(GAL.chart, "(dx1^2 + dx2^2 + dx3^2)/dt")))
+            scalar = GAL.action.scalar
+            GAL.action.scalar = lambda i, m: scalar(i, m) + TP.var("x1")
+            h.phi2(GAL, alphas)
+
+        def tampered_potential():
+            find = calculus.find_potential
+            calculus.find_potential = lambda w: find(w) + parse_expr(ch, "z")
+            try:
+                calculus.derham_split(gradient(parse_expr(ch, "z^2*sin(phi)")))
+            finally:
+                calculus.find_potential = find
+
+        def tampered_witness():
+            pi = h.pi_images
+            h.pi_images = lambda p, units, basis: [[pw[0] + TP_ONE, *pw[1:]] for pw in pi(p, units, basis)]
+            try:
+                h.classify(L3, parse_expr(ch, "z"))
+            finally:
+                h.pi_images = pi
+
+        def tampered_decomposition():
+            d_el = h.d_el
+            h.d_el = lambda f: d_el(f) + parse_expr(ch, "z*dz")
+            try:
+                h.classify(L3, parse_expr(ch, "z"))
+            finally:
+                h.d_el = d_el
+
+        for case in (perturbed_scalar, tampered_potential, tampered_witness, tampered_decomposition):
+            try:
+                case()
+            except InvariantViolation as exc:
+                print("raised:", exc)
+            else:
+                print("passed")
+        """
+    )
+    res = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=SCRIPT_ENV)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        "raised: (delta alpha) must be constant for closed splits",
+        "raised: derham_split reconstruction failed",
+        "raised: the rebuilt witness must reproduce alpha",
+        "raised: decomposition failed verification",
+    ], res.stdout
+
+
+# (Lagrangian, residue line) of split failures on the line pair X = d/dq1
+# of R^2, each printed as before the split's residue became a pair
+SPLIT_FAILURES = [
+    ("q1*q2*dq1", "residue = (q2, 0)"),  # w = q2 dq1 is not closed
+    ("q1*dq2^2 + q1^2/(1 + q2^2)", "residue = dq2^2"),  # quadratic in velocities
+]
+
+
+@pytest.mark.parametrize("lagrangian, residue", SPLIT_FAILURES, ids=["not-closed", "quadratic"])
+def test_split_failures_exit_5_with_their_residue_under_python_O(lagrangian, residue, tmp_path):
+    """The split's residue and closedness are tested on pairs; a failure
+    still builds its residue as an expression and prints it, with exit 5,
+    also under python -O."""
+    problem = tmp_path / "split.toml"
+    problem.write_text(
+        '[algebra]\nname = "abelian"\nparams = {n = 1}\n\n'
+        '[chart]\ncoords = [["q1", "line"], ["q2", "line"]]\n\n'
+        '[action]\ne1 = ["1", "0"]\n\n'
+        f'[lagrangian]\nexpr = "{lagrangian}"\n'
+    )
+    script = f"from lagfloor.cli import main\nraise SystemExit(main(['--format', 'machine', 'classify', {str(problem)!r}]))"
+    res = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=SCRIPT_ENV)
+    assert res.returncode == 5, res.stderr
+    assert res.stdout.splitlines()[-3:] == ["status = not_weakly_invariant", "generator = e1", residue], res.stdout
+
+
 def _imported_names(module):
     source = Path(__file__).resolve().parent.parent / "src" / "lagfloor" / f"{module}.py"
     imported = set()
@@ -826,4 +920,44 @@ def test_k_spaces_differentiate_no_expression(name, monkeypatch):
     pair = fixture_pair(name)
     monkeypatch.setattr(Expr, "partial", counted)
     k_spaces(pair, ClassifyOptions())
+    assert calls == []
+
+
+# (fixture, --set values) of every fixture pair with a Lagrangian, at the
+# parameters of the pinned classify and noether commands and a few more
+FIXTURE_LAGRANGIANS = [
+    ("l3_cylinder", "a=1,b=0,c=0,d=0,q=0"),
+    ("l3_cylinder", "a=0,b=1,c=0,d=0,q=0"),
+    ("l3_cylinder", "a=0,b=0,c=1,d=0,q=0"),
+    ("l3_cylinder", "a=0,b=0,c=0,d=1,q=1"),
+    ("l3_cylinder", "a=1,b=0,c=1,d=1,q=0"),
+    ("so3_sphere", "m=7,g=2/3"),
+    ("so3_sphere", "m=7,g=0"),
+    ("so3_r3", "m=3"),
+    ("translations_r2", "m=1,B=2,E1=1,E2=3"),
+    ("translations_r3", "m=1,B1=1,B2=0,B3=2,E1=0,E2=0,E3=0"),
+    ("translations_r3", "m=1,B1=0,B2=0,B3=0,E1=1,E2=0,E3=2"),
+    ("galilean_r4", "m=2"),
+]
+
+
+@pytest.mark.parametrize("name, values", FIXTURE_LAGRANGIANS)
+def test_classify_and_charges_compare_no_expressions(name, values, monkeypatch):
+    """Every check that classify and noether_charges make only tests a value
+    for zero or for a constant, on numerator and denominator pairs of trig
+    polynomials: Expr.__eq__ is never called."""
+    pf = load_problem_file(ROOT / "src" / "lagfloor" / "fixtures" / f"{name}.toml")
+    L = build_lagrangian(pf, {k: F(v) for k, v in (kv.split("=") for kv in values.split(","))})
+    pair = build_pair(pf)
+    calls = []
+    eq = Expr.__eq__
+
+    def counted(self, other):
+        calls.append(other)
+        return eq(self, other)
+
+    monkeypatch.setattr(Expr, "__eq__", counted)
+    report = classify(pair, L)
+    if report.witnesses.alpha is not None:
+        noether_charges(pair, L, report)
     assert calls == []

@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 
 from lagfloor.calculus import OneForm, gradient, is_closed, twoform_pairs
 from lagfloor.cecohom import cohomology
-from lagfloor.expr import TP, AnsatzSpec, EvaluationPole, Expr, function_monomials, parse_expr, to_string
+from lagfloor.expr import (
+    TP,
+    AnsatzSpec,
+    EvaluationPole,
+    Expr,
+    fraction_const_value,
+    function_monomials,
+    parse_expr,
+    to_string,
+)
 from lagfloor.liealg import catalog
 from lagfloor.hierarchy import classify
 from lagfloor.linalg import InvariantViolation, dense, kernel_of_rows
@@ -58,9 +67,19 @@ def P(text, pair=L3):
     return parse_expr(pair.chart, text)
 
 
+def lie(p, i, f):
+    """X_i(f) from the pair's table, as an expression."""
+    return Expr(p.chart, *p.action.lie(i, f.num, f.den))
+
+
+def lie_lagrangian(p, i, L):
+    """delta_i L from the pair's table, as an expression."""
+    return Expr(p.chart, *p.action.lie_lagrangian(i, L.num, L.den))
+
+
 def scalar_coboundary(p, f):
     """(delta f)_i = X_i f."""
-    return FunctionCochain(p, tuple(p.action.lie(i, f) for i in range(p.algebra.dim)))
+    return FunctionCochain(p, tuple(lie(p, i, f) for i in range(p.algebra.dim)))
 
 
 def oneform(pair, *comps):
@@ -177,7 +196,7 @@ def test_action_table_matches_lie_derivatives(pair):
                 comps[mu] = me
                 unit = OneForm(ch, tuple(comps))
                 image = OneForm(ch, tuple(expr(d) for d in pair.action.oneform(i, mu, m)))
-                assert image == lie_derivative_oneform(x, unit)
+                assert image.components == lie_derivative_oneform(x, unit).components
                 assert expr(pair.action.contraction(i, mu, m)) == me * x.components[mu]
     # 2-form images are the costliest to build symbolically, so a lower
     # degree; the fields of the 4-coordinate pairs are linear, and degree 1
@@ -236,10 +255,10 @@ def test_action_lie_matches_lie_derivative_scalar(pair):
         rational += [comp for section in SPHERE.stability_sections for comp in section]
     for i, x in enumerate(field_exprs(pair)):
         for f in printed_alike:
-            assert to_string(pair.action.lie(i, f)) == to_string(lie_derivative_scalar(x, f))
+            assert to_string(lie(pair, i, f)) == to_string(lie_derivative_scalar(x, f))
         for f in rational:
             assert not f.den.is_one()
-            assert pair.action.lie(i, f) == lie_derivative_scalar(x, f)
+            assert lie(pair, i, f) == lie_derivative_scalar(x, f)
 
 
 def test_rational_field_component_is_refused_at_build():
@@ -271,7 +290,7 @@ def assert_lie_lagrangian_matches(pair, L, printed=True):
     """delta_i L from the table against the symbolic prolonged derivative,
     by value and, unless ``printed`` is false, by printed form."""
     for i, x in enumerate(field_exprs(pair)):
-        got, want = pair.action.lie_lagrangian(i, L), lie_derivative_lagrangian(x, L)
+        got, want = lie_lagrangian(pair, i, L), lie_derivative_lagrangian(x, L)
         assert got == want
         if printed:
             assert to_string(got) == to_string(want)
@@ -294,7 +313,7 @@ def test_lie_lagrangian_on_a_trig_lagrangian():
     factors."""
     L = P("sin(phi)*dz^2 + z*cos(2*phi)*dphi + sin(phi)*cos(phi)*dphi/dz + z^2*dphi^2/(1 + z^2)")
     assert_lie_lagrangian_matches(L3, L)
-    assert L3.action.lie_lagrangian(1, P("dphi")) == P("dz")
+    assert lie_lagrangian(L3, 1, P("dphi")) == P("dz")
 
 
 @st.composite
@@ -339,7 +358,7 @@ def test_lie_lagrangian_takes_rank_1_lagrangians_only():
     """An explicit raise, as in the oracle's ``lie_derivative_lagrangian``; the module
     scan of test_no_asserts keeps it one under python -O."""
     with pytest.raises(ValueError, match="rank-1 Lagrangians only"):
-        L3.action.lie_lagrangian(0, P("ddz*dz"))
+        lie_lagrangian(L3, 0, P("ddz*dz"))
 
 
 @pytest.mark.parametrize("name", FAMILIES)
@@ -433,7 +452,7 @@ def test_closure_certificates_raise_under_python_O():
         dz = Expr.var(ch, ch.velocity("z"))
         zero = parse_expr(ch, "0")
         cases = [
-            lambda: L3.action.lie(0, dz),
+            lambda: L3.action.lie(0, dz.num, dz.den),
             lambda: FunctionCochain(L3, (zero, dz, zero)),
         ]
         for case in cases:
@@ -460,6 +479,58 @@ def test_pi_images_pass_on_the_closed_basis_of_each_pair():
         units = [(mu, m) for mu in range(len(ch.names)) for m in function_monomials(ch, 2, 1)]
         closed = kernel_of_rows(closedness_rows(pair, function_monomials(ch, 2, 1)), len(units))
         assert len(pi_images(pair, units, closed.basis)) == closed.dim > 0
+
+
+def symbolic_delta(pair, alpha):
+    """(delta alpha)_ij for i < j, from the symbolic Lie derivatives of the
+    oracle and the structure constants, as expressions."""
+    g, xs, comps = pair.algebra, field_exprs(pair), alpha.components
+    out = []
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            v = lie_derivative_scalar(xs[i], comps[j]) - lie_derivative_scalar(xs[j], comps[i])
+            for k in range(g.dim):
+                if g.coeff(i, j, k):
+                    v = v - comps[k] * g.coeff(i, j, k)
+            out.append(((i, j), v))
+    return out
+
+
+# cochains over several denominators: equal, one a multiple of another, and
+# coprime, so the common denominator D is a product and X_i(D) is nonzero
+DELTA_COCHAINS = [
+    (L3, ("1/(1 + z^2)", "z*sin(phi)/(1 + z^2)^2", "3/2")),
+    (L3, ("cos(phi)/(2 + z)", "z/(1 + z^2)", "z^2 - 1/3")),
+    (L3, ("z^2/3 + sin(2*phi)", "0", "z")),
+    (SPHERE, ("u/(1 + u^2 + v^2)", "1/(1 + v^2)", "u*v/2")),
+    (GAL, ("x1/(1 + t^2)", "0", "x2", "1/(1 + t^2)", "0", "t")),
+]
+
+
+def padded_cochain(pair, comps):
+    """The cochain of the given component strings, zero after them."""
+    comps = comps + ("0",) * (pair.algebra.dim - len(comps))
+    return FunctionCochain(pair, tuple(P(c, pair) for c in comps))
+
+
+@pytest.mark.parametrize("pair, comps", DELTA_COCHAINS)
+def test_delta_matches_the_symbolic_coboundary(pair, comps):
+    """FunctionCochain.delta, computed on trig polynomials over the common
+    denominator, equals the coboundary of the symbolic Lie derivatives."""
+    alpha = padded_cochain(pair, comps)
+    got = [((i, j), Expr(pair.chart, num, den)) for i, j, num, den in alpha.delta()]
+    assert [ij for ij, _ in got] == [ij for ij, _ in symbolic_delta(pair, alpha)]
+    for (ij, a), (_, b) in zip(got, symbolic_delta(pair, alpha)):
+        assert a == b, ij
+
+
+@pytest.mark.parametrize("pair, comps", DELTA_COCHAINS)
+def test_the_coboundary_of_a_rational_function_is_a_cocycle(pair, comps):
+    """delta(delta f) = 0 for f rational: the correction term over D keeps
+    every component of delta(X f) zero."""
+    f = P(comps[0], pair) + P(comps[1], pair)
+    assert scalar_coboundary(pair, f).is_cocycle()
+    assert not padded_cochain(pair, comps).is_cocycle()
 
 
 def test_monopole_contraction_consistency():
@@ -524,8 +595,9 @@ def test_closure_basis_and_matrices_pinned(pair, family, action):
 def _proportional(w, v):
     """w = c v for a nonzero constant c."""
     k = next(k for k, comp in enumerate(v.components) if not comp.is_zero())
-    c = (w.components[k] / v.components[k]).const_value()
-    return c is not None and c != 0 and w == v.scale(c)
+    q = w.components[k] / v.components[k]
+    c = fraction_const_value(q.num, q.den)
+    return c is not None and c != 0 and w.components == v.scale(c).components
 
 
 def test_invariant_forms_cylinder():
