@@ -22,7 +22,7 @@ from itertools import combinations
 from math import lcm
 
 from .liealg import StructureConstants
-from .linalg import InvariantViolation, Mat, QuotientSpace, Vector, homology, solve
+from .linalg import InvariantViolation, Mat, QuotientSpace, Vector, homology, product_nonzeros, solve
 
 
 class NotACocycle(InvariantViolation):
@@ -69,11 +69,11 @@ def validate_module(a: GModule) -> ModuleReport:
 
     delta_1 delta_0 sends a module vector v to the 2-cochain whose value
     on (i, j) is that identity applied to v, so the violations are the
-    tuples of its nonzero rows, in ascending order."""
+    tuples of its nonzero rows, in ascending order (no product is built)."""
     g = a.algebra
-    dd = ce_differential(g, a, 1).mul(ce_differential(g, a, 0))
     tuples = cochain_tuples(g.dim, 2)
-    bad = dict.fromkeys(tuples[r // a.dim] for r, row in enumerate(dd.data) if row)
+    dd = product_nonzeros(ce_differential(g, a, 1), ce_differential(g, a, 0))
+    bad = dict.fromkeys(tuples[r // a.dim] for r, _ in dd)
     return ModuleReport(not bad, tuple(bad))
 
 
@@ -156,13 +156,13 @@ def cohomology(g: StructureConstants, a: GModule, q: int) -> QuotientSpace:
     Any q >= 0 is accepted; above dim G the cochains, and so H^q, are 0.
     Each delta's reductions are kept on its cached matrix, so a delta is
     eliminated once whether it is ``d_out`` here or ``d_in`` at q + 1; the
-    check delta^2 = 0 runs on every call.
+    check delta^2 = 0 runs on every call, with no product matrix built.
     """
     if q < 0:
         raise InvariantViolation(f"cohomology in negative degree {q}")
     d_q = ce_differential(g, a, q)
     d_prev = ce_differential(g, a, q - 1) if q else None
-    if d_prev is not None and not d_q.mul(d_prev).is_zero():
+    if d_prev is not None and next(product_nonzeros(d_q, d_prev), None) is not None:
         raise InvariantViolation("delta^2 != 0: invalid module")
     return homology(d_q, d_prev)
 

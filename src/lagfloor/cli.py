@@ -331,9 +331,8 @@ def cmd_spectral(args, report):
     for r in args.page:
         pg = page_infinity(dc) if r is None else page(dc, r)
         label = "inf" if r is None else str(r)
-        for p in range(dc.width):
-            row = " ".join(str(pg.dim(p, q)) for q in range(dc.height))
-            report.add(f"e{label}_p{p}", row)
+        for p, col in enumerate(pg.dims_grid(dc.width, dc.height)):
+            report.add(f"e{label}_p{p}", " ".join(map(str, col)))
     ab = abutment_check(dc)
     for m, _, total, label in ab.rows:
         if label == "given":

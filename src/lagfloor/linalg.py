@@ -26,9 +26,10 @@ input and output of ``Mat.mul_vec``, ``solve`` and ``span_coordinates``,
 and what :func:`dense` writes out as a tuple.  A subspace keeps its basis
 as canonical integer rows and builds those vectors only when they are read.
 
-A :class:`Mat` is eliminated at most twice, once by rows and once by
-columns, and keeps both reductions: a kernel reads the first, an image the
-second, and the image's rank-nullity certificate compares the two.  There
+A :class:`Mat` keeps each elimination it gets: its row reduction, which a
+kernel reads, its column reduction, which an image reads and its
+rank-nullity certificate compares with the first, and its rank, a forward
+elimination of the rows, never back-substituted.  There
 is one elimination algorithm, the store of :class:`Echelon`: echelon rows,
 primitive integer rows each stored under its lowest column.  An insert
 clears only the new vector's lowest entry, while that column is a pivot,
@@ -218,7 +219,14 @@ class Mat:
     @cached_property
     def column_reduction(self):
         """``rref`` of the columns (the rows of the transpose), computed once."""
-        return rref(self.int_columns(), self.rows)
+        return rref(self.int_columns, self.rows)
+
+    @cached_property
+    def rank(self) -> int:
+        """The rank, computed once: the rows an Echelon stores when given
+        the rows sparsest first, as in ``row_reduce``, with no back-substitution."""
+        ech = Echelon()
+        return sum(ech._insert(r) is not None for r in sorted(self.data, key=len))
 
     def _over_lcm(self):
         """(d, rows): the matrix as integer rows over one denominator d, the
@@ -229,9 +237,10 @@ class Mat:
         return d, [{j: x * (d // den) for j, x in row.items()} if den != d else row
                    for row, den in zip(self.data, self.dens)]
 
+    @cached_property
     def int_columns(self) -> tuple[dict, ...]:
         """The columns as integer rows, each the column times the lcm of the
-        row denominators: what an elimination of the columns reads."""
+        row denominators, built once: what an elimination of the columns reads."""
         cols = tuple({} for _ in range(self.cols))
         for i, row in enumerate(self._over_lcm()[1]):
             for j, x in row.items():
@@ -239,7 +248,7 @@ class Mat:
         return cols
 
     def transpose(self):
-        return Mat.over(lcm(*self.dens), self.int_columns(), self.rows)
+        return Mat.over(lcm(*self.dens), self.int_columns, self.rows)
 
     def mul_vec(self, v: Vector) -> Vector:
         _check_vector(v, self.cols, "a vector times a matrix")
@@ -256,23 +265,30 @@ class Mat:
         return out
 
     def mul(self, other: "Mat") -> "Mat":
-        if self.cols != other.rows:
-            raise InvariantViolation(f"product of {self.rows}x{self.cols} and {other.rows}x{other.cols} matrices")
-        d, right = other._over_lcm()
-        data = []
-        dens = []
-        for row, den in zip(self.data, self.dens):
-            acc = {}
-            for k, a in row.items():
-                for j, b in right[k].items():
-                    acc[j] = acc.get(j, 0) + a * b
-            den, w = _canonical(den * d, {j: x for j, x in acc.items() if x})
-            data.append(w)
-            dens.append(den)
-        return Mat(self.rows, other.cols, tuple(data), tuple(dens))
+        d = lcm(*other.dens)
+        pairs = [_canonical(den * d, {j: x for j, x in acc.items() if x})
+                 for den, acc in zip(self.dens, _row_products(self, other))]
+        return Mat(self.rows, other.cols, tuple(w for _, w in pairs), tuple(den for den, _ in pairs))
 
-    def is_zero(self):
-        return not any(self.data)
+
+def _row_products(a: Mat, b: Mat):
+    """Row i of a·b times a.dens[i] * d, d the lcm of b's row denominators,
+    for each i: a's integer rows times b's rows brought over d, zeros kept."""
+    if a.cols != b.rows:
+        raise InvariantViolation(f"product of {a.rows}x{a.cols} and {b.rows}x{b.cols} matrices")
+    _, right = b._over_lcm()
+    for row in a.data:
+        acc = {}
+        for k, x in row.items():
+            for j, y in right[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        yield acc
+
+
+def product_nonzeros(a: Mat, b: Mat):
+    """The (i, j) of each nonzero entry of a·b, rows ascending, computed as
+    ``Mat.mul`` computes it, with no product built: a zero test of a·b."""
+    return ((i, j) for i, acc in enumerate(_row_products(a, b)) for j, x in acc.items() if x)
 
 
 def _combine(a, w, x, row):

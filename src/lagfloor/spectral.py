@@ -9,31 +9,30 @@ block of Q_m Q_{m-1} from a cell is d1 d1, d2 d2 or, up to sign, d1 d2 -
 d2 d1 there, so the check sees the operator the pages are computed from.
 
 The dimension of every cell on every page comes from one filtered reduction
-of Q per complex, the persistence reduction in filtration order: a basis
-element paired across a gap of g filtration steps lives on E_0 to E_g, and an
-unpaired one on every page.
+of Q per complex and filtration, the persistence reduction in filtration
+order: a basis element paired across a gap of g filtration steps lives on
+E_0 to E_g, and an unpaired one on every page.
 
 Total cohomology read off the ranks of the antidiagonal complex is the
 independent oracle for the abutment identity sum_p dim E_inf^{p,m-p} =
 dim H^m(Q).
 
 A complex keeps what is derived from it: each Q_m, its validity report,
-the reduction, each page asked for, and each dim H^m(Q).  Q_m is built
-once, and its row reduction is kept on that one `Mat`, so H^m and H^{m+1}
-share it; the filtered reduction reads the same Q_m's columns through an
-`Echelon` of its own, whose forward store is never back-substituted, since
-persistence pairs need only its pivots, and the totals never read that
-reduction.  Nothing is shared between complexes: `transpose` builds a new
-one with empty stores.
+each filtration's reduction, each page asked for, and each dim H^m(Q).
+Q_m is built once, and every reader takes that one matrix: validity reads
+the nonzero entries of Q_m Q_{m-1}, the totals its kept rank, a forward
+elimination of its rows, and both filtrations its kept integer columns.
+Nothing is shared between complexes.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from itertools import accumulate
 from math import lcm
 
-from .linalg import Echelon, InvariantViolation, Mat, kernel_basis, kernel_of_rows
+from .linalg import Echelon, InvariantViolation, Mat, kernel_basis, kernel_of_rows, product_nonzeros
 
 
 # the largest double complex whose pages are computed, in cells (the sum of
@@ -55,9 +54,8 @@ class DoubleComplex:
     0 <= p < width and 0 <= q < height; everything outside is zero.
 
     The complex is not changed after construction, so it stores what is
-    derived from it: Q_m by degree, the validity report, the filtered
-    reduction's lives by cell, the pages by r, and total cohomology by
-    degree."""
+    derived from it: Q_m by degree, the validity report, each filtration's
+    lives by cell, the pages by r, and total cohomology by degree."""
 
     def __init__(self, dims, d1, d2):
         self.dims = [list(col) for col in dims]
@@ -75,7 +73,7 @@ class DoubleComplex:
                                              f"expected {self.dim_at(p + dp, q + dq)}x{self.dim_at(p, q)}")
         self._q = {}
         self._report = None
-        self._lives = None
+        self._lives = {}
         self._pages = {}
         self._totals = {}
 
@@ -118,16 +116,16 @@ def validate_double_complex(dc: DoubleComplex) -> ComplexReport:
     d2 d1), so each nonzero block is one violation (rule, p, q), and the
     products check the Q that the pages and totals are computed from.  The
     report lists them by (p, q), then d1.d1, d2.d2, commute, and is kept on
-    the complex: each Q_m Q_{m-1} is multiplied once per complex."""
+    the complex: each entry of each Q_m Q_{m-1} is computed once per
+    complex, and no product matrix is built."""
     if dc._report is None:
         bad = set()
         for m in range(1, dc.width + dc.height - 1):
-            prod = total_differential(dc, m).mul(total_differential(dc, m - 1))
-            src, tgt = _element_cells(dc, m - 1), _element_cells(dc, m + 1)
-            for (tp, _), row in zip(tgt, prod.data):
-                for j in row:
-                    p, q = src[j]
-                    bad.add((p, q, *_RULES[tp - p]))
+            src, tgt = _filtration_order(dc, m - 1, GIVEN), _filtration_order(dc, m + 1, GIVEN)
+            for i, j in product_nonzeros(total_differential(dc, m), total_differential(dc, m - 1)):
+                (p, q), _ = src[j]
+                (tp, _), _ = tgt[i]
+                bad.add((p, q, *_RULES[tp - p]))
         dc._report = ComplexReport(not bad, tuple((rule, p, q) for p, q, _, rule in sorted(bad)))
     return dc._report
 
@@ -137,17 +135,20 @@ def validate_double_complex(dc: DoubleComplex) -> ComplexReport:
 # ---------------------------------------------------------------------------
 
 def _antidiagonal_cells(dc, m):
-    cells = []
-    for p in range(dc.width):
-        q = m - p
-        if 0 <= q < dc.height:
-            cells.append((p, q))
-    return cells
+    return [(p, m - p) for p in range(dc.width) if 0 <= m - p < dc.height]
 
 
-def _element_cells(dc, m):
-    """The cell of each basis element of D^m, in the order of Q's blocks."""
-    return [cell for cell in _antidiagonal_cells(dc, m) for _ in range(dc.dim_at(*cell))]
+GIVEN, TRANSPOSED = 0, 1  # the filtrations, by the axis of a cell (p, q) that is its degree
+
+
+def _filtration_order(dc, m, axis):
+    """(cell, place in Q's blocks) of each basis element of D^m, ordered by
+    cell[axis], then by index: the reverse of the filtration's order, and by
+    p (GIVEN) the order of Q's blocks."""
+    cells = _antidiagonal_cells(dc, m)
+    places = zip(cells, _offsets([dc.dim_at(*cell) for cell in cells]))
+    return [(cell, c0 + k) for cell, c0 in sorted(places, key=lambda cp: cp[0][axis])
+            for k in range(dc.dim_at(*cell))]
 
 
 def _q_rows(dc, src_cells, tgt_cells) -> Mat:
@@ -191,7 +192,7 @@ def _put_block(rows, dens, c0, mat, sign):
 
 def total_differential(dc: DoubleComplex, m: int) -> Mat:
     """Q_m: D^m -> D^{m+1}, blocks in ascending p, built once per degree and
-    complex, so its reductions are too."""
+    complex, so its rank and integer columns are too."""
     q = dc._q.get(m)
     if q is None:
         q = dc._q[m] = _q_rows(dc, _antidiagonal_cells(dc, m), _antidiagonal_cells(dc, m + 1))
@@ -199,12 +200,7 @@ def total_differential(dc: DoubleComplex, m: int) -> Mat:
 
 
 def _offsets(dims):
-    out = []
-    acc = 0
-    for d in dims:
-        out.append(acc)
-        acc += d
-    return out
+    return list(accumulate(dims, initial=0))[:-1]
 
 
 # a record, not a bare int, because the benchmark (perfbench/workloads.py) reads .dim
@@ -217,16 +213,16 @@ class TotalCohomology:
 
 def total_cohomology(dc: DoubleComplex, m: int) -> TotalCohomology:
     """dim H^m(Q) = dim D^m - rank Q_m - rank Q_{m-1} (Q_{-1} maps from 0),
-    the brute-force oracle, once per degree and complex: each rank is read
-    from the row reduction kept on that Q, never from the filtered
-    reduction.  Ranks do not see Q^2 != 0, so Q_m Q_{m-1} = 0 is read from
-    the complex's report: no violation at a cell of degree m - 1."""
+    the brute-force oracle, once per degree and complex: each rank is the
+    forward row elimination kept on that Q, never the filtered reduction.
+    Ranks do not see Q^2 != 0, so Q_m Q_{m-1} = 0 is read from the
+    complex's report: no violation at a cell of degree m - 1."""
     h = dc._totals.get(m)
     if h is None:
         if any(p + q == m - 1 for _, p, q in validate_double_complex(dc).violations):
             raise InvariantViolation(f"Q^2 != 0 at degree {m}: not a double complex")
-        q, q_in = total_differential(dc, m), total_differential(dc, m - 1)
-        h = dc._totals[m] = TotalCohomology(q.cols - len(q.row_reduction[0]) - len(q_in.row_reduction[0]))
+        q = total_differential(dc, m)
+        h = dc._totals[m] = TotalCohomology(q.cols - q.rank - total_differential(dc, m - 1).rank)
     return h
 
 
@@ -234,53 +230,56 @@ def total_cohomology(dc: DoubleComplex, m: int) -> TotalCohomology:
 # pages: dimensions from one filtered reduction
 # ---------------------------------------------------------------------------
 
-def _filtered_reduction(dc):
-    """{(p, q): the life of each basis element at (p, q)}, the element alive
-    on E_r exactly when r <= its life, from one persistence reduction of Q
-    in filtration order (Zomorodian and Carlsson, "Computing persistent
-    homology", 2005) with the clearing step (Chen and Kerber, "Persistent
-    homology computation with a twist", 2011).
+def _filtered_reduction(dc, axis):
+    """{(p, q): the life of each basis element at (p, q)} in the filtration
+    by cell[axis], the element alive on E_r exactly when r <= its life, from
+    one persistence reduction of Q in filtration order (Zomorodian and
+    Carlsson, "Computing persistent homology", 2005) with the clearing step
+    (Chen and Kerber, "Persistent homology computation with a twist", 2011).
 
-    Each D^m is ordered by p descending, then q descending, and within a
-    cell by index descending: the reverse of `total_differential`'s blocks,
-    so each F^p is a prefix and Q maps every element into the span of
-    earlier ones.  For each degree m, ascending, one Echelon takes the
-    columns of Q_m in that order, keyed by their row indices, so the pivot
-    of a stored row, its lowest key, is its latest element.  An insert
-    clears only the column's lowest entry, while that key is a stored
-    pivot, and back-substitutes nothing: the pairs read only the pivots,
-    and this is the standard column reduction of persistence.  A column that
-    raises the rank pairs its element with the new pivot's element; the
-    pair's gap g = p(pivot) - p(column) is the life of both, since d_g maps
-    one onto the other.  A column whose element the degree below made a
-    pivot lies in the span of the columns before it, so it is skipped
-    (clearing).  An unpaired element lives through the stable page."""
-    r0 = max(dc.width, dc.height) + 1
-    lives = {}
+    An element's key is its place in `_filtration_order`.  For each degree
+    m, ascending, one Echelon takes the integer columns of Q_m, keys
+    descending, their rows re-keyed, so a stored row's pivot, its lowest
+    key, is its latest element.  An insert clears only the lowest entry,
+    while that key is a pivot, and back-substitutes nothing: the pairs read
+    only pivots.  A column that raises the rank pairs its element with the
+    pivot's; their gap g in filtration degree is the life of both, since
+    d_g maps one onto the other.  A column whose element the degree below
+    made a pivot is skipped (clearing); an unpaired one lives through the
+    stable page.  The transposed complex's Q is this one with the cell
+    (p, q) scaled by (-1)^(pq), which moves no pivot (de Silva, Morozov and
+    Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011)."""
+    lives = {(p, q): [] for p, col in enumerate(dc.dims) for q, d in enumerate(col) if d}
     cleared = set()
-    tgt = _element_cells(dc, 0)
+    tgt = _filtration_order(dc, 0, axis)
     for m in range(dc.width + dc.height - 1):
-        src, tgt = tgt, _element_cells(dc, m + 1)
+        src, tgt = tgt, _filtration_order(dc, m + 1, axis)
+        cols = total_differential(dc, m).int_columns
+        key = {i: k for k, (_, i) in enumerate(tgt)} if axis != GIVEN else None
         ech = Echelon()
         pivots = set()
-        cols = total_differential(dc, m).int_columns()
-        for c in reversed(range(len(cols))):
-            if c in cleared:
+        for k in reversed(range(len(src))):
+            if k in cleared:
                 continue
-            i = ech._insert(cols[c])
+            cell, c = src[k]
+            col = cols[c] if key is None else {key[i]: x for i, x in cols[c].items()}
+            i = ech._insert(col)
             if i is not None:
                 pivots.add(i)
-                gap = tgt[i][0] - src[c][0]
-                lives.setdefault(src[c], []).append(gap)
-                lives.setdefault(tgt[i], []).append(gap)
+                gap = tgt[i][0][axis] - cell[axis]
+                lives[cell].append(gap)
+                lives[tgt[i][0]].append(gap)
         cleared = pivots
-    out = {}
-    for p in range(dc.width):
-        for q in range(dc.height):
-            if d0 := dc.dim_at(p, q):
-                paired = lives.get((p, q), [])
-                out[(p, q)] = paired + [r0] * (d0 - len(paired))
-    return out
+    r0 = max(dc.width, dc.height) + 1
+    return {cell: ls + [r0] * (dc.dim_at(*cell) - len(ls)) for cell, ls in lives.items()}
+
+
+def _page_dims(dc, axis, r):
+    """{(p, q): dim E_r^{p,q}} in the filtration by cell[axis], over dc's
+    nonzero cells, from that filtration's reduction, run once per complex."""
+    if axis not in dc._lives:
+        dc._lives[axis] = _filtered_reduction(dc, axis)
+    return {cell: sum(life >= r for life in ls) for cell, ls in dc._lives[axis].items()}
 
 
 class Page:
@@ -321,23 +320,12 @@ def page(dc: DoubleComplex, r: int) -> Page:
     r = min(r, max(dc.width, dc.height) + 1)
     pg = dc._pages.get(r)
     if pg is None:
-        if dc._lives is None:
-            dc._lives = _filtered_reduction(dc)
-        dims = {cell: sum(1 for life in lives if life >= r) for cell, lives in dc._lives.items()}
-        pg = dc._pages[r] = Page(r, dims)
+        pg = dc._pages[r] = Page(r, _page_dims(dc, GIVEN, r))
     return pg
 
 
 def page_infinity(dc: DoubleComplex) -> Page:
     return page(dc, max(dc.width, dc.height) + 1)
-
-
-def transpose(dc: DoubleComplex) -> DoubleComplex:
-    """Swap the two directions (and the two filtrations)."""
-    dims = [[dc.dims[p][q] for p in range(dc.width)] for q in range(dc.height)]
-    d1 = {(q, p): m for (p, q), m in dc._d2.items()}
-    d2 = {(q, p): m for (p, q), m in dc._d1.items()}
-    return DoubleComplex(dims, d1, d2)
 
 
 class AbutmentReport:
@@ -352,18 +340,15 @@ def abutment_check(dc: DoubleComplex) -> AbutmentReport:
     """sum_p dim E_inf^{p,m-p} = dim H^m(Q), for the given and transposed
     filtrations, with total cohomology as the independent oracle.
 
-    The transposed total complex is the given one with its summands
-    reordered and the cell (p, q) scaled by (-1)^(pq), an isomorphism, so
-    dim H^m(Q) is computed once per m, on dc, and read from dc where the caller
-    asked for it already.  The transposed filtration runs on a fresh
-    `transpose(dc)`, so its E_inf comes from a filtered reduction of its
-    own, computed here from nothing of dc's."""
+    The transposed total complex is dc's with the cell (p, q) scaled by
+    (-1)^(pq), so dim H^m(Q) is computed once per m, on dc, or read from dc
+    where the caller asked for it already, as is each filtration's E_inf."""
     totals = [total_cohomology(dc, m).dim for m in range(dc.width + dc.height - 1)]
     rows = []
-    for label, complex_ in (("given", dc), ("transposed", transpose(dc))):
-        pinf = page_infinity(complex_)
+    for label, axis in (("given", GIVEN), ("transposed", TRANSPOSED)):
+        einf = _page_dims(dc, axis, max(dc.width, dc.height) + 1)
         for m, total in enumerate(totals):
-            sum_e = sum(pinf.dim(p, m - p) for p in range(complex_.width))
+            sum_e = sum(d for (p, q), d in einf.items() if p + q == m)
             rows.append((m, sum_e, total, label))
     return AbutmentReport(all(sum_e == total for _, sum_e, total, _ in rows), tuple(rows))
 
@@ -445,7 +430,7 @@ def random_double_complex(seed, width=None, height=None, maxdim=4) -> DoubleComp
         # squared-zero with the previous column: X_q . prev_q = 0
         if prev_col is not None:
             for q in range(Q):
-                prev_cols = prev_col[q].int_columns()
+                prev_cols = prev_col[q].int_columns
                 for i in range(sizes[q][0]):
                     for col in prev_cols:
                         row = {entry_index(q, i, k): v for k, v in col.items()}

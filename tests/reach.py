@@ -37,11 +37,11 @@ PACKAGE = (ROOT / "src" / "lagfloor").resolve()
 ALLOWED = {
     # the benchmark reads these (perfbench/workloads.py)
     "linalg:Mat.entries": "the benchmark's total-cohomology oracle reads the dense entries",
-    "spectral:Page.dims_grid": "the benchmark's spectral ops print page dimensions as grids",
     "spectral:random_double_complex": "the benchmark's linalg_spectral workload draws its complexes here",
     "spectral:_random_mat": "random_double_complex's integer matrices",
     "spectral:_split_blocks": "random_double_complex's block split of a flat kernel vector",
     "linalg:Subspace.matrix": "random_double_complex's left kernel as a matrix",
+    "linalg:Mat.mul": "random_double_complex's d1 blocks, a mix of the left kernel of the block below",
     # what a problem file can reach though no golden command does
     "calculus:OneForm.__add__": "phi4 adds the harmonic part back when the witness has one",
     "calculus:OneForm.scale": "phi4 scales the harmonic part when the witness has one",

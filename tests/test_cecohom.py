@@ -62,10 +62,37 @@ def test_corrupted_module_detected():
     assert (0, 1) in report.violations
 
 
+def test_invalid_modules_read_the_entries_of_the_product_matrix():
+    """On the invalid modules here, the nonzero entries of each delta_q
+    delta_{q-1} that validate_module and cohomology read are those of
+    Mat.mul's product, entry for entry and in order, and both checks fail."""
+    from lagfloor.linalg import product_nonzeros
+
+    so3 = catalog("so3")
+    spin1 = so3_spin1()
+    corrupted = [dict(rho) for rho in spin1.action[0].data]
+    corrupted[0][0] = corrupted[0].get(0, 0) + 1
+    rho1 = Mat.from_rows([[F(1, 2), F(1, 3)], [0, F(2, 3)]])
+    invalid = [
+        GModule(3, spin1.algebra, (Mat(3, 3, tuple(corrupted)),) + spin1.action[1:]),
+        GModule(2, so3, (rho1, Mat.zero(2, 2), Mat.zero(2, 2))),
+        GModule(1, so3, (Mat.from_rows([[1]]), Mat.zero(1, 1), Mat.zero(1, 1))),
+    ]
+    for a in invalid:
+        g = a.algebra
+        for q in range(1, g.dim + 1):
+            d_q, d_prev = ce_differential(g, a, q), ce_differential(g, a, q - 1)
+            assert list(product_nonzeros(d_q, d_prev)) == [(i, j) for i, row in enumerate(d_q.mul(d_prev).data)
+                                                           for j in row]
+        assert not validate_module(a).ok
+        with pytest.raises(InvariantViolation, match="delta"):
+            cohomology(g, a, 1)
+
+
 def test_differential_degree_zero_trivial_coeffs():
     g = catalog("l3")
     d0 = ce_differential(g, GModule.trivial(g), 0)
-    assert d0.is_zero()
+    assert not any(d0.data)
 
 
 def test_differential_degree_one_trivial_coeffs():
@@ -213,7 +240,7 @@ def test_delta_squared_zero_fuzz():
             for q in range(g.dim):
                 d_q = ce_differential(g, a, q)
                 d_next = ce_differential(g, a, q + 1)
-                assert d_next.mul(d_q).is_zero()
+                assert not any(d_next.mul(d_q).data)
 
 
 def test_euler_characteristic_identity():

@@ -692,7 +692,7 @@ def test_galilean_invariance_complex_past_the_cap(monkeypatch):
 
 
 def test_l3_transposed_corner_is_invariant_functions():
-    from lagfloor.spectral import transpose
+    from zigzag import transpose
 
     ic = build_invariance_double_complex(L3, ClassifyOptions(degree=3, fourier=3))
     t = transpose(ic.dc)

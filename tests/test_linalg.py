@@ -24,6 +24,7 @@ from lagfloor.linalg import (
     image_basis,
     kernel_basis,
     kernel_of_rows,
+    product_nonzeros,
     quotient,
     row_reduce,
     rref,
@@ -300,7 +301,7 @@ def test_sparse_mat_matches_a_list_of_lists_reference(rows, inner, cols, data):
     assert (ab.rows, ab.cols) == (rows, cols)
     assert list(ab.entries) == [x for row in product for x in row]
     assert ab == Mat.from_rows(product, cols)
-    assert ab.is_zero() == (not any(x for row in product for x in row))
+    assert sorted(product_nonzeros(a, b)) == [(i, j) for i, row in enumerate(product) for j, x in enumerate(row) if x]
     assert all(x for row in ab.data for x in row.values())
     assert a.mul_vec(sp(v)) == sp(sum((a_lists[i][k] * v[k] for k in range(inner)), F(0)) for i in range(rows))
     assert list(a.transpose().entries) == [F(a_lists[i][j]) for j in range(inner) for i in range(rows)]
@@ -794,7 +795,7 @@ def test_integer_row_mat_matches_a_fraction_reference(rows, inner, cols, data):
     ab = a.mul(b)
     assert list(ab.entries) == [x for row in product for x in row]
     assert ab == reference_mat(product, cols)
-    assert ab.is_zero() == (not any(x for row in product for x in row))
+    assert sorted(product_nonzeros(a, b)) == [(i, j) for i, row in enumerate(product) for j, x in enumerate(row) if x]
     assert a.mul_vec(sp(v)) == sp(sum((a_lists[i][k] * v[k] for k in range(inner)), F(0)) for i in range(rows))
     at = a.transpose()
     assert at == reference_mat(columns_of(a_lists, inner), rows)
@@ -807,6 +808,7 @@ def test_integer_row_mat_matches_a_fraction_reference(rows, inner, cols, data):
         assert reference_mat(changed, inner) != a
 
     assert rational_rows(a.row_reduction, inner) == naive_fraction_rref(a_lists, inner)
+    assert a.rank == len(naive_fraction_rref(a_lists, inner)[0])
     assert rational_rows(a.column_reduction, rows) == naive_fraction_rref(columns_of(a_lists, inner), rows)
     assert dense_all(kernel_basis(a).basis, inner) == naive_kernel(a_lists, inner)
     assert dense_all(image_basis(a).basis, rows) == naive_fraction_rref(columns_of(a_lists, inner), rows)[1]

@@ -12,11 +12,10 @@ from lagfloor.spectral import (
     page_infinity,
     random_double_complex,
     total_cohomology,
-    transpose,
     validate_double_complex,
 )
 from test_cli import run_under_O
-from zigzag import page_cell, page_differential
+from zigzag import page_cell, page_differential, transpose
 
 F = Fraction
 
@@ -34,21 +33,22 @@ def test_validate_single_cell():
     assert validate_double_complex(single_cell()).ok
 
 
-def test_validate_detects_random_garbage():
+def garbage_complex():
     d1 = {(0, 0): Mat.from_rows([[1], [0]])}
     d2 = {(0, 0): Mat.from_rows([[1]]), (0, 1): Mat.from_rows([[1, 1], [0, 1]])}
-    dc = DoubleComplex([[1, 2], [1, 2]], d1, d2)
-    report = validate_double_complex(dc)
+    return DoubleComplex([[1, 2], [1, 2]], d1, d2)
+
+
+def test_validate_detects_random_garbage():
+    report = validate_double_complex(garbage_complex())
     assert not report.ok
     assert report.violations
 
 
-def test_validate_flags_one_perturbed_fractional_d2_block():
-    """The d2 block at (0, 0) of random_double_complex(3) has row
-    denominators 5, 5 and 15; moving one entry by 1/7 breaks the complex, and
-    the exact products flag the cell, while the drawn complex validates."""
+def perturbed_fractional_complex():
+    """random_double_complex(3) with one entry of its d2 block at (0, 0),
+    whose row denominators are 5, 5 and 15, moved by 1/7."""
     dc = random_double_complex(3)
-    assert validate_double_complex(dc).ok
     block = dc.d2_at(0, 0)
     assert set(block.dens) == {5, 15}
     rows = [block.vector(i) for i in range(block.rows)]
@@ -56,9 +56,95 @@ def test_validate_flags_one_perturbed_fractional_d2_block():
     d1 = {(p, q): dc.d1_at(p, q) for p in range(dc.width) for q in range(dc.height - 1)}
     d2 = {(p, q): dc.d2_at(p, q) for p in range(dc.width - 1) for q in range(dc.height)}
     d2[(0, 0)] = Mat.from_vectors(rows, block.cols)
-    report = validate_double_complex(DoubleComplex(dc.dims, d1, d2))
+    return DoubleComplex(dc.dims, d1, d2)
+
+
+def test_validate_flags_one_perturbed_fractional_d2_block():
+    """Moving one entry by 1/7 breaks the complex, and the exact products
+    flag the cell, while the drawn complex validates."""
+    assert validate_double_complex(random_double_complex(3)).ok
+    report = validate_double_complex(perturbed_fractional_complex())
     assert not report.ok
     assert {(p, q) for _, p, q in report.violations} == {(0, 0)}
+
+
+def d1_squared_column():
+    """A column 1 -> 1 -> 1 whose two d1 maps are both the identity, so d1 d1 != 0."""
+    return DoubleComplex([[1, 1, 1]], {(0, 0): Mat.from_rows([[1]]), (0, 1): Mat.from_rows([[1]])}, {})
+
+
+# a 2 x 2 grid of lines, d1 = 1 on both columns, d2 = 1/2 on the bottom row
+# and 1 on the top: Q_1 Q_0 = -1 + 1/2 at (1, 1), a failure to commute that
+# shows only with Q_0's second row over its denominator 2
+SCALED_COMMUTE = """DoubleComplex([[1, 1], [1, 1]], {(0, 0): Mat.from_rows([[1]]), (1, 0): Mat.from_rows([[1]])},
+              {(0, 0): Mat.from_rows([[F(1, 2)]]), (0, 1): Mat.from_rows([[1]])})"""
+
+
+def test_invalid_complexes_read_the_entries_of_the_product_matrix():
+    """On the invalid complexes here and on valid random ones, with
+    fractional rows, the nonzero entries of each Q_m Q_{m-1} that validation
+    reads are those of Mat.mul's product, entry for entry and in order."""
+    from lagfloor.linalg import product_nonzeros
+    from lagfloor.spectral import total_differential
+
+    scaled = eval(SCALED_COMMUTE)
+    invalid = [d1_squared_column(), garbage_complex(), perturbed_fractional_complex(), scaled]
+    for dc in invalid + [random_double_complex(seed) for seed in range(10)]:
+        for m in range(1, dc.width + dc.height - 1):
+            a, b = total_differential(dc, m), total_differential(dc, m - 1)
+            assert list(product_nonzeros(a, b)) == [(i, j) for i, row in enumerate(a.mul(b).data) for j in row]
+    assert not any(validate_double_complex(dc).ok for dc in invalid)
+    assert validate_double_complex(scaled).violations == (("commute", 0, 0),)
+
+
+# the product check with B's rows summed as they are, not over their lcm;
+# argv[-1] is "exact" or "mutant"
+NO_LCM_PRODUCT = f"""
+import sys
+from fractions import Fraction as F
+
+import lagfloor.cecohom as ce
+import lagfloor.spectral as sp
+from lagfloor.liealg import catalog
+from lagfloor.linalg import InvariantViolation, Mat
+from lagfloor.spectral import DoubleComplex
+
+
+def no_lcm(a, b):
+    for i, row in enumerate(a.data):
+        acc = {{}}
+        for k, x in row.items():
+            for j, y in b.data[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        yield from ((i, j) for j, v in acc.items() if v)
+
+
+if sys.argv[-1] == "mutant":
+    sp.product_nonzeros = ce.product_nonzeros = no_lcm
+assert False, "asserts must be stripped under -O"
+flagged = [seed for seed in range(20) if not sp.validate_double_complex(sp.random_double_complex(seed)).ok]
+print(len(flagged), *sp.validate_double_complex({SCALED_COMMUTE}).violations)
+g = catalog("so3")
+try:
+    ce.cohomology(g, ce.GModule(1, g, (Mat.from_rows([[1]]), Mat.zero(1, 1), Mat.zero(1, 1))), 1)
+except InvariantViolation as exc:
+    print("raised:", exc)
+"""
+
+
+def test_a_product_check_without_the_lcm_fails_also_under_python_O():
+    """The Q^2 check brings B's rows over their lcm before it sums them.  A
+    mutant that sums B's integer rows as they are flags valid random
+    complexes, whose rows have denominators, and misses the violation of the
+    2 x 2 complex that shows only after scaling; the exact check flags no
+    valid complex and that one violation, also under python -O, and
+    cohomology on an invalid module raises."""
+    raised = "raised: delta^2 != 0: invalid module\n"
+    assert run_under_O("exact", script=NO_LCM_PRODUCT) == (0, "0 ('commute', 0, 0)\n" + raised)
+    code, out = run_under_O("mutant", script=NO_LCM_PRODUCT)
+    first, rest = out.split("\n", 1)
+    flagged, *violations = first.split()
+    assert (code, violations, rest) == (0, [], raised) and int(flagged) > 0, out
 
 
 def test_single_cell_total_cohomology():
@@ -211,7 +297,7 @@ def test_q_squared_zero_and_sign_rule():
             total_cohomology(dc, m)
 
 
-# a column 1 -> 1 -> 1 whose two d1 maps are both the identity, so d1 d1 != 0
+# d1_squared_column(), in a python -O script
 D1_SQUARED_NONZERO = """
 import sys
 from lagfloor.linalg import InvariantViolation, Mat
@@ -232,7 +318,7 @@ def test_q_squared_nonzero_raises_also_under_python_O():
     """On that column Q_1 Q_0 = d1 d1 != 0, though its ranks still give
     dimensions; total_cohomology at degree 1 raises instead, and so does
     abutment_check, also under python -O."""
-    dc = DoubleComplex([[1, 1, 1]], {(0, 0): Mat.from_rows([[1]]), (0, 1): Mat.from_rows([[1]])}, {})
+    dc = d1_squared_column()
     assert validate_double_complex(dc).violations == (("d1.d1", 0, 0),)
     with pytest.raises(InvariantViolation, match="Q\\^2 != 0 at degree 1"):
         total_cohomology(dc, 1)
@@ -260,19 +346,19 @@ def test_validation_reads_the_assembled_q_also_under_python_O():
     assert run_under_O(script=UNSIGNED_Q) == (0, "('commute', 0, 0)\n")
 
 
-def test_each_q_squared_is_multiplied_once(monkeypatch):
+def test_q_squared_is_read_once_with_no_product_matrix(monkeypatch):
     """validate_double_complex, total_cohomology at every degree and
-    abutment_check on one complex multiply each Q_m Q_{m-1} once, and
-    nothing else."""
-    products = []
-    mul = Mat.mul
-
-    def counted(a, b):
-        products.append((a, b))
-        return mul(a, b)
+    abutment_check on one complex read the nonzero entries of each Q_m
+    Q_{m-1} once, from dc's own Q's, and never call Mat.mul."""
+    import lagfloor.spectral as sp
 
     dc = random_double_complex(5, width=3, height=3)
-    monkeypatch.setattr(Mat, "mul", counted)
+    products = []
+    nonzeros = sp.product_nonzeros
+    monkeypatch.setattr(sp, "product_nonzeros", lambda a, b: products.append((a, b)) or nonzeros(a, b))
+    muls = []
+    mul = Mat.mul
+    monkeypatch.setattr(Mat, "mul", lambda a, b: muls.append((a, b)) or mul(a, b))
     assert validate_double_complex(dc).ok
     for m in range(dc.width + dc.height - 1):
         total_cohomology(dc, m)
@@ -280,6 +366,7 @@ def test_each_q_squared_is_multiplied_once(monkeypatch):
     assert validate_double_complex(dc).ok
     degrees = range(1, dc.width + dc.height - 1)
     assert [(id(a), id(b)) for a, b in products] == [(id(dc._q[m]), id(dc._q[m - 1])) for m in degrees]
+    assert not muls
 
 
 def test_stabilization():
@@ -307,7 +394,7 @@ def test_pages_past_the_stable_page_read_the_stable_page():
                 for q in range(dc.height):
                     if dc.dim_at(p, q):
                         assert page_cell(dc, p, q, r)[0].dim == stable.dim(p, q)
-                    assert page_differential(dc, r, p, q).is_zero()
+                    assert not any(page_differential(dc, r, p, q).data)
 
 
 def test_page_differential_squares_to_zero_and_computes_next_page():
@@ -321,7 +408,7 @@ def test_page_differential_squares_to_zero_and_computes_next_page():
                     m_in = page_differential(dc, r, p - r, q + r - 1)
                     m_out = page_differential(dc, r, p, q)
                     if m_out.rows and m_in.cols:
-                        assert m_out.mul(m_in).is_zero()
+                        assert not any(m_out.mul(m_in).data)
                     # H(d_r) dims equal page r+1 dims
                     if pg.dim(p, q):
                         from lagfloor.linalg import Subspace, image_basis, kernel_basis, quotient
@@ -375,7 +462,8 @@ def test_page_cells_are_solved_once_per_window(monkeypatch):
 
     reduced = []
     filtered_reduction = sp._filtered_reduction
-    monkeypatch.setattr(sp, "_filtered_reduction", lambda dc: reduced.append(dc) or filtered_reduction(dc))
+    monkeypatch.setattr(sp, "_filtered_reduction",
+                        lambda dc, axis: reduced.append((dc, axis)) or filtered_reduction(dc, axis))
     rng = random.Random(0)
     for given in [random_double_complex(seed) for seed in range(30)] + [hand_zigzag_complex()]:
         for dc in (given, transpose(given)):
@@ -386,49 +474,60 @@ def test_page_cells_are_solved_once_per_window(monkeypatch):
                 for r in order:
                     page(shared, r).dims_grid(dc.width, dc.height)
                 assert page(shared, 2) is page(shared, 2)
-                assert reduced == [shared]
+                assert reduced == [(shared, sp.GIVEN)]
 
 
 def test_total_cohomology_is_computed_once_per_degree(monkeypatch):
     """abutment_check reads the totals its caller computed on dc, and the
-    reverse; it runs the filtered reduction once more, on a fresh
-    transposed complex, and reads dc's own reduction from dc."""
+    reverse.  Pages, totals and abutment_check on one complex, totals first
+    or abutment first, build each Q_m once, all on dc: the transposed
+    filtration reads dc's Q, no transposed complex is built, and each
+    filtration is reduced once."""
     import lagfloor.spectral as sp
 
+    assert not hasattr(sp, "transpose")
     built = []
-    total_differential = sp.total_differential
-    monkeypatch.setattr(sp, "total_differential", lambda dc, m: built.append((dc, m)) or total_differential(dc, m))
+    q_rows = sp._q_rows
+    monkeypatch.setattr(sp, "_q_rows", lambda dc, src, tgt: built.append((dc, tuple(src))) or q_rows(dc, src, tgt))
+    complexes = []
+    init = sp.DoubleComplex.__init__
+    monkeypatch.setattr(sp.DoubleComplex, "__init__", lambda dc, *a: complexes.append(dc) or init(dc, *a))
     reduced = []
     filtered_reduction = sp._filtered_reduction
-    monkeypatch.setattr(sp, "_filtered_reduction", lambda dc: reduced.append(dc) or filtered_reduction(dc))
+    monkeypatch.setattr(sp, "_filtered_reduction",
+                        lambda dc, axis: reduced.append((dc, axis)) or filtered_reduction(dc, axis))
     for first_totals in (True, False):
         dc = random_double_complex(5, width=4, height=4)
         degrees = range(dc.width + dc.height - 1)
-        sp.page_infinity(dc)
+        built.clear()
+        complexes.clear()
         reduced.clear()
+        sp.page_infinity(dc)
         if first_totals:
             totals = [total_cohomology(dc, m) for m in degrees]
-            built.clear()
             report = abutment_check(dc)
-            assert all(c is not dc for c, _ in built)
         else:
             report = abutment_check(dc)
-            built.clear()
             totals = [total_cohomology(dc, m) for m in degrees]
-            assert not built
         assert [total_cohomology(dc, m) for m in degrees] == totals
         assert [total for _, _, total, _ in report.rows] == 2 * [h.dim for h in totals]
         assert report.ok
-        # the transposed filtration was reduced, on its own complex, once
-        assert len(reduced) == 1 and reduced[0] is not dc
-        assert reduced[0].dims == transpose(dc).dims
+        # Q_{-1}, which maps into D^0, to Q_{w+h-2}, each once
+        maps = range(-1, dc.width + dc.height - 1)
+        assert sorted(src for _, src in built) == sorted(tuple(sp._antidiagonal_cells(dc, m)) for m in maps)
+        assert all(c is dc for c, _ in built)
+        assert not complexes
+        assert reduced == [(dc, sp.GIVEN), (dc, sp.TRANSPOSED)]
 
 
-def test_totals_and_abutment_row_reduce_each_q_once(monkeypatch):
-    """Every total_cohomology degree plus abutment_check run at most one
-    rref per Q_m of dc, of its rows: H^m and H^{m+1} share Q_m and its kept
-    row reduction, no Q_m is reduced by columns, and the filtered
-    reductions use Echelons of their own."""
+def test_totals_and_abutment_take_each_rank_once_with_no_rref(monkeypatch):
+    """Every total_cohomology degree plus abutment_check eliminate each Q_m
+    of dc once, forward, for its rank: H^m and H^{m+1} share Q_m's kept
+    rank, no Q is reduced by rref, by rows or by columns, and the filtered
+    reductions use Echelons of their own.  Each rank equals the number of
+    pivots of Q's full row reduction."""
+    from functools import cached_property
+
     import lagfloor.linalg as la
     import lagfloor.spectral as sp
 
@@ -436,31 +535,42 @@ def test_totals_and_abutment_row_reduce_each_q_once(monkeypatch):
     calls = []
     rref = la.rref
     monkeypatch.setattr(la, "rref", lambda rows, ncols: calls.append(rows) or rref(rows, ncols))
+    ranked = []
+    rank = Mat.rank.func
+    counted = cached_property(lambda q: ranked.append(q) or rank(q))
+    counted.__set_name__(Mat, "rank")
+    monkeypatch.setattr(Mat, "rank", counted)
     degrees = range(dc.width + dc.height - 1)
     dims = [total_cohomology(dc, m).dim for m in degrees]
     assert abutment_check(dc).ok
+    assert [total_cohomology(dc, m).dim for m in degrees] == dims
     maps = range(-1, dc.width + dc.height - 1)  # Q_{-1} maps into D^0
     qs = [sp.total_differential(dc, m) for m in maps]
     assert all(q is sp.total_differential(dc, m) for m, q in zip(maps, qs))
-    assert calls and len(calls) <= len(qs) and all(any(rows is q.data for q in qs) for rows in calls)
-    assert not any("column_reduction" in q.__dict__ for q in qs)
+    assert sorted(map(id, ranked)) == sorted(map(id, qs))
+    assert not calls
+    assert not any(k in q.__dict__ for q in qs for k in ("row_reduction", "column_reduction"))
+    assert [q.rank for q in qs] == [len(q.row_reduction[0]) for q in qs]
     assert [total_cohomology(fresh_copy(dc), m).dim for m in degrees] == dims
 
 
 @pytest.mark.parametrize("mutant", ["pairs_nothing", "one_element_unpaired"])
 def test_a_wrong_filtered_reduction_fails_the_abutment(monkeypatch, mutant):
-    """The totals never read the filtered reduction, so a reduction that
-    gets E_inf wrong is caught: one that lengthens every gap past the stable
-    page, and one that leaves a single paired element unpaired.  (A gap
-    lengthened by 1 stays below the stable page, width + 1 or height + 1,
-    so E_inf would not move.)"""
+    """The totals never read the filtered reduction, so a reduction of one
+    filtration, given or transposed, that gets E_inf wrong fails that
+    filtration's rows, and only those: one that lengthens every gap past
+    the stable page, and one that leaves a single paired element unpaired.
+    (A gap lengthened by 1 stays below the stable page, width + 1 or
+    height + 1, so E_inf would not move.)"""
     import lagfloor.spectral as sp
 
     filtered_reduction = sp._filtered_reduction
 
-    def wrong(dc):
+    def wrong(dc, axis):
+        lives = filtered_reduction(dc, axis)
+        if axis != mutated:
+            return lives
         r0 = max(dc.width, dc.height) + 1
-        lives = filtered_reduction(dc)
         if mutant == "pairs_nothing":
             return {cell: [life + r0 for life in ls] for cell, ls in lives.items()}
         cell = next(cell for cell, ls in sorted(lives.items()) if min(ls) < r0)
@@ -470,35 +580,73 @@ def test_a_wrong_filtered_reduction_fails_the_abutment(monkeypatch, mutant):
     dcs = [random_double_complex(seed, width=4, height=4) for seed in range(5)]
     want = [[total_cohomology(fresh_copy(dc), m).dim for m in range(7)] for dc in dcs]
     monkeypatch.setattr(sp, "_filtered_reduction", wrong)
-    for dc, totals in zip(dcs, want):
-        report = abutment_check(dc)
-        assert not report.ok
-        assert [total for _, _, total, label in report.rows if label == "given"] == totals
+    for label, mutated in (("given", sp.GIVEN), ("transposed", sp.TRANSPOSED)):
+        for dc, totals in zip(dcs, want):
+            report = abutment_check(fresh_copy(dc))
+            assert not report.ok
+            assert {lab for _, sum_e, total, lab in report.rows if sum_e != total} == {label}
+            assert [total for _, _, total, lab in report.rows if lab == "given"] == totals
+
+
+def transposed_oracle_complexes():
+    """Random complexes at seeds 0-40, drawn as they come and as 1 x n and
+    n x 1 grids, the shipped spectral example and the l3 invariance
+    complex."""
+    from lagfloor.problemfile import build_double_complex, load_problem_file
+
+    example = Path(__file__).resolve().parent.parent / "src" / "lagfloor" / "fixtures" / "spectral_example.toml"
+    shapes = ({}, {"width": 1}, {"height": 1})
+    drawn = [random_double_complex(seed, **shape) for seed in range(41) for shape in shapes]
+    return drawn + [build_double_complex(load_problem_file(example)), l3_invariance_complex()]
+
+
+def test_the_transposed_filtration_of_dc_is_the_reduction_of_its_transpose():
+    """The transposed filtration, read off dc's own Q, gives each cell (p, q)
+    the lives, in the same order, that the given filtration of the
+    transposed complex, built whole, gives its cell (q, p)."""
+    import lagfloor.spectral as sp
+
+    complexes = transposed_oracle_complexes()
+    for dc in complexes:
+        lives = sp._filtered_reduction(dc, sp.TRANSPOSED)
+        assert {(q, p): ls for (p, q), ls in lives.items()} == sp._filtered_reduction(transpose(dc), sp.GIVEN)
+    # the sample holds 1 x n and n x 1 grids, empty cells and pairs
+    assert any(dc.width == 1 < dc.height for dc in complexes)
+    assert any(dc.height == 1 < dc.width for dc in complexes)
+    assert any(0 in col for dc in complexes for col in dc.dims)
+    assert any(life < max(dc.width, dc.height) + 1
+               for dc in complexes for ls in sp._filtered_reduction(dc, sp.TRANSPOSED).values() for life in ls)
 
 
 def reduction_mismatches(dc):
     """(filtration, r, p, q, reduction's dim, zig-zag's dim) wherever page r
-    of the filtered reduction differs from the zig-zag quotient, for every r
-    from 0 to the stable page, under both filtrations of fresh copies of dc."""
+    of a filtered reduction of a fresh copy of dc differs from the zig-zag
+    quotient, for every r from 0 to the stable page: the given filtration
+    against dc's zig-zag at (p, q), and the transposed one, read off dc's Q,
+    against the zig-zag of the transposed complex at (q, p)."""
+    import lagfloor.spectral as sp
+
+    c, t = fresh_copy(dc), transpose(dc)
     out = []
-    for label, c in (("given", fresh_copy(dc)), ("transposed", transpose(dc))):
-        for r in range(max(c.width, c.height) + 2):
-            pg = page(c, r)
-            for p in range(c.width):
-                for q in range(c.height):
-                    if c.dim_at(p, q):
-                        want = page_cell(c, p, q, r)[0].dim
-                        if pg.dim(p, q) != want:
-                            out.append((label, r, p, q, pg.dim(p, q), want))
+    for r in range(max(c.width, c.height) + 2):
+        given, transposed = page(c, r), sp._page_dims(c, sp.TRANSPOSED, r)
+        for (p, q), got_transposed in transposed.items():
+            for label, got, cell in (("given", given.dim(p, q), page_cell(c, p, q, r)),
+                                     ("transposed", got_transposed, page_cell(t, q, p, r))):
+                if got != cell[0].dim:
+                    out.append((label, r, p, q, got, cell[0].dim))
     return out
 
 
-def oracle_complexes():
+def l3_invariance_complex():
     from fixture_pairs import fixture_pair
     from lagfloor.hierarchy import ClassifyOptions, build_invariance_double_complex
 
-    l3 = build_invariance_double_complex(fixture_pair("l3_cylinder"), ClassifyOptions(degree=3, fourier=3)).dc
-    return [random_double_complex(seed) for seed in range(30)] + [hand_zigzag_complex(), l3]
+    return build_invariance_double_complex(fixture_pair("l3_cylinder"), ClassifyOptions(degree=3, fourier=3)).dc
+
+
+def oracle_complexes():
+    return [random_double_complex(seed) for seed in range(30)] + [hand_zigzag_complex(), l3_invariance_complex()]
 
 
 def test_filtered_reduction_matches_the_zigzag_on_every_page():

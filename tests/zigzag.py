@@ -13,12 +13,15 @@ nothing stored:
   cells but the first, shifted up one row; then the (p, q) rows of Q on
   each kernel vector; then the span of those images.
 - d_r: the (p+r, q-r+1) rows of Q on the lift of each representative.
+
+`transpose` builds the transposed complex itself, the plain reference for
+the transposed filtration, which the package reads off the given Q.
 """
 
 from fractions import Fraction
 
 from lagfloor.linalg import Mat, Subspace, _scatter, clear_denominators, kernel_basis, quotient, rref
-from lagfloor.spectral import _q_rows
+from lagfloor.spectral import DoubleComplex, _q_rows
 
 
 def pivot_columns(cols):
@@ -74,3 +77,11 @@ def page_differential(dc, r, p, q):
     d_r = _q_rows(dc, [(p + i, q - i) for i in range(r)], [(tp, tq)])
     cols = tuple(tgt.reduce(d_r.mul_vec(chain)) for chain in lifts)
     return Mat.from_vectors(cols, tgt.dim).transpose()
+
+
+def transpose(dc):
+    """Swap the two directions (and the two filtrations)."""
+    dims = [[dc.dims[p][q] for p in range(dc.width)] for q in range(dc.height)]
+    d1 = {(q, p): m for (p, q), m in dc._d2.items()}
+    d2 = {(q, p): m for (p, q), m in dc._d1.items()}
+    return DoubleComplex(dims, d1, d2)
