@@ -109,9 +109,8 @@ def ce_differential(g: StructureConstants, a: GModule, q: int) -> Mat:
     n = g.dim
     m = a.dim
     src_index = {t: i for i, t in enumerate(cochain_tuples(n, q))}
-    brackets = {(i, j): [(k, c) for k in range(n) if (c := g.coeff(i, j, k))] for i in range(n) for j in range(i + 1, n)}
-    den = lcm(*[d for rho in a.action for d in rho.dens], *[c.denominator for b in brackets.values() for _, c in b])
-    brackets = {ij: [(k, c.numerator * (den // c.denominator)) for k, c in b] for ij, b in brackets.items()}
+    den = lcm(g.den, *[d for rho in a.action for d in rho.dens])
+    up = den // g.den  # from the algebra's integer table to den
     data = []
     for U in cochain_tuples(n, q + 1):
         rows = [{} for _ in range(m)]
@@ -132,8 +131,8 @@ def ce_differential(g: StructureConstants, a: GModule, q: int) -> Mat:
             for j in range(i + 1, len(U)):
                 uj = U[j]
                 pair_rest = tuple(x for x in U if x != ui and x != uj)
-                bsign = (-1) ** (i + j)
-                for k, gamma in brackets[(ui, uj)]:
+                bsign = (-1) ** (i + j) * up
+                for k, gamma in g.table[(ui, uj)]:
                     ins = _insert_sorted(k, pair_rest)
                     if ins is None:
                         continue

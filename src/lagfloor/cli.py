@@ -311,7 +311,7 @@ def cmd_spectral(args, report):
     pf = load_problem_file(args.file)
     try:
         if args.from_pair:
-            dc = build_invariance_double_complex(build_pair(pf), _options(args, pf)).dc
+            dc = build_invariance_double_complex(build_pair(pf), _options(args, pf))
             violations = ()  # the builder validates the complex and raises on failure
         elif "double_complex" in pf.sections:
             dc = build_double_complex(pf)

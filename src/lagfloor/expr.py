@@ -577,7 +577,7 @@ TP_ZERO = TP()
 class Expr:
     """Canonical fraction of two trig polynomials on a fixed chart."""
 
-    __slots__ = ("chart", "num", "den", "_partials")
+    __slots__ = ("chart", "num", "den")
 
     def __init__(self, chart_, num, den=None):
         den = den if den is not None else TP_ONE
@@ -590,7 +590,6 @@ class Expr:
         self.chart = chart_
         self.num = num
         self.den = den
-        self._partials = None  # {generator: derivative}, filled by partial
 
     # constructors ---------------------------------------------------------
     @staticmethod
@@ -627,7 +626,7 @@ class Expr:
     def __neg__(self):
         # -num over den is reduced when num over den is
         out = Expr.__new__(Expr)
-        out.chart, out.num, out.den, out._partials = self.chart, -self.num, self.den, None
+        out.chart, out.num, out.den = self.chart, -self.num, self.den
         return out
 
     def __sub__(self, other):
@@ -686,16 +685,9 @@ class Expr:
         """Exact partial derivative by a coordinate, velocity or acceleration.
 
         For an angle coordinate the derivative acts through the sin/cos
-        generators by the chain rule.  An expression is not changed after
-        construction, so each derivative is computed once and kept on it.
+        generators by the chain rule.
         """
-        if self._partials is not None and gen in self._partials:
-            return self._partials[gen]
-        d = Expr(self.chart, *quotient_rule(self.num, self.den, derivation(self.chart, gen)))
-        if self._partials is None:
-            self._partials = {}
-        self._partials[gen] = d
-        return d
+        return Expr(self.chart, *quotient_rule(self.num, self.den, derivation(self.chart, gen)))
 
     # structure ----------------------------------------------------------
     def is_velocity_free(self):

@@ -605,16 +605,15 @@ def k3_space(p: GMPair, opts: ClassifyOptions):
     nm = len(monos)
     mono_vectors = [TP({m: 1}) for m in monos]
     # cocycle system: unknown i * nm + k is the coefficient of monos[k] in alpha_i
+    # on the algebra's integer table, so the action terms carry its denominator
     rows = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            structure = [(i, g.coeff(a, b, i)) for i in range(n) if g.coeff(a, b, i)]
-            terms = []
-            for k, m in enumerate(monos):
-                terms.append((b * nm + k, 1, act.scalar(a, m)))
-                terms.append((a * nm + k, -1, act.scalar(b, m)))
-                terms.extend((i * nm + k, -c, mono_vectors[k]) for i, c in structure)
-            rows.extend(equation_rows(terms))
+    for (a, b), structure in g.table.items():
+        terms = []
+        for k, m in enumerate(monos):
+            terms.append((b * nm + k, g.den, act.scalar(a, m)))
+            terms.append((a * nm + k, -g.den, act.scalar(b, m)))
+            terms.extend((i * nm + k, -c, mono_vectors[k]) for i, c in structure)
+        rows.extend(equation_rows(terms))
     zbasis = kernel_of_rows(rows, n * nm).basis
     # ambient order: generator slot, then each monomial's first appearance
     # in the cocycle basis; canonical echelon forms depend on it
@@ -734,14 +733,6 @@ def k_spaces(p: GMPair, opts: ClassifyOptions | None = None) -> KSpacesReport:
 # truncated invariance double complex
 # ---------------------------------------------------------------------------
 
-class InvarianceComplex:
-    __slots__ = ("dc", "bases")
-
-    def __init__(self, dc: DoubleComplex, bases: tuple):
-        self.dc = dc
-        self.bases = bases  # per column, {unit: coefficient} vectors
-
-
 def _keyed_terms(keys, comps):
     """{(key, monomial): coefficient} of the component trig polynomials,
     one per key."""
@@ -780,7 +771,7 @@ def _largest_invariant_subspace(basis, unit_images):
     return []
 
 
-def build_invariance_double_complex(p: GMPair, opts: ClassifyOptions | None = None) -> InvarianceComplex:
+def build_invariance_double_complex(p: GMPair, opts: ClassifyOptions | None = None) -> DoubleComplex:
     """C^p(G, Omega^q_trunc) for q in {0, 1, 2}, d1 = exterior derivative,
     d2 = the Chevalley-Eilenberg differential.
 
@@ -849,8 +840,7 @@ def build_invariance_double_complex(p: GMPair, opts: ClassifyOptions | None = No
     report = validate_double_complex(dc)
     if not report.ok:
         raise InvariantViolation(f"invariance complex failed validation: {report.violations[:3]}")
-    bases = (tuple(f_basis), tuple(w_basis), tuple(t_basis))
-    return InvarianceComplex(dc, bases)
+    return dc
 
 
 def _block_diag(m: Mat, count: int) -> Mat:

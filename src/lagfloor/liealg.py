@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
-from .linalg import clear_denominators, coordinate_map, kernel_of_rows
+from .linalg import coordinate_map, kernel_of_rows
 
 F = Fraction
 # the value of every structure constant that a table leaves out; Fractions
@@ -31,9 +32,16 @@ class BadParams(Exception):
 
 
 class StructureConstants:
-    """Lie algebra given by c^k_{ij} for i<j (antisymmetry implied)."""
+    """Lie algebra given by c^k_{ij} for i<j (antisymmetry implied).
 
-    __slots__ = ("dim", "basis_names", "c", "__weakref__")
+    Every given constant is validated and only the nonzero ones are kept:
+    ``c`` is {(i, j): {k: Fraction}}, pairs and k ascending.  ``table`` is
+    the same constants as integers over the one denominator ``den``, the
+    lcm of their denominators: {(i, j): ((k, int), ...)} for every i < j,
+    empty where [e_i, e_j] = 0.  Equal algebras have equal tables.
+    """
+
+    __slots__ = ("dim", "basis_names", "c", "den", "table", "__weakref__")
 
     def __init__(self, dim: int, basis_names: tuple[str, ...], c: dict | None = None):
         c = {} if c is None else c  # (i, j) i<j -> {k: Fraction}
@@ -45,9 +53,16 @@ class StructureConstants:
             for k, v in comps.items():
                 if not (0 <= k < dim and isinstance(v, Fraction)):
                     raise ValueError(f"bracket component {k} = {v!r} needs 0 <= k < dim and a Fraction value")
+        nonzero = ((ij, {k: v for k, v in sorted(c[ij].items()) if v}) for ij in sorted(c))
         self.dim = dim
         self.basis_names = basis_names
-        self.c = c
+        self.c = {ij: comps for ij, comps in nonzero if comps}
+        self.den = lcm(*[v.denominator for comps in self.c.values() for v in comps.values()])
+        self.table = {
+            (i, j): tuple((k, v.numerator * (self.den // v.denominator)) for k, v in self.c.get((i, j), {}).items())
+            for i in range(dim)
+            for j in range(i + 1, dim)
+        }
 
     def coeff(self, i, j, k) -> Fraction:
         """c^k_{ij} for arbitrary i, j."""
@@ -57,22 +72,16 @@ class StructureConstants:
             return self.c.get((i, j), {}).get(k, ZERO)
         return -self.c.get((j, i), {}).get(k, ZERO)
 
+    def _key(self):
+        return self.dim, self.basis_names, self.den, tuple(self.table.items())
+
     def __hash__(self):
-        items = tuple(sorted((ij, tuple(sorted(d.items()))) for ij, d in self.c.items()))
-        return hash((self.dim, self.basis_names, items))
+        return hash(self._key())
 
     def __eq__(self, other):
         if not isinstance(other, StructureConstants):
             return NotImplemented
-        if (self.dim, self.basis_names) != (other.dim, other.basis_names):
-            return False
-        keys = set(self.c) | set(other.c)
-        for ij in keys:
-            a = {k: v for k, v in self.c.get(ij, {}).items() if v}
-            b = {k: v for k, v in other.c.get(ij, {}).items() if v}
-            if a != b:
-                return False
-        return True
+        return self._key() == other._key()
 
 
 class JacobiReport:
@@ -90,10 +99,8 @@ def jacobi_check(g: StructureConstants) -> JacobiReport:
     n = g.dim
     full = {}  # (a, b) -> {m: c^m_ab} for a != b, both orders
     for (a, b), comps in g.c.items():
-        comps = {m: v for m, v in comps.items() if v}
-        if comps:
-            full[(a, b)] = comps
-            full[(b, a)] = {m: -v for m, v in comps.items()}
+        full[(a, b)] = comps
+        full[(b, a)] = {m: -v for m, v in comps.items()}
     bad = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -204,4 +211,4 @@ def _build_catalog(name, params):
 
 def zero_one_cocycles(g: StructureConstants):
     """Basis of Z^1(G) = {t : c^k_{ij} t_k = 0}, i.e. H^1 with trivial coeffs."""
-    return kernel_of_rows([clear_denominators(g.c[ij]) for ij in sorted(g.c)], g.dim)
+    return kernel_of_rows([dict(row) for row in g.table.values() if row], g.dim)

@@ -9,10 +9,12 @@ by the derivative rule on monomial keys; its Lie derivatives take and
 return (numerator, denominator) pairs, so an expression meets it only where
 a reader builds one.  ``validate_pair`` reads the brackets off the table,
 and the pair keeps its report, which the computations certify first.  On
-the table live the contraction ``pi_images``, ``action_module`` (the
-g-module on an action-closed family of sparse vectors, the one way a
-g-module is built), the invariant closed 1-forms, the coboundary of
-function-valued cochains, and stability subalgebras with cocycle
+the table live ``coboundary``, the one coboundary of function-valued
+1-cochains, S_ij = X_i n_j - X_j n_i - c^k_ij n_k summed on the algebra's
+integer bracket table, which ``FunctionCochain.delta`` and the cocycle
+check of ``pi_images`` both read; ``action_module`` (the g-module on an
+action-closed family of sparse vectors, the one way a g-module is built);
+the invariant closed 1-forms; and stability subalgebras with cocycle
 restriction, which is the certificate machinery for nontrivial classes that
 no finite truncation can exhibit.
 """
@@ -49,7 +51,8 @@ class ActionTable:
 
     Every image is a trig polynomial, the sparse monomial vector of integer
     coefficients over one denominator, or a tuple of them for a form,
-    computed on first use and kept:
+    computed on first use and kept, except a 2-form image, which its one
+    reader, the invariance complex, keeps itself:
     ``scalar(i, m)`` is X_i(m); ``prolonged(i, m)`` is X_i^(1)(m) for a
     monomial in coordinates and velocities, the prolonged field X_i^mu
     d/dq^mu + (D_t X_i^mu) d/d(dq^mu); ``oneform(i, mu, m)`` is L_{X_i}(m
@@ -79,7 +82,6 @@ class ActionTable:
         self._scalar = {}
         self._prolonged = {}
         self._oneform = {}
-        self._twoform = {}
         self._contraction = {}
         self._partial = {}
 
@@ -164,22 +166,19 @@ class ActionTable:
     def twoform(self, i, ab, mono) -> tuple:
         """L_X(m dq^a ^ dq^b) = X(m) dq^a ^ dq^b + m d(X^a) ^ dq^b
         + m dq^a ^ d(X^b), for a coordinate pair a < b."""
-        img = self._twoform.get((i, ab, mono))
-        if img is None:
-            a, b = ab
-            jac = self.components[i][1]
-            m = TP({mono: 1})
-            comps = [TP() for _ in self._pair_index]
-            comps[self._pair_index[ab]] = self.scalar(i, mono)
-            for r in range(len(jac)):
-                # the dq^r terms of m d(X^a) ^ dq^b and of m dq^a ^ d(X^b)
-                for p, q, d in ((r, b, jac[a][r]), (a, r, jac[b][r])):
-                    if p < q:
-                        comps[self._pair_index[(p, q)]] += m * d
-                    elif p > q:
-                        comps[self._pair_index[(q, p)]] -= m * d
-            img = self._twoform[(i, ab, mono)] = tuple(comps)
-        return img
+        a, b = ab
+        jac = self.components[i][1]
+        m = TP({mono: 1})
+        comps = [TP() for _ in self._pair_index]
+        comps[self._pair_index[ab]] = self.scalar(i, mono)
+        for r in range(len(jac)):
+            # the dq^r terms of m d(X^a) ^ dq^b and of m dq^a ^ d(X^b)
+            for p, q, d in ((r, b, jac[a][r]), (a, r, jac[b][r])):
+                if p < q:
+                    comps[self._pair_index[(p, q)]] += m * d
+                elif p > q:
+                    comps[self._pair_index[(q, p)]] -= m * d
+        return tuple(comps)
 
 
 class GMPair:
@@ -239,21 +238,20 @@ class PairReport:
 
 
 def bracket_residuals(p: GMPair, i, j) -> tuple[TP, ...]:
-    """[X_i, X_j]^mu - c^k_{ij} X_k^mu, one trig polynomial per chart
-    coordinate mu, each one combination of the table's components and
+    """[X_i, X_j]^mu - c^k_{ij} X_k^mu for i < j, one trig polynomial per
+    chart coordinate mu, each one combination of the table's components and
     Jacobians: X_i^nu d_nu X_j^mu - X_j^nu d_nu X_i^mu - c^k_{ij} X_k^mu,
-    with zero products skipped."""
+    with zero products skipped, summed on the algebra's integer table."""
     g, act = p.algebra, p.action
     (xi, ji, _), (xj, jj, _) = act.components[i], act.components[j]
-    structure = [(g.coeff(i, j, k), act.components[k][0]) for k in range(g.dim) if g.coeff(i, j, k)]
     out = []
     for mu in range(len(xi)):
         terms = chain(
-            ((1, x * d) for x, d in zip(xi, jj[mu]) if x.terms and d.terms),
-            ((-1, x * d) for x, d in zip(xj, ji[mu]) if x.terms and d.terms),
-            ((-ck, xk[mu]) for ck, xk in structure),
+            ((g.den, x * d) for x, d in zip(xi, jj[mu]) if x.terms and d.terms),
+            ((-g.den, x * d) for x, d in zip(xj, ji[mu]) if x.terms and d.terms),
+            ((-ck, act.components[k][0][mu]) for k, ck in g.table[(i, j)]),
         )
-        out.append(TP.combination(terms))
+        out.append(TP.combination(terms, g.den))
     return tuple(out)
 
 
@@ -287,35 +285,25 @@ class FunctionCochain:
         X_j alpha_i - c^k_ij alpha_k.
 
         The components are read as alpha_k = n_k / D over one denominator D,
-        the product of their distinct denominators.  Then S = X_i n_j -
-        X_j n_i - c^k_ij n_k is one combination of the table's scalar images
-        and the structure constants that the algebra stores, and
-        (delta alpha)_ij is (S D - (n_j X_i(D) - n_i X_j(D))) / D^2.  With
-        D = 1 the second term vanishes and the pair is S over 1.
+        the product of their distinct denominators.  With S the
+        ``coboundary`` of the n_k, (delta alpha)_ij is (S D - (n_j X_i(D) -
+        n_i X_j(D))) / D^2.  With D = 1 the second term vanishes and the
+        pair is S over 1.
         """
         act = self.pair.action
-        g = self.pair.algebra
         dens = []
         for a in self.components:
             if not a.den.is_one() and a.den not in dens:
                 dens.append(a.den)
         nums = [reduce(mul, (d for d in dens if d != a.den), a.num) for a in self.components]
         D = reduce(mul, dens, TP_ONE)
-        xd = None if D.is_one() else [act.lie(i, D, TP_ONE)[0] for i in range(g.dim)]
-        for i in range(g.dim):
-            for j in range(i + 1, g.dim):
-                ni, nj = nums[i], nums[j]
-                # S times the integer denominators of n_i and n_j, over them
-                dd = ni.den * nj.den
-                s = TP.combination(chain(
-                    ((c * ni.den, act.scalar(i, m)) for m, c in nj.terms.items()),
-                    ((-c * nj.den, act.scalar(j, m)) for m, c in ni.terms.items()),
-                    ((-ck * dd, nums[k]) for k, ck in g.c.get((i, j), {}).items()),
-                ), dd)
-                if xd is None:
-                    yield i, j, s, TP_ONE
-                else:
-                    yield i, j, s * D - (nj * xd[i] - ni * xd[j]), D * D
+        if D.is_one():
+            for i, j, s in coboundary(self.pair, nums):
+                yield i, j, s, TP_ONE
+            return
+        xd = [act.lie(i, D, TP_ONE)[0] for i in range(len(nums))]
+        for i, j, s in coboundary(self.pair, nums):
+            yield i, j, s * D - (nums[j] * xd[i] - nums[i] * xd[j]), D * D
 
     def is_cocycle(self) -> bool:
         return all(num.is_zero() for _, _, num, _ in self.delta())
@@ -325,6 +313,25 @@ class FunctionCochain:
             self.pair,
             tuple(c + Expr.const(self.pair.chart, v) for c, v in zip(self.components, t)),
         )
+
+
+def coboundary(p: GMPair, nums):
+    """(i, j, S_ij) for each i < j, in lexicographic order, where the trig
+    polynomial S_ij = X_i n_j - X_j n_i - c^k_ij n_k for the trig
+    polynomials n_k, one per basis element.
+
+    S_ij is one combination of the table's scalar images and the n_k, read
+    times den, the algebra's denominator, and the integer denominators of
+    n_i and n_j, so that every coefficient it sums is an integer.
+    """
+    g, act = p.algebra, p.action
+    for (i, j), structure in g.table.items():
+        di, dj = nums[i].den, nums[j].den
+        yield i, j, TP.combination(chain(
+            ((x * di * g.den, act.scalar(i, m)) for m, x in nums[j].terms.items()),
+            ((-x * dj * g.den, act.scalar(j, m)) for m, x in nums[i].terms.items()),
+            ((-ck * di * dj, nums[k]) for k, ck in structure),
+        ), di * dj * g.den)
 
 
 def pi_images(p: GMPair, units, basis):
@@ -337,34 +344,16 @@ def pi_images(p: GMPair, units, basis):
     them to the span.  A failure raises InvariantViolation.  Returns one
     list of n trig polynomials per basis vector.
     """
-    g = p.algebra
-    n = g.dim
+    n = p.algebra.dim
     act = p.action
-    brackets = [
-        (a, b, [(k, g.coeff(a, b, k)) for k in range(n) if g.coeff(a, b, k)])
-        for a in range(n)
-        for b in range(a + 1, n)
-    ]
-    # the cocycle identity times dc, the lcm of the structure constants'
-    # denominators, so that it sums integer coefficients
-    dc = lcm(*[ck.denominator for _, _, structure in brackets for _, ck in structure])
-    brackets = [(a, b, [(k, ck.numerator * (dc // ck.denominator)) for k, ck in structure])
-                for a, b, structure in brackets]
     out = []
     for v in basis:
         support = [(*units[k], c) for k, c in sorted(v.items())]
         pw = [TP.combination((c, act.contraction(i, mu, m)) for mu, m, c in support) for i in range(n)]
-        # each identity times the denominators of what it reads, summed
-        # once over integer coefficients
-        for a, b, structure in brackets:
-            da, db = pw[a].den, pw[b].den
-            residual = chain(
-                ((x * da * dc, act.scalar(a, m)) for m, x in pw[b].terms.items()),
-                ((-x * db * dc, act.scalar(b, m)) for m, x in pw[a].terms.items()),
-                ((-ck * da * db, pw[k]) for k, ck in structure),
-            )
-            if TP.combination(residual).terms:
-                raise InvariantViolation("pi of a closed form must be a cocycle")
+        if any(s.terms for _, _, s in coboundary(p, pw)):
+            raise InvariantViolation("pi of a closed form must be a cocycle")
+        # the second identity times the denominators of what it reads,
+        # summed once over integer coefficients
         dv = lcm(*[c.denominator for _, _, c in support])
         int_support = [(mu, m, c.numerator * (dv // c.denominator)) for mu, m, c in support]
         for i in range(n):

@@ -74,7 +74,6 @@ class DoubleComplex:
         self._q = {}
         self._report = None
         self._lives = {}
-        self._pages = {}
         self._totals = {}
 
     def dim_at(self, p, q):
@@ -314,14 +313,11 @@ def page(dc: DoubleComplex, r: int) -> Page:
     and every later r reads that page.
 
     Every page's dimensions come from one filtered reduction, run once per
-    complex and kept on it, as each page is."""
+    complex and kept on it."""
     if r < 0:
         raise InvariantViolation(f"page {r} does not exist")
     r = min(r, max(dc.width, dc.height) + 1)
-    pg = dc._pages.get(r)
-    if pg is None:
-        pg = dc._pages[r] = Page(r, _page_dims(dc, GIVEN, r))
-    return pg
+    return Page(r, _page_dims(dc, GIVEN, r))
 
 
 def page_infinity(dc: DoubleComplex) -> Page:

@@ -42,6 +42,7 @@ ALLOWED = {
     "spectral:_split_blocks": "random_double_complex's block split of a flat kernel vector",
     "linalg:Subspace.matrix": "random_double_complex's left kernel as a matrix",
     "linalg:Mat.mul": "random_double_complex's d1 blocks, a mix of the left kernel of the block below",
+    "liealg:StructureConstants.coeff": "ce_dims_oracle in perfbench/workloads.py and the tests read c^k_ij one at a time",
     # what a problem file can reach though no golden command does
     "calculus:OneForm.__add__": "phi4 adds the harmonic part back when the witness has one",
     "calculus:OneForm.scale": "phi4 scales the harmonic part when the witness has one",

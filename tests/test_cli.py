@@ -71,6 +71,22 @@ brackets = [[1, 2, 3, 1]]
     assert g.coeff(1, 0, 2) == -1
 
 
+def test_a_zero_bracket_entry_is_dropped(tmp_path):
+    """An [algebra] whose brackets add [e1, e2] = 0 e1 to so(3) is the same
+    algebra: == and hash agree, so a set holds it once, and check-algebra
+    and cohomology print the same machine output byte for byte."""
+    so3 = '[[1, 2, 3, "1"], [2, 3, 1, "1"], [3, 1, 2, "1"]'
+    f = tmp_path / "alg.toml"  # one path for both, as the output names it
+    algebras, outputs = [], []
+    for extra in ("", ', [1, 2, 1, "0"]'):
+        f.write_text(f'[algebra]\ndim = 3\nbasis = ["e1", "e2", "e3"]\nbrackets = {so3}{extra}]\n')
+        algebras.append(build_algebra(load_problem_file(str(f))))
+        outputs.append([run("--format", "machine", command, str(f)) for command in ("check-algebra", "cohomology")])
+    a, b = algebras
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert all(code == 0 for code, _ in outputs[0]) and outputs[0] == outputs[1]
+
+
 def test_parse_errors_have_line_numbers(tmp_path):
     f = tmp_path / "bad.toml"
     f.write_text("[x]\nkey value\n")

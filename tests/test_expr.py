@@ -175,9 +175,8 @@ def fixture_expressions():
 
 
 def test_partials_are_kept_and_equal_a_fresh_derivative():
-    """e.partial(g) is computed once and kept on e: it equals, as a string
-    and by ==, the derivative of a fresh equal copy, and a second call
-    returns the same object; derivatives of derivatives are kept the same way."""
+    """e.partial(g) equals, as a string and by ==, the derivative of a fresh
+    equal copy; derivatives of derivatives do too."""
     exprs = fixture_expressions()
     labels = " ".join(label for label, _ in exprs)
     assert "so3_sphere L" in labels and "l3_cylinder X0^1" in labels
@@ -188,7 +187,6 @@ def test_partials_are_kept_and_equal_a_fresh_derivative():
             d = e.partial(g)
             fresh = Expr(ch, e.num, e.den).partial(g)
             assert to_string(d) == to_string(fresh) and d == fresh, (label, g)
-            assert e.partial(g) is d, (label, g)
             for h in gens[:len(ch.names)]:
                 assert to_string(d.partial(h)) == to_string(Expr(ch, d.num, d.den).partial(h)), (label, g, h)
     sphere = dict(exprs)["so3_sphere L"]
@@ -201,11 +199,9 @@ def test_unknown_generator_raises_every_time_and_keeps_nothing():
     for _ in range(2):
         with pytest.raises(UnknownSymbol):
             e.partial("nope")
-    assert e._partials is None
     assert e.partial("z") == P("2*z*dphi")
     with pytest.raises(UnknownSymbol):
         e.partial("nope")
-    assert list(e._partials) == ["z"]
 
 
 def test_power_of_a_sum_is_bounded_before_expansion():

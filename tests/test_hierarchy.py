@@ -664,8 +664,7 @@ def test_linearity_of_psi_and_phi1():
 # -- the truncated double complex -----------------------------------------------------------
 
 def test_l3_invariance_complex_e2_column():
-    ic = build_invariance_double_complex(L3, ClassifyOptions(degree=3, fourier=3))
-    dc = ic.dc
+    dc = build_invariance_double_complex(L3, ClassifyOptions(degree=3, fourier=3))
     p2 = page(dc, 2)
     assert p2.dim(0, 0) == 1  # H^0(G) = R
     assert p2.dim(1, 0) == 2  # H^1(G) = R^2
@@ -681,7 +680,7 @@ def test_galilean_invariance_complex_past_the_cap(monkeypatch):
     import lagfloor.hierarchy as h
 
     monkeypatch.setattr(h, "MAX_COMPLEX_CELLS", 10 * h.MAX_COMPLEX_CELLS)
-    dc = build_invariance_double_complex(GAL, ClassifyOptions(degree=0, fourier=0)).dc
+    dc = build_invariance_double_complex(GAL, ClassifyOptions(degree=0, fourier=0))
     assert (dc.width, dc.height) == (11, 3)
     assert abutment_check(dc).ok
     g = GAL.algebra
@@ -694,8 +693,7 @@ def test_galilean_invariance_complex_past_the_cap(monkeypatch):
 def test_l3_transposed_corner_is_invariant_functions():
     from zigzag import transpose
 
-    ic = build_invariance_double_complex(L3, ClassifyOptions(degree=3, fourier=3))
-    t = transpose(ic.dc)
+    t = transpose(build_invariance_double_complex(L3, ClassifyOptions(degree=3, fourier=3)))
     p1 = page(t, 1)
     # invariant functions within the truncation: constants only
     assert p1.dim(0, 0) == 1
@@ -704,8 +702,7 @@ def test_l3_transposed_corner_is_invariant_functions():
 def test_abelian_r1_invariance_complex():
     q = Chart((("q", "line"),))
     pair = GMPair(catalog("abelian", n=1), q, ((TP.const(1),),))
-    ic = build_invariance_double_complex(pair, ClassifyOptions(degree=2, fourier=0))
-    p2 = page(ic.dc, 2)
+    p2 = page(build_invariance_double_complex(pair, ClassifyOptions(degree=2, fourier=0)), 2)
     assert p2.dim(0, 0) == 1  # Lambda^0 invariants = constants
     assert p2.dim(1, 0) == 1  # H^1 of the abelian line
 

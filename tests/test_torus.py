@@ -98,8 +98,7 @@ def test_nonclosed_variation_form_is_caught():
 
 
 def test_invariance_complex_on_torus():
-    ic = build_invariance_double_complex(PAIR, ClassifyOptions(degree=0, fourier=2))
-    dc = ic.dc
+    dc = build_invariance_double_complex(PAIR, ClassifyOptions(degree=0, fourier=2))
     p2 = page(dc, 2)
     # E_2^{p,0} = H^p(R^2-translations) = (1, 2, 1)
     assert p2.dim(0, 0) == 1
@@ -107,8 +106,9 @@ def test_invariance_complex_on_torus():
     assert p2.dim(2, 0) == 1
     assert abutment_check(dc).ok
     # Fourier modes survive the truncation shrink: the function column is
-    # the full Fourier space, closed under translations
-    assert len(ic.bases[0]) == 25  # (1 + 2*2)^2 monomials at fourier = 2
+    # the full Fourier space, closed under translations; p = 0 has one
+    # cochain tuple, so cell (0, 0) is the function column's dimension
+    assert dc.dims[0][0] == 25  # (1 + 2*2)^2 monomials at fourier = 2
 
 
 @pytest.mark.parametrize("text", [
