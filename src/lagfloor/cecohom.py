@@ -11,7 +11,12 @@ are reproducible.  The differential is
   (dc)(h_0..h_q) = sum_i (-1)^i  h_i . c(.. h_i ..)
                  + sum_{i<j} (-1)^{i+j} c([h_i,h_j], .. h_i .. h_j ..)
 
-(0-indexed signs).
+(0-indexed signs).  Every check here is the zero test of a squared
+differential, read with ``product_nonzeros`` and returned as a
+``CheckReport``: a module's axiom is delta_1 delta_0 = 0, and the Jacobi
+identity is delta_2 delta_1 = 0 on the trivial module.  Z^1 with trivial
+coefficients is ker delta_1, read from that differential's kept row
+reduction.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ from itertools import combinations
 from math import lcm
 
 from .liealg import StructureConstants
-from .linalg import InvariantViolation, Mat, QuotientSpace, Vector, homology, product_nonzeros, solve
+from .linalg import CheckReport, InvariantViolation, Mat, QuotientSpace, Subspace, Vector, homology, kernel_basis
+from .linalg import product_nonzeros, solve
 
 
 class NotACocycle(InvariantViolation):
@@ -56,15 +62,7 @@ class GModule:
         return GModule(1, algebra, tuple(Mat.zero(1, 1) for _ in range(algebra.dim)))
 
 
-class ModuleReport:
-    __slots__ = ("ok", "violations")
-
-    def __init__(self, ok: bool, violations: tuple):
-        self.ok = ok
-        self.violations = violations  # of (i, j)
-
-
-def validate_module(a: GModule) -> ModuleReport:
+def validate_module(a: GModule) -> CheckReport:
     """Check rho_i rho_j - rho_j rho_i = c^k_{ij} rho_k for all i < j.
 
     delta_1 delta_0 sends a module vector v to the 2-cochain whose value
@@ -74,7 +72,27 @@ def validate_module(a: GModule) -> ModuleReport:
     tuples = cochain_tuples(g.dim, 2)
     dd = product_nonzeros(ce_differential(g, a, 1), ce_differential(g, a, 0))
     bad = dict.fromkeys(tuples[r // a.dim] for r, _ in dd)
-    return ModuleReport(not bad, tuple(bad))
+    return CheckReport(tuple(bad))
+
+
+def jacobi_check(g: StructureConstants) -> CheckReport:
+    """The Jacobi identity, read off delta_2 delta_1 = 0 on the trivial module.
+
+    (delta delta t)(e_i, e_j, e_k) is t of the Jacobiator [[e_i, e_j], e_k]
+    + [[e_j, e_k], e_i] + [[e_k, e_i], e_j], so the violations are the
+    (i, j, k, l) of the nonzero entries, the triple i < j < k of the row and
+    the component l of the column, in ascending order."""
+    a = GModule.trivial(g)
+    tuples = cochain_tuples(g.dim, 3)
+    dd = product_nonzeros(ce_differential(g, a, 2), ce_differential(g, a, 1))
+    return CheckReport(tuple(sorted((*tuples[r], l) for r, l in dd)))
+
+
+def zero_one_cocycles(g: StructureConstants) -> Subspace:
+    """Z^1(G) = ker delta_1 = {t : c^k_{ij} t_k = 0} on the trivial module,
+    which is H^1 with trivial coefficients, read from delta_1's kept row
+    reduction."""
+    return kernel_basis(ce_differential(g, GModule.trivial(g), 1))
 
 
 def cochain_tuples(n, q):

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .calculus import OneForm
-from .cecohom import GModule, cochain_tuples, cohomology, validate_module
+from .cecohom import GModule, cochain_tuples, cohomology, jacobi_check, validate_module
 from .expr import AnsatzTooLarge, ParseError, to_string
 from .hierarchy import (
     ClassifyOptions,
@@ -28,7 +28,7 @@ from .hierarchy import (
     k_spaces,
     noether_charges,
 )
-from .liealg import BadParams, UnknownName, jacobi_check
+from .liealg import BadParams, UnknownName
 from .problemfile import (
     NotPolynomial,
     ProblemFileError,
@@ -174,7 +174,7 @@ def cmd_check_pair(args, report):
     report.add("brackets", "ok" if res.ok else "violated")
     if not res.ok:
         names = pair.algebra.basis_names
-        for i, j in res.failures[:10]:
+        for i, j in res.violations[:10]:
             report.add("failure", f"[{names[i]}, {names[j]}]")
         return EXIT_INVALID
     return EXIT_OK

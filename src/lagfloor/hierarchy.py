@@ -44,6 +44,7 @@ from .calculus import (
     twoform_pairs,
 )
 from .cecohom import GModule, ce_differential, coboundary_witness, cochain_tuples, cohomology, is_cocycle
+from .cecohom import zero_one_cocycles
 from .expr import (
     TP,
     TP_ONE,
@@ -57,7 +58,6 @@ from .expr import (
     function_monomials,
 )
 from .exprspace import equation_rows
-from .liealg import zero_one_cocycles
 from .linalg import (
     Echelon,
     InvariantViolation,

@@ -6,7 +6,8 @@ of them is affine, x -> Ax + b, and the bracket of two affine fields is the
 affine field of a matrix commutator, so the derivation is exact linear
 algebra and reads the coefficients off with one coordinate solve.  A golden
 test pins the derived values, which removes transcription risk without
-freezing files.
+freezing files.  The checks on a table live in :mod:`.cecohom`: the Jacobi
+identity is delta^2 = 0 there, and Z^1 is the kernel of delta_1.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from functools import cache
 from math import lcm
 
-from .linalg import coordinate_map, kernel_of_rows
+from .linalg import coordinate_map
 
 F = Fraction
 # the value of every structure constant that a table leaves out; Fractions
@@ -82,36 +83,6 @@ class StructureConstants:
         if not isinstance(other, StructureConstants):
             return NotImplemented
         return self._key() == other._key()
-
-
-class JacobiReport:
-    __slots__ = ("ok", "violations")
-
-    def __init__(self, ok: bool, violations: tuple):
-        self.ok = ok
-        self.violations = violations  # of (i, j, k, l)
-
-
-def jacobi_check(g: StructureConstants) -> JacobiReport:
-    """Exact check of sum_m (c^m_ij c^l_mk + c^m_jk c^l_mi + c^m_ki c^l_mj) = 0
-    for i < j < k, summed over the nonzero constants only; violations in
-    (i, j, k, l) order."""
-    n = g.dim
-    full = {}  # (a, b) -> {m: c^m_ab} for a != b, both orders
-    for (a, b), comps in g.c.items():
-        full[(a, b)] = comps
-        full[(b, a)] = {m: -v for m, v in comps.items()}
-    bad = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                s = {}
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for m, x in full.get((a, b), {}).items():
-                        for l, y in full.get((m, c), {}).items():
-                            s[l] = s.get(l, 0) + x * y
-                bad.extend((i, j, k, l) for l in sorted(s) if s[l])
-    return JacobiReport(not bad, tuple(bad))
 
 
 def _sc(dim, names, entries):
@@ -208,7 +179,3 @@ def _build_catalog(name, params):
         return _derive_constants(_affine_generators(1 / (c * c)), POINCARE_BASIS)
     raise UnknownName(f"no catalog algebra named {name!r}")
 
-
-def zero_one_cocycles(g: StructureConstants):
-    """Basis of Z^1(G) = {t : c^k_{ij} t_k = 0}, i.e. H^1 with trivial coeffs."""
-    return kernel_of_rows([dict(row) for row in g.table.values() if row], g.dim)

@@ -291,6 +291,21 @@ def product_nonzeros(a: Mat, b: Mat):
     return ((i, j) for i, acc in enumerate(_row_products(a, b)) for j, x in acc.items() if x)
 
 
+class CheckReport:
+    """The outcome of a validity check: the tuple of its violations, each
+    named by where a squared differential has a nonzero entry, and ``ok``
+    when there is none."""
+
+    __slots__ = ("violations",)
+
+    def __init__(self, violations: tuple):
+        self.violations = violations
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
 def _combine(a, w, x, row):
     """a*w - x*row on ``{column: int}`` rows, zeros dropped."""
     out = {j: a * y for j, y in w.items()} if a != 1 else dict(w)

@@ -7,12 +7,13 @@ table holds the fields with their Jacobians and the generator action on
 monomials and elementary forms as sparse monomial vectors, each filled once
 by the derivative rule on monomial keys; its Lie derivatives take and
 return (numerator, denominator) pairs, so an expression meets it only where
-a reader builds one.  ``validate_pair`` reads the brackets off the table,
-and the pair keeps its report, which the computations certify first.  On
-the table live ``coboundary``, the one coboundary of function-valued
-1-cochains, S_ij = X_i n_j - X_j n_i - c^k_ij n_k summed on the algebra's
-integer bracket table, which ``FunctionCochain.delta`` and the cocycle
-check of ``pi_images`` both read; ``action_module`` (the g-module on an
+a reader builds one.  On the table lives ``coboundary``, the one
+coboundary of function-valued 1-cochains, S_ij = X_i n_j - X_j n_i -
+c^k_ij n_k summed on the algebra's integer bracket table, which
+``validate_pair`` (on the cochain k -> X_k^mu, one per chart coordinate
+mu), ``FunctionCochain.delta`` and the cocycle check of ``pi_images`` all
+read; the pair keeps its bracket report, which the computations certify
+first.  Also here are ``action_module`` (the g-module on an
 action-closed family of sparse vectors, the one way a g-module is built);
 the invariant closed 1-forms; and stability subalgebras with cocycle
 restriction, which is the certificate machinery for nontrivial classes that
@@ -28,12 +29,13 @@ from math import lcm
 from operator import mul
 
 from .calculus import OneForm, twoform_pairs
-from .cecohom import GModule, NotACocycle, validate_module
+from .cecohom import GModule, NotACocycle, validate_module, zero_one_cocycles
 from .expr import TP, TP_ONE, AnsatzSpec, Chart, EvaluationPole, Expr, derivation, function_monomials, quotient_rule
 from .expr import point_values, time_derivation
 from .exprspace import equation_rows
-from .liealg import StructureConstants, zero_one_cocycles
+from .liealg import StructureConstants
 from .linalg import (
+    CheckReport,
     InvariantViolation,
     Mat,
     Subspace,
@@ -203,7 +205,7 @@ class GMPair:
         self.action = ActionTable(chart, fields)
 
     @cached_property
-    def brackets(self) -> PairReport:
+    def brackets(self) -> CheckReport:
         """``validate_pair``'s report, built on first read."""
         return validate_pair(self)
 
@@ -211,7 +213,7 @@ class GMPair:
         """Raise InvariantViolation naming the first bracket that the fields
         do not realize."""
         if not self.brackets.ok:
-            i, j = self.brackets.failures[0]
+            i, j = self.brackets.violations[0]
             names = self.algebra.basis_names
             raise InvariantViolation(f"the fields violate the bracket [{names[i]}, {names[j]}]")
 
@@ -229,37 +231,15 @@ class GMPair:
         return tuple(out)
 
 
-class PairReport:
-    __slots__ = ("ok", "failures")
-
-    def __init__(self, ok: bool, failures: tuple):
-        self.ok = ok
-        self.failures = failures  # of (i, j)
-
-
-def bracket_residuals(p: GMPair, i, j) -> tuple[TP, ...]:
-    """[X_i, X_j]^mu - c^k_{ij} X_k^mu for i < j, one trig polynomial per
-    chart coordinate mu, each one combination of the table's components and
-    Jacobians: X_i^nu d_nu X_j^mu - X_j^nu d_nu X_i^mu - c^k_{ij} X_k^mu,
-    with zero products skipped, summed on the algebra's integer table."""
-    g, act = p.algebra, p.action
-    (xi, ji, _), (xj, jj, _) = act.components[i], act.components[j]
-    out = []
-    for mu in range(len(xi)):
-        terms = chain(
-            ((g.den, x * d) for x, d in zip(xi, jj[mu]) if x.terms and d.terms),
-            ((-g.den, x * d) for x, d in zip(xj, ji[mu]) if x.terms and d.terms),
-            ((-ck, act.components[k][0][mu]) for k, ck in g.table[(i, j)]),
-        )
-        out.append(TP.combination(terms, g.den))
-    return tuple(out)
-
-
-def validate_pair(p: GMPair) -> PairReport:
-    """[X_i, X_j] = c^k_{ij} X_k, componentwise, read off the action table."""
-    n = p.algebra.dim
-    bad = [(i, j) for i in range(n) for j in range(i + 1, n) if any(r.terms for r in bracket_residuals(p, i, j))]
-    return PairReport(not bad, tuple(bad))
+def validate_pair(p: GMPair) -> CheckReport:
+    """[X_i, X_j] = c^k_{ij} X_k, componentwise, as delta^2 q^mu = 0 for
+    each chart coordinate q^mu: the ``coboundary`` of delta q^mu, the
+    cochain k -> X_k^mu, is X_i X_j^mu - X_j X_i^mu - c^k_ij X_k^mu at (i, j),
+    the mu component of [X_i, X_j] - c^k_ij X_k.  The violations are the
+    pairs i < j where one is nonzero."""
+    bad = {(i, j) for mu in range(len(p.chart.names))
+           for i, j, s in coboundary(p, [x[mu] for x in p.fields]) if s.terms}
+    return CheckReport(tuple(sorted(bad)))
 
 
 class FunctionCochain:

@@ -142,11 +142,11 @@ def build_algebra(pf: ProblemFile) -> StructureConstants:
             raise ProblemFileError(f"bracket indices are 1-based: {entry!r}")
         if i == j:
             raise ProblemFileError(f"bracket [e_i, e_i] is zero: {entry!r}")
+        comps = c.setdefault((min(i, j) - 1, max(i, j) - 1), {})
+        if k - 1 in comps:
+            raise ProblemFileError(f"bracket [e_i, e_j] gives its e_k component twice: {entry!r}")
         coeff = _rat(coeff, "brackets")
-        if i < j:
-            c.setdefault((i - 1, j - 1), {})[k - 1] = coeff
-        else:
-            c.setdefault((j - 1, i - 1), {})[k - 1] = -coeff
+        comps[k - 1] = coeff if i < j else -coeff
     return StructureConstants(dim, tuple(basis), c)
 
 

@@ -32,7 +32,7 @@ from bisect import bisect_right
 from itertools import accumulate
 from math import lcm
 
-from .linalg import Echelon, InvariantViolation, Mat, kernel_basis, kernel_of_rows, product_nonzeros
+from .linalg import CheckReport, Echelon, InvariantViolation, Mat, kernel_basis, kernel_of_rows, product_nonzeros
 
 
 # the largest double complex whose pages are computed, in cells (the sum of
@@ -94,20 +94,12 @@ class DoubleComplex:
         return m
 
 
-class ComplexReport:
-    __slots__ = ("ok", "violations")
-
-    def __init__(self, ok: bool, violations: tuple):
-        self.ok = ok
-        self.violations = violations  # of (rule, p, q)
-
-
 # by dp, the rule that a nonzero block of Q_m Q_{m-1} from (p, q) into
 # (p + dp, q + 2 - dp) breaks, after the rule's place in a report's order
 _RULES = {0: (0, "d1.d1"), 2: (1, "d2.d2"), 1: (2, "commute")}
 
 
-def validate_double_complex(dc: DoubleComplex) -> ComplexReport:
+def validate_double_complex(dc: DoubleComplex) -> CheckReport:
     """d1 d1 = 0, d2 d2 = 0 and d1 d2 = d2 d1, read off Q^2 = 0 by blocks.
 
     From the cell (p, q), the block of Q_m Q_{m-1} into (p, q + 2) is d1 d1,
@@ -125,7 +117,7 @@ def validate_double_complex(dc: DoubleComplex) -> ComplexReport:
                 (p, q), _ = src[j]
                 (tp, _), _ = tgt[i]
                 bad.add((p, q, *_RULES[tp - p]))
-        dc._report = ComplexReport(not bad, tuple((rule, p, q) for p, q, _, rule in sorted(bad)))
+        dc._report = CheckReport(tuple((rule, p, q) for p, q, _, rule in sorted(bad)))
     return dc._report
 
 

@@ -9,8 +9,8 @@ sum is its own reduced ``Expr``.  The Lie derivatives of functions, 1-forms,
 derivative of a 1-form, are the references of the pair's action table
 (``pairs.ActionTable``), which the commands read instead.  The commutator
 of two vector fields written as expressions, ``VectorFieldExpr.bracket``,
-is the reference of ``pairs.bracket_residuals``, which reads the brackets
-off the table.
+is the reference of ``pairs.validate_pair``, which reads each component of
+the brackets as the table's ``pairs.coboundary`` of the fields' components.
 """
 
 from dataclasses import dataclass

@@ -87,6 +87,43 @@ def test_a_zero_bracket_entry_is_dropped(tmp_path):
     assert all(code == 0 for code, _ in outputs[0]) and outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("repeat", [[1, 2, 3, "1"], [2, 1, 3, "1"], [2, 1, 3, "-1"], [1, 2, 3, "0"]], ids=str)
+def test_a_repeated_bracket_entry_is_a_parse_error(repeat, tmp_path):
+    """An (i, j, k) given twice, in either order, is refused whatever the
+    values: [2, 1, 3, 1] after [1, 2, 3, 1] once overwrote it, and
+    check-algebra exited 0 on [e1, e2] = -e3."""
+    f = tmp_path / "alg.toml"
+    f.write_text(f'[algebra]\ndim = 3\nbasis = ["e1", "e2", "e3"]\nbrackets = [[1, 2, 3, "1"], {json.dumps(repeat)}]\n')
+    for command in ("check-algebra", "cohomology"):
+        assert_parse_error((command, str(f)), f"bracket [e_i, e_j] gives its e_k component twice: {repeat!r}")
+
+
+JACOBI_FAILURES = {
+    "one": (3, [[1, 2, 3, 1], [1, 3, 1, 1]], ["(1,2,3,3)"]),
+    # 15 violations, several sharing (i, j, k): the (i, j, k, l) order and the first ten
+    "five": (5, [[1, 3, 4, 2], [1, 5, 1, -1], [1, 5, 3, 1], [2, 4, 5, 2], [2, 5, 2, 2], [3, 4, 4, 1], [3, 5, 5, 2],
+                 [4, 5, 5, 2]],
+             ["(1,2,3,5)", "(1,2,4,1)", "(1,2,4,3)", "(1,3,5,1)", "(1,3,5,3)", "(1,3,5,4)", "(1,3,5,5)",
+              "(1,4,5,1)", "(1,4,5,3)", "(1,4,5,4)"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JACOBI_FAILURES))
+def test_check_algebra_failure_output_pinned(case, tmp_path):
+    """check-algebra on a table that breaks the Jacobi identity exits 3 and
+    lists at most ten violations (i, j, k, l), 1-based, in ascending order,
+    in process and under python -O alike."""
+    dim, brackets, violations = JACOBI_FAILURES[case]
+    names = [f"e{i + 1}" for i in range(dim)]
+    f = tmp_path / "alg.toml"
+    f.write_text(f"[algebra]\ndim = {dim}\nbasis = {json.dumps(names)}\nbrackets = {brackets}\n")
+    want = [f"algebra = {' '.join(names)}", f"dim = {dim}", "jacobi = violated",
+            *(f"violation = (i,j,k,l) = {v}" for v in violations)]
+    for code, out in (run("--format", "machine", "check-algebra", str(f)), run_under_O("check-algebra", str(f))):
+        assert code == 3, out
+        assert out.splitlines()[2:] == want
+
+
 def test_parse_errors_have_line_numbers(tmp_path):
     f = tmp_path / "bad.toml"
     f.write_text("[x]\nkey value\n")

@@ -536,9 +536,10 @@ def test_stability_frames_are_built_once_per_pair(monkeypatch):
 def test_brackets_are_certified_once_per_pair_before_any_stage(monkeypatch):
     """classify, k_spaces and the invariance complex certify the pair's
     brackets first: on l3 with e2 and e3 swapped each raises
-    InvariantViolation naming [e1, e2] before any action image is built,
-    and the report is kept on the pair, so a valid pair is checked once
-    however many commands read it."""
+    InvariantViolation naming [e1, e2] before any stage builds an action
+    image (the certificate itself reads only the images of the field
+    components' monomials), and the report is kept on the pair, so a valid
+    pair is checked once however many commands read it."""
     from lagfloor import pairs
 
     checked = []
@@ -550,12 +551,15 @@ def test_brackets_are_certified_once_per_pair_before_any_stage(monkeypatch):
 
     monkeypatch.setattr(pairs, "validate_pair", counted)
     bent = GMPair(L3.algebra, L3.chart, (L3.fields[0], L3.fields[2], L3.fields[1]))
+    field_monos = {m for field in bent.fields for x in field for m in x.terms}
     opts = ClassifyOptions(degree=1, fourier=1)
     for compute in (lambda: classify(bent, P("dz^2")), lambda: k_spaces(bent, opts),
                     lambda: build_invariance_double_complex(bent, opts)):
         with pytest.raises(InvariantViolation, match=r"the fields violate the bracket \[e1, e2\]"):
             compute()
-        assert not bent.action._scalar and not bent.action._prolonged
+        act = bent.action
+        assert not act._prolonged and not act._oneform and not act._contraction
+        assert all(m in field_monos for _, m in act._scalar)
     assert checked == [bent]
     pair = fixture_pair("l3_cylinder")
     classify(pair, P("dz^2"), opts)

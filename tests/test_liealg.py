@@ -6,15 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from lagfloor.cecohom import jacobi_check, zero_one_cocycles
 from lagfloor.expr import Chart, parse_expr
-from lagfloor.liealg import (
-    BadParams,
-    StructureConstants,
-    UnknownName,
-    catalog,
-    jacobi_check,
-    zero_one_cocycles,
-)
+from lagfloor.liealg import BadParams, StructureConstants, UnknownName, catalog
+from lagfloor.linalg import kernel_of_rows
 from lagfloor.pairs import GMPair, validate_pair
 
 F = Fraction
@@ -228,6 +223,26 @@ def test_zero_one_cocycles_dims():
     assert z.dim == 1
     assert z.basis == ({0: 1},)
     assert zero_one_cocycles(catalog("poincare", c=1)).dim == 0
+
+
+def test_zero_one_cocycles_equal_the_kernel_of_the_table():
+    """Z^1(G) as ker delta_1 has the canonical basis of the kernel of the
+    table's nonzero rows {k: c^k_ij}, vector for vector, on every catalog
+    algebra and on 20 seeded random 5-dimensional tables."""
+    rng = random.Random(45)
+    algebras = [catalog(name, **params) for name, params in CATALOG]
+    for _ in range(20):
+        c = {}
+        for i in range(5):
+            for j in range(i + 1, 5):
+                c[(i, j)] = {k: F(rng.randint(-2, 2), rng.randint(1, 2)) for k in range(5) if rng.random() < 0.2}
+        algebras.append(StructureConstants(5, tuple(f"e{i}" for i in range(5)), c))
+    dims = set()
+    for g in algebras:
+        want = kernel_of_rows([dict(row) for row in g.table.values() if row], g.dim)
+        assert zero_one_cocycles(g).basis == want.basis
+        dims.add(want.dim)
+    assert len(dims) >= 4
 
 
 R4 = Chart((("t", "line"), ("x1", "line"), ("x2", "line"), ("x3", "line")))

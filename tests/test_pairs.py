@@ -27,8 +27,8 @@ from lagfloor.pairs import (
     FunctionCochain,
     GMPair,
     NotACocycle,
-    bracket_residuals,
     closedness_rows,
+    coboundary,
     invariant_closed_forms,
     pi_images,
     restrict_cocycle,
@@ -99,7 +99,7 @@ def test_broken_pair_reports_failures():
     bad = GMPair(L3.algebra, L3.chart, (L3.fields[0], L3.fields[2], L3.fields[1]))
     report = validate_pair(bad)
     assert not report.ok
-    assert report.failures
+    assert report.violations
 
 
 # the components that tests/test_calculus.py::random_field draws
@@ -110,15 +110,16 @@ CYLINDER_COMPONENTS = ("0", "1", "z", "z^2", "sin(phi)", "cos(phi)*z")
 @given(st.lists(st.sampled_from(CYLINDER_COMPONENTS), min_size=4, max_size=4))
 def test_table_bracket_matches_the_expression_bracket(comps):
     """Two random polynomial fields on the cylinder as an abelian pair, so
-    no structure term: the table's commutator, ``bracket_residuals``,
-    equals the expression bracket of calculus_oracle component by
-    component, and validate_pair fails exactly when it is nonzero."""
+    no structure term: the table's commutator, the ``coboundary`` of the
+    cochain k -> X_k^mu at (0, 1) for each mu, equals the expression
+    bracket of calculus_oracle component by component, and validate_pair
+    fails exactly when it is nonzero."""
     ch = L3.chart
     fields = (tuple(P(c).num for c in comps[:2]), tuple(P(c).num for c in comps[2:]))
     pair = GMPair(catalog("abelian", n=2), ch, fields)
     x, y = field_exprs(pair)
     want = x.bracket(y).components
-    got = bracket_residuals(pair, 0, 1)
+    got = [s for mu in range(len(ch.names)) for _, _, s in coboundary(pair, [x[mu] for x in fields])]
     assert len(got) == len(want)
     for r, w in zip(got, want):
         assert Expr(ch, r) == w
