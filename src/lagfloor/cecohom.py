@@ -22,7 +22,6 @@ reduction.
 from __future__ import annotations
 
 import weakref
-from functools import cache
 from itertools import combinations
 from math import lcm
 
@@ -40,9 +39,10 @@ class GModule:
 
     ``action[i]`` is the m x m matrix of e_i acting on the module; the axiom
     rho_i rho_j - rho_j rho_i = c^k_{ij} rho_k is exactly testable.
+    ``h2`` is None, or H^2(G, A) once a reader has kept it there.
     """
 
-    __slots__ = ("dim", "algebra", "action", "__weakref__")
+    __slots__ = ("dim", "algebra", "action", "h2", "__weakref__")
 
     def __init__(self, dim: int, algebra: StructureConstants, action: tuple[Mat, ...]):
         if len(action) != algebra.dim:
@@ -53,13 +53,17 @@ class GModule:
         self.dim = dim
         self.algebra = algebra
         self.action = action
+        self.h2 = None
 
     @staticmethod
-    @cache
     def trivial(algebra):
-        """The one-dimensional trivial module, one per algebra, so that
-        ``ce_differential`` finds its matrices again."""
-        return GModule(1, algebra, tuple(Mat.zero(1, 1) for _ in range(algebra.dim)))
+        """The one-dimensional trivial module, one per algebra, kept in the
+        algebra's ``trivial_module`` slot, so that ``ce_differential`` finds
+        its matrices again and the module goes with the algebra."""
+        a = algebra.trivial_module
+        if a is None:
+            a = algebra.trivial_module = GModule(1, algebra, tuple(Mat.zero(1, 1) for _ in range(algebra.dim)))
+        return a
 
 
 def validate_module(a: GModule) -> CheckReport:

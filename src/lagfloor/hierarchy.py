@@ -267,11 +267,13 @@ def phi1(p: GMPair, split: WeakInvarianceSplit):
 # phi_2
 # ---------------------------------------------------------------------------
 
-@cache
 def _h2(algebra):
-    """H^2 of the algebra with trivial coefficients, one per algebra, as
-    ``GModule.trivial`` keeps one module per algebra."""
-    return cohomology(algebra, GModule.trivial(algebra), 2)
+    """H^2 of the algebra with trivial coefficients, computed once and kept
+    on its trivial module, which the algebra keeps."""
+    a = GModule.trivial(algebra)
+    if a.h2 is None:
+        a.h2 = cohomology(algebra, a, 2)
+    return a.h2
 
 
 def phi2(p: GMPair, alphas):

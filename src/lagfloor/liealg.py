@@ -39,10 +39,14 @@ class StructureConstants:
     ``c`` is {(i, j): {k: Fraction}}, pairs and k ascending.  ``table`` is
     the same constants as integers over the one denominator ``den``, the
     lcm of their denominators: {(i, j): ((k, int), ...)} for every i < j,
-    empty where [e_i, e_j] = 0.  Equal algebras have equal tables.
+    empty where [e_i, e_j] = 0, so a zero constant given changes nothing.
+
+    ``trivial_module`` is a slot that this module never reads: the
+    cohomology layer keeps the algebra's trivial module there, so that the
+    module lives exactly as long as the algebra.
     """
 
-    __slots__ = ("dim", "basis_names", "c", "den", "table", "__weakref__")
+    __slots__ = ("dim", "basis_names", "c", "den", "table", "trivial_module", "__weakref__")
 
     def __init__(self, dim: int, basis_names: tuple[str, ...], c: dict | None = None):
         c = {} if c is None else c  # (i, j) i<j -> {k: Fraction}
@@ -64,6 +68,7 @@ class StructureConstants:
             for i in range(dim)
             for j in range(i + 1, dim)
         }
+        self.trivial_module = None
 
     def coeff(self, i, j, k) -> Fraction:
         """c^k_{ij} for arbitrary i, j."""
@@ -72,17 +77,6 @@ class StructureConstants:
         if i < j:
             return self.c.get((i, j), {}).get(k, ZERO)
         return -self.c.get((j, i), {}).get(k, ZERO)
-
-    def _key(self):
-        return self.dim, self.basis_names, self.den, tuple(self.table.items())
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __eq__(self, other):
-        if not isinstance(other, StructureConstants):
-            return NotImplemented
-        return self._key() == other._key()
 
 
 def _sc(dim, names, entries):

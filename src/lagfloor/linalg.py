@@ -27,9 +27,8 @@ and what :func:`dense` writes out as a tuple.  A subspace keeps its basis
 as canonical integer rows and builds those vectors only when they are read.
 
 A :class:`Mat` keeps each elimination it gets: its row reduction, which a
-kernel reads, its column reduction, which an image reads and its
-rank-nullity certificate compares with the first, and its rank, a forward
-elimination of the rows, never back-substituted.  There
+kernel reads, and its column reduction, which an image reads and its
+rank-nullity certificate compares with the first.  There
 is one elimination algorithm, the store of :class:`Echelon`: echelon rows,
 primitive integer rows each stored under its lowest column.  An insert
 clears only the new vector's lowest entry, while that column is a pivot,
@@ -220,13 +219,6 @@ class Mat:
     def column_reduction(self):
         """``rref`` of the columns (the rows of the transpose), computed once."""
         return rref(self.int_columns, self.rows)
-
-    @cached_property
-    def rank(self) -> int:
-        """The rank, computed once: the rows an Echelon stores when given
-        the rows sparsest first, as in ``row_reduce``, with no back-substitution."""
-        ech = Echelon()
-        return sum(ech._insert(r) is not None for r in sorted(self.data, key=len))
 
     def _over_lcm(self):
         """(d, rows): the matrix as integer rows over one denominator d, the

@@ -3,10 +3,12 @@ sequences.
 
 A double complex is a first-quadrant grid E^{p,q} with commuting squared-zero
 differentials d1: E^{p,q} -> E^{p,q+1} and d2: E^{p,q} -> E^{p+1,q}.  The
-total differential on antidiagonals is Q = (-1)^q d2 + d1, and `_q_rows` is
-the one place that writes it.  Validity is read off Q^2 = 0 by blocks: the
-block of Q_m Q_{m-1} from a cell is d1 d1, d2 d2 or, up to sign, d1 d2 -
-d2 d1 there, so the check sees the operator the pages are computed from.
+total differential on antidiagonals is Q = (-1)^q d2 + d1, and `_q_columns`
+is the one place that writes it: it scatters the d1 and d2 blocks straight
+into Q's integer columns over one denominator, the one form of Q that is
+kept.  Validity is read off Q^2 = 0 by blocks: the block of Q_m Q_{m-1}
+from a cell is d1 d1, d2 d2 or, up to sign, d1 d2 - d2 d1 there, so the
+check sees the operator the pages are computed from.
 
 The dimension of every cell on every page comes from one filtered reduction
 of Q per complex and filtration, the persistence reduction in filtration
@@ -19,20 +21,21 @@ dim H^m(Q).
 
 A complex keeps what is derived from it: each Q_m, its validity report,
 each filtration's reduction, each page asked for, and each dim H^m(Q).
-Q_m is built once, and every reader takes that one matrix: validity reads
-the nonzero entries of Q_m Q_{m-1}, the totals its kept rank, a forward
-elimination of its rows, and both filtrations its kept integer columns.
-Nothing is shared between complexes.
+Q_m is built once, and every reader takes its columns: validity applies
+Q_m to each column of Q_{m-1}, the totals take its kept rank, a forward
+elimination of its columns sparsest first, and both filtrations eliminate
+its columns in their own order.  Nothing is shared between complexes.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from functools import cached_property
 from itertools import accumulate
 from math import lcm
 
-from .linalg import CheckReport, Echelon, InvariantViolation, Mat, kernel_basis, kernel_of_rows, product_nonzeros
+from .linalg import CheckReport, Echelon, InvariantViolation, Mat, kernel_basis, kernel_of_rows
 
 
 # the largest double complex whose pages are computed, in cells (the sum of
@@ -107,16 +110,19 @@ def validate_double_complex(dc: DoubleComplex) -> CheckReport:
     d2 d1), so each nonzero block is one violation (rule, p, q), and the
     products check the Q that the pages and totals are computed from.  The
     report lists them by (p, q), then d1.d1, d2.d2, commute, and is kept on
-    the complex: each entry of each Q_m Q_{m-1} is computed once per
-    complex, and no product matrix is built."""
+    the complex: Q_m is applied once per complex to each integer column of
+    Q_{m-1}, and no product matrix is built."""
     if dc._report is None:
         bad = set()
         for m in range(1, dc.width + dc.height - 1):
             src, tgt = _filtration_order(dc, m - 1, GIVEN), _filtration_order(dc, m + 1, GIVEN)
-            for i, j in product_nonzeros(total_differential(dc, m), total_differential(dc, m - 1)):
-                (p, q), _ = src[j]
-                (tp, _), _ = tgt[i]
-                bad.add((p, q, *_RULES[tp - p]))
+            q_m = total_differential(dc, m)
+            for j, col in enumerate(total_differential(dc, m - 1).columns):
+                for i, x in q_m.apply(col).items():
+                    if x:
+                        (p, q), _ = src[j]
+                        (tp, _), _ = tgt[i]
+                        bad.add((p, q, *_RULES[tp - p]))
         dc._report = CheckReport(tuple((rule, p, q) for p, q, _, rule in sorted(bad)))
     return dc._report
 
@@ -142,51 +148,71 @@ def _filtration_order(dc, m, axis):
             for k in range(dc.dim_at(*cell))]
 
 
-def _q_rows(dc, src_cells, tgt_cells) -> Mat:
-    """The rows of Q = (-1)^q d2 + d1 from the blocks src_cells to the blocks
-    tgt_cells, each in the order given; a cell off the grid is an empty block."""
+class TotalDifferential:
+    """Q between two lists of cells, kept as its integer columns over one
+    positive denominator: column j of Q is ``columns[j] / den``, a ``{row:
+    int}`` dict of its nonzero entries over ``rows`` rows.  Its rank is a
+    forward elimination of those columns, computed once."""
+
+    def __init__(self, rows: int, den: int, columns: tuple[dict, ...]):
+        self.rows = rows
+        self.den = den
+        self.columns = columns
+
+    @cached_property
+    def rank(self) -> int:
+        """The columns an Echelon stores when given them sparsest first, with
+        no back-substitution."""
+        ech = Echelon()
+        return sum(ech._insert(col) is not None for col in sorted(self.columns, key=len))
+
+    def apply(self, col) -> dict:
+        """Q times the integer column col, times den, zeros kept: each
+        entry of col scales one column of Q."""
+        out = {}
+        for k, x in col.items():
+            for i, y in self.columns[k].items():
+                out[i] = out.get(i, 0) + x * y
+        return out
+
+
+def _q_columns(dc, src_cells, tgt_cells) -> TotalDifferential:
+    """Q = (-1)^q d2 + d1 from the blocks src_cells to the blocks tgt_cells,
+    each in the order given; a cell off the grid is an empty block.
+
+    The d1 and d2 blocks are scattered straight into Q's columns over den,
+    the lcm of their row denominators, so an entry x of a row over d is
+    written as x * (den // d).  Each entry is checked here, explicitly: a
+    nonzero int inside its block's columns, since the block's rows are the
+    rows of its target cell (``DoubleComplex`` checks every block's shape)."""
     src_dims = [dc.dim_at(*cell) for cell in src_cells]
-    data = []
-    dens = []
-    for tgt in tgt_cells:
-        n = dc.dim_at(*tgt)
-        block, block_dens = [{} for _ in range(n)], [1] * n
-        # each (target, source) block pair holds one matrix, so nothing overlaps
-        for (p, q), c0 in zip(src_cells, _offsets(src_dims)):
-            if tgt == (p, q + 1):
-                _put_block(block, block_dens, c0, dc.d1_at(p, q), 1)
-            elif tgt == (p + 1, q):
-                _put_block(block, block_dens, c0, dc.d2_at(p, q), (-1) ** q)
-        data.extend(block)
-        dens.extend(block_dens)
-    return Mat(len(data), sum(src_dims), tuple(data), tuple(dens))
+    tgt_dims = [dc.dim_at(*cell) for cell in tgt_cells]
+    row0 = dict(zip(tgt_cells, _offsets(tgt_dims)))
+    blocks = []  # (block, its first row in Q, its first column, its sign)
+    for (p, q), c0 in zip(src_cells, _offsets(src_dims)):
+        for block, tgt, sign in ((dc.d1_at, (p, q + 1), 1), (dc.d2_at, (p + 1, q), (-1) ** q)):
+            if tgt in row0:
+                blocks.append((block(p, q), row0[tgt], c0, sign))
+    den = lcm(*[d for mat, *_ in blocks for d in mat.dens])
+    columns = tuple({} for _ in range(sum(src_dims)))
+    for mat, r0, c0, sign in blocks:
+        n = mat.cols
+        for i, (row, d) in enumerate(zip(mat.data, mat.dens), r0):
+            s = sign * (den // d)
+            for j, x in row.items():
+                if type(x) is not int or not x or not 0 <= j < n:
+                    raise InvariantViolation(f"a block of Q holds {x!r} at column {j}, "
+                                             f"not a nonzero int in columns 0..{n - 1}")
+                columns[c0 + j][i] = x * s
+    return TotalDifferential(sum(tgt_dims), den, columns)
 
 
-def _put_block(rows, dens, c0, mat, sign):
-    """Write sign * mat, sign = 1 or -1, into the integer rows over dens
-    from column c0.  The blocks of a row hold disjoint columns, each in
-    lowest terms, so the lcm of their denominators keeps the row so."""
-    for k, (row, den) in enumerate(zip(mat.data, mat.dens)):
-        if not row:
-            continue
-        d = dens[k]
-        if den != d:
-            m = lcm(d, den)
-            if m != d:
-                rows[k] = {j: x * (m // d) for j, x in rows[k].items()}
-                dens[k] = d = m
-        s = sign * (d // den)
-        out = rows[k]
-        for j, v in row.items():
-            out[c0 + j] = v * s
-
-
-def total_differential(dc: DoubleComplex, m: int) -> Mat:
+def total_differential(dc: DoubleComplex, m: int) -> TotalDifferential:
     """Q_m: D^m -> D^{m+1}, blocks in ascending p, built once per degree and
-    complex, so its rank and integer columns are too."""
+    complex, so its rank is too."""
     q = dc._q.get(m)
     if q is None:
-        q = dc._q[m] = _q_rows(dc, _antidiagonal_cells(dc, m), _antidiagonal_cells(dc, m + 1))
+        q = dc._q[m] = _q_columns(dc, _antidiagonal_cells(dc, m), _antidiagonal_cells(dc, m + 1))
     return q
 
 
@@ -205,7 +231,8 @@ class TotalCohomology:
 def total_cohomology(dc: DoubleComplex, m: int) -> TotalCohomology:
     """dim H^m(Q) = dim D^m - rank Q_m - rank Q_{m-1} (Q_{-1} maps from 0),
     the brute-force oracle, once per degree and complex: each rank is the
-    forward row elimination kept on that Q, never the filtered reduction.
+    forward elimination of Q's columns kept on that Q, never the filtered
+    reduction.
     Ranks do not see Q^2 != 0, so Q_m Q_{m-1} = 0 is read from the
     complex's report: no violation at a cell of degree m - 1."""
     h = dc._totals.get(m)
@@ -213,7 +240,7 @@ def total_cohomology(dc: DoubleComplex, m: int) -> TotalCohomology:
         if any(p + q == m - 1 for _, p, q in validate_double_complex(dc).violations):
             raise InvariantViolation(f"Q^2 != 0 at degree {m}: not a double complex")
         q = total_differential(dc, m)
-        h = dc._totals[m] = TotalCohomology(q.cols - q.rank - total_differential(dc, m - 1).rank)
+        h = dc._totals[m] = TotalCohomology(len(q.columns) - q.rank - total_differential(dc, m - 1).rank)
     return h
 
 
@@ -245,7 +272,7 @@ def _filtered_reduction(dc, axis):
     tgt = _filtration_order(dc, 0, axis)
     for m in range(dc.width + dc.height - 1):
         src, tgt = tgt, _filtration_order(dc, m + 1, axis)
-        cols = total_differential(dc, m).int_columns
+        cols = total_differential(dc, m).columns
         key = {i: k for k, (_, i) in enumerate(tgt)} if axis != GIVEN else None
         ech = Echelon()
         pivots = set()

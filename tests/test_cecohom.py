@@ -445,3 +445,49 @@ def test_pages_have_no_zigzag_engine():
     h = homology(Mat.zero(0, 1), None)
     assert type(h) is QuotientSpace and not hasattr(h, "positions")
     assert not hasattr(lagfloor, "page_differential") and not hasattr(lagfloor, "LiftFailure")
+
+
+def random_table(rng):
+    """A throwaway algebra of dimension 3 to 6 with random small brackets,
+    Jacobi or not."""
+    n = rng.randint(3, 6)
+    c = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                if rng.random() < 0.2:
+                    c.setdefault((i, j), {})[k] = F(rng.randint(-3, 3), rng.randint(1, 2))
+    return StructureConstants(n, tuple(f"e{i}" for i in range(n)), c)
+
+
+def test_throwaway_algebras_leave_no_trivial_module_or_differential():
+    """An algebra keeps its trivial module, and the module its H^2, so
+    neither outlives the algebra: after jacobi_check on 300 throwaway random
+    tables, and H^2 of 30 throwaway copies of l3, then gc.collect(), no
+    trivial module of theirs is alive and ``_DIFF_CACHE`` holds none of
+    their differentials."""
+    import gc
+    import weakref
+
+    from lagfloor import cecohom, hierarchy
+
+    rng = random.Random(47)
+    gc.collect()
+    before = set(cecohom._DIFF_CACHE)
+    modules = []
+    for k in range(300):
+        g = random_table(rng)
+        cecohom.jacobi_check(g)
+        a = GModule.trivial(g)
+        assert g.trivial_module is a and (id(g), id(a), 2) in cecohom._DIFF_CACHE
+        modules.append(weakref.ref(a))
+        if k % 10 == 0:
+            l3 = catalog("l3")
+            g = StructureConstants(l3.dim, l3.basis_names, l3.c)
+            h2 = hierarchy._h2(g)
+            assert hierarchy._h2(g) is h2 is GModule.trivial(g).h2 and h2.dim == 2
+            modules.append(weakref.ref(g.trivial_module))
+    del g, a, h2
+    gc.collect()
+    assert not [ref for ref in modules if ref() is not None]
+    assert set(cecohom._DIFF_CACHE) <= before

@@ -1,5 +1,5 @@
 """The total differential Q = (-1)^q d2 + d1 is written once, in
-``spectral._q_rows``; the zig-zag pages and the page differentials read
+``spectral._q_columns``; the zig-zag pages and the page differentials read
 windows of it and re-derive no sign.  An ``ast`` scan of ``spectral.py``
 keeps it that way."""
 
@@ -45,11 +45,11 @@ def test_q_has_one_sign_rule():
     tree = ast.parse(SPECTRAL.read_text(), filename=SPECTRAL.name)
     found = _powers_of_minus_one(tree)
     assert found, "Q's sign rule is missing from spectral.py"
-    assert {function for function, _ in found} == {"_q_rows"}, found
+    assert {function for function, _ in found} == {"_q_columns"}, found
 
 
 def test_block_kernel_is_gone():
     tree = ast.parse(SPECTRAL.read_text(), filename=SPECTRAL.name)
     names = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-    assert "_q_rows" in names
+    assert "_q_columns" in names
     assert "_block_kernel" not in names

@@ -80,26 +80,112 @@ SCALED_COMMUTE = """DoubleComplex([[1, 1], [1, 1]], {(0, 0): Mat.from_rows([[1]]
               {(0, 0): Mat.from_rows([[F(1, 2)]]), (0, 1): Mat.from_rows([[1]])})"""
 
 
+def row_built_q(dc, m):
+    """Q_m = (-1)^q d2 + d1 built from Mat rows over Fractions, block by
+    block from d1_at and d2_at: the reference for the column store."""
+    src, tgt = [(p, m - p) for p in range(dc.width)], [(p, m + 1 - p) for p in range(dc.width)]
+    offsets = [sum(dc.dim_at(*cell) for cell in src[:k]) for k in range(len(src))]
+    rows = []
+    for tp, tq in tgt:
+        for k in range(dc.dim_at(tp, tq)):
+            row = {}
+            for (p, q), c0 in zip(src, offsets):
+                if dc.dim_at(p, q) and (tp, tq) in ((p, q + 1), (p + 1, q)):
+                    block, sign = (dc.d1_at(p, q), 1) if tq == q + 1 else (dc.d2_at(p, q), (-1) ** q)
+                    row.update((c0 + j, sign * x) for j, x in block.vector(k).items())
+            rows.append(row)
+    return Mat.from_vectors(rows, sum(dc.dim_at(*cell) for cell in src))
+
+
+def mixed_denominator_complex():
+    """A 2 x 2 grid of planes whose four blocks have rows over 2, 3, 5, 6, 7
+    and 10, differing within a block and between the blocks that share
+    rows of Q; it need not be a complex."""
+    d1 = {(0, 0): Mat.from_rows([[F(1, 2), F(1, 3)], [F(-5, 7), 0]]),
+          (1, 0): Mat.from_rows([[F(2, 5), 1], [0, F(-1, 6)]])}
+    d2 = {(0, 0): Mat.from_rows([[F(3, 7), 0], [F(1, 5), F(1, 2)]]),
+          (0, 1): Mat.from_rows([[1, F(-2, 3)], [F(7, 2), 4]])}
+    return DoubleComplex([[2, 2], [2, 2]], d1, d2)
+
+
+def test_the_column_store_is_q_built_from_mat_rows():
+    """Each Q_m's integer columns over its one denominator are, as
+    Fractions, the entries of Q_m assembled from the d1 and d2 blocks' Mat
+    rows, on the seeded complexes, on blocks with mixed denominators and on
+    invalid complexes; its rank is the number of pivots of that Mat's row
+    reduction."""
+    from lagfloor.spectral import total_differential
+
+    complexes = [random_double_complex(seed) for seed in range(20)]
+    complexes += [mixed_denominator_complex(), perturbed_fractional_complex(), garbage_complex(), eval(SCALED_COMMUTE)]
+    for dc in complexes:
+        for m in range(-1, dc.width + dc.height - 1):
+            q, ref = total_differential(dc, m), row_built_q(dc, m)
+            assert type(q.den) is int and q.den >= 1
+            assert (q.rows, len(q.columns)) == (ref.rows, ref.cols)
+            got = {(i, j): F(x, q.den) for j, col in enumerate(q.columns) for i, x in col.items()}
+            assert got == {(i, j): x for i in range(ref.rows) for j, x in ref.vector(i).items()}
+            assert q.rank == len(ref.row_reduction[0])
+    # one denominator per Q_m: the lcm of its blocks' row denominators
+    assert [total_differential(mixed_denominator_complex(), m).den for m in (0, 1)] == [210, 30]
+
+
+# a 1 x 2 grid of lines whose d1 block is tampered with after the complex
+# is built, in three ways; argv[-1] says which
+TAMPERED_BLOCK = """
+import sys
+from fractions import Fraction
+from lagfloor.linalg import InvariantViolation, Mat
+from lagfloor.spectral import DoubleComplex, page, total_cohomology
+
+block = Mat.from_rows([[2]])
+dc = DoubleComplex([[1, 1]], {(0, 0): block}, {})
+block.data[0].clear()
+block.data[0].update({"zero": {0: 0}, "fraction": {0: Fraction(1, 2)}, "column": {1: 1}}[sys.argv[-1]])
+assert False, "asserts must be stripped under -O"
+for read in (lambda: total_cohomology(dc, 0), lambda: page(dc, 1)):
+    try:
+        read()
+    except InvariantViolation as exc:
+        print("raised:", exc)
+"""
+
+
+@pytest.mark.parametrize("tamper, entry", [("zero", "0 at column 0"), ("fraction", "Fraction(1, 2) at column 0"),
+                                           ("column", "1 at column 1")])
+def test_q_entries_are_checked_by_explicit_raises_also_under_python_O(tamper, entry):
+    """The store checks every entry it scatters: a block entry that is 0 or
+    not an int, or one outside its block's columns, raises
+    InvariantViolation when Q is built, for the totals and for the pages
+    alike, also under python -O."""
+    raised = f"raised: a block of Q holds {entry}, not a nonzero int in columns 0..0\n"
+    assert run_under_O(tamper, script=TAMPERED_BLOCK) == (0, 2 * raised)
+
+
 def test_invalid_complexes_read_the_entries_of_the_product_matrix():
     """On the invalid complexes here and on valid random ones, with
     fractional rows, the nonzero entries of each Q_m Q_{m-1} that validation
-    reads are those of Mat.mul's product, entry for entry and in order."""
-    from lagfloor.linalg import product_nonzeros
+    reads, Q_m applied to each integer column of Q_{m-1}, are those of
+    Mat.mul's product of Q_m and Q_{m-1} built from Mat rows."""
     from lagfloor.spectral import total_differential
 
     scaled = eval(SCALED_COMMUTE)
     invalid = [d1_squared_column(), garbage_complex(), perturbed_fractional_complex(), scaled]
-    for dc in invalid + [random_double_complex(seed) for seed in range(10)]:
+    for dc in invalid + [random_double_complex(seed) for seed in range(10)] + [mixed_denominator_complex()]:
         for m in range(1, dc.width + dc.height - 1):
             a, b = total_differential(dc, m), total_differential(dc, m - 1)
-            assert list(product_nonzeros(a, b)) == [(i, j) for i, row in enumerate(a.mul(b).data) for j in row]
+            read = sorted((i, j) for j, col in enumerate(b.columns) for i, x in a.apply(col).items() if x)
+            assert read == [(i, j) for i, row in enumerate(row_built_q(dc, m).mul(row_built_q(dc, m - 1)).data)
+                            for j in sorted(row)]
     assert not any(validate_double_complex(dc).ok for dc in invalid)
     assert validate_double_complex(scaled).violations == (("commute", 0, 0),)
 
 
-# the product check with B's rows summed as they are, not over their lcm;
-# argv[-1] is "exact" or "mutant"
+# the product check with B's rows summed as they are, not over their lcm,
+# in cecohom, and Q's columns written without their den // d scale, in
+# spectral; argv[-1] is "exact" or "mutant"
 NO_LCM_PRODUCT = f"""
+import inspect
 import sys
 from fractions import Fraction as F
 
@@ -120,7 +206,11 @@ def no_lcm(a, b):
 
 
 if sys.argv[-1] == "mutant":
-    sp.product_nonzeros = ce.product_nonzeros = no_lcm
+    ce.product_nonzeros = no_lcm
+    source = inspect.getsource(sp._q_columns)
+    if "sign * (den // d)" not in source:
+        sys.exit("the mutant found no scale to drop")
+    exec(source.replace("sign * (den // d)", "sign"), vars(sp))
 assert False, "asserts must be stripped under -O"
 flagged = [seed for seed in range(20) if not sp.validate_double_complex(sp.random_double_complex(seed)).ok]
 print(len(flagged), *sp.validate_double_complex({SCALED_COMMUTE}).violations)
@@ -133,12 +223,13 @@ except InvariantViolation as exc:
 
 
 def test_a_product_check_without_the_lcm_fails_also_under_python_O():
-    """The Q^2 check brings B's rows over their lcm before it sums them.  A
-    mutant that sums B's integer rows as they are flags valid random
-    complexes, whose rows have denominators, and misses the violation of the
-    2 x 2 complex that shows only after scaling; the exact check flags no
-    valid complex and that one violation, also under python -O, and
-    cohomology on an invalid module raises."""
+    """Q's columns are written over one denominator, each entry scaled by
+    den // d from its row's denominator d.  A mutant that writes the entries
+    unscaled flags valid random complexes, whose rows have denominators, and
+    misses the violation of the 2 x 2 complex that shows only after scaling;
+    the exact store flags no valid complex and that one violation, also
+    under python -O.  cohomology on an invalid module raises, also with
+    cecohom's product check summing B's rows without their lcm."""
     raised = "raised: delta^2 != 0: invalid module\n"
     assert run_under_O("exact", script=NO_LCM_PRODUCT) == (0, "0 ('commute', 0, 0)\n" + raised)
     code, out = run_under_O("mutant", script=NO_LCM_PRODUCT)
@@ -330,10 +421,15 @@ def test_q_squared_nonzero_raises_also_under_python_O():
 # Q assembled without the (-1)^q on d2: its square holds d1 d2 + d2 d1 where
 # d1 d2 - d2 d1 should be, although every d1 and d2 block is unchanged
 UNSIGNED_Q = """
+import inspect
+import sys
+
 import lagfloor.spectral as sp
 
-put_block = sp._put_block
-sp._put_block = lambda rows, dens, c0, mat, sign: put_block(rows, dens, c0, mat, 1)
+source = inspect.getsource(sp._q_columns)
+if "(-1) ** q" not in source:
+    sys.exit("the mutant found no sign to drop")
+exec(source.replace("(-1) ** q", "1"), vars(sp))
 assert False, "asserts must be stripped under -O"
 print(*sp.validate_double_complex(sp.random_double_complex(3)).violations)
 """
@@ -348,14 +444,20 @@ def test_validation_reads_the_assembled_q_also_under_python_O():
 
 def test_q_squared_is_read_once_with_no_product_matrix(monkeypatch):
     """validate_double_complex, total_cohomology at every degree and
-    abutment_check on one complex read the nonzero entries of each Q_m
-    Q_{m-1} once, from dc's own Q's, and never call Mat.mul."""
+    abutment_check on one complex apply each Q_m once to each integer column
+    of Q_{m-1}, all dc's own Q's, and never call Mat.mul or
+    product_nonzeros."""
+    import lagfloor.linalg as la
     import lagfloor.spectral as sp
 
+    assert not hasattr(sp, "product_nonzeros")
     dc = random_double_complex(5, width=3, height=3)
+    applied = []
+    apply = sp.TotalDifferential.apply
+    monkeypatch.setattr(sp.TotalDifferential, "apply", lambda q, col: applied.append((q, col)) or apply(q, col))
     products = []
-    nonzeros = sp.product_nonzeros
-    monkeypatch.setattr(sp, "product_nonzeros", lambda a, b: products.append((a, b)) or nonzeros(a, b))
+    nonzeros = la.product_nonzeros
+    monkeypatch.setattr(la, "product_nonzeros", lambda a, b: products.append((a, b)) or nonzeros(a, b))
     muls = []
     mul = Mat.mul
     monkeypatch.setattr(Mat, "mul", lambda a, b: muls.append((a, b)) or mul(a, b))
@@ -365,8 +467,9 @@ def test_q_squared_is_read_once_with_no_product_matrix(monkeypatch):
     assert abutment_check(dc).ok
     assert validate_double_complex(dc).ok
     degrees = range(1, dc.width + dc.height - 1)
-    assert [(id(a), id(b)) for a, b in products] == [(id(dc._q[m]), id(dc._q[m - 1])) for m in degrees]
-    assert not muls
+    assert [(id(q), id(col)) for q, col in applied] == [(id(dc._q[m]), id(col))
+                                                        for m in degrees for col in dc._q[m - 1].columns]
+    assert applied and not products and not muls
 
 
 def test_stabilization():
@@ -490,8 +593,9 @@ def test_total_cohomology_is_computed_once_per_degree(monkeypatch):
 
     assert not hasattr(sp, "transpose")
     built = []
-    q_rows = sp._q_rows
-    monkeypatch.setattr(sp, "_q_rows", lambda dc, src, tgt: built.append((dc, tuple(src))) or q_rows(dc, src, tgt))
+    q_columns = sp._q_columns
+    monkeypatch.setattr(sp, "_q_columns",
+                        lambda dc, src, tgt: built.append((dc, tuple(src))) or q_columns(dc, src, tgt))
     complexes = []
     init = sp.DoubleComplex.__init__
     monkeypatch.setattr(sp.DoubleComplex, "__init__", lambda dc, *a: complexes.append(dc) or init(dc, *a))
@@ -526,9 +630,9 @@ def test_total_cohomology_is_computed_once_per_degree(monkeypatch):
 def test_totals_and_abutment_take_each_rank_once_with_no_rref(monkeypatch):
     """Every total_cohomology degree plus abutment_check eliminate each Q_m
     of dc once, forward, for its rank: H^m and H^{m+1} share Q_m's kept
-    rank, no Q is reduced by rref, by rows or by columns, and the filtered
-    reductions use Echelons of their own.  Each rank equals the number of
-    pivots of Q's full row reduction."""
+    rank, nothing runs rref, and the filtered reductions use Echelons of
+    their own.  Each rank equals the number of pivots of the full row
+    reduction of Q built from Mat rows."""
     from functools import cached_property
 
     import lagfloor.linalg as la
@@ -539,10 +643,10 @@ def test_totals_and_abutment_take_each_rank_once_with_no_rref(monkeypatch):
     rref = la.rref
     monkeypatch.setattr(la, "rref", lambda rows, ncols: calls.append(rows) or rref(rows, ncols))
     ranked = []
-    rank = Mat.rank.func
+    rank = sp.TotalDifferential.rank.func
     counted = cached_property(lambda q: ranked.append(q) or rank(q))
-    counted.__set_name__(Mat, "rank")
-    monkeypatch.setattr(Mat, "rank", counted)
+    counted.__set_name__(sp.TotalDifferential, "rank")
+    monkeypatch.setattr(sp.TotalDifferential, "rank", counted)
     degrees = range(dc.width + dc.height - 1)
     dims = [total_cohomology(dc, m).dim for m in degrees]
     assert abutment_check(dc).ok
@@ -552,8 +656,7 @@ def test_totals_and_abutment_take_each_rank_once_with_no_rref(monkeypatch):
     assert all(q is sp.total_differential(dc, m) for m, q in zip(maps, qs))
     assert sorted(map(id, ranked)) == sorted(map(id, qs))
     assert not calls
-    assert not any(k in q.__dict__ for q in qs for k in ("row_reduction", "column_reduction"))
-    assert [q.rank for q in qs] == [len(q.row_reduction[0]) for q in qs]
+    assert [q.rank for q in qs] == [len(row_built_q(dc, m).row_reduction[0]) for m in maps]
     assert [total_cohomology(fresh_copy(dc), m).dim for m in degrees] == dims
 
 

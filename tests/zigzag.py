@@ -21,7 +21,14 @@ the transposed filtration, which the package reads off the given Q.
 from fractions import Fraction
 
 from lagfloor.linalg import Mat, Subspace, _scatter, clear_denominators, kernel_basis, quotient, rref
-from lagfloor.spectral import DoubleComplex, _q_rows
+from lagfloor.spectral import DoubleComplex, _q_columns
+
+
+def q_window(dc, src_cells, tgt_cells):
+    """The window of Q from the cells src_cells to the cells tgt_cells as a
+    Mat, from the package's one builder of Q's columns."""
+    q = _q_columns(dc, src_cells, tgt_cells)
+    return Mat.over(q.den, q.columns, q.rows).transpose()
 
 
 def pivot_columns(cols):
@@ -36,7 +43,7 @@ def cocycles(dc, p, q, r):
     zig-zag cells whose Q lands in F^{p+r}, kept where their leader terms
     are independent."""
     cells = [(p + i, q - i) for i in range(r)]
-    chains = kernel_basis(_q_rows(dc, cells, [(a, b + 1) for a, b in cells])).basis
+    chains = kernel_basis(q_window(dc, cells, [(a, b + 1) for a, b in cells])).basis
     d0 = dc.dim_at(p, q)
     leaders = [{j: x for j, x in ch.items() if j < d0} for ch in chains]
     keep = pivot_columns(leaders)
@@ -47,8 +54,8 @@ def boundaries(dc, p, q, r):
     """B_r^{p,q}: the kernel of the window's constraint rows, the (p, q) rows
     of Q on each kernel vector, then the span of the images."""
     cells = [(p - i, q + i - 1) for i in range(r)]
-    chains = kernel_basis(_q_rows(dc, cells, [(a, b + 1) for a, b in cells[1:]])).basis
-    q_pq = _q_rows(dc, cells, [(p, q)])
+    chains = kernel_basis(q_window(dc, cells, [(a, b + 1) for a, b in cells[1:]])).basis
+    q_pq = q_window(dc, cells, [(p, q)])
     return Subspace.spanned_by([q_pq.mul_vec(ch) for ch in chains], dc.dim_at(p, q))
 
 
@@ -74,7 +81,7 @@ def page_differential(dc, r, p, q):
     (src, lifts), (tgt, _) = page_cell(dc, p, q, r), page_cell(dc, tp, tq, r)
     if not src.dim or not tgt.dim:
         return Mat.zero(tgt.dim, src.dim)
-    d_r = _q_rows(dc, [(p + i, q - i) for i in range(r)], [(tp, tq)])
+    d_r = q_window(dc, [(p + i, q - i) for i in range(r)], [(tp, tq)])
     cols = tuple(tgt.reduce(d_r.mul_vec(chain)) for chain in lifts)
     return Mat.from_vectors(cols, tgt.dim).transpose()
 
