@@ -64,7 +64,6 @@ from .linalg import (
     Mat,
     Subspace,
     add_scaled,
-    clear_denominators,
     coordinate_map,
     dense,
     kernel_of_rows,
@@ -594,10 +593,17 @@ def k3_space(p: GMPair, opts: ClassifyOptions):
     degree by each step of K3_F_RAISES until the dimension stabilizes (the
     denominator grows monotonically); a dimension that never stabilizes is
     not reported but raises UndeterminedError(3).  Every system is read
-    off the pair's action table as sparse monomial rows.  The closed forms,
-    their pi images (both naturality identities checked once per basis
-    form) and the constant cocycles do not depend on the f-degree and are
-    computed once.
+    off the pair's action table as sparse monomial rows.
+
+    The denominator is one Echelon grown across the raises.  It takes the
+    generators that do not depend on the f-degree once: the pi images of
+    the closed forms (both naturality identities checked once per basis
+    form) and the constant cocycles; each raise then inserts only the
+    coboundaries of the monomials it adds.  Its columns put every
+    coordinate outside the ansatz before the ansatz ones, so its rows with
+    a pivot in the ansatz span the intersection, and they go to
+    ``quotient`` as they are: its representatives and dimension depend only
+    on the denominator's span.
     """
     ch = p.chart
     g = p.algebra
@@ -632,46 +638,37 @@ def k3_space(p: GMPair, opts: ClassifyOptions):
         return {col - col % nm + rank[col % nm]: x for col, x in v.items()}
 
     zsub = Subspace.spanned_by([permuted(v) for v in zbasis], ambient)
-    # denominator generators as cochains of trig polynomials
+    # each generator is read times its denominators' lcm; a coordinate
+    # outside the ansatz is keyed by a negative int, below every ansatz one
+    position = {m: rank[k] for k, m in enumerate(monos)}
+    outside = {}
+    ech = Echelon()
+
+    def insert(cochain):
+        den = lcm(*[tp.den for tp in cochain])
+        row = {}
+        for slot, tp in enumerate(cochain):
+            up = den // tp.den
+            for m, c in tp.terms.items():
+                k = position.get(m)
+                col = slot * nm + k if k is not None else outside.setdefault((slot, m), -1 - len(outside))
+                row[col] = c * up
+        ech._insert(row)
+
     units = [(mu, m) for mu in range(len(ch.names)) for m in monos]
     closed = kernel_of_rows(closedness_rows(p, monos), len(units))
-    fixed = pi_images(p, units, closed.basis)
+    for cochain in pi_images(p, units, closed.basis):
+        insert(cochain)
     for tvec in zero_one_cocycles(g).basis:
-        fixed.append([TP.const(tvec.get(i, 0)) for i in range(n)])
-    position = {m: rank[k] for k, m in enumerate(monos)}
-
-    def inside_span(gens):
-        """Vectors spanning span(gens) intersected with the ansatz space; each
-        generator is read times its denominators' lcm, which the span ignores."""
-        outside = {}
-        inside = []
-        for j, cochain in enumerate(gens):
-            den = lcm(*[tp.den for tp in cochain])
-            vec = {}
-            for slot, tp in enumerate(cochain):
-                up = den // tp.den
-                for m, c in tp.terms.items():
-                    if m in position:
-                        vec[slot * nm + position[m]] = c * up
-                    else:
-                        outside.setdefault((slot, m), {})[j] = c * up
-            inside.append(vec)
-        out = []
-        # combinations whose outside coordinates cancel, over integers
-        for combo in kernel_of_rows(list(outside.values()), len(gens)).basis:
-            acc = {}
-            for k, c in clear_denominators(dict(sorted(combo.items()))).items():
-                add_scaled(acc, c, inside[k])
-            out.append(acc)
-        return out
-
+        insert([TP.const(tvec.get(i, 0)) for i in range(n)])
+    raised = set()
     prev = None
     for extra in K3_F_RAISES:
-        coboundaries = [
-            [act.scalar(i, m) for i in range(n)]
-            for m in function_monomials(ch, opts.degree + extra, opts.fourier)
-        ]
-        dsub = Subspace.spanned_by(inside_span(fixed + coboundaries), ambient)
+        for m in function_monomials(ch, opts.degree + extra, opts.fourier):
+            if m not in raised:
+                raised.add(m)
+                insert([act.scalar(i, m) for i in range(n)])
+        dsub = Subspace._of_rows(ambient, tuple((1, row) for pivot, row in ech.rows.items() if pivot >= 0))
         qt = quotient(zsub, dsub)
         if qt.dim == prev:
             reps = []
@@ -745,31 +742,28 @@ def _largest_invariant_subspace(basis, unit_images):
     """Largest subspace of span(basis) closed under all the operators.
 
     Vectors are sparse {unit: coefficient} dicts and each operator is given
-    by its images of units.  Deterministic: canonical kernel bases at every
-    shrink step.
+    by its images of units.  Each pass is one Echelon over the columns (0,
+    i, unit), the image under operator i, before the columns (1, unit).  It
+    is seeded with the basis in every image block and then given b + (X_i
+    b)_i for each basis vector b; its rows with a pivot in the (1, unit)
+    part span the combinations of the basis whose images all stay in the
+    span.  The shrink ends at a pass that keeps the dimension.
+    Deterministic: the rows follow the order of the basis and the units.
     """
     while basis:
         ech = Echelon()
+        for i in range(len(unit_images)):
+            for b in basis:
+                ech.insert({(0, i, u): x for u, x in b.items()})
         for b in basis:
-            ech.insert(b)
-        # combinations of the basis whose images all stay in the span
-        residual_rows = {}
-        for i, unit_image in enumerate(unit_images):
-            for k, b in enumerate(basis):
-                for unit, x in ech.reduce(linear_image(b, unit_image)).items():
-                    residual_rows.setdefault((i, unit), {})[k] = x
-        if not residual_rows:
+            v = {(1, u): x for u, x in b.items()}
+            for i, unit_image in enumerate(unit_images):
+                v.update(((0, i, u), x) for u, x in linear_image(b, unit_image).items())
+            ech.insert(v)
+        kept = [{u: F(x) for (_, u), x in row.items()} for pivot, row in ech.rows.items() if pivot[0] == 1]
+        if len(kept) == len(basis):
             return basis
-        # every residual row holds a nonzero entry, so the kernel is a
-        # proper subspace and the basis shrinks
-        combos = kernel_of_rows([clear_denominators(r) for r in residual_rows.values()], len(basis))
-        new_basis = []
-        for combo in combos.basis:
-            acc = {}
-            for k, c in sorted(combo.items()):
-                add_scaled(acc, c, basis[k])
-            new_basis.append(acc)
-        basis = new_basis
+        basis = kept
     return []
 
 

@@ -1,7 +1,7 @@
 """Finite-dimensional Lie algebras by structure constants, plus a catalog.
 
-The Poincare and Galilean tables are never typed in by hand: they are derived
-once per process by commuting the defining vector fields on R^4.  Every one
+The Poincare and Galilean tables are never typed in by hand: each catalog
+call derives them by commuting the defining vector fields on R^4.  Every one
 of them is affine, x -> Ax + b, and the bracket of two affine fields is the
 affine field of a matrix commutator, so the derivation is exact linear
 algebra and reads the coefficients off with one coordinate solve.  A golden
@@ -13,7 +13,6 @@ identity is delta^2 = 0 there, and Z^1 is the kernel of delta_1.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import lcm
 
 from .linalg import coordinate_map
@@ -134,14 +133,10 @@ def _derive_constants(gens, names) -> StructureConstants:
 
 
 def catalog(name: str, **params) -> StructureConstants:
-    """Named algebras: abelian(n), l3, so3, galilean, poincare(c); one per
-    name and parameter values."""
-    return _build_catalog(name, tuple(sorted((k, F(v)) for k, v in params.items())))
-
-
-@cache
-def _build_catalog(name, params):
-    params = dict(params)
+    """Named algebras: abelian(n), l3, so3, galilean, poincare(c); a new
+    table at each call, so that the algebra, and what is kept for it, goes
+    with its last reader."""
+    params = {k: F(v) for k, v in params.items()}
     if name == "abelian":
         n = int(params.get("n", 0))
         if n <= 0:

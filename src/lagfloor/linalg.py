@@ -4,7 +4,8 @@ Everything downstream (Lie-algebra cohomology, spectral sequences, the
 classifier) reduces to the operations here: :func:`kernel_basis`,
 :func:`image_basis`, :func:`quotient`, :func:`homology`, :func:`solve` and
 :func:`span_coordinates`, plus the incremental :class:`Echelon` for spans
-that grow one vector at a time.  All arithmetic is exact (``int``, and
+that grow one vector at a time, whose pivot order also intersects a span
+with a coordinate subspace.  All arithmetic is exact (``int``, and
 ``Fraction`` at the edges); there is no floating point anywhere in the
 package, because ranks and cohomology dimensions are integers and a single
 rounded pivot decision would corrupt them.
@@ -14,8 +15,7 @@ nonzero entries.  A :class:`Mat` keeps one per row, over one positive
 denominator per row, in canonical form (the denominator is the lcm of the
 entries' denominators), so ``==`` compares values.  An equation is an
 integer row with no denominator, since scaling it keeps its solutions:
-:func:`kernel_of_rows` and :func:`solve_rows` take such rows, and
-:func:`clear_denominators` makes one of a rational row.  Products,
+:func:`kernel_of_rows` and :func:`solve_rows` take such rows.  Products,
 transposes, both reductions of a Mat, kernels, images and quotients all run
 on integer rows.
 
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 # Row reduction is the pure-Python ``row_reduce`` below and nothing else.
@@ -100,12 +99,6 @@ def _int_row(v):
     of its entries' denominators, which is the canonical form; zeros dropped."""
     den = lcm(*[x.denominator for x in v.values()])
     return den, {j: x.numerator * (den // x.denominator) for j, x in v.items() if x}
-
-
-def clear_denominators(v) -> dict:
-    """The equation row v (rational entries) times the lcm of its entries'
-    denominators: a ``{column: int}`` row with the same solutions."""
-    return _int_row(v)[1]
 
 
 def _canonical(den, w):
@@ -331,36 +324,17 @@ class Echelon:
     the rows it would use past that point have larger pivots.  ``insert``
     therefore accepts exactly the vectors that raise the rank of those
     inserted before them.  Columns are any mutually comparable keys.
+
+    The pivot order also reads off intersections: a vector of the span is
+    a combination of stored rows whose lowest column is the least pivot
+    used, so the rows with a pivot at or past a column c span the vectors
+    of the span that vanish before c.  Keying the coordinates to be
+    cancelled below all others intersects a span with a coordinate
+    subspace.
     """
 
     def __init__(self):
         self.rows: dict = {}
-
-    def reduce(self, v) -> dict:
-        """The residual of the rational vector v: the one vector that differs
-        from v by an element of the span and vanishes at every pivot; empty
-        exactly when v lies in the span.  Its pivot entries are cleared in
-        ascending order, from a heap, since a forward row can bring in
-        entries at later pivots."""
-        den, w = _int_row(v)
-        rows = self.rows
-        s = 1
-        todo = [p for p in w if p in rows]
-        heapify(todo)
-        while todo:
-            p = heappop(todo)
-            if p not in w:  # a column pushed twice, already cleared
-                continue
-            row = rows[p]
-            a, x = row[p], w[p]
-            g = gcd(a, x)
-            a, x = a // g, x // g
-            s *= a
-            w = _combine(a, w, x, row)
-            for q in row:
-                if q in rows and q in w:
-                    heappush(todo, q)
-        return {j: Fraction(x, den * s) for j, x in w.items()}
 
     def insert(self, v) -> bool:
         """Add the rational vector v to the span; False (and nothing stored)

@@ -670,6 +670,21 @@ def test_the_gl3_stabilizer_prints_one_spectral_sequence_in_every_basis(monkeypa
         f"total_h{m} = {h}" for m, h in enumerate((1, 1, 0, 1, 1, 0, 0, 0, 0))]
 
 
+def test_the_gl3_stabilizer_prints_one_k_space_report_in_every_basis(monkeypatch):
+    """K-spaces do not depend on the basis the algebra is written in either:
+    k-spaces prints the same dimensions, K3 caveat and residual on the three
+    files; only the K0 representatives, cocycles in each basis, differ."""
+    monkeypatch.chdir(ROOT)
+    reports = {}
+    for basis in GL3_BASES:
+        code, out = run("--format", "machine", "k-spaces", f"tests/problems/gl3_stabilizer_{basis}.toml")
+        assert code == 0, out
+        reports[basis] = [line for line in out.splitlines() if line.startswith(("k0 ", "k1 ", "k2 ", "k3", "k4 "))]
+    assert reports["elementary"] == reports["integer"] == reports["rational"] == [
+        "k0 = 1", "k1 = 0", "k2 = 0", "k3 = 0", "k4 = 0", "k3_caveat = truncated at degree 2, fourier 0",
+        "k3_residual = 0"]
+
+
 @pytest.mark.parametrize("stage, phi", [(3, "phi3"), (4, "phi4")])
 def test_noether_prints_its_charges_when_a_later_stage_is_undetermined(stage, phi, monkeypatch):
     """Undetermined at stage 3 or 4, the chain already has its potentials:

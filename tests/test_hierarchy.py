@@ -587,6 +587,42 @@ def test_k3_truncated_classes_in_canonical_order():
     ]
 
 
+def test_k3_raises_insert_each_monomial_coboundary_once(monkeypatch):
+    """K3's denominator is one store grown across the raises: the fixed
+    generators go in before the first raise, and each raise inserts the
+    coboundaries of the monomials it adds to the one before it, one row
+    per monomial, and no other."""
+    import lagfloor.hierarchy as h
+
+    stores = []
+
+    class Recording(h.Echelon):
+        def _insert(self, w):
+            stores.append(self)
+            return super()._insert(w)
+
+    calls = []
+    listed = h.function_monomials
+
+    def recording_monomials(chart_, degree, fourier):
+        monos = listed(chart_, degree, fourier)
+        calls.append((len(stores), monos))
+        return monos
+
+    monkeypatch.setattr(h, "Echelon", Recording)
+    monkeypatch.setattr(h, "function_monomials", recording_monomials)
+    assert h.k3_space(SPHERE, ClassifyOptions(3, 0))[0] == 2
+    calls.append((len(stores), None))
+    raises = calls[1:]  # the first call lists the ansatz
+    assert len(raises) > 2 and raises[0][0] > 0
+    assert all(store is stores[0] for store in stores)
+    before = []
+    for (start, monos), (end, _) in zip(raises, raises[1:]):
+        assert set(before) <= set(monos)
+        assert end - start == len(monos) - len(before)
+        before = monos
+
+
 # -- invariances of the classifier ---------------------------------------------------------
 
 def random_function(rng, pair):
@@ -701,6 +737,90 @@ def test_l3_transposed_corner_is_invariant_functions():
     p1 = page(t, 1)
     # invariant functions within the truncation: constants only
     assert p1.dim(0, 0) == 1
+
+
+def _planted_operators(rng, m):
+    """(operators, planted): one to three integer operators on Q^m, each
+    given as its sparse columns, and a basis of a random subspace they
+    keep.  The operators are block upper triangular on span(e_0..e_{d-1}),
+    then conjugated by a product of elementary matrices, which takes that
+    span to the span of planted."""
+    d = rng.randint(0, m)
+    change = [[F(int(r == c)) for c in range(m)] for r in range(m)]
+    inverse = [row[:] for row in change]
+    for _ in range(rng.randint(0, 4) if m > 1 else 0):
+        i, j = rng.sample(range(m), 2)
+        c = rng.choice([1, -1, 2])
+        for row in change:  # change = change * (1 + c e_ij)
+            row[j] += c * row[i]
+        inverse[i] = [x - c * y for x, y in zip(inverse[i], inverse[j])]  # (1 - c e_ij) * inverse
+    ops = []
+    for _ in range(rng.randint(1, 3)):
+        a = [[F(0) if r >= d > c else F(rng.choice([0, 0, 1, -1, 2])) for c in range(m)] for r in range(m)]
+        conj = [[sum(change[r][k] * a[k][l] * inverse[l][c] for k in range(m) for l in range(m)) for c in range(m)]
+                for r in range(m)]
+        ops.append([{r: conj[r][c] for r in range(m) if conj[r][c]} for c in range(m)])
+    return ops, [{r: change[r][c] for r in range(m) if change[r][c]} for c in range(d)]
+
+
+def test_invariance_closure_equals_the_residual_kernel_shrink_on_random_operators():
+    """One elimination per pass finds the subspace that shrinking by the
+    kernel of the images' residual rows finds, on random operator families
+    that keep a planted subspace, from the unit basis or from the planted
+    subspace and random vectors."""
+    from lagfloor.hierarchy import _largest_invariant_subspace
+    from lagfloor.linalg import Subspace
+
+    from span_oracle import largest_invariant_subspace
+
+    rng = random.Random(48)
+    shrunk = kept = 0
+    for _ in range(200):
+        m = rng.randint(1, 5)
+        ops, planted = _planted_operators(rng, m)
+        unit_images = [cols.__getitem__ for cols in ops]
+        if rng.random() < 0.3:
+            basis = [{u: F(1)} for u in range(m)]
+        else:
+            vectors = [[rng.choice([0, 0, 1, -1, 3]) for _ in range(m)] for _ in range(rng.randint(1, 2))]
+            vectors = planted + [{u: F(x) for u, x in enumerate(v) if x} for v in vectors]
+            basis = [dict(b) for b in Subspace.spanned_by(vectors, m).basis]
+        got = _largest_invariant_subspace(basis, unit_images)
+        want = largest_invariant_subspace(basis, unit_images)
+        assert Subspace.spanned_by(got, m) == Subspace.spanned_by(want, m)
+        shrunk += 0 < len(got) < len(basis)
+        kept += len(got) == len(basis)
+    assert shrunk > 20 and kept > 20
+
+
+@pytest.mark.parametrize("pair, opts", [(L3, ClassifyOptions()), (SPHERE, ClassifyOptions()), (SL2, SL2_OPTS)],
+                         ids=["l3_cylinder", "so3_sphere", "sl2_cylinder"])
+def test_invariance_closure_equals_the_residual_kernel_shrink_on_shrinking_pairs(pair, opts, monkeypatch):
+    """On pairs whose truncations are not action-closed, each family the
+    invariance complex shrinks spans what the reference shrink keeps."""
+    import lagfloor.hierarchy as h
+    from lagfloor.linalg import Subspace
+
+    from span_oracle import largest_invariant_subspace
+
+    closures = []
+    closure = h._largest_invariant_subspace
+
+    def recording(basis, unit_images):
+        out = closure(basis, unit_images)
+        closures.append((basis, unit_images, out))
+        return out
+
+    monkeypatch.setattr(h, "_largest_invariant_subspace", recording)
+    build_invariance_double_complex(pair, opts)
+    assert len(closures) == 2 and len(closures[0][2]) < len(closures[0][0])
+    for basis, unit_images, out in closures:
+        index = {u: k for k, u in enumerate(sorted({u for b in basis for u in b}))}
+
+        def span(vectors):
+            return Subspace.spanned_by([{index[u]: x for u, x in v.items()} for v in vectors], len(index))
+
+        assert span(out) == span(largest_invariant_subspace(basis, unit_images))
 
 
 def test_abelian_r1_invariance_complex():

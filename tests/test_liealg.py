@@ -136,6 +136,28 @@ def test_every_catalog_output_passes_jacobi():
         assert jacobi_check(g).ok
 
 
+def test_catalog_algebras_go_with_their_last_reader():
+    """An algebra the catalog builds is collected once nothing reads it, and
+    the differentials kept for it go too: none of 30 Poincare algebras,
+    each through jacobi_check, outlives the loop."""
+    import gc
+    import weakref
+
+    from lagfloor import cecohom
+
+    gc.collect()
+    held = len(cecohom._DIFF_CACHE)
+    refs = []
+    for k in range(30):
+        g = catalog("poincare", c=F(k + 2, 3))
+        assert jacobi_check(g).ok
+        refs.append(weakref.ref(g))
+    del g
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
+    assert len(cecohom._DIFF_CACHE) == held
+
+
 def test_jacobi_violation_detected():
     from lagfloor.liealg import _sc
 

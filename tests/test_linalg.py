@@ -16,8 +16,8 @@ from lagfloor.linalg import (
     InvariantViolation,
     Mat,
     Subspace,
+    _int_row,
     add_scaled,
-    clear_denominators,
     coordinate_map,
     dense,
     homology,
@@ -31,6 +31,7 @@ from lagfloor.linalg import (
     solve,
     span_coordinates,
 )
+from span_oracle import inside_span
 from zigzag import pivot_columns
 
 
@@ -62,7 +63,7 @@ def int_row(seq):
 def rational_rref(rows, ncols):
     """``rref`` of sparse rational rows, its rows read as rationals with
     pivot entry 1 and columns ascending."""
-    pivots, red = rref([clear_denominators(r) for r in rows], ncols)
+    pivots, red = rref([_int_row(r)[1] for r in rows], ncols)
     return pivots, [{j: F(r[j], r[p]) for j in sorted(r)} for p, r in zip(pivots, red)]
 
 
@@ -89,7 +90,7 @@ def test_kernel_of_sparse_rows_matches_dense():
                 for _ in range(rng.randint(0, 6))]
         sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
         want = kernel_basis(Mat.from_rows(rows, 7)) if rows else kernel_basis(Mat.zero(0, 7))
-        assert kernel_of_rows([clear_denominators(r) for r in sparse], 7) == want
+        assert kernel_of_rows([_int_row(r)[1] for r in sparse], 7) == want
 
 
 def test_kernel_of_no_rows_is_whole_space():
@@ -126,9 +127,9 @@ def test_kernel_of_rows_matches_the_per_pivot_walk():
                 for _ in range(rng.randint(0, 10))]
         systems.append((rows, ncols))
     for rows, ncols in systems:
-        cleared = [clear_denominators(r) for r in rows]
+        cleared = [_int_row(r)[1] for r in rows]
         assert repr(kernel_of_rows(cleared, ncols).basis) == repr(per_pivot_kernel(rows, ncols))
-    assert kernel_of_rows([clear_denominators(r) for r in systems[4][0]], 5).dim == 0
+    assert kernel_of_rows([_int_row(r)[1] for r in systems[4][0]], 5).dim == 0
     assert kernel_of_rows(*systems[3]).basis == ({0: F(1)}, {1: F(1)}, {2: F(1)})
 
 
@@ -491,15 +492,15 @@ def test_echelon_accepts_rank_raising_vectors_and_coordinates_match_solve(data, 
         rank_before = len(rational_rref(sparse[:k], n)[0])
         rank_after = len(rational_rref(sparse[: k + 1], n)[0])
         assert ech.insert(v) == (rank_after > rank_before)
-        assert not ech.reduce(v)
+        assert not ech.insert(v)
     assert len(ech.rows) == len(rational_rref(sparse, n)[0])
     target = target[:n]
     sparse_target = sp(target)
     want = solve(Mat.from_rows([list(col) for col in zip(*vectors)], len(vectors)), sparse_target) if vectors else (
         {} if not any(target) else None)
     assert span_coordinates(sparse, sparse_target) == want
-    # the residual of the target is empty exactly when it has coordinates
-    assert (not ech.reduce(sparse_target)) == (want is not None)
+    # the target raises the rank exactly when it has no coordinates
+    assert ech.insert(sparse_target) == (want is None)
 
 
 # -- a forward Echelon store; row_reduce back-substitutes once ----------------
@@ -543,15 +544,12 @@ def test_echelon_store_is_forward_and_row_reduce_is_the_canonical_form(data, rnd
             assert min(r) == p and r[p] > 0 and gcd(*r.values()) == 1
     for i in order:
         shuffled.insert(sparse[i])
-    # the residual vanishes at every pivot, differs from v by the span and
-    # does not depend on the insertion order
-    v = sp(target[:n])
-    r = ech.reduce(v)
-    assert not set(r) & set(ech.rows)
-    diff = [v.get(j, 0) - r.get(j, 0) for j in range(n)]
+    # the pivots, and so which vectors raise the rank, do not depend on the
+    # insertion order
+    assert sorted(shuffled.rows) == sorted(ech.rows)
     rank = len(naive_fraction_rref(vectors, n)[0])
-    assert len(naive_fraction_rref(vectors + [diff], n)[0]) == rank
-    assert shuffled.reduce(v) == r
+    raises = len(naive_fraction_rref(vectors + [target[:n]], n)[0]) > rank
+    assert shuffled.insert(sp(target[:n])) == ech.insert(sp(target[:n])) == raises
 
 
 def forward_store(rows, ncols):
@@ -602,6 +600,25 @@ def test_echelon_private_insert_returns_the_new_pivot():
     assert sorted(ech.rows) == [0, 2, 5]
     assert ech.insert({4: F(1, 2)}) is True
     assert ech.insert({0: F(1), 4: F(3)}) is False
+
+
+def test_echelon_rows_past_the_cancelled_coordinates_span_the_intersection():
+    """Keyed below the others, the coordinates to cancel leave the stored
+    rows whose pivot lies past them inside the other coordinates, spanning
+    the span's intersection with their subspace: the subspace the kernel of
+    the cancelled coordinates, recombined, spans."""
+    rng = random.Random(48)
+    for _ in range(300):
+        m = rng.randint(1, 7)
+        inside = {c for c in range(m) if rng.random() < 0.5}
+        gens = [sp(rng.choice([0, 0, 0, 1, -1, 2, -3]) for _ in range(m)) for _ in range(rng.randint(0, 8))]
+        ech = Echelon()
+        for v in gens:
+            ech.insert({(c in inside, c): x for c, x in v.items()})
+        rows = [row for pivot, row in ech.rows.items() if pivot[0]]
+        assert all(key[0] for row in rows for key in row)
+        got = Subspace.spanned_by([{c: F(x) for (_, c), x in row.items()} for row in rows], m)
+        assert got == Subspace.spanned_by(inside_span(gens, inside.__contains__), m)
 
 
 def random_family(rng, m):

@@ -216,11 +216,13 @@ def test_action_table_matches_lie_derivatives(pair):
 
 def test_action_table_is_not_part_of_pair_equality():
     """A pair built again from its file equals L3 in everything its
-    constructor takes, yet holds an action table of its own, not the one
-    whose entries L3 has filled."""
+    constructor takes, its algebra's constants included (the catalog
+    builds a new table at each call), yet holds an action table of its
+    own, not the one whose entries L3 has filled."""
 
     def value(p):
-        return (p.algebra, p.chart, p.fields, p.transitive, p.stability_sections, p.sample_points)
+        g = p.algebra
+        return ((g.basis_names, g.c), p.chart, p.fields, p.transitive, p.stability_sections, p.sample_points)
 
     again = fixture_pair("l3_cylinder")
     L3.action.scalar(0, ((("z", 1),), ()))

@@ -20,7 +20,7 @@ the transposed filtration, which the package reads off the given Q.
 
 from fractions import Fraction
 
-from lagfloor.linalg import Mat, Subspace, _scatter, clear_denominators, kernel_basis, quotient, rref
+from lagfloor.linalg import Mat, Subspace, _int_row, _scatter, kernel_basis, quotient, rref
 from lagfloor.spectral import DoubleComplex, _q_columns
 
 
@@ -34,7 +34,7 @@ def q_window(dc, src_cells, tgt_cells):
 def pivot_columns(cols):
     """Pivot column indices of the matrix whose columns are ``cols``: the
     vectors independent of those before them."""
-    pivots, _ = rref([clear_denominators(r) for r in _scatter(cols).values()], len(cols))
+    pivots, _ = rref([_int_row(r)[1] for r in _scatter(cols).values()], len(cols))
     return pivots
 
 
