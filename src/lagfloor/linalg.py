@@ -33,8 +33,10 @@ is one elimination algorithm, the store of :class:`Echelon`: echelon rows,
 primitive integer rows each stored under its lowest column.  An insert
 clears only the new vector's lowest entry, while that column is a pivot,
 and never back-substitutes, since ranks, pivots and residuals need no more.
-:func:`row_reduce` feeds it a batch and back-substitutes once, from the
-highest pivot down, and :func:`rref`, which every reduction enters through,
+Each clearing step is one in-place update of a row the caller owns, the
+insert's one copy of its vector.  :func:`row_reduce` feeds it a batch and
+back-substitutes once, from the highest pivot down, with the same step,
+and :func:`rref`, which every reduction enters through,
 returns that reduced echelon form as it is: row k stands for the rational
 row ``reduced[k] / reduced[k][pivots[k]]``.  That form and its primitive
 rows are unique, so every result here is reproducible bit for bit,
@@ -291,16 +293,21 @@ class CheckReport:
         return not self.violations
 
 
-def _combine(a, w, x, row):
-    """a*w - x*row on ``{column: int}`` rows, zeros dropped."""
-    out = {j: a * y for j, y in w.items()} if a != 1 else dict(w)
+def _clear(w, row, p):
+    """Clear the ``{column: int}`` row w at p by row, in place: w becomes
+    a*w - x*row, with a/x = row[p]/w[p] in lowest terms, zeros dropped.
+    The caller owns w."""
+    g = gcd(row[p], w[p])
+    a, x = row[p] // g, w[p] // g
+    if a != 1:
+        for j in w:
+            w[j] *= a
     for j, y in row.items():
-        z = out.get(j, 0) - x * y
+        z = w.get(j, 0) - x * y
         if z:
-            out[j] = z
+            w[j] = z
         else:
-            del out[j]
-    return out
+            del w[j]
 
 
 def _primitive(w, p):
@@ -319,11 +326,13 @@ class Echelon:
     The store is forward only: a row may still hold entries at later
     pivots, since nothing is back-substituted on insert.  A vector is
     inserted by clearing its lowest entry, as ``a*w - x*row``, while that
-    column is a pivot; what is left is empty, or made primitive and stored
-    under its lowest column, the pivot a full reduction would find, since
-    the rows it would use past that point have larger pivots.  ``insert``
-    therefore accepts exactly the vectors that raise the rank of those
-    inserted before them.  Columns are any mutually comparable keys.
+    column is a pivot, in place on one copy of it; what is left is empty,
+    or made primitive and stored under its lowest column, the pivot a full
+    reduction would find, since the rows it would use past that point have
+    larger pivots.  ``insert`` therefore accepts exactly the vectors that
+    raise the rank of those inserted before them.  Columns are any
+    mutually comparable keys.  A vector stored with no clearing step may be
+    stored as the caller's own dict, so stored rows are read-only.
 
     The pivot order also reads off intersections: a vector of the span is
     a combination of stored rows whose lowest column is the least pivot
@@ -344,17 +353,19 @@ class Echelon:
     def _insert(self, w):
         """``insert`` for a ``{column: int}`` row of nonzero entries: the
         new pivot, or None (and nothing stored) when w is in the span."""
+        if not w:
+            return None
         rows = self.rows
-        while w:
-            p = min(w)
-            row = rows.get(p)
-            if row is None:
-                rows[p] = _primitive(w, p)
-                return p
-            a, x = row[p], w[p]
-            g = gcd(a, x)
-            w = _combine(a // g, w, x // g, row)
-        return None
+        p = min(w)
+        if p in rows:
+            w = dict(w)  # the one copy, cleared in place below
+            while p in rows:
+                _clear(w, rows[p], p)
+                if not w:
+                    return None
+                p = min(w)
+        rows[p] = _primitive(w, p)
+        return p
 
 
 def row_reduce(rows, ncols):
@@ -379,11 +390,11 @@ def row_reduce(rows, ncols):
     red = {}
     for p in reversed(pivots):
         w = ech.rows[p]
-        for q in [q for q in w if q in red]:
-            row = red[q]
-            a, x = row[q], w[q]
-            g = gcd(a, x)
-            w = _combine(a // g, w, x // g, row)
+        later = [q for q in w if q in red]
+        if later:
+            w = dict(w)  # a stored row may be an input row
+            for q in later:
+                _clear(w, red[q], q)
         red[p] = _primitive(w, p)
     return pivots, [red[p] for p in pivots]
 

@@ -17,21 +17,26 @@ E_0 to E_g, and an unpaired one on every page.
 
 Total cohomology read off the ranks of the antidiagonal complex is the
 independent oracle for the abutment identity sum_p dim E_inf^{p,m-p} =
-dim H^m(Q).
+dim H^m(Q).  The ranks come from one ascending pass per complex, a
+forward elimination of each Q_m's columns sparsest first, which reads
+nothing from the filtered reductions.  It clears with its own pivots:
+where Q_m Q_{m-1} = 0 is certified, the columns of Q_m at the pivots of
+Q_{m-1}'s elimination are skipped, since the stored rows there lie in
+im Q_{m-1}, which Q_m kills, and with the unit vectors off their pivots
+they form a basis of D^m.
 
 A complex keeps what is derived from it: each Q_m, its validity report,
-each filtration's reduction, each page asked for, and each dim H^m(Q).
+each filtration's reduction, the ranks of its Q_m and each dim H^m(Q).
 Q_m is built once, and every reader takes its columns: validity applies
-Q_m to each column of Q_{m-1}, the totals take its kept rank, a forward
-elimination of its columns sparsest first, and both filtrations eliminate
-its columns in their own order.  Nothing is shared between complexes.
+Q_m to each column of Q_{m-1}, the totals' pass eliminates them once, and
+both filtrations eliminate them in their own order.  Nothing is shared
+between complexes.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from functools import cached_property
 from itertools import accumulate
 from math import lcm
 
@@ -58,7 +63,8 @@ class DoubleComplex:
 
     The complex is not changed after construction, so it stores what is
     derived from it: Q_m by degree, the validity report, each filtration's
-    lives by cell, the pages by r, and total cohomology by degree."""
+    lives by cell, the ranks of the Q_m from the totals' one ascending
+    pass, and total cohomology by degree."""
 
     def __init__(self, dims, d1, d2):
         self.dims = [list(col) for col in dims]
@@ -77,6 +83,7 @@ class DoubleComplex:
         self._q = {}
         self._report = None
         self._lives = {}
+        self._ranks = None
         self._totals = {}
 
     def dim_at(self, p, q):
@@ -115,14 +122,15 @@ def validate_double_complex(dc: DoubleComplex) -> CheckReport:
     if dc._report is None:
         bad = set()
         for m in range(1, dc.width + dc.height - 1):
-            src, tgt = _filtration_order(dc, m - 1, GIVEN), _filtration_order(dc, m + 1, GIVEN)
             q_m = total_differential(dc, m)
-            for j, col in enumerate(total_differential(dc, m - 1).columns):
-                for i, x in q_m.apply(col).items():
-                    if x:
-                        (p, q), _ = src[j]
-                        (tp, _), _ = tgt[i]
-                        bad.add((p, q, *_RULES[tp - p]))
+            nonzero = [(j, i) for j, col in enumerate(total_differential(dc, m - 1).columns)
+                       for i, x in q_m.apply(col).items() if x]
+            if nonzero:  # a valid complex never needs the cells' labels
+                src, tgt = _filtration_order(dc, m - 1, GIVEN), _filtration_order(dc, m + 1, GIVEN)
+                for j, i in nonzero:
+                    (p, q), _ = src[j]
+                    (tp, _), _ = tgt[i]
+                    bad.add((p, q, *_RULES[tp - p]))
         dc._report = CheckReport(tuple((rule, p, q) for p, q, _, rule in sorted(bad)))
     return dc._report
 
@@ -151,20 +159,20 @@ def _filtration_order(dc, m, axis):
 class TotalDifferential:
     """Q between two lists of cells, kept as its integer columns over one
     positive denominator: column j of Q is ``columns[j] / den``, a ``{row:
-    int}`` dict of its nonzero entries over ``rows`` rows.  Its rank is a
-    forward elimination of those columns, computed once."""
+    int}`` dict of its nonzero entries over ``rows`` rows."""
 
     def __init__(self, rows: int, den: int, columns: tuple[dict, ...]):
         self.rows = rows
         self.den = den
         self.columns = columns
 
-    @cached_property
-    def rank(self) -> int:
-        """The columns an Echelon stores when given them sparsest first, with
-        no back-substitution."""
+    def eliminate(self, skip) -> Echelon:
+        """An Echelon given the columns whose index is not in skip, sparsest
+        first, with no back-substitution."""
         ech = Echelon()
-        return sum(ech._insert(col) is not None for col in sorted(self.columns, key=len))
+        for col in sorted((col for j, col in enumerate(self.columns) if j not in skip), key=len):
+            ech._insert(col)
+        return ech
 
     def apply(self, col) -> dict:
         """Q times the integer column col, times den, zeros kept: each
@@ -209,7 +217,7 @@ def _q_columns(dc, src_cells, tgt_cells) -> TotalDifferential:
 
 def total_differential(dc: DoubleComplex, m: int) -> TotalDifferential:
     """Q_m: D^m -> D^{m+1}, blocks in ascending p, built once per degree and
-    complex, so its rank is too."""
+    complex."""
     q = dc._q.get(m)
     if q is None:
         q = dc._q[m] = _q_columns(dc, _antidiagonal_cells(dc, m), _antidiagonal_cells(dc, m + 1))
@@ -228,19 +236,47 @@ class TotalCohomology:
         self.dim = dim
 
 
+def total_ranks(dc: DoubleComplex) -> dict:
+    """{m: rank Q_m} for m = -1 .. width + height - 2, the totals' oracle,
+    in one ascending pass per complex, kept on it.  Each rank is an
+    Echelon of Q_m's columns (``TotalDifferential.eliminate``), never a
+    filtered reduction.
+
+    Clearing (Chen and Kerber, "Persistent homology computation with a
+    twist", 2011), applied to the oracle's own pivots: where the complex's
+    report has no violation at degree m - 1, Q_m skips the columns at the
+    pivots of Q_{m-1}'s Echelon.  This is exact.  Those stored rows are
+    combinations of Q_{m-1}'s columns, so they lie in im Q_{m-1}, inside
+    ker Q_m since Q_m Q_{m-1} = 0, and their lowest entries, the pivots,
+    are distinct.  With the unit vectors off those pivots they form a basis
+    of D^m, triangular against the standard basis.  Q_m kills the stored
+    rows, so rank Q_m is the rank of the remaining columns.  Where there is
+    a violation, Q_m takes every column, so each rank stays exact on an
+    invalid complex too."""
+    if dc._ranks is None:
+        violated = {p + q for _, p, q in validate_double_complex(dc).violations}
+        ranks, pivots = {}, {}
+        for m in range(-1, dc.width + dc.height - 1):
+            cleared = {} if m - 1 in violated else pivots
+            pivots = total_differential(dc, m).eliminate(cleared).rows
+            ranks[m] = len(pivots)
+        dc._ranks = ranks
+    return dc._ranks
+
+
 def total_cohomology(dc: DoubleComplex, m: int) -> TotalCohomology:
     """dim H^m(Q) = dim D^m - rank Q_m - rank Q_{m-1} (Q_{-1} maps from 0),
-    the brute-force oracle, once per degree and complex: each rank is the
-    forward elimination of Q's columns kept on that Q, never the filtered
-    reduction.
+    the brute-force oracle, once per degree and complex, from the
+    complex's `total_ranks`.
     Ranks do not see Q^2 != 0, so Q_m Q_{m-1} = 0 is read from the
     complex's report: no violation at a cell of degree m - 1."""
     h = dc._totals.get(m)
     if h is None:
         if any(p + q == m - 1 for _, p, q in validate_double_complex(dc).violations):
             raise InvariantViolation(f"Q^2 != 0 at degree {m}: not a double complex")
-        q = total_differential(dc, m)
-        h = dc._totals[m] = TotalCohomology(len(q.columns) - q.rank - total_differential(dc, m - 1).rank)
+        ranks = total_ranks(dc)  # Q_m outside them is zero
+        dim = len(total_differential(dc, m).columns)
+        h = dc._totals[m] = TotalCohomology(dim - ranks.get(m, 0) - ranks.get(m - 1, 0))
     return h
 
 
@@ -273,7 +309,11 @@ def _filtered_reduction(dc, axis):
     for m in range(dc.width + dc.height - 1):
         src, tgt = tgt, _filtration_order(dc, m + 1, axis)
         cols = total_differential(dc, m).columns
-        key = {i: k for k, (_, i) in enumerate(tgt)} if axis != GIVEN else None
+        key = None
+        if axis != GIVEN:  # by row of Q, its place in this filtration's order
+            key = [0] * len(tgt)
+            for k, (_, i) in enumerate(tgt):
+                key[i] = k
         ech = Echelon()
         pivots = set()
         for k in reversed(range(len(src))):

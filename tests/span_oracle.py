@@ -8,11 +8,16 @@ take the older route of solving for the cancelling combinations: a kernel
 of the cancelled coordinates, then a recombination.  Vectors are sparse
 ``{key: Fraction}`` dicts over mutually comparable keys; their residuals
 are read off a plain Fraction Gauss-Jordan, with no ``Echelon``.
+
+The store itself has a reference too: ``reference_row_reduce`` is the
+Echelon insert and back-substitution as they were before they cleared in
+place, each step building a new row as ``a*w - x*row``.
 """
 
 from fractions import Fraction
+from math import gcd
 
-from lagfloor.linalg import _int_row, add_scaled, kernel_of_rows
+from lagfloor.linalg import _int_row, _primitive, add_scaled, kernel_of_rows
 from lagfloor.pairs import linear_image
 
 F = Fraction
@@ -85,3 +90,50 @@ def largest_invariant_subspace(basis, unit_images):
             return basis
         basis = _recombine(kernel_of_rows([_int_row(r)[1] for r in residual_rows.values()], len(basis)), basis)
     return []
+
+
+def _combine(a, w, x, row):
+    """a*w - x*row on ``{column: int}`` rows, as a new row, zeros dropped."""
+    out = {j: a * y for j, y in w.items()} if a != 1 else dict(w)
+    for j, y in row.items():
+        z = out.get(j, 0) - x * y
+        if z:
+            out[j] = z
+        else:
+            del out[j]
+    return out
+
+
+def _step(w, row, p):
+    """w cleared at p by row, as a new row."""
+    a, x = row[p], w[p]
+    g = gcd(a, x)
+    return _combine(a // g, w, x // g, row)
+
+
+def reference_insert(store, w):
+    """Echelon._insert on the store {pivot: row}, one new row per step."""
+    while w:
+        p = min(w)
+        row = store.get(p)
+        if row is None:
+            store[p] = _primitive(w, p)
+            return p
+        w = _step(w, row, p)
+    return None
+
+
+def reference_row_reduce(rows, ncols):
+    """(store, pivots, reduced): the forward store of ``row_reduce``'s
+    inserts, sparsest first, and its back-substituted result."""
+    store = {}
+    for r in sorted(rows, key=len):
+        reference_insert(store, r)
+    pivots = sorted(store)
+    red = {}
+    for p in reversed(pivots):
+        w = store[p]
+        for q in [q for q in w if q in red]:
+            w = _step(w, red[q], q)
+        red[p] = _primitive(w, p)
+    return store, pivots, [red[p] for p in pivots]

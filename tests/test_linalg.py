@@ -31,7 +31,7 @@ from lagfloor.linalg import (
     solve,
     span_coordinates,
 )
-from span_oracle import inside_span
+from span_oracle import inside_span, reference_row_reduce
 from zigzag import pivot_columns
 
 
@@ -619,6 +619,36 @@ def test_echelon_rows_past_the_cancelled_coordinates_span_the_intersection():
         assert all(key[0] for row in rows for key in row)
         got = Subspace.spanned_by([{c: F(x) for (_, c), x in row.items()} for row in rows], m)
         assert got == Subspace.spanned_by(inside_span(gens, inside.__contains__), m)
+
+
+def test_in_place_clearing_matches_the_reference_store_and_mutates_no_input():
+    """On random integer rows, some with big entries and some repeated, an
+    Echelon given them sparsest first stores the pivots and rows of the
+    reference insert, which builds a new row per step, and row_reduce's
+    back-substitution gives the reference's reduced rows; no input row is
+    changed, though stored rows may be the input rows themselves."""
+    import copy
+
+    rng = random.Random(49)
+    aliased = 0
+    for _ in range(400):
+        ncols = rng.randint(1, 9)
+        big = rng.random() < 0.2
+        rows = [{j: x for j in range(ncols)
+                 if (x := rng.choice([0, 0, 0, 1, -1, 2, -3, 6] + big * [2**70 + 1, -(3**40)]))}
+                for _ in range(rng.randint(0, 9))]
+        rows = [r for r in rows if r]
+        rows += [rows[0]] if rows and rng.random() < 0.3 else []
+        before = copy.deepcopy(rows)
+        store, pivots, reduced = reference_row_reduce(copy.deepcopy(rows), ncols)
+        ech = Echelon()
+        for r in sorted(rows, key=len):
+            ech._insert(r)
+        assert ech.rows == store
+        aliased += any(row is r for row in ech.rows.values() for r in rows)
+        assert row_reduce(rows, ncols) == (pivots, reduced)
+        assert rows == before
+    assert aliased
 
 
 def random_family(rng, m):

@@ -112,9 +112,9 @@ def test_the_column_store_is_q_built_from_mat_rows():
     """Each Q_m's integer columns over its one denominator are, as
     Fractions, the entries of Q_m assembled from the d1 and d2 blocks' Mat
     rows, on the seeded complexes, on blocks with mixed denominators and on
-    invalid complexes; its rank is the number of pivots of that Mat's row
-    reduction."""
-    from lagfloor.spectral import total_differential
+    invalid complexes; the complex's total_ranks gives its rank as the
+    number of pivots of that Mat's row reduction."""
+    from lagfloor.spectral import total_differential, total_ranks
 
     complexes = [random_double_complex(seed) for seed in range(20)]
     complexes += [mixed_denominator_complex(), perturbed_fractional_complex(), garbage_complex(), eval(SCALED_COMMUTE)]
@@ -125,7 +125,7 @@ def test_the_column_store_is_q_built_from_mat_rows():
             assert (q.rows, len(q.columns)) == (ref.rows, ref.cols)
             got = {(i, j): F(x, q.den) for j, col in enumerate(q.columns) for i, x in col.items()}
             assert got == {(i, j): x for i in range(ref.rows) for j, x in ref.vector(i).items()}
-            assert q.rank == len(ref.row_reduction[0])
+            assert total_ranks(dc)[m] == len(ref.row_reduction[0])
     # one denominator per Q_m: the lcm of its blocks' row denominators
     assert [total_differential(mixed_denominator_complex(), m).den for m in (0, 1)] == [210, 30]
 
@@ -586,9 +586,10 @@ def test_page_cells_are_solved_once_per_window(monkeypatch):
 def test_total_cohomology_is_computed_once_per_degree(monkeypatch):
     """abutment_check reads the totals its caller computed on dc, and the
     reverse.  Pages, totals and abutment_check on one complex, totals first
-    or abutment first, build each Q_m once, all on dc: the transposed
-    filtration reads dc's Q, no transposed complex is built, and each
-    filtration is reduced once."""
+    or abutment first, build each Q_m once, all on dc: the totals eliminate
+    each Q_m once, in one ascending pass, the transposed filtration reads
+    dc's Q, no transposed complex is built, and each filtration is reduced
+    once."""
     import lagfloor.spectral as sp
 
     assert not hasattr(sp, "transpose")
@@ -603,12 +604,16 @@ def test_total_cohomology_is_computed_once_per_degree(monkeypatch):
     filtered_reduction = sp._filtered_reduction
     monkeypatch.setattr(sp, "_filtered_reduction",
                         lambda dc, axis: reduced.append((dc, axis)) or filtered_reduction(dc, axis))
+    eliminated = []
+    eliminate = sp.TotalDifferential.eliminate
+    monkeypatch.setattr(sp.TotalDifferential, "eliminate", lambda q, skip: eliminated.append(q) or eliminate(q, skip))
     for first_totals in (True, False):
         dc = random_double_complex(5, width=4, height=4)
         degrees = range(dc.width + dc.height - 1)
         built.clear()
         complexes.clear()
         reduced.clear()
+        eliminated.clear()
         sp.page_infinity(dc)
         if first_totals:
             totals = [total_cohomology(dc, m) for m in degrees]
@@ -623,18 +628,19 @@ def test_total_cohomology_is_computed_once_per_degree(monkeypatch):
         maps = range(-1, dc.width + dc.height - 1)
         assert sorted(src for _, src in built) == sorted(tuple(sp._antidiagonal_cells(dc, m)) for m in maps)
         assert all(c is dc for c, _ in built)
+        # the totals' ranks: one ascending pass over dc's own Q's
+        assert [id(q) for q in eliminated] == [id(dc._q[m]) for m in maps]
         assert not complexes
         assert reduced == [(dc, sp.GIVEN), (dc, sp.TRANSPOSED)]
 
 
 def test_totals_and_abutment_take_each_rank_once_with_no_rref(monkeypatch):
     """Every total_cohomology degree plus abutment_check eliminate each Q_m
-    of dc once, forward, for its rank: H^m and H^{m+1} share Q_m's kept
-    rank, nothing runs rref, and the filtered reductions use Echelons of
-    their own.  Each rank equals the number of pivots of the full row
-    reduction of Q built from Mat rows."""
-    from functools import cached_property
-
+    of dc once, in one ascending pass from Q_{-1}: H^m and H^{m+1} share
+    Q_m's kept rank, nothing runs rref, and the filtered reductions use
+    Echelons of their own.  On this valid complex each Q_m skips exactly
+    the pivots of Q_{m-1}'s Echelon, and each rank equals the number of
+    pivots of the full row reduction of Q built from Mat rows."""
     import lagfloor.linalg as la
     import lagfloor.spectral as sp
 
@@ -642,21 +648,27 @@ def test_totals_and_abutment_take_each_rank_once_with_no_rref(monkeypatch):
     calls = []
     rref = la.rref
     monkeypatch.setattr(la, "rref", lambda rows, ncols: calls.append(rows) or rref(rows, ncols))
-    ranked = []
-    rank = sp.TotalDifferential.rank.func
-    counted = cached_property(lambda q: ranked.append(q) or rank(q))
-    counted.__set_name__(sp.TotalDifferential, "rank")
-    monkeypatch.setattr(sp.TotalDifferential, "rank", counted)
+    eliminated = []
+    eliminate = sp.TotalDifferential.eliminate
+
+    def counted(q, skip):
+        ech = eliminate(q, skip)
+        eliminated.append((q, set(skip), set(ech.rows)))
+        return ech
+
+    monkeypatch.setattr(sp.TotalDifferential, "eliminate", counted)
     degrees = range(dc.width + dc.height - 1)
     dims = [total_cohomology(dc, m).dim for m in degrees]
     assert abutment_check(dc).ok
     assert [total_cohomology(dc, m).dim for m in degrees] == dims
     maps = range(-1, dc.width + dc.height - 1)  # Q_{-1} maps into D^0
     qs = [sp.total_differential(dc, m) for m in maps]
-    assert all(q is sp.total_differential(dc, m) for m, q in zip(maps, qs))
-    assert sorted(map(id, ranked)) == sorted(map(id, qs))
+    assert [id(q) for q, _, _ in eliminated] == [id(q) for q in qs]
+    assert [skip for _, skip, _ in eliminated] == [set()] + [pivots for _, _, pivots in eliminated[:-1]]
+    assert any(skip for _, skip, _ in eliminated)
     assert not calls
-    assert [q.rank for q in qs] == [len(row_built_q(dc, m).row_reduction[0]) for m in maps]
+    ranks = [len(pivots) for _, _, pivots in eliminated]
+    assert ranks == [sp.total_ranks(dc)[m] for m in maps] == [len(row_built_q(dc, m).row_reduction[0]) for m in maps]
     assert [total_cohomology(fresh_copy(dc), m).dim for m in degrees] == dims
 
 
