@@ -620,9 +620,6 @@ class Expr:
         other = self._coerce(other)
         return Expr(self.chart, *fraction_add(self.num, self.den, other.num, other.den))
 
-    def __radd__(self, other):
-        return self + other
-
     def __neg__(self):
         # -num over den is reduced when num over den is
         out = Expr.__new__(Expr)
@@ -632,9 +629,6 @@ class Expr:
     def __sub__(self, other):
         other = self._coerce(other)
         return Expr(self.chart, *fraction_add(self.num, self.den, -other.num, other.den))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -649,17 +643,11 @@ class Expr:
             n2, d1 = q, TP_ONE
         return Expr(self.chart, n1 * n2, d1 * d2)
 
-    def __rmul__(self, other):
-        return self * other
-
     def __truediv__(self, other):
         other = self._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero expression")
         return self * Expr(self.chart, other.den, other.num)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
 
     def __pow__(self, k):
         if not isinstance(k, int):

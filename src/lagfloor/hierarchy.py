@@ -80,6 +80,7 @@ from .pairs import (
     linear_image,
     pi_images,
     restrict_cocycle,
+    validated_module,
 )
 from .spectral import MAX_COMPLEX_CELLS, ComplexTooLarge, DoubleComplex, validate_double_complex
 
@@ -775,10 +776,19 @@ def build_invariance_double_complex(p: GMPair, opts: ClassifyOptions | None = No
     requested ansatz (otherwise d2 would leave the grid), and Omega^2 is the
     image of d on Omega^1, so the top row is exact by construction.  Every
     object is a sparse vector over units: a monomial m, an elementary 1-form
-    (mu, m) or an elementary 2-form ((a, b), m).  The generator action and d
-    are read off the pair's action table.  A complex of more than
-    MAX_COMPLEX_CELLS cells raises ComplexTooLarge once the three bases are
-    known, before any matrix is built.
+    (mu, m) or an elementary 2-form ((a, b), m).  d and the action on
+    Omega^0 and Omega^1 are read off the pair's action table.  A complex of
+    more than MAX_COMPLEX_CELLS cells raises ComplexTooLarge once the three
+    bases are known, before any matrix is built.
+
+    The action on Omega^2 is induced through d: rho2_i = D rho1_i S, with D
+    the matrix of d, whose k-th basis image is d(w_{j_k}) for the lift j_k,
+    and S the 0/1 matrix that picks the lift columns.  It is exact, since
+    L_X d = d L_X: X_i d(w_{j_k}) = d(X_i w_{j_k}) = sum_l rho1_i[l, j_k]
+    d(w_l), which is column k of D rho1_i S.  The Q^2 check still tests the
+    commute block at q = 1, D rho1_i = rho2_i D: on the lift columns it
+    holds by construction, and on the others it says that rho1_i maps ker D
+    into itself, which is not automatic.
     """
     p.certify_brackets()
     opts = opts or ClassifyOptions()
@@ -793,7 +803,6 @@ def build_invariance_double_complex(p: GMPair, opts: ClassifyOptions | None = No
     # the unit images as {unit: Fraction} vectors, each built once
     f_units = [cache(lambda m, i=i: act.scalar(i, m).vector()) for i in range(n)]
     w_units = [cache(lambda unit, i=i: _keyed_terms(range(ncoords), act.oneform(i, *unit))) for i in range(n)]
-    t_units = [cache(lambda unit, i=i: _keyed_terms(pairs, act.twoform(i, *unit))) for i in range(n)]
 
     def df_unit(m):
         return _keyed_terms(range(ncoords), [act.partial(mu, m) for mu in range(ncoords)])
@@ -810,23 +819,28 @@ def build_invariance_double_complex(p: GMPair, opts: ClassifyOptions | None = No
     f_basis = _largest_invariant_subspace([{m: F(1)} for m in monos], f_units)
     forms = [{(mu, m): F(1)} for mu in range(ncoords) for m in monos]
     w_basis = _largest_invariant_subspace(forms, w_units)
-    # Omega^2 = d(Omega^1): an independent subset, deterministic
+    # Omega^2 = d(Omega^1): the images that raise the rank, in order, at their lifts
+    dw = [linear_image(w, dw_unit) for w in w_basis]
     ech = Echelon()
-    t_basis = [tw for tw in (linear_image(w, dw_unit) for w in w_basis) if ech.insert(tw)]
+    lifts = [j for j, tw in enumerate(dw) if ech.insert(tw)]
+    t_basis = [dw[j] for j in lifts]
     # the sum over p of C(n, p) * (dim Omega^0 + dim Omega^1 + dim Omega^2)
     cells_needed = 2 ** n * (len(f_basis) + len(w_basis) + len(t_basis))
     if cells_needed > MAX_COMPLEX_CELLS:
         raise ComplexTooLarge("invariance complex", cells_needed)
-    families = [(f_basis, f_units), (w_basis, w_units), (t_basis, t_units)]
-    modules = [action_module(g, family, units) for family, units in families]
+    modules = [action_module(g, f_basis, f_units), action_module(g, w_basis, w_units)]
     d_f_to_w = coordinate_map(w_basis, [linear_image(f, df_unit) for f in f_basis], "image escaped the target family")
-    d_w_to_t = coordinate_map(t_basis, [linear_image(w, dw_unit) for w in w_basis], "image escaped the target family")
+    d_w_to_t = coordinate_map(t_basis, dw, "image escaped the target family")
+    # the action on Omega^2, induced through d: D rho1_i S, S picking the lift columns
+    pick = {j: k for k, j in enumerate(lifts)}
+    s = Mat(len(dw), len(lifts), tuple({pick[j]: 1} if j in pick else {} for j in range(len(dw))))
+    modules.append(validated_module(len(lifts), g, tuple(d_w_to_t.mul(rho.mul(s)) for rho in modules[1].action)))
     dims = []
     d1 = {}
     d2 = {}
     for pdeg in range(n + 1):
         ntuples = len(cochain_tuples(n, pdeg))
-        dims.append([ntuples * len(family) for family, _ in families])
+        dims.append([ntuples * gm.dim for gm in modules])
         d1[(pdeg, 0)] = _block_diag(d_f_to_w, ntuples)
         d1[(pdeg, 1)] = _block_diag(d_w_to_t, ntuples)
         if pdeg < n:

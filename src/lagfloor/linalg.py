@@ -13,11 +13,11 @@ rounded pivot decision would corrupt them.
 Inside, every row is an integer row: a ``{column: int}`` dict of its
 nonzero entries.  A :class:`Mat` keeps one per row, over one positive
 denominator per row, in canonical form (the denominator is the lcm of the
-entries' denominators), so ``==`` compares values.  An equation is an
-integer row with no denominator, since scaling it keeps its solutions:
-:func:`kernel_of_rows` and :func:`solve_rows` take such rows.  Products,
-transposes, both reductions of a Mat, kernels, images and quotients all run
-on integer rows.
+entries' denominators), so equal matrices have equal rows and denominators.
+An equation is an integer row with no denominator, since scaling it keeps
+its solutions: :func:`kernel_of_rows` and :func:`solve_rows` take such
+rows.  Products, transposes, both reductions of a Mat, kernels, images and
+quotients all run on integer rows.
 
 ``Fraction`` is left to the edges.  A vector is a ``{index: Fraction}``
 dict of its nonzero entries and nothing else (:data:`Vector`): what
@@ -126,11 +126,12 @@ class Mat:
     Row i is ``data[i] / dens[i]``: a ``{column: int}`` dict of its nonzero
     entries and nothing else, over a positive denominator.  The form is
     canonical: each denominator is the lcm of its row's entry denominators,
-    so it shares no factor with all of the row's entries, and ``==`` means
-    same shape and same values.  ``dens`` defaults to all ones, an integer
-    matrix.  The integer rows go to :func:`rref` as they are, since scaling
-    a row keeps its row space; treat them as read-only, and the rows of the
-    two reductions it keeps too, since they are shared.
+    so it shares no factor with all of the row's entries, and two matrices
+    are equal when their shapes, ``data`` and ``dens`` are.  ``dens``
+    defaults to all ones, an integer matrix.  The integer rows go to
+    :func:`rref` as they are, since scaling a row keeps its row space; treat
+    them as read-only, and the rows of the two reductions it keeps too,
+    since they are shared.
     """
 
     def __init__(self, rows: int, cols: int, data: tuple[dict, ...], dens: tuple[int, ...] | None = None):
@@ -150,11 +151,6 @@ class Mat:
         self.cols = cols
         self.data = data
         self.dens = dens
-
-    def __eq__(self, other):
-        if type(other) is not Mat:
-            return NotImplemented
-        return (self.rows, self.cols, self.data, self.dens) == (other.rows, other.cols, other.data, other.dens)
 
     # The benchmark's total-cohomology oracle reads a Mat through
     # ``entries``, ``rows`` and ``cols``, and its self-test builds one with
@@ -451,13 +447,6 @@ class Subspace:
     @cached_property
     def basis(self) -> tuple[Vector, ...]:
         return tuple(_vector(den, w) for den, w in self.int_basis)
-
-    def __eq__(self, other):
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return (self.ambient_dim, self.int_basis) == (other.ambient_dim, other.int_basis)
-
-    __hash__ = None
 
     def __repr__(self):
         return f"Subspace(ambient_dim={self.ambient_dim}, basis={self.basis!r})"

@@ -2,22 +2,22 @@
 built directly on them.
 
 A pair couples an algebra given by structure constants with one vector field
-per basis element, a tuple of polynomial trig polynomials.  Its action
-table holds the fields with their Jacobians and the generator action on
-monomials and elementary forms as sparse monomial vectors, each filled once
-by the derivative rule on monomial keys; its Lie derivatives take and
-return (numerator, denominator) pairs, so an expression meets it only where
-a reader builds one.  On the table lives ``coboundary``, the one
-coboundary of function-valued 1-cochains, S_ij = X_i n_j - X_j n_i -
-c^k_ij n_k summed on the algebra's integer bracket table, which
-``validate_pair`` (on the cochain k -> X_k^mu, one per chart coordinate
-mu), ``FunctionCochain.delta`` and the cocycle check of ``pi_images`` all
-read; the pair keeps its bracket report, which the computations certify
-first.  Also here are ``action_module`` (the g-module on an
-action-closed family of sparse vectors, the one way a g-module is built);
-the invariant closed 1-forms; and stability subalgebras with cocycle
-restriction, which is the certificate machinery for nontrivial classes that
-no finite truncation can exhibit.
+per basis element, a tuple of polynomial trig polynomials.  Its action table
+holds the fields with their Jacobians and the generator action on monomials
+and elementary 1-forms as sparse monomial vectors, each filled once by the
+derivative rule on monomial keys; its Lie derivatives take and return
+(numerator, denominator) pairs, so an expression meets it only where a
+reader builds one.  On the table lives ``coboundary``, the one coboundary of
+function-valued 1-cochains, S_ij = X_i n_j - X_j n_i - c^k_ij n_k summed on
+the algebra's integer bracket table, which ``validate_pair`` (on the cochain
+k -> X_k^mu, one per chart coordinate mu), ``FunctionCochain.delta`` and the
+cocycle check of ``pi_images`` all read; the pair keeps its bracket report,
+which the computations certify first.  Also here are ``action_module``, the
+one builder of a g-module on an action-closed family of sparse vectors, and
+``validated_module``, which it and the invariance complex's module on
+2-forms, induced through d, both go through; the invariant closed 1-forms;
+and stability subalgebras with cocycle restriction, which is the certificate
+machinery for nontrivial classes that no finite truncation can exhibit.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from itertools import chain
 from math import lcm
 from operator import mul
 
-from .calculus import OneForm, twoform_pairs
+from .calculus import OneForm
 from .cecohom import GModule, NotACocycle, validate_module, zero_one_cocycles
 from .expr import TP, TP_ONE, AnsatzSpec, Chart, EvaluationPole, Expr, derivation, function_monomials, quotient_rule
 from .expr import point_values, time_derivation
@@ -49,18 +49,18 @@ F = Fraction
 
 
 class ActionTable:
-    """The generator action on monomials and elementary 1- and 2-forms.
+    """The generator action on monomials and elementary 1-forms.
 
     Every image is a trig polynomial, the sparse monomial vector of integer
     coefficients over one denominator, or a tuple of them for a form,
-    computed on first use and kept, except a 2-form image, which its one
-    reader, the invariance complex, keeps itself:
+    computed on first use and kept:
     ``scalar(i, m)`` is X_i(m); ``prolonged(i, m)`` is X_i^(1)(m) for a
     monomial in coordinates and velocities, the prolonged field X_i^mu
     d/dq^mu + (D_t X_i^mu) d/d(dq^mu); ``oneform(i, mu, m)`` is L_{X_i}(m
-    dq^mu), one vector per dq^nu; ``twoform(i, (a, b), m)`` is L_{X_i}(m
-    dq^a ^ dq^b), one vector per pair of ``twoform_pairs``; ``contraction(i,
-    mu, m)`` is (pi(m dq^mu))_i = m X_i^mu and ``partial(mu, m)`` is d m/dq^mu.
+    dq^mu), one vector per dq^nu; ``contraction(i, mu, m)`` is (pi(m
+    dq^mu))_i = m X_i^mu and ``partial(mu, m)`` is d m/dq^mu.  There is no
+    2-form image: the invariance complex induces the action on 2-forms
+    through d, since L_X d = d L_X.
     They follow from the derivative rule on monomial keys and
     ``components[i]``: the pair's X_i^mu, the Jacobian d X_i^mu / dq^nu,
     indexed [mu][nu], and D_t X_i^mu = dq^nu d X_i^mu / dq^nu, built once.
@@ -74,7 +74,6 @@ class ActionTable:
 
     def __init__(self, chart_: Chart, fields):
         self.chart = chart_
-        self._pair_index = {ab: k for k, ab in enumerate(twoform_pairs(chart_))}
         self._diffs = [derivation(chart_, name) for name in chart_.names]
         self._velocity_diffs = [derivation(chart_, name) for name in chart_.velocity_names]
         dt = time_derivation(chart_)
@@ -164,23 +163,6 @@ class ActionTable:
             comps[mu] = comps[mu] + self.scalar(i, mono)
             img = self._oneform[(i, mu, mono)] = tuple(comps)
         return img
-
-    def twoform(self, i, ab, mono) -> tuple:
-        """L_X(m dq^a ^ dq^b) = X(m) dq^a ^ dq^b + m d(X^a) ^ dq^b
-        + m dq^a ^ d(X^b), for a coordinate pair a < b."""
-        a, b = ab
-        jac = self.components[i][1]
-        m = TP({mono: 1})
-        comps = [TP() for _ in self._pair_index]
-        comps[self._pair_index[ab]] = self.scalar(i, mono)
-        for r in range(len(jac)):
-            # the dq^r terms of m d(X^a) ^ dq^b and of m dq^a ^ d(X^b)
-            for p, q, d in ((r, b, jac[a][r]), (a, r, jac[b][r])):
-                if p < q:
-                    comps[self._pair_index[(p, q)]] += m * d
-                elif p > q:
-                    comps[self._pair_index[(q, p)]] -= m * d
-        return tuple(comps)
 
 
 class GMPair:
@@ -373,7 +355,13 @@ def action_module(algebra: StructureConstants, family, unit_images) -> GModule:
         coordinate_map(family, [linear_image(b, unit_image) for b in family], "family not closed under the action")
         for unit_image in unit_images
     )
-    gm = GModule(len(family), algebra, mats)
+    return validated_module(len(family), algebra, mats)
+
+
+def validated_module(dim, algebra: StructureConstants, action) -> GModule:
+    """The g-module of these action matrices, validated: raises
+    InvariantViolation naming the brackets they violate."""
+    gm = GModule(dim, algebra, action)
     report = validate_module(gm)
     if not report.ok:
         raise InvariantViolation(f"module failed validation: {report.violations}")

@@ -4,10 +4,12 @@ is checked against.
 The term-by-term Euler-Lagrange covector and total time derivative are the
 references of ``calculus.euler_lagrange`` and
 ``calculus.total_time_derivative``: every partial derivative, product and
-sum is its own reduced ``Expr``.  The Lie derivatives of functions, 1-forms,
-2-forms and rank-1 Lagrangians along a vector field, and the exterior
-derivative of a 1-form, are the references of the pair's action table
-(``pairs.ActionTable``), which the commands read instead.  The commutator
+sum is its own reduced ``Expr``.  The Lie derivatives of functions, 1-forms
+and rank-1 Lagrangians along a vector field are the references of the
+pair's action table (``pairs.ActionTable``), which the commands read
+instead.  The Lie derivative of a 2-form and the exterior derivative of a
+1-form check d L_X = L_X d, by which the invariance complex induces the
+action on 2-forms from the table's action on 1-forms.  The commutator
 of two vector fields written as expressions, ``VectorFieldExpr.bracket``,
 is the reference of ``pairs.validate_pair``, which reads each component of
 the brackets as the table's ``pairs.coboundary`` of the fields' components.

@@ -231,8 +231,8 @@ def test_acceptance_6_noether_outputs():
         charges = noether_charges(TRANS2, L, rep)
         ch = TRANS2.chart
         tau = Expr.var(ch, "tau")
-        want1 = L.partial("dq1") - B * Expr.var(ch, "q2") - E1 * tau
-        want2 = L.partial("dq2") + B * Expr.var(ch, "q1") - E2 * tau
+        want1 = L.partial("dq1") - Expr.var(ch, "q2") * B - tau * E1
+        want2 = L.partial("dq2") + Expr.var(ch, "q1") * B - tau * E2
         assert (charges[0] - want1).is_zero()
         assert (charges[1] - want2).is_zero()
         # conservation residual vanishes identically on every fixture

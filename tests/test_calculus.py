@@ -506,8 +506,7 @@ def test_one_pass_time_derivative_equals_the_stepwise_sum(tp, tau):
     assert time_derivation(DT_CHART, tau)(tp) == stepwise_time_derivative(DT_CHART, tp, tau)
 
 
-EXPR_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-                  "__truediv__", "__rtruediv__", "__neg__", "__pow__")
+EXPR_OPERATORS = ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__", "__pow__")
 
 
 COUNTED_FIXTURES = [("galilean_r4", {"m": 1}), ("so3_sphere", {"m": 1, "g": 1})]

@@ -787,7 +787,7 @@ def test_invariance_closure_equals_the_residual_kernel_shrink_on_random_operator
             basis = [dict(b) for b in Subspace.spanned_by(vectors, m).basis]
         got = _largest_invariant_subspace(basis, unit_images)
         want = largest_invariant_subspace(basis, unit_images)
-        assert Subspace.spanned_by(got, m) == Subspace.spanned_by(want, m)
+        assert Subspace.spanned_by(got, m).int_basis == Subspace.spanned_by(want, m).int_basis
         shrunk += 0 < len(got) < len(basis)
         kept += len(got) == len(basis)
     assert shrunk > 20 and kept > 20
@@ -818,7 +818,7 @@ def test_invariance_closure_equals_the_residual_kernel_shrink_on_shrinking_pairs
         index = {u: k for k, u in enumerate(sorted({u for b in basis for u in b}))}
 
         def span(vectors):
-            return Subspace.spanned_by([{index[u]: x for u, x in v.items()} for v in vectors], len(index))
+            return Subspace.spanned_by([{index[u]: x for u, x in v.items()} for v in vectors], len(index)).int_basis
 
         assert span(out) == span(largest_invariant_subspace(basis, unit_images))
 
@@ -861,6 +861,37 @@ def test_invariance_complex_check_raises_under_python_O():
     res = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=SCRIPT_ENV)
     assert res.returncode == 0, res.stderr
     assert res.stdout.startswith("raised: invariance complex failed validation"), res.stdout
+
+
+@pytest.mark.parametrize("path, extra, check", [
+    ("src/lagfloor/fixtures/l3_cylinder.toml", (), "module failed validation"),
+    ("tests/problems/sl2_cylinder.toml", (), "module failed validation"),
+    ("tests/problems/gl3_stabilizer_elementary.toml", (), "module failed validation"),
+    ("src/lagfloor/fixtures/so3_r3.toml", ("--ansatz-degree", "1"), "invariance complex failed validation"),
+    ("src/lagfloor/fixtures/translations_r3.toml", ("--ansatz-degree", "2"), "invariance complex failed validation"),
+], ids=["l3_cylinder", "sl2_cylinder", "gl3_stabilizer_elementary", "so3_r3", "translations_r3"])
+def test_a_rotated_induced_action_exits_3_under_python_O(path, extra, check):
+    """The action on 2-forms induced with its generators rotated, rho2_i
+    taken from generator i + 1, fails an explicit check, so python -O keeps
+    it: the module check where the rotation breaks the brackets, and the
+    Q^2 commute block at q = 1 where it keeps them (so(3)'s cyclic rotation
+    is an automorphism, and translations commute)."""
+    script = textwrap.dedent(
+        """
+        import sys
+        import lagfloor.hierarchy as h
+        from lagfloor.cli import main
+
+        assert False, "asserts must be stripped under -O"
+        validated = h.validated_module
+        h.validated_module = lambda dim, g, action: validated(dim, g, action[1:] + action[:1])
+        raise SystemExit(main(["--format", "machine", "spectral", *sys.argv[1:], "--from-pair"]))
+        """
+    )
+    res = subprocess.run([sys.executable, "-O", "-c", script, path, *extra], capture_output=True, text=True,
+                         env=SCRIPT_ENV, cwd=ROOT)
+    assert res.returncode == 3, res.stdout + res.stderr
+    assert f"invariant_violation = {check}" in res.stdout
 
 
 def test_hierarchy_certificates_raise_under_python_O():

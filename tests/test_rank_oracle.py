@@ -257,6 +257,11 @@ def test_a_valid_complex_inserts_only_the_columns_off_the_pivots_below(monkeypat
     import lagfloor.linalg as la
     import lagfloor.spectral as sp
 
+    def blocks(qs, dc):
+        """Q's columns, and each block's canonical fields."""
+        return [q.columns for q in qs.values()], [{k: (m.rows, m.cols, m.data, m.dens) for k, m in d.items()}
+                                                  for d in (dc._d1, dc._d2)]
+
     inserted = []
     insert = la.Echelon._insert
     monkeypatch.setattr(la.Echelon, "_insert", lambda ech, w: inserted.append(w) or insert(ech, w))
@@ -266,7 +271,7 @@ def test_a_valid_complex_inserts_only_the_columns_off_the_pivots_below(monkeypat
     for dc in complexes:
         maps = range(-1, dc.width + dc.height - 1)
         qs = {m: sp.total_differential(dc, m) for m in maps}
-        before = copy.deepcopy(([q.columns for q in qs.values()], dc._d1, dc._d2))
+        before = copy.deepcopy(blocks(qs, dc))
         violated = {p + q for _, p, q in sp.validate_double_complex(dc).violations}
         inserted.clear()
         ranks = sp.total_ranks(dc)
@@ -275,5 +280,5 @@ def test_a_valid_complex_inserts_only_the_columns_off_the_pivots_below(monkeypat
         skipped += sum(len(q.columns) for q in qs.values()) - want
         for axis in (sp.GIVEN, sp.TRANSPOSED):
             sp._page_dims(dc, axis, 1)
-        assert ([q.columns for q in qs.values()], dc._d1, dc._d2) == before
+        assert blocks(qs, dc) == before
     assert skipped
